@@ -16,8 +16,8 @@ Scope is computed, not grepped: the rule seeds a call-graph walk
   cache key marks a function as feeding the cache substrate;
 
 then flags banned constructs in everything transitively reachable.
-Wall-clock uses that are genuinely required (e.g. lease expiry against
-file mtimes) carry an inline ``# repro: allow[determinism] reason``.
+Wall-clock uses that are genuinely required carry an inline
+``# repro: allow[determinism] reason``.
 
 ``time.monotonic``/``perf_counter`` are deliberately allowed — duration
 measurement does not influence cached content — as are seeded RNGs

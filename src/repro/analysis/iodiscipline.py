@@ -10,8 +10,7 @@ window that PR 7's crash-recovery work closed.
 
 The check is function-local: a write call is compliant when its
 enclosing function also renames something into place (``os.replace`` /
-``os.rename`` — the staged-directory pattern in the work queue counts)
-or delegates to one of the atomic helpers.  Read-only opens and
+``os.rename``) or delegates to one of the atomic helpers.  Read-only opens and
 explicit temp-staging writes therefore pass without annotation.
 """
 
@@ -34,11 +33,10 @@ from repro.analysis.engine import (
 
 __all__ = ["AtomicWriteRule"]
 
-#: Modules that own persistent state (caches, manifests, queue, stamps).
+#: Modules that own persistent state (caches, manifests, stamps).
 DEFAULT_PERSISTENCE_MODULES = (
     "repro.runtime.cache",
     "repro.runtime.shard",
-    "repro.runtime.schedule",
     "repro.runtime.fsck",
     "repro.service.warm",
 )

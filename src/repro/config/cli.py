@@ -70,18 +70,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
              "content fingerprint (overrides config runtime.point_shard_count)",
     )
     parser.add_argument(
-        "--schedule", choices=("fingerprint", "balanced"),
-        help="plan point shards round-robin or cost-balanced from the "
-             "cost ledger under CACHE_DIR/costs (overrides config "
-             "runtime.schedule)",
-    )
-    parser.add_argument(
-        "--queue-dir", metavar="PATH",
-        help="pull-based mode: lease point batches from this shared work "
-             "queue directory instead of a static point slice (overrides "
-             "config runtime.queue_dir)",
-    )
-    parser.add_argument(
         "--chaos", metavar="SPEC",
         help="deterministic fault injection for resilience testing — "
              "comma-separated key=value pairs (seed, worker_error, "
@@ -188,8 +176,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
             point_shard_index=args.point_shard_index,
             point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
-            schedule=args.schedule,
-            queue_dir=args.queue_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,8 +385,6 @@ def _run_suite(raw, args) -> int:
         point_shard_index=args.point_shard_index,
         point_shard_count=args.point_shard_count,
         chaos=_chaos_from(args),
-        schedule=args.schedule,
-        queue_dir=args.queue_dir,
     )
     if run.interrupted:
         print(
@@ -452,8 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             point_shard_index=args.point_shard_index,
             point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
-            schedule=args.schedule,
-            queue_dir=args.queue_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,8 +116,6 @@ def _override_runtime(
     point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
-    schedule: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ):
     """Apply CLI-style overrides on top of a config's runtime options."""
     updates: dict[str, Any] = {"progress": progress}
@@ -137,10 +135,6 @@ def _override_runtime(
         updates["retry"] = retry
     if chaos is not None:
         updates["chaos"] = chaos
-    if schedule is not None:
-        updates["schedule"] = schedule
-    if queue_dir is not None:
-        updates["queue_dir"] = queue_dir
     try:
         return dataclasses.replace(runtime, **updates)
     except ValueError as exc:
@@ -171,8 +165,6 @@ def run_config(
     point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
-    schedule: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
@@ -196,7 +188,6 @@ def run_config(
     runtime = _override_runtime(
         config.runtime_options(), workers, cache_dir, trace_cache_dir, seed,
         progress, point_shard_index, point_shard_count, retry, chaos,
-        schedule, queue_dir,
     )
     table = DSEEngine.from_options(runtime).run(spec)
     _write_csv(table, config.output_csv)
@@ -214,8 +205,6 @@ def run_study_config(
     point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
-    schedule: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ) -> ResultTable:
     """Execute a registered-study configuration end to end.
 
@@ -232,7 +221,7 @@ def run_study_config(
     spec = get_study(config.study)
     runtime = _override_runtime(
         config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos, schedule, queue_dir,
+        point_shard_index, point_shard_count, retry, chaos,
     )
     # Validate params against the builder's signature up front, so a
     # TypeError raised deep inside a study is never misreported as a
@@ -272,8 +261,6 @@ def run_suite_config(
     point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
-    schedule: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ):
     """Execute a suite-run configuration end to end.
 
@@ -295,7 +282,7 @@ def run_suite_config(
         point_shard_count = config.point_shard_count
     runtime = _override_runtime(
         config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos, schedule, queue_dir,
+        point_shard_index, point_shard_count, retry, chaos,
     )
     return run_all(
         config.output_dir,

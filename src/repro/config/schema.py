@@ -31,10 +31,6 @@ A config describes one design sweep::
         "seed": null,
         "point_shard_index": 0,
         "point_shard_count": 1,
-        "schedule": "fingerprint" | "balanced",
-        "queue_dir": null,              // pull-based lease mode when set
-        "queue_batch": 4,
-        "queue_lease_s": 30.0,
         "retry": { "max_attempts": 3, "backoff_s": 0.05,
                    "deadline_s": null },          // optional
         "chaos": { "seed": 0, "worker_kill": 0.1 }  // optional, testing only
@@ -365,16 +361,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     chaos = None
     if chaos_section is not None:
         chaos = ChaosOptions.from_mapping(chaos_section)
-    schedule = section.get("schedule", "fingerprint")
-    if schedule not in ("fingerprint", "balanced"):
-        raise ConfigError("runtime.schedule must be 'fingerprint' or 'balanced'")
-    queue_dir = section.get("queue_dir")
-    queue_batch = int(section.get("queue_batch", 4))
-    if queue_batch < 1:
-        raise ConfigError("runtime.queue_batch must be >= 1")
-    queue_lease_s = float(section.get("queue_lease_s", 30.0))
-    if queue_lease_s <= 0:
-        raise ConfigError("runtime.queue_lease_s must be > 0")
     return RuntimeOptions(
         workers=workers,
         cache_dir=None if cache_dir is None else str(cache_dir),
@@ -385,10 +371,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
         point_shard_count=point_shard_count,
         retry=retry,
         chaos=chaos,
-        schedule=schedule,
-        queue_dir=None if queue_dir is None else str(queue_dir),
-        queue_batch=queue_batch,
-        queue_lease_s=queue_lease_s,
     )
 
 

@@ -41,11 +41,9 @@ from repro.runtime.executor import (
 from repro.runtime.resilience import RetryPolicy
 from repro.runtime.options import (
     ARRAY_CACHE_SUBDIR,
-    COST_CACHE_SUBDIR,
     EVALUATION_CACHE_SUBDIR,
     RuntimeOptions,
 )
-from repro.runtime.schedule import CostLedger, WorkQueue
 from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
@@ -116,16 +114,10 @@ class DSEEngine:
         point_shard: Optional[PointShard] = None,
         retry: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosOptions] = None,
-        schedule: str = "fingerprint",
-        queue: Optional[WorkQueue] = None,
     ) -> None:
         if on_error not in ("raise", "skip"):
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
-            )
-        if schedule not in ("fingerprint", "balanced"):
-            raise ValueError(
-                f"schedule must be 'fingerprint' or 'balanced', got {schedule!r}"
             )
         self.workers = max(1, int(workers))
         self.on_error = on_error
@@ -133,21 +125,14 @@ class DSEEngine:
         self.point_shard = point_shard
         self.retry = retry
         self.chaos = chaos
-        self.schedule = schedule
-        self.queue = queue
         self.cache: Optional[CharacterizationCache] = None
         self.eval_cache: Optional[EvaluationCache] = None
-        #: Cost ledger of observed per-point wall-clock; always recording
-        #: when a cache root exists, so balanced planning has data to
-        #: learn from no matter which schedule produced it.
-        self.cost_ledger: Optional[CostLedger] = None
         if cache_dir is not None:
             root = Path(cache_dir)
             self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR, chaos=chaos)
             self.eval_cache = EvaluationCache(
                 root / EVALUATION_CACHE_SUBDIR, chaos=chaos
             )
-            self.cost_ledger = CostLedger(root / COST_CACHE_SUBDIR)
         #: In-memory cache keyed by the stable point fingerprint (shared
         #: with the on-disk cache's addressing).
         self._array_cache: dict[str, ArrayCharacterization] = {}
@@ -159,17 +144,6 @@ class DSEEngine:
     @classmethod
     def from_options(cls, options: RuntimeOptions) -> "DSEEngine":
         """An engine configured from shared :class:`RuntimeOptions`."""
-        queue = None
-        if options.queue_dir is not None:
-            # The point-shard index doubles as the consumer identity:
-            # each queue consumer must run with a distinct index anyway
-            # so its manifest slots into the merge as one shard.
-            queue = WorkQueue(
-                options.queue_dir,
-                worker_id=str(options.point_shard_index),
-                batch_size=options.queue_batch,
-                lease_expiry_s=options.queue_lease_s,
-            )
         return cls(
             workers=options.workers,
             cache_dir=options.cache_dir,
@@ -178,8 +152,6 @@ class DSEEngine:
             point_shard=options.point_shard,
             retry=options.retry,
             chaos=options.chaos,
-            schedule=options.schedule,
-            queue=queue,
         )
 
     def fingerprint(
@@ -215,7 +187,6 @@ class DSEEngine:
             memory=self._array_cache,
             on_error="raise",
             telemetry=SweepTelemetry(self.progress),
-            ledger=self.cost_ledger,
         )[0]
         assert result is not None  # on_error="raise" never returns None
         return result
@@ -249,7 +220,6 @@ class DSEEngine:
             ),
             retry=self.retry,
             chaos=self.chaos,
-            ledger=self.cost_ledger,
         )
 
     def _characterized(
@@ -272,9 +242,6 @@ class DSEEngine:
             ),
             retry=self.retry,
             chaos=self.chaos,
-            ledger=self.cost_ledger,
-            schedule=self.schedule,
-            queue=self.queue,
         )
         return [array for array in results if array is not None]
 

@@ -6,9 +6,11 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.fingerprint` — stable, content-addressed identities
   for sweep points (cell parameters + array provisioning), shared by the
   in-memory and on-disk caches.
-* :mod:`repro.runtime.cache` — persistent content-addressed caches (array
-  characterizations, (array x traffic) evaluation row blocks, and
-  regenerated LLC traffic traces) so repeated and incremental sweeps are
+* :mod:`repro.runtime.cache` — persistent content-addressed caches, one
+  subdirectory of ``cache_dir`` per store: ``arrays/`` (array
+  characterizations), ``evaluations/`` ((array x traffic) evaluation row
+  blocks), ``traces/`` (regenerated LLC traffic traces) and ``clouds/``
+  (full organization clouds), so repeated and incremental sweeps are
   near-instant and interrupted sweeps are resumable.
 * :mod:`repro.runtime.executor` — chunked fan-out of characterization and
   (array, traffic) evaluation over a :class:`~concurrent.futures.\
@@ -39,11 +41,6 @@ ProcessPoolExecutor`, with deterministic result ordering and a serial
   so every resilience guarantee is testable end-to-end.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit and repair
   (the ``nvmexplorer fsck`` command).
-* :mod:`repro.runtime.schedule` — cost-model-driven elastic scheduling:
-  a persistent ledger of observed per-point wall-clock, a deterministic
-  regression cost model, cost-balanced (LPT) point-shard planning, and
-  a pull-based work queue where workers lease point batches with
-  heartbeat + expiry reclaim instead of taking a static partition.
 """
 
 from repro.runtime.aio import AsyncStudyRunner, TelemetryBridge
@@ -59,7 +56,6 @@ from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
     evaluate_blocks,
-    parallel_map,
     sweep_points,
 )
 from repro.runtime.fingerprint import (
@@ -83,17 +79,6 @@ from repro.runtime.resilience import (
     TaskOutcome,
     classify_error,
     run_resilient,
-)
-from repro.runtime.schedule import (
-    BalancedPointShard,
-    CostLedger,
-    CostModel,
-    QueueLeaseLost,
-    WorkQueue,
-    cost_ledger_for,
-    evaluation_features,
-    plan_balanced,
-    point_features,
 )
 from repro.runtime.shard import (
     ManifestEntry,
@@ -119,12 +104,9 @@ __all__ = [
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
     "AsyncStudyRunner",
-    "BalancedPointShard",
     "ChaosInjectedError",
     "ChaosOptions",
     "CharacterizationCache",
-    "CostLedger",
-    "CostModel",
     "EvaluationCache",
     "FsckReport",
     "JsonObjectCache",
@@ -132,7 +114,6 @@ __all__ = [
     "ManifestEntry",
     "PointShard",
     "ProgressEvent",
-    "QueueLeaseLost",
     "RetryPolicy",
     "RunManifest",
     "RuntimeOptions",
@@ -142,16 +123,13 @@ __all__ = [
     "SweepTelemetry",
     "TaskOutcome",
     "TelemetryBridge",
-    "WorkQueue",
     "assign_fingerprint",
     "canonical_json",
     "characterize_points",
     "classify_error",
-    "cost_ledger_for",
     "engine_for",
     "ensure_runtime",
     "evaluate_blocks",
-    "evaluation_features",
     "fsck_cache_dir",
     "fsck_manifest",
     "fsck_store",
@@ -159,12 +137,9 @@ __all__ = [
     "evaluation_fingerprint",
     "fingerprint_payload",
     "merge_manifests",
-    "parallel_map",
     "parse_chaos_spec",
     "partition_fingerprints",
-    "plan_balanced",
     "plan_shard",
-    "point_features",
     "point_fingerprint",
     "point_payload",
     "point_set_digest",

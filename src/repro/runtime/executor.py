@@ -25,17 +25,13 @@ import copy
 import functools
 import hashlib
 import math
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.cells.base import CellTechnology
 from repro.errors import (
     CharacterizationError,
     EvaluationError,
-    ExecutionError,
     PoisonedPointError,
     ReproError,
     TransientError,
@@ -52,13 +48,6 @@ from repro.runtime.fingerprint import (
     point_fingerprint,
 )
 from repro.runtime.resilience import RetryPolicy, run_resilient
-from repro.runtime.schedule import (
-    CostLedger,
-    WorkQueue,
-    evaluation_features,
-    plan_balanced,
-    point_features,
-)
 from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import (
     CACHED,
@@ -75,10 +64,6 @@ from repro.runtime.telemetry import (
 #: Target number of chunks per worker; >1 so a slow chunk doesn't leave
 #: the rest of the pool idle at the tail of the sweep.
 _CHUNKS_PER_WORKER = 4
-
-#: How many times :func:`parallel_map` rebuilds a crashed pool before
-#: concluding the failure is not transient.
-_MAX_POOL_REBUILDS = 3
 
 
 @dataclass(frozen=True)
@@ -145,111 +130,11 @@ def sweep_points(spec) -> List[SweepPoint]:
     return points
 
 
-# --- generic chunked map ---------------------------------------------------
-
-
-def _chunked(
-    indexed: Sequence[Tuple[int, Any]], chunksize: int
-) -> List[List[Tuple[int, Any]]]:
-    return [
-        list(indexed[start : start + chunksize])
-        for start in range(0, len(indexed), chunksize)
-    ]
+# --- characterization fan-out ---------------------------------------------
 
 
 def _default_chunksize(n_items: int, workers: int) -> int:
     return max(1, math.ceil(n_items / (workers * _CHUNKS_PER_WORKER)))
-
-
-def _apply_chunk(payload):
-    """Pool worker: apply ``fn`` to every indexed item of one chunk."""
-    fn, chunk = payload
-    return [(index, fn(item)) for index, item in chunk]
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    workers: int = 1,
-    chunksize: Optional[int] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-) -> List[Any]:
-    """Order-preserving map over a process pool.
-
-    ``fn`` must be a picklable module-level callable.  With ``workers=1``
-    (or a single item) this is a plain in-process loop.  ``on_result`` is
-    called in the parent process as each item finishes — in completion
-    order, not item order — for live progress reporting.
-
-    A crashed worker (``BrokenProcessPool``) does not kill the map: the
-    pool is rebuilt and only the chunks whose results were lost are
-    re-dispatched (``fn`` must therefore be effectively idempotent — true
-    for the pure model functions this runs).  Rebuilds are bounded; a
-    pool that keeps dying raises :class:`~repro.errors.ExecutionError`.
-    """
-    materialized = list(items)
-    if workers <= 1 or len(materialized) <= 1:
-        results = []
-        for index, item in enumerate(materialized):
-            value = fn(item)
-            results.append(value)
-            if on_result is not None:
-                on_result(index, value)
-        return results
-    chunksize = chunksize or _default_chunksize(len(materialized), workers)
-    pending_chunks = _chunked(list(enumerate(materialized)), chunksize)
-    results: List[Any] = [None] * len(materialized)
-    rebuilds = 0
-    while pending_chunks:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(pending_chunks)))
-        futures = {
-            pool.submit(_apply_chunk, (fn, chunk)): chunk for chunk in pending_chunks
-        }
-        done_ids: set = set()
-        broken = False
-        try:
-            for future in as_completed(futures):
-                try:
-                    records = future.result()
-                except BrokenProcessPool:
-                    # The pool is dead but keep draining: chunks that
-                    # finished before the crash still have results to
-                    # salvage, and the rest fail fast with this error.
-                    broken = True
-                    continue
-                done_ids.add(id(futures[future]))
-                for index, value in records:
-                    results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
-        except BaseException:
-            # Cancel-on-error, matching characterize_points/evaluate_blocks:
-            # a failing chunk must not leave the rest of the pool grinding
-            # through work whose results will never be consumed.
-            for future in futures:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        if not broken:
-            pool.shutdown(wait=True)
-            break
-        pool.shutdown(wait=False, cancel_futures=True)
-        rebuilds += 1
-        if rebuilds > _MAX_POOL_REBUILDS:
-            raise ExecutionError(
-                f"process pool died {rebuilds} times running {fn!r}; giving up"
-            )
-        pending_chunks = [c for c in pending_chunks if id(c) not in done_ids]
-    return results
-
-
-# --- characterization fan-out ---------------------------------------------
-
-
-def _characterize_point(point: SweepPoint) -> ArrayCharacterization:
-    """Picklable task body for the resilient characterization fan-out."""
-    return point.characterize()
 
 
 @dataclass(frozen=True)
@@ -337,10 +222,6 @@ def characterize_points(
     point_shard: Optional[PointShard] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
-    ledger: Optional[CostLedger] = None,
-    schedule: str = "fingerprint",
-    queue: Optional[WorkQueue] = None,
-    track_fingerprints: bool = False,
 ) -> List[Optional[ArrayCharacterization]]:
     """Characterize every point, in order, using every cache available.
 
@@ -364,18 +245,6 @@ def characterize_points(
     ``poisoned`` event (raising :class:`~repro.errors.PoisonedPointError`
     under ``on_error="raise"``).  ``chaos`` deterministically injects
     faults for resilience testing.
-
-    Elastic scheduling (:mod:`repro.runtime.schedule`): with a
-    ``ledger``, every fresh characterization's wall-clock is recorded as
-    a cost observation (cache hits are never recorded — their zero
-    durations would poison the model).  ``schedule="balanced"`` replaces
-    the round-robin ``point_shard`` with a cost-balanced LPT plan over
-    the ledger's predictions; with an empty ledger the plan degrades to
-    exactly the round-robin partition.  A ``queue`` switches to the
-    pull-based lease mode: the static selector is ignored and this
-    worker leases point batches from the shared queue until the topic
-    drains.  ``track_fingerprints`` forces fingerprints onto telemetry
-    events even without a selector (queue mode's accounting).
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -384,45 +253,16 @@ def characterize_points(
     total = len(points)
     results: List[Optional[ArrayCharacterization]] = [None] * total
     fingerprints: List[str] = [point.fingerprint() for point in points]
-    if queue is not None:
-        return _characterize_queue(
-            points,
-            fingerprints,
-            queue=queue,
-            workers=workers,
-            cache=cache,
-            memory=memory,
-            on_error=on_error,
-            telemetry=telemetry,
-            chunksize=chunksize,
-            retry=retry,
-            chaos=chaos,
-            ledger=ledger,
-        )
     selector = (
         point_shard
         if point_shard is not None and not point_shard.is_whole_space
         else None
     )
-    if selector is not None and schedule == "balanced":
-        requests: dict[str, dict] = {}
-        for index, fp in enumerate(fingerprints):
-            if fp not in requests:
-                requests[fp] = point_features(points[index])
-        costs = (
-            ledger.costs_for("characterize", requests)
-            if ledger is not None
-            else None
-        )
-        selector = plan_balanced(
-            selector.index, selector.count, fingerprints, costs=costs
-        )
 
     def _event_fp(fp: str) -> str:
-        # Fingerprints ride on events only under point sharding (or when
-        # queue mode forces tracking), where downstream consumers need
-        # them for partition accounting.
-        return fp if selector is not None or track_fingerprints else ""
+        # Fingerprints ride on events only under point sharding, where
+        # downstream consumers need them for partition accounting.
+        return fp if selector is not None else ""
 
     pending_by_fp: dict[str, List[int]] = {}
     for index, point in enumerate(points):
@@ -465,11 +305,6 @@ def characterize_points(
         memory[fp] = array
         if cache is not None:
             cache.store(fp, array)
-        if ledger is not None:
-            # Only fresh work reaches this path, and observe() itself
-            # drops non-positive durations — cache hits can never fold
-            # zeros into the cost model.
-            ledger.observe(fp, point_features(points[first_index]), duration_s)
         for nth, index in enumerate(pending_by_fp[fp]):
             results[index] = array
             kind = COMPLETED if nth == 0 else CACHED
@@ -598,103 +433,6 @@ def characterize_points(
     return results
 
 
-def _characterize_queue(
-    points: Sequence[SweepPoint],
-    fingerprints: Sequence[str],
-    *,
-    queue: WorkQueue,
-    workers: int,
-    cache: Optional[CharacterizationCache],
-    memory: dict,
-    on_error: str,
-    telemetry: SweepTelemetry,
-    chunksize: Optional[int],
-    retry: Optional[RetryPolicy],
-    chaos: Optional[ChaosOptions],
-    ledger: Optional[CostLedger],
-) -> List[Optional[ArrayCharacterization]]:
-    """Pull-based characterization: lease point batches until drained.
-
-    The planned point set is published (idempotently) as one queue
-    topic, so every consumer of the same sweep meets on the same batch
-    files with no coordination.  This worker first *replays* the batches
-    its durable claims file says it completed in a prior (crashed or
-    interrupted) run — cache hits that re-emit the telemetry accounting
-    its manifest needs — then leases fresh batches, heartbeating each
-    lease while the points characterize through the normal cached path.
-    A batch that errors out is released back to pending; a lease that
-    expired mid-work raises :class:`~repro.runtime.schedule.\
-    QueueLeaseLost` rather than risk double-counted points.
-
-    Points this worker never processed are reported as ``skipped``
-    events carrying their fingerprints — exactly like points owned by
-    another static shard — so the manifest's exactly-once merge
-    verification works unchanged across all consumers.
-    """
-    total = len(points)
-    results: List[Optional[ArrayCharacterization]] = [None] * total
-    indices_by_fp: dict[str, List[int]] = {}
-    for index, fp in enumerate(fingerprints):
-        indices_by_fp.setdefault(fp, []).append(index)
-    ordered = list(dict.fromkeys(fingerprints))
-    topic = queue.publish(ordered)
-
-    def _run_subset(subset: Sequence[str]) -> None:
-        sub_points = [points[indices_by_fp[fp][0]] for fp in subset]
-        sub_results = characterize_points(
-            sub_points,
-            workers=workers,
-            cache=cache,
-            memory=memory,
-            on_error=on_error,
-            telemetry=telemetry,
-            chunksize=chunksize,
-            retry=retry,
-            chaos=chaos,
-            ledger=ledger,
-            track_fingerprints=True,
-        )
-        for fp, array in zip(subset, sub_results):
-            for index in indices_by_fp[fp]:
-                results[index] = array
-
-    processed: set = set()
-    replay = [fp for fp in queue.claimed_points(topic) if fp in indices_by_fp]
-    if replay:
-        _run_subset(replay)
-        processed.update(replay)
-    while True:
-        batch = queue.lease(topic)
-        if batch is None:
-            if queue.drained(topic):
-                break
-            # Everything leasable is held by a live worker; wait for it
-            # to finish or for its lease to expire (bounded by expiry).
-            time.sleep(queue.poll_s)
-            continue
-        todo = [
-            fp
-            for fp in batch.fingerprints
-            if fp in indices_by_fp and fp not in processed
-        ]
-        try:
-            with queue.heartbeating(batch):
-                if todo:
-                    _run_subset(todo)
-        except BaseException:
-            queue.release(batch)
-            raise
-        queue.complete(batch)
-        processed.update(batch.fingerprints)
-    for fp in ordered:
-        if fp in processed:
-            continue
-        for index in indices_by_fp[fp]:
-            telemetry.emit(ProgressEvent(
-                SKIPPED, points[index].label, index, total, fingerprint=fp))
-    return results
-
-
 # --- (array x traffic) evaluation fan-out -----------------------------------
 
 
@@ -722,7 +460,6 @@ def evaluate_blocks(
     point_shard: Optional[PointShard] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
-    ledger: Optional[CostLedger] = None,
 ) -> List[Optional[List[dict]]]:
     """Evaluate every array under the whole traffic block, in order.
 
@@ -804,13 +541,6 @@ def evaluate_blocks(
         memory[fp] = rows
         if cache is not None:
             cache.store(fp, rows)
-        if ledger is not None:
-            ledger.observe(
-                fp,
-                evaluation_features(arrays[first_index], len(traffic)),
-                duration_s,
-                phase="evaluate",
-            )
         for nth, index in enumerate(pending_by_fp[fp]):
             results[index] = rows
             _emit(COMPLETED if nth == 0 else CACHED, index,

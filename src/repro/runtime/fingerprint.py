@@ -77,15 +77,6 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         "repro.runtime.fingerprint",
         ("repro.core.metrics", "repro.runtime.fingerprint"),
     ),
-    # costs/ store and queue batch/claims payloads.
-    "COST_SCHEMA_TAG": (
-        "repro.runtime.schedule",
-        ("repro.runtime.schedule",),
-    ),
-    "QUEUE_SCHEMA": (
-        "repro.runtime.schedule",
-        ("repro.runtime.schedule",),
-    ),
     # Shard manifests (resume/merge/fsck all parse them).
     "MANIFEST_SCHEMA": (
         "repro.runtime.shard",

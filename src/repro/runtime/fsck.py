@@ -44,7 +44,7 @@ from repro.runtime.shard import RunManifest
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
 
 #: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds", "costs")
+_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds")
 
 
 @dataclass
@@ -220,9 +220,8 @@ def fsck_cache_dir(
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``, ``clouds/``, ``costs/``); a directory that itself fans
-    out into two-hex-digit
-    subdirs is treated as a single bare store.  ``repair_from`` names a
+    ``traces/``, ``clouds/``); a directory that itself fans out into
+    two-hex-digit subdirs is treated as a single bare store.  ``repair_from`` names a
     sibling cache root with the same layout.
     """
     cache_dir = Path(cache_dir)

@@ -12,7 +12,6 @@ CLI, and :class:`~repro.core.engine.DSEEngine`.
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
     <cache_dir>/clouds/       full organization clouds (Figure 12 studies)
-    <cache_dir>/costs/        observed per-point wall-clock (cost ledger)
 
 ``trace_cache_dir`` overrides only the trace store (traces are produced
 by the cache simulator, not the characterizer, so some deployments keep
@@ -35,7 +34,6 @@ ARRAY_CACHE_SUBDIR = "arrays"
 EVALUATION_CACHE_SUBDIR = "evaluations"
 TRACE_CACHE_SUBDIR = "traces"
 CLOUD_CACHE_SUBDIR = "clouds"
-COST_CACHE_SUBDIR = "costs"
 
 
 @dataclass(frozen=True)
@@ -77,19 +75,6 @@ class RuntimeOptions:
         Optional deterministic fault injection
         (:class:`~repro.runtime.chaos.ChaosOptions`) for resilience
         testing; ``None`` (the default) injects nothing.
-    schedule:
-        How point shards are planned: ``"fingerprint"`` (round-robin
-        hashing, the PR 5 default) or ``"balanced"`` (cost-balanced LPT
-        planning from the cost ledger; degrades to round-robin when the
-        ledger is empty).  Ignored in queue mode.
-    queue_dir:
-        When set, this run pulls point batches from the shared work
-        queue rooted here (:class:`~repro.runtime.schedule.WorkQueue`)
-        instead of taking a static slice; ``point_shard_index`` then
-        only names this consumer for manifests and claims.
-    queue_batch / queue_lease_s:
-        Queue-mode tuning: points per leased batch, and how long a
-        lease may go without a heartbeat before any worker reclaims it.
     """
 
     workers: int = 1
@@ -102,10 +87,6 @@ class RuntimeOptions:
     point_shard_count: int = 1
     retry: Optional[RetryPolicy] = None
     chaos: Optional[ChaosOptions] = None
-    schedule: str = "fingerprint"
-    queue_dir: Optional[Union[str, Path]] = None
-    queue_batch: int = 4
-    queue_lease_s: float = 30.0
 
     def __post_init__(self) -> None:
         if int(self.workers) < 1:
@@ -122,17 +103,6 @@ class RuntimeOptions:
             raise ValueError(
                 f"point_shard_index must be in [0, {self.point_shard_count}), "
                 f"got {self.point_shard_index!r}"
-            )
-        if self.schedule not in ("fingerprint", "balanced"):
-            raise ValueError(
-                f"schedule must be 'fingerprint' or 'balanced', "
-                f"got {self.schedule!r}"
-            )
-        if int(self.queue_batch) < 1:
-            raise ValueError(f"queue_batch must be >= 1, got {self.queue_batch!r}")
-        if float(self.queue_lease_s) <= 0:
-            raise ValueError(
-                f"queue_lease_s must be > 0, got {self.queue_lease_s!r}"
             )
 
     @property

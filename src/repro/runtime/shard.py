@@ -52,7 +52,7 @@ from repro.runtime.fingerprint import (
 
 #: Version tag of the manifest payload format.  Bump on incompatible
 #: changes so stale manifests are ignored instead of misread.
-MANIFEST_SCHEMA = "shard-manifest-v1"
+MANIFEST_SCHEMA = "shard-manifest-v2"
 
 #: File name a shard's manifest is written under, next to its outputs.
 MANIFEST_FILENAME = "manifest.json"
@@ -196,26 +196,6 @@ class PointShard:
     def to_dict(self) -> dict[str, int]:
         return {"index": self.index, "count": self.count}
 
-    @classmethod
-    def balanced(
-        cls,
-        index: int,
-        count: int,
-        fingerprints: Iterable[str],
-        costs=None,
-    ) -> "PointShard":
-        """A cost-balanced shard of an explicit point space.
-
-        LPT bin-packing over per-fingerprint predicted ``costs`` (see
-        :mod:`repro.runtime.schedule`); with ``costs=None`` the
-        membership degrades to exactly this class's round-robin
-        partition.  The result is still an opaque point-set selector to
-        manifests and merge verification.
-        """
-        from repro.runtime.schedule import plan_balanced
-
-        return plan_balanced(index, count, fingerprints, costs=costs)
-
 
 def point_set_digest(fingerprints: Iterable[str]) -> str:
     """Order-independent digest of a set of point fingerprints.
@@ -238,7 +218,6 @@ def point_shard_section(
     selected: Iterable[str],
     completed: Iterable[str],
     poisoned: Iterable[str] = (),
-    scheme: str = "fingerprint",
 ) -> dict[str, Any]:
     """The manifest payload describing one study's point-shard slice.
 
@@ -250,20 +229,12 @@ def point_shard_section(
     step's exactly-once partition — but are quarantined: they exhausted
     their transient-failure retry budget without completing, and a
     re-run should re-attempt them.
-
-    ``scheme`` records how the slice was *derived* — ``"fingerprint"``
-    (round-robin hashing), ``"balanced"`` (cost-balanced planning), or
-    ``"queue"`` (pull-based leasing).  Merge verification is
-    scheme-independent (it checks the selected sets, not how they were
-    chosen), but fingerprint re-verification needs it to reconstruct
-    the selector a run actually used.
     """
     planned = set(planned)
     selected = set(selected)
     return {
         "index": shard.index,
         "count": shard.count,
-        "scheme": scheme,
         "planned": len(planned),
         "planned_digest": point_set_digest(planned),
         "selected": sorted(selected),

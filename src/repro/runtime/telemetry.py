@@ -131,8 +131,8 @@ class SweepTelemetry:
     retried: int = 0  # transient point failures retried (all phases)
     batched: int = 0  # characterize-phase points computed via the batch engine
     #: Wall-clock spent computing fresh (or failing) points, per phase —
-    #: the raw data behind cost-balanced shard planning and the service's
-    #: per-request latency accounting.
+    #: the raw data behind the manifest's per-study timings and the
+    #: service's per-request latency accounting.
     characterize_wall_s: float = 0.0
     evaluate_wall_s: float = 0.0
     trace_wall_s: float = 0.0

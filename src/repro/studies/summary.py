@@ -64,13 +64,11 @@ from repro.runtime.chaos import parse_chaos_spec
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.runtime.resilience import RetryPolicy
-from repro.runtime.schedule import BalancedPointShard
 from repro.runtime.shard import (
     STATUS_CACHED,
     STATUS_FAILED,
     STATUS_OK,
     ManifestEntry,
-    PointShard,
     RunManifest,
     ShardError,
     ShardPlan,
@@ -293,27 +291,12 @@ def _run_selected(
     artifacts are fully on disk.
     """
     point_shard = runtime.point_shard
-    # How each study's point slice is derived (see point_shard_section):
-    # the static round-robin partition supports pre-run incremental
-    # skips, while balanced plans and queue leases are only known
-    # post-run — their fingerprints are derived from what actually ran,
-    # and a stale static fingerprint must never skip them.
-    if runtime.queue_dir is not None:
-        scheme = "queue"
-    elif runtime.schedule == "balanced" and point_shard is not None:
-        scheme = "balanced"
-    else:
-        scheme = "fingerprint"
     for name in plan.selected:
         spec = registry[name]
         fingerprint = study_fingerprint(
             spec, seed=runtime.seed, point_shard=point_shard
         )
-        prior = (
-            _reusable_entry(reusable, name, fingerprint, out)
-            if scheme == "fingerprint"
-            else None
-        )
+        prior = _reusable_entry(reusable, name, fingerprint, out)
         if prior is not None:
             outcome = StudyOutcome(
                 name=name,
@@ -331,40 +314,15 @@ def _run_selected(
             outcome = spec.run(runtime)
             artifacts = _write_artifacts(outcome, spec, out)
             section = {}
-            if point_shard is not None or scheme == "queue":
+            if point_shard is not None:
                 telemetry = outcome.telemetry
                 section = point_shard_section(
-                    point_shard
-                    if point_shard is not None
-                    else PointShard(
-                        runtime.point_shard_index, runtime.point_shard_count
-                    ),
+                    point_shard,
                     telemetry.planned_points,
                     telemetry.selected_points,
                     telemetry.completed_points,
                     poisoned=telemetry.poisoned_points,
-                    scheme=scheme,
                 )
-            if scheme == "balanced":
-                # The slice a balanced run owns is the plan's output, so
-                # its identity is only known post-run: fingerprint the
-                # selector that actually ran (reconstructible at merge
-                # time from the section's selected list).
-                fingerprint = study_fingerprint(
-                    spec,
-                    seed=runtime.seed,
-                    point_shard=BalancedPointShard.from_selected(
-                        point_shard.index,
-                        point_shard.count,
-                        outcome.telemetry.selected_points,
-                    ),
-                )
-            elif scheme == "queue":
-                # Queue slices are nondeterministic (whoever leased
-                # first); an empty fingerprint marks the entry as
-                # non-verifiable-by-recomputation — merge still verifies
-                # the selected sets land exactly once.
-                fingerprint = ""
             entry = ManifestEntry(
                 name=name,
                 status=STATUS_OK if outcome.ok else STATUS_FAILED,
@@ -404,19 +362,8 @@ def _verify_point_shard_fingerprints(
         entry = manifest.entry_for(name)
         if entry is None:
             continue
-        section = entry.point_shard or {}
-        if section.get("scheme") == "balanced":
-            # Balanced slices are membership-defined; rebuild the
-            # selector the run recorded instead of the round-robin one.
-            selector = BalancedPointShard.from_selected(
-                manifest.point_shard_index,
-                manifest.point_shard_count,
-                section.get("selected", ()),
-            )
-        else:
-            selector = manifest.point_shard
         expected = study_fingerprint(
-            spec, seed=runtime.seed, point_shard=selector
+            spec, seed=runtime.seed, point_shard=manifest.point_shard
         )
         if entry.fingerprint and entry.fingerprint != expected:
             raise ShardError(
@@ -440,13 +387,7 @@ def _rematerialize_study(
     fresh model work — and produces CSVs byte-identical to a single-host
     run.
     """
-    whole = replace(
-        runtime,
-        point_shard_index=0,
-        point_shard_count=1,
-        queue_dir=None,
-        schedule="fingerprint",
-    )
+    whole = replace(runtime, point_shard_index=0, point_shard_count=1)
     outcome = spec.run(whole)
     artifacts = _write_artifacts(outcome, spec, out)
     return ManifestEntry(
@@ -622,30 +563,6 @@ def main(argv: list[str] | None = None) -> int:
              "merge can re-materialize full tables from cache)",
     )
     parser.add_argument(
-        "--schedule", choices=("fingerprint", "balanced"),
-        default="fingerprint",
-        help="how point shards are planned: round-robin fingerprint "
-             "hashing, or cost-balanced LPT packing from the cost ledger "
-             "under CACHE_DIR/costs (degrades to round-robin when the "
-             "ledger is empty)",
-    )
-    parser.add_argument(
-        "--queue-dir", default=None, metavar="PATH",
-        help="pull-based mode: lease point batches from this shared work "
-             "queue directory instead of taking a static point slice "
-             "(give each consumer a distinct --point-shard-index; "
-             "consumers should share one --cache-dir)",
-    )
-    parser.add_argument(
-        "--queue-batch", type=int, default=4, metavar="N",
-        help="points per leased queue batch (queue mode only)",
-    )
-    parser.add_argument(
-        "--lease-expiry", type=float, default=30.0, metavar="S",
-        help="seconds a queue lease may go without a heartbeat before "
-             "any worker reclaims it (queue mode only)",
-    )
-    parser.add_argument(
         "--merge", nargs="+", default=None, metavar="DIR",
         help="merge shard output directories into OUTPUT_DIR instead of "
              "running studies (verifies no study — or sweep point — was "
@@ -726,8 +643,6 @@ def main(argv: list[str] | None = None) -> int:
                 ("--shard-count", args.shard_count != 1),
                 ("--point-shard-index", args.point_shard_index != 0),
                 ("--point-shard-count", args.point_shard_count != 1),
-                ("--schedule", args.schedule != "fingerprint"),
-                ("--queue-dir", args.queue_dir is not None),
                 ("--force", args.force),
                 ("--expect-warm", args.expect_warm),
                 ("--chaos", chaos is not None),
@@ -773,10 +688,6 @@ def main(argv: list[str] | None = None) -> int:
             point_shard_count=args.point_shard_count,
             retry=retry,
             chaos=chaos,
-            schedule=args.schedule,
-            queue_dir=args.queue_dir,
-            queue_batch=args.queue_batch,
-            queue_lease_s=args.lease_expiry,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -787,12 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.point_shard_count > 1:
         shard_note += (
-            f" (point shard {args.point_shard_index}/{args.point_shard_count}"
-            f"{', ' + args.schedule if args.schedule != 'fingerprint' else ''})"
-        )
-    if args.queue_dir is not None:
-        shard_note += (
-            f" (queue consumer {args.point_shard_index} of {args.queue_dir})"
+            f" (point shard {args.point_shard_index}/{args.point_shard_count})"
         )
     print(f"Regenerating studies into {args.output_dir}/{shard_note} ...")
     try:

@@ -32,12 +32,10 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 def test_registry_covers_every_live_schema_tag():
     """The registry names real tags defined where it says they are."""
     import repro.runtime.fingerprint as fingerprint
-    import repro.runtime.schedule as schedule
     import repro.runtime.shard as shard
 
     namespaces = {
         "repro.runtime.fingerprint": fingerprint,
-        "repro.runtime.schedule": schedule,
         "repro.runtime.shard": shard,
     }
     for name, (defining_module, sources) in SCHEMA_TAG_SOURCES.items():

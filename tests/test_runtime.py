@@ -23,7 +23,6 @@ from repro.runtime import (
     characterize_points,
     evaluate_blocks,
     evaluation_fingerprint,
-    parallel_map,
     point_fingerprint,
     sweep_points,
 )
@@ -238,27 +237,7 @@ class TestCharacterizationCache:
         assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
-def _explode_on_seven(value):
-    if value == 7:
-        raise ValueError("intentional chunk failure")
-    return value * 2
-
-
 class TestExecutor:
-    def test_parallel_map_preserves_order(self):
-        items = list(range(23))
-        assert parallel_map(str, items, workers=4) == [str(i) for i in items]
-
-    def test_parallel_map_propagates_chunk_errors(self):
-        """A failing chunk aborts the map (cancelling outstanding work,
-        aligned with characterize_points/evaluate_blocks) instead of
-        hanging or silently dropping the error."""
-        with pytest.raises(ValueError, match="intentional chunk failure"):
-            parallel_map(_explode_on_seven, list(range(24)), workers=3,
-                         chunksize=2)
-        with pytest.raises(ValueError, match="intentional chunk failure"):
-            parallel_map(_explode_on_seven, list(range(24)), workers=1)
-
     def test_serial_and_parallel_identical(self, stt_optimistic, sram16):
         points = [
             make_point(cell, capacity=cap)

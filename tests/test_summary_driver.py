@@ -6,7 +6,13 @@ import dataclasses
 import pytest
 
 from repro.errors import CharacterizationError
-from repro.runtime.options import RuntimeOptions
+from repro.runtime.options import (
+    ARRAY_CACHE_SUBDIR,
+    CLOUD_CACHE_SUBDIR,
+    EVALUATION_CACHE_SUBDIR,
+    TRACE_CACHE_SUBDIR,
+    RuntimeOptions,
+)
 from repro.runtime.shard import RunManifest, plan_shard
 from repro.studies.pipeline import REGISTRY, StudySpec
 from repro.studies.summary import (
@@ -118,6 +124,16 @@ def test_warm_summary_run_recomputes_nothing(tmp_path):
     assert cold_telemetry.completed > 0
     assert cold_telemetry.evaluated > 0
     assert not cold.warm
+    # The cache root holds only the model-result stores: no per-point
+    # wall-clock ledger (costs/) is written beside them.
+    stores = {p.name for p in (tmp_path / "cache").iterdir() if p.is_dir()}
+    assert stores <= {
+        ARRAY_CACHE_SUBDIR,
+        EVALUATION_CACHE_SUBDIR,
+        TRACE_CACHE_SUBDIR,
+        CLOUD_CACHE_SUBDIR,
+    }, stores
+    assert not (tmp_path / "cache" / "costs").exists()
 
     warm = run_all(tmp_path / "out2", runtime=runtime, only=WARM_SUBSET)
     assert warm.ok
