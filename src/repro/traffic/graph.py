@@ -3,21 +3,28 @@
 The paper extracts graph traffic two ways: generic bandwidth envelopes
 (:mod:`repro.traffic.generic`) and breadth-first search over SNAP's Facebook
 and Wikipedia graphs running on a Graphicionado-style accelerator with an
-8 MB scratchpad.  SNAP datasets are not shipped offline, so this module
-builds synthetic scale-free graphs with matching vertex/edge scale
-(preferential attachment gives the heavy-tailed degree distribution social
-networks have), executes the kernels for real with access counting, and
-converts the counts into scratchpad traffic at the accelerator's throughput
-(see DESIGN.md, "Substitutions").
+8 MB scratchpad.  This module counts the kernels' vertex-property accesses
+and converts the counts into scratchpad traffic at the accelerator's
+throughput.
+
+Substitutions: SNAP datasets are not shipped offline, so the graphs are
+synthetic and scale-free with matching vertex/edge scale (preferential
+attachment gives the heavy-tailed degree distribution social networks
+have).  The Barabási–Albert generator here makes the same random calls as
+networkx's ``barabasi_albert_graph`` and so yields the same edges, without
+the dependency.  Graphs are stored as a read-only CSR :class:`Graph`; BFS
+runs on it one numpy pass per frontier, and the PageRank and unit-weight
+SSSP counts follow from the graph's size and BFS.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import networkx as nx
+import numpy as np
 
 from repro.errors import TrafficError
 from repro.traffic.base import TrafficPattern
@@ -44,20 +51,88 @@ class AccessCounts:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """An undirected graph in compressed sparse row (CSR) form.
+
+    ``indices[indptr[v]:indptr[v + 1]]`` are the neighbors of ``v`` in
+    ascending order; each undirected edge is stored once from each end.
+    Both arrays are read-only, because cached graphs are shared.
+    """
+
+    indptr: np.ndarray  # int64, length n + 1
+    indices: np.ndarray  # int32, length 2 * edges
+
+    @classmethod
+    def from_edges(cls, n_vertices: int, sources: list[int], targets: list[int]) -> "Graph":
+        """CSR adjacency of the undirected edges ``sources[i]--targets[i]``."""
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        rows = np.concatenate([src, dst])
+        cols = np.concatenate([dst, src])
+        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_vertices), out=indptr[1:])
+        # One sort of row-major keys orders each row's neighbors ascending.
+        indices = (np.sort(rows * n_vertices + cols) % n_vertices).astype(np.int32)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return cls(indptr, indices)
+
+    @property
+    def nodes(self) -> range:
+        return range(self.number_of_nodes())
+
+    def number_of_nodes(self) -> int:
+        return len(self.indptr) - 1
+
+    def number_of_edges(self) -> int:
+        return len(self.indices) // 2
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def degree(self, v: int) -> int:
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+
+def _barabasi_albert_edges(n: int, m: int, seed: int) -> tuple[list[int], list[int]]:
+    """Edges of networkx 3.x ``barabasi_albert_graph(n, m, seed=seed)``.
+
+    Makes the same ``random.Random(seed)`` calls: start from a star on
+    ``m + 1`` vertices; each new vertex draws ``rng.choice(repeated)`` into
+    a set until it holds ``m`` targets, and ``repeated`` grows in that set's
+    iteration order.
+    """
+    rng = random.Random(seed)
+    sources = [0] * m
+    targets = list(range(1, m + 1))
+    repeated = sources + targets
+    for source in range(m + 1, n):
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(rng.choice(repeated))
+        sources.extend([source] * m)
+        targets.extend(chosen)
+        repeated.extend(chosen)
+        repeated.extend([source] * m)
+    return sources, targets
+
+
 @lru_cache(maxsize=8)
-def synthetic_social_graph(n_vertices: int, attachment: int, seed: int = 7) -> nx.Graph:
+def synthetic_social_graph(n_vertices: int, attachment: int, seed: int = 7) -> Graph:
     """A scale-free graph standing in for a SNAP social network."""
-    if n_vertices <= attachment:
-        raise TrafficError("graph needs more vertices than the attachment degree")
-    return nx.barabasi_albert_graph(n_vertices, attachment, seed=seed)
+    if not 1 <= attachment < n_vertices:
+        raise TrafficError("attachment degree must be in [1, n_vertices)")
+    sources, targets = _barabasi_albert_edges(n_vertices, attachment, seed)
+    return Graph.from_edges(n_vertices, sources, targets)
 
 
-def facebook_like_graph() -> nx.Graph:
+def facebook_like_graph() -> Graph:
     """~4k vertices / ~88k edges, the scale of SNAP's ego-Facebook."""
     return synthetic_social_graph(4039, 22)
 
 
-def wikipedia_like_graph() -> nx.Graph:
+def wikipedia_like_graph() -> Graph:
     """~7k vertices / ~100k edges, the scale of SNAP's wiki-Vote."""
     return synthetic_social_graph(7115, 15)
 
@@ -65,77 +140,67 @@ def wikipedia_like_graph() -> nx.Graph:
 # --- kernels with access counting ------------------------------------------
 
 
-def bfs_access_counts(graph: nx.Graph, source: int = 0) -> AccessCounts:
+def _neighbors_of(graph: Graph, frontier: np.ndarray) -> np.ndarray:
+    """The neighbor lists of every ``frontier`` vertex, concatenated."""
+    starts = graph.indptr[frontier]
+    lengths = graph.indptr[frontier + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    return graph.indices[positions]
+
+
+def bfs_access_counts(graph: Graph, source: int = 0) -> AccessCounts:
     """Run breadth-first search and count vertex-property accesses.
 
     Per Graphicionado's dataflow: each traversed edge reads the destination
     vertex property; each newly-visited vertex writes its depth; frontier
-    management reads each frontier vertex once.
+    management reads each frontier vertex once.  The search is
+    level-synchronous, one numpy pass per frontier; the counts do not
+    depend on the order neighbors are visited in.
     """
-    visited = {source}
-    frontier = [source]
-    reads = writes = edges = 0
-    writes += 1  # source depth
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            reads += 1  # frontier vertex record
-            for v in graph.neighbors(u):
-                edges += 1
-                reads += 1  # destination property check
-                if v not in visited:
-                    visited.add(v)
-                    writes += 1  # depth update
-                    next_frontier.append(v)
-        frontier = next_frontier
+    visited = np.zeros(graph.number_of_nodes(), dtype=bool)
+    visited[source] = True
+    frontier = np.array([source], dtype=np.int64)
+    reads = edges = 0
+    writes = 1  # source depth
+    while frontier.size:
+        neighbors = _neighbors_of(graph, frontier)
+        reads += frontier.size + neighbors.size  # frontier records + destination checks
+        edges += neighbors.size
+        frontier = np.unique(neighbors[~visited[neighbors]])
+        visited[frontier] = True
+        writes += frontier.size  # depth updates
     return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
 
 
 def pagerank_access_counts(
-    graph: nx.Graph, iterations: int = 10, damping: float = 0.85
+    graph: Graph, iterations: int = 10, damping: float = 0.85
 ) -> AccessCounts:
-    """Run power-iteration PageRank and count vertex-property accesses."""
+    """Count the vertex-property accesses of power-iteration PageRank.
+
+    Each iteration reads the rank of every neighbor once per adjacency
+    entry and writes every vertex's rank once.  The counts do not depend on
+    the rank values, so no ranks are computed.
+    """
     if not 0.0 < damping < 1.0:
         raise TrafficError("damping must be in (0, 1)")
-    n = graph.number_of_nodes()
-    rank = {v: 1.0 / n for v in graph.nodes}
-    reads = writes = edges = 0
-    for _ in range(iterations):
-        new_rank = {}
-        for v in graph.nodes:
-            acc = 0.0
-            for u in graph.neighbors(v):
-                edges += 1
-                reads += 1  # neighbor rank
-                degree = graph.degree(u)
-                acc += rank[u] / max(1, degree)
-            new_rank[v] = (1.0 - damping) / n + damping * acc
-            writes += 1  # rank update
-        rank = new_rank
-    return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
+    passes = max(0, iterations)
+    entries = passes * len(graph.indices)
+    return AccessCounts(
+        reads=entries, writes=passes * graph.number_of_nodes(), edges_traversed=entries
+    )
 
 
-def sssp_access_counts(graph: nx.Graph, source: int = 0) -> AccessCounts:
-    """Bellman-Ford-style SSSP (unit weights) with access counting."""
-    INF = float("inf")
-    dist = {v: INF for v in graph.nodes}
-    dist[source] = 0.0
-    reads = writes = edges = 0
-    writes += 1
-    active = {source}
-    while active:
-        next_active = set()
-        for u in active:
-            reads += 1
-            for v in graph.neighbors(u):
-                edges += 1
-                reads += 1
-                if dist[u] + 1.0 < dist[v]:
-                    dist[v] = dist[u] + 1.0
-                    writes += 1
-                    next_active.add(v)
-        active = next_active
-    return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
+def sssp_access_counts(graph: Graph, source: int = 0) -> AccessCounts:
+    """Bellman-Ford-style SSSP (unit weights) with access counting.
+
+    Each pass reads every active vertex and each of its neighbors, and
+    writes every neighbor whose distance improves.  With unit weights all
+    active vertices sit at one distance ``d``, so a pass improves exactly
+    the unreached neighbors, each once, to ``d + 1``: the active sets are
+    BFS's frontiers and the counts equal BFS's.
+    """
+    return bfs_access_counts(graph, source)
 
 
 # --- traffic extraction ------------------------------------------------------

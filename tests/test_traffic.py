@@ -1,6 +1,11 @@
 """Traffic substrate tests: patterns, sweeps, DNN, graph, SPEC."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import TrafficError
@@ -9,6 +14,7 @@ from repro.traffic import (
     MULTI_TASK_IMAGE,
     RESNET26,
     SPEC2017_BENCHMARKS,
+    AccessCounts,
     TrafficPattern,
     NVDLAPerformanceModel,
     benchmark_by_name,
@@ -27,7 +33,13 @@ from repro.traffic import (
     sssp_access_counts,
     wikipedia_like_graph,
 )
+from repro.traffic.graph import synthetic_social_graph
 from repro.units import mb
+
+
+#: (vertices, attachment) of the Facebook- and Wikipedia-scale graphs and a
+#: small case.
+GRAPH_SHAPES = [(4039, 22), (7115, 15), (40, 3)]
 
 
 class TestTrafficPattern:
@@ -97,9 +109,7 @@ class TestDNNTraffic:
         model = NVDLAPerformanceModel(mb(2))
         t = model.continuous_traffic(RESNET26)
         assert t.read_fraction > 0.99
-        assert t.reads_per_second == pytest.approx(
-            mb(2) * 3.0 / 64 * 60.0
-        )
+        assert t.reads_per_second == pytest.approx(mb(2) * 3.0 / 64 * 60.0)
 
     def test_activations_add_writes(self):
         model = NVDLAPerformanceModel(mb(2))
@@ -191,6 +201,51 @@ class TestGraphTraffic:
         kinds = {p.name.split("-")[-1] for p in suite}
         assert kinds == {"bfs", "pagerank", "sssp"}
 
+    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    def test_csr_adjacency_is_simple_and_symmetric(self, shape):
+        graph = synthetic_social_graph(*shape)
+        n = graph.number_of_nodes()
+        assert n == shape[0]
+        assert graph.indptr[0] == 0
+        assert graph.indptr[-1] == len(graph.indices) == 2 * graph.number_of_edges()
+        assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
+        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+        cols = graph.indices.astype(np.int64)
+        assert not np.any(rows == cols)  # no self-loops
+        keys = rows * n + cols
+        assert np.all(np.diff(keys) > 0)  # sorted rows, no duplicate edges
+        assert np.array_equal(np.sort(cols * n + rows), keys)  # symmetric
+        with pytest.raises(ValueError):
+            graph.indices[0] = 1  # cached graphs are shared: read-only
+
+    def test_graph_rejects_bad_attachment(self):
+        with pytest.raises(TrafficError):
+            synthetic_social_graph(5, 5)
+        with pytest.raises(TrafficError):
+            synthetic_social_graph(5, 0)
+
+    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    def test_kernels_match_loop_reference(self, shape):
+        graph = synthetic_social_graph(*shape)
+        assert_kernels_match_reference(graph, graph)
+
+    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    def test_generator_matches_networkx(self, shape):
+        nx = pytest.importorskip("networkx")
+        graph = synthetic_social_graph(*shape)
+        reference = nx.barabasi_albert_graph(*shape, seed=7)
+        assert edge_set(graph) == {frozenset(e) for e in reference.edges()}
+        assert_kernels_match_reference(graph, reference)
+
+    def test_import_does_not_load_networkx(self):
+        code = "import sys, repro.studies.summary; print('networkx' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestSpecTraffic:
     def test_suite_size_and_split(self):
@@ -217,3 +272,83 @@ class TestSpecTraffic:
     def test_rates_span_orders_of_magnitude(self):
         rates = [b.reads_per_second for b in SPEC2017_BENCHMARKS]
         assert max(rates) / min(rates) > 50
+
+
+def edge_set(graph) -> set:
+    return {frozenset((int(u), int(v))) for u in graph.nodes for v in graph.neighbors(u)}
+
+
+def assert_kernels_match_reference(graph, reference) -> None:
+    """The numpy kernels on ``graph`` count what the loops count on ``reference``."""
+    assert bfs_access_counts(graph) == reference_bfs(reference)
+    assert sssp_access_counts(graph) == reference_sssp(reference)
+    last = graph.number_of_nodes() - 1
+    assert bfs_access_counts(graph, last) == reference_bfs(reference, last)
+    assert sssp_access_counts(graph, last) == reference_sssp(reference, last)
+    for iterations in (1, 3):
+        expected = reference_pagerank(reference, iterations)
+        assert pagerank_access_counts(graph, iterations) == expected
+
+
+# Loop references: the kernels as written over any graph with ``nodes``,
+# ``neighbors(v)`` and ``degree(v)`` (the CSR graph or a networkx graph).
+
+
+def reference_bfs(graph, source=0) -> AccessCounts:
+    visited = {source}
+    frontier = [source]
+    reads = edges = 0
+    writes = 1
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            reads += 1
+            for v in graph.neighbors(u):
+                edges += 1
+                reads += 1
+                if v not in visited:
+                    visited.add(v)
+                    writes += 1
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
+
+
+def reference_pagerank(graph, iterations, damping=0.85) -> AccessCounts:
+    n = graph.number_of_nodes()
+    rank = {v: 1.0 / n for v in graph.nodes}
+    reads = writes = edges = 0
+    for _ in range(iterations):
+        new_rank = {}
+        for v in graph.nodes:
+            acc = 0.0
+            for u in graph.neighbors(v):
+                edges += 1
+                reads += 1
+                acc += rank[u] / max(1, graph.degree(u))
+            new_rank[v] = (1.0 - damping) / n + damping * acc
+            writes += 1
+        rank = new_rank
+    return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
+
+
+def reference_sssp(graph, source=0) -> AccessCounts:
+    dist = {v: float("inf") for v in graph.nodes}
+    dist[source] = 0.0
+    reads = edges = 0
+    writes = 1
+    active = {source}
+    while active:
+        next_active = set()
+        for u in active:
+            reads += 1
+            for v in graph.neighbors(u):
+                edges += 1
+                reads += 1
+                if dist[u] + 1.0 < dist[v]:
+                    dist[v] = dist[u] + 1.0
+                    writes += 1
+                    next_active.add(v)
+        active = next_active
+    return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
+
