@@ -9,7 +9,9 @@ these; the visualization layer and benches consume them.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
@@ -38,11 +40,7 @@ class ResultTable:
     @property
     def columns(self) -> list[str]:
         """Union of keys across records, in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self._records:
-            for key in record:
-                seen.setdefault(key, None)
-        return list(seen)
+        return list(dict.fromkeys(chain.from_iterable(self._records)))
 
     def column(self, name: str, default: Any = None) -> list[Any]:
         """All values of one column."""
@@ -131,10 +129,9 @@ class ResultTable:
         """Render as CSV; write to ``path`` when given."""
         columns = self.columns
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for record in self._records:
-            writer.writerow({c: record.get(c, "") for c in columns})
+        writer = csv.writer(buffer)
+        writer.writerow(columns)
+        writer.writerows(self._rendered_rows(columns, _csv_column, ""))
         text = buffer.getvalue()
         if path is not None:
             with open(path, "w", newline="") as handle:
@@ -146,19 +143,32 @@ class ResultTable:
         columns = self.columns
         if not columns:
             return "(empty table)"
-
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return float_format.format(value)
-            return "" if value is None else str(value)
-
+        render = functools.partial(_markdown_column, float_format=float_format)
         header = "| " + " | ".join(columns) + " |"
         rule = "|" + "|".join("---" for _ in columns) + "|"
         rows = [
-            "| " + " | ".join(fmt(r.get(c)) for c in columns) + " |"
-            for r in self._records
+            "| " + " | ".join(cells) + " |"
+            for cells in self._rendered_rows(columns, render, None)
         ]
         return "\n".join([header, rule, *rows])
+
+    def _rendered_rows(
+        self,
+        columns: Sequence[str],
+        render: Callable[[list[Any]], list[Any]],
+        missing: Any,
+    ) -> Iterator[tuple]:
+        """Rows of rendered cells, formatted column by column.
+
+        Records are rendered ``_RENDER_CHUNK`` at a time, so the columns
+        in flight never amount to a second copy of a large table.
+        """
+        for start in range(0, len(self._records), _RENDER_CHUNK):
+            chunk = self._records[start:start + _RENDER_CHUNK]
+            cells = [render([r.get(c, missing) for r in chunk]) for c in columns]
+            # zip() of no columns would drop keyless records: each is still
+            # one (empty) row.
+            yield from zip(*cells) if cells else repeat((), len(chunk))
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -171,6 +181,56 @@ class ResultTable:
                 parsed[key] = _coerce(value)
             records.append(parsed)
         return cls(records)
+
+
+#: Records rendered per column pass by ``to_csv``/``to_markdown``.
+_RENDER_CHUNK = 1024
+
+
+class _TextMemo(dict):
+    """Memo of value -> rendered text, filled on first miss.
+
+    Only exact, non-zero floats are used as keys: ``0.0`` and ``-0.0``
+    compare and hash equal but render differently, and float subclasses
+    (``np.float64``) render differently from ``float``.  Result columns
+    repeat array- and traffic-derived values across many rows, which is
+    what makes the memo pay.
+    """
+
+    def __init__(self, render: Callable[[float], str]) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = self._render(value)
+        return text
+
+
+def _csv_column(values: list[Any]) -> list[Any]:
+    """CSV cells: memoized ``repr`` (the text csv writes) for floats.
+
+    Every other value goes to csv unchanged, so the bytes match csv's own
+    conversion (None -> empty, float subclasses via their own repr).
+    """
+    memo = _TextMemo(repr)
+    return [memo[v] if type(v) is float and v else v for v in values]
+
+
+def _markdown_cell(value: Any, float_format: str) -> str:
+    if isinstance(value, float):
+        return float_format.format(value)
+    return "" if value is None else str(value)
+
+
+def _markdown_column(values: list[Any], float_format: str) -> list[str]:
+    """Markdown cells: floats via ``float_format``, None empty, else str()."""
+    memo = _TextMemo(float_format.format)
+    return [
+        memo[v] if type(v) is float and v
+        else v if type(v) is str
+        else _markdown_cell(v, float_format)
+        for v in values
+    ]
 
 
 def _coerce(value: Optional[str]) -> Any:

@@ -446,6 +446,17 @@ def _apply_rows_fn(rows_fn, traffic, extra, array):
     return rows_fn(array, traffic, extra)
 
 
+#: Exact types of row values a shallow ``dict()`` copy cannot alias.
+_ATOMIC_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_row(row: dict) -> dict:
+    """A copy of ``row`` that shares no mutable value with it."""
+    if _ATOMIC_TYPES.issuperset(map(type, row.values())):
+        return dict(row)
+    return copy.deepcopy(row)
+
+
 def evaluate_blocks(
     arrays: Sequence[ArrayCharacterization],
     traffic: Sequence,
@@ -469,9 +480,11 @@ def evaluate_blocks(
     ``extra`` carries its JSON-able parameters and participates in the
     cache key.  Lookup order mirrors :func:`characterize_points`: the
     in-process ``memory`` dict, then the on-disk ``cache``; fresh blocks
-    are written back to both.  Returned rows are deep copies, so callers
+    are written back to both.  Returned rows are fresh copies, so callers
     may annotate them — including nested values — without corrupting the
-    in-memory memo or the persisted cache entries.
+    in-memory memo or the persisted cache entries: a flat row (every value
+    a ``str``, ``int``, ``float``, ``bool`` or ``None``) is copied with
+    ``dict()``, any other row with ``copy.deepcopy``.
 
     An active ``point_shard`` restricts the work to this host's slice of
     the (array x traffic-block) space by evaluation fingerprint: blocks
@@ -582,8 +595,13 @@ def evaluate_blocks(
             on_outcome=_on_outcome,
             on_retry=_on_retry,
         )
-    # Deep-copy at the memo boundary: a shallow per-row dict() copy would
-    # still alias nested mutable values (lists, dicts) with the in-memory
-    # memo and the block handed to the persistent cache, so annotating a
-    # returned row could silently corrupt every later cache hit.
-    return [copy.deepcopy(rows) for rows in results]
+    # Copy at the memo boundary, so annotating a returned row never
+    # corrupts the in-memory memo or the block handed to the persistent
+    # cache.  Flat rows (every row this repo produces) take a dict() copy;
+    # rows holding any other value are deep-copied, since a shallow copy
+    # would alias their nested lists/dicts with every later cache hit.
+    return [
+        None if rows is None else [_copy_row(row) for row in rows]
+        for rows in results
+    ]
+

@@ -60,6 +60,7 @@ from typing import Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.results.table import ResultTable
+from repro.runtime.cache import atomic_write_bytes
 from repro.runtime.chaos import parse_chaos_spec
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, ensure_runtime
@@ -181,11 +182,16 @@ def _reusable_entry(
 
 
 def _write_artifacts(outcome: StudyOutcome, spec, out: Path) -> dict[str, str]:
-    """Write one fresh study's CSV + report; returns their relative paths."""
+    """Write one fresh study's CSV + report; returns their relative paths.
+
+    Both are written atomically: an interrupted ``--force`` re-run keeps
+    the previous artifact whole instead of leaving a truncated file that
+    the next incremental run would trust.
+    """
     if outcome.table is None:
         return {}
     paths = _artifact_paths(outcome.name)
-    outcome.table.to_csv(str(out / paths["csv"]))
+    atomic_write_bytes(out / paths["csv"], outcome.table.to_csv().encode("utf-8"))
     report = study_report(
         title=outcome.name.replace("_", " "),
         table=outcome.table,
@@ -196,7 +202,7 @@ def _write_artifacts(outcome: StudyOutcome, spec, out: Path) -> dict[str, str]:
         figure=spec.figure,
         **spec.report,
     )
-    (out / paths["report"]).write_text(report)
+    atomic_write_bytes(out / paths["report"], report.encode("utf-8"))
     return paths
 
 

@@ -47,25 +47,26 @@ def scatter(
     ``series`` maps a label to its (x, y) points; each series gets its own
     marker, listed in the legend.
     """
+    markers = {
+        label: _MARKERS[i % len(_MARKERS)] for i, label in enumerate(series)
+    }
     points = [
-        (label, x, y)
+        (markers[label], _transform(x, log_x), _transform(y, log_y))
         for label, pts in series.items()
         for x, y in pts
     ]
     if not points:
         return "(no data)"
-    xs = [_transform(x, log_x) for _, x, _ in points]
-    ys = [_transform(y, log_y) for _, _, y in points]
+    _, xs, ys = zip(*points)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
     grid = [[" "] * width for _ in range(height)]
-    for index, (label, x, y) in enumerate(points):
-        marker = _MARKERS[list(series).index(label) % len(_MARKERS)]
-        cx = int((_transform(x, log_x) - x_lo) / x_span * (width - 1))
-        cy = int((_transform(y, log_y) - y_lo) / y_span * (height - 1))
+    for marker, x, y in points:
+        cx = int((x - x_lo) / x_span * (width - 1))
+        cy = int((y - y_lo) / y_span * (height - 1))
         row = height - 1 - cy
         if grid[row][cx] not in (" ", marker):
             grid[row][cx] = "?"  # collision between different series
@@ -86,9 +87,7 @@ def scatter(
     x_lo_text = _nice_fmt(10**x_lo if log_x else x_lo)
     x_hi_text = _nice_fmt(10**x_hi if log_x else x_hi)
     lines.append(f"  x: {x_lo_text} .. {x_hi_text}")
-    legend = "  ".join(
-        f"{_MARKERS[i % len(_MARKERS)]}={label}" for i, label in enumerate(series)
-    )
+    legend = "  ".join(f"{marker}={label}" for label, marker in markers.items())
     lines.append("  " + legend)
     return "\n".join(lines)
 

@@ -1,9 +1,17 @@
 """ResultTable tests."""
 
+import csv
+import io
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.results import ResultTable
+from repro.results.table import _RENDER_CHUNK
 
 
 @pytest.fixture()
@@ -131,3 +139,111 @@ class TestExport:
 
     def test_markdown_empty(self):
         assert ResultTable().to_markdown() == "(empty table)"
+
+
+# --- rendering oracle ----------------------------------------------------------
+#
+# The row-at-a-time renderers that ResultTable.to_csv / to_markdown replaced.
+# The column-wise versions must reproduce them byte for byte.
+
+
+def _reference_csv(table):
+    columns = table.columns
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    for record in table:
+        writer.writerow({c: record.get(c, "") for c in columns})
+    return buffer.getvalue()
+
+
+def _reference_markdown(table, float_format="{:.4g}"):
+    columns = table.columns
+    if not columns:
+        return "(empty table)"
+
+    def fmt(value):
+        if isinstance(value, float):
+            return float_format.format(value)
+        return "" if value is None else str(value)
+
+    header = "| " + " | ".join(columns) + " |"
+    rule = "|" + "|".join("---" for _ in columns) + "|"
+    rows = [
+        "| " + " | ".join(fmt(r.get(c)) for c in columns) + " |"
+        for r in table
+    ]
+    return "\n".join([header, rule, *rows])
+
+
+def _assert_renders_like_reference(records):
+    table = ResultTable(records)
+    assert table.to_csv() == _reference_csv(table)
+    assert table.to_markdown() == _reference_markdown(table)
+    assert table.to_markdown("{:.2e}") == _reference_markdown(table, "{:.2e}")
+
+
+_ORACLE_CASES = {
+    "signed zeros": [{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}],
+    "nan and infinities": [
+        {"x": math.nan}, {"x": math.inf}, {"x": -math.inf}, {"x": math.nan},
+    ],
+    "numpy floats": [
+        {"x": np.float64(1.5), "y": 1.5},
+        {"x": 1.5, "y": np.float64(1.5)},
+        {"x": np.float64(-0.0), "y": np.float64(2.0) / 3},
+    ],
+    "bools ints and None": [
+        {"x": True, "y": 1, "z": None},
+        {"x": 1, "y": True, "z": 1.0},
+        {"x": False, "y": 0, "z": 0.0},
+    ],
+    "missing keys": [{"a": 1.25}, {"b": "two"}, {"a": 1.25, "c": None}, {}],
+    "awkward strings": [
+        {"s": "a,b", "t": 'say "hi"'},
+        {"s": "line\nbreak", "t": "cr\rlf\r\n"},
+        {"s": "", "t": "pipe | cell"},
+    ],
+    "single empty column": [{"x": ""}, {"x": None}, {}, {"x": ""}],
+    "keyless records": [{}, {}],
+    "empty table": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_rendering_matches_row_wise_reference(name):
+    _assert_renders_like_reference(_ORACLE_CASES[name])
+
+
+def test_rendering_matches_reference_across_chunks():
+    """Repeated values, signed zeros and NaNs straddling chunk borders."""
+    pool = [0.0, -0.0, 1.0 / 3, math.nan, 2.5e-12, None, "s", 7, True]
+    records = [
+        {"x": pool[i % len(pool)], "y": pool[(i // 7) % len(pool)], "z": i * 0.1}
+        for i in range(2 * _RENDER_CHUNK + 37)
+    ]
+    _assert_renders_like_reference(records)
+
+
+_cell_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(alphabet=st.sampled_from('ab ,"|\n\r\'x-.'), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c", "d"]), _cell_values, max_size=4
+        ),
+        max_size=12,
+    )
+)
+def test_rendering_matches_reference_on_generated_tables(records):
+    _assert_renders_like_reference(records)

@@ -411,6 +411,11 @@ def _nested_rows(array, traffic, extra):
             for t in traffic]
 
 
+def _mixed_rows(array, traffic, extra):
+    return [{"workload": "flat", "value": 1.5, "ok": True, "note": None},
+            {"workload": "nested", "nested": {"value": 1}, "tags": ["a"]}]
+
+
 class TestEvaluateBlocks:
     def arrays(self, stt_array_1mb):
         return [stt_array_1mb]
@@ -477,6 +482,48 @@ class TestEvaluateBlocks:
                                 rows_fn=_nested_rows)
         assert third[0][0]["nested"] == {"value": 1}
         assert third[0][0]["tags"] == ["a"]
+
+    def test_flat_rows_are_fresh_dicts(self, tmp_path, stt_array_1mb):
+        """Flat rows take the dict() fast path: equal to the memo's rows
+        but never the memo's own objects, on fresh, memory and disk hits."""
+        cache = EvaluationCache(tmp_path)
+        traffic = _traffic_pair()
+        memory = {}
+        fresh = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
+                                cache=cache)
+        memory_hit = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
+                                     cache=cache)
+        disk_memory = {}
+        disk_hit = evaluate_blocks([stt_array_1mb], traffic,
+                                   memory=disk_memory, cache=cache)
+        assert cache.stores == 1 and cache.hits == 1
+        for returned, memo in ((fresh, memory), (memory_hit, memory),
+                               (disk_hit, disk_memory)):
+            (memo_rows,) = memo.values()
+            assert returned[0] == memo_rows
+            assert returned[0] is not memo_rows
+            for row, memo_row in zip(returned[0], memo_rows):
+                assert type(row) is dict
+                assert row is not memo_row
+        assert all(a is not b for a, b in zip(fresh[0], memory_hit[0]))
+
+    def test_mixed_block_isolates_nested_values(self, tmp_path,
+                                                stt_array_1mb):
+        """One block holding a flat and a nested row: annotating either
+        returned row leaves the memo and the persisted block untouched."""
+        cache = EvaluationCache(tmp_path)
+        memory = {}
+        traffic = _traffic_pair()
+        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
+                                cache=cache, rows_fn=_mixed_rows)
+        flat, nested = first[0]
+        flat["value"] = -1.0
+        nested["nested"]["value"] = 999
+        nested["tags"].append("mutated")
+        for memo in (memory, None):
+            again = evaluate_blocks([stt_array_1mb], traffic, memory=memo,
+                                    cache=cache, rows_fn=_mixed_rows)
+            assert again[0] == _mixed_rows(None, traffic, None)
 
     def test_custom_rows_fn_and_extra_key_separately(self, tmp_path,
                                                      stt_array_1mb):

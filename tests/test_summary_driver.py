@@ -2,6 +2,8 @@
 incremental runs, sharded execution, and shard merging."""
 
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
@@ -580,6 +582,32 @@ def test_main_interrupted_exit_code(tmp_path, monkeypatch, capsys):
     assert "interrupted" in captured.err
     assert "partial manifest" in captured.err
     assert RunManifest.load(tmp_path).names == ("fig05_dnn_arrays",)
+
+
+@pytest.mark.parametrize("artifact", ["results/ext_hierarchy.csv",
+                                      "reports/ext_hierarchy.md"])
+def test_interrupted_artifact_write_keeps_previous_artifact(
+    tmp_path, monkeypatch, artifact
+):
+    """Regression: a --force re-run interrupted while writing an artifact
+    must leave the previous file whole (it used to be truncated in place,
+    and the retained manifest entry made the next incremental run trust
+    it) and leave no temp file behind."""
+    run_all(tmp_path, only=["ext_hierarchy"])
+    path = tmp_path / artifact
+    before = path.read_bytes()
+    real_replace = os.replace
+
+    def interrupted_replace(src, dst):
+        if Path(dst) == path:
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    rerun = run_all(tmp_path, only=["ext_hierarchy"], incremental=False)
+    assert rerun.interrupted
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 # -- poisoned points: quarantine, partial manifests, chaos-off resume ------
