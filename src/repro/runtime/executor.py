@@ -604,4 +604,3 @@ def evaluate_blocks(
         None if rows is None else [_copy_row(row) for row in rows]
         for rows in results
     ]
-

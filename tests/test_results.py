@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.results import ResultTable
-from repro.results.table import _RENDER_CHUNK
 
 
 @pytest.fixture()
@@ -183,6 +182,8 @@ def _assert_renders_like_reference(records):
     assert table.to_markdown("{:.2e}") == _reference_markdown(table, "{:.2e}")
 
 
+_REPEATED_POOL = [0.0, -0.0, 1.0 / 3, math.nan, 2.5e-12, None, "s", 7, True]
+
 _ORACLE_CASES = {
     "signed zeros": [{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}],
     "nan and infinities": [
@@ -207,22 +208,20 @@ _ORACLE_CASES = {
     "single empty column": [{"x": ""}, {"x": None}, {}, {"x": ""}],
     "keyless records": [{}, {}],
     "empty table": [],
+    "repeated values": [
+        {
+            "x": _REPEATED_POOL[i % len(_REPEATED_POOL)],
+            "y": _REPEATED_POOL[(i // 7) % len(_REPEATED_POOL)],
+            "z": i * 0.1,
+        }
+        for i in range(300)
+    ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
 def test_rendering_matches_row_wise_reference(name):
     _assert_renders_like_reference(_ORACLE_CASES[name])
-
-
-def test_rendering_matches_reference_across_chunks():
-    """Repeated values, signed zeros and NaNs straddling chunk borders."""
-    pool = [0.0, -0.0, 1.0 / 3, math.nan, 2.5e-12, None, "s", 7, True]
-    records = [
-        {"x": pool[i % len(pool)], "y": pool[(i // 7) % len(pool)], "z": i * 0.1}
-        for i in range(2 * _RENDER_CHUNK + 37)
-    ]
-    _assert_renders_like_reference(records)
 
 
 _cell_values = st.one_of(
