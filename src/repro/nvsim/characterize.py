@@ -195,8 +195,7 @@ def _characterize_all(
     Retained for callers that want the cloud in object form (and for the
     legacy ``.cache_clear()`` hook); the evaluation itself runs on the
     batch engine.  The cache is deliberately small — it pins fully
-    materialized organization clouds, and the persistent disk cache is
-    the long-term store.
+    materialized organization clouds.
     """
     soa, numbers, feasible = _evaluated_lanes(
         cell, capacity_bytes, node_nm, access_bits, bits_per_cell
@@ -325,25 +324,13 @@ def all_organizations(
     node_nm: int = 22,
     access_bits: int = DEFAULT_ACCESS_BITS,
     bits_per_cell: int = 1,
-    cache: Optional[object] = None,
 ) -> list[ArrayCharacterization]:
     """Every feasible organization as a full characterization (Figure 12).
 
     Unlike :func:`characterize` this does not pick a winner — the co-design
     studies filter this cloud by area efficiency and look at latency/power
-    structure across it.  Pass an
-    :class:`~repro.runtime.cache.OrganizationCloudCache` as ``cache`` to
-    persist the cloud across runs (it is the dominant cold-run cost of the
-    Figure 12 studies).
+    structure across it.
     """
-    fingerprint = None
-    if cache is not None:
-        fingerprint = cache.fingerprint_for(
-            cell, int(capacity_bytes), node_nm, access_bits, bits_per_cell
-        )
-        cached = cache.load(fingerprint)
-        if cached is not None:
-            return cached
     soa, numbers, feasible = _evaluated_lanes(
         cell, int(capacity_bytes), node_nm, access_bits, bits_per_cell
     )
@@ -368,6 +355,4 @@ def all_organizations(
                 sleep_power=lane.sleep_power,
             )
         )
-    if cache is not None and fingerprint is not None:
-        cache.store(fingerprint, out)
     return out

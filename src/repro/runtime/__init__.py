@@ -9,9 +9,9 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.cache` — persistent content-addressed caches, one
   subdirectory of ``cache_dir`` per store: ``arrays/`` (array
   characterizations), ``evaluations/`` ((array x traffic) evaluation row
-  blocks), ``traces/`` (regenerated LLC traffic traces) and ``clouds/``
-  (full organization clouds), so repeated and incremental sweeps are
-  near-instant and interrupted sweeps are resumable.
+  blocks) and ``traces/`` (regenerated LLC traffic traces), so repeated
+  and incremental sweeps are near-instant and interrupted sweeps are
+  resumable.
 * :mod:`repro.runtime.executor` — chunked fan-out of characterization and
   (array, traffic) evaluation over a :class:`~concurrent.futures.\
 ProcessPoolExecutor`, with deterministic result ordering and a serial

@@ -1,32 +1,40 @@
 """Persistent, content-addressed result caches.
 
-One JSON file per cached result, addressed by a stable content
-fingerprint (:mod:`repro.runtime.fingerprint`) and fanned out over 256
+One file per cached result, addressed by a stable content fingerprint
+(:mod:`repro.runtime.fingerprint`) and fanned out over 256
 two-hex-digit subdirectories so large sweeps don't produce a single
 enormous directory.  Writes are atomic (temp file + ``os.replace``), so a
 run interrupted mid-store never leaves a truncated entry and a re-run
 resumes from whatever completed.
 
+Each entry file (``<2-hex>/<fingerprint>.v2``) is one JSON header line,
+a newline, then the JSON body::
+
+    {"schema": <tag>, "fingerprint": <fingerprint>, "checksum": <sha256>}
+    <json.dumps(encoded result)>
+
+The checksum is the SHA-256 of the body bytes as stored, so a load
+verifies the bytes it read instead of re-serializing the decoded
+result.  :func:`encode_entry` and :func:`read_entry` own this format;
+``nvmexplorer fsck`` verifies entries through :func:`read_entry` too.
+Files in the pre-v2 layout (``<fingerprint>.json``) are never read.
+
 Invalidation is by schema tag: the tag participates in the fingerprint,
-so bumping it makes every old entry unreachable.  The stored payload
+so bumping it makes every old entry unreachable.  The header
 additionally records the tag and is re-checked on load, guarding against
 entries copied across versions.
 
-Four stores share this machinery:
+Three stores share this machinery:
 
 * :class:`CharacterizationCache` — array characterizations, keyed by
-  :func:`~repro.runtime.fingerprint.point_fingerprint` (PR 1);
+  :func:`~repro.runtime.fingerprint.point_fingerprint`;
 * :class:`LLCTraceCache` — regenerated LLC traffic traces, keyed by
   :func:`~repro.runtime.fingerprint.trace_fingerprint`, so repeated LLC
   and write-buffer study runs skip cache simulation entirely;
 * :class:`EvaluationCache` — flattened (array x traffic) evaluation row
   blocks, keyed by
   :func:`~repro.runtime.fingerprint.evaluation_fingerprint`, so repeated
-  study runs skip the evaluation loop entirely;
-* :class:`OrganizationCloudCache` — full organization clouds (every
-  feasible organization of one request, the Figure 12 co-design input),
-  keyed by :meth:`OrganizationCloudCache.fingerprint_for`, so the
-  biggest cold-run cost of the area-efficiency studies is paid once.
+  study runs skip the evaluation loop entirely.
 """
 
 from __future__ import annotations
@@ -45,16 +53,24 @@ from repro.runtime.fingerprint import (
     EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
-    canonical_json,
 )
 
 if TYPE_CHECKING:
     from repro.runtime.chaos import ChaosOptions
 
+#: Version of the entry file layout (header line + body).  It names the
+#: entry suffix, so a layout change leaves older entries unread.
+ENTRY_FORMAT = 2
+ENTRY_SUFFIX = f".v{ENTRY_FORMAT}"
+
+#: Suffix of pre-v2 entries (one JSON object with the result inline).
+#: Loads never read them; ``fsck`` reports them as legacy and keeps them.
+LEGACY_ENTRY_SUFFIX = ".json"
+
 #: Subdirectory (inside a cache root) where entries that fail integrity
 #: verification are preserved for post-mortem instead of being deleted
 #: or silently overwritten.  The name is deliberately longer than the
-#: two-hex-digit fan-out dirs so ``??/*.json`` globs never see it.
+#: two-hex-digit fan-out dirs so ``??/*`` entry globs never see it.
 QUARANTINE_SUBDIR = "quarantine"
 
 #: Process-wide monotonic suffix so concurrent stores of the *same*
@@ -68,7 +84,7 @@ def _tmp_path_for(path: Path) -> Path:
     pid + thread id + a process-wide counter make the name unique across
     processes, across threads, and across repeated stores from the same
     thread.  The ``.tmp.`` infix keeps temp files invisible to the
-    ``*.json`` entry globs; :meth:`JsonObjectCache.clear` sweeps up any
+    entry globs; :meth:`JsonObjectCache.clear` sweeps up any
     leaked by a run that died between write and rename.
     """
     return path.parent / (
@@ -108,6 +124,53 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 def atomic_write_json(path: Path, payload: Any, **dumps_kwargs: Any) -> None:
     """Serialize ``payload`` and atomically write it to ``path``."""
     atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
+
+
+class CorruptEntry(ValueError):
+    """An entry's bytes failed verification; the message names the reason."""
+
+
+def encode_entry(schema_tag: str, fingerprint: str, encoded_result: Any) -> bytes:
+    """The bytes of one entry: header line, newline, JSON body.
+
+    No key sorting: the body must round-trip with its original key
+    order, so rows served from cache produce CSVs byte-identical to
+    freshly computed ones (column order is taken from row insertion
+    order).
+    """
+    body = json.dumps(encoded_result).encode("utf-8")
+    header = json.dumps({
+        "schema": schema_tag,
+        "fingerprint": fingerprint,
+        "checksum": hashlib.sha256(body).hexdigest(),
+    })
+    return header.encode("utf-8") + b"\n" + body
+
+
+def read_entry(data: bytes, fingerprint: str) -> tuple[Any, Any]:
+    """Verify one entry's bytes; returns ``(schema tag, decoded body)``.
+
+    Raises :class:`CorruptEntry` when the header is not a JSON object,
+    records another fingerprint, or carries a checksum that does not
+    match the body bytes, and when the body is not JSON.  The schema tag
+    is returned unchecked: a tag mismatch is an ordinary miss, and fsck
+    accepts entries of any tag.
+    """
+    head, _, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        raise CorruptEntry("invalid JSON header") from None
+    if not isinstance(header, dict):
+        raise CorruptEntry("header is not an object")
+    if header.get("fingerprint") != fingerprint:
+        raise CorruptEntry("fingerprint mismatch")
+    if header.get("checksum") != hashlib.sha256(body).hexdigest():
+        raise CorruptEntry("checksum mismatch")
+    try:
+        return header.get("schema"), json.loads(body)
+    except ValueError:
+        raise CorruptEntry("invalid JSON body") from None
 
 
 class JsonObjectCache:
@@ -157,13 +220,9 @@ class JsonObjectCache:
     # --- addressing -------------------------------------------------------
 
     def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+        return self.root / fingerprint[:2] / f"{fingerprint}{ENTRY_SUFFIX}"
 
     # --- operations -------------------------------------------------------
-
-    def _checksum(self, encoded_result: Any) -> str:
-        """Content checksum over the canonical form of an encoded result."""
-        return hashlib.sha256(canonical_json(encoded_result).encode("utf-8")).hexdigest()
 
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_SUBDIR
@@ -191,45 +250,29 @@ class JsonObjectCache:
         """The cached result, or ``None`` on miss or corruption.
 
         A missing file or a schema-tag mismatch is an ordinary miss.  An
-        entry that fails integrity verification — undecodable JSON, a
-        checksum or fingerprint mismatch, or a payload the decoder
-        rejects — counts in ``corrupt`` (not ``misses``) and is moved to
-        ``quarantine/`` so the next store cannot silently paper over it.
-        Entries written before checksums existed carry no ``checksum``
-        field and are accepted as-is when they decode cleanly.
+        entry that fails integrity verification — see :func:`read_entry`
+        — or whose body the decoder rejects counts in ``corrupt`` (not
+        ``misses``) and is moved to ``quarantine/`` so the next store
+        cannot silently paper over it.
         """
         path = self.path_for(fingerprint)
         if self.chaos is not None:
             self.chaos.maybe_corrupt_file(path, fingerprint)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
-        except UnicodeDecodeError:
-            self._quarantine(fingerprint, path, "undecodable bytes")
-            return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            self._quarantine(fingerprint, path, "invalid JSON")
+            schema, body = read_entry(data, fingerprint)
+        except CorruptEntry as exc:
+            self._quarantine(fingerprint, path, str(exc))
             return None
-        if not isinstance(payload, dict):
-            self._quarantine(fingerprint, path, "payload is not an object")
-            return None
-        if payload.get("schema") != self.schema_tag:
+        if schema != self.schema_tag:
             self.misses += 1
             return None
-        stored_fp = payload.get("fingerprint")
-        if stored_fp is not None and stored_fp != fingerprint:
-            self._quarantine(fingerprint, path, "fingerprint mismatch")
-            return None
-        checksum = payload.get("checksum")
-        if checksum is not None and checksum != self._checksum(payload.get("result")):
-            self._quarantine(fingerprint, path, "checksum mismatch")
-            return None
         try:
-            result = self._decode(payload["result"])
+            result = self._decode(body)
         except (ReproError, KeyError, TypeError, ValueError):
             self._quarantine(fingerprint, path, "payload failed to decode")
             return None
@@ -237,27 +280,18 @@ class JsonObjectCache:
         return result
 
     def store(self, fingerprint: str, result) -> None:
-        """Persist one result atomically, with a content checksum."""
+        """Persist one result atomically, with a content checksum.
+
+        The fan-out directory is created only when the write finds it
+        missing, so each one is made at most once per cache instance.
+        """
         path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        encoded = self._encode(result)
-        payload = {
-            "schema": self.schema_tag,
-            "fingerprint": fingerprint,
-            "checksum": self._checksum(encoded),
-            "result": encoded,
-        }
-        tmp = _tmp_path_for(path)
-        # No key sorting: the result payload must round-trip with its
-        # original key order, so rows served from cache produce CSVs
-        # byte-identical to freshly computed ones (column order is taken
-        # from row insertion order).
+        data = encode_entry(self.schema_tag, fingerprint, self._encode(result))
         try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            atomic_write_bytes(path, data)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(path, data)
         self.stores += 1
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -269,7 +303,7 @@ class JsonObjectCache:
 
     def fingerprints(self) -> Iterator[str]:
         """Every fingerprint currently stored (any schema version)."""
-        for entry in sorted(self.root.glob("??/*.json")):
+        for entry in sorted(self.root.glob(f"??/*{ENTRY_SUFFIX}")):
             yield entry.stem
 
     def __len__(self) -> int:
@@ -283,7 +317,7 @@ class JsonObjectCache:
         never count as entries — they are invisible to loads and globs).
         """
         removed = 0
-        for entry in sorted(self.root.glob("??/*.json")):
+        for entry in sorted(self.root.glob(f"??/*{ENTRY_SUFFIX}")):
             entry.unlink(missing_ok=True)
             removed += 1
         for stale in sorted(self.root.glob("??/*.tmp.*")):
@@ -346,81 +380,6 @@ class EvaluationCache(JsonObjectCache):
         ):
             raise ValueError("evaluation payload must be a list of row objects")
         return payload
-
-
-class OrganizationCloudCache(JsonObjectCache):
-    """On-disk store of full organization clouds (Figure 12 input).
-
-    One entry holds the complete list of feasible
-    :class:`ArrayCharacterization` for one (cell, capacity, node, access
-    width, bits/cell) request — the output of
-    :func:`repro.nvsim.characterize.all_organizations`.  The entry shares
-    :data:`~repro.runtime.fingerprint.SCHEMA_TAG` with the winner cache:
-    both payloads are produced by the same model, so a model change
-    invalidates both at once.
-    """
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str = SCHEMA_TAG,
-        chaos: Optional["ChaosOptions"] = None,
-    ) -> None:
-        super().__init__(root, schema_tag, chaos=chaos)
-
-    def _encode(self, result) -> Any:
-        return [array.to_dict() for array in result]
-
-    def _decode(self, payload) -> list[ArrayCharacterization]:
-        if not isinstance(payload, list):
-            raise ValueError("organization-cloud payload must be a list")
-        return [ArrayCharacterization.from_dict(entry) for entry in payload]
-
-    def fingerprint_for(
-        self,
-        cell,
-        capacity_bytes: int,
-        node_nm: int,
-        access_bits: int,
-        bits_per_cell: int,
-    ) -> str:
-        """Stable content key for one whole-cloud request.
-
-        Unlike :func:`~repro.runtime.fingerprint.point_fingerprint` there
-        is no optimization target — the cloud is target-independent.
-        """
-        # Imported lazily to keep this module's import graph identical to
-        # the other stores (fingerprint already imports cell export).
-        from repro.cells.export import cell_to_dict
-        from repro.runtime.fingerprint import fingerprint_payload
-
-        return fingerprint_payload({
-            "kind": "organization-cloud",
-            "schema": self.schema_tag,
-            "cell": cell_to_dict(cell),
-            "capacity_bytes": int(capacity_bytes),
-            "node_nm": int(node_nm),
-            "access_bits": int(access_bits),
-            "bits_per_cell": int(bits_per_cell),
-        })
-
-
-def organization_cloud_cache(runtime) -> Optional[OrganizationCloudCache]:
-    """The cloud store for one :class:`RuntimeOptions`, or ``None``.
-
-    Lives under ``<cache_dir>/clouds`` next to the other stores; returns
-    ``None`` when the runtime is absent or keeps no persistent cache.
-    """
-    if runtime is None or runtime.cache_dir is None:
-        return None
-    # Imported lazily: options imports nothing from this module, but the
-    # subdir constant lives there with its siblings.
-    from repro.runtime.options import CLOUD_CACHE_SUBDIR
-
-    return OrganizationCloudCache(
-        Path(runtime.cache_dir) / CLOUD_CACHE_SUBDIR,
-        chaos=runtime.chaos,
-    )
 
 
 class LLCTraceCache(JsonObjectCache):

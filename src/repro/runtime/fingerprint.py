@@ -56,7 +56,7 @@ EVAL_SCHEMA_TAG = "eval-rows-v2"
 #: payload builders (:func:`point_payload`, :func:`traffic_entry`, ...)
 #: live here: editing them re-pins (or re-tags) everything downstream.
 SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
-    # arrays/ and clouds/ stores: the characterization model.
+    # arrays/ store: the characterization model.
     "SCHEMA_TAG": (
         "repro.runtime.fingerprint",
         (

@@ -6,9 +6,11 @@ disk, stale ``*.tmp.*`` files leaked by a run that died between write
 and rename, and a ``quarantine/`` backlog of entries the loaders moved
 aside.  ``fsck`` makes that state explicit and repairs what it can:
 
-- verifies every entry's JSON shape, recorded fingerprint (must match
-  its filename), and content checksum (entries predating checksums are
-  reported as *legacy* but kept);
+- verifies every entry's header, recorded fingerprint (must match its
+  filename), body checksum and body JSON with
+  :func:`repro.runtime.cache.read_entry`, the same check the loaders
+  run; pre-v2 ``*.json`` entries, which no loader reads, are reported as
+  *legacy* and kept;
 - moves entries that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
@@ -29,7 +31,6 @@ converges: the second pass exits 0.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -37,14 +38,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.runtime.cache import QUARANTINE_SUBDIR, _tmp_path_for
-from repro.runtime.fingerprint import canonical_json
+from repro.runtime.cache import (
+    ENTRY_SUFFIX,
+    LEGACY_ENTRY_SUFFIX,
+    QUARANTINE_SUBDIR,
+    CorruptEntry,
+    atomic_write_bytes,
+    read_entry,
+)
 from repro.runtime.shard import RunManifest
 
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
 
 #: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds")
+_KNOWN_STORES = ("arrays", "evaluations", "traces")
 
 
 @dataclass
@@ -54,7 +61,7 @@ class FsckReport:
     root: Path
     scanned: int = 0
     ok: int = 0
-    legacy: int = 0  # valid entries written before checksums existed
+    legacy: int = 0  # pre-v2 entries: never read by the loaders, kept
     corrupt: int = 0  # entries quarantined by this pass
     repaired: int = 0  # entries re-materialized from the sibling cache
     swept_tmp: int = 0  # stale *.tmp.* files removed
@@ -85,7 +92,7 @@ class FsckReport:
             f"{self.corrupt} corrupt"
         )
         if self.legacy:
-            text += f", {self.legacy} legacy (no checksum)"
+            text += f", {self.legacy} legacy (pre-v2 format, unread)"
         if self.repaired:
             text += f", {self.repaired} repaired"
         if self.swept_tmp:
@@ -99,39 +106,20 @@ def _entry_fingerprint(path: Path) -> str:
     """The fingerprint a store file claims via its name.
 
     Quarantined copies may carry a uniquifying suffix
-    (``<fp>.json.<n>``), so take everything before the first ``.json``.
+    (``<fp>.v2.<n>``), so take everything before the first dot.
     """
-    return path.name.split(".json", 1)[0]
+    return path.name.split(".", 1)[0]
 
 
-def _verify_entry(path: Path) -> tuple[str, str]:
-    """Verify one entry file.
-
-    Returns ``(status, reason)`` with status ``"ok"``, ``"legacy"`` (valid
-    but checksum-less), or ``"corrupt"``.
-    """
+def _entry_problem(path: Path) -> Optional[str]:
+    """Why one entry file fails verification, or ``None`` when it passes."""
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError):
-        return "corrupt", "unreadable or undecodable bytes"
-    except json.JSONDecodeError:
-        return "corrupt", "invalid JSON"
-    if not isinstance(payload, dict):
-        return "corrupt", "payload is not an object"
-    if "schema" not in payload or "result" not in payload:
-        return "corrupt", "missing schema/result fields"
-    stored_fp = payload.get("fingerprint")
-    if stored_fp is not None and stored_fp != _entry_fingerprint(path):
-        return "corrupt", "recorded fingerprint does not match filename"
-    checksum = payload.get("checksum")
-    if checksum is None:
-        return "legacy", "entry predates content checksums"
-    actual = hashlib.sha256(
-        canonical_json(payload["result"]).encode("utf-8")
-    ).hexdigest()
-    if checksum != actual:
-        return "corrupt", "checksum mismatch"
-    return "ok", ""
+        read_entry(path.read_bytes(), _entry_fingerprint(path))
+    except OSError:
+        return "unreadable entry file"
+    except CorruptEntry as exc:
+        return str(exc)
+    return None
 
 
 def _quarantine_entry(root: Path, path: Path) -> None:
@@ -161,18 +149,17 @@ def fsck_store(
         stale.unlink(missing_ok=True)
         report.swept_tmp += 1
 
-    for entry in sorted(root.glob("??/*.json")):
+    for entry in sorted(root.glob(f"??/*{ENTRY_SUFFIX}")):
         report.scanned += 1
-        status, reason = _verify_entry(entry)
-        if status == "corrupt":
+        reason = _entry_problem(entry)
+        if reason is None:
+            report.ok += 1
+        else:
             report.corrupt += 1
             report.problems.append(f"{entry.relative_to(root)}: {reason}")
             _quarantine_entry(root, entry)
-        elif status == "legacy":
-            report.legacy += 1
-            report.ok += 1
-        else:
-            report.ok += 1
+    report.legacy = sum(1 for _ in root.glob(f"??/*{LEGACY_ENTRY_SUFFIX}"))
+    report.scanned += report.legacy
 
     if repair_from is not None:
         sibling = Path(repair_from)
@@ -188,22 +175,14 @@ def fsck_store(
                 if fp:
                     missing.setdefault(fp, damaged)
         for fp in sorted(missing):
-            target = root / fp[:2] / f"{fp}.json"
+            target = root / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
             if target.exists():
                 continue
-            source = sibling / fp[:2] / f"{fp}.json"
-            if not source.exists():
-                continue
-            if _verify_entry(source)[0] == "corrupt":
+            source = sibling / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
+            if not source.exists() or _entry_problem(source) is not None:
                 continue
             target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = _tmp_path_for(target)
-            try:
-                tmp.write_bytes(source.read_bytes())
-                os.replace(tmp, target)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            atomic_write_bytes(target, source.read_bytes())
             report.repaired += 1
 
     qdir = root / QUARANTINE_SUBDIR
@@ -220,7 +199,7 @@ def fsck_cache_dir(
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``, ``clouds/``); a directory that itself fans out into
+    ``traces/``); a directory that itself fans out into
     two-hex-digit subdirs is treated as a single bare store.  ``repair_from`` names a
     sibling cache root with the same layout.
     """

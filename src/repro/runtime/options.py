@@ -11,7 +11,6 @@ CLI, and :class:`~repro.core.engine.DSEEngine`.
     <cache_dir>/arrays/       array characterizations
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
-    <cache_dir>/clouds/       full organization clouds (Figure 12 studies)
 
 ``trace_cache_dir`` overrides only the trace store (traces are produced
 by the cache simulator, not the characterizer, so some deployments keep
@@ -33,7 +32,6 @@ from repro.runtime.telemetry import ProgressCallback
 ARRAY_CACHE_SUBDIR = "arrays"
 EVALUATION_CACHE_SUBDIR = "evaluations"
 TRACE_CACHE_SUBDIR = "traces"
-CLOUD_CACHE_SUBDIR = "clouds"
 
 
 @dataclass(frozen=True)

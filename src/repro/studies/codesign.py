@@ -19,7 +19,6 @@ from repro.core.engine import SweepSpec
 from repro.nvsim import all_organizations
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.cache import organization_cloud_cache
 from repro.runtime.options import RuntimeOptions, engine_for
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.generic import graph_envelope_sweep
@@ -72,15 +71,13 @@ def area_efficiency_study(
     warm re-runs skip it.
     """
     engine = engine_for(runtime)
-    cloud_cache = organization_cloud_cache(runtime)
     traffic = graph_envelope_sweep(points_per_axis=traffic_points)
     arrays = [
         array
         for tech in (TechnologyClass.STT, TechnologyClass.PCM,
                      TechnologyClass.RRAM, TechnologyClass.FEFET)
         for array in all_organizations(
-            tentpoles_for(tech).optimistic, capacity_bytes,
-            node_nm=ENVM_NODE_NM, cache=cloud_cache,
+            tentpoles_for(tech).optimistic, capacity_bytes, node_nm=ENVM_NODE_NM
         )
     ]
     table = ResultTable()
@@ -128,26 +125,20 @@ def low_efficiency_latency_advantage(
 
 def efficiency_of_latency_extremes(
     capacity_bytes: int = CODESIGN_CAPACITY,
-    *,
-    runtime: Optional[RuntimeOptions] = None,
 ) -> dict[str, dict[str, float]]:
     """Per technology: area efficiency of the fastest vs. the densest design.
 
     The core of the Figure 12 observation — squeezing latency means doing
     *less* amortization of periphery, so the latency-optimal internal
     organization always shows lower area efficiency than the area-optimal
-    one.  With a ``runtime`` carrying a ``cache_dir``, the per-technology
-    clouds persist under ``<cache_dir>/clouds/`` and warm re-runs skip the
-    characterization entirely.
+    one.  The four clouds are recomputed on every call: the batch engine
+    builds them in milliseconds, faster than a disk cache could load them.
     """
-    cloud_cache = organization_cloud_cache(runtime)
     out: dict[str, dict[str, float]] = {}
     for tech in (TechnologyClass.STT, TechnologyClass.PCM,
                  TechnologyClass.RRAM, TechnologyClass.FEFET):
         cell = tentpoles_for(tech).optimistic
-        cloud = all_organizations(
-            cell, capacity_bytes, node_nm=ENVM_NODE_NM, cache=cloud_cache
-        )
+        cloud = all_organizations(cell, capacity_bytes, node_nm=ENVM_NODE_NM)
         fastest = min(cloud, key=lambda a: a.read_latency)
         densest = max(cloud, key=lambda a: a.area_efficiency)
         out[tech.value] = {

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.runtime.cache import QUARANTINE_SUBDIR, EvaluationCache
+from repro.runtime.cache import ENTRY_SUFFIX, QUARANTINE_SUBDIR, EvaluationCache
 from repro.runtime.fingerprint import fingerprint_payload
 from repro.runtime.fsck import (
     fsck_cache_dir,
@@ -28,11 +28,15 @@ def _populate(root, count=3, salt="fsck"):
     return fingerprints
 
 
+def _entry(root, fp):
+    return root / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
+
+
 def _damage(root, fp):
-    """Flip one result digit so the JSON parses but the checksum fails."""
-    path = root / fp[:2] / f"{fp}.json"
+    """Flip one body digit so the JSON parses but the checksum fails."""
+    path = _entry(root, fp)
     data = bytearray(path.read_bytes())
-    data[-4] ^= 0x01  # the row value inside {"row": N}
+    data[-3] ^= 0x01  # the row value inside [{"row": N}]
     path.write_bytes(bytes(data))
     return path
 
@@ -67,10 +71,10 @@ class TestFsckStore:
 
     def test_invalid_json_and_fingerprint_mismatch_detected(self, tmp_path):
         fingerprints = _populate(tmp_path)
-        bad_json = tmp_path / fingerprints[0][:2] / f"{fingerprints[0]}.json"
+        bad_json = _entry(tmp_path, fingerprints[0])
         bad_json.write_text("{truncated")
-        moved = tmp_path / fingerprints[1][:2] / f"{fingerprints[1]}.json"
-        wrong_home = tmp_path / fingerprints[2][:2] / f"{fingerprints[2]}x.json"
+        moved = _entry(tmp_path, fingerprints[1])
+        wrong_home = tmp_path / fingerprints[2][:2] / f"{fingerprints[2]}x{ENTRY_SUFFIX}"
         wrong_home.write_text(moved.read_text())  # fp inside != filename
         report = fsck_store(tmp_path)
         assert report.corrupt == 2
@@ -79,6 +83,8 @@ class TestFsckStore:
         assert "does not match its filename" in reasons or "fingerprint" in reasons
 
     def test_legacy_entry_without_checksum_kept(self, tmp_path):
+        # A pre-v2 entry: no loader reads it, so fsck neither verifies
+        # nor quarantines it.
         fp = fingerprint_payload({"legacy": True})
         path = tmp_path / fp[:2] / f"{fp}.json"
         path.parent.mkdir(parents=True)
@@ -87,8 +93,9 @@ class TestFsckStore:
         }))
         report = fsck_store(tmp_path)
         assert report.clean
+        assert report.scanned == 1
         assert report.legacy == 1
-        assert report.ok == 1
+        assert report.ok == 0
         assert path.exists()
         assert "legacy" in report.summary()
 
@@ -111,7 +118,7 @@ class TestFsckStore:
         fsck_store(primary)  # quarantines the damaged entry
         report = fsck_store(primary, repair_from=sibling)
         assert report.repaired == 1
-        restored = primary / fingerprints[0][:2] / f"{fingerprints[0]}.json"
+        restored = _entry(primary, fingerprints[0])
         assert restored.exists()
         # the restored entry verifies clean and the store loads it
         assert fsck_store(primary).clean

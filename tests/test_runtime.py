@@ -1,6 +1,7 @@
 """The parallel sweep runtime: fingerprints, persistent cache, executor."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import threading
@@ -27,6 +28,7 @@ from repro.runtime import (
     sweep_points,
 )
 from repro.runtime.executor import rows_fn_id
+from repro.runtime.fsck import fsck_cache_dir
 from repro.traffic import TrafficPattern
 from repro.units import mb
 
@@ -140,7 +142,8 @@ class TestCharacterizationCache:
         assert cache.corrupt == 1
         assert cache.misses == 0
         assert not cache.path_for(fp).exists()
-        assert (cache.quarantine_dir() / f"{fp}.json").read_text() == garbage
+        quarantined = cache.quarantine_dir() / cache.path_for(fp).name
+        assert quarantined.read_text() == garbage
         # The next store re-materializes the entry at the original path.
         cache.store(fp, stt_array_1mb)
         assert cache.load(fp) == stt_array_1mb
@@ -151,24 +154,52 @@ class TestCharacterizationCache:
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
         path = cache.path_for(fp)
-        payload = json.loads(path.read_text())
-        payload["result"]["organization"]["banks"] = 999999
-        path.write_text(json.dumps(payload))
+        data = bytearray(path.read_bytes())
+        # Flip one byte of the body: its last digit becomes another digit,
+        # so the body is still valid JSON and only the checksum catches it.
+        body_start = data.index(b"\n") + 1
+        digit = max(i for i in range(body_start, len(data)) if chr(data[i]).isdigit())
+        data[digit] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert json.loads(data[body_start:]) != stt_array_1mb.to_dict()
         assert cache.load(fp) is None
         assert cache.corrupt == 1
-        assert (cache.quarantine_dir() / f"{fp}.json").exists()
+        assert (cache.quarantine_dir() / path.name).exists()
 
-    def test_legacy_entry_without_checksum_still_hits(
+    def test_pre_v2_entry_is_an_ordinary_miss(
+            self, tmp_path, stt_optimistic, stt_array_1mb):
+        cache = CharacterizationCache(tmp_path)
+        fp = make_point(stt_optimistic).fingerprint()
+        legacy = tmp_path / fp[:2] / f"{fp}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({
+            "schema": cache.schema_tag, "fingerprint": fp,
+            "result": stt_array_1mb.to_dict(),
+        }))
+        assert cache.load(fp) is None
+        assert cache.misses == 1
+        assert cache.corrupt == 0
+        assert legacy.exists()
+        assert not cache.quarantine_dir().exists()
+        [report] = fsck_cache_dir(tmp_path)
+        assert report.clean
+        assert report.legacy == 1
+        assert legacy.exists()
+
+    def test_entry_checksum_covers_the_stored_body(
             self, tmp_path, stt_optimistic, stt_array_1mb):
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        path = cache.path_for(fp)
-        payload = json.loads(path.read_text())
-        del payload["checksum"]  # entry written before checksums existed
-        path.write_text(json.dumps(payload))
-        assert cache.load(fp) == stt_array_1mb
-        assert cache.corrupt == 0
+        data = cache.path_for(fp).read_bytes()
+        head, body = data.split(b"\n", 1)
+        header = json.loads(head)
+        assert header == {
+            "schema": cache.schema_tag,
+            "fingerprint": fp,
+            "checksum": hashlib.sha256(body).hexdigest(),
+        }
+        assert json.loads(body) == stt_array_1mb.to_dict()
 
     def test_clear_and_len(self, tmp_path, stt_optimistic, stt_array_1mb):
         cache = CharacterizationCache(tmp_path)

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import CharacterizationError
 from repro.runtime.options import (
     ARRAY_CACHE_SUBDIR,
-    CLOUD_CACHE_SUBDIR,
     EVALUATION_CACHE_SUBDIR,
     TRACE_CACHE_SUBDIR,
     RuntimeOptions,
@@ -133,7 +132,6 @@ def test_warm_summary_run_recomputes_nothing(tmp_path):
         ARRAY_CACHE_SUBDIR,
         EVALUATION_CACHE_SUBDIR,
         TRACE_CACHE_SUBDIR,
-        CLOUD_CACHE_SUBDIR,
     }, stores
     assert not (tmp_path / "cache" / "costs").exists()
 
