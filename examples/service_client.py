@@ -88,7 +88,7 @@ async def self_hosted_demo(study: str) -> int:
 
     service = ReproService(ServiceConfig(
         port=0, workers=2,
-        runtime=RuntimeOptions(workers=1, on_error="skip"),
+        runtime=RuntimeOptions(on_error="skip"),
     ))
     await service.start()
     print("self-hosted demo (ephemeral port, in-memory cache)")

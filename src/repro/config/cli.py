@@ -14,9 +14,10 @@ config/<name>.json`` workflow::
 Config files containing a ``"study"`` key are dispatched to the study
 registry automatically, files with a ``"suite"`` key to the (sharded,
 incremental) summary driver, and plain sweep configs run through the
-DSE engine as before.  Runtime flags (``--workers``, ``--cache-dir``,
-``--trace-cache-dir``, ``--seed``) override the config's ``runtime``
-section and work identically for every study.
+DSE engine as before.  Every sweep runs serially in this process.
+Runtime flags (``--cache-dir``, ``--trace-cache-dir``, ``--seed``,
+``--point-shard-index``/``--point-shard-count``, ``--chaos``) override
+the config's ``runtime`` section and work identically for every study.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from repro.viz.dashboard import summary_dashboard
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="parallel sweep worker processes (overrides config runtime.workers)",
-    )
     parser.add_argument(
         "--cache-dir", metavar="PATH",
         help="persistent cache root: characterizations, evaluation blocks, "
@@ -71,9 +68,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chaos", metavar="SPEC",
-        help="deterministic fault injection for resilience testing — "
-             "comma-separated key=value pairs (seed, worker_error, "
-             "worker_kill, stall, stall_s, poison, cache_corrupt, "
+        help="deterministic cache-corruption injection for failure-handling "
+             "tests — comma-separated key=value pairs (seed, cache_corrupt, "
              "corrupt_mode); 'off' disables (overrides config runtime.chaos)",
     )
     parser.add_argument(
@@ -168,7 +164,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
         }
         table = run_study_config(
             config,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
@@ -207,10 +202,6 @@ def build_merge_shards_parser() -> argparse.ArgumentParser:
         help="output directories of the individual shard runs",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for re-materializing point-sharded studies",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="the shards' shared persistent cache root (required for a warm "
              "re-materialization of point-sharded studies)",
@@ -242,7 +233,6 @@ def _merge_shards_command(argv: Sequence[str]) -> int:
             args.shard_dirs,
             args.output_dir,
             runtime=RuntimeOptions(
-                workers=args.workers,
                 cache_dir=args.cache_dir,
                 trace_cache_dir=args.trace_cache_dir,
                 seed=args.seed,
@@ -273,12 +263,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--service-workers", type=int, metavar="N",
-        help="concurrently running studies (each may fan out further over "
-             "runtime workers)",
-    )
-    parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="per-study process-pool width (overrides config runtime.workers)",
+        help="job slots: studies running concurrently, each serially "
+             "(overrides config service.workers)",
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH",
@@ -328,14 +314,9 @@ def _serve_command(argv: Sequence[str]) -> int:
             updates["warm_studies"] = tuple(args.warm)
         if args.drain_timeout is not None:
             updates["drain_timeout_s"] = args.drain_timeout
-        runtime_updates: dict[str, Any] = {}
-        if args.workers is not None:
-            runtime_updates["workers"] = args.workers
         if args.cache_dir is not None:
-            runtime_updates["cache_dir"] = args.cache_dir
-        if runtime_updates:
             updates["runtime"] = dataclasses.replace(
-                config.runtime, **runtime_updates
+                config.runtime, cache_dir=args.cache_dir
             )
         if updates:
             config = dataclasses.replace(config, **updates)
@@ -377,7 +358,6 @@ def _run_suite(raw, args) -> int:
     config = load_suite_config(raw)
     run = run_suite_config(
         config,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         trace_cache_dir=args.trace_cache_dir,
         seed=args.seed,
@@ -428,7 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner = run_study_config if is_study_config(raw) else run_config
         table = runner(
             raw,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,

@@ -107,20 +107,16 @@ def load_suite_config(source: Union[ConfigSource, SuiteConfig]) -> SuiteConfig:
 
 def _override_runtime(
     runtime,
-    workers: Optional[int],
     cache_dir: Optional[str],
     trace_cache_dir: Optional[str],
     seed: Optional[int],
     progress,
     point_shard_index: Optional[int] = None,
     point_shard_count: Optional[int] = None,
-    retry=None,
     chaos=None,
 ):
     """Apply CLI-style overrides on top of a config's runtime options."""
     updates: dict[str, Any] = {"progress": progress}
-    if workers is not None:
-        updates["workers"] = workers
     if cache_dir is not None:
         updates["cache_dir"] = cache_dir
     if trace_cache_dir is not None:
@@ -131,8 +127,6 @@ def _override_runtime(
         updates["point_shard_index"] = point_shard_index
     if point_shard_count is not None:
         updates["point_shard_count"] = point_shard_count
-    if retry is not None:
-        updates["retry"] = retry
     if chaos is not None:
         updates["chaos"] = chaos
     try:
@@ -156,20 +150,18 @@ def _write_csv(table: ResultTable, destination: Optional[str]) -> None:
 
 def run_config(
     source: ConfigSource,
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
     point_shard_index: Optional[int] = None,
     point_shard_count: Optional[int] = None,
-    retry=None,
     chaos=None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
-    ``workers``/``cache_dir``/``trace_cache_dir``/``seed``/
-    ``point_shard_index``/``point_shard_count``/``retry``/``chaos``
+    ``cache_dir``/``trace_cache_dir``/``seed``/
+    ``point_shard_index``/``point_shard_count``/``chaos``
     override the config's ``runtime`` section (e.g. from CLI flags);
     ``progress`` receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
@@ -186,8 +178,8 @@ def run_config(
         bits_per_cell=config.bits_per_cell,
     )
     runtime = _override_runtime(
-        config.runtime_options(), workers, cache_dir, trace_cache_dir, seed,
-        progress, point_shard_index, point_shard_count, retry, chaos,
+        config.runtime_options(), cache_dir, trace_cache_dir, seed,
+        progress, point_shard_index, point_shard_count, chaos,
     )
     table = DSEEngine.from_options(runtime).run(spec)
     _write_csv(table, config.output_csv)
@@ -196,14 +188,12 @@ def run_config(
 
 def run_study_config(
     source: ConfigSource,
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
     point_shard_index: Optional[int] = None,
     point_shard_count: Optional[int] = None,
-    retry=None,
     chaos=None,
 ) -> ResultTable:
     """Execute a registered-study configuration end to end.
@@ -220,8 +210,8 @@ def run_study_config(
 
     spec = get_study(config.study)
     runtime = _override_runtime(
-        config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos,
+        config.runtime, cache_dir, trace_cache_dir, seed, progress,
+        point_shard_index, point_shard_count, chaos,
     )
     # Validate params against the builder's signature up front, so a
     # TypeError raised deep inside a study is never misreported as a
@@ -252,14 +242,12 @@ def run_study_config(
 
 def run_suite_config(
     source: Union[ConfigSource, SuiteConfig],
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
     point_shard_index: Optional[int] = None,
     point_shard_count: Optional[int] = None,
-    retry=None,
     chaos=None,
 ):
     """Execute a suite-run configuration end to end.
@@ -281,8 +269,8 @@ def run_suite_config(
     if point_shard_count is None:
         point_shard_count = config.point_shard_count
     runtime = _override_runtime(
-        config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos,
+        config.runtime, cache_dir, trace_cache_dir, seed, progress,
+        point_shard_index, point_shard_count, chaos,
     )
     return run_all(
         config.output_dir,

@@ -24,28 +24,26 @@ A config describes one design sweep::
         ... kind-specific parameters ...
       },
       "runtime": {
-        "workers": 4,
         "cache_dir": ".nvmcache",
         "trace_cache_dir": null,
         "on_error": "raise" | "skip",
         "seed": null,
         "point_shard_index": 0,
         "point_shard_count": 1,
-        "retry": { "max_attempts": 3, "backoff_s": 0.05,
-                   "deadline_s": null },          // optional
-        "chaos": { "seed": 0, "worker_kill": 0.1 }  // optional, testing only
+        "chaos": { "seed": 0, "cache_corrupt_rate": 0.1 }  // testing only
       },
       "output_csv": "results.csv"
     }
 
 The optional ``runtime`` section controls sweep execution (see
-:mod:`repro.runtime`): process-pool width, the persistent cache root
-(characterizations, evaluation blocks, and LLC traces live under it),
-an optional trace-cache override, whether a failing design point aborts
-the sweep or is skipped with telemetry, a seed override for stochastic
-components, and intra-study point sharding (run only the deterministic
-1/``point_shard_count`` slice of every sweep's fingerprinted point
-space).
+:mod:`repro.runtime`; sweeps always run serially in-process): the
+persistent cache root (characterizations, evaluation blocks, and LLC
+traces live under it), an optional trace-cache override, whether a
+failing design point aborts the sweep or is skipped with telemetry, a
+seed override for stochastic components, intra-study point sharding
+(run only the deterministic 1/``point_shard_count`` slice of every
+sweep's fingerprinted point space), and cache-corruption chaos for
+failure-handling tests.  Any other key is a :class:`ConfigError`.
 
 A second config shape describes one *registered study* instead of a raw
 sweep (the ``config/studies/*.json`` stubs)::
@@ -53,7 +51,7 @@ sweep (the ``config/studies/*.json`` stubs)::
     {
       "study": "fig09_spec_llc",
       "params": { "capacity_bytes": 16777216 },
-      "runtime": { "workers": 4, "cache_dir": ".nvmcache" },
+      "runtime": { "cache_dir": ".nvmcache" },
       "output_csv": "output/results/fig09_spec_llc.csv",
       "report_md": "output/reports/fig09_spec_llc.md"
     }
@@ -72,7 +70,7 @@ incremental) pass over the study registry, the config-file form of
         "point_shard_count": 1,
         "incremental": true
       },
-      "runtime": { "workers": 4, "cache_dir": ".nvmcache" }
+      "runtime": { "cache_dir": ".nvmcache" }
     }
 
 :func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`,
@@ -94,7 +92,6 @@ from repro.errors import ConfigError
 from repro.nvsim.result import OptimizationTarget
 from repro.runtime.chaos import ChaosOptions
 from repro.runtime.options import RuntimeOptions
-from repro.runtime.resilience import RetryPolicy
 from repro.traffic.base import TrafficPattern
 from repro.traffic.dnn import DNN_WORKLOADS, NVDLAPerformanceModel, continuous_scenarios
 from repro.traffic.generic import generic_sweep, graph_envelope_sweep, log_spaced
@@ -119,7 +116,6 @@ class ParsedConfig:
     bits_per_cell: int
     traffic: Sequence[TrafficPattern]
     output_csv: Optional[str] = None
-    workers: int = 1
     cache_dir: Optional[str] = None
     trace_cache_dir: Optional[str] = None
     on_error: str = "raise"
@@ -130,7 +126,6 @@ class ParsedConfig:
     def runtime_options(self, progress=None) -> RuntimeOptions:
         """The sweep's runtime section as shared :class:`RuntimeOptions`."""
         return RuntimeOptions(
-            workers=self.workers,
             cache_dir=self.cache_dir,
             trace_cache_dir=self.trace_cache_dir,
             on_error=self.on_error,
@@ -174,14 +169,13 @@ class SuiteConfig:
 class ServiceConfig:
     """A validated serving configuration (``config/service.json``).
 
-    ``workers`` bounds concurrently *running* studies (each may fan out
-    further over its own process pool via ``runtime.workers``);
+    ``workers`` is the number of job slots: how many studies run
+    concurrently, each on its own thread and each serially within it;
     ``rate_limit_rps``/``rate_limit_burst`` parameterize the per-client
     submit token bucket (``rps <= 0`` disables limiting);
     ``warm_studies`` names registry studies the warm-keeper pre-computes
-    whenever their fingerprints change; ``job_retries`` bounds how many
-    times a job failing with a *transient* infrastructure error (broken
-    pool, injected chaos) is re-attempted before the failure is recorded.
+    whenever their fingerprints change.  A failing job is recorded as
+    failed at once; resubmitting it starts a fresh job.
     """
 
     host: str = "127.0.0.1"
@@ -192,7 +186,6 @@ class ServiceConfig:
     warm_studies: tuple = ()
     warm_interval_s: float = 300.0
     drain_timeout_s: float = 30.0
-    job_retries: int = 2
     runtime: RuntimeOptions = RuntimeOptions()
 
 
@@ -318,7 +311,6 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
         bits_per_cell=bits,
         traffic=_parse_traffic(raw.get("traffic")),
         output_csv=raw.get("output_csv"),
-        workers=runtime.workers,
         cache_dir=runtime.cache_dir,
         trace_cache_dir=runtime.trace_cache_dir,
         on_error=runtime.on_error,
@@ -337,13 +329,23 @@ def _validate_point_shard(index: int, count: int, context: str) -> None:
         )
 
 
+#: Keys a ``runtime`` section may hold.
+_RUNTIME_KEYS = frozenset({
+    "cache_dir", "trace_cache_dir", "on_error", "seed",
+    "point_shard_index", "point_shard_count", "chaos",
+})
+
+
 def _parse_runtime(section: Any) -> RuntimeOptions:
     """Validate a ``runtime`` section into :class:`RuntimeOptions`."""
     if not isinstance(section, Mapping):
         raise ConfigError("runtime section must be an object")
-    workers = int(section.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("runtime.workers must be >= 1")
+    unknown = sorted(set(section) - _RUNTIME_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown runtime option(s) {unknown}; known options: "
+            f"{sorted(_RUNTIME_KEYS)}"
+        )
     on_error = str(section.get("on_error", "raise"))
     if on_error not in ("raise", "skip"):
         raise ConfigError("runtime.on_error must be 'raise' or 'skip'")
@@ -353,23 +355,17 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     point_shard_index = int(section.get("point_shard_index", 0))
     point_shard_count = int(section.get("point_shard_count", 1))
     _validate_point_shard(point_shard_index, point_shard_count, "runtime")
-    retry_section = section.get("retry")
-    retry = None
-    if retry_section is not None:
-        retry = RetryPolicy.from_mapping(retry_section)
     chaos_section = section.get("chaos")
     chaos = None
     if chaos_section is not None:
         chaos = ChaosOptions.from_mapping(chaos_section)
     return RuntimeOptions(
-        workers=workers,
         cache_dir=None if cache_dir is None else str(cache_dir),
         trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
         on_error=on_error,
         seed=None if seed is None else int(seed),
         point_shard_index=point_shard_index,
         point_shard_count=point_shard_count,
-        retry=retry,
         chaos=chaos,
     )
 
@@ -426,9 +422,6 @@ def parse_service_config(raw: Mapping[str, Any]) -> ServiceConfig:
     drain_timeout_s = float(section.get("drain_timeout_s", 30.0))
     if drain_timeout_s < 0:
         raise ConfigError("service.drain_timeout_s must be >= 0")
-    job_retries = int(section.get("job_retries", 2))
-    if job_retries < 0:
-        raise ConfigError("service.job_retries must be >= 0")
     return ServiceConfig(
         host=str(section.get("host", "127.0.0.1")),
         port=port,
@@ -438,7 +431,6 @@ def parse_service_config(raw: Mapping[str, Any]) -> ServiceConfig:
         warm_studies=tuple(str(name) for name in warm_studies),
         warm_interval_s=warm_interval_s,
         drain_timeout_s=drain_timeout_s,
-        job_retries=job_retries,
         runtime=_parse_runtime(raw.get("runtime", {})),
     )
 

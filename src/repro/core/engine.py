@@ -6,12 +6,12 @@ characterize every array once and evaluate every (array, traffic) pair,
 producing a :class:`~repro.results.ResultTable` whose rows carry everything
 the dashboards plot.
 
-Execution is delegated to :mod:`repro.runtime`: ``workers>1`` fans
-characterization and (array, traffic) evaluation out over a process pool,
-``cache_dir`` persists characterizations across runs, and
-``on_error="skip"`` reports failed points through telemetry instead of
-aborting the sweep.  The defaults (serial, in-memory cache only, abort on
-error) preserve the engine's historical behavior.
+Execution is delegated to :mod:`repro.runtime`, which runs every sweep
+serially in this process: ``cache_dir`` persists characterizations and
+evaluation blocks across runs, and ``on_error="skip"`` reports failed
+points through telemetry instead of aborting the sweep.  The defaults
+(in-memory cache only, abort on error) preserve the engine's historical
+behavior.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.runtime.executor import (
     evaluate_blocks,
     sweep_points,
 )
-from repro.runtime.resilience import RetryPolicy
 from repro.runtime.options import (
     ARRAY_CACHE_SUBDIR,
     EVALUATION_CACHE_SUBDIR,
@@ -82,9 +81,6 @@ class DSEEngine:
 
     Parameters
     ----------
-    workers:
-        Process-pool width for characterization and evaluation fan-out;
-        1 (the default) runs everything serially in-process.
     cache_dir:
         Root of the persistent cache layout (``arrays/`` holds
         characterizations, ``evaluations/`` holds (array x traffic)
@@ -103,28 +99,27 @@ class DSEEngine:
         fingerprinted point space; points owned by other shards are
         reported as ``skipped`` telemetry and produce no rows.  A
         sweep's own ``SweepSpec.point_shard`` takes precedence.
+    chaos:
+        Optional :class:`~repro.runtime.chaos.ChaosOptions` handed to the
+        persistent caches, which then corrupt entries before loading them
+        (failure-handling tests only).
     """
 
     def __init__(
         self,
-        workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         on_error: str = "raise",
         progress=None,
         point_shard: Optional[PointShard] = None,
-        retry: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosOptions] = None,
     ) -> None:
         if on_error not in ("raise", "skip"):
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
-        self.workers = max(1, int(workers))
         self.on_error = on_error
         self.progress = progress
         self.point_shard = point_shard
-        self.retry = retry
-        self.chaos = chaos
         self.cache: Optional[CharacterizationCache] = None
         self.eval_cache: Optional[EvaluationCache] = None
         if cache_dir is not None:
@@ -145,12 +140,10 @@ class DSEEngine:
     def from_options(cls, options: RuntimeOptions) -> "DSEEngine":
         """An engine configured from shared :class:`RuntimeOptions`."""
         return cls(
-            workers=options.workers,
             cache_dir=options.cache_dir,
             on_error=options.on_error,
             progress=options.progress,
             point_shard=options.point_shard,
-            retry=options.retry,
             chaos=options.chaos,
         )
 
@@ -182,7 +175,6 @@ class DSEEngine:
         )
         result = characterize_points(
             [point],
-            workers=1,
             cache=self.cache,
             memory=self._array_cache,
             on_error="raise",
@@ -212,14 +204,11 @@ class DSEEngine:
             traffic,
             rows_fn=rows_fn,
             extra=extra,
-            workers=self.workers,
             cache=self.eval_cache,
             memory=self._eval_memory,
             telemetry=(
                 telemetry if telemetry is not None else SweepTelemetry(self.progress)
             ),
-            retry=self.retry,
-            chaos=self.chaos,
         )
 
     def _characterized(
@@ -231,7 +220,6 @@ class DSEEngine:
         # fingerprint would drop this shard's own work).
         results = characterize_points(
             sweep_points(spec),
-            workers=self.workers,
             cache=self.cache,
             memory=self._array_cache,
             on_error=self.on_error,
@@ -240,8 +228,6 @@ class DSEEngine:
                 spec.point_shard if spec.point_shard is not None
                 else self.point_shard
             ),
-            retry=self.retry,
-            chaos=self.chaos,
         )
         return [array for array in results if array is not None]
 
@@ -261,9 +247,9 @@ class DSEEngine:
 
         Without traffic the table holds array characterizations; with
         traffic it holds one row per (array, traffic) evaluation.  Row
-        order is deterministic and independent of ``workers``; under a
-        point-shard selector the table holds exactly this shard's rows,
-        in the same relative order as the single-host run.
+        order is deterministic; under a point-shard selector the table
+        holds exactly this shard's rows, in the same relative order as
+        the single-host run.
         """
         telemetry = SweepTelemetry(self.progress)
         self.last_telemetry = telemetry
@@ -277,8 +263,6 @@ class DSEEngine:
             arrays, tuple(spec.traffic), telemetry=telemetry
         )
         for rows in row_blocks:
-            if rows is None:  # block poisoned by exhausted transient retries
-                continue
             for row in rows:
                 table.append(row)
         return table

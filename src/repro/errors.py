@@ -42,32 +42,3 @@ class EvaluationError(ReproError):
 
 class UnknownTechnologyError(CellDefinitionError):
     """Requested a technology class that the framework does not know about."""
-
-
-class ExecutionError(ReproError):
-    """The execution substrate itself failed unrecoverably.
-
-    Raised when infrastructure faults exceed what the resilience layer
-    can absorb — e.g. the worker pool cannot be rebuilt.
-    """
-
-
-class TransientError(ReproError):
-    """An infrastructure fault that may succeed on retry.
-
-    The resilience layer (:mod:`repro.runtime.resilience`) classifies
-    failures into transient (worker crashes, injected chaos faults,
-    deadline timeouts — retried with backoff) and deterministic (model
-    errors such as :class:`CharacterizationError` — failing immediately,
-    since re-running the same inputs reproduces the same failure).
-    """
-
-
-class PoisonedPointError(TransientError):
-    """A sweep point exhausted its retry budget on transient faults.
-
-    Under ``on_error="raise"`` a poisoned point aborts the sweep with
-    this error; under ``on_error="skip"`` it is recorded as ``POISONED``
-    telemetry and the sweep completes around it.  It stays transient:
-    a fresh run (on healthy infrastructure) may well succeed.
-    """

@@ -1,4 +1,4 @@
-"""Sweep execution runtime: parallelism, persistent caching, telemetry.
+"""Sweep execution runtime: serial execution, persistent caching, telemetry.
 
 The paper's value proposition is *fast* cross-stack design-space
 exploration; this package is the execution layer that delivers it:
@@ -12,18 +12,18 @@ exploration; this package is the execution layer that delivers it:
   blocks) and ``traces/`` (regenerated LLC traffic traces), so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
   resumable.
-* :mod:`repro.runtime.executor` — chunked fan-out of characterization and
-  (array, traffic) evaluation over a :class:`~concurrent.futures.\
-ProcessPoolExecutor`, with deterministic result ordering and a serial
-  fallback for ``workers=1``.
+* :mod:`repro.runtime.executor` — serial, in-process characterization
+  and (array, traffic) evaluation in deterministic order, through the
+  memory and disk caches, with same-cell points batched into one array
+  program.
 * :mod:`repro.runtime.shard` — deterministic shard planning (split the
   study suite, or one study's fingerprinted point space, across hosts
   with no coordinator), per-shard run manifests, manifest merging with
   dropped/duplicate detection, and the content fingerprints behind the
   incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
-  execution options (workers, cache_dir, trace_cache_dir, on_error,
-  progress, seed) every study and config-driven sweep accepts.
+  execution options (cache_dir, trace_cache_dir, on_error, progress,
+  seed, point shard, chaos) every study and config-driven sweep accepts.
 * :mod:`repro.runtime.telemetry` — progress events (completed / cached /
   failed points) via callback and logging instead of dying on the first
   :class:`~repro.errors.CharacterizationError`.
@@ -32,13 +32,9 @@ ProcessPoolExecutor`, with deterministic result ordering and a serial
   that let asyncio services drive the engine without stalling the loop.
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
-* :mod:`repro.runtime.resilience` — fault-tolerant execution: transient
-  vs deterministic failure classification, bounded retries with
-  deterministic backoff, broken-pool recovery, a per-point deadline
-  watchdog, and ``POISONED`` quarantine for points that exhaust retries.
-* :mod:`repro.runtime.chaos` — deterministic fault injection (worker
-  crashes/kills/stalls, cache corruption) keyed by fingerprint + seed,
-  so every resilience guarantee is testable end-to-end.
+* :mod:`repro.runtime.chaos` — deterministic cache-corruption injection
+  keyed by fingerprint + seed, so the quarantine-and-recompute path is
+  testable end to end.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit and repair
   (the ``nvmexplorer fsck`` command).
 """
@@ -51,7 +47,7 @@ from repro.runtime.cache import (
     JsonObjectCache,
     LLCTraceCache,
 )
-from repro.runtime.chaos import ChaosInjectedError, ChaosOptions, parse_chaos_spec
+from repro.runtime.chaos import ChaosOptions, parse_chaos_spec
 from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
@@ -74,12 +70,6 @@ from repro.runtime.fingerprint import (
 from repro.runtime.fsck import FsckReport, fsck_cache_dir, fsck_manifest, fsck_store
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, engine_for, ensure_runtime
-from repro.runtime.resilience import (
-    RetryPolicy,
-    TaskOutcome,
-    classify_error,
-    run_resilient,
-)
 from repro.runtime.shard import (
     ManifestEntry,
     PointShard,
@@ -104,7 +94,6 @@ __all__ = [
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
     "AsyncStudyRunner",
-    "ChaosInjectedError",
     "ChaosOptions",
     "CharacterizationCache",
     "EvaluationCache",
@@ -114,19 +103,16 @@ __all__ = [
     "ManifestEntry",
     "PointShard",
     "ProgressEvent",
-    "RetryPolicy",
     "RunManifest",
     "RuntimeOptions",
     "ShardError",
     "ShardPlan",
     "SweepPoint",
     "SweepTelemetry",
-    "TaskOutcome",
     "TelemetryBridge",
     "assign_fingerprint",
     "canonical_json",
     "characterize_points",
-    "classify_error",
     "engine_for",
     "ensure_runtime",
     "evaluate_blocks",
@@ -144,7 +130,6 @@ __all__ = [
     "point_payload",
     "point_set_digest",
     "point_shard_section",
-    "run_resilient",
     "schema_tags",
     "shard_assignments",
     "sigterm_as_keyboard_interrupt",

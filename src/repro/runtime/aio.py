@@ -1,7 +1,7 @@
 """Async-safe bridges between asyncio services and the blocking DSE stack.
 
 The engine, the study registry, and the persistent caches are all
-synchronous (and fan work out over *process* pools).  A long-lived
+synchronous (every sweep runs serially in its calling thread).  A long-lived
 asyncio service cannot call them directly without stalling its event
 loop, and their telemetry callbacks fire on worker threads, where
 touching asyncio state is undefined behavior.  Two small adapters close
@@ -14,9 +14,8 @@ the gap:
   locking of its own.
 * :class:`AsyncStudyRunner` — a bounded thread pool that runs blocking
   study/sweep callables off the loop (``await runner.call(fn, ...)``).
-  Each thread may itself fan out over a process pool (the engine's
-  ``workers=``); the runner's width bounds how many *studies* are in
-  flight concurrently, which is exactly the service's worker-pool knob.
+  The runner's width bounds how many *studies* are in flight
+  concurrently, which is exactly the service's job-slot knob.
 
 Both are dependency-free (stdlib ``asyncio`` + ``concurrent.futures``)
 and usable from any asyncio application, not just :mod:`repro.service`.
@@ -80,8 +79,7 @@ class AsyncStudyRunner:
     each); excess calls queue inside the executor.  The runner is the
     async-safe engine wrapper: services submit work with
     ``await runner.call(spec.run, runtime)`` and the loop stays live
-    while the study characterizes/evaluates (possibly over its own
-    process pool).
+    while the study characterizes/evaluates on a runner thread.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -107,8 +105,7 @@ class AsyncStudyRunner:
 
         ``cancel_pending`` drops queued-but-unstarted calls (their
         futures raise ``CancelledError``); calls already running always
-        finish — the engine's process pools are not interruptible
-        mid-characterization.
+        finish — a study is not interruptible mid-characterization.
         """
         self._closed = True
         self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)

@@ -1,33 +1,11 @@
-"""Deterministic fault injection for end-to-end resilience testing.
+"""Deterministic cache-corruption injection for end-to-end failure testing.
 
-The chaos harness makes infrastructure failure *reproducible*: every
-injection decision is a pure function of the chaos ``seed``, the fault
-kind, the sweep-point fingerprint, and (for per-attempt faults) the
-retry attempt number.  Two runs with the same seed inject exactly the
-same faults at exactly the same points, so CI can assert recovery
-behaviour — poisoned points, quarantined cache files, retry counts —
-against fixed expectations.
+Every injection decision is a pure function of the chaos ``seed`` and
+the cache entry's fingerprint, so two runs with the same seed damage
+exactly the same entries and CI can assert recovery behaviour —
+quarantined files, recomputed points, a warm cache afterwards — against
+fixed expectations.
 
-Fault kinds
------------
-
-``worker_error_rate``
-    Worker raises a :class:`~repro.errors.ChaosInjectedError` (transient)
-    before computing the point.  Keyed by ``(fingerprint, attempt)`` so a
-    retry of the same point rolls fresh dice.
-``worker_kill_rate``
-    Worker SIGKILLs itself, breaking the process pool; the resilience
-    layer must rebuild it.  Keyed by ``(fingerprint, attempt)``.  In
-    serial mode (no pool) the kill is downgraded to a transient error —
-    killing the only process would take the caller down with it.
-``stall_rate`` / ``stall_s``
-    Worker sleeps ``stall_s`` seconds before computing, tripping the
-    per-point deadline watchdog when one is configured.  Keyed by
-    ``(fingerprint, attempt)``.
-``poison_rate``
-    Worker raises a transient error on *every* attempt — keyed by
-    fingerprint only — so the point deterministically exhausts its retry
-    budget and lands in the manifest as ``POISONED``.
 ``cache_corrupt_rate``
     The cache loader corrupts the on-disk entry (truncation or ASCII
     bit-flip per ``corrupt_mode``) immediately before reading it, at
@@ -39,24 +17,16 @@ Fault kinds
 from __future__ import annotations
 
 import hashlib
-import os
-import signal
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Set, Tuple
 
-from ..errors import ConfigError, TransientError
+from ..errors import ConfigError
 
 __all__ = [
-    "ChaosInjectedError",
     "ChaosOptions",
     "parse_chaos_spec",
 ]
-
-
-class ChaosInjectedError(TransientError):
-    """A fault injected by the chaos harness (always transient)."""
 
 
 # Fingerprints already corrupted in this process, keyed by chaos seed.
@@ -69,122 +39,44 @@ _CORRUPT_MODES = ("truncate", "bitflip")
 
 # Short spec-string aliases accepted by ``parse_chaos_spec``.
 _SPEC_ALIASES: Dict[str, str] = {
-    "worker_error": "worker_error_rate",
-    "worker_kill": "worker_kill_rate",
-    "stall": "stall_rate",
-    "poison": "poison_rate",
     "cache_corrupt": "cache_corrupt_rate",
 }
 
 
-def _roll(seed: int, kind: str, key: str, attempt: int = 0) -> float:
+def _roll(seed: int, kind: str, key: str) -> float:
     """Deterministic uniform draw in [0, 1) for one injection decision."""
 
-    digest = hashlib.sha256(f"{seed}:{kind}:{key}:{attempt}".encode("utf-8")).digest()
+    # The trailing ":0" keeps every seed's draws identical to the format
+    # that also keyed per-attempt faults, so a seed damages the same entries.
+    digest = hashlib.sha256(f"{seed}:{kind}:{key}:0".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
 @dataclass(frozen=True)
 class ChaosOptions:
-    """Immutable, picklable fault-injection configuration.
+    """Immutable cache-corruption configuration.
 
-    All rates are probabilities in ``[0, 1]``; a rate of zero disables
-    that fault kind.  The default instance injects nothing.
+    ``cache_corrupt_rate`` is a probability in ``[0, 1]``; zero (the
+    default) injects nothing.
     """
 
     seed: int = 0
-    worker_error_rate: float = 0.0
-    worker_kill_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_s: float = 0.25
-    poison_rate: float = 0.0
     cache_corrupt_rate: float = 0.0
     corrupt_mode: str = "truncate"
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"chaos seed must be an int, got {self.seed!r}")
-        for name in (
-            "worker_error_rate",
-            "worker_kill_rate",
-            "stall_rate",
-            "poison_rate",
-            "cache_corrupt_rate",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"chaos {name} must be a number, got {value!r}")
-            if not 0.0 <= float(value) <= 1.0:
-                raise ConfigError(f"chaos {name} must be in [0, 1], got {value!r}")
-        if not isinstance(self.stall_s, (int, float)) or isinstance(self.stall_s, bool):
-            raise ConfigError(f"chaos stall_s must be a number, got {self.stall_s!r}")
-        if float(self.stall_s) < 0:
-            raise ConfigError(f"chaos stall_s must be >= 0, got {self.stall_s!r}")
+        rate = self.cache_corrupt_rate
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+            raise ConfigError(f"chaos cache_corrupt_rate must be a number, got {rate!r}")
+        if not 0.0 <= float(rate) <= 1.0:
+            raise ConfigError(f"chaos cache_corrupt_rate must be in [0, 1], got {rate!r}")
         if self.corrupt_mode not in _CORRUPT_MODES:
             raise ConfigError(
                 f"chaos corrupt_mode must be one of {_CORRUPT_MODES}, "
                 f"got {self.corrupt_mode!r}"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any fault kind can actually fire."""
-
-        return any(
-            getattr(self, name) > 0
-            for name in (
-                "worker_error_rate",
-                "worker_kill_rate",
-                "stall_rate",
-                "poison_rate",
-                "cache_corrupt_rate",
-            )
-        )
-
-    # -- injection points -------------------------------------------------
-
-    def worker_fault(
-        self, key: str, attempt: int, *, in_pool: bool, poison: bool = True
-    ) -> None:
-        """Maybe inject a fault before computing point ``key``.
-
-        Called at the top of every point attempt, inside the worker when
-        running in a pool and inline when running serially.  ``in_pool``
-        gates SIGKILL: a serial run downgrades kills to transient errors.
-        ``poison=False`` skips the poison roll: batched characterization
-        tasks roll poison per *member* fingerprint (see
-        :meth:`rolls_poison`) so the poisoned set is identical whether
-        points run individually or batched.
-        """
-
-        if self.stall_rate > 0 and _roll(self.seed, "stall", key, attempt) < self.stall_rate:
-            time.sleep(self.stall_s)
-        if self.worker_kill_rate > 0 and (
-            _roll(self.seed, "kill", key, attempt) < self.worker_kill_rate
-        ):
-            if in_pool:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ChaosInjectedError(
-                f"chaos: injected worker crash (attempt {attempt}, serial downgrade)"
-            )
-        if self.worker_error_rate > 0 and (
-            _roll(self.seed, "error", key, attempt) < self.worker_error_rate
-        ):
-            raise ChaosInjectedError(f"chaos: injected worker exception (attempt {attempt})")
-        # Poison rolls ignore the attempt number on purpose: the fault
-        # fires on every retry, guaranteeing the point exhausts its
-        # budget and is reported POISONED — deterministically, so CI can
-        # assert on the exact set.
-        if poison and self.rolls_poison(key):
-            raise ChaosInjectedError("chaos: injected persistent infrastructure fault")
-
-    def rolls_poison(self, key: str) -> bool:
-        """Whether ``key`` draws the (attempt-independent) poison fault."""
-
-        return (
-            self.poison_rate > 0
-            and _roll(self.seed, "poison", key) < self.poison_rate
-        )
 
     def maybe_corrupt_file(self, path: Path, key: str) -> bool:
         """Maybe corrupt the cache file at ``path`` before it is read.
@@ -217,6 +109,12 @@ class ChaosOptions:
             path.write_bytes(bytes(flipped))
         return True
 
+    @property
+    def enabled(self) -> bool:
+        """Whether any fault can actually fire."""
+
+        return self.cache_corrupt_rate > 0
+
     # -- (de)serialization -------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -239,7 +137,7 @@ def parse_chaos_spec(spec: str) -> Optional[ChaosOptions]:
     """Parse a ``--chaos`` command-line spec into :class:`ChaosOptions`.
 
     The spec is a comma-separated list of ``key=value`` pairs, e.g.
-    ``"seed=11,worker_kill=0.1,cache_corrupt=0.3,corrupt_mode=bitflip"``.
+    ``"seed=11,cache_corrupt=0.3,corrupt_mode=bitflip"``.
     Keys accept both the dataclass field names and short aliases with
     the ``_rate`` suffix dropped.  ``"off"`` / empty disables chaos.
     """

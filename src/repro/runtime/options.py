@@ -1,10 +1,12 @@
 """Shared execution options for sweeps and studies.
 
 Every study and config-driven sweep accepts one :class:`RuntimeOptions`
-value instead of ad-hoc ``workers=``/``cache_dir=`` keyword sprinkling:
-the pool width, the persistent cache root, error policy, progress
-callback, and RNG seed travel together through the study registry, the
-CLI, and :class:`~repro.core.engine.DSEEngine`.
+value instead of ad-hoc ``cache_dir=``/``on_error=`` keyword sprinkling:
+the persistent cache root, error policy, progress callback, RNG seed,
+point-shard slice and cache-corruption chaos travel together through the
+study registry, the CLI, and :class:`~repro.core.engine.DSEEngine`.
+Sweeps always run serially in the calling process
+(:mod:`repro.runtime.executor`).
 
 ``cache_dir`` is the root of a unified on-disk layout::
 
@@ -24,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.runtime.chaos import ChaosOptions
-from repro.runtime.resilience import RetryPolicy
 from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import ProgressCallback
 
@@ -40,8 +41,6 @@ class RuntimeOptions:
 
     Attributes
     ----------
-    workers:
-        Process-pool width for characterization/evaluation fan-out.
     cache_dir:
         Root of the persistent cache layout (see module docstring);
         ``None`` keeps results in memory only.
@@ -64,18 +63,12 @@ class RuntimeOptions:
         1/``point_shard_count`` slice of every sweep's fingerprinted
         point space (:class:`~repro.runtime.shard.PointShard`).  The
         default (``0`` of ``1``) runs the whole space.
-    retry:
-        Transient-failure handling for every sweep
-        (:class:`~repro.runtime.resilience.RetryPolicy`): max attempts,
-        backoff, and the per-point deadline watchdog.  ``None`` uses the
-        policy defaults.
     chaos:
-        Optional deterministic fault injection
-        (:class:`~repro.runtime.chaos.ChaosOptions`) for resilience
-        testing; ``None`` (the default) injects nothing.
+        Optional deterministic cache-corruption injection
+        (:class:`~repro.runtime.chaos.ChaosOptions`) for failure-handling
+        tests; ``None`` (the default) injects nothing.
     """
 
-    workers: int = 1
     cache_dir: Optional[Union[str, Path]] = None
     trace_cache_dir: Optional[Union[str, Path]] = None
     on_error: str = "raise"
@@ -83,12 +76,9 @@ class RuntimeOptions:
     seed: Optional[int] = None
     point_shard_index: int = 0
     point_shard_count: int = 1
-    retry: Optional[RetryPolicy] = None
     chaos: Optional[ChaosOptions] = None
 
     def __post_init__(self) -> None:
-        if int(self.workers) < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.on_error not in ("raise", "skip"):
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {self.on_error!r}"

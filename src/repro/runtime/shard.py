@@ -52,7 +52,7 @@ from repro.runtime.fingerprint import (
 
 #: Version tag of the manifest payload format.  Bump on incompatible
 #: changes so stale manifests are ignored instead of misread.
-MANIFEST_SCHEMA = "shard-manifest-v2"
+MANIFEST_SCHEMA = "shard-manifest-v3"
 
 #: File name a shard's manifest is written under, next to its outputs.
 MANIFEST_FILENAME = "manifest.json"
@@ -217,18 +217,13 @@ def point_shard_section(
     planned: Iterable[str],
     selected: Iterable[str],
     completed: Iterable[str],
-    poisoned: Iterable[str] = (),
 ) -> dict[str, Any]:
     """The manifest payload describing one study's point-shard slice.
 
     ``planned`` is the study's full sweep-point space (identical on
     every shard), ``selected`` this shard's deterministic slice of it,
     and ``completed`` the selected points that actually characterized
-    (a selected point can fail under ``on_error="skip"``).  ``poisoned``
-    points stay *selected* — this shard owns them, preserving the merge
-    step's exactly-once partition — but are quarantined: they exhausted
-    their transient-failure retry budget without completing, and a
-    re-run should re-attempt them.
+    (a selected point can fail under ``on_error="skip"``).
     """
     planned = set(planned)
     selected = set(selected)
@@ -239,7 +234,6 @@ def point_shard_section(
         "planned_digest": point_set_digest(planned),
         "selected": sorted(selected),
         "completed": len(set(completed)),
-        "poisoned": sorted(set(poisoned)),
     }
 
 
@@ -524,11 +518,8 @@ def _verify_point_partition(
     Every entry's ``point_shard`` section must describe the same planned
     point set, the selected slices must be pairwise disjoint (no point
     run twice), and their union must be exactly the planned set (no
-    point dropped).  Poisoned points (transient-failure retry budget
-    exhausted) count as covered — *exactly-once-or-poisoned* — but must
-    be a subset of their shard's selected slice, and the per-shard
-    counts must reconcile.  Returns aggregate accounting for the merged
-    entry.
+    point dropped), and no shard may report more completed points than
+    it selected.  Returns aggregate accounting for the merged entry.
     """
     sections = []
     for manifest, entry in items:
@@ -541,7 +532,6 @@ def _verify_point_partition(
                 "planned_digest": point_set_digest(()),
                 "selected": [],
                 "completed": 0,
-                "poisoned": [],
             }
         recorded = (int(section.get("index", -1)), int(section.get("count", 0)))
         if recorded != (manifest.point_shard_index, manifest.point_shard_count):
@@ -562,7 +552,6 @@ def _verify_point_partition(
         )
     union: set[str] = set()
     total_selected = 0
-    all_poisoned: set[str] = set()
     for section in sections:
         selected = [str(fp) for fp in section.get("selected", ())]
         duplicated = union.intersection(selected)
@@ -573,14 +562,6 @@ def _verify_point_partition(
             )
         union.update(selected)
         total_selected += len(selected)
-        poisoned = {str(fp) for fp in section.get("poisoned", ())}
-        stray = poisoned - set(selected)
-        if stray:
-            raise ShardError(
-                f"study {name!r}: {len(stray)} poisoned point(s) are not in "
-                f"their shard's selected slice (e.g. {sorted(stray)[0][:16]}…)"
-            )
-        all_poisoned.update(poisoned)
     planned_count = planned.pop()
     if len(union) != planned_count or point_set_digest(union) != digests.pop():
         raise ShardError(
@@ -591,18 +572,15 @@ def _verify_point_partition(
     # Coverage holds; now the per-shard books must reconcile (a shard
     # cannot claim more outcomes than the slice it was handed).
     for section in sections:
-        completed = int(section.get("completed", 0))
-        poisoned_count = len(set(section.get("poisoned", ())))
-        if completed + poisoned_count > len(section.get("selected", ())):
+        if int(section.get("completed", 0)) > len(section.get("selected", ())):
             raise ShardError(
-                f"study {name!r}: a point shard reports more completed + "
-                "poisoned points than it selected"
+                f"study {name!r}: a point shard reports more completed "
+                "points than it selected"
             )
     return {
         "planned": planned_count,
         "selected": total_selected,
         "completed": sum(int(s.get("completed", 0)) for s in sections),
-        "poisoned": sorted(all_poisoned),
     }
 
 

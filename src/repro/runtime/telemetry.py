@@ -10,7 +10,7 @@ plus any number of attached observers (:meth:`SweepTelemetry.add_observer`
 — e.g. the serving layer's SSE bridge).
 
 Counter mutation is guarded by a single lock, so one telemetry value may
-be shared by concurrent observers (several threads absorbing worker
+be shared by concurrent observers (the service's job threads absorbing
 results, or a service thread reading counters while a study runs).
 Callbacks and observers are invoked *outside* the lock — they may take
 their time (or re-enter the telemetry) without stalling emitters.
@@ -32,24 +32,17 @@ FAILED = "failed"
 #: A point excluded by this host's point-shard selector: another shard
 #: owns it, so it is accounted (for merge verification) but never run.
 SKIPPED = "skipped"
-#: A point that exhausted its retry budget on transient infrastructure
-#: faults (worker crashes, deadline timeouts, injected chaos).  The
-#: sweep completed around it; the manifest quarantines it with its
-#: captured exception so a later run can re-attempt it.
-POISONED = "poisoned"
 #: A cache entry that failed integrity verification on load (bad JSON,
 #: checksum/fingerprint mismatch) and was moved to quarantine.  The
 #: point itself is then recomputed; this event only tracks the damage.
 CORRUPT = "corrupt"
-#: A transient point failure that is about to be retried with backoff.
-RETRIED = "retried"
 
 
 @dataclass(frozen=True)
 class ProgressEvent:
     """One sweep point's outcome."""
 
-    kind: str  # COMPLETED | CACHED | FAILED | SKIPPED | POISONED | CORRUPT | RETRIED
+    kind: str  # COMPLETED | CACHED | FAILED | SKIPPED | CORRUPT
     label: str  # human-readable point label
     index: int  # position in the sweep's deterministic order
     total: int  # points in this phase
@@ -63,7 +56,7 @@ class ProgressEvent:
         extra = ""
         if self.kind == CACHED and self.source:
             extra = f" [{self.source}]"
-        elif self.kind in (FAILED, POISONED, RETRIED):
+        elif self.kind == FAILED:
             extra = f": {self.error}"
         elif self.kind == SKIPPED:
             extra = " [other shard]"
@@ -104,8 +97,7 @@ _WALL_FIELDS = {
 _COUNTER_FIELDS = (
     "completed", "cached", "failed", "skipped", "evaluated",
     "eval_cached", "eval_skipped", "trace_simulated", "trace_cached",
-    "poisoned", "eval_poisoned", "corrupt", "eval_corrupt",
-    "trace_corrupt", "retried", "batched",
+    "corrupt", "eval_corrupt", "trace_corrupt", "batched",
 )
 
 
@@ -123,12 +115,9 @@ class SweepTelemetry:
     eval_skipped: int = 0  # evaluate-phase blocks owned by another point shard
     trace_simulated: int = 0  # trace-phase LLC regenerations run fresh
     trace_cached: int = 0  # trace-phase regenerations served from a cache
-    poisoned: int = 0  # characterize-phase points that exhausted retries
-    eval_poisoned: int = 0  # evaluate-phase blocks that exhausted retries
     corrupt: int = 0  # characterize-phase cache entries quarantined on load
     eval_corrupt: int = 0  # evaluate-phase cache entries quarantined on load
     trace_corrupt: int = 0  # trace-phase cache entries quarantined on load
-    retried: int = 0  # transient point failures retried (all phases)
     batched: int = 0  # characterize-phase points computed via the batch engine
     #: Wall-clock spent computing fresh (or failing) points, per phase —
     #: the raw data behind the manifest's per-study timings and the
@@ -146,11 +135,6 @@ class SweepTelemetry:
     planned_points: set = field(default_factory=set)
     selected_points: set = field(default_factory=set)
     completed_points: set = field(default_factory=set)
-    #: Fingerprints quarantined as POISONED (selected but not completed;
-    #: the merge step verifies exactly-once-*or-poisoned* coverage).
-    poisoned_points: set = field(default_factory=set)
-    #: POISONED events with their captured exceptions, for the manifest.
-    poisoned_failures: List[ProgressEvent] = field(default_factory=list)
     #: Extra event sinks beyond ``callback`` (see :meth:`add_observer`).
     observers: List[ProgressCallback] = field(
         default_factory=list, repr=False, compare=False
@@ -211,12 +195,6 @@ class SweepTelemetry:
         elif event.kind == FAILED:
             self.failed += 1
             self.failures.append(event)
-        elif event.kind == POISONED:
-            if event.phase == "evaluate":
-                self.eval_poisoned += 1
-            else:
-                self.poisoned += 1
-            self.poisoned_failures.append(event)
         elif event.kind == CORRUPT:
             if event.phase == "evaluate":
                 self.eval_corrupt += 1
@@ -224,8 +202,6 @@ class SweepTelemetry:
                 self.trace_corrupt += 1
             else:
                 self.corrupt += 1
-        elif event.kind == RETRIED:
-            self.retried += 1
         if event.duration_s:
             wall_field = _WALL_FIELDS.get(event.phase)
             if wall_field is not None:
@@ -239,12 +215,10 @@ class SweepTelemetry:
                 self.selected_points.add(event.fingerprint)
             if event.kind in (COMPLETED, CACHED):
                 self.completed_points.add(event.fingerprint)
-            if event.kind == POISONED:
-                self.poisoned_points.add(event.fingerprint)
 
     @property
     def total(self) -> int:
-        return self.completed + self.cached + self.failed + self.poisoned
+        return self.completed + self.cached + self.failed
 
     @property
     def fresh_work(self) -> int:
@@ -298,11 +272,9 @@ class SweepTelemetry:
                     getattr(self, wall_field) + getattr(other, wall_field),
                 )
             self.failures.extend(other.failures)
-            self.poisoned_failures.extend(other.poisoned_failures)
             self.planned_points |= other.planned_points
             self.selected_points |= other.selected_points
             self.completed_points |= other.completed_points
-            self.poisoned_points |= other.poisoned_points
 
     def summary(self) -> str:
         text = (
@@ -321,13 +293,6 @@ class SweepTelemetry:
                 f"; {self.trace_simulated} traces simulated, "
                 f"{self.trace_cached} served from cache"
             )
-        if self.poisoned or self.eval_poisoned:
-            text += (
-                f"; {self.poisoned + self.eval_poisoned} poisoned "
-                f"(retries exhausted)"
-            )
-        if self.retried:
-            text += f"; {self.retried} transient retries"
         if self.corrupt or self.eval_corrupt or self.trace_corrupt:
             text += (
                 f"; {self.corrupt + self.eval_corrupt + self.trace_corrupt} "

@@ -70,7 +70,6 @@ class ReproService:
         self.manager = JobManager(
             runtime=self.config.runtime,
             workers=self.config.workers,
-            job_retries=self.config.job_retries,
         )
         self.limiter = RateLimiter(
             self.config.rate_limit_rps, self.config.rate_limit_burst

@@ -34,7 +34,6 @@ from typing import AsyncIterator, Callable, Optional, Tuple
 
 from repro.runtime.aio import AsyncStudyRunner, TelemetryBridge
 from repro.runtime.options import RuntimeOptions, ensure_runtime
-from repro.runtime.resilience import classify_error
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
 from repro.service.requests import ServiceQuery
 from repro.studies.pipeline import StudyOutcome
@@ -68,7 +67,6 @@ class Job:
         self.events: list[dict] = []  # replayable SSE payloads
         self.outcome: Optional[StudyOutcome] = None
         self.error: Optional[str] = None
-        self.retries = 0  # whole-job re-attempts after transient failures
         self.elapsed_s = 0.0
         self.done = asyncio.Event()
         self.subscribers: list[asyncio.Queue] = []
@@ -93,7 +91,6 @@ class Job:
             "events": len(self.events),
             "telemetry": self.telemetry.counters(),
             "fresh_work": self.telemetry.fresh_work,
-            "retries": self.retries,
             "elapsed_s": round(self.elapsed_s, 6),
             "error": self.error,
         }
@@ -126,7 +123,6 @@ class JobManager:
         self,
         runtime: Optional[RuntimeOptions] = None,
         workers: int = 2,
-        job_retries: int = 2,
         clock: Callable[[], float] = time.time,
     ):
         self.runtime = ensure_runtime(runtime)
@@ -135,10 +131,6 @@ class JobManager:
         #: determinism rule bans bare time.time() on fingerprinted
         #: paths, and an injected clock keeps job records replayable).
         self.clock = clock
-        #: Re-attempts granted to a job failing with a *transient*
-        #: infrastructure error (broken pool, injected chaos) before the
-        #: failure is recorded; deterministic failures never retry.
-        self.job_retries = max(0, int(job_retries))
         self.jobs: dict[str, Job] = {}  # by job id, insertion-ordered
         self._by_key: dict[str, Job] = {}  # by fingerprint
         self._queue: Optional[asyncio.Queue] = None
@@ -240,36 +232,21 @@ class JobManager:
         assert self._runner is not None
         job.state = RUNNING
         start = time.perf_counter()
-        attempt = 0
-        while True:
-            attempt += 1
-            bridge = TelemetryBridge(lambda event: self._on_event(job, event))
-            try:
-                outcome = await self._runner.call(
-                    job.query.run, replace(self.runtime, progress=bridge.callback)
-                )
-            except asyncio.CancelledError:
-                job.error = "cancelled during shutdown"
-                self._finish(job, FAILED, time.perf_counter() - start)
-                bridge.close()
-                raise
-            except Exception as exc:
-                bridge.close()
-                # Transient infrastructure faults (broken pool, injected
-                # chaos) get a bounded re-attempt instead of memoizing
-                # the failure; deterministic errors fail immediately.
-                if (
-                    classify_error(exc) == "transient"
-                    and attempt <= self.job_retries
-                ):
-                    job.retries += 1
-                    await asyncio.sleep(min(0.05 * (2 ** (attempt - 1)), 1.0))
-                    continue
-                job.error = f"{type(exc).__name__}: {exc}"
-                self._finish(job, FAILED, time.perf_counter() - start)
-                return
+        bridge = TelemetryBridge(lambda event: self._on_event(job, event))
+        try:
+            outcome = await self._runner.call(
+                job.query.run, replace(self.runtime, progress=bridge.callback)
+            )
+        except asyncio.CancelledError:
+            job.error = "cancelled during shutdown"
+            self._finish(job, FAILED, time.perf_counter() - start)
+            raise
+        except Exception as exc:
+            job.error = f"{type(exc).__name__}: {exc}"
+            self._finish(job, FAILED, time.perf_counter() - start)
+            return
+        finally:
             bridge.close()
-            break
         elapsed = time.perf_counter() - start
         job.outcome = outcome
         job.telemetry.absorb(outcome.telemetry)
@@ -328,32 +305,23 @@ class JobManager:
         states: dict[str, int] = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
         submissions = 0
         fresh_work = 0
-        poisoned = 0
         corrupt = 0
-        point_retries = 0
-        job_retries = 0
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
             submissions += job.submissions
             telemetry = job.telemetry
             fresh_work += telemetry.fresh_work
-            poisoned += telemetry.poisoned + telemetry.eval_poisoned
             corrupt += (
                 telemetry.corrupt + telemetry.eval_corrupt
                 + telemetry.trace_corrupt
             )
-            point_retries += telemetry.retried
-            job_retries += job.retries
         return {
             "jobs": len(self.jobs),
             "states": states,
             "submissions": submissions,
             "coalesced": submissions - len(self.jobs),
             "fresh_work": fresh_work,
-            "poisoned": poisoned,
             "corrupt": corrupt,
-            "point_retries": point_retries,
-            "job_retries": job_retries,
             "workers": self.workers,
             "accepting": self.accepting,
         }

@@ -3,12 +3,12 @@
 Every paper study is described by one :class:`StudySpec` — its builder,
 default parameters, report options, and the figure it reproduces — and
 **every** spec runs the same way: ``spec.run(RuntimeOptions(...))``.
-The shared :class:`~repro.runtime.options.RuntimeOptions` (workers,
-cache_dir, trace_cache_dir, on_error, progress, seed) is threaded down
-through :class:`~repro.core.engine.DSEEngine` by every builder, so
-parallelism and the persistent characterization / evaluation / trace
-caches work identically across the whole suite — no signature probing,
-no per-study shims.
+The shared :class:`~repro.runtime.options.RuntimeOptions` (cache_dir,
+trace_cache_dir, on_error, progress, seed) is threaded down through
+:class:`~repro.core.engine.DSEEngine` by every builder, so the
+persistent characterization / evaluation / trace caches work
+identically across the whole suite — no signature probing, no per-study
+shims.
 
 The registry is the single source of truth for the study CLI
 (``python -m repro.config.cli run-study <name>``), the summary driver
@@ -68,10 +68,13 @@ class StudyOutcome:
 
     @property
     def poisoned(self) -> int:
-        """Points quarantined after exhausting their transient-retry
-        budget (characterize + evaluate phases); the sweep completed
-        around them, so the table is missing their rows."""
-        return self.telemetry.poisoned + self.telemetry.eval_poisoned
+        """Always ``0``: no sweep point is retried or quarantined.
+
+        It stays only because ``perfbench/child.py`` reads it, and
+        ``perfbench/`` may change only in a change to the benchmark
+        itself; delete it together with that read.
+        """
+        return 0
 
     @property
     def status(self) -> str:

@@ -6,13 +6,16 @@ plus a markdown report, and prints a per-study pass/fail table — the
 offline equivalent of the artifact's ``output/results/*.csv`` plus the
 web dashboard snapshots.
 
-Runtime options apply uniformly to **all** studies: ``--workers`` fans
-sweeps over a process pool, ``--cache-dir`` persists array
+Runtime options apply uniformly to **all** studies, and every sweep runs
+serially in this process: ``--cache-dir`` persists array
 characterizations, (array x traffic) evaluation blocks, and regenerated
 LLC traces (``--trace-cache-dir`` relocates just the traces), ``--seed``
-pins every stochastic component.  A warm second run against the same
-cache directory performs zero characterizations and zero evaluation
-blocks; ``--expect-warm`` turns that into an exit-code assertion for CI.
+pins every stochastic component, ``--on-error skip`` records a failing
+study and keeps going, and ``--chaos cache_corrupt=RATE`` damages cache
+entries before they load, to exercise the quarantine path.  A warm
+second run against the same cache directory performs zero
+characterizations and zero evaluation blocks; ``--expect-warm`` turns
+that into an exit-code assertion for CI.
 
 Four suite-scale features build on :mod:`repro.runtime.shard`:
 
@@ -64,7 +67,6 @@ from repro.runtime.cache import atomic_write_bytes
 from repro.runtime.chaos import parse_chaos_spec
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, ensure_runtime
-from repro.runtime.resilience import RetryPolicy
 from repro.runtime.shard import (
     STATUS_CACHED,
     STATUS_FAILED,
@@ -162,9 +164,7 @@ def _reusable_entry(
 
     Redundant means: the prior run succeeded, its content fingerprint
     (parameters x schema tags x source digest) matches the current one,
-    every recorded artifact still exists on disk, and no point of the
-    prior run was quarantined as poisoned (a poisoned point means the
-    table is incomplete, so the study must be re-attempted).
+    and every recorded artifact still exists on disk.
     """
     if previous is None:
         return None
@@ -172,9 +172,6 @@ def _reusable_entry(
     if entry is None or not entry.ok or entry.fingerprint != fingerprint:
         return None
     if not entry.artifacts:
-        return None
-    counters = entry.telemetry or {}
-    if counters.get("poisoned", 0) or counters.get("eval_poisoned", 0):
         return None
     if not all((out / relpath).exists() for relpath in entry.artifacts.values()):
         return None
@@ -327,7 +324,6 @@ def _run_selected(
                     telemetry.planned_points,
                     telemetry.selected_points,
                     telemetry.completed_points,
-                    poisoned=telemetry.poisoned_points,
                 )
             entry = ManifestEntry(
                 name=name,
@@ -340,10 +336,7 @@ def _run_selected(
                 telemetry=outcome.telemetry.counters(),
                 point_shard=section,
             )
-            if outcome.ok and outcome.poisoned:
-                status = f"ok ({outcome.poisoned} poisoned)"
-            else:
-                status = "ok" if outcome.ok else f"FAIL ({outcome.error})"
+            status = "ok" if outcome.ok else f"FAIL ({outcome.error})"
         run.outcomes.append(outcome)
         entries.append(entry)
         print(f"{name:26s} {outcome.rows:5d} rows  "
@@ -510,27 +503,6 @@ def _report_manifest(manifest: RunManifest, output_dir: str) -> int:
     return EXIT_OK
 
 
-def _retry_policy(args) -> Optional[RetryPolicy]:
-    """The retry policy the CLI flags describe, or ``None`` for defaults."""
-    if (
-        args.retries is None
-        and args.retry_backoff is None
-        and args.point_deadline is None
-    ):
-        return None
-    defaults = RetryPolicy()
-    return RetryPolicy(
-        max_attempts=(
-            defaults.max_attempts if args.retries is None else args.retries
-        ),
-        backoff_s=(
-            defaults.backoff_s if args.retry_backoff is None
-            else args.retry_backoff
-        ),
-        deadline_s=args.point_deadline,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.studies.summary",
@@ -580,10 +552,6 @@ def main(argv: list[str] | None = None) -> int:
         help="re-run every study even when its manifest entry is up to date",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="parallel sweep worker processes",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="persistent cache root (characterizations, evaluations, traces)",
     )
@@ -600,26 +568,9 @@ def main(argv: list[str] | None = None) -> int:
         help="abort on the first failing study, or record it and continue",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max attempts per sweep point on transient failures "
-             "(worker crashes, deadline timeouts, injected chaos); "
-             "points that exhaust the budget are quarantined as poisoned",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=None, metavar="S",
-        help="base backoff between point retry attempts, in seconds",
-    )
-    parser.add_argument(
-        "--point-deadline", type=float, default=None, metavar="S",
-        help="per-point wall-clock deadline: overdue workers are killed "
-             "and the point is charged a transient attempt "
-             "(default: no deadline)",
-    )
-    parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
-        help="deterministic fault injection for resilience testing — "
-             "comma-separated key=value pairs (seed, worker_error, "
-             "worker_kill, stall, stall_s, poison, cache_corrupt, "
+        help="deterministic cache-corruption injection for failure-handling "
+             "tests — comma-separated key=value pairs (seed, cache_corrupt, "
              "corrupt_mode); 'off' disables",
     )
     parser.add_argument(
@@ -635,7 +586,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        retry = _retry_policy(args)
         chaos = parse_chaos_spec(args.chaos) if args.chaos is not None else None
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -658,8 +608,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"error: {', '.join(incompatible)} cannot be combined with "
                 "--merge (merging only combines existing shard outputs; "
-                "--workers/--cache-dir/--seed configure how point-sharded "
-                "studies are re-materialized)",
+                "--cache-dir/--seed configure how point-sharded studies "
+                "are re-materialized)",
                 file=sys.stderr,
             )
             return EXIT_USAGE
@@ -669,12 +619,10 @@ def main(argv: list[str] | None = None) -> int:
                 args.merge,
                 args.output_dir,
                 runtime=RuntimeOptions(
-                    workers=args.workers,
                     cache_dir=args.cache_dir,
                     trace_cache_dir=args.trace_cache_dir,
                     seed=args.seed,
                     on_error=args.on_error,
-                    retry=retry,
                 ),
             )
         except (ReproError, ValueError) as exc:
@@ -685,14 +633,12 @@ def main(argv: list[str] | None = None) -> int:
     only = args.only.split(",") if args.only else None
     try:
         runtime = RuntimeOptions(
-            workers=args.workers,
             cache_dir=args.cache_dir,
             trace_cache_dir=args.trace_cache_dir,
             on_error=args.on_error,
             seed=args.seed,
             point_shard_index=args.point_shard_index,
             point_shard_count=args.point_shard_count,
-            retry=retry,
             chaos=chaos,
         )
     except ValueError as exc:

@@ -177,7 +177,7 @@ def study_config(**overrides):
     config = {
         "study": "ext_hierarchy",
         "params": {"read_hit_rate": 0.5},
-        "runtime": {"workers": 1},
+        "runtime": {"on_error": "raise"},
     }
     config.update(overrides)
     return config
@@ -185,16 +185,17 @@ def study_config(**overrides):
 
 class TestRuntimeSectionExtensions:
     def test_trace_cache_dir_and_seed_parsed(self):
-        parsed = parse_config(minimal_config(
-            runtime={"workers": 2, "cache_dir": "c",
-                     "trace_cache_dir": "t", "seed": 11}
-        ))
+        runtime = {"cache_dir": "c", "trace_cache_dir": "t", "seed": 11}
+        parsed = parse_config(minimal_config(runtime=runtime))
         assert parsed.trace_cache_dir == "t"
         assert parsed.seed == 11
         options = parsed.runtime_options()
-        assert options.workers == 2
         assert str(options.effective_trace_cache_dir) == "t"
         assert options.seed == 11
+        # A typo'd or retired key is an error, not a silent default.
+        for unknown in ("cache-dir", "workers"):
+            with pytest.raises(ConfigError, match=r"unknown runtime option.*cache_dir"):
+                parse_config(minimal_config(runtime={**runtime, unknown: 2}))
 
     def test_trace_cache_defaults_from_cache_dir(self):
         options = parse_config(minimal_config(
@@ -208,7 +209,7 @@ class TestStudyConfig:
         parsed = parse_study_config(study_config())
         assert parsed.study == "ext_hierarchy"
         assert parsed.params == {"read_hit_rate": 0.5}
-        assert parsed.runtime.workers == 1
+        assert parsed.runtime.on_error == "raise"
 
     def test_unknown_study_rejected(self):
         with pytest.raises(ConfigError, match="unknown study"):

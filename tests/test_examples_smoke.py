@@ -18,7 +18,6 @@ FAST_EXAMPLES = [
     "custom_cell_sweep.py",
     "fault_injection_tool.py",
     "heterogeneous_hierarchy.py",
-    "parallel_sweep.py",
     "service_client.py",
     "study_pipeline.py",
 ]
@@ -45,7 +44,6 @@ def test_all_examples_present():
         "custom_cell_sweep.py",
         "fault_injection_tool.py",
         "heterogeneous_hierarchy.py",
-        "parallel_sweep.py",
         "service_client.py",
         "study_pipeline.py",
     } <= names

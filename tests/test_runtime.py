@@ -1,9 +1,10 @@
-"""The parallel sweep runtime: fingerprints, persistent cache, executor."""
+"""The sweep runtime: fingerprints, persistent cache, serial executor."""
 
 import dataclasses
 import hashlib
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -269,16 +270,6 @@ class TestCharacterizationCache:
 
 
 class TestExecutor:
-    def test_serial_and_parallel_identical(self, stt_optimistic, sram16):
-        points = [
-            make_point(cell, capacity=cap)
-            for cell in (stt_optimistic, sram16)
-            for cap in (mb(1), mb(2), mb(4))
-        ]
-        serial = characterize_points(points, workers=1)
-        parallel = characterize_points(points, workers=3)
-        assert serial == parallel
-
     def test_memory_cache_shared_and_duplicates_coalesced(self, stt_optimistic):
         telemetry = SweepTelemetry()
         memory = {}
@@ -321,6 +312,24 @@ class TestExecutor:
         assert telemetry.failed == 1
         assert telemetry.completed == 1
         assert "no feasible organization" in telemetry.failures[0].error
+
+        # The failing point shares a batch group (cell, node, access width,
+        # bits/cell) with two good ones: they still complete as a batch.
+        wide = 2 ** 16  # feasible at 1 and 2 MB, infeasible at 4 KB
+        group = [make_point(stt_optimistic, capacity=capacity, access_bits=wide)
+                 for capacity in (mb(1), 4096, mb(2))]
+        events = []
+        telemetry = SweepTelemetry(events.append)
+        results = characterize_points(group, on_error="skip", telemetry=telemetry)
+        assert results[1] is None
+        assert results[0] is not None and results[2] is not None
+        assert telemetry.failed == 1
+        assert telemetry.completed == 2
+        assert telemetry.batched == 2
+        assert [e.source for e in events if e.kind == "completed"] == ["batch"] * 2
+        with pytest.raises(CharacterizationError,
+                           match=re.escape(group[1].label)):
+            characterize_points(group, on_error="raise")
 
     def test_invalid_on_error_rejected(self, stt_optimistic):
         with pytest.raises(ValueError):
@@ -450,18 +459,6 @@ def _mixed_rows(array, traffic, extra):
 class TestEvaluateBlocks:
     def arrays(self, stt_array_1mb):
         return [stt_array_1mb]
-
-    def test_serial_and_parallel_identical(self, stt_optimistic, sram16):
-        arrays = [
-            SweepPoint(cell, mb(1), 22, OptimizationTarget.READ_EDP).characterize()
-            for cell in (stt_optimistic, sram16)
-        ]
-        traffic = _traffic_pair()
-        serial = evaluate_blocks(arrays, traffic, workers=1)
-        parallel = evaluate_blocks(arrays, traffic, workers=2)
-        assert serial == parallel
-        assert len(serial) == 2
-        assert [r["workload"] for r in serial[0]] == ["read-heavy", "write-heavy"]
 
     def test_duplicate_blocks_coalesced(self, stt_array_1mb):
         telemetry = SweepTelemetry()
@@ -688,7 +685,6 @@ class TestPointSharding:
 class TestRuntimeOptions:
     def test_defaults(self):
         options = RuntimeOptions()
-        assert options.workers == 1
         assert options.cache_dir is None
         assert options.effective_trace_cache_dir is None
         assert options.seed_or(7) == 7
@@ -696,9 +692,10 @@ class TestRuntimeOptions:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RuntimeOptions(workers=0)
-        with pytest.raises(ValueError):
             RuntimeOptions(on_error="sometimes")
+        for gone in ("workers", "retry"):
+            with pytest.raises(TypeError):
+                RuntimeOptions(**{gone: 1})
 
     def test_point_shard_validation(self):
         with pytest.raises(ValueError):
@@ -721,9 +718,8 @@ class TestRuntimeOptions:
         assert RuntimeOptions(seed=42).seed_or(7) == 42
 
     def test_engine_construction(self, tmp_path):
-        engine = RuntimeOptions(workers=3, cache_dir=tmp_path,
-                                on_error="skip").engine()
-        assert engine.workers == 3
+        engine = RuntimeOptions(cache_dir=tmp_path, on_error="skip").engine()
+        assert not hasattr(engine, "workers")
         assert engine.on_error == "skip"
         assert engine.cache is not None
         assert engine.eval_cache is not None
@@ -752,13 +748,6 @@ class TestEngineRuntime:
         assert {p.node_nm for p in points if p.cell is sram16} == {16}
         rows = DSEEngine().run(spec)
         assert [p.cell.name for p in points] == [r["cell"] for r in rows]
-
-    def test_parallel_run_identical_to_serial(self, stt_optimistic, sram16,
-                                              simple_traffic):
-        spec = small_spec([stt_optimistic, sram16], traffic=[simple_traffic])
-        serial = DSEEngine().run(spec)
-        parallel = DSEEngine(workers=2).run(spec)
-        assert list(serial) == list(parallel)
 
     def test_engine_shares_fingerprint_between_caches(self, tmp_path,
                                                       stt_optimistic):
@@ -824,9 +813,7 @@ class TestConfigRuntime:
         }
 
     def test_runtime_section_parsed(self):
-        parsed = parse_config(self.config(workers=3, cache_dir="c",
-                                          on_error="skip"))
-        assert parsed.workers == 3
+        parsed = parse_config(self.config(cache_dir="c", on_error="skip"))
         assert parsed.cache_dir == "c"
         assert parsed.on_error == "skip"
 
@@ -836,13 +823,8 @@ class TestConfigRuntime:
             "cells": {"technologies": ["STT"], "flavors": ["optimistic"]},
             "system": {"capacities_mb": [1]},
         })
-        assert parsed.workers == 1
         assert parsed.cache_dir is None
         assert parsed.on_error == "raise"
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(self.config(workers=0))
 
     def test_bad_on_error_rejected(self):
         with pytest.raises(ConfigError):

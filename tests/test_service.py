@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.config.schema import ServiceConfig
-from repro.errors import ReproError, TransientError
+from repro.errors import ReproError
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.telemetry import SweepTelemetry
@@ -46,7 +46,7 @@ def service_config(cache_dir, **overrides) -> ServiceConfig:
         "workers": 2,
         "rate_limit_rps": 0.0,
         "runtime": RuntimeOptions(
-            workers=1, cache_dir=None if cache_dir is None else str(cache_dir),
+            cache_dir=None if cache_dir is None else str(cache_dir),
             on_error="skip",
         ),
     }
@@ -354,8 +354,7 @@ def test_warm_keeper_precomputes_and_stamps(tmp_path):
 
     async def main():
         manager = JobManager(
-            runtime=RuntimeOptions(workers=1, cache_dir=str(cache),
-                                   on_error="skip"),
+            runtime=RuntimeOptions(cache_dir=str(cache), on_error="skip"),
             workers=1,
         )
         manager.start()
@@ -382,8 +381,7 @@ def test_warm_start_serves_without_fresh_work(tmp_path):
 
     async def prewarm():
         manager = JobManager(
-            runtime=RuntimeOptions(workers=1, cache_dir=str(cache),
-                                   on_error="skip"),
+            runtime=RuntimeOptions(cache_dir=str(cache), on_error="skip"),
             workers=1,
         )
         manager.start()
@@ -534,7 +532,7 @@ def test_client_event_stream_resumes_from_replay():
 
 
 class _FlakyQuery:
-    """A ServiceQuery standin that fails transiently before succeeding."""
+    """A ServiceQuery standin that fails ``failures`` times, then succeeds."""
 
     kind = "study"
     name = "flaky-study"
@@ -543,7 +541,7 @@ class _FlakyQuery:
         self.calls = 0
         self.failures = failures
         self._error_factory = error_factory or (
-            lambda: TransientError("injected infrastructure fault")
+            lambda: ReproError("injected infrastructure fault")
         )
 
     def fingerprint(self):
@@ -563,18 +561,20 @@ class _FlakyQuery:
         )
 
 
-def _run_job_to_completion(query, job_retries):
+def _run_job_to_completion(query, submissions=1):
+    """Submit ``query`` ``submissions`` times in a row, each after the
+    previous job finished; returns every job plus the final stats."""
     async def main():
-        manager = JobManager(
-            runtime=RuntimeOptions(workers=1, on_error="skip"),
-            workers=1, job_retries=job_retries,
-        )
+        manager = JobManager(runtime=RuntimeOptions(on_error="skip"), workers=1)
         manager.start()
         try:
-            job, mode = manager.submit(query)
-            assert mode == "created"
-            await asyncio.wait_for(job.done.wait(), timeout=30)
-            return job, manager.stats()
+            jobs = []
+            for _ in range(submissions):
+                job, mode = manager.submit(query)
+                assert mode == "created"
+                await asyncio.wait_for(job.done.wait(), timeout=30)
+                jobs.append(job)
+            return jobs, manager.stats()
         finally:
             await manager.drain(timeout=10)
 
@@ -582,36 +582,27 @@ def _run_job_to_completion(query, job_retries):
 
 
 def test_job_manager_retries_transient_job_failures():
+    """A failed job is not memoized: resubmitting re-runs the query under
+    a fresh job, which succeeds once the fault has cleared."""
     query = _FlakyQuery(failures=1)
-    job, stats = _run_job_to_completion(query, job_retries=2)
-    assert job.state == "done"
-    assert job.retries == 1
+    (failed, done), stats = _run_job_to_completion(query, submissions=2)
+    assert failed.state == "failed"
+    assert "injected infrastructure fault" in failed.error
+    assert done.state == "done" and done.id != failed.id
     assert query.calls == 2
-    assert job.status()["retries"] == 1
-    assert stats["job_retries"] == 1
-    # the resilience counters ride through /v1/stats
-    assert stats["poisoned"] == 0
+    assert stats["states"]["failed"] == 1 and stats["states"]["done"] == 1
+    # the failure counters ride through /v1/stats
     assert stats["corrupt"] == 0
-    assert stats["point_retries"] == 0
+    for gone in ("poisoned", "point_retries", "job_retries"):
+        assert gone not in stats
+    assert "retries" not in done.status()
 
 
 def test_job_manager_fails_deterministic_errors_immediately():
     query = _FlakyQuery(
         failures=99, error_factory=lambda: ValueError("a real bug")
     )
-    job, stats = _run_job_to_completion(query, job_retries=2)
+    (job,), stats = _run_job_to_completion(query)
     assert job.state == "failed"
-    assert job.retries == 0
     assert query.calls == 1
     assert "a real bug" in job.error
-    assert stats["job_retries"] == 0
-
-
-def test_job_manager_exhausts_job_retry_budget():
-    query = _FlakyQuery(failures=99)
-    job, stats = _run_job_to_completion(query, job_retries=1)
-    assert job.state == "failed"
-    assert job.retries == 1
-    assert query.calls == 2
-    assert "injected infrastructure fault" in job.error
-    assert stats["job_retries"] == 1

@@ -489,60 +489,15 @@ def test_point_merge_detects_duplicated_point():
         merge_manifests([greedy, manifests[1]])
 
 
-def test_point_shard_section_records_poisoned_points():
-    planned = [fingerprint_payload({"p": i}) for i in range(6)]
-    selected = planned[:3]
-    completed = selected[:2]  # the third exhausted its retry budget
-    section = point_shard_section(
-        PointShard(0, 2), planned, selected, completed,
-        poisoned=[selected[2]],
-    )
-    assert section["completed"] == 2
-    assert section["poisoned"] == [selected[2]]
-    # poisoned points stay selected: the shard still owns them
-    assert selected[2] in section["selected"]
-
-
-def test_point_merge_accepts_poisoned_points():
-    """Exactly-once-or-poisoned: a poisoned point is covered, not dropped."""
-    manifests = _point_manifests()
-    shard0 = manifests[0].point_shard
-    selected = shard0.partition(POINTS)
-    poisoned = _replace_entry(
-        manifests[0], "a",
-        _point_entry("a", shard0, selected, section_overrides={
-            "completed": len(selected) - 1,
-            "poisoned": [selected[0]],
-        }),
-    )
-    merged = merge_manifests([poisoned, manifests[1]])
-    assert merged.ok
-    section = merged.entry_for("a").point_shard
-    assert not section  # slices were consumed; no whole-space section
-
-
-def test_point_merge_rejects_poisoned_outside_selected_slice():
-    manifests = _point_manifests()
-    shard0 = manifests[0].point_shard
-    foreign = manifests[1].point_shard.partition(POINTS)[0]
-    tampered = _replace_entry(
-        manifests[0], "a",
-        _point_entry("a", shard0, shard0.partition(POINTS),
-                     section_overrides={"poisoned": [foreign]}),
-    )
-    with pytest.raises(ShardError, match="not in\\s+their shard's selected"):
-        merge_manifests([tampered, manifests[1]])
-
-
 def test_point_merge_rejects_overcounted_completion():
-    """completed + poisoned must not exceed the selected slice."""
+    """completed must not exceed the selected slice."""
     manifests = _point_manifests()
     shard0 = manifests[0].point_shard
     selected = shard0.partition(POINTS)
     inflated = _replace_entry(
         manifests[0], "a",
         _point_entry("a", shard0, selected,
-                     section_overrides={"poisoned": [selected[0]]}),
+                     section_overrides={"completed": len(selected) + 1}),
     )
     with pytest.raises(ShardError, match="more completed"):
         merge_manifests([inflated, manifests[1]])

@@ -55,7 +55,7 @@ class TestRegistryRuntime:
     """Every registered study honors the shared runtime options.
 
     The regression the registry exists to prevent: studies silently
-    dropping ``workers``/``cache_dir`` (the old ``inspect``-probed,
+    dropping ``cache_dir`` (the old ``inspect``-probed,
     lambda-wrapped ``summary.STUDIES`` did exactly that for
     fig11/fig12/fig13).
     """
@@ -75,12 +75,6 @@ class TestRegistryRuntime:
         assert warm.telemetry.cached + warm.telemetry.eval_cached > 0, name
         # parity: cached rows identical to freshly computed rows.
         assert list(warm.table) == list(cold.table), name
-
-    def test_workers_honored_rows_identical(self, tmp_path):
-        spec = REGISTRY["fig08_graph"]
-        serial = spec.run(RuntimeOptions(workers=1), points_per_axis=2)
-        parallel = spec.run(RuntimeOptions(workers=2), points_per_axis=2)
-        assert list(serial.table) == list(parallel.table)
 
     def test_every_builder_takes_runtime_keyword(self):
         import inspect

@@ -3,6 +3,8 @@ incremental runs, sharded execution, and shard merging."""
 
 import dataclasses
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -485,10 +487,12 @@ def test_main_merge_rejects_point_shard_flags(tmp_path, capsys):
 
 
 def test_main_merge_rejects_bad_runtime_values(tmp_path, capsys):
-    rc = main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"),
-               "--workers", "0"])
-    assert rc == 2
-    assert "workers" in capsys.readouterr().err
+    # Pool and retry flags are gone: every sweep runs serially in-process.
+    for flag in ("--workers", "--retries", "--retry-backoff", "--point-deadline"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"), flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_manifest_write_is_atomic(tmp_path):
@@ -608,86 +612,40 @@ def test_interrupted_artifact_write_keeps_previous_artifact(
     assert not list(tmp_path.rglob("*.tmp.*"))
 
 
-# -- poisoned points: quarantine, partial manifests, chaos-off resume ------
+# -- failure handling: cache-corruption chaos ------------------------------
 
 
-def _chaos_runtime(**kwargs):
-    from repro.runtime.chaos import ChaosOptions
-    from repro.runtime.resilience import RetryPolicy
+def test_main_chaos_flag_quarantines_corrupt_entries(tmp_path, capsys):
+    from repro.runtime import chaos
 
-    return RuntimeOptions(
-        on_error="skip",
-        retry=RetryPolicy(max_attempts=2, backoff_s=0.0, max_backoff_s=0.0),
-        chaos=ChaosOptions(seed=9, poison_rate=1.0),
-        **kwargs,
-    )
-
-
-def test_poisoned_run_records_quarantine_in_manifest(tmp_path):
-    run = run_all(tmp_path, runtime=_chaos_runtime(),
-                  only=["fig05_dnn_arrays"])
-    assert run.ok  # the sweep completed *around* the poisoned points
-    outcome = run.outcomes[0]
-    assert outcome.poisoned > 0
-    entry = RunManifest.load(tmp_path).entry_for("fig05_dnn_arrays")
-    assert entry.status == "ok"
-    assert entry.telemetry["poisoned"] == outcome.telemetry.poisoned
-    assert entry.telemetry["retried"] > 0
-
-
-def test_sigterm_with_poisoned_points_leaves_resumable_manifest(
-    tmp_path, monkeypatch
-):
-    """Satellite: a drain mid-sweep with poisoned points writes a partial
-    manifest; the chaos-off re-run re-attempts only the poisoned and
-    never-run studies, keeping clean incremental entries warm."""
-    # a clean pass records ext_hierarchy with healthy telemetry
-    run_all(tmp_path, only=["ext_hierarchy"])
-
-    # chaos poisons fig05's points, then "stop" simulates SIGTERM before
-    # ext_hierarchy is reached
-    monkeypatch.setattr("repro.studies.summary.STUDIES",
-                        _interrupting_registry())
-    interrupted = run_all(
-        tmp_path, runtime=_chaos_runtime(),
-        only=["fig05_dnn_arrays", "stop", "ext_hierarchy"],
-    )
-    assert interrupted.interrupted
-    assert interrupted.outcomes[0].poisoned > 0
-    manifest = RunManifest.load(tmp_path)
-    assert manifest.entry_for("fig05_dnn_arrays").telemetry["poisoned"] > 0
-    assert "ext_hierarchy" in {e.name for e in manifest.retained}
-
-    # chaos off: the poisoned study re-attempts (its entry is not
-    # reusable), the clean study stays incremental
-    monkeypatch.setattr("repro.studies.summary.STUDIES", STUDIES)
-    resumed = run_all(tmp_path, only=["fig05_dnn_arrays", "ext_hierarchy"])
-    assert not resumed.interrupted
-    by_name = {o.name: o for o in resumed.outcomes}
-    assert by_name["ext_hierarchy"].cached  # untouched: no re-attempt
-    fresh = by_name["fig05_dnn_arrays"]
-    assert not fresh.cached  # poisoned entries never reuse incrementally
-    assert fresh.poisoned == 0
-    assert fresh.telemetry.completed > 0
-    # the healed manifest entry is clean and reusable from now on
-    healed = RunManifest.load(tmp_path).entry_for("fig05_dnn_arrays")
-    assert healed.telemetry.get("poisoned", 0) == 0
-    rerun = run_all(tmp_path, only=["fig05_dnn_arrays"])
-    assert rerun.outcomes[0].cached
-
-
-def test_main_chaos_flags_report_poisoned(tmp_path, capsys):
-    rc = main([
-        str(tmp_path), "--only", "fig05_dnn_arrays",
-        "--chaos", "seed=9,poison=1.0",
-        "--retries", "2", "--retry-backoff", "0",
-    ])
+    chaos._CORRUPTED.clear()  # corruption fires once per fingerprint per process
+    cache = str(tmp_path / "cache")
+    assert main([str(tmp_path / "cold"), "--only", "ext_hierarchy",
+                 "--cache-dir", cache]) == 0
+    rc = main([str(tmp_path / "hostile"), "--only", "ext_hierarchy",
+               "--cache-dir", cache, "--chaos", "seed=5,cache_corrupt=1.0"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "poisoned" in out
+    assert "corrupt cache entries quarantined" in capsys.readouterr().out
+    entry = RunManifest.load(tmp_path / "hostile").entry_for("ext_hierarchy")
+    assert entry.telemetry["corrupt"] > 0
+    # damaged entries were recomputed, not served: the CSV is unchanged
+    csv = Path("results") / "ext_hierarchy.csv"
+    assert (tmp_path / "hostile" / csv).read_bytes() == (
+        tmp_path / "cold" / csv
+    ).read_bytes()
 
 
 def test_main_rejects_bad_chaos_spec(tmp_path, capsys):
     rc = main([str(tmp_path), "--chaos", "worker_crash=0.5"])
     assert rc == 2
     assert "unknown chaos spec key" in capsys.readouterr().err
+
+
+def test_import_does_not_load_multiprocessing():
+    code = "import sys, repro.studies.summary; print('multiprocessing' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
