@@ -8,8 +8,8 @@ Two contracts for the vectorized batch engine (``repro.cachesim.batch``):
 * **Speedup** — regenerating the suite's LLC traces with the batch
   pipeline is >=10x faster than the seed implementation it replaced
   (per-access generators with an ``rng.choices`` interleave feeding dict
-  caches).  Timings land in ``BENCH_cachesim.json`` at the repo root as a
-  trajectory (one entry appended per run).  The assertion is skipped on
+  caches).  Timings land in ``.benchmarks/BENCH_cachesim.json`` (gitignored)
+  as a trajectory (one entry appended per run).  The assertion is skipped on
   CI, whose shared runners time too noisily; the JSON is still produced
   and uploaded as an artifact.
 """
@@ -36,7 +36,10 @@ from repro.units import mb
 N_ACCESSES = 200_000
 L2_CONFIG = CacheConfig(capacity_bytes=512 * 1024, associativity=8)
 LLC_CONFIG = CacheConfig(capacity_bytes=mb(16), associativity=16)
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_cachesim.json"
+#: Run records go to the gitignored ``.benchmarks/``, so running the tests
+#: leaves the tree clean; the tracked ``BENCH_cachesim.json`` at the repo root keeps
+#: the earlier trajectory as history.
+BENCH_PATH = Path(__file__).resolve().parents[1] / ".benchmarks" / "BENCH_cachesim.json"
 
 #: Shared between the parity test (which measures) and the speedup test
 #: (which asserts), in file order.
@@ -218,6 +221,7 @@ def _write_trajectory(rows, totals):
         except (OSError, json.JSONDecodeError):
             runs = []
     runs.append(entry)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(
         {"schema": "bench-cachesim-v1", "runs": runs[-50:]}, indent=2))
 

@@ -10,8 +10,9 @@ Two contracts for the structure-of-arrays nvsim engine
   ``ArrayNumbers`` fields, compared with ``==`` (runs on CI too).
 * **Speedup** — the cold-cache sweep on the batch engine is >=10x
   faster than the seed implementation (one ``evaluate_organization``
-  call per candidate lane).  Timings land in ``BENCH_characterize.json``
-  at the repo root as a trajectory (one entry appended per run).  The
+  call per candidate lane).  Timings land in
+  ``.benchmarks/BENCH_characterize.json`` (gitignored) as a trajectory
+  (one entry appended per run).  The
   assertion is skipped on CI, whose shared runners time too noisily;
   the JSON is still produced and uploaded as an artifact.
 """
@@ -43,7 +44,10 @@ CAPACITIES = (mb(1) // 4, mb(1), mb(4), mb(8))  # the study's LLC range
 ENVM_NODE_NM = 22
 SRAM_NODE_NM = 16
 ACCESS_WIDTHS = (64, 512)  # one word, one cache line
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_characterize.json"
+#: Run records go to the gitignored ``.benchmarks/``, so running the tests
+#: leaves the tree clean; the tracked ``BENCH_characterize.json`` at the repo root keeps
+#: the earlier trajectory as history.
+BENCH_PATH = Path(__file__).resolve().parents[1] / ".benchmarks" / "BENCH_characterize.json"
 
 #: Shared between the parity test (which measures) and the speedup test
 #: (which asserts), in file order.
@@ -239,6 +243,7 @@ def _write_trajectory(rows, totals):
         except (OSError, json.JSONDecodeError):
             runs = []
     runs.append(entry)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(
         {"schema": "bench-characterize-v1", "runs": runs[-50:]}, indent=2))
 

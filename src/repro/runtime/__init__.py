@@ -9,7 +9,8 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.cache` — persistent content-addressed caches, one
   subdirectory of ``cache_dir`` per store: ``arrays/`` (array
   characterizations), ``evaluations/`` ((array x traffic) evaluation row
-  blocks) and ``traces/`` (regenerated LLC traffic traces), so repeated
+  blocks) and ``traces/`` (regenerated LLC traffic traces), each holding
+  immutable ``<pack-id>.v3`` pack files, one per sweep call, so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
   resumable.
 * :mod:`repro.runtime.executor` — serial, in-process characterization
@@ -33,7 +34,7 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
 * :mod:`repro.runtime.chaos` — deterministic cache-corruption injection
-  keyed by fingerprint + seed, so the quarantine-and-recompute path is
+  keyed by pack name + seed, so the quarantine-and-recompute path is
   testable end to end.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit and repair
   (the ``nvmexplorer fsck`` command).

@@ -1,28 +1,44 @@
 """Persistent, content-addressed result caches.
 
-One file per cached result, addressed by a stable content fingerprint
-(:mod:`repro.runtime.fingerprint`) and fanned out over 256
-two-hex-digit subdirectories so large sweeps don't produce a single
-enormous directory.  Writes are atomic (temp file + ``os.replace``), so a
-run interrupted mid-store never leaves a truncated entry and a re-run
-resumes from whatever completed.
+Results are addressed by a stable content fingerprint
+(:mod:`repro.runtime.fingerprint`) and stored in immutable *pack* files,
+one per batch of stores: every :func:`~repro.runtime.executor.\
+characterize_points` or :func:`~repro.runtime.executor.evaluate_blocks`
+call that computes anything writes exactly one pack, and a ``store()``
+outside a batch writes a one-entry pack.  Packs sit flat in the store
+directory as ``<pack-id>.v3``.  A pack is streamed into a unique temp file
+and renamed into place once sealed, so a run interrupted mid-store never
+leaves a truncated pack, and the work a call finished before an
+interrupt is still committed.
 
-Each entry file (``<2-hex>/<fingerprint>.v2``) is one JSON header line,
-a newline, then the JSON body::
+Pack bytes are the entry bodies, back to back, then one JSON index line,
+then a fixed-width footer::
 
-    {"schema": <tag>, "fingerprint": <fingerprint>, "checksum": <sha256>}
-    <json.dumps(encoded result)>
+    <body 0><body 1>...
+    {"schema": <tag>, "entries": [[<fingerprint>, <offset>, <length>, <sha256>], ...]}
+    <byte offset of the index line, 20 decimal digits>
 
-The checksum is the SHA-256 of the body bytes as stored, so a load
-verifies the bytes it read instead of re-serializing the decoded
-result.  :func:`encode_entry` and :func:`read_entry` own this format;
-``nvmexplorer fsck`` verifies entries through :func:`read_entry` too.
-Files in the pre-v2 layout (``<fingerprint>.json``) are never read.
+Each body is ``json.dumps`` of the encoded result, and its checksum is
+the SHA-256 of those bytes as stored, so a load reads and hashes only
+its own byte range.  The pack id is the first 32 hex digits of the
+SHA-256 of the schema tag and the ordered fingerprints, so the file name
+also checks the index.  :func:`read_pack_index` and :func:`verify_pack`
+own this format; ``nvmexplorer fsck`` verifies packs through them too.
+Files of older layouts (``<2-hex>/<fingerprint>.v2`` or ``.json``) are
+never read.
+
+Each process keeps one fingerprint index per store root, shared by every
+cache object on that root.  A lookup that misses re-lists the directory
+and reads the index of each pack it has not seen before.  A pack that
+fails verification (unreadable footer or index, a name that does not
+match its index, a body checksum mismatch, a body that does not decode)
+is moved whole to ``quarantine/`` and its entries leave the index; those
+results are recomputed and re-packed by whichever call needs them.
 
 Invalidation is by schema tag: the tag participates in the fingerprint,
-so bumping it makes every old entry unreachable.  The header
+so bumping it makes every old entry unreachable.  The pack index
 additionally records the tag and is re-checked on load, guarding against
-entries copied across versions.
+packs copied across versions.
 
 Three stores share this machinery:
 
@@ -39,13 +55,24 @@ Three stores share this machinery:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ReproError
 from repro.nvsim.result import ArrayCharacterization
@@ -58,20 +85,27 @@ from repro.runtime.fingerprint import (
 if TYPE_CHECKING:
     from repro.runtime.chaos import ChaosOptions
 
-#: Version of the entry file layout (header line + body).  It names the
-#: entry suffix, so a layout change leaves older entries unread.
-ENTRY_FORMAT = 2
-ENTRY_SUFFIX = f".v{ENTRY_FORMAT}"
+#: Version of the pack file layout.  It names the pack suffix, so a
+#: layout change leaves older files unread.
+ENTRY_FORMAT = 3
+PACK_SUFFIX = f".v{ENTRY_FORMAT}"
 
-#: Suffix of pre-v2 entries (one JSON object with the result inline).
-#: Loads never read them; ``fsck`` reports them as legacy and keeps them.
-LEGACY_ENTRY_SUFFIX = ".json"
+#: Suffixes of entries in the older one-file-per-entry layouts, which
+#: lived under two-hex-digit fan-out directories.  Loads never read them;
+#: ``fsck`` reports them as legacy and keeps them.
+LEGACY_ENTRY_SUFFIXES = (".v2", ".json")
 
-#: Subdirectory (inside a cache root) where entries that fail integrity
+#: Subdirectory (inside a store) where packs that fail integrity
 #: verification are preserved for post-mortem instead of being deleted
-#: or silently overwritten.  The name is deliberately longer than the
-#: two-hex-digit fan-out dirs so ``??/*`` entry globs never see it.
+#: or silently overwritten.
 QUARANTINE_SUBDIR = "quarantine"
+
+#: The footer: the index line's byte offset as 20 decimal digits, then a
+#: newline.
+_FOOTER_LEN = 21
+
+#: One index entry: (fingerprint, body offset, body length, body sha256).
+IndexEntry = Tuple[str, int, int, str]
 
 #: Process-wide monotonic suffix so concurrent stores of the *same*
 #: fingerprint from different threads never collide on one temp name.
@@ -83,9 +117,9 @@ def _tmp_path_for(path: Path) -> Path:
 
     pid + thread id + a process-wide counter make the name unique across
     processes, across threads, and across repeated stores from the same
-    thread.  The ``.tmp.`` infix keeps temp files invisible to the
-    entry globs; :meth:`JsonObjectCache.clear` sweeps up any
-    leaked by a run that died between write and rename.
+    thread.  The ``.tmp.`` infix keeps temp files invisible to pack
+    listings; ``nvmexplorer fsck`` and :meth:`JsonObjectCache.clear`
+    sweep up any leaked by a run that died between write and rename.
     """
     return path.parent / (
         f"{path.name}.tmp.{os.getpid()}"
@@ -126,58 +160,238 @@ def atomic_write_json(path: Path, payload: Any, **dumps_kwargs: Any) -> None:
     atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
 
 
-class CorruptEntry(ValueError):
-    """An entry's bytes failed verification; the message names the reason."""
+class CorruptPack(ValueError):
+    """A pack's bytes failed verification; the message names the reason."""
 
 
-def encode_entry(schema_tag: str, fingerprint: str, encoded_result: Any) -> bytes:
-    """The bytes of one entry: header line, newline, JSON body.
+def pack_id(schema_tag: str, fingerprints: List[str]) -> str:
+    """The name stem of the pack holding ``fingerprints`` in this order."""
+    text = "\n".join([schema_tag, *fingerprints])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
-    No key sorting: the body must round-trip with its original key
-    order, so rows served from cache produce CSVs byte-identical to
-    freshly computed ones (column order is taken from row insertion
-    order).
+
+def _parse_index(index: Any, end: int) -> Tuple[str, List[IndexEntry]]:
+    """The schema tag and entries of a decoded index line, checked."""
+    if not isinstance(index, dict):
+        raise CorruptPack("index is not an object")
+    schema, raw_entries = index.get("schema"), index.get("entries")
+    if not isinstance(schema, str) or not isinstance(raw_entries, list):
+        raise CorruptPack("malformed index")
+    entries: List[IndexEntry] = []
+    for entry in raw_entries:
+        if not (
+            isinstance(entry, list) and len(entry) == 4
+            and isinstance(entry[0], str) and isinstance(entry[3], str)
+            and all(type(n) is int and n >= 0 for n in entry[1:3])
+            and entry[1] + entry[2] <= end
+        ):
+            raise CorruptPack("malformed index entry")
+        entries.append(tuple(entry))
+    return schema, entries
+
+
+def read_pack_index(path: Path) -> Tuple[str, List[IndexEntry]]:
+    """Read one pack's footer and index; returns ``(schema tag, entries)``.
+
+    Raises :class:`CorruptPack` when the footer or index is unreadable or
+    the index does not match the pack's name, and :class:`OSError` when
+    the file cannot be read at all.  Bodies are not read.
     """
-    body = json.dumps(encoded_result).encode("utf-8")
-    header = json.dumps({
-        "schema": schema_tag,
-        "fingerprint": fingerprint,
-        "checksum": hashlib.sha256(body).hexdigest(),
-    })
-    return header.encode("utf-8") + b"\n" + body
+    with open(path, "rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(max(size - _FOOTER_LEN, 0))
+        footer = handle.read(_FOOTER_LEN)
+        digits = footer[:-1]
+        if (
+            len(footer) != _FOOTER_LEN or footer[-1:] != b"\n"
+            or not digits.isdigit() or int(digits) > size - _FOOTER_LEN
+        ):
+            raise CorruptPack("unreadable footer")
+        start = int(digits)
+        handle.seek(start)
+        line = handle.read(size - _FOOTER_LEN - start)
+    try:
+        index = json.loads(line)
+    except ValueError:
+        raise CorruptPack("invalid JSON index") from None
+    schema, entries = _parse_index(index, start)
+    if pack_id(schema, [entry[0] for entry in entries]) != path.name.partition(".")[0]:
+        raise CorruptPack("index does not match the pack name")
+    return schema, entries
 
 
-def read_entry(data: bytes, fingerprint: str) -> tuple[Any, Any]:
-    """Verify one entry's bytes; returns ``(schema tag, decoded body)``.
+def _read_body(handle: IO[bytes], offset: int, length: int, checksum: str) -> bytes:
+    """One body's bytes, checked against its recorded SHA-256."""
+    handle.seek(offset)
+    body = handle.read(length)
+    if hashlib.sha256(body).hexdigest() != checksum:
+        raise CorruptPack("checksum mismatch")
+    return body
 
-    Raises :class:`CorruptEntry` when the header is not a JSON object,
-    records another fingerprint, or carries a checksum that does not
-    match the body bytes, and when the body is not JSON.  The schema tag
-    is returned unchecked: a tag mismatch is an ordinary miss, and fsck
-    accepts entries of any tag.
+
+def verify_pack(path: Path) -> Tuple[str, List[IndexEntry]]:
+    """Verify a whole pack: its index, then every body's checksum and JSON.
+
+    Returns what :func:`read_pack_index` returns; raises like it.
     """
-    head, _, body = data.partition(b"\n")
+    schema, entries = read_pack_index(path)
+    with open(path, "rb") as handle:
+        for _, offset, length, checksum in entries:
+            body = _read_body(handle, offset, length, checksum)
+            try:
+                json.loads(body)
+            except ValueError:
+                raise CorruptPack("invalid JSON body") from None
+    return schema, entries
+
+
+def quarantine_file(root: Path, path: Path) -> bool:
+    """Move a damaged file to ``root/quarantine/``; False if it could not be.
+
+    Every damaged copy is kept: a name already taken gets a numeric
+    suffix instead of being overwritten.
+    """
+    qdir = root / QUARANTINE_SUBDIR
     try:
-        header = json.loads(head)
-    except ValueError:
-        raise CorruptEntry("invalid JSON header") from None
-    if not isinstance(header, dict):
-        raise CorruptEntry("header is not an object")
-    if header.get("fingerprint") != fingerprint:
-        raise CorruptEntry("fingerprint mismatch")
-    if header.get("checksum") != hashlib.sha256(body).hexdigest():
-        raise CorruptEntry("checksum mismatch")
+        qdir.mkdir(parents=True, exist_ok=True)
+        dest = qdir / path.name
+        while dest.exists():
+            dest = qdir / f"{path.name}.{next(_TMP_COUNTER)}"
+        os.replace(path, dest)
+    except OSError:
+        return False
+    return True
+
+
+class _PackWriter:
+    """Bodies streamed into one pack's temp file, sealed with an index."""
+
+    def __init__(self, handle: IO[bytes]) -> None:
+        self.handle = handle
+        self.entries: List[IndexEntry] = []
+        #: Where the pack landed, once committed.
+        self.path: Optional[Path] = None
+
+    def add(self, fingerprint: str, body: bytes) -> None:
+        offset = self.entries[-1][1] + self.entries[-1][2] if self.entries else 0
+        self.handle.write(body)
+        # The append is the commit point: a body whose write was cut
+        # short by an interrupt is never indexed, and seal() cuts it off.
+        self.entries.append(
+            (fingerprint, offset, len(body), hashlib.sha256(body).hexdigest())
+        )
+
+    def seal(self, schema_tag: str) -> Optional[str]:
+        """Append the index and footer; returns the pack's file name."""
+        if not self.entries:
+            return None
+        _, offset, length, _ = self.entries[-1]
+        end = offset + length
+        self.handle.seek(end)
+        self.handle.truncate()
+        index = json.dumps({"schema": schema_tag, "entries": self.entries})
+        self.handle.write(index.encode("utf-8") + b"\n" + b"%020d\n" % end)
+        return pack_id(schema_tag, [entry[0] for entry in self.entries]) + PACK_SUFFIX
+
+
+@contextlib.contextmanager
+def _pack_stream(root: Path, schema_tag: str) -> Iterator[_PackWriter]:
+    """A pack writer whose pack is sealed and renamed into place on exit.
+
+    The pack is committed also when the block raises, so bodies stored
+    before an error or interrupt are kept; an empty pack writes nothing.
+    """
+    tmp = _tmp_path_for(root / "pack")
+    writer = _PackWriter(open(tmp, "wb"))
     try:
-        return header.get("schema"), json.loads(body)
-    except ValueError:
-        raise CorruptEntry("invalid JSON body") from None
+        yield writer
+    finally:
+        try:
+            with writer.handle:
+                name = writer.seal(schema_tag)
+            if name is not None:
+                os.replace(tmp, root / name)
+                writer.path = root / name
+        finally:
+            tmp.unlink(missing_ok=True)  # a no-op once the pack is in place
+
+
+#: (pack path, schema tag, body offset, body length, body sha256).
+_Location = Tuple[Path, str, int, int, str]
+
+
+class _PackIndex:
+    """Fingerprint -> location over the packs of one store root.
+
+    One per store root per process, shared by every cache object on it,
+    so building a new engine does not re-read every pack index.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.locations: dict[str, _Location] = {}
+        #: Pack file name -> its fingerprints, for every pack read or
+        #: written (and for damaged packs that could not be moved aside).
+        self.packs: dict[str, List[str]] = {}
+        self._lock = threading.RLock()
+
+    def add(self, path: Path, schema: str, entries: List[IndexEntry]) -> None:
+        with self._lock:
+            self.packs[path.name] = [entry[0] for entry in entries]
+            for fingerprint, offset, length, checksum in entries:
+                self.locations[fingerprint] = (path, schema, offset, length, checksum)
+
+    def drop(self, path: Path, *, seen: bool = False) -> None:
+        """Forget a pack's entries; ``seen`` keeps a refresh from re-reading it."""
+        with self._lock:
+            for fingerprint in self.packs.pop(path.name, ()):
+                if self.locations.get(fingerprint, (None,))[0] == path:
+                    del self.locations[fingerprint]
+            if seen:
+                self.packs[path.name] = []
+
+    def refresh(self, on_corrupt: Callable[[Path], None]) -> None:
+        """Read the index of every pack added to the directory since the last look."""
+        with self._lock:
+            try:
+                names = sorted(os.listdir(self.root))
+            except OSError:
+                return
+            for name in names:
+                if not name.endswith(PACK_SUFFIX) or name in self.packs:
+                    continue
+                path = self.root / name
+                try:
+                    self.add(path, *read_pack_index(path))
+                except CorruptPack:
+                    on_corrupt(path)
+                except OSError:
+                    continue  # vanished between the listing and the read
+
+    def clear(self) -> None:
+        with self._lock:
+            self.locations.clear()
+            self.packs.clear()
+
+
+_INDEXES: dict[str, _PackIndex] = {}
+_INDEXES_LOCK = threading.Lock()
+
+
+def _index_for(root: Path) -> _PackIndex:
+    key = os.path.abspath(root)
+    with _INDEXES_LOCK:
+        index = _INDEXES.get(key)
+        if index is None:
+            index = _INDEXES[key] = _PackIndex(root)
+        return index
 
 
 class JsonObjectCache:
     """On-disk store of JSON-able results keyed by content fingerprint.
 
     Subclasses define the payload format via :meth:`_encode` /
-    :meth:`_decode`; everything else (layout, atomicity, schema checks,
+    :meth:`_decode`; everything else (packing, atomicity, schema checks,
     hit/miss/store accounting) is shared.
     """
 
@@ -192,20 +406,24 @@ class JsonObjectCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Entries that failed integrity verification on load (bad JSON,
-        #: checksum/fingerprint mismatch, undecodable payload).  Counted
+        #: Packs that failed integrity verification on load (unreadable
+        #: index, name or checksum mismatch, undecodable body).  Counted
         #: separately from misses: a miss is expected cold-cache
         #: behaviour, corruption is an infrastructure fault.
         self.corrupt = 0
-        #: Corrupt entries successfully moved to the quarantine dir.
+        #: Corrupt packs successfully moved to the quarantine dir.
         self.quarantined = 0
         #: Optional fault injector (tests / chaos runs) — corrupts the
-        #: on-disk entry just before a load reads it.
+        #: on-disk pack just before a load reads it.
         self.chaos = chaos
+        #: Per-thread open batch (see :meth:`batch`): its exit stack and
+        #: pack writer.
+        self._local = threading.local()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ReproError(f"cannot create cache directory {self.root}: {exc}") from exc
+        self._index = _index_for(self.root)
 
     # --- payload format (subclass responsibility) -------------------------
 
@@ -217,111 +435,143 @@ class JsonObjectCache:
         """Inverse of :meth:`_encode`; may raise on malformed payloads."""
         raise NotImplementedError
 
-    # --- addressing -------------------------------------------------------
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}{ENTRY_SUFFIX}"
-
     # --- operations -------------------------------------------------------
 
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_SUBDIR
 
-    def _quarantine(self, fingerprint: str, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside — never silently overwritten in place.
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt pack aside — never silently overwritten in place.
 
         The damaged file is preserved under ``quarantine/`` for
-        post-mortem (``nvmexplorer fsck`` reports the backlog); the next
-        store then writes a fresh entry at the original address.
+        post-mortem (``nvmexplorer fsck`` reports the backlog) and its
+        entries leave the index, so the next store of any of them writes
+        a fresh pack.
         """
         self.corrupt += 1
-        qdir = self.quarantine_dir()
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            dest = qdir / path.name
-            if dest.exists():  # keep every damaged copy — suffix, don't clobber
-                dest = qdir / f"{path.name}.{next(_TMP_COUNTER)}"
-            os.replace(path, dest)
-        except OSError:
-            return
-        self.quarantined += 1
+        moved = quarantine_file(self.root, path)
+        self._index.drop(path, seen=not moved)
+        if moved:
+            self.quarantined += 1
+
+    def _locate(self, fingerprint: str) -> Optional[_Location]:
+        location = self._index.locations.get(fingerprint)
+        if location is None:
+            self._index.refresh(self._quarantine)
+            location = self._index.locations.get(fingerprint)
+        return location
 
     def load(self, fingerprint: str):
         """The cached result, or ``None`` on miss or corruption.
 
-        A missing file or a schema-tag mismatch is an ordinary miss.  An
-        entry that fails integrity verification — see :func:`read_entry`
-        — or whose body the decoder rejects counts in ``corrupt`` (not
-        ``misses``) and is moved to ``quarantine/`` so the next store
-        cannot silently paper over it.
+        An unknown fingerprint or a schema-tag mismatch is an ordinary
+        miss.  A pack that fails integrity verification — see
+        :func:`read_pack_index` — or whose body the decoder rejects counts
+        in ``corrupt`` (not ``misses``) and is moved to ``quarantine/``
+        whole, so the next store cannot silently paper over it.
         """
-        path = self.path_for(fingerprint)
-        if self.chaos is not None:
-            self.chaos.maybe_corrupt_file(path, fingerprint)
+        corrupt_before = self.corrupt
+        location = self._locate(fingerprint)
+        if location is None:
+            if self.corrupt == corrupt_before:
+                self.misses += 1
+            return None
+        path, schema, offset, length, checksum = location
+        if self.chaos is not None and self.chaos.maybe_corrupt_file(path, path.name):
+            # The pack changed under the index: verify all of it, as fsck would.
+            try:
+                verify_pack(path)
+            except (CorruptPack, OSError):
+                self._quarantine(path)
+                return None
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as handle:
+                body = _read_body(handle, offset, length, checksum)
         except OSError:
+            self._index.drop(path)  # moved aside or deleted since it was indexed
             self.misses += 1
             return None
-        try:
-            schema, body = read_entry(data, fingerprint)
-        except CorruptEntry as exc:
-            self._quarantine(fingerprint, path, str(exc))
+        except CorruptPack:
+            self._quarantine(path)
             return None
         if schema != self.schema_tag:
             self.misses += 1
             return None
         try:
-            result = self._decode(body)
+            result = self._decode(json.loads(body))
         except (ReproError, KeyError, TypeError, ValueError):
-            self._quarantine(fingerprint, path, "payload failed to decode")
+            self._quarantine(path)
             return None
         self.hits += 1
         return result
 
-    def store(self, fingerprint: str, result) -> None:
-        """Persist one result atomically, with a content checksum.
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Collect every :meth:`store` in the block into one pack.
 
-        The fan-out directory is created only when the write finds it
-        missing, so each one is made at most once per cache instance.
+        The pack is committed when the block exits, also on an exception,
+        so results stored before an error or interrupt are kept.  A nested
+        block joins the outer one; a block that stores nothing writes
+        nothing.
         """
-        path = self.path_for(fingerprint)
-        data = encode_entry(self.schema_tag, fingerprint, self._encode(result))
+        local = self._local
+        if getattr(local, "stack", None) is not None:
+            yield
+            return
+        local.stack, local.writer = contextlib.ExitStack(), None
         try:
-            atomic_write_bytes(path, data)
-        except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(path, data)
+            with local.stack:
+                yield
+        finally:
+            writer, local.stack, local.writer = local.writer, None, None
+            if writer is not None and writer.path is not None:
+                self._index.add(writer.path, self.schema_tag, writer.entries)
+
+    def store(self, fingerprint: str, result) -> None:
+        """Persist one result, with a content checksum.
+
+        Inside :meth:`batch` the body joins the batch's pack; otherwise it
+        is written as a one-entry pack.
+        """
+        body = json.dumps(self._encode(result)).encode("utf-8")
+        with self.batch():
+            local = self._local
+            if local.writer is None:
+                local.writer = local.stack.enter_context(
+                    _pack_stream(self.root, self.schema_tag)
+                )
+            local.writer.add(fingerprint, body)
         self.stores += 1
 
     def __contains__(self, fingerprint: str) -> bool:
-        """Whether an entry *file* exists (any schema version, unvalidated).
+        """Whether a pack indexes the fingerprint (any schema, unverified).
 
         Use :meth:`load` to know whether the entry is actually usable.
         """
-        return self.path_for(fingerprint).exists()
+        return self._locate(fingerprint) is not None
 
     def fingerprints(self) -> Iterator[str]:
         """Every fingerprint currently stored (any schema version)."""
-        for entry in sorted(self.root.glob(f"??/*{ENTRY_SUFFIX}")):
-            yield entry.stem
+        self._index.refresh(self._quarantine)
+        yield from sorted(self._index.locations)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.fingerprints())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed.
+        """Delete every pack; returns the number of packs removed.
 
         Also sweeps up stale ``*.tmp.*`` files left by runs that died
         between writing a temp file and renaming it into place (those
-        never count as entries — they are invisible to loads and globs).
+        never count as packs — loads and listings ignore them).
         """
         removed = 0
-        for entry in sorted(self.root.glob(f"??/*{ENTRY_SUFFIX}")):
-            entry.unlink(missing_ok=True)
+        for pack in sorted(self.root.glob(f"*{PACK_SUFFIX}")):
+            pack.unlink(missing_ok=True)
             removed += 1
-        for stale in sorted(self.root.glob("??/*.tmp.*")):
+        for stale in sorted(self.root.glob("*.tmp.*")):
             stale.unlink(missing_ok=True)
+        self._index.clear()
         return removed
 
     def stats(self) -> dict[str, int]:

@@ -1,17 +1,17 @@
 """Deterministic cache-corruption injection for end-to-end failure testing.
 
 Every injection decision is a pure function of the chaos ``seed`` and
-the cache entry's fingerprint, so two runs with the same seed damage
-exactly the same entries and CI can assert recovery behaviour —
-quarantined files, recomputed points, a warm cache afterwards — against
-fixed expectations.
+the cache pack's name, so two runs with the same seed damage exactly
+the same packs and CI can assert recovery behaviour — quarantined
+packs, recomputed points, a warm cache afterwards — against fixed
+expectations.
 
 ``cache_corrupt_rate``
-    The cache loader corrupts the on-disk entry (truncation or ASCII
-    bit-flip per ``corrupt_mode``) immediately before reading it, at
-    most once per fingerprint per process.  Integrity checking must
-    detect the damage, quarantine the file, and recompute — leaving the
-    cache clean afterwards.
+    The cache loader corrupts the on-disk pack (truncation or ASCII
+    bit-flip per ``corrupt_mode``) immediately before reading from it,
+    at most once per pack per process.  Integrity checking must detect
+    the damage, quarantine the pack, and recompute — leaving the cache
+    clean afterwards.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-# Fingerprints already corrupted in this process, keyed by chaos seed.
-# Corrupting an entry at most once per process lets the recovery path
+# Packs already corrupted in this process, keyed by chaos seed.
+# Corrupting a pack at most once per process lets the recovery path
 # (quarantine -> recompute -> clean re-store) actually converge instead
 # of chasing its own tail.
 _CORRUPTED: Set[Tuple[int, str]] = set()
@@ -81,9 +81,9 @@ class ChaosOptions:
     def maybe_corrupt_file(self, path: Path, key: str) -> bool:
         """Maybe corrupt the cache file at ``path`` before it is read.
 
-        Returns True when the file was damaged.  Each fingerprint is
-        corrupted at most once per process so the detect -> quarantine ->
-        recompute cycle converges to a clean cache.
+        Returns True when the file was damaged.  Each ``key`` (a pack
+        name) is corrupted at most once per process so the detect ->
+        quarantine -> recompute cycle converges to a clean cache.
         """
 
         if self.cache_corrupt_rate <= 0:

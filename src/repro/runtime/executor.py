@@ -5,9 +5,10 @@ in the calling process, in their deterministic order: no pool, no
 pickling, no chunking.  What the executor adds over a plain loop is the
 cache discipline every study shares — lookup in the in-process memo,
 then the on-disk cache; duplicates computed once; fresh results written
-back to both — plus the batch fast path (points sharing a cell, node,
-access width and bits/cell characterize as one array program) and one
-telemetry event per point.
+back to both, the on-disk ones as one pack file per call — plus the
+batch fast path (points sharing a cell, node, access width and
+bits/cell characterize as one array program) and one telemetry event
+per point.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -18,6 +19,7 @@ bugs and propagate.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import time
 from dataclasses import dataclass
@@ -28,7 +30,11 @@ from repro.errors import CharacterizationError, EvaluationError, ReproError
 from repro.nvsim import characterize
 from repro.nvsim.characterize import warm_lanes
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
-from repro.runtime.cache import CharacterizationCache, EvaluationCache
+from repro.runtime.cache import (
+    CharacterizationCache,
+    EvaluationCache,
+    JsonObjectCache,
+)
 from repro.runtime.fingerprint import (
     SCHEMA_TAG,
     evaluation_context,
@@ -109,6 +115,11 @@ def sweep_points(spec) -> List[SweepPoint]:
                     )
                 )
     return points
+
+
+def _pack_batch(cache: Optional[JsonObjectCache]):
+    """The cache's batch (one pack for the block), or a no-op without one."""
+    return cache.batch() if cache is not None else contextlib.nullcontext()
 
 
 # --- characterization ------------------------------------------------------
@@ -245,24 +256,27 @@ def characterize_points(
             (point.cell, point.node_nm, point.access_bits, point.bits_per_cell),
             [],
         ).append(fp)
-    for member_fps in groups.values():
-        members = [points[pending_by_fp[fp][0]] for fp in member_fps]
-        batched = len(members) > 1
-        start = time.perf_counter()
-        if batched:
-            _warm_batch(members)
-        outcomes = []
-        for point in members:
-            try:
-                outcomes.append((point.characterize(), ""))
-            except ReproError as exc:
-                outcomes.append((None, str(exc)))
-        share = (time.perf_counter() - start) / len(members)
-        for fp, (array, error) in zip(member_fps, outcomes):
-            if array is None:
-                _record_failure(fp, error, share)
-            else:
-                _record_success(fp, array, share, "batch" if batched else "")
+    # One pack per call; it is committed even when a failure or an
+    # interrupt cuts the loop short, so finished points are kept.
+    with _pack_batch(cache):
+        for member_fps in groups.values():
+            members = [points[pending_by_fp[fp][0]] for fp in member_fps]
+            batched = len(members) > 1
+            start = time.perf_counter()
+            if batched:
+                _warm_batch(members)
+            outcomes = []
+            for point in members:
+                try:
+                    outcomes.append((point.characterize(), ""))
+                except ReproError as exc:
+                    outcomes.append((None, str(exc)))
+            share = (time.perf_counter() - start) / len(members)
+            for fp, (array, error) in zip(member_fps, outcomes):
+                if array is None:
+                    _record_failure(fp, error, share)
+                else:
+                    _record_success(fp, array, share, "batch" if batched else "")
     return results
 
 
@@ -375,22 +389,23 @@ def evaluate_blocks(
             continue
         pending_by_fp[fp] = [index]
 
-    for fp, indices in pending_by_fp.items():
-        array = arrays[indices[0]]
-        start = time.perf_counter()
-        try:
-            rows = rows_fn(array, traffic, extra)
-        except ReproError as exc:
-            raise EvaluationError(f"{array.label}: {exc}") from exc
-        duration_s = time.perf_counter() - start
-        memory[fp] = rows
-        if cache is not None:
-            cache.store(fp, rows)
-        for nth, index in enumerate(indices):
-            results[index] = rows
-            _emit(COMPLETED if nth == 0 else CACHED, index,
-                  source="" if nth == 0 else "memory", fp=fp,
-                  duration_s=duration_s if nth == 0 else 0.0)
+    with _pack_batch(cache):
+        for fp, indices in pending_by_fp.items():
+            array = arrays[indices[0]]
+            start = time.perf_counter()
+            try:
+                rows = rows_fn(array, traffic, extra)
+            except ReproError as exc:
+                raise EvaluationError(f"{array.label}: {exc}") from exc
+            duration_s = time.perf_counter() - start
+            memory[fp] = rows
+            if cache is not None:
+                cache.store(fp, rows)
+            for nth, index in enumerate(indices):
+                results[index] = rows
+                _emit(COMPLETED if nth == 0 else CACHED, index,
+                      source="" if nth == 0 else "memory", fp=fp,
+                      duration_s=duration_s if nth == 0 else 0.0)
     # Copy at the memo boundary, so annotating a returned row never
     # corrupts the in-memory memo or the block handed to the persistent
     # cache.  Flat rows (every row this repo produces) take a dict() copy;

@@ -1,24 +1,23 @@
 """Cache and manifest integrity audit — the ``nvmexplorer fsck`` command.
 
 A cache directory accumulates damage the sweeps themselves only detect
-lazily: entries truncated by a crashed writer, bit-flips from a bad
-disk, stale ``*.tmp.*`` files leaked by a run that died between write
-and rename, and a ``quarantine/`` backlog of entries the loaders moved
-aside.  ``fsck`` makes that state explicit and repairs what it can:
+lazily: packs truncated or bit-flipped on disk, stale ``*.tmp.*`` files
+leaked by a run that died between write and rename, and a
+``quarantine/`` backlog of packs the loaders moved aside.  ``fsck`` makes
+that state explicit and repairs what it can:
 
-- verifies every entry's header, recorded fingerprint (must match its
-  filename), body checksum and body JSON with
-  :func:`repro.runtime.cache.read_entry`, the same check the loaders
-  run; pre-v2 ``*.json`` entries, which no loader reads, are reported as
-  *legacy* and kept;
-- moves entries that fail verification to ``<store>/quarantine/``,
+- verifies every pack — footer, index, name, and each body's checksum
+  and JSON — with :func:`repro.runtime.cache.verify_pack`, through the
+  same reader the loaders use; ``.v2`` and ``.json`` entries of the older
+  one-file-per-entry layout (under two-hex-digit directories), which no
+  loader reads, are reported as *legacy* and kept unread;
+- moves packs that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
 - sweeps stale ``*.tmp.*`` files;
-- optionally re-materializes missing entries from a sibling cache dir
-  (``--repair-from``): any fingerprint present and valid in the sibling
-  but absent here is copied in — including fingerprints stranded in
-  quarantine;
+- optionally re-materializes quarantined packs from a sibling cache dir
+  (``--repair-from``): a pack missing here whose same-named copy in the
+  sibling verifies is copied in;
 - audits run manifests (``--manifest``): the manifest must parse and
   every recorded artifact must exist on disk.
 
@@ -32,19 +31,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.runtime.cache import (
-    ENTRY_SUFFIX,
-    LEGACY_ENTRY_SUFFIX,
+    LEGACY_ENTRY_SUFFIXES,
+    PACK_SUFFIX,
     QUARANTINE_SUBDIR,
-    CorruptEntry,
+    CorruptPack,
     atomic_write_bytes,
-    read_entry,
+    quarantine_file,
+    verify_pack,
 )
 from repro.runtime.shard import RunManifest
 
@@ -61,9 +60,9 @@ class FsckReport:
     root: Path
     scanned: int = 0
     ok: int = 0
-    legacy: int = 0  # pre-v2 entries: never read by the loaders, kept
-    corrupt: int = 0  # entries quarantined by this pass
-    repaired: int = 0  # entries re-materialized from the sibling cache
+    legacy: int = 0  # older-layout entries: never read by the loaders, kept
+    corrupt: int = 0  # packs quarantined by this pass
+    repaired: int = 0  # packs re-materialized from the sibling cache
     swept_tmp: int = 0  # stale *.tmp.* files removed
     quarantine_backlog: int = 0  # files sitting in quarantine/ after the pass
     problems: List[str] = field(default_factory=list)
@@ -88,11 +87,11 @@ class FsckReport:
 
     def summary(self) -> str:
         text = (
-            f"{self.root}: {self.scanned} entries scanned, {self.ok} ok, "
+            f"{self.root}: {self.scanned} files scanned, {self.ok} ok, "
             f"{self.corrupt} corrupt"
         )
         if self.legacy:
-            text += f", {self.legacy} legacy (pre-v2 format, unread)"
+            text += f", {self.legacy} legacy (pre-v3 entries, unread)"
         if self.repaired:
             text += f", {self.repaired} repaired"
         if self.swept_tmp:
@@ -102,35 +101,27 @@ class FsckReport:
         return text
 
 
-def _entry_fingerprint(path: Path) -> str:
-    """The fingerprint a store file claims via its name.
-
-    Quarantined copies may carry a uniquifying suffix
-    (``<fp>.v2.<n>``), so take everything before the first dot.
-    """
-    return path.name.split(".", 1)[0]
-
-
-def _entry_problem(path: Path) -> Optional[str]:
-    """Why one entry file fails verification, or ``None`` when it passes."""
+def _pack_problem(path: Path) -> Optional[str]:
+    """Why one pack fails verification, or ``None`` when it passes."""
     try:
-        read_entry(path.read_bytes(), _entry_fingerprint(path))
+        verify_pack(path)
     except OSError:
-        return "unreadable entry file"
-    except CorruptEntry as exc:
+        return "unreadable pack file"
+    except CorruptPack as exc:
         return str(exc)
     return None
 
 
-def _quarantine_entry(root: Path, path: Path) -> None:
-    qdir = root / QUARANTINE_SUBDIR
-    qdir.mkdir(parents=True, exist_ok=True)
-    dest = qdir / path.name
-    suffix = 0
-    while dest.exists():
-        suffix += 1
-        dest = qdir / f"{path.name}.{suffix}"
-    os.replace(path, dest)
+def _quarantined_pack_names(qdir: Path) -> List[str]:
+    """The pack file names in quarantine, uniquifying suffixes dropped."""
+    if not qdir.is_dir():
+        return []
+    names = set()
+    for damaged in qdir.iterdir():
+        stem, _, rest = damaged.name.partition(".")
+        if rest.split(".", 1)[0] == PACK_SUFFIX[1:]:
+            names.add(stem + PACK_SUFFIX)
+    return sorted(names)
 
 
 def fsck_store(
@@ -138,54 +129,44 @@ def fsck_store(
     *,
     repair_from: Optional[Union[str, Path]] = None,
 ) -> FsckReport:
-    """Audit (and repair) one content-addressed store directory."""
+    """Audit (and repair) one pack store directory."""
     root = Path(root)
     report = FsckReport(root=root)
     if not root.is_dir():
         report.problems.append(f"{root} is not a directory")
         return report
 
-    for stale in sorted(root.glob("??/*.tmp.*")):
+    for stale in sorted(root.glob("*.tmp.*")):
         stale.unlink(missing_ok=True)
         report.swept_tmp += 1
 
-    for entry in sorted(root.glob(f"??/*{ENTRY_SUFFIX}")):
+    for pack in sorted(root.glob(f"*{PACK_SUFFIX}")):
         report.scanned += 1
-        reason = _entry_problem(entry)
+        reason = _pack_problem(pack)
         if reason is None:
             report.ok += 1
         else:
             report.corrupt += 1
-            report.problems.append(f"{entry.relative_to(root)}: {reason}")
-            _quarantine_entry(root, entry)
-    report.legacy = sum(1 for _ in root.glob(f"??/*{LEGACY_ENTRY_SUFFIX}"))
+            report.problems.append(f"{pack.name}: {reason}")
+            quarantine_file(root, pack)
+    report.legacy = sum(
+        1 for entry in root.glob("??/*") if entry.suffix in LEGACY_ENTRY_SUFFIXES
+    )
     report.scanned += report.legacy
 
+    qdir = root / QUARANTINE_SUBDIR
     if repair_from is not None:
         sibling = Path(repair_from)
-        # Re-materialize every fingerprint we lack (including those this
-        # or earlier passes quarantined) from a valid sibling entry.
-        missing: Dict[str, Path] = {}
-        qdir = root / QUARANTINE_SUBDIR
-        if qdir.is_dir():
-            # Sorted so the fingerprint -> exemplar-file choice (and with
-            # it the report) is stable across filesystems.
-            for damaged in sorted(qdir.iterdir()):
-                fp = _entry_fingerprint(damaged)
-                if fp:
-                    missing.setdefault(fp, damaged)
-        for fp in sorted(missing):
-            target = root / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
-            if target.exists():
+        # Re-materialize every quarantined pack (from this pass or an
+        # earlier one) that is still missing, from a sibling copy that
+        # verifies.
+        for name in _quarantined_pack_names(qdir):
+            target, source = root / name, sibling / name
+            if target.exists() or not source.exists() or _pack_problem(source):
                 continue
-            source = sibling / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
-            if not source.exists() or _entry_problem(source) is not None:
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(target, source.read_bytes())
             report.repaired += 1
 
-    qdir = root / QUARANTINE_SUBDIR
     if qdir.is_dir():
         report.quarantine_backlog = len(list(qdir.iterdir()))
     return report
@@ -199,9 +180,9 @@ def fsck_cache_dir(
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``); a directory that itself fans out into
-    two-hex-digit subdirs is treated as a single bare store.  ``repair_from`` names a
-    sibling cache root with the same layout.
+    ``traces/``); a directory holding none of them is treated as a
+    single bare store.  ``repair_from`` names a sibling cache root with
+    the same layout.
     """
     cache_dir = Path(cache_dir)
     sibling = Path(repair_from) if repair_from is not None else None
@@ -249,8 +230,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="nvmexplorer fsck",
         description=(
             "Audit and repair cache directories and run manifests: verify "
-            "entry checksums, quarantine corrupt files, sweep stale tmp "
-            "files, and re-materialize missing entries from a sibling cache."
+            "pack checksums, quarantine corrupt packs, sweep stale tmp "
+            "files, and re-materialize missing packs from a sibling cache."
         ),
     )
     parser.add_argument(
@@ -259,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--repair-from", metavar="DIR", default=None,
-        help="sibling cache root to re-materialize missing entries from",
+        help="sibling cache root to re-materialize quarantined packs from",
     )
     parser.add_argument(
         "--manifest", metavar="DIR", action="append", default=[],

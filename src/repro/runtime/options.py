@@ -14,6 +14,10 @@ Sweeps always run serially in the calling process
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
 
+Each store holds flat ``<pack-id>.v3`` pack files (one per sweep call
+that computed anything) and a ``quarantine/`` directory for damaged
+packs; :mod:`repro.runtime.cache` describes the pack format.
+
 ``trace_cache_dir`` overrides only the trace store (traces are produced
 by the cache simulator, not the characterizer, so some deployments keep
 them elsewhere); when unset it defaults to ``<cache_dir>/traces``.

@@ -36,10 +36,12 @@ def regenerated_traffic(
 ) -> list:
     """Traffic regenerated through the cache simulator, trace-cached.
 
-    Traces persist under the runtime's trace cache; one ``phase="trace"``
-    progress event fires per workload (``completed`` = simulated fresh,
-    ``cached`` = served from disk), so warm-run telemetry accounts for
-    trace regeneration exactly like characterizations and evaluations.
+    Traces persist under the runtime's trace cache (which honors the
+    runtime's chaos options); one ``phase="trace"`` progress event fires
+    per workload (``completed`` = simulated fresh, ``cached`` = served
+    from disk), preceded by a ``corrupt`` one when the load quarantined
+    a damaged pack, so warm-run telemetry accounts for trace
+    regeneration exactly like characterizations and evaluations.
     """
     # Imported lazily: the simulator pulls in numpy and the batch engine,
     # which table-driven traffic never needs.
@@ -47,13 +49,17 @@ def regenerated_traffic(
 
     from repro.cachesim.llc import simulate_llc_traffic
     from repro.runtime.cache import LLCTraceCache
-    from repro.runtime.telemetry import CACHED, COMPLETED, ProgressEvent
+    from repro.runtime.telemetry import CACHED, COMPLETED, CORRUPT, ProgressEvent
 
     cache_dir = runtime.effective_trace_cache_dir
-    cache = LLCTraceCache(cache_dir) if cache_dir is not None else None
+    cache = (
+        LLCTraceCache(cache_dir, chaos=runtime.chaos)
+        if cache_dir is not None else None
+    )
     patterns = []
     for index, workload in enumerate(workloads):
         hits_before = cache.hits if cache is not None else 0
+        corrupt_before = cache.corrupt if cache is not None else 0
         start = time.perf_counter()
         trace = simulate_llc_traffic(
             workload, n_accesses=n_accesses, seed=runtime.seed_or(1),
@@ -62,6 +68,11 @@ def regenerated_traffic(
         duration_s = time.perf_counter() - start
         patterns.append(trace.traffic())
         if runtime.progress is not None:
+            if cache is not None and cache.corrupt > corrupt_before:
+                runtime.progress(ProgressEvent(
+                    CORRUPT, workload.name, index, len(workloads),
+                    phase="trace", source="disk",
+                ))
             served = cache is not None and cache.hits > hits_before
             runtime.progress(ProgressEvent(
                 CACHED if served else COMPLETED, workload.name,

@@ -75,3 +75,15 @@ def simple_traffic():
         writes_per_second=1e5,
         access_bytes=8,
     )
+
+
+@pytest.fixture()
+def forget_pack_indexes():
+    """A callable that drops every in-process pack index.
+
+    The next load then reads footers and indexes from disk, as a fresh
+    interpreter would.
+    """
+    from repro.runtime import cache
+
+    return cache._INDEXES.clear

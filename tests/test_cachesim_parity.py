@@ -209,11 +209,14 @@ class TestLLCTraceCache:
                                      cache_dir=tmp_path)
         cache = LLCTraceCache(tmp_path)
         [fingerprint] = list(cache.fingerprints())
-        cache.path_for(fingerprint).write_text("{not json")
+        [pack] = tmp_path.glob("*.v3")
+        pack.write_text("{not json")
         again = simulate_llc_traffic(workload, n_accesses=5_000,
                                      cache_dir=tmp_path)
         assert again == first
-        # The corrupt file was overwritten by the recomputed store.
+        # The corrupt pack was quarantined and the recomputed store wrote
+        # it afresh under the same name.
+        assert (tmp_path / "quarantine" / pack.name).read_text() == "{not json"
         assert LLCTraceCache(tmp_path).load(fingerprint) == first
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):

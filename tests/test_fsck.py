@@ -6,8 +6,13 @@ import json
 
 import pytest
 
-from repro.runtime.cache import ENTRY_SUFFIX, QUARANTINE_SUBDIR, EvaluationCache
-from repro.runtime.fingerprint import fingerprint_payload
+from repro.runtime.cache import (
+    PACK_SUFFIX,
+    QUARANTINE_SUBDIR,
+    EvaluationCache,
+    pack_id,
+)
+from repro.runtime.fingerprint import EVAL_SCHEMA_TAG, fingerprint_payload
 from repro.runtime.fsck import (
     fsck_cache_dir,
     fsck_manifest,
@@ -18,7 +23,7 @@ from repro.runtime.shard import ManifestEntry, RunManifest
 
 
 def _populate(root, count=3, salt="fsck"):
-    """Write ``count`` valid checksummed entries; returns the fingerprints."""
+    """Write ``count`` valid one-entry packs; returns the fingerprints."""
     cache = EvaluationCache(root)
     fingerprints = []
     for i in range(count):
@@ -29,14 +34,15 @@ def _populate(root, count=3, salt="fsck"):
 
 
 def _entry(root, fp):
-    return root / fp[:2] / f"{fp}{ENTRY_SUFFIX}"
+    """The one-entry pack holding ``fp``."""
+    return root / f"{pack_id(EVAL_SCHEMA_TAG, [fp])}{PACK_SUFFIX}"
 
 
 def _damage(root, fp):
     """Flip one body digit so the JSON parses but the checksum fails."""
     path = _entry(root, fp)
     data = bytearray(path.read_bytes())
-    data[-3] ^= 0x01  # the row value inside [{"row": N}]
+    data[len(b'[{"row": ')] ^= 0x01  # the body comes first: [{"row": N}]
     path.write_bytes(bytes(data))
     return path
 
@@ -49,7 +55,7 @@ class TestFsckStore:
         assert report.scanned == 3
         assert report.ok == 3
         assert report.corrupt == 0
-        assert "3 entries scanned" in report.summary()
+        assert "3 files scanned" in report.summary()
 
     def test_corrupt_entry_quarantined_and_second_pass_converges(self, tmp_path):
         fingerprints = _populate(tmp_path)
@@ -72,40 +78,47 @@ class TestFsckStore:
     def test_invalid_json_and_fingerprint_mismatch_detected(self, tmp_path):
         fingerprints = _populate(tmp_path)
         bad_json = _entry(tmp_path, fingerprints[0])
-        bad_json.write_text("{truncated")
+        data = bad_json.read_bytes()
+        start = int(data[-21:-1])  # the footer holds the index offset
+        bad_json.write_bytes(data[:start] + b"{truncated\n" + data[-21:])
         moved = _entry(tmp_path, fingerprints[1])
-        wrong_home = tmp_path / fingerprints[2][:2] / f"{fingerprints[2]}x{ENTRY_SUFFIX}"
-        wrong_home.write_text(moved.read_text())  # fp inside != filename
+        wrong_home = tmp_path / f"{'0' * 32}{PACK_SUFFIX}"
+        wrong_home.write_bytes(moved.read_bytes())  # index != pack name
         report = fsck_store(tmp_path)
         assert report.corrupt == 2
         reasons = " / ".join(report.problems)
-        assert "invalid JSON" in reasons
-        assert "does not match its filename" in reasons or "fingerprint" in reasons
+        assert "invalid JSON index" in reasons
+        assert "does not match the pack name" in reasons
+        assert not bad_json.exists() and not wrong_home.exists()
+        assert moved.exists()
 
     def test_legacy_entry_without_checksum_kept(self, tmp_path):
-        # A pre-v2 entry: no loader reads it, so fsck neither verifies
-        # nor quarantines it.
+        # Entries of the one-file-per-entry layouts (.json, then .v2): no
+        # loader reads them, so fsck neither verifies nor quarantines them.
         fp = fingerprint_payload({"legacy": True})
         path = tmp_path / fp[:2] / f"{fp}.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
             "schema": "old-v0", "fingerprint": fp, "result": [{"row": 1}],
         }))
+        v2 = tmp_path / fp[:2] / f"{fp}.v2"
+        v2.write_text('{"schema": "old-v1"}\n{garbage')
         report = fsck_store(tmp_path)
         assert report.clean
-        assert report.scanned == 1
-        assert report.legacy == 1
+        assert report.scanned == 2
+        assert report.legacy == 2
         assert report.ok == 0
-        assert path.exists()
+        assert path.exists() and v2.exists()
         assert "legacy" in report.summary()
 
     def test_stale_tmp_files_swept(self, tmp_path):
-        fingerprints = _populate(tmp_path)
-        stale = tmp_path / fingerprints[0][:2] / "orphan.json.tmp.123.456.0"
+        _populate(tmp_path)
+        stale = tmp_path / "pack.tmp.123.456.0"
         stale.write_text("half-written")
         report = fsck_store(tmp_path)
         assert report.clean
         assert report.swept_tmp == 1
+        assert report.scanned == 3
         assert not stale.exists()
 
     def test_repair_from_sibling_rematerializes_quarantined(self, tmp_path):
@@ -115,11 +128,17 @@ class TestFsckStore:
         _populate(sibling, salt="shared")  # same fingerprints, valid copies
         _damage(primary, fingerprints[0])
 
-        fsck_store(primary)  # quarantines the damaged entry
+        fsck_store(primary)  # quarantines the damaged pack
+        # A sibling copy that fails verification is never copied in.
+        sibling_copy = _entry(sibling, fingerprints[0])
+        good = sibling_copy.read_bytes()
+        sibling_copy.write_bytes(good[:-1])
+        assert fsck_store(primary, repair_from=sibling).repaired == 0
+        sibling_copy.write_bytes(good)
         report = fsck_store(primary, repair_from=sibling)
         assert report.repaired == 1
         restored = _entry(primary, fingerprints[0])
-        assert restored.exists()
+        assert restored.read_bytes() == good
         # the restored entry verifies clean and the store loads it
         assert fsck_store(primary).clean
         cache = EvaluationCache(primary)

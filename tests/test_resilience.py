@@ -26,8 +26,8 @@ from repro.units import mb
 
 @pytest.fixture(autouse=True)
 def _reset_corruption_ledger():
-    """Chaos corrupts each fingerprint at most once per *process*; tests
-    must not inherit another test's ledger."""
+    """Chaos corrupts each pack at most once per *process*; tests must
+    not inherit another test's ledger."""
     chaos_module._CORRUPTED.clear()
     yield
     chaos_module._CORRUPTED.clear()
@@ -151,4 +151,29 @@ class TestChaosEndToEnd:
         warm = SweepTelemetry()
         characterize_points([point], cache=hostile, telemetry=warm)
         assert warm.cached == 1
+        assert warm.corrupt == 0
+
+    @pytest.mark.parametrize("mode", ["truncate", "bitflip"])
+    def test_each_pack_corrupted_once_and_quarantined_whole(
+            self, tmp_path, stt_optimistic, mode):
+        points = [make_point(stt_optimistic, capacity=mb(c)) for c in (1, 2, 4)]
+        characterize_points(points, cache=CharacterizationCache(tmp_path))
+        [pack] = sorted(tmp_path.glob("*.v3"))  # one call, one pack
+
+        hostile = CharacterizationCache(tmp_path, chaos=ChaosOptions(
+            seed=5, cache_corrupt_rate=1.0, corrupt_mode=mode))
+        telemetry = SweepTelemetry()
+        characterize_points(points, cache=hostile, telemetry=telemetry)
+        # The first load damages the pack; verification catches the damage
+        # wherever it landed and the whole pack goes, so the other points
+        # miss instead of being served from a damaged file.
+        assert telemetry.corrupt == 1
+        assert telemetry.completed == len(points)
+        assert [p.name for p in hostile.quarantine_dir().iterdir()] == [pack.name]
+        # The recompute re-packed the same points under the same name, and
+        # chaos does not damage that pack a second time in this process.
+        assert sorted(tmp_path.glob("*.v3")) == [pack]
+        warm = SweepTelemetry()
+        characterize_points(points, cache=hostile, telemetry=warm)
+        assert warm.cached == len(points)
         assert warm.corrupt == 0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -24,10 +25,12 @@ from repro.runtime import (
     SweepTelemetry,
     characterize_points,
     evaluate_blocks,
+    evaluation_context,
     evaluation_fingerprint,
     point_fingerprint,
     sweep_points,
 )
+from repro.runtime.cache import PACK_SUFFIX, pack_id
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
 from repro.traffic import TrafficPattern
@@ -47,6 +50,49 @@ def make_point(cell, capacity=mb(1), target=OptimizationTarget.READ_EDP,
         access_bits=access_bits,
         bits_per_cell=bits_per_cell,
     )
+
+
+def _packs(root):
+    return sorted(root.glob(f"*{PACK_SUFFIX}"))
+
+
+def _index_start(data):
+    """Byte offset of a pack's index line, read from its footer."""
+    return int(data[-21:-1])
+
+
+def _flip_last_digit(data, end):
+    """Flip the last decimal digit before ``end`` into another digit."""
+    digit = max(i for i in range(end) if chr(data[i]).isdigit())
+    return data[:digit] + bytes([data[digit] ^ 0x01]) + data[digit + 1:]
+
+
+def _flip_in_index(key):
+    """Damage that changes the first hex digit of ``key``'s value in the index."""
+    def damage(data):
+        start = _index_start(data)
+        index = json.loads(data[start:-21])
+        value = index[key] if key == "schema" else index[key][0][0]
+        flipped = ("1" if value[0] != "1" else "2") + value[1:]
+        line = data[start:-21].replace(value.encode(), flipped.encode(), 1)
+        return data[:start] + line + data[-21:]
+    return damage
+
+
+#: Ways a pack can be damaged on disk; every one must be caught by the
+#: loader's checks (footer, index JSON, pack name, body checksum).
+_DAMAGE = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "null": lambda data: b"null",
+    "list": lambda data: b"[1, 2]",
+    "string": lambda data: b'"a string"',
+    "body-bitflip": lambda data: _flip_last_digit(data, _index_start(data)),
+    "index-fingerprint": _flip_in_index("entries"),
+    "index-schema": _flip_in_index("schema"),
+    "index-json": lambda data: (
+        data[: _index_start(data)] + b"{truncated\n" + data[-21:]),
+    "footer": lambda data: data[:-21] + b"x" * 20 + b"\n",
+}
 
 
 class TestFingerprint:
@@ -117,58 +163,67 @@ class TestCharacterizationCache:
         }
 
     def test_schema_tag_bump_invalidates(self, tmp_path, stt_optimistic,
-                                         stt_array_1mb):
+                                         stt_array_1mb, forget_pack_indexes):
         old = CharacterizationCache(tmp_path, schema_tag="array-cache-v1")
         fp = make_point(stt_optimistic).fingerprint()
         old.store(fp, stt_array_1mb)
+        forget_pack_indexes()  # the old pack is read from disk
         bumped = CharacterizationCache(tmp_path, schema_tag="array-cache-v2")
-        # Same path would be unreachable anyway (the tag is hashed into real
-        # fingerprints); even a forced lookup of the old key must miss.
+        # The key would be unreachable anyway (the tag is hashed into real
+        # fingerprints); even a forced lookup of the old key must miss,
+        # and an intact pack of another schema is not damage.
         assert bumped.load(fp) is None
         assert bumped.misses == 1
+        assert bumped.corrupt == 0
+        assert not bumped.quarantine_dir().exists()
+        assert old.load(fp) == stt_array_1mb
 
-    @pytest.mark.parametrize(
-        "garbage", ["{not json", "null", "[1, 2]", '"a string"'],
-        ids=["truncated", "null", "list", "string"],
-    )
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE), ids=sorted(_DAMAGE))
     def test_corrupt_entry_is_quarantined(self, tmp_path, stt_optimistic,
-                                          stt_array_1mb, garbage):
+                                          stt_array_1mb, forget_pack_indexes,
+                                          damage):
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        cache.path_for(fp).write_text(garbage)
-        assert cache.load(fp) is None
+        [pack] = _packs(tmp_path)
+        damaged = _DAMAGE[damage](pack.read_bytes())
+        pack.write_bytes(damaged)
+        forget_pack_indexes()  # a fresh process reads the damaged index
+        fresh = CharacterizationCache(tmp_path)
+        assert fresh.load(fp) is None
         # Corruption is an infrastructure fault, not an ordinary miss:
-        # counted separately, and the damaged file is preserved aside.
-        assert cache.corrupt == 1
-        assert cache.misses == 0
-        assert not cache.path_for(fp).exists()
-        quarantined = cache.quarantine_dir() / cache.path_for(fp).name
-        assert quarantined.read_text() == garbage
-        # The next store re-materializes the entry at the original path.
-        cache.store(fp, stt_array_1mb)
-        assert cache.load(fp) == stt_array_1mb
+        # counted separately, and the damaged pack is preserved aside.
+        assert fresh.corrupt == 1
+        assert fresh.misses == 0
+        assert not pack.exists()
+        assert (fresh.quarantine_dir() / pack.name).read_bytes() == damaged
+        # fsck agrees the damage is gone from the store.
+        assert [r.clean for r in fsck_cache_dir(tmp_path)] == [True]
+        # The next store re-materializes the pack at its original name.
+        fresh.store(fp, stt_array_1mb)
+        assert pack.exists()
+        assert fresh.load(fp) == stt_array_1mb
 
     def test_checksum_mismatch_is_quarantined(self, tmp_path, stt_optimistic,
                                               stt_array_1mb):
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        path = cache.path_for(fp)
-        data = bytearray(path.read_bytes())
-        # Flip one byte of the body: its last digit becomes another digit,
-        # so the body is still valid JSON and only the checksum catches it.
-        body_start = data.index(b"\n") + 1
-        digit = max(i for i in range(body_start, len(data)) if chr(data[i]).isdigit())
-        data[digit] ^= 0x01
-        path.write_bytes(bytes(data))
-        assert json.loads(data[body_start:]) != stt_array_1mb.to_dict()
+        [path] = _packs(tmp_path)
+        data = path.read_bytes()
+        body_end = _index_start(data)
+        damaged = _flip_last_digit(data, body_end)
+        path.write_bytes(damaged)
+        # Still valid JSON, but another value: only the checksum catches it,
+        # also through the index this process already holds.
+        assert json.loads(damaged[:body_end]) != stt_array_1mb.to_dict()
         assert cache.load(fp) is None
         assert cache.corrupt == 1
         assert (cache.quarantine_dir() / path.name).exists()
 
     def test_pre_v2_entry_is_an_ordinary_miss(
             self, tmp_path, stt_optimistic, stt_array_1mb):
+        # Entries of the older one-file-per-entry layouts: never read.
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         legacy = tmp_path / fp[:2] / f"{fp}.json"
@@ -177,30 +232,59 @@ class TestCharacterizationCache:
             "schema": cache.schema_tag, "fingerprint": fp,
             "result": stt_array_1mb.to_dict(),
         }))
+        body = json.dumps(stt_array_1mb.to_dict()).encode()
+        v2 = tmp_path / fp[:2] / f"{fp}.v2"
+        v2.write_bytes(json.dumps({
+            "schema": cache.schema_tag, "fingerprint": fp,
+            "checksum": hashlib.sha256(body).hexdigest(),
+        }).encode() + b"\n" + body)
         assert cache.load(fp) is None
         assert cache.misses == 1
         assert cache.corrupt == 0
-        assert legacy.exists()
+        assert legacy.exists() and v2.exists()
         assert not cache.quarantine_dir().exists()
         [report] = fsck_cache_dir(tmp_path)
         assert report.clean
-        assert report.legacy == 1
-        assert legacy.exists()
+        assert report.legacy == 2
+        assert legacy.exists() and v2.exists()
 
     def test_entry_checksum_covers_the_stored_body(
             self, tmp_path, stt_optimistic, stt_array_1mb):
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        data = cache.path_for(fp).read_bytes()
-        head, body = data.split(b"\n", 1)
-        header = json.loads(head)
-        assert header == {
+        [pack] = _packs(tmp_path)
+        data = pack.read_bytes()
+        start = _index_start(data)
+        body = data[:start]
+        assert json.loads(data[start:-21]) == {
             "schema": cache.schema_tag,
-            "fingerprint": fp,
-            "checksum": hashlib.sha256(body).hexdigest(),
+            "entries": [[fp, 0, len(body), hashlib.sha256(body).hexdigest()]],
         }
+        assert data[-21:] == b"%020d\n" % start
         assert json.loads(body) == stt_array_1mb.to_dict()
+        assert pack.name == pack_id(cache.schema_tag, [fp]) + PACK_SUFFIX
+
+    def test_batch_writes_one_pack(self, tmp_path, stt_optimistic,
+                                   stt_array_1mb, sram_array_1mb,
+                                   forget_pack_indexes):
+        cache = CharacterizationCache(tmp_path)
+        fps = [make_point(stt_optimistic, capacity=mb(c)).fingerprint()
+               for c in (1, 2)]
+        with cache.batch():
+            cache.store(fps[0], stt_array_1mb)
+            with cache.batch():  # a nested batch joins the outer one
+                cache.store(fps[1], sram_array_1mb)
+            assert _packs(tmp_path) == []  # nothing lands before the commit
+        [pack] = _packs(tmp_path)
+        assert pack.name == pack_id(cache.schema_tag, fps) + PACK_SUFFIX
+        with cache.batch():
+            pass  # a batch that stores nothing writes nothing
+        assert _packs(tmp_path) == [pack]
+        forget_pack_indexes()
+        fresh = CharacterizationCache(tmp_path)
+        assert [fresh.load(fp) for fp in fps] == [stt_array_1mb, sram_array_1mb]
+        assert list(fresh.fingerprints()) == sorted(fps)
 
     def test_clear_and_len(self, tmp_path, stt_optimistic, stt_array_1mb):
         cache = CharacterizationCache(tmp_path)
@@ -225,10 +309,9 @@ class TestCharacterizationCache:
         cache.store(fp, stt_array_1mb)
         # A run that died between write and rename leaves a tmp file
         # behind; so could the pre-fix naming scheme (no thread/counter).
-        path = cache.path_for(fp)
-        (path.parent / f"{path.name}.tmp.12345.1.0").write_text("{}")
-        (path.parent / f"{path.stem}.tmp.12345").write_text("{}")
-        assert cache.clear() == 1  # tmp files never count as entries
+        (tmp_path / "pack.tmp.12345.1.0").write_text("{}")
+        (tmp_path / "pack.tmp.12345").write_text("{}")
+        assert cache.clear() == 1  # tmp files never count as packs
         assert list(tmp_path.rglob("*.tmp*")) == []
         assert len(cache) == 0
 
@@ -238,35 +321,49 @@ class TestCharacterizationCache:
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        path = cache.path_for(fp)
-        (path.parent / f"{path.name}.tmp.999.1.0").write_text("junk")
+        (tmp_path / "pack.tmp.999.1.0").write_text("junk")
         assert list(cache.fingerprints()) == [fp]
         assert len(cache) == 1
 
     def test_concurrent_stores_of_same_fingerprint(self, tmp_path,
                                                    stt_optimistic,
-                                                   stt_array_1mb):
-        """Two threads storing one fingerprint must not collide on a
-        shared tmp name (the pre-fix scheme used only the pid)."""
+                                                   stt_array_1mb,
+                                                   forget_pack_indexes):
+        """Threads storing into one cache must not collide on a shared tmp
+        name or share a batch, and no thread's pack may be lost."""
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
         errors = []
 
-        def hammer():
+        def hammer(worker):
             try:
-                for _ in range(25):
+                for n in range(25):
                     cache.store(fp, stt_array_1mb)
+                    with cache.batch():
+                        cache.store(f"{worker:02x}{n:02x}" * 16, stt_array_1mb)
+                        cache.store(fp, stt_array_1mb)
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,))
+                       for worker in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert cache.load(fp) == stt_array_1mb
         assert list(tmp_path.rglob("*.tmp.*")) == []
+        forget_pack_indexes()
+        fresh = CharacterizationCache(tmp_path)
+        assert len(fresh) == 1 + 4 * 25
+        assert fresh.load(fp) == stt_array_1mb
+        assert fresh.corrupt == 0
 
 
 class TestExecutor:
@@ -429,13 +526,15 @@ class TestEvaluationCache:
         assert [list(r) for r in loaded] == [["zeta", "alpha", "mid"]]
 
     def test_malformed_payload_is_quarantined(self, tmp_path):
+        # A pack whose checksums hold but whose body is not a list of
+        # rows: the decoder must reject it and quarantine the pack.
+        class RawCache(EvaluationCache):
+            def _encode(self, result):
+                return result
+
+        RawCache(tmp_path).store("cd" * 32, {"a": 1})
+        [path] = _packs(tmp_path)
         cache = EvaluationCache(tmp_path)
-        cache.store("cd" * 32, [{"a": 1}])
-        # Corrupt the payload into a non-list: load must reject and
-        # quarantine the entry (checksum no longer matches either).
-        path = cache.path_for("cd" * 32)
-        text = path.read_text().replace('[{"a": 1}]', '{"a": 1}')
-        path.write_text(text)
         assert cache.load("cd" * 32) is None
         assert cache.corrupt == 1
         assert not path.exists()
@@ -456,9 +555,39 @@ def _mixed_rows(array, traffic, extra):
             {"workload": "nested", "nested": {"value": 1}, "tags": ["a"]}]
 
 
+def _rows_until_interrupt(array, traffic, extra):
+    """Rows of each block, until the block whose capacity is ``extra``."""
+    if array.capacity_bytes == extra:
+        raise KeyboardInterrupt
+    return _tagged_rows(array, traffic, extra)
+
+
 class TestEvaluateBlocks:
     def arrays(self, stt_array_1mb):
         return [stt_array_1mb]
+
+    def test_interrupted_call_keeps_finished_blocks(
+            self, tmp_path, stt_optimistic, forget_pack_indexes):
+        arrays = characterize_points(
+            [make_point(stt_optimistic, capacity=mb(c)) for c in (1, 2, 4, 8)])
+        traffic = _traffic_pair()
+        interrupted_at = 2
+        extra = arrays[interrupted_at].capacity_bytes
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_blocks(arrays, traffic, rows_fn=_rows_until_interrupt,
+                            extra=extra, cache=EvaluationCache(tmp_path))
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+        forget_pack_indexes()
+        fresh = EvaluationCache(tmp_path)
+        context = evaluation_context(
+            traffic, rows_fn_id=rows_fn_id(_rows_until_interrupt), extra=extra)
+        loaded = [fresh.load(evaluation_fingerprint(array, context=context))
+                  for array in arrays]
+        assert loaded[:interrupted_at] == [
+            _tagged_rows(array, traffic, extra) for array in arrays[:interrupted_at]
+        ]
+        assert loaded[interrupted_at:] == [None, None]
+        assert fresh.corrupt == 0
 
     def test_duplicate_blocks_coalesced(self, stt_array_1mb):
         telemetry = SweepTelemetry()

@@ -618,7 +618,7 @@ def test_interrupted_artifact_write_keeps_previous_artifact(
 def test_main_chaos_flag_quarantines_corrupt_entries(tmp_path, capsys):
     from repro.runtime import chaos
 
-    chaos._CORRUPTED.clear()  # corruption fires once per fingerprint per process
+    chaos._CORRUPTED.clear()  # corruption fires once per pack per process
     cache = str(tmp_path / "cache")
     assert main([str(tmp_path / "cold"), "--only", "ext_hierarchy",
                  "--cache-dir", cache]) == 0
@@ -632,6 +632,27 @@ def test_main_chaos_flag_quarantines_corrupt_entries(tmp_path, capsys):
     csv = Path("results") / "ext_hierarchy.csv"
     assert (tmp_path / "hostile" / csv).read_bytes() == (
         tmp_path / "cold" / csv
+    ).read_bytes()
+
+
+def test_chaos_reaches_the_trace_store(tmp_path, capsys):
+    """The LLC trace store honors --chaos and reports what it quarantined."""
+    from repro.runtime import chaos
+
+    chaos._CORRUPTED.clear()
+    cache = str(tmp_path / "cache")
+    args = ["--only", "ext_synthetic_llc", "--cache-dir", cache]
+    assert main([str(tmp_path / "warm")] + args) == 0
+    assert main([str(tmp_path / "hostile"), "--force",
+                 "--chaos", "seed=5,cache_corrupt=1.0"] + args) == 0
+    capsys.readouterr()
+    entry = RunManifest.load(tmp_path / "hostile").entry_for("ext_synthetic_llc")
+    assert entry.telemetry["trace_corrupt"] > 0
+    assert entry.telemetry["trace_simulated"] == entry.telemetry["trace_corrupt"]
+    assert list((tmp_path / "cache" / "traces" / "quarantine").iterdir())
+    csv = Path("results") / "ext_synthetic_llc.csv"
+    assert (tmp_path / "hostile" / csv).read_bytes() == (
+        tmp_path / "warm" / csv
     ).read_bytes()
 
 
