@@ -1,23 +1,22 @@
 """Command-line entry point: ``nvmexplorer``.
 
-Seven forms, mirroring and extending the paper's ``python run.py
+Six forms, mirroring and extending the paper's ``python run.py
 config/<name>.json`` workflow::
 
     nvmexplorer <config.json> [flags]       # sweep, study, OR suite config
     nvmexplorer run-study <name> [flags]    # any registered study by name
     nvmexplorer list-studies                # what the registry offers
-    nvmexplorer merge-shards OUT DIR...     # combine shard suite outputs
     nvmexplorer serve [config.json] [flags] # DSE-as-a-service front-end
     nvmexplorer fsck [cache_dir] [flags]    # audit/repair caches + manifests
     nvmexplorer lint [root] [flags]         # statically check invariants
 
 Config files containing a ``"study"`` key are dispatched to the study
-registry automatically, files with a ``"suite"`` key to the (sharded,
-incremental) summary driver, and plain sweep configs run through the
-DSE engine as before.  Every sweep runs serially in this process.
-Runtime flags (``--cache-dir``, ``--trace-cache-dir``, ``--seed``,
-``--point-shard-index``/``--point-shard-count``, ``--chaos``) override
-the config's ``runtime`` section and work identically for every study.
+registry automatically, files with a ``"suite"`` key to the incremental
+summary driver, and plain sweep configs run through the DSE engine as
+before.  Every sweep runs serially in this process.  Runtime flags
+(``--cache-dir``, ``--trace-cache-dir``, ``--seed``, ``--chaos``)
+override the config's ``runtime`` section and work identically for
+every study.
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
              "with stochastic components)",
     )
     parser.add_argument(
-        "--point-shard-index", type=int, metavar="I",
-        help="run the I-th slice of the sweep-point space (overrides "
-             "config runtime.point_shard_index)",
-    )
-    parser.add_argument(
-        "--point-shard-count", type=int, metavar="N",
-        help="split the sweep-point space into N deterministic slices by "
-             "content fingerprint (overrides config runtime.point_shard_count)",
-    )
-    parser.add_argument(
         "--chaos", metavar="SPEC",
         help="deterministic cache-corruption injection for failure-handling "
              "tests — comma-separated key=value pairs (seed, cache_corrupt, "
@@ -74,7 +63,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--progress", action="store_true",
-        help="print one line per completed/cached/failed/skipped sweep point",
+        help="print one line per completed/cached/failed sweep point",
     )
 
 
@@ -168,8 +157,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=_progress_callback(args.progress),
-            point_shard_index=args.point_shard_index,
-            point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
         )
     except ReproError as exc:
@@ -186,63 +173,6 @@ def _list_studies_command() -> int:
 
     print(describe_registry())
     return 0
-
-
-def build_merge_shards_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nvmexplorer merge-shards",
-        description="Merge sharded suite outputs into one summary directory, "
-                    "verifying no study (or sweep point) was dropped or run "
-                    "twice.  Point-sharded studies are re-materialized whole "
-                    "from the shared caches.",
-    )
-    parser.add_argument("output_dir", help="directory for the merged artifacts")
-    parser.add_argument(
-        "shard_dirs", nargs="+", metavar="SHARD_DIR",
-        help="output directories of the individual shard runs",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="the shards' shared persistent cache root (required for a warm "
-             "re-materialization of point-sharded studies)",
-    )
-    parser.add_argument(
-        "--trace-cache-dir", default=None, metavar="PATH",
-        help="override the LLC-trace cache location (default: CACHE_DIR/traces)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="the seed the shards ran with (must match for re-materialization)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip"), default="skip",
-        help="abort re-materialization on the first framework error, or "
-             "record the study as failed and keep merging",
-    )
-    return parser
-
-
-def _merge_shards_command(argv: Sequence[str]) -> int:
-    args = build_merge_shards_parser().parse_args(argv)
-    # Imported lazily, like the other study-stack commands.
-    from repro.runtime.options import RuntimeOptions
-    from repro.studies.summary import _report_manifest, merge_shards
-
-    try:
-        merged = merge_shards(
-            args.shard_dirs,
-            args.output_dir,
-            runtime=RuntimeOptions(
-                cache_dir=args.cache_dir,
-                trace_cache_dir=args.trace_cache_dir,
-                seed=args.seed,
-                on_error=args.on_error,
-            ),
-        )
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _report_manifest(merged, args.output_dir)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -340,7 +270,7 @@ def _run_suite(raw, args) -> int:
         EXIT_FAILED,
         EXIT_INTERRUPTED,
         EXIT_OK,
-        _report_manifest,
+        report_run,
     )
 
     unsupported = [
@@ -362,8 +292,6 @@ def _run_suite(raw, args) -> int:
         trace_cache_dir=args.trace_cache_dir,
         seed=args.seed,
         progress=_progress_callback(args.progress),
-        point_shard_index=args.point_shard_index,
-        point_shard_count=args.point_shard_count,
         chaos=_chaos_from(args),
     )
     if run.interrupted:
@@ -373,8 +301,7 @@ def _run_suite(raw, args) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    rc = _report_manifest(run.manifest, config.output_dir)
-    if rc != EXIT_OK:
+    if report_run(run, config.output_dir) != EXIT_OK:
         return EXIT_FAILED
     return EXIT_ALL_INCREMENTAL if run.fully_incremental else EXIT_OK
 
@@ -385,8 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_study_command(argv[1:])
     if argv and argv[0] == "list-studies":
         return _list_studies_command()
-    if argv and argv[0] == "merge-shards":
-        return _merge_shards_command(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_command(argv[1:])
     if argv and argv[0] == "fsck":
@@ -412,8 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=progress,
-            point_shard_index=args.point_shard_index,
-            point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
         )
     except ReproError as exc:

@@ -10,7 +10,7 @@ runs it under the config's runtime options, and writes the CSV and/or
 markdown report the config asks for.
 
 ``run_suite_config`` executes suite-run configs (``config/suite.json``):
-a sharded, incremental pass over the study registry that records a run
+a serial, incremental pass over the study registry that records a run
 manifest next to its outputs (see :mod:`repro.studies.summary`).
 """
 
@@ -111,8 +111,6 @@ def _override_runtime(
     trace_cache_dir: Optional[str],
     seed: Optional[int],
     progress,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     chaos=None,
 ):
     """Apply CLI-style overrides on top of a config's runtime options."""
@@ -123,16 +121,9 @@ def _override_runtime(
         updates["trace_cache_dir"] = trace_cache_dir
     if seed is not None:
         updates["seed"] = seed
-    if point_shard_index is not None:
-        updates["point_shard_index"] = point_shard_index
-    if point_shard_count is not None:
-        updates["point_shard_count"] = point_shard_count
     if chaos is not None:
         updates["chaos"] = chaos
-    try:
-        return dataclasses.replace(runtime, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"runtime overrides: {exc}") from exc
+    return dataclasses.replace(runtime, **updates)
 
 
 def _destination(path: str) -> Path:
@@ -154,14 +145,11 @@ def run_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     chaos=None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
-    ``cache_dir``/``trace_cache_dir``/``seed``/
-    ``point_shard_index``/``point_shard_count``/``chaos``
+    ``cache_dir``/``trace_cache_dir``/``seed``/``chaos``
     override the config's ``runtime`` section (e.g. from CLI flags);
     ``progress`` receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
@@ -179,7 +167,7 @@ def run_config(
     )
     runtime = _override_runtime(
         config.runtime_options(), cache_dir, trace_cache_dir, seed,
-        progress, point_shard_index, point_shard_count, chaos,
+        progress, chaos,
     )
     table = DSEEngine.from_options(runtime).run(spec)
     _write_csv(table, config.output_csv)
@@ -192,16 +180,12 @@ def run_study_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     chaos=None,
 ) -> ResultTable:
     """Execute a registered-study configuration end to end.
 
     Overrides work exactly like :func:`run_config`.  Writes the CSV and
     markdown report the config asks for and returns the study's table.
-    Under an active point shard the table (and artifacts) hold only this
-    shard's slice of the study's sweep points.
     """
     config = load_study_config(source)
     # Imported lazily to keep sweep-only usage free of the studies stack.
@@ -210,8 +194,7 @@ def run_study_config(
 
     spec = get_study(config.study)
     runtime = _override_runtime(
-        config.runtime, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, chaos,
+        config.runtime, cache_dir, trace_cache_dir, seed, progress, chaos,
     )
     # Validate params against the builder's signature up front, so a
     # TypeError raised deep inside a study is never misreported as a
@@ -246,37 +229,27 @@ def run_suite_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     chaos=None,
 ):
     """Execute a suite-run configuration end to end.
 
     The config-file form of ``python -m repro.studies.summary``: runs the
-    configured (possibly sharded) slice of the study registry under the
-    config's runtime options, writes CSVs, reports, and the shard
-    manifest under ``suite.output_dir``, and returns the
+    configured studies of the registry under the config's runtime
+    options, writes CSVs, reports, and the run manifest under
+    ``suite.output_dir``, and returns the
     :class:`~repro.studies.summary.SummaryRun`.  Overrides work exactly
-    like :func:`run_config`; the suite section's point-shard keys beat
-    the runtime section's, and explicit overrides beat both.
+    like :func:`run_config`.
     """
     config = load_suite_config(source)
     # Imported lazily to keep sweep-only usage free of the studies stack.
     from repro.studies.summary import run_all
 
-    if point_shard_index is None:
-        point_shard_index = config.point_shard_index
-    if point_shard_count is None:
-        point_shard_count = config.point_shard_count
     runtime = _override_runtime(
-        config.runtime, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, chaos,
+        config.runtime, cache_dir, trace_cache_dir, seed, progress, chaos,
     )
     return run_all(
         config.output_dir,
         runtime=runtime,
         only=config.only,
-        shard_index=config.shard_index,
-        shard_count=config.shard_count,
         incremental=config.incremental,
     )

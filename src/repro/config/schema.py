@@ -28,8 +28,6 @@ A config describes one design sweep::
         "trace_cache_dir": null,
         "on_error": "raise" | "skip",
         "seed": null,
-        "point_shard_index": 0,
-        "point_shard_count": 1,
         "chaos": { "seed": 0, "cache_corrupt_rate": 0.1 }  // testing only
       },
       "output_csv": "results.csv"
@@ -40,10 +38,8 @@ The optional ``runtime`` section controls sweep execution (see
 persistent cache root (characterizations, evaluation blocks, and LLC
 traces live under it), an optional trace-cache override, whether a
 failing design point aborts the sweep or is skipped with telemetry, a
-seed override for stochastic components, intra-study point sharding
-(run only the deterministic 1/``point_shard_count`` slice of every
-sweep's fingerprinted point space), and cache-corruption chaos for
-failure-handling tests.  Any other key is a :class:`ConfigError`.
+seed override for stochastic components, and cache-corruption chaos
+for failure-handling tests.  Any other key is a :class:`ConfigError`.
 
 A second config shape describes one *registered study* instead of a raw
 sweep (the ``config/studies/*.json`` stubs)::
@@ -56,22 +52,21 @@ sweep (the ``config/studies/*.json`` stubs)::
       "report_md": "output/reports/fig09_spec_llc.md"
     }
 
-A third config shape describes one *suite run* — a (possibly sharded,
-incremental) pass over the study registry, the config-file form of
+A third config shape describes one *suite run* — a serial, incremental
+pass over the study registry, the config-file form of
 ``python -m repro.studies.summary``::
 
     {
       "suite": {
         "only": ["fig09_spec_llc", "fig14_writebuffer"],   // optional
         "output_dir": "output",
-        "shard_index": 0,
-        "shard_count": 3,
-        "point_shard_index": 0,      // optional intra-study sharding
-        "point_shard_count": 1,
         "incremental": true
       },
       "runtime": { "cache_dir": ".nvmcache" }
     }
+
+Like the ``runtime`` section, the ``suite`` section rejects any other
+key with a :class:`ConfigError`.
 
 :func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`,
 :func:`parse_study_config` a study dict into a :class:`StudyConfig`, and
@@ -120,8 +115,6 @@ class ParsedConfig:
     trace_cache_dir: Optional[str] = None
     on_error: str = "raise"
     seed: Optional[int] = None
-    point_shard_index: int = 0
-    point_shard_count: int = 1
 
     def runtime_options(self, progress=None) -> RuntimeOptions:
         """The sweep's runtime section as shared :class:`RuntimeOptions`."""
@@ -131,8 +124,6 @@ class ParsedConfig:
             on_error=self.on_error,
             progress=progress,
             seed=self.seed,
-            point_shard_index=self.point_shard_index,
-            point_shard_count=self.point_shard_count,
         )
 
 
@@ -149,20 +140,12 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """A validated suite-run configuration (sharded/incremental summary).
-
-    ``point_shard_index`` / ``point_shard_count`` are ``None`` when the
-    suite section leaves intra-study sharding to the runtime section.
-    """
+    """A validated suite-run configuration (incremental summary)."""
 
     only: Optional[Sequence[str]]
     output_dir: str
-    shard_index: int
-    shard_count: int
     incremental: bool
     runtime: RuntimeOptions
-    point_shard_index: Optional[int] = None
-    point_shard_count: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -315,25 +298,16 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
         trace_cache_dir=runtime.trace_cache_dir,
         on_error=runtime.on_error,
         seed=runtime.seed,
-        point_shard_index=runtime.point_shard_index,
-        point_shard_count=runtime.point_shard_count,
     )
-
-
-def _validate_point_shard(index: int, count: int, context: str) -> None:
-    if count < 1:
-        raise ConfigError(f"{context}.point_shard_count must be >= 1")
-    if not 0 <= index < count:
-        raise ConfigError(
-            f"{context}.point_shard_index must be in [0, {count}), got {index}"
-        )
 
 
 #: Keys a ``runtime`` section may hold.
 _RUNTIME_KEYS = frozenset({
-    "cache_dir", "trace_cache_dir", "on_error", "seed",
-    "point_shard_index", "point_shard_count", "chaos",
+    "cache_dir", "trace_cache_dir", "on_error", "seed", "chaos",
 })
+
+#: Keys a ``suite`` section may hold.
+_SUITE_KEYS = frozenset({"only", "output_dir", "incremental"})
 
 
 def _parse_runtime(section: Any) -> RuntimeOptions:
@@ -352,9 +326,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     cache_dir = section.get("cache_dir")
     trace_cache_dir = section.get("trace_cache_dir")
     seed = section.get("seed")
-    point_shard_index = int(section.get("point_shard_index", 0))
-    point_shard_count = int(section.get("point_shard_count", 1))
-    _validate_point_shard(point_shard_index, point_shard_count, "runtime")
     chaos_section = section.get("chaos")
     chaos = None
     if chaos_section is not None:
@@ -364,8 +335,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
         trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
         on_error=on_error,
         seed=None if seed is None else int(seed),
-        point_shard_index=point_shard_index,
-        point_shard_count=point_shard_count,
         chaos=chaos,
     )
 
@@ -376,7 +345,7 @@ def is_study_config(raw: Mapping[str, Any]) -> bool:
 
 
 def is_suite_config(raw: Mapping[str, Any]) -> bool:
-    """Does this raw config describe a (sharded) suite run?"""
+    """Does this raw config describe a suite run?"""
     return isinstance(raw, Mapping) and "suite" in raw
 
 
@@ -442,6 +411,12 @@ def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
     section = _require(raw, "suite", "config")
     if not isinstance(section, Mapping):
         raise ConfigError("suite section must be an object")
+    unknown = sorted(set(section) - _SUITE_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown suite option(s) {unknown}; known options: "
+            f"{sorted(_SUITE_KEYS)}"
+        )
     only = section.get("only")
     if only is not None:
         if not isinstance(only, Sequence) or isinstance(only, str):
@@ -457,31 +432,11 @@ def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
         except ReproError as exc:
             raise ConfigError(str(exc)) from None
         only = tuple(str(name) for name in only)
-    shard_index = int(section.get("shard_index", 0))
-    shard_count = int(section.get("shard_count", 1))
-    if shard_count < 1:
-        raise ConfigError("suite.shard_count must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise ConfigError(
-            f"suite.shard_index must be in [0, {shard_count}), got {shard_index}"
-        )
-    point_shard_index = section.get("point_shard_index")
-    point_shard_count = section.get("point_shard_count")
-    if point_shard_index is not None or point_shard_count is not None:
-        point_shard_index = int(point_shard_index or 0)
-        point_shard_count = int(
-            point_shard_count if point_shard_count is not None else 1
-        )
-        _validate_point_shard(point_shard_index, point_shard_count, "suite")
     return SuiteConfig(
         only=only,
         output_dir=str(section.get("output_dir", "output")),
-        shard_index=shard_index,
-        shard_count=shard_count,
         incremental=bool(section.get("incremental", True)),
         runtime=_parse_runtime(raw.get("runtime", {})),
-        point_shard_index=point_shard_index,
-        point_shard_count=point_shard_count,
     )
 
 

@@ -43,19 +43,13 @@ from repro.runtime.options import (
     EVALUATION_CACHE_SUBDIR,
     RuntimeOptions,
 )
-from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One design sweep: the cross product the engine evaluates.
-
-    ``point_shard`` optionally restricts this sweep to one deterministic
-    slice of its fingerprinted point space (intra-study sharding across
-    hosts); it overrides the engine's own selector for this sweep.
-    """
+    """One design sweep: the cross product the engine evaluates."""
 
     cells: Sequence[CellTechnology]
     capacities_bytes: Sequence[int]
@@ -67,7 +61,6 @@ class SweepSpec:
     )
     access_bits: int = 64
     bits_per_cell: int = 1
-    point_shard: Optional[PointShard] = None
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -93,12 +86,6 @@ class DSEEngine:
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
-    point_shard:
-        Optional :class:`~repro.runtime.shard.PointShard` restricting
-        every sweep to this host's deterministic slice of the
-        fingerprinted point space; points owned by other shards are
-        reported as ``skipped`` telemetry and produce no rows.  A
-        sweep's own ``SweepSpec.point_shard`` takes precedence.
     chaos:
         Optional :class:`~repro.runtime.chaos.ChaosOptions` handed to the
         persistent caches, which then corrupt entries before loading them
@@ -110,7 +97,6 @@ class DSEEngine:
         cache_dir: Optional[Union[str, Path]] = None,
         on_error: str = "raise",
         progress=None,
-        point_shard: Optional[PointShard] = None,
         chaos: Optional[ChaosOptions] = None,
     ) -> None:
         if on_error not in ("raise", "skip"):
@@ -119,7 +105,6 @@ class DSEEngine:
             )
         self.on_error = on_error
         self.progress = progress
-        self.point_shard = point_shard
         self.cache: Optional[CharacterizationCache] = None
         self.eval_cache: Optional[EvaluationCache] = None
         if cache_dir is not None:
@@ -143,7 +128,6 @@ class DSEEngine:
             cache_dir=options.cache_dir,
             on_error=options.on_error,
             progress=options.progress,
-            point_shard=options.point_shard,
             chaos=options.chaos,
         )
 
@@ -214,29 +198,20 @@ class DSEEngine:
     def _characterized(
         self, spec: SweepSpec, telemetry: SweepTelemetry
     ) -> list[ArrayCharacterization]:
-        # Sharding applies once, at the characterization level: the
-        # arrays that survive *are* this shard's slice, so downstream
-        # evaluation must run them all (re-partitioning by evaluation
-        # fingerprint would drop this shard's own work).
         results = characterize_points(
             sweep_points(spec),
             cache=self.cache,
             memory=self._array_cache,
             on_error=self.on_error,
             telemetry=telemetry,
-            point_shard=(
-                spec.point_shard if spec.point_shard is not None
-                else self.point_shard
-            ),
         )
         return [array for array in results if array is not None]
 
     def arrays(self, spec: SweepSpec) -> list[ArrayCharacterization]:
         """Characterize every (cell, capacity, target) of the sweep.
 
-        Points that fail under ``on_error="skip"`` — or that belong to
-        another point shard — are omitted (see ``last_telemetry`` for
-        what was dropped or skipped).
+        Points that fail under ``on_error="skip"`` are omitted (see
+        ``last_telemetry`` for what was dropped).
         """
         telemetry = SweepTelemetry(self.progress)
         self.last_telemetry = telemetry
@@ -247,9 +222,7 @@ class DSEEngine:
 
         Without traffic the table holds array characterizations; with
         traffic it holds one row per (array, traffic) evaluation.  Row
-        order is deterministic; under a point-shard selector the table
-        holds exactly this shard's rows, in the same relative order as
-        the single-host run.
+        order is deterministic.
         """
         telemetry = SweepTelemetry(self.progress)
         self.last_telemetry = telemetry

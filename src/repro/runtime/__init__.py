@@ -17,20 +17,18 @@ exploration; this package is the execution layer that delivers it:
   and (array, traffic) evaluation in deterministic order, through the
   memory and disk caches, with same-cell points batched into one array
   program.
-* :mod:`repro.runtime.shard` — deterministic shard planning (split the
-  study suite, or one study's fingerprinted point space, across hosts
-  with no coordinator), per-shard run manifests, manifest merging with
-  dropped/duplicate detection, and the content fingerprints behind the
-  incremental summary.
+* :mod:`repro.runtime.shard` — run manifests and the study content
+  fingerprints behind the incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
   execution options (cache_dir, trace_cache_dir, on_error, progress,
-  seed, point shard, chaos) every study and config-driven sweep accepts.
+  seed, chaos) every study and config-driven sweep accepts.
 * :mod:`repro.runtime.telemetry` — progress events (completed / cached /
   failed points) via callback and logging instead of dying on the first
   :class:`~repro.errors.CharacterizationError`.
 * :mod:`repro.runtime.aio` — async-safe adapters (a thread-safe telemetry
   bridge onto an event loop, a bounded thread pool for blocking studies)
   that let asyncio services drive the engine without stalling the loop.
+  Not re-exported here, so importing the package never loads asyncio.
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
 * :mod:`repro.runtime.chaos` — deterministic cache-corruption injection
@@ -40,7 +38,6 @@ exploration; this package is the execution layer that delivers it:
   (the ``nvmexplorer fsck`` command).
 """
 
-from repro.runtime.aio import AsyncStudyRunner, TelemetryBridge
 from repro.runtime.cache import (
     QUARANTINE_SUBDIR,
     CharacterizationCache,
@@ -73,18 +70,9 @@ from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, engine_for, ensure_runtime
 from repro.runtime.shard import (
     ManifestEntry,
-    PointShard,
+    ManifestError,
     RunManifest,
-    ShardError,
-    ShardPlan,
-    assign_fingerprint,
-    merge_manifests,
-    partition_fingerprints,
-    plan_shard,
-    point_set_digest,
-    point_shard_section,
     schema_tags,
-    shard_assignments,
     study_fingerprint,
 )
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
@@ -94,7 +82,6 @@ __all__ = [
     "QUARANTINE_SUBDIR",
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
-    "AsyncStudyRunner",
     "ChaosOptions",
     "CharacterizationCache",
     "EvaluationCache",
@@ -102,16 +89,12 @@ __all__ = [
     "JsonObjectCache",
     "LLCTraceCache",
     "ManifestEntry",
-    "PointShard",
+    "ManifestError",
     "ProgressEvent",
     "RunManifest",
     "RuntimeOptions",
-    "ShardError",
-    "ShardPlan",
     "SweepPoint",
     "SweepTelemetry",
-    "TelemetryBridge",
-    "assign_fingerprint",
     "canonical_json",
     "characterize_points",
     "engine_for",
@@ -123,16 +106,10 @@ __all__ = [
     "evaluation_context",
     "evaluation_fingerprint",
     "fingerprint_payload",
-    "merge_manifests",
     "parse_chaos_spec",
-    "partition_fingerprints",
-    "plan_shard",
     "point_fingerprint",
     "point_payload",
-    "point_set_digest",
-    "point_shard_section",
     "schema_tags",
-    "shard_assignments",
     "sigterm_as_keyboard_interrupt",
     "study_fingerprint",
     "sweep_points",

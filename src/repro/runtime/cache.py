@@ -131,7 +131,7 @@ def atomic_write_text(path: Path, text: str, encoding: str = "utf-8") -> None:
     """Write ``text`` to ``path`` via a unique temp file + ``os.replace``.
 
     The shared primitive behind every durable artifact outside the JSON
-    caches (warm stamps, copied shard artifacts, lint pins): a reader or
+    caches (warm stamps, run manifests, lint pins): a reader or
     crash-recovery pass never observes a truncated file, only the old
     content or the new.
     """

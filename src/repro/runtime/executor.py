@@ -41,13 +41,11 @@ from repro.runtime.fingerprint import (
     evaluation_fingerprint,
     point_fingerprint,
 )
-from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import (
     CACHED,
     COMPLETED,
     CORRUPT,
     FAILED,
-    SKIPPED,
     ProgressEvent,
     SweepTelemetry,
 )
@@ -150,7 +148,6 @@ def characterize_points(
     memory: Optional[dict] = None,
     on_error: str = "raise",
     telemetry: Optional[SweepTelemetry] = None,
-    point_shard: Optional[PointShard] = None,
 ) -> List[Optional[ArrayCharacterization]]:
     """Characterize every point, in order, using every cache available.
 
@@ -165,14 +162,6 @@ def characterize_points(
     characterize as one array program (``source="batch"`` events, each
     charged an equal share of the group's wall-clock); a point alone in
     its group runs the scalar path.
-
-    An active ``point_shard`` restricts the work to this host's
-    deterministic slice of the point space: a point whose content
-    fingerprint lands on another shard is returned as ``None`` without
-    touching any cache, and is reported through telemetry as a
-    ``skipped`` event carrying the fingerprint — the accounting behind
-    the run manifest's point-shard section and the merge step's
-    exactly-once verification.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -180,30 +169,13 @@ def characterize_points(
     memory = memory if memory is not None else {}
     total = len(points)
     results: List[Optional[ArrayCharacterization]] = [None] * total
-    fingerprints: List[str] = [point.fingerprint() for point in points]
-    selector = (
-        point_shard
-        if point_shard is not None and not point_shard.is_whole_space
-        else None
-    )
-
-    def _event_fp(fp: str) -> str:
-        # Fingerprints ride on events only under point sharding, where
-        # downstream consumers need them for partition accounting.
-        return fp if selector is not None else ""
-
     pending_by_fp: dict[str, List[int]] = {}
     for index, point in enumerate(points):
-        fp = fingerprints[index]
-        if selector is not None and not selector.selects(fp):
-            telemetry.emit(ProgressEvent(
-                SKIPPED, point.label, index, total, fingerprint=fp))
-            continue
+        fp = point.fingerprint()
         if fp in memory:
             results[index] = memory[fp]
             telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="memory",
-                fingerprint=_event_fp(fp)))
+                CACHED, point.label, index, total, source="memory"))
             continue
         if fp in pending_by_fp:
             pending_by_fp[fp].append(index)
@@ -214,14 +186,12 @@ def characterize_points(
             # The loader quarantined a damaged entry; the point is
             # recomputed below, this event only makes the damage visible.
             telemetry.emit(ProgressEvent(
-                CORRUPT, point.label, index, total, source="disk",
-                fingerprint=_event_fp(fp)))
+                CORRUPT, point.label, index, total, source="disk"))
         if array is not None:
             memory[fp] = array
             results[index] = array
             telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="disk",
-                fingerprint=_event_fp(fp)))
+                CACHED, point.label, index, total, source="disk"))
             continue
         pending_by_fp[fp] = [index]
 
@@ -236,7 +206,6 @@ def characterize_points(
             telemetry.emit(ProgressEvent(
                 COMPLETED if nth == 0 else CACHED, points[index].label, index,
                 total, source=source if nth == 0 else "memory",
-                fingerprint=_event_fp(fp),
                 duration_s=duration_s if nth == 0 else 0.0))
 
     def _record_failure(fp: str, message: str, duration_s: float) -> None:
@@ -244,7 +213,6 @@ def characterize_points(
         for nth, index in enumerate(indices):
             telemetry.emit(ProgressEvent(
                 FAILED, points[index].label, index, total, error=message,
-                fingerprint=_event_fp(fp),
                 duration_s=duration_s if nth == 0 else 0.0))
         if on_error == "raise":
             raise CharacterizationError(f"{points[indices[0]].label}: {message}")
@@ -308,8 +276,7 @@ def evaluate_blocks(
     cache: Optional[EvaluationCache] = None,
     memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
-    point_shard: Optional[PointShard] = None,
-) -> List[Optional[List[dict]]]:
+) -> List[List[dict]]:
     """Evaluate every array under the whole traffic block, in order.
 
     Returns one list of flattened result rows per array.  ``rows_fn``
@@ -327,13 +294,6 @@ def evaluate_blocks(
     in-memory memo or the persisted cache entries: a flat row (every value
     a ``str``, ``int``, ``float``, ``bool`` or ``None``) is copied with
     ``dict()``, any other row with ``copy.deepcopy``.
-
-    An active ``point_shard`` restricts the work to this host's slice of
-    the (array x traffic-block) space by evaluation fingerprint: blocks
-    owned by another shard come back as ``None`` (reported as
-    ``skipped`` evaluate-phase telemetry).  Sweeps sharded at the
-    characterization level should *not* shard evaluation again — the
-    surviving arrays already are this shard's slice.
     """
     if rows_fn is None:
         # Imported lazily: repro.core builds on this module, so a
@@ -344,36 +304,25 @@ def evaluate_blocks(
     traffic = tuple(traffic)
     telemetry = telemetry if telemetry is not None else SweepTelemetry()
     memory = memory if memory is not None else {}
-    selector = (
-        point_shard
-        if point_shard is not None and not point_shard.is_whole_space
-        else None
-    )
     fn_id = rows_fn_id(rows_fn)
     total = len(arrays)
     results: List[Optional[List[dict]]] = [None] * total
 
     def _emit(
-        kind: str, index: int, source: str = "", fp: str = "",
-        duration_s: float = 0.0,
+        kind: str, index: int, source: str = "", duration_s: float = 0.0
     ) -> None:
         telemetry.emit(ProgressEvent(
             kind, arrays[index].label, index, total,
-            phase="evaluate", source=source,
-            fingerprint=fp if selector is not None else "",
-            duration_s=duration_s,
+            phase="evaluate", source=source, duration_s=duration_s,
         ))
 
     context = evaluation_context(traffic, rows_fn_id=fn_id, extra=extra)
     pending_by_fp: dict[str, List[int]] = {}
     for index, array in enumerate(arrays):
         fp = evaluation_fingerprint(array, context=context)
-        if selector is not None and not selector.selects(fp):
-            _emit(SKIPPED, index, fp=fp)
-            continue
         if fp in memory:
             results[index] = memory[fp]
-            _emit(CACHED, index, source="memory", fp=fp)
+            _emit(CACHED, index, source="memory")
             continue
         if fp in pending_by_fp:
             pending_by_fp[fp].append(index)
@@ -381,11 +330,11 @@ def evaluate_blocks(
         corrupt_before = cache.corrupt if cache is not None else 0
         rows = cache.load(fp) if cache is not None else None
         if cache is not None and cache.corrupt > corrupt_before:
-            _emit(CORRUPT, index, source="disk", fp=fp)
+            _emit(CORRUPT, index, source="disk")
         if rows is not None:
             memory[fp] = rows
             results[index] = rows
-            _emit(CACHED, index, source="disk", fp=fp)
+            _emit(CACHED, index, source="disk")
             continue
         pending_by_fp[fp] = [index]
 
@@ -404,14 +353,11 @@ def evaluate_blocks(
             for nth, index in enumerate(indices):
                 results[index] = rows
                 _emit(COMPLETED if nth == 0 else CACHED, index,
-                      source="" if nth == 0 else "memory", fp=fp,
+                      source="" if nth == 0 else "memory",
                       duration_s=duration_s if nth == 0 else 0.0)
     # Copy at the memo boundary, so annotating a returned row never
     # corrupts the in-memory memo or the block handed to the persistent
     # cache.  Flat rows (every row this repo produces) take a dict() copy;
     # rows holding any other value are deep-copied, since a shallow copy
     # would alias their nested lists/dicts with every later cache hit.
-    return [
-        None if rows is None else [_copy_row(row) for row in rows]
-        for rows in results
-    ]
+    return [[_copy_row(row) for row in rows] for rows in results]

@@ -77,7 +77,7 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         "repro.runtime.fingerprint",
         ("repro.core.metrics", "repro.runtime.fingerprint"),
     ),
-    # Shard manifests (resume/merge/fsck all parse them).
+    # Run manifests (incremental runs and fsck parse them).
     "MANIFEST_SCHEMA": (
         "repro.runtime.shard",
         ("repro.runtime.shard",),

@@ -2,9 +2,9 @@
 
 Every study and config-driven sweep accepts one :class:`RuntimeOptions`
 value instead of ad-hoc ``cache_dir=``/``on_error=`` keyword sprinkling:
-the persistent cache root, error policy, progress callback, RNG seed,
-point-shard slice and cache-corruption chaos travel together through the
-study registry, the CLI, and :class:`~repro.core.engine.DSEEngine`.
+the persistent cache root, error policy, progress callback, RNG seed
+and cache-corruption chaos travel together through the study registry,
+the CLI, and :class:`~repro.core.engine.DSEEngine`.
 Sweeps always run serially in the calling process
 (:mod:`repro.runtime.executor`).
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.runtime.chaos import ChaosOptions
-from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import ProgressCallback
 
 #: Subdirectories of ``cache_dir`` used by each persistent store.
@@ -62,11 +61,6 @@ class RuntimeOptions:
         Override for every stochastic component a study touches (fault
         injection, synthetic streams); ``None`` keeps each study's
         documented default seed, preserving paper-figure reproducibility.
-    point_shard_index / point_shard_count:
-        Intra-study point sharding: run only the deterministic
-        1/``point_shard_count`` slice of every sweep's fingerprinted
-        point space (:class:`~repro.runtime.shard.PointShard`).  The
-        default (``0`` of ``1``) runs the whole space.
     chaos:
         Optional deterministic cache-corruption injection
         (:class:`~repro.runtime.chaos.ChaosOptions`) for failure-handling
@@ -78,8 +72,6 @@ class RuntimeOptions:
     on_error: str = "raise"
     progress: Optional[ProgressCallback] = None
     seed: Optional[int] = None
-    point_shard_index: int = 0
-    point_shard_count: int = 1
     chaos: Optional[ChaosOptions] = None
 
     def __post_init__(self) -> None:
@@ -87,22 +79,6 @@ class RuntimeOptions:
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {self.on_error!r}"
             )
-        if int(self.point_shard_count) < 1:
-            raise ValueError(
-                f"point_shard_count must be >= 1, got {self.point_shard_count!r}"
-            )
-        if not 0 <= int(self.point_shard_index) < int(self.point_shard_count):
-            raise ValueError(
-                f"point_shard_index must be in [0, {self.point_shard_count}), "
-                f"got {self.point_shard_index!r}"
-            )
-
-    @property
-    def point_shard(self) -> Optional[PointShard]:
-        """The active point-shard selector, or ``None`` for the whole space."""
-        if int(self.point_shard_count) <= 1:
-            return None
-        return PointShard(int(self.point_shard_index), int(self.point_shard_count))
 
     @property
     def effective_trace_cache_dir(self) -> Optional[Path]:

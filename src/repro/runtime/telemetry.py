@@ -29,9 +29,6 @@ logger = logging.getLogger("repro.runtime")
 COMPLETED = "completed"
 CACHED = "cached"
 FAILED = "failed"
-#: A point excluded by this host's point-shard selector: another shard
-#: owns it, so it is accounted (for merge verification) but never run.
-SKIPPED = "skipped"
 #: A cache entry that failed integrity verification on load (bad JSON,
 #: checksum/fingerprint mismatch) and was moved to quarantine.  The
 #: point itself is then recomputed; this event only tracks the damage.
@@ -42,14 +39,13 @@ CORRUPT = "corrupt"
 class ProgressEvent:
     """One sweep point's outcome."""
 
-    kind: str  # COMPLETED | CACHED | FAILED | SKIPPED | CORRUPT
+    kind: str  # COMPLETED | CACHED | FAILED | CORRUPT
     label: str  # human-readable point label
     index: int  # position in the sweep's deterministic order
     total: int  # points in this phase
     phase: str = "characterize"  # "characterize" | "evaluate" | "trace"
     source: str = ""  # for CACHED: "memory" | "disk"
     error: str = ""  # for FAILED: the error message
-    fingerprint: str = ""  # content fingerprint, set under point sharding
     duration_s: float = 0.0  # wall-clock spent computing this point fresh
 
     def describe(self) -> str:
@@ -58,8 +54,6 @@ class ProgressEvent:
             extra = f" [{self.source}]"
         elif self.kind == FAILED:
             extra = f": {self.error}"
-        elif self.kind == SKIPPED:
-            extra = " [other shard]"
         elif self.kind == CORRUPT:
             extra = " [cache entry quarantined]"
         if self.duration_s > 0:
@@ -79,7 +73,6 @@ class ProgressEvent:
             "phase": self.phase,
             "source": self.source,
             "error": self.error,
-            "fingerprint": self.fingerprint,
             "duration_s": self.duration_s,
         }
 
@@ -95,9 +88,9 @@ _WALL_FIELDS = {
 
 #: Integer counter fields, in counters() order.
 _COUNTER_FIELDS = (
-    "completed", "cached", "failed", "skipped", "evaluated",
-    "eval_cached", "eval_skipped", "trace_simulated", "trace_cached",
-    "corrupt", "eval_corrupt", "trace_corrupt", "batched",
+    "completed", "cached", "failed", "evaluated", "eval_cached",
+    "trace_simulated", "trace_cached", "corrupt", "eval_corrupt",
+    "trace_corrupt", "batched",
 )
 
 
@@ -109,10 +102,8 @@ class SweepTelemetry:
     completed: int = 0  # characterize-phase points computed fresh
     cached: int = 0  # characterize-phase points served from a cache
     failed: int = 0
-    skipped: int = 0  # characterize-phase points owned by another point shard
     evaluated: int = 0  # evaluate-phase (array x traffic) blocks computed fresh
     eval_cached: int = 0  # evaluate-phase blocks served from a cache
-    eval_skipped: int = 0  # evaluate-phase blocks owned by another point shard
     trace_simulated: int = 0  # trace-phase LLC regenerations run fresh
     trace_cached: int = 0  # trace-phase regenerations served from a cache
     corrupt: int = 0  # characterize-phase cache entries quarantined on load
@@ -126,15 +117,6 @@ class SweepTelemetry:
     evaluate_wall_s: float = 0.0
     trace_wall_s: float = 0.0
     failures: List[ProgressEvent] = field(default_factory=list)
-    #: Point-shard accounting, keyed by content fingerprint.  Populated
-    #: only when a sweep runs under a point-shard selector: every sweep
-    #: point lands in ``planned_points``, this shard's slice additionally
-    #: in ``selected_points``, and successfully characterized points in
-    #: ``completed_points`` — the data behind the manifest's point-shard
-    #: section and the merge step's exactly-once verification.
-    planned_points: set = field(default_factory=set)
-    selected_points: set = field(default_factory=set)
-    completed_points: set = field(default_factory=set)
     #: Extra event sinks beyond ``callback`` (see :meth:`add_observer`).
     observers: List[ProgressCallback] = field(
         default_factory=list, repr=False, compare=False
@@ -173,12 +155,7 @@ class SweepTelemetry:
 
     def _count(self, event: ProgressEvent) -> None:
         """Update counters for one event.  Caller holds the lock."""
-        if event.kind == SKIPPED:
-            if event.phase == "evaluate":
-                self.eval_skipped += 1
-            else:
-                self.skipped += 1
-        elif event.kind == COMPLETED and event.phase == "evaluate":
+        if event.kind == COMPLETED and event.phase == "evaluate":
             self.evaluated += 1
         elif event.kind == CACHED and event.phase == "evaluate":
             self.eval_cached += 1
@@ -209,12 +186,6 @@ class SweepTelemetry:
                     self, wall_field,
                     getattr(self, wall_field) + float(event.duration_s),
                 )
-        if event.fingerprint and event.phase == "characterize":
-            self.planned_points.add(event.fingerprint)
-            if event.kind != SKIPPED:
-                self.selected_points.add(event.fingerprint)
-            if event.kind in (COMPLETED, CACHED):
-                self.completed_points.add(event.fingerprint)
 
     @property
     def total(self) -> int:
@@ -272,17 +243,12 @@ class SweepTelemetry:
                     getattr(self, wall_field) + getattr(other, wall_field),
                 )
             self.failures.extend(other.failures)
-            self.planned_points |= other.planned_points
-            self.selected_points |= other.selected_points
-            self.completed_points |= other.completed_points
 
     def summary(self) -> str:
         text = (
             f"{self.total} points: {self.completed} characterized, "
             f"{self.cached} cached, {self.failed} failed"
         )
-        if self.skipped:
-            text += f", {self.skipped} on other point shards"
         if self.evaluated or self.eval_cached:
             text += (
                 f"; {self.evaluated} blocks evaluated, "

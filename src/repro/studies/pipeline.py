@@ -287,8 +287,9 @@ class StudyRequest:
     def fingerprint(self) -> str:
         """Content key covering params, seed, cache schema tags, and the
         source revision (:func:`~repro.runtime.shard.study_fingerprint`)."""
-        # Imported lazily: shard builds on the runtime package only, but
-        # keeping pipeline import-light preserves the existing layering.
+        # Imported lazily: the manifest module builds on the runtime
+        # package only, but keeping pipeline import-light preserves the
+        # existing layering.
         from repro.runtime.shard import study_fingerprint
 
         return study_fingerprint(self.spec, overrides=self.params, seed=self.seed)

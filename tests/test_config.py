@@ -193,7 +193,7 @@ class TestRuntimeSectionExtensions:
         assert str(options.effective_trace_cache_dir) == "t"
         assert options.seed == 11
         # A typo'd or retired key is an error, not a silent default.
-        for unknown in ("cache-dir", "workers"):
+        for unknown in ("cache-dir", "workers", "point_shard_count"):
             with pytest.raises(ConfigError, match=r"unknown runtime option.*cache_dir"):
                 parse_config(minimal_config(runtime={**runtime, unknown: 2}))
 
@@ -297,8 +297,6 @@ def suite_config(tmp_path, **suite_overrides):
     suite = {
         "only": ["ext_hierarchy"],
         "output_dir": str(tmp_path / "out"),
-        "shard_index": 0,
-        "shard_count": 1,
         "incremental": True,
     }
     suite.update(suite_overrides)
@@ -315,38 +313,21 @@ class TestSuiteConfig:
         parsed = parse_suite_config({"suite": {}})
         assert parsed.only is None
         assert parsed.output_dir == "output"
-        assert parsed.shard_index == 0
-        assert parsed.shard_count == 1
         assert parsed.incremental
-        assert parsed.point_shard_index is None
-        assert parsed.point_shard_count is None
 
     def test_unknown_study_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown study"):
             parse_suite_config(suite_config(tmp_path, only=["fig99_warp"]))
 
-    def test_bad_shard_bounds_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="shard_count"):
-            parse_suite_config(suite_config(tmp_path, shard_count=0))
-        with pytest.raises(ConfigError, match="shard_index"):
-            parse_suite_config(suite_config(tmp_path, shard_index=2, shard_count=2))
-
-    def test_point_shard_keys_parsed(self, tmp_path):
-        parsed = parse_suite_config(suite_config(
-            tmp_path, point_shard_index=1, point_shard_count=3))
-        assert parsed.point_shard_index == 1
-        assert parsed.point_shard_count == 3
-        count_only = parse_suite_config(suite_config(tmp_path,
-                                                     point_shard_count=2))
-        assert count_only.point_shard_index == 0
-        assert count_only.point_shard_count == 2
-
-    def test_bad_point_shard_bounds_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="point_shard_count"):
-            parse_suite_config(suite_config(tmp_path, point_shard_count=0))
-        with pytest.raises(ConfigError, match="point_shard_index"):
-            parse_suite_config(suite_config(
-                tmp_path, point_shard_index=2, point_shard_count=2))
+    def test_unknown_suite_keys_rejected(self, tmp_path):
+        # A typo (which would silently run incrementally) or a retired
+        # shard key (which would silently run the whole suite) is an
+        # error that lists the known keys.
+        for unknown in ("incremantal", "shard_index", "shard_count",
+                        "point_shard_index", "point_shard_count"):
+            with pytest.raises(ConfigError,
+                               match=r"unknown suite option.*incremental"):
+                parse_suite_config(suite_config(tmp_path, **{unknown: 1}))
 
     def test_only_must_be_a_list(self, tmp_path):
         with pytest.raises(ConfigError, match="list of study names"):
@@ -371,73 +352,8 @@ class TestSuiteCLI:
         assert cli_main([str(path)]) == 3
         assert "| ext_hierarchy | cached |" in capsys.readouterr().out
 
-    def test_merge_shards_subcommand(self, tmp_path, capsys):
-        for i in range(2):
-            path = tmp_path / f"suite{i}.json"
-            path.write_text(json.dumps(suite_config(
-                tmp_path,
-                only=["ext_hierarchy", "fig05_dnn_arrays"],
-                output_dir=str(tmp_path / f"s{i}"),
-                shard_index=i,
-                shard_count=2,
-            )))
-            assert cli_main([str(path)]) == 0
-        capsys.readouterr()
-        rc = cli_main(["merge-shards", str(tmp_path / "merged"),
-                       str(tmp_path / "s0"), str(tmp_path / "s1")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "2 studies from 2 shard(s)" in out
-        assert (tmp_path / "merged" / "manifest.json").exists()
-
     def test_suite_config_rejects_table_output_flags(self, tmp_path, capsys):
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(suite_config(tmp_path)))
         assert cli_main([str(path), "--csv", str(tmp_path / "x.csv")]) == 1
         assert "not supported for suite configs" in capsys.readouterr().err
-
-    def test_merge_shards_incomplete_rejected(self, tmp_path, capsys):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(suite_config(
-            tmp_path, output_dir=str(tmp_path / "s0"),
-            shard_index=0, shard_count=2,
-        )))
-        assert cli_main([str(path)]) == 0
-        capsys.readouterr()
-        rc = cli_main(["merge-shards", str(tmp_path / "merged"),
-                       str(tmp_path / "s0")])
-        assert rc == 2
-        assert "missing shard" in capsys.readouterr().err
-
-    def test_point_sharded_suite_merge(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        for i in range(2):
-            path = tmp_path / f"point{i}.json"
-            config = suite_config(
-                tmp_path, only=["fig09_spec_llc"],
-                output_dir=str(tmp_path / f"p{i}"),
-                point_shard_index=i, point_shard_count=2,
-            )
-            config["runtime"] = {"cache_dir": cache}
-            path.write_text(json.dumps(config))
-            assert cli_main([str(path)]) == 0
-        capsys.readouterr()
-        rc = cli_main(["merge-shards", str(tmp_path / "merged"),
-                       str(tmp_path / "p0"), str(tmp_path / "p1"),
-                       "--cache-dir", cache])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "| fig09_spec_llc | ok |" in out
-        assert "1 studies from 2 shard(s)" in out
-
-    def test_run_study_point_shard_flags(self, tmp_path, capsys):
-        assert cli_main(["run-study", "fig09_spec_llc"]) == 0
-        full = int(capsys.readouterr().out.split(" result rows")[0])
-        shard_rows = []
-        for i in range(2):
-            assert cli_main(["run-study", "fig09_spec_llc",
-                             "--point-shard-index", str(i),
-                             "--point-shard-count", "2"]) == 0
-            shard_rows.append(int(capsys.readouterr().out.split(" result rows")[0]))
-        assert sum(shard_rows) == full
-        assert all(rows < full for rows in shard_rows)

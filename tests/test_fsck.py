@@ -182,7 +182,6 @@ class TestFsckManifest:
         (tmp_path / "results").mkdir()
         (tmp_path / "results" / "a.csv").write_text("x,y\n1,2\n")
         manifest = RunManifest(
-            shard_index=0, shard_count=1, suite=("a",),
             entries=(ManifestEntry(
                 name="a", status="ok",
                 fingerprint=fingerprint_payload({"study": "a"}),
@@ -196,7 +195,6 @@ class TestFsckManifest:
 
     def test_missing_artifact_reported(self, tmp_path):
         manifest = RunManifest(
-            shard_index=0, shard_count=1, suite=("a",),
             entries=(ManifestEntry(
                 name="a", status="ok",
                 fingerprint=fingerprint_payload({"study": "a"}),
@@ -237,7 +235,7 @@ class TestFsckCli:
         assert payload["reports"][0]["corrupt"] == 0
 
     def test_manifest_flag(self, tmp_path, capsys):
-        manifest = RunManifest(shard_index=0, shard_count=1, suite=(), entries=())
+        manifest = RunManifest(entries=())
         manifest.write(tmp_path)
         assert fsck_main(["--manifest", str(tmp_path)]) == 0
         capsys.readouterr()

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import random
 import re
 import sys
 import threading
@@ -19,7 +18,6 @@ from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.runtime import (
     CharacterizationCache,
     EvaluationCache,
-    PointShard,
     RuntimeOptions,
     SweepPoint,
     SweepTelemetry,
@@ -695,146 +693,19 @@ class TestEvaluateBlocks:
         assert cache.stores == 2  # different extras never share an entry
 
 
-class TestPointSharding:
-    """Intra-study point sharding through the executor and the engine."""
-
-    def points(self, stt_optimistic, sram16):
-        return [
-            make_point(cell, capacity=cap, target=target)
-            for cell in (stt_optimistic, sram16)
-            for cap in (mb(1), mb(2))
-            for target in (OptimizationTarget.READ_EDP, OptimizationTarget.AREA)
-        ]
-
-    @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
-    def test_every_point_on_exactly_one_shard(self, stt_optimistic, sram16,
-                                              shard_count):
-        points = self.points(stt_optimistic, sram16)
-        memory = {}
-        per_shard = [
-            characterize_points(
-                points, memory=memory,
-                point_shard=PointShard(i, shard_count),
-            )
-            for i in range(shard_count)
-        ]
-        for index in range(len(points)):
-            owners = [i for i in range(shard_count)
-                      if per_shard[i][index] is not None]
-            assert len(owners) == 1, f"point {index} owned by {owners}"
-        full = characterize_points(points, memory=memory)
-        for index in range(len(points)):
-            owned = next(r[index] for r in per_shard if r[index] is not None)
-            assert owned == full[index]
-
-    def test_assignment_stable_under_point_reordering(self, stt_optimistic,
-                                                      sram16):
-        points = self.points(stt_optimistic, sram16)
-        memory = {}
-
-        def selected_labels(ordered):
-            telemetry = SweepTelemetry()
-            characterize_points(ordered, memory=memory, telemetry=telemetry,
-                                point_shard=PointShard(0, 3))
-            return telemetry.selected_points
-
-        reference = selected_labels(points)
-        shuffled = list(points)
-        random.Random(7).shuffle(shuffled)
-        assert selected_labels(shuffled) == reference
-
-    def test_skipped_points_recorded_in_telemetry(self, stt_optimistic, sram16):
-        points = self.points(stt_optimistic, sram16)
-        telemetry = SweepTelemetry()
-        results = characterize_points(points, telemetry=telemetry,
-                                      point_shard=PointShard(0, 2))
-        produced = sum(1 for r in results if r is not None)
-        assert telemetry.skipped == len(points) - produced
-        assert len(telemetry.planned_points) == len(points)
-        assert len(telemetry.selected_points) == produced
-        assert telemetry.completed_points == telemetry.selected_points
-        assert telemetry.planned_points == {p.fingerprint() for p in points}
-        counters = telemetry.counters()
-        assert counters["skipped"] == telemetry.skipped
-
-    def test_whole_space_selector_is_a_noop(self, stt_optimistic):
-        points = [make_point(stt_optimistic)]
-        telemetry = SweepTelemetry()
-        results = characterize_points(points, telemetry=telemetry,
-                                      point_shard=PointShard(0, 1))
-        assert results[0] is not None
-        assert telemetry.skipped == 0
-        assert telemetry.planned_points == set()  # no accounting overhead
-
-    def test_evaluate_blocks_point_shard(self, stt_optimistic, sram16):
-        arrays = [
-            SweepPoint(cell, mb(1), 22, OptimizationTarget.READ_EDP).characterize()
-            for cell in (stt_optimistic, sram16)
-        ]
-        traffic = _traffic_pair()
-        full = evaluate_blocks(arrays, traffic)
-        telemetry = SweepTelemetry()
-        shards = [
-            evaluate_blocks(arrays, traffic, telemetry=telemetry,
-                            point_shard=PointShard(i, 2))
-            for i in range(2)
-        ]
-        for index in range(len(arrays)):
-            owners = [i for i in range(2) if shards[i][index] is not None]
-            assert len(owners) == 1
-            assert shards[owners[0]][index] == full[index]
-        assert telemetry.eval_skipped == len(arrays)
-
-    def test_engine_shard_union_matches_full_run(self, stt_optimistic, sram16,
-                                                 simple_traffic):
-        spec = small_spec([stt_optimistic, sram16], traffic=[simple_traffic])
-        full = DSEEngine().run(spec)
-        shard_rows = []
-        for i in range(3):
-            engine = DSEEngine(point_shard=PointShard(i, 3))
-            shard_rows.extend(list(engine.run(spec)))
-        key = sorted(map(repr, shard_rows))
-        assert key == sorted(map(repr, list(full)))
-
-    def test_spec_point_shard_overrides_engine(self, stt_optimistic):
-        spec = small_spec([stt_optimistic])
-        n_points = len(sweep_points(spec))
-        engine = DSEEngine(point_shard=PointShard(0, 2))
-        sharded = dataclasses.replace(spec, point_shard=PointShard(0, 1))
-        table = engine.run(sharded)
-        assert len(table) == n_points  # spec's whole-space selector wins
-
-    def test_from_options_carries_point_shard(self, tmp_path):
-        engine = RuntimeOptions(point_shard_index=1,
-                                point_shard_count=3).engine()
-        assert engine.point_shard == PointShard(1, 3)
-        assert RuntimeOptions().engine().point_shard is None
-
-
 class TestRuntimeOptions:
     def test_defaults(self):
         options = RuntimeOptions()
         assert options.cache_dir is None
         assert options.effective_trace_cache_dir is None
         assert options.seed_or(7) == 7
-        assert options.point_shard is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RuntimeOptions(on_error="sometimes")
-        for gone in ("workers", "retry"):
+        for gone in ("workers", "retry", "point_shard_index", "point_shard_count"):
             with pytest.raises(TypeError):
                 RuntimeOptions(**{gone: 1})
-
-    def test_point_shard_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeOptions(point_shard_count=0)
-        with pytest.raises(ValueError):
-            RuntimeOptions(point_shard_index=2, point_shard_count=2)
-        with pytest.raises(ValueError):
-            RuntimeOptions(point_shard_index=-1, point_shard_count=2)
-        options = RuntimeOptions(point_shard_index=1, point_shard_count=2)
-        assert options.point_shard == PointShard(1, 2)
 
     def test_trace_cache_defaults_under_cache_dir(self, tmp_path):
         options = RuntimeOptions(cache_dir=tmp_path)
@@ -958,16 +829,3 @@ class TestConfigRuntime:
     def test_bad_on_error_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(self.config(on_error="sometimes"))
-
-    def test_point_shard_section_parsed(self):
-        parsed = parse_config(self.config(point_shard_index=1,
-                                          point_shard_count=2))
-        assert parsed.point_shard_index == 1
-        assert parsed.point_shard_count == 2
-        assert parsed.runtime_options().point_shard == PointShard(1, 2)
-
-    def test_bad_point_shard_rejected(self):
-        with pytest.raises(ConfigError, match="point_shard_count"):
-            parse_config(self.config(point_shard_count=0))
-        with pytest.raises(ConfigError, match="point_shard_index"):
-            parse_config(self.config(point_shard_index=5, point_shard_count=2))

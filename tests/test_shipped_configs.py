@@ -56,7 +56,6 @@ def test_service_stub_parses():
 def test_suite_stub_parses():
     parsed = load_suite_config(CONFIG_DIR / "suite.json")
     assert parsed.only is None
-    assert parsed.shard_count == 1
     assert parsed.incremental
 
 

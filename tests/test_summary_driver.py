@@ -1,7 +1,8 @@
-"""The full-reproduction driver: registry coverage, artifacts, warm and
-incremental runs, sharded execution, and shard merging."""
+"""The full-reproduction driver: registry coverage, artifacts, warm,
+incremental and interrupted runs."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -16,13 +17,12 @@ from repro.runtime.options import (
     TRACE_CACHE_SUBDIR,
     RuntimeOptions,
 )
-from repro.runtime.shard import RunManifest, plan_shard
+from repro.runtime.shard import RunManifest
 from repro.studies.pipeline import REGISTRY, StudySpec
 from repro.studies.summary import (
     EXIT_ALL_INCREMENTAL,
     STUDIES,
     main,
-    merge_shards,
     run_all,
 )
 
@@ -257,240 +257,17 @@ def test_main_fully_incremental_exit_code(tmp_path, capsys):
     assert main(args + ["--force"]) == 0  # --force disables the skip
 
 
-# --- sharded execution + merge --------------------------------------------
-
-
-def test_sharded_runs_partition_the_suite(tmp_path):
-    only = ["fig05_dnn_arrays", "fig09_spec_llc", "ext_hierarchy"]
-    runs = [
-        run_all(tmp_path / f"s{i}", only=only, shard_index=i, shard_count=2)
-        for i in range(2)
-    ]
-    names = [o.name for run in runs for o in run.outcomes]
-    assert sorted(names) == sorted(only)
-    for i, run in enumerate(runs):
-        assert run.manifest.shard_index == i
-        assert run.manifest.suite == tuple(only)
-        assert (tmp_path / f"s{i}" / "manifest.json").exists()
-
-
-def test_shard_merge_matches_single_host_run(tmp_path, capsys):
-    """Acceptance: running the full suite as 3 shards and merging yields
-    the same study set, statuses, row counts, and byte-identical CSV
-    artifacts as a single-host run."""
-    single = run_all(tmp_path / "single", runtime=RuntimeOptions(
-        cache_dir=tmp_path / "cache"))
-    assert single.ok
-
-    shard_dirs = []
-    for i in range(3):
-        out = tmp_path / f"shard{i}"
-        shard_dirs.append(out)
-        run = run_all(out, runtime=RuntimeOptions(cache_dir=tmp_path / "cache"),
-                      shard_index=i, shard_count=3)
-        assert run.ok
-    capsys.readouterr()
-
-    merged = merge_shards(shard_dirs, tmp_path / "merged")
-    assert merged.ok
-    assert merged.names == tuple(REGISTRY)
-    assert merged.merged_from == (0, 1, 2)
-
-    single_manifest = RunManifest.load(tmp_path / "single")
-    for name in REGISTRY:
-        single_entry = single_manifest.entry_for(name)
-        merged_entry = merged.entry_for(name)
-        assert merged_entry.status == single_entry.status, name
-        assert merged_entry.rows == single_entry.rows, name
-        assert merged_entry.fingerprint == single_entry.fingerprint, name
-        single_csv = (tmp_path / "single" / "results" / f"{name}.csv").read_bytes()
-        merged_csv = (tmp_path / "merged" / "results" / f"{name}.csv").read_bytes()
-        assert single_csv == merged_csv, name
-        assert (tmp_path / "merged" / "reports" / f"{name}.md").exists()
-
-
-def test_main_merge(tmp_path, capsys):
-    only = "fig05_dnn_arrays,ext_hierarchy"
-    for i in range(2):
-        assert main([str(tmp_path / f"s{i}"), "--only", only,
-                     "--shard-index", str(i), "--shard-count", "2"]) == 0
-    capsys.readouterr()
-    rc = main([str(tmp_path / "merged"), "--merge",
-               str(tmp_path / "s0"), str(tmp_path / "s1")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "| fig05_dnn_arrays | ok |" in out
-    assert "| ext_hierarchy | ok |" in out
-    assert "2 studies from 2 shard(s)" in out
-
-
-def test_main_merge_detects_duplicate_study(tmp_path, capsys):
-    only = "fig05_dnn_arrays,ext_hierarchy"
-    for i in range(2):
-        assert main([str(tmp_path / f"s{i}"), "--only", only,
-                     "--shard-index", str(i), "--shard-count", "2"]) == 0
-    # The same shard twice: its study appears in both merge inputs.
-    rc = main([str(tmp_path / "merged"), "--merge",
-               str(tmp_path / "s0"), str(tmp_path / "s0")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_main_merge_detects_missing_shard(tmp_path, capsys):
-    only = "fig05_dnn_arrays,ext_hierarchy"
-    for i in range(2):
-        assert main([str(tmp_path / f"s{i}"), "--only", only,
-                     "--shard-index", str(i), "--shard-count", "2"]) == 0
-    rc = main([str(tmp_path / "merged"), "--merge", str(tmp_path / "s0")])
-    assert rc == 2
-    assert "missing shard" in capsys.readouterr().err
-
-
-def test_main_merge_rejects_run_flags(tmp_path, capsys):
-    rc = main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"),
-               "--only", "fig09_spec_llc", "--expect-warm"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--only" in err and "--expect-warm" in err
-    assert "cannot be combined with --merge" in err
-
-
-# --- intra-study point sharding + merge ------------------------------------
-
-#: Small but representative: fig09 routes points through the engine sweep
-#: path (shardable), ext_hierarchy characterizes per-point outside it
-#: (degenerate: every point shard runs it whole; the merge re-materializes).
-POINT_SUBSET = ["fig09_spec_llc", "ext_hierarchy"]
-
-
-def _point_shard_runs(tmp_path, count, only=POINT_SUBSET, seed=None):
-    cache = tmp_path / "shared-cache"
-    dirs = []
-    for i in range(count):
-        out = tmp_path / f"ps{i}"
-        dirs.append(out)
-        run = run_all(out, runtime=RuntimeOptions(
-            cache_dir=cache, seed=seed,
-            point_shard_index=i, point_shard_count=count,
-        ), only=only)
-        assert run.ok
-    return dirs, cache
-
-
-@pytest.mark.parametrize("count", [2, 3])
-def test_point_shard_merge_matches_single_host(tmp_path, count, capsys):
-    """Acceptance: a study split across N point shards, then merged,
-    produces CSVs byte-identical to the single-host run, and the merge
-    re-materializes entirely from the shared caches (zero fresh work)."""
-    single = run_all(tmp_path / "single",
-                     runtime=RuntimeOptions(cache_dir=tmp_path / "single-cache"),
-                     only=POINT_SUBSET)
-    assert single.ok
-
-    dirs, cache = _point_shard_runs(tmp_path, count)
-    capsys.readouterr()
-    merged = merge_shards(dirs, tmp_path / "merged",
-                          runtime=RuntimeOptions(cache_dir=cache))
-    assert merged.ok
-    assert merged.names == tuple(POINT_SUBSET)
-    assert merged.point_merged_from == tuple(range(count))
-
-    single_manifest = RunManifest.load(tmp_path / "single")
-    for name in POINT_SUBSET:
-        merged_entry = merged.entry_for(name)
-        single_entry = single_manifest.entry_for(name)
-        assert merged_entry.rows == single_entry.rows, name
-        assert merged_entry.fingerprint == single_entry.fingerprint, name
-        single_csv = (tmp_path / "single" / "results" / f"{name}.csv").read_bytes()
-        merged_csv = (tmp_path / "merged" / "results" / f"{name}.csv").read_bytes()
-        assert single_csv == merged_csv, f"{name}: merged CSV differs"
-        assert (tmp_path / "merged" / "reports" / f"{name}.md").exists()
-        # Re-materialization was served from the shards' caches.
-        from repro.runtime.telemetry import SweepTelemetry as _T
-
-        telemetry = _T.from_counters(merged_entry.telemetry)
-        assert telemetry.completed == 0, name
-        assert telemetry.evaluated == 0, name
-
-
-def test_point_shards_partition_sweep_rows(tmp_path):
-    dirs, _ = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"])
-    manifests = [RunManifest.load(d) for d in dirs]
-    sections = [dict(m.entry_for("fig09_spec_llc").point_shard) for m in manifests]
-    assert sections[0]["planned"] == sections[1]["planned"] > 0
-    selected = [set(s["selected"]) for s in sections]
-    assert selected[0].isdisjoint(selected[1])
-    assert len(selected[0] | selected[1]) == sections[0]["planned"]
-    rows = [m.entry_for("fig09_spec_llc").rows for m in manifests]
-    single = run_all(tmp_path / "single", only=["fig09_spec_llc"])
-    assert sum(rows) == single.outcomes[0].rows
-
-
-def test_point_shard_rerun_is_incremental_per_slice(tmp_path):
-    out = tmp_path / "out"
-    runtime = RuntimeOptions(point_shard_index=0, point_shard_count=2)
-    first = run_all(out, runtime=runtime, only=["fig09_spec_llc"])
-    assert first.ok and not first.fully_incremental
-    again = run_all(out, runtime=runtime, only=["fig09_spec_llc"])
-    assert again.fully_incremental
-    # A different slice into the same directory is different work.
-    other = run_all(out, runtime=RuntimeOptions(
-        point_shard_index=1, point_shard_count=2), only=["fig09_spec_llc"])
-    assert other.incremental_skips == 0
-
-
-def test_point_shard_merge_rejects_seed_mismatch(tmp_path, capsys):
-    dirs, cache = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"],
-                                    seed=123)
-    capsys.readouterr()
-    from repro.runtime.shard import ShardError
-
-    with pytest.raises(ShardError, match="seed, or source revision"):
-        merge_shards(dirs, tmp_path / "merged",
-                     runtime=RuntimeOptions(cache_dir=cache))  # seed omitted
-    merged = merge_shards(dirs, tmp_path / "merged",
-                          runtime=RuntimeOptions(cache_dir=cache, seed=123))
-    assert merged.ok
-
-
-def test_main_point_shard_flags_and_merge(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    for i in range(2):
-        assert main([str(tmp_path / f"p{i}"), "--only", "fig09_spec_llc",
-                     "--point-shard-index", str(i), "--point-shard-count", "2",
-                     "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    rc = main([str(tmp_path / "merged"), "--merge",
-               str(tmp_path / "p0"), str(tmp_path / "p1"),
-               "--cache-dir", cache])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "| fig09_spec_llc | ok |" in out
-    assert "1 studies from 2 shard(s)" in out
-    # Warm assertion against the now-complete shared cache.
-    assert main([str(tmp_path / "warm"), "--only", "fig09_spec_llc",
-                 "--cache-dir", cache, "--expect-warm"]) == 0
-
-
-def test_main_point_shard_flags_validated(tmp_path, capsys):
-    rc = main([str(tmp_path), "--point-shard-index", "3",
-               "--point-shard-count", "2"])
-    assert rc == 2
-    assert "point_shard_index" in capsys.readouterr().err
-
-
-def test_main_merge_rejects_point_shard_flags(tmp_path, capsys):
-    rc = main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"),
-               "--point-shard-count", "2"])
-    assert rc == 2
-    assert "--point-shard-count" in capsys.readouterr().err
-
-
-def test_main_merge_rejects_bad_runtime_values(tmp_path, capsys):
-    # Pool and retry flags are gone: every sweep runs serially in-process.
-    for flag in ("--workers", "--retries", "--retry-backoff", "--point-deadline"):
+def test_main_rejects_retired_flags(tmp_path, capsys):
+    # Pool, retry, shard and merge flags are gone: the suite runs as one
+    # serial pass in this process.
+    retired = (
+        "--workers", "--retries", "--retry-backoff", "--point-deadline",
+        "--shard-index", "--shard-count", "--point-shard-index",
+        "--point-shard-count", "--merge",
+    )
+    for flag in retired:
         with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"), flag, "1"])
+            main([str(tmp_path / "m"), flag, "1"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -503,17 +280,17 @@ def test_manifest_write_is_atomic(tmp_path):
     assert RunManifest.load(out).names == ("ext_hierarchy",)
 
 
-def test_main_shard_flags_validated(tmp_path, capsys):
-    rc = main([str(tmp_path), "--shard-index", "5", "--shard-count", "3"])
-    assert rc == 2
-    assert "shard_index" in capsys.readouterr().err
-
-
-def test_plan_matches_run_selection(tmp_path):
-    plan = plan_shard(list(REGISTRY), 1, 4)
-    run = run_all(tmp_path, only=None, shard_index=1, shard_count=4,
-                  runtime=RuntimeOptions(on_error="skip"))
-    assert tuple(o.name for o in run.outcomes) == plan.selected
+def test_previous_format_manifest_is_not_misread(tmp_path):
+    """A manifest of the previous (sharded) format never yields a skip."""
+    out = tmp_path / "out"
+    run_all(out, only=["ext_hierarchy"])
+    path = RunManifest.path_in(out)
+    payload = json.loads(path.read_text())
+    payload.update(schema="shard-manifest-v3", shard_index=0, shard_count=1)
+    path.write_text(json.dumps(payload))
+    rerun = run_all(out, only=["ext_hierarchy"])
+    assert rerun.incremental_skips == 0
+    assert RunManifest.load(out).names == ("ext_hierarchy",)
 
 
 # -- interrupted runs (Ctrl-C / SIGTERM drain) -----------------------------
@@ -662,8 +439,9 @@ def test_main_rejects_bad_chaos_spec(tmp_path, capsys):
     assert "unknown chaos spec key" in capsys.readouterr().err
 
 
-def test_import_does_not_load_multiprocessing():
-    code = "import sys, repro.studies.summary; print('multiprocessing' in sys.modules)"
+@pytest.mark.parametrize("module", ["multiprocessing", "asyncio"])
+def test_import_does_not_load(module):
+    code = f"import sys, repro.studies.summary; print({module!r} in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
