@@ -1,4 +1,4 @@
-"""Run manifests and the study fingerprints behind incremental runs."""
+"""Run manifests and the study fingerprints behind incremental runs (repro.runtime.shard)."""
 
 import json
 import os
