@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Graph analytics scratchpad study (Section IV-B / Figure 8).
 
-Executes real BFS/PageRank/SSSP kernels over synthetic social networks to
-extract traffic, sweeps the generic graph-bandwidth envelope, and compares
-8 MB eNVM scratchpads on power, latency, and lifetime.
+Derives BFS/PageRank/SSSP scratchpad traffic from the access counts of
+the kernels over synthetic social networks (a closed form in each graph's
+vertex and edge counts), sweeps the generic graph-bandwidth envelope, and
+compares 8 MB eNVM scratchpads on power, latency, and lifetime.
 
 Run:  python examples/graph_analytics.py
 """
@@ -18,7 +19,7 @@ from repro.traffic import graph_kernel_suite
 from repro.viz import latency_view, lifetime_view, power_view
 
 # Kernel-derived traffic (the study's "pink points").
-print("Kernel traffic extracted by executing graph kernels:")
+print("Kernel traffic from graph-kernel access counts:")
 for pattern in graph_kernel_suite():
     print(
         f"  {pattern.name:22s} reads/s={pattern.reads_per_second:10.3e} "

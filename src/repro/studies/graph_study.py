@@ -1,9 +1,9 @@
 """The graph-processing case study (Section IV-B, Figure 8).
 
 8 MB scratchpad arrays under (a) generic traffic covering graph-kernel
-bandwidth envelopes and (b) measured BFS traffic from the synthetic
-Facebook/Wikipedia-scale graphs, evaluated for power, aggregate latency,
-and projected lifetime.
+bandwidth envelopes and (b) BFS traffic counted in closed form over the
+synthetic Facebook/Wikipedia-scale graphs, evaluated for power, aggregate
+latency, and projected lifetime.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ class TestEndToEndFlows:
         assert ev.slowdown == 1.0
 
     def test_graph_kernel_to_lifetime(self):
-        """Execute a real BFS, push its traffic through an RRAM scratchpad,
-        and confirm the endurance problem the paper reports."""
+        """Count BFS's accesses on the Facebook-scale graph, push its traffic
+        through an RRAM scratchpad, and confirm the endurance problem the
+        paper reports."""
         counts = bfs_access_counts(facebook_like_graph())
         traffic = kernel_traffic("bfs", counts)
         rram = characterize(

@@ -1,11 +1,11 @@
 """Traffic substrate tests: patterns, sweeps, DNN, graph, SPEC."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.errors import TrafficError
@@ -40,6 +40,10 @@ from repro.units import mb
 #: (vertices, attachment) of the Facebook- and Wikipedia-scale graphs and a
 #: small case.
 GRAPH_SHAPES = [(4039, 22), (7115, 15), (40, 3)]
+#: GRAPH_SHAPES plus the attachment edge cases m = 1 and m = n - 1.
+ORACLE_SHAPES = GRAPH_SHAPES + [(10, 1), (10, 9)]
+#: The seed the oracle generator and networkx draw the graphs with.
+ORACLE_SEED = 7
 
 
 class TestTrafficPattern:
@@ -158,18 +162,22 @@ class TestDNNTraffic:
 class TestGraphTraffic:
     def test_synthetic_graphs_have_expected_scale(self):
         fb = facebook_like_graph()
-        assert 3500 < fb.number_of_nodes() < 4500
-        assert fb.number_of_edges() > 50_000
+        assert 3500 < fb.vertices < 4500
+        assert fb.edges > 50_000
         wiki = wikipedia_like_graph()
-        assert wiki.number_of_nodes() > fb.number_of_nodes()
+        assert wiki.vertices > fb.vertices
 
     def test_bfs_visits_whole_component(self):
         graph = facebook_like_graph()
         counts = bfs_access_counts(graph)
         # BA graphs are connected: every vertex written exactly once.
-        assert counts.writes == graph.number_of_nodes()
+        assert counts.writes == graph.vertices
         # Undirected edges traversed from both endpoints.
-        assert counts.edges_traversed == 2 * graph.number_of_edges()
+        assert counts.edges_traversed == 2 * graph.edges
+
+    def test_paper_graph_counts_are_pinned(self):
+        assert bfs_access_counts(facebook_like_graph()) == AccessCounts(180_787, 4_039, 176_748)
+        assert bfs_access_counts(wikipedia_like_graph()) == AccessCounts(220_115, 7_115, 213_000)
 
     def test_pagerank_counts_scale_with_iterations(self):
         graph = wikipedia_like_graph()
@@ -181,7 +189,7 @@ class TestGraphTraffic:
     def test_sssp_reaches_everything(self):
         graph = facebook_like_graph()
         counts = sssp_access_counts(graph)
-        assert counts.writes >= graph.number_of_nodes()
+        assert counts.writes >= graph.vertices
 
     def test_kernel_traffic_rates(self):
         counts = bfs_access_counts(facebook_like_graph())
@@ -201,41 +209,29 @@ class TestGraphTraffic:
         kinds = {p.name.split("-")[-1] for p in suite}
         assert kinds == {"bfs", "pagerank", "sssp"}
 
-    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
-    def test_csr_adjacency_is_simple_and_symmetric(self, shape):
-        graph = synthetic_social_graph(*shape)
-        n = graph.number_of_nodes()
-        assert n == shape[0]
-        assert graph.indptr[0] == 0
-        assert graph.indptr[-1] == len(graph.indices) == 2 * graph.number_of_edges()
-        assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
-        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-        cols = graph.indices.astype(np.int64)
-        assert not np.any(rows == cols)  # no self-loops
-        keys = rows * n + cols
-        assert np.all(np.diff(keys) > 0)  # sorted rows, no duplicate edges
-        assert np.array_equal(np.sort(cols * n + rows), keys)  # symmetric
-        with pytest.raises(ValueError):
-            graph.indices[0] = 1  # cached graphs are shared: read-only
-
     def test_graph_rejects_bad_attachment(self):
         with pytest.raises(TrafficError):
             synthetic_social_graph(5, 5)
         with pytest.raises(TrafficError):
             synthetic_social_graph(5, 0)
 
-    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_kernels_match_loop_reference(self, shape):
-        graph = synthetic_social_graph(*shape)
-        assert_kernels_match_reference(graph, graph)
+        n, m = shape
+        graph = synthetic_social_graph(n, m)
+        sources, targets = _barabasi_albert_edges(n, m, ORACLE_SEED)
+        edges = {frozenset(edge) for edge in zip(sources, targets)}
+        assert all(len(edge) == 2 for edge in edges)  # no self-loops
+        assert len(sources) == len(edges) == m * (n - m) == graph.edges  # no duplicate edges
+        assert graph.vertices == n
+        assert_kernels_match_reference(graph, AdjacencyGraph(n, sources, targets))
 
-    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_generator_matches_networkx(self, shape):
         nx = pytest.importorskip("networkx")
-        graph = synthetic_social_graph(*shape)
-        reference = nx.barabasi_albert_graph(*shape, seed=7)
-        assert edge_set(graph) == {frozenset(e) for e in reference.edges()}
-        assert_kernels_match_reference(graph, reference)
+        reference = nx.barabasi_albert_graph(*shape, seed=ORACLE_SEED)
+        assert edge_set(oracle_graph(*shape)) == {frozenset(e) for e in reference.edges()}
+        assert_kernels_match_reference(synthetic_social_graph(*shape), reference)
 
     def test_import_does_not_load_networkx(self):
         code = "import sys, repro.studies.summary; print('networkx' in sys.modules)"
@@ -274,24 +270,74 @@ class TestSpecTraffic:
         assert max(rates) / min(rates) > 50
 
 
+def _barabasi_albert_edges(n: int, m: int, seed: int) -> tuple[list[int], list[int]]:
+    """Edges of networkx 3.x ``barabasi_albert_graph(n, m, seed=seed)``.
+
+    Makes the same ``random.Random(seed)`` calls: start from a star on
+    ``m + 1`` vertices; each new vertex draws ``rng.choice(repeated)`` into
+    a set until it holds ``m`` targets, and ``repeated`` grows in that set's
+    iteration order.
+    """
+    rng = random.Random(seed)
+    sources = [0] * m
+    targets = list(range(1, m + 1))
+    repeated = sources + targets
+    for source in range(m + 1, n):
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(rng.choice(repeated))
+        sources.extend([source] * m)
+        targets.extend(chosen)
+        repeated.extend(chosen)
+        repeated.extend([source] * m)
+    return sources, targets
+
+
+class AdjacencyGraph:
+    """An undirected graph as neighbor lists, for the loop references."""
+
+    def __init__(self, n_vertices: int, sources: list[int], targets: list[int]) -> None:
+        self.adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
+        for u, v in zip(sources, targets):
+            self.adjacency[u].append(v)
+            self.adjacency[v].append(u)
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self.adjacency))
+
+    def number_of_nodes(self) -> int:
+        return len(self.adjacency)
+
+    def neighbors(self, v: int) -> list[int]:
+        return self.adjacency[v]
+
+    def degree(self, v: int) -> int:
+        return len(self.adjacency[v])
+
+
+def oracle_graph(n: int, m: int) -> AdjacencyGraph:
+    """The Barabási–Albert graph ``synthetic_social_graph(n, m)`` stands for."""
+    return AdjacencyGraph(n, *_barabasi_albert_edges(n, m, ORACLE_SEED))
+
+
 def edge_set(graph) -> set:
     return {frozenset((int(u), int(v))) for u in graph.nodes for v in graph.neighbors(u)}
 
 
 def assert_kernels_match_reference(graph, reference) -> None:
-    """The numpy kernels on ``graph`` count what the loops count on ``reference``."""
-    assert bfs_access_counts(graph) == reference_bfs(reference)
-    assert sssp_access_counts(graph) == reference_sssp(reference)
-    last = graph.number_of_nodes() - 1
-    assert bfs_access_counts(graph, last) == reference_bfs(reference, last)
-    assert sssp_access_counts(graph, last) == reference_sssp(reference, last)
+    """The closed-form counts of ``graph`` are what the loops count on ``reference``."""
+    for source in (0, graph.vertices - 1):
+        assert bfs_access_counts(graph) == reference_bfs(reference, source)
+        assert sssp_access_counts(graph) == reference_sssp(reference, source)
     for iterations in (1, 3):
         expected = reference_pagerank(reference, iterations)
         assert pagerank_access_counts(graph, iterations) == expected
 
 
 # Loop references: the kernels as written over any graph with ``nodes``,
-# ``neighbors(v)`` and ``degree(v)`` (the CSR graph or a networkx graph).
+# ``number_of_nodes()``, ``neighbors(v)`` and ``degree(v)`` (the oracle
+# adjacency or a networkx graph).
 
 
 def reference_bfs(graph, source=0) -> AccessCounts:
