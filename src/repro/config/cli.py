@@ -7,16 +7,15 @@ config/<name>.json`` workflow::
     nvmexplorer run-study <name> [flags]    # any registered study by name
     nvmexplorer list-studies                # what the registry offers
     nvmexplorer serve [config.json] [flags] # DSE-as-a-service front-end
-    nvmexplorer fsck [cache_dir] [flags]    # audit/repair caches + manifests
+    nvmexplorer fsck [cache_dir] [flags]    # audit caches + manifests
     nvmexplorer lint [root] [flags]         # statically check invariants
 
 Config files containing a ``"study"`` key are dispatched to the study
 registry automatically, files with a ``"suite"`` key to the incremental
 summary driver, and plain sweep configs run through the DSE engine as
 before.  Every sweep runs serially in this process.  Runtime flags
-(``--cache-dir``, ``--trace-cache-dir``, ``--seed``, ``--chaos``)
-override the config's ``runtime`` section and work identically for
-every study.
+(``--cache-dir``, ``--trace-cache-dir``, ``--seed``) override the
+config's ``runtime`` section and work identically for every study.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.config.loader import (
 )
 from repro.config.schema import is_study_config, is_suite_config
 from repro.errors import ConfigError, ReproError
-from repro.runtime.chaos import parse_chaos_spec
 from repro.viz.dashboard import summary_dashboard
 
 
@@ -54,12 +52,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         help="override every stochastic seed (overrides config runtime.seed; "
              "plain sweeps are deterministic, so this only affects studies "
              "with stochastic components)",
-    )
-    parser.add_argument(
-        "--chaos", metavar="SPEC",
-        help="deterministic cache-corruption injection for failure-handling "
-             "tests — comma-separated key=value pairs (seed, cache_corrupt, "
-             "corrupt_mode); 'off' disables (overrides config runtime.chaos)",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -126,13 +118,6 @@ def _progress_callback(enabled: bool):
     return lambda event: print(event.describe(), file=sys.stderr)
 
 
-def _chaos_from(args):
-    """The ``--chaos`` flag parsed into options, or ``None`` when absent."""
-    if args.chaos is None:
-        return None
-    return parse_chaos_spec(args.chaos)
-
-
 def _emit(table, args) -> None:
     print(f"{len(table)} result rows across columns: {', '.join(table.columns)}")
     if args.csv:
@@ -157,7 +142,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=_progress_callback(args.progress),
-            chaos=_chaos_from(args),
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -292,7 +276,6 @@ def _run_suite(raw, args) -> int:
         trace_cache_dir=args.trace_cache_dir,
         seed=args.seed,
         progress=_progress_callback(args.progress),
-        chaos=_chaos_from(args),
     )
     if run.interrupted:
         print(
@@ -337,7 +320,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=progress,
-            chaos=_chaos_from(args),
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -111,7 +111,6 @@ def _override_runtime(
     trace_cache_dir: Optional[str],
     seed: Optional[int],
     progress,
-    chaos=None,
 ):
     """Apply CLI-style overrides on top of a config's runtime options."""
     updates: dict[str, Any] = {"progress": progress}
@@ -121,8 +120,6 @@ def _override_runtime(
         updates["trace_cache_dir"] = trace_cache_dir
     if seed is not None:
         updates["seed"] = seed
-    if chaos is not None:
-        updates["chaos"] = chaos
     return dataclasses.replace(runtime, **updates)
 
 
@@ -145,12 +142,11 @@ def run_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    chaos=None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
-    ``cache_dir``/``trace_cache_dir``/``seed``/``chaos``
-    override the config's ``runtime`` section (e.g. from CLI flags);
+    ``cache_dir``/``trace_cache_dir``/``seed`` override the config's
+    ``runtime`` section (e.g. from CLI flags);
     ``progress`` receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
     """
@@ -166,8 +162,7 @@ def run_config(
         bits_per_cell=config.bits_per_cell,
     )
     runtime = _override_runtime(
-        config.runtime_options(), cache_dir, trace_cache_dir, seed,
-        progress, chaos,
+        config.runtime_options(), cache_dir, trace_cache_dir, seed, progress,
     )
     table = DSEEngine.from_options(runtime).run(spec)
     _write_csv(table, config.output_csv)
@@ -180,7 +175,6 @@ def run_study_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    chaos=None,
 ) -> ResultTable:
     """Execute a registered-study configuration end to end.
 
@@ -193,9 +187,7 @@ def run_study_config(
     from repro.viz.report import study_report
 
     spec = get_study(config.study)
-    runtime = _override_runtime(
-        config.runtime, cache_dir, trace_cache_dir, seed, progress, chaos,
-    )
+    runtime = _override_runtime(config.runtime, cache_dir, trace_cache_dir, seed, progress)
     # Validate params against the builder's signature up front, so a
     # TypeError raised deep inside a study is never misreported as a
     # config mistake.
@@ -229,7 +221,6 @@ def run_suite_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    chaos=None,
 ):
     """Execute a suite-run configuration end to end.
 
@@ -244,9 +235,7 @@ def run_suite_config(
     # Imported lazily to keep sweep-only usage free of the studies stack.
     from repro.studies.summary import run_all
 
-    runtime = _override_runtime(
-        config.runtime, cache_dir, trace_cache_dir, seed, progress, chaos,
-    )
+    runtime = _override_runtime(config.runtime, cache_dir, trace_cache_dir, seed, progress)
     return run_all(
         config.output_dir,
         runtime=runtime,

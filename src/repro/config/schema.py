@@ -27,8 +27,7 @@ A config describes one design sweep::
         "cache_dir": ".nvmcache",
         "trace_cache_dir": null,
         "on_error": "raise" | "skip",
-        "seed": null,
-        "chaos": { "seed": 0, "cache_corrupt_rate": 0.1 }  // testing only
+        "seed": null
       },
       "output_csv": "results.csv"
     }
@@ -37,9 +36,9 @@ The optional ``runtime`` section controls sweep execution (see
 :mod:`repro.runtime`; sweeps always run serially in-process): the
 persistent cache root (characterizations, evaluation blocks, and LLC
 traces live under it), an optional trace-cache override, whether a
-failing design point aborts the sweep or is skipped with telemetry, a
-seed override for stochastic components, and cache-corruption chaos
-for failure-handling tests.  Any other key is a :class:`ConfigError`.
+failing design point aborts the sweep or is skipped with telemetry, and
+a seed override for stochastic components.  Any other key is a
+:class:`ConfigError`.
 
 A second config shape describes one *registered study* instead of a raw
 sweep (the ``config/studies/*.json`` stubs)::
@@ -85,7 +84,6 @@ from repro.cells import CellTechnology, sram_cell, tentpoles_for
 from repro.cells.base import TechnologyClass
 from repro.errors import ConfigError
 from repro.nvsim.result import OptimizationTarget
-from repro.runtime.chaos import ChaosOptions
 from repro.runtime.options import RuntimeOptions
 from repro.traffic.base import TrafficPattern
 from repro.traffic.dnn import DNN_WORKLOADS, NVDLAPerformanceModel, continuous_scenarios
@@ -302,9 +300,7 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
 
 
 #: Keys a ``runtime`` section may hold.
-_RUNTIME_KEYS = frozenset({
-    "cache_dir", "trace_cache_dir", "on_error", "seed", "chaos",
-})
+_RUNTIME_KEYS = frozenset({"cache_dir", "trace_cache_dir", "on_error", "seed"})
 
 #: Keys a ``suite`` section may hold.
 _SUITE_KEYS = frozenset({"only", "output_dir", "incremental"})
@@ -326,16 +322,11 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     cache_dir = section.get("cache_dir")
     trace_cache_dir = section.get("trace_cache_dir")
     seed = section.get("seed")
-    chaos_section = section.get("chaos")
-    chaos = None
-    if chaos_section is not None:
-        chaos = ChaosOptions.from_mapping(chaos_section)
     return RuntimeOptions(
         cache_dir=None if cache_dir is None else str(cache_dir),
         trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
         on_error=on_error,
         seed=None if seed is None else int(seed),
-        chaos=chaos,
     )
 
 

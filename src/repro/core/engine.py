@@ -31,7 +31,6 @@ from repro.errors import CharacterizationError
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.cache import CharacterizationCache, EvaluationCache
-from repro.runtime.chaos import ChaosOptions
 from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
@@ -86,10 +85,6 @@ class DSEEngine:
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
-    chaos:
-        Optional :class:`~repro.runtime.chaos.ChaosOptions` handed to the
-        persistent caches, which then corrupt entries before loading them
-        (failure-handling tests only).
     """
 
     def __init__(
@@ -97,7 +92,6 @@ class DSEEngine:
         cache_dir: Optional[Union[str, Path]] = None,
         on_error: str = "raise",
         progress=None,
-        chaos: Optional[ChaosOptions] = None,
     ) -> None:
         if on_error not in ("raise", "skip"):
             raise ValueError(
@@ -109,10 +103,8 @@ class DSEEngine:
         self.eval_cache: Optional[EvaluationCache] = None
         if cache_dir is not None:
             root = Path(cache_dir)
-            self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR, chaos=chaos)
-            self.eval_cache = EvaluationCache(
-                root / EVALUATION_CACHE_SUBDIR, chaos=chaos
-            )
+            self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR)
+            self.eval_cache = EvaluationCache(root / EVALUATION_CACHE_SUBDIR)
         #: In-memory cache keyed by the stable point fingerprint (shared
         #: with the on-disk cache's addressing).
         self._array_cache: dict[str, ArrayCharacterization] = {}
@@ -128,7 +120,6 @@ class DSEEngine:
             cache_dir=options.cache_dir,
             on_error=options.on_error,
             progress=options.progress,
-            chaos=options.chaos,
         )
 
     def fingerprint(

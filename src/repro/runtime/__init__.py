@@ -21,7 +21,7 @@ exploration; this package is the execution layer that delivers it:
   fingerprints behind the incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
   execution options (cache_dir, trace_cache_dir, on_error, progress,
-  seed, chaos) every study and config-driven sweep accepts.
+  seed) every study and config-driven sweep accepts.
 * :mod:`repro.runtime.telemetry` — progress events (completed / cached /
   failed points) via callback and logging instead of dying on the first
   :class:`~repro.errors.CharacterizationError`.
@@ -31,11 +31,9 @@ exploration; this package is the execution layer that delivers it:
   Not re-exported here, so importing the package never loads asyncio.
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
-* :mod:`repro.runtime.chaos` — deterministic cache-corruption injection
-  keyed by pack name + seed, so the quarantine-and-recompute path is
-  testable end to end.
-* :mod:`repro.runtime.fsck` — cache/manifest integrity audit and repair
-  (the ``nvmexplorer fsck`` command).
+* :mod:`repro.runtime.fsck` — cache/manifest integrity audit: verify
+  every pack, quarantine the damaged ones (the ``nvmexplorer fsck``
+  command).
 """
 
 from repro.runtime.cache import (
@@ -45,7 +43,6 @@ from repro.runtime.cache import (
     JsonObjectCache,
     LLCTraceCache,
 )
-from repro.runtime.chaos import ChaosOptions, parse_chaos_spec
 from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
@@ -82,7 +79,6 @@ __all__ = [
     "QUARANTINE_SUBDIR",
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
-    "ChaosOptions",
     "CharacterizationCache",
     "EvaluationCache",
     "FsckReport",
@@ -106,7 +102,6 @@ __all__ = [
     "evaluation_context",
     "evaluation_fingerprint",
     "fingerprint_payload",
-    "parse_chaos_spec",
     "point_fingerprint",
     "point_payload",
     "schema_tags",

@@ -64,7 +64,6 @@ import threading
 from pathlib import Path
 from typing import (
     IO,
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -82,18 +81,10 @@ from repro.runtime.fingerprint import (
     TRACE_SCHEMA_TAG,
 )
 
-if TYPE_CHECKING:
-    from repro.runtime.chaos import ChaosOptions
-
 #: Version of the pack file layout.  It names the pack suffix, so a
 #: layout change leaves older files unread.
 ENTRY_FORMAT = 3
 PACK_SUFFIX = f".v{ENTRY_FORMAT}"
-
-#: Suffixes of entries in the older one-file-per-entry layouts, which
-#: lived under two-hex-digit fan-out directories.  Loads never read them;
-#: ``fsck`` reports them as legacy and keeps them.
-LEGACY_ENTRY_SUFFIXES = (".v2", ".json")
 
 #: Subdirectory (inside a store) where packs that fail integrity
 #: verification are preserved for post-mortem instead of being deleted
@@ -395,12 +386,7 @@ class JsonObjectCache:
     hit/miss/store accounting) is shared.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str,
-        chaos: Optional["ChaosOptions"] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], schema_tag: str) -> None:
         self.root = Path(root)
         self.schema_tag = schema_tag
         self.hits = 0
@@ -413,9 +399,6 @@ class JsonObjectCache:
         self.corrupt = 0
         #: Corrupt packs successfully moved to the quarantine dir.
         self.quarantined = 0
-        #: Optional fault injector (tests / chaos runs) — corrupts the
-        #: on-disk pack just before a load reads it.
-        self.chaos = chaos
         #: Per-thread open batch (see :meth:`batch`): its exit stack and
         #: pack writer.
         self._local = threading.local()
@@ -477,13 +460,6 @@ class JsonObjectCache:
                 self.misses += 1
             return None
         path, schema, offset, length, checksum = location
-        if self.chaos is not None and self.chaos.maybe_corrupt_file(path, path.name):
-            # The pack changed under the index: verify all of it, as fsck would.
-            try:
-                verify_pack(path)
-            except (CorruptPack, OSError):
-                self._quarantine(path)
-                return None
         try:
             with open(path, "rb") as handle:
                 body = _read_body(handle, offset, length, checksum)
@@ -591,9 +567,8 @@ class CharacterizationCache(JsonObjectCache):
         self,
         root: Union[str, Path],
         schema_tag: str = SCHEMA_TAG,
-        chaos: Optional["ChaosOptions"] = None,
     ) -> None:
-        super().__init__(root, schema_tag, chaos=chaos)
+        super().__init__(root, schema_tag)
 
     def _encode(self, result: ArrayCharacterization) -> Any:
         return result.to_dict()
@@ -617,9 +592,8 @@ class EvaluationCache(JsonObjectCache):
         self,
         root: Union[str, Path],
         schema_tag: str = EVAL_SCHEMA_TAG,
-        chaos: Optional["ChaosOptions"] = None,
     ) -> None:
-        super().__init__(root, schema_tag, chaos=chaos)
+        super().__init__(root, schema_tag)
 
     def _encode(self, result) -> Any:
         return list(result)
@@ -639,9 +613,8 @@ class LLCTraceCache(JsonObjectCache):
         self,
         root: Union[str, Path],
         schema_tag: str = TRACE_SCHEMA_TAG,
-        chaos: Optional["ChaosOptions"] = None,
     ) -> None:
-        super().__init__(root, schema_tag, chaos=chaos)
+        super().__init__(root, schema_tag)
 
     def _encode(self, result) -> Any:
         return result.to_dict()

@@ -4,27 +4,23 @@ A cache directory accumulates damage the sweeps themselves only detect
 lazily: packs truncated or bit-flipped on disk, stale ``*.tmp.*`` files
 leaked by a run that died between write and rename, and a
 ``quarantine/`` backlog of packs the loaders moved aside.  ``fsck`` makes
-that state explicit and repairs what it can:
+that state explicit:
 
 - verifies every pack — footer, index, name, and each body's checksum
   and JSON — with :func:`repro.runtime.cache.verify_pack`, through the
-  same reader the loaders use; ``.v2`` and ``.json`` entries of the older
-  one-file-per-entry layout (under two-hex-digit directories), which no
-  loader reads, are reported as *legacy* and kept unread;
+  same reader the loaders use;
 - moves packs that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
 - sweeps stale ``*.tmp.*`` files;
-- optionally re-materializes quarantined packs from a sibling cache dir
-  (``--repair-from``): a pack missing here whose same-named copy in the
-  sibling verifies is copied in;
 - audits run manifests (``--manifest``): the manifest must parse and
   every recorded artifact must exist on disk.
 
 Exit status: 0 when every store verified clean (a non-empty quarantine
 backlog alone is *not* dirty — it is an archive), 1 when this pass
-found corruption or unrepaired damage.  Running fsck twice therefore
-converges: the second pass exits 0.
+found corruption or a manifest problem.  Running fsck twice on a cache
+therefore converges: the second pass exits 0.  The quarantined results
+are recomputed and re-packed by the next run that needs them.
 """
 
 from __future__ import annotations
@@ -37,11 +33,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.runtime.cache import (
-    LEGACY_ENTRY_SUFFIXES,
     PACK_SUFFIX,
     QUARANTINE_SUBDIR,
     CorruptPack,
-    atomic_write_bytes,
     quarantine_file,
     verify_pack,
 )
@@ -55,14 +49,12 @@ _KNOWN_STORES = ("arrays", "evaluations", "traces")
 
 @dataclass
 class FsckReport:
-    """What one pass over one store found (and fixed)."""
+    """What one pass over one store found (and moved aside)."""
 
     root: Path
     scanned: int = 0
     ok: int = 0
-    legacy: int = 0  # older-layout entries: never read by the loaders, kept
     corrupt: int = 0  # packs quarantined by this pass
-    repaired: int = 0  # packs re-materialized from the sibling cache
     swept_tmp: int = 0  # stale *.tmp.* files removed
     quarantine_backlog: int = 0  # files sitting in quarantine/ after the pass
     problems: List[str] = field(default_factory=list)
@@ -77,9 +69,7 @@ class FsckReport:
             "root": str(self.root),
             "scanned": self.scanned,
             "ok": self.ok,
-            "legacy": self.legacy,
             "corrupt": self.corrupt,
-            "repaired": self.repaired,
             "swept_tmp": self.swept_tmp,
             "quarantine_backlog": self.quarantine_backlog,
             "problems": list(self.problems),
@@ -90,10 +80,6 @@ class FsckReport:
             f"{self.root}: {self.scanned} files scanned, {self.ok} ok, "
             f"{self.corrupt} corrupt"
         )
-        if self.legacy:
-            text += f", {self.legacy} legacy (pre-v3 entries, unread)"
-        if self.repaired:
-            text += f", {self.repaired} repaired"
         if self.swept_tmp:
             text += f", {self.swept_tmp} stale tmp files swept"
         if self.quarantine_backlog:
@@ -112,24 +98,8 @@ def _pack_problem(path: Path) -> Optional[str]:
     return None
 
 
-def _quarantined_pack_names(qdir: Path) -> List[str]:
-    """The pack file names in quarantine, uniquifying suffixes dropped."""
-    if not qdir.is_dir():
-        return []
-    names = set()
-    for damaged in qdir.iterdir():
-        stem, _, rest = damaged.name.partition(".")
-        if rest.split(".", 1)[0] == PACK_SUFFIX[1:]:
-            names.add(stem + PACK_SUFFIX)
-    return sorted(names)
-
-
-def fsck_store(
-    root: Union[str, Path],
-    *,
-    repair_from: Optional[Union[str, Path]] = None,
-) -> FsckReport:
-    """Audit (and repair) one pack store directory."""
+def fsck_store(root: Union[str, Path]) -> FsckReport:
+    """Audit one pack store directory, quarantining packs that fail."""
     root = Path(root)
     report = FsckReport(root=root)
     if not root.is_dir():
@@ -149,56 +119,25 @@ def fsck_store(
             report.corrupt += 1
             report.problems.append(f"{pack.name}: {reason}")
             quarantine_file(root, pack)
-    report.legacy = sum(
-        1 for entry in root.glob("??/*") if entry.suffix in LEGACY_ENTRY_SUFFIXES
-    )
-    report.scanned += report.legacy
 
     qdir = root / QUARANTINE_SUBDIR
-    if repair_from is not None:
-        sibling = Path(repair_from)
-        # Re-materialize every quarantined pack (from this pass or an
-        # earlier one) that is still missing, from a sibling copy that
-        # verifies.
-        for name in _quarantined_pack_names(qdir):
-            target, source = root / name, sibling / name
-            if target.exists() or not source.exists() or _pack_problem(source):
-                continue
-            atomic_write_bytes(target, source.read_bytes())
-            report.repaired += 1
-
     if qdir.is_dir():
         report.quarantine_backlog = len(list(qdir.iterdir()))
     return report
 
 
-def fsck_cache_dir(
-    cache_dir: Union[str, Path],
-    *,
-    repair_from: Optional[Union[str, Path]] = None,
-) -> List[FsckReport]:
+def fsck_cache_dir(cache_dir: Union[str, Path]) -> List[FsckReport]:
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
     ``traces/``); a directory holding none of them is treated as a
-    single bare store.  ``repair_from`` names a sibling cache root with
-    the same layout.
+    single bare store.
     """
     cache_dir = Path(cache_dir)
-    sibling = Path(repair_from) if repair_from is not None else None
-    reports: List[FsckReport] = []
     stores = [sub for sub in _KNOWN_STORES if (cache_dir / sub).is_dir()]
-    if stores:
-        for sub in stores:
-            reports.append(
-                fsck_store(
-                    cache_dir / sub,
-                    repair_from=(sibling / sub) if sibling is not None else None,
-                )
-            )
-    else:
-        reports.append(fsck_store(cache_dir, repair_from=sibling))
-    return reports
+    if not stores:
+        return [fsck_store(cache_dir)]
+    return [fsck_store(cache_dir / sub) for sub in stores]
 
 
 def fsck_manifest(output_dir: Union[str, Path]) -> FsckReport:
@@ -229,18 +168,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="nvmexplorer fsck",
         description=(
-            "Audit and repair cache directories and run manifests: verify "
-            "pack checksums, quarantine corrupt packs, sweep stale tmp "
-            "files, and re-materialize missing packs from a sibling cache."
+            "Audit cache directories and run manifests: verify pack "
+            "checksums, quarantine corrupt packs, sweep stale tmp files, "
+            "and check that every manifest artifact exists."
         ),
     )
     parser.add_argument(
         "cache_dir", nargs="?", default=None,
         help="unified cache root to audit (arrays/, evaluations/, traces/)",
-    )
-    parser.add_argument(
-        "--repair-from", metavar="DIR", default=None,
-        help="sibling cache root to re-materialize quarantined packs from",
     )
     parser.add_argument(
         "--manifest", metavar="DIR", action="append", default=[],
@@ -257,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     reports: List[FsckReport] = []
     if args.cache_dir is not None:
-        reports.extend(fsck_cache_dir(args.cache_dir, repair_from=args.repair_from))
+        reports.extend(fsck_cache_dir(args.cache_dir))
     for output_dir in args.manifest:
         reports.append(fsck_manifest(output_dir))
 

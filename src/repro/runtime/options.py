@@ -2,9 +2,9 @@
 
 Every study and config-driven sweep accepts one :class:`RuntimeOptions`
 value instead of ad-hoc ``cache_dir=``/``on_error=`` keyword sprinkling:
-the persistent cache root, error policy, progress callback, RNG seed
-and cache-corruption chaos travel together through the study registry,
-the CLI, and :class:`~repro.core.engine.DSEEngine`.
+the persistent cache root, error policy, progress callback and RNG seed
+travel together through the study registry, the CLI, and
+:class:`~repro.core.engine.DSEEngine`.
 Sweeps always run serially in the calling process
 (:mod:`repro.runtime.executor`).
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.runtime.chaos import ChaosOptions
 from repro.runtime.telemetry import ProgressCallback
 
 #: Subdirectories of ``cache_dir`` used by each persistent store.
@@ -61,10 +60,6 @@ class RuntimeOptions:
         Override for every stochastic component a study touches (fault
         injection, synthetic streams); ``None`` keeps each study's
         documented default seed, preserving paper-figure reproducibility.
-    chaos:
-        Optional deterministic cache-corruption injection
-        (:class:`~repro.runtime.chaos.ChaosOptions`) for failure-handling
-        tests; ``None`` (the default) injects nothing.
     """
 
     cache_dir: Optional[Union[str, Path]] = None
@@ -72,7 +67,6 @@ class RuntimeOptions:
     on_error: str = "raise"
     progress: Optional[ProgressCallback] = None
     seed: Optional[int] = None
-    chaos: Optional[ChaosOptions] = None
 
     def __post_init__(self) -> None:
         if self.on_error not in ("raise", "skip"):

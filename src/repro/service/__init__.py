@@ -3,13 +3,15 @@
 The batch stack answers "run this study" by computing (or re-reading)
 every sweep point through the persistent characterization / evaluation /
 trace caches.  This package puts a long-lived server in front of that
-substrate so *many* clients share one cache and one compute pool:
+substrate so *many* clients share one cache.  The server runs a fixed
+number of job slots (``workers``); each slot runs one study or sweep at
+a time, serially, exactly as the batch stack would:
 
 * :mod:`repro.service.requests` — submit payloads resolved into
   fingerprinted, runnable study/sweep queries;
 * :mod:`repro.service.jobs` — the coalescing job manager (identical
   in-flight fingerprints share one computation; finished ones are memo
-  hits) over a supervised worker pool;
+  hits) over the supervised job slots;
 * :mod:`repro.service.ratelimit` — per-client token-bucket submission
   limiting;
 * :mod:`repro.service.warm` — background pre-computation of configured

@@ -36,10 +36,9 @@ def regenerated_traffic(
 ) -> list:
     """Traffic regenerated through the cache simulator, trace-cached.
 
-    Traces persist under the runtime's trace cache (which honors the
-    runtime's chaos options); one ``phase="trace"`` progress event fires
-    per workload (``completed`` = simulated fresh, ``cached`` = served
-    from disk), preceded by a ``corrupt`` one when the load quarantined
+    Traces persist under the runtime's trace cache; one ``phase="trace"``
+    progress event fires per workload (``completed`` = simulated fresh,
+    ``cached`` = served from disk), preceded by a ``corrupt`` one when the load quarantined
     a damaged pack, so warm-run telemetry accounts for trace
     regeneration exactly like characterizations and evaluations.
     """
@@ -52,10 +51,7 @@ def regenerated_traffic(
     from repro.runtime.telemetry import CACHED, COMPLETED, CORRUPT, ProgressEvent
 
     cache_dir = runtime.effective_trace_cache_dir
-    cache = (
-        LLCTraceCache(cache_dir, chaos=runtime.chaos)
-        if cache_dir is not None else None
-    )
+    cache = LLCTraceCache(cache_dir) if cache_dir is not None else None
     patterns = []
     for index, workload in enumerate(workloads):
         hits_before = cache.hits if cache is not None else 0

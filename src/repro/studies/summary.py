@@ -10,9 +10,10 @@ Runtime options apply uniformly to **all** studies, and every sweep runs
 serially in this process: ``--cache-dir`` persists array
 characterizations, (array x traffic) evaluation blocks, and regenerated
 LLC traces (``--trace-cache-dir`` relocates just the traces), ``--seed``
-pins every stochastic component, ``--on-error skip`` records a failing
-study and keeps going, and ``--chaos cache_corrupt=RATE`` damages cache
-entries before they load, to exercise the quarantine path.  A warm
+pins every stochastic component, and ``--on-error skip`` records a
+failing study and keeps going.  A cache pack that fails verification on
+load is moved to its store's ``quarantine/`` and its results are
+recomputed and re-packed, so a damaged cache heals on the next run.  A warm
 second run against the same cache directory performs zero
 characterizations and zero evaluation blocks; ``--expect-warm`` turns
 that into an exit-code assertion for CI.
@@ -48,7 +49,6 @@ from typing import Optional, Sequence, Union
 from repro.errors import ReproError
 from repro.results.table import ResultTable
 from repro.runtime.cache import atomic_write_bytes
-from repro.runtime.chaos import parse_chaos_spec
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.runtime.shard import (
@@ -361,12 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         help="abort on the first failing study, or record it and continue",
     )
     parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="deterministic cache-corruption injection for failure-handling "
-             "tests — comma-separated key=value pairs (seed, cache_corrupt, "
-             "corrupt_mode); 'off' disables",
-    )
-    parser.add_argument(
         "--expect-warm", action="store_true",
         help="exit non-zero if anything was recomputed (CI cache check)",
     )
@@ -378,19 +372,12 @@ def main(argv: list[str] | None = None) -> int:
         print(describe_registry())
         return EXIT_OK
 
-    try:
-        chaos = parse_chaos_spec(args.chaos) if args.chaos is not None else None
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     only = args.only.split(",") if args.only else None
     runtime = RuntimeOptions(
         cache_dir=args.cache_dir,
         trace_cache_dir=args.trace_cache_dir,
         on_error=args.on_error,
         seed=args.seed,
-        chaos=chaos,
     )
     print(f"Regenerating studies into {args.output_dir}/ ...")
     try:

@@ -193,8 +193,9 @@ class TestRuntimeSectionExtensions:
         assert str(options.effective_trace_cache_dir) == "t"
         assert options.seed == 11
         # A typo'd or retired key is an error, not a silent default.
-        for unknown in ("cache-dir", "workers", "point_shard_count"):
-            with pytest.raises(ConfigError, match=r"unknown runtime option.*cache_dir"):
+        for unknown in ("cache-dir", "workers", "point_shard_count", "chaos"):
+            message = rf"unknown runtime option.*'{unknown}'.*cache_dir"
+            with pytest.raises(ConfigError, match=message):
                 parse_config(minimal_config(runtime={**runtime, unknown: 2}))
 
     def test_trace_cache_defaults_from_cache_dir(self):

@@ -243,7 +243,6 @@ class TestCharacterizationCache:
         assert not cache.quarantine_dir().exists()
         [report] = fsck_cache_dir(tmp_path)
         assert report.clean
-        assert report.legacy == 2
         assert legacy.exists() and v2.exists()
 
     def test_entry_checksum_covers_the_stored_body(
