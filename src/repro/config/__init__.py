@@ -1,45 +1,21 @@
 """Configuration interface: JSON schema, loader, and CLI."""
 
-from repro.config.loader import (
-    load_config,
-    load_service_config,
-    load_study_config,
-    load_suite_config,
-    run_config,
-    run_study_config,
-    run_suite_config,
-)
+from repro.config.loader import load_config, load_service_config, run_config
 from repro.config.schema import (
     ParsedConfig,
     ServiceConfig,
-    StudyConfig,
-    SuiteConfig,
     is_service_config,
-    is_study_config,
-    is_suite_config,
     parse_config,
     parse_service_config,
-    parse_study_config,
-    parse_suite_config,
 )
 
 __all__ = [
     "ParsedConfig",
     "ServiceConfig",
-    "StudyConfig",
-    "SuiteConfig",
     "is_service_config",
-    "is_study_config",
-    "is_suite_config",
     "load_config",
     "load_service_config",
-    "load_study_config",
-    "load_suite_config",
     "parse_config",
     "parse_service_config",
-    "parse_study_config",
-    "parse_suite_config",
     "run_config",
-    "run_study_config",
-    "run_suite_config",
 ]

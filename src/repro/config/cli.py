@@ -3,19 +3,19 @@
 Six forms, mirroring and extending the paper's ``python run.py
 config/<name>.json`` workflow::
 
-    nvmexplorer <config.json> [flags]       # sweep, study, OR suite config
+    nvmexplorer <config.json> [flags]       # one design sweep
     nvmexplorer run-study <name> [flags]    # any registered study by name
     nvmexplorer list-studies                # what the registry offers
     nvmexplorer serve [config.json] [flags] # DSE-as-a-service front-end
     nvmexplorer fsck [cache_dir] [flags]    # audit caches + manifests
     nvmexplorer lint [root] [flags]         # statically check invariants
 
-Config files containing a ``"study"`` key are dispatched to the study
-registry automatically, files with a ``"suite"`` key to the incremental
-summary driver, and plain sweep configs run through the DSE engine as
-before.  Every sweep runs serially in this process.  Runtime flags
-(``--cache-dir``, ``--trace-cache-dir``, ``--seed``) override the
-config's ``runtime`` section and work identically for every study.
+A config file describes one sweep and runs through the DSE engine;
+``run-study`` runs a registered study, and ``python -m
+repro.studies.summary`` runs the whole suite incrementally.  Every
+sweep runs serially in this process.  Runtime flags (``--cache-dir``,
+``--trace-cache-dir``, ``--seed``) override the config's ``runtime``
+section and work identically for every study.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
-from repro.config.loader import (
-    _load_raw,
-    run_config,
-    run_study_config,
-    run_suite_config,
-)
-from repro.config.schema import is_study_config, is_suite_config
+from repro.config.loader import run_config
 from repro.errors import ConfigError, ReproError
+from repro.runtime.options import RuntimeOptions
 from repro.viz.dashboard import summary_dashboard
 
 
@@ -78,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "config",
-        help="path to a JSON sweep or registered-study configuration",
+        help="path to a JSON sweep configuration",
     )
     _add_output_flags(parser)
     _add_runtime_flags(parser)
@@ -131,18 +126,22 @@ def _emit(table, args) -> None:
 
 def _run_study_command(argv: Sequence[str]) -> int:
     args = build_run_study_parser().parse_args(argv)
+    # Imported lazily so `nvmexplorer <config>` stays independent of the
+    # studies stack.
+    from repro.studies.pipeline import resolve_study_request, run_study
+
     try:
-        config = {
+        request = resolve_study_request({
             "study": args.name,
             "params": dict(_parse_param(p) for p in args.param),
-        }
-        table = run_study_config(
-            config,
+        })
+        runtime = RuntimeOptions(
             cache_dir=args.cache_dir,
             trace_cache_dir=args.trace_cache_dir,
-            seed=args.seed,
             progress=_progress_callback(args.progress),
+            seed=args.seed,
         )
+        table = run_study(request.name, runtime, **request.params)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -246,49 +245,6 @@ def _serve_command(argv: Sequence[str]) -> int:
         return 130
 
 
-def _run_suite(raw, args) -> int:
-    """Run a suite config under CLI overrides; summary-style exit codes."""
-    from repro.config.loader import load_suite_config
-    from repro.studies.summary import (
-        EXIT_ALL_INCREMENTAL,
-        EXIT_FAILED,
-        EXIT_INTERRUPTED,
-        EXIT_OK,
-        report_run,
-    )
-
-    unsupported = [
-        flag for flag, given in
-        (("--csv", args.csv), ("--table", args.table),
-         ("--dashboard", args.dashboard))
-        if given
-    ]
-    if unsupported:
-        raise ConfigError(
-            f"{', '.join(unsupported)} not supported for suite configs: a "
-            "suite run writes per-study CSVs and reports under the config's "
-            "suite.output_dir"
-        )
-    config = load_suite_config(raw)
-    run = run_suite_config(
-        config,
-        cache_dir=args.cache_dir,
-        trace_cache_dir=args.trace_cache_dir,
-        seed=args.seed,
-        progress=_progress_callback(args.progress),
-    )
-    if run.interrupted:
-        print(
-            f"interrupted: partial manifest written to "
-            f"{config.output_dir}/manifest.json (re-run to resume)",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    if report_run(run, config.output_dir) != EXIT_OK:
-        return EXIT_FAILED
-    return EXIT_ALL_INCREMENTAL if run.fully_incremental else EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "run-study":
@@ -308,18 +264,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return lint_main(argv[1:])
 
     args = build_parser().parse_args(argv)
-    progress = _progress_callback(args.progress)
     try:
-        raw = _load_raw(args.config)
-        if is_suite_config(raw):
-            return _run_suite(raw, args)
-        runner = run_study_config if is_study_config(raw) else run_config
-        table = runner(
-            raw,
+        table = run_config(
+            args.config,
             cache_dir=args.cache_dir,
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
-            progress=progress,
+            progress=_progress_callback(args.progress),
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,41 +38,14 @@ persistent cache root (characterizations, evaluation blocks, and LLC
 traces live under it), an optional trace-cache override, whether a
 failing design point aborts the sweep or is skipped with telemetry, and
 a seed override for stochastic components.  Any other key is a
-:class:`ConfigError`.
+:class:`ConfigError`, and so is a ``system`` or ``runtime`` value that
+does not convert to the type it needs (``"seed": "abc"``).
 
-A second config shape describes one *registered study* instead of a raw
-sweep (the ``config/studies/*.json`` stubs)::
-
-    {
-      "study": "fig09_spec_llc",
-      "params": { "capacity_bytes": 16777216 },
-      "runtime": { "cache_dir": ".nvmcache" },
-      "output_csv": "output/results/fig09_spec_llc.csv",
-      "report_md": "output/reports/fig09_spec_llc.md"
-    }
-
-A third config shape describes one *suite run* — a serial, incremental
-pass over the study registry, the config-file form of
-``python -m repro.studies.summary``::
-
-    {
-      "suite": {
-        "only": ["fig09_spec_llc", "fig14_writebuffer"],   // optional
-        "output_dir": "output",
-        "incremental": true
-      },
-      "runtime": { "cache_dir": ".nvmcache" }
-    }
-
-Like the ``runtime`` section, the ``suite`` section rejects any other
-key with a :class:`ConfigError`.
-
-:func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`,
-:func:`parse_study_config` a study dict into a :class:`StudyConfig`, and
-:func:`parse_suite_config` a suite dict into a :class:`SuiteConfig`;
-:func:`repro.config.loader.run_config` /
-:func:`repro.config.loader.run_study_config` /
-:func:`repro.config.loader.run_suite_config` execute them.
+:func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`
+and :func:`parse_service_config` a ``{"service": ...}`` dict into a
+:class:`ServiceConfig`; :func:`repro.config.loader.run_config` runs a
+sweep.  Registered studies have no config shape: run them with
+``nvmexplorer run-study`` or ``python -m repro.studies.summary``.
 """
 
 from __future__ import annotations
@@ -109,41 +82,7 @@ class ParsedConfig:
     bits_per_cell: int
     traffic: Sequence[TrafficPattern]
     output_csv: Optional[str] = None
-    cache_dir: Optional[str] = None
-    trace_cache_dir: Optional[str] = None
-    on_error: str = "raise"
-    seed: Optional[int] = None
-
-    def runtime_options(self, progress=None) -> RuntimeOptions:
-        """The sweep's runtime section as shared :class:`RuntimeOptions`."""
-        return RuntimeOptions(
-            cache_dir=self.cache_dir,
-            trace_cache_dir=self.trace_cache_dir,
-            on_error=self.on_error,
-            progress=progress,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """A validated registered-study configuration ready to run."""
-
-    study: str
-    params: Mapping[str, Any]
-    runtime: RuntimeOptions
-    output_csv: Optional[str] = None
-    report_md: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """A validated suite-run configuration (incremental summary)."""
-
-    only: Optional[Sequence[str]]
-    output_dir: str
-    incremental: bool
-    runtime: RuntimeOptions
+    runtime: RuntimeOptions = RuntimeOptions()
 
 
 @dataclass(frozen=True)
@@ -264,46 +203,43 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
     cells = _parse_cells(_require(raw, "cells", "config"))
 
     system = raw.get("system", {})
-    capacities_mb = system.get("capacities_mb", [4])
-    if not capacities_mb:
-        raise ConfigError("system.capacities_mb must be non-empty")
-    capacities = [mb(float(c)) for c in capacities_mb]
-    targets = [
-        OptimizationTarget.from_string(str(t))
-        for t in system.get("optimization_targets", ["ReadEDP"])
-    ]
-    if not targets:
-        raise ConfigError("system.optimization_targets must be non-empty")
-
-    bits = int(system.get("bits_per_cell", 1))
-    if bits < 1:
-        raise ConfigError("system.bits_per_cell must be >= 1")
-
-    runtime = _parse_runtime(raw.get("runtime", {}))
+    try:
+        capacities_mb = system.get("capacities_mb", [4])
+        if not capacities_mb:
+            raise ConfigError("system.capacities_mb must be non-empty")
+        capacities = [mb(float(c)) for c in capacities_mb]
+        targets = [
+            OptimizationTarget.from_string(str(t))
+            for t in system.get("optimization_targets", ["ReadEDP"])
+        ]
+        if not targets:
+            raise ConfigError("system.optimization_targets must be non-empty")
+        bits = int(system.get("bits_per_cell", 1))
+        if bits < 1:
+            raise ConfigError("system.bits_per_cell must be >= 1")
+        node_nm = int(system.get("node_nm", 22))
+        sram_node_nm = int(system.get("sram_node_nm", 16))
+        access_bits = int(system.get("access_bits", 64))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"system: {exc}") from None
 
     return ParsedConfig(
         name=name,
         cells=cells,
         capacities_bytes=capacities,
-        node_nm=int(system.get("node_nm", 22)),
-        sram_node_nm=int(system.get("sram_node_nm", 16)),
+        node_nm=node_nm,
+        sram_node_nm=sram_node_nm,
         optimization_targets=targets,
-        access_bits=int(system.get("access_bits", 64)),
+        access_bits=access_bits,
         bits_per_cell=bits,
         traffic=_parse_traffic(raw.get("traffic")),
         output_csv=raw.get("output_csv"),
-        cache_dir=runtime.cache_dir,
-        trace_cache_dir=runtime.trace_cache_dir,
-        on_error=runtime.on_error,
-        seed=runtime.seed,
+        runtime=_parse_runtime(raw.get("runtime", {})),
     )
 
 
 #: Keys a ``runtime`` section may hold.
 _RUNTIME_KEYS = frozenset({"cache_dir", "trace_cache_dir", "on_error", "seed"})
-
-#: Keys a ``suite`` section may hold.
-_SUITE_KEYS = frozenset({"only", "output_dir", "incremental"})
 
 
 def _parse_runtime(section: Any) -> RuntimeOptions:
@@ -316,28 +252,18 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
             f"unknown runtime option(s) {unknown}; known options: "
             f"{sorted(_RUNTIME_KEYS)}"
         )
-    on_error = str(section.get("on_error", "raise"))
-    if on_error not in ("raise", "skip"):
-        raise ConfigError("runtime.on_error must be 'raise' or 'skip'")
     cache_dir = section.get("cache_dir")
     trace_cache_dir = section.get("trace_cache_dir")
     seed = section.get("seed")
-    return RuntimeOptions(
-        cache_dir=None if cache_dir is None else str(cache_dir),
-        trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
-        on_error=on_error,
-        seed=None if seed is None else int(seed),
-    )
-
-
-def is_study_config(raw: Mapping[str, Any]) -> bool:
-    """Does this raw config describe a registered study (vs. a raw sweep)?"""
-    return isinstance(raw, Mapping) and "study" in raw
-
-
-def is_suite_config(raw: Mapping[str, Any]) -> bool:
-    """Does this raw config describe a suite run?"""
-    return isinstance(raw, Mapping) and "suite" in raw
+    try:
+        return RuntimeOptions(
+            cache_dir=None if cache_dir is None else str(cache_dir),
+            trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
+            on_error=str(section.get("on_error", "raise")),
+            seed=None if seed is None else int(seed),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"runtime: {exc}") from None
 
 
 def is_service_config(raw: Mapping[str, Any]) -> bool:
@@ -366,8 +292,8 @@ def parse_service_config(raw: Mapping[str, Any]) -> ServiceConfig:
     if not isinstance(warm_studies, Sequence) or isinstance(warm_studies, str):
         raise ConfigError("service.warm_studies must be a list of study names")
     if warm_studies:
-        # Imported lazily, exactly like parse_study_config: service parsing
-        # should not drag the engine stack into sweep-only usage.
+        # Imported lazily: service parsing should not drag the engine
+        # stack into sweep-only usage.
         from repro.errors import ReproError
         from repro.studies.pipeline import get_study
 
@@ -392,69 +318,4 @@ def parse_service_config(raw: Mapping[str, Any]) -> ServiceConfig:
         warm_interval_s=warm_interval_s,
         drain_timeout_s=drain_timeout_s,
         runtime=_parse_runtime(raw.get("runtime", {})),
-    )
-
-
-def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
-    """Validate a raw suite-run config dict."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be an object")
-    section = _require(raw, "suite", "config")
-    if not isinstance(section, Mapping):
-        raise ConfigError("suite section must be an object")
-    unknown = sorted(set(section) - _SUITE_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown suite option(s) {unknown}; known options: "
-            f"{sorted(_SUITE_KEYS)}"
-        )
-    only = section.get("only")
-    if only is not None:
-        if not isinstance(only, Sequence) or isinstance(only, str):
-            raise ConfigError("suite.only must be a list of study names")
-        # Imported lazily, exactly like parse_study_config: suite parsing
-        # should not drag the engine stack into sweep-only usage.
-        from repro.errors import ReproError
-        from repro.studies.pipeline import get_study
-
-        try:
-            for name in only:
-                get_study(str(name))
-        except ReproError as exc:
-            raise ConfigError(str(exc)) from None
-        only = tuple(str(name) for name in only)
-    return SuiteConfig(
-        only=only,
-        output_dir=str(section.get("output_dir", "output")),
-        incremental=bool(section.get("incremental", True)),
-        runtime=_parse_runtime(raw.get("runtime", {})),
-    )
-
-
-def parse_study_config(raw: Mapping[str, Any]) -> StudyConfig:
-    """Validate a raw registered-study config dict."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be an object")
-    study = str(_require(raw, "study", "config"))
-    # Imported lazily: the study registry imports the engine stack, which
-    # plain sweep parsing never needs.  The registry owns the membership
-    # check (and its error message); we only retype it for config callers.
-    from repro.errors import ReproError
-    from repro.studies.pipeline import get_study
-
-    try:
-        get_study(study)
-    except ReproError as exc:
-        raise ConfigError(str(exc)) from None
-    params = raw.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ConfigError("params section must be an object")
-    output_csv = raw.get("output_csv")
-    report_md = raw.get("report_md")
-    return StudyConfig(
-        study=study,
-        params=dict(params),
-        runtime=_parse_runtime(raw.get("runtime", {})),
-        output_csv=None if output_csv is None else str(output_csv),
-        report_md=None if report_md is None else str(report_md),
     )

@@ -12,8 +12,8 @@ shims.
 
 The registry is the single source of truth for the study CLI
 (``python -m repro.config.cli run-study <name>``), the summary driver
-(``python -m repro.studies.summary``), and the shipped per-study config
-stubs under ``config/studies/``.
+(``python -m repro.studies.summary``), and the service; a study has no
+config-file form, its defaults live here only.
 """
 
 from __future__ import annotations
@@ -309,14 +309,15 @@ _REQUEST_KEYS = frozenset({"study", "params", "seed"})
 def resolve_study_request(payload: Mapping[str, Any]) -> StudyRequest:
     """Validate a client's study-request payload into a :class:`StudyRequest`.
 
-    The payload is the service's submit body (already JSON-decoded)::
+    The payload is the service's submit body (already JSON-decoded), and
+    ``run-study`` builds the same shape from its arguments::
 
         {"study": "fig09_spec_llc", "params": {...}, "seed": 7}
 
     Raises :class:`~repro.errors.ReproError` on an unknown study, unknown
     payload keys, parameters the study's builder does not accept, or a
-    ``runtime`` parameter (execution options belong to the server, not
-    the request).
+    ``runtime`` parameter (execution options belong to whoever runs the
+    request — the server, or ``run-study``'s flags — not the request).
     """
     if not isinstance(payload, Mapping):
         raise ReproError("study request must be an object")
@@ -335,7 +336,8 @@ def resolve_study_request(payload: Mapping[str, Any]) -> StudyRequest:
     if "runtime" in params:
         raise ReproError(
             f"study {spec.name!r}: 'runtime' is not a study parameter "
-            "(execution options are configured server-side)"
+            "(execution options belong to the runner: CLI flags or the "
+            "server's config)"
         )
     try:
         inspect.signature(spec.builder).bind_partial(**params)

@@ -5,16 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import (
-    is_study_config,
-    is_suite_config,
-    load_config,
-    parse_config,
-    parse_study_config,
-    parse_suite_config,
-    run_config,
-    run_study_config,
-)
+from repro.config import load_config, parse_config, run_config
 from repro.config.cli import main as cli_main
 from repro.errors import ConfigError
 
@@ -107,11 +98,21 @@ class TestSchema:
             parse_config(minimal_config(traffic={"kind": "quantum"}))
 
     def test_bad_target_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="system: unknown optimization target"):
             parse_config(
                 minimal_config(system={"capacities_mb": [1],
                                        "optimization_targets": ["Vibes"]})
             )
+
+    @pytest.mark.parametrize("section, value, match", [
+        ("system", {"capacities_mb": 4}, "system: "),
+        ("system", {"capacities_mb": [1], "access_bits": "wide"}, "system: "),
+        ("system", {"capacities_mb": [1], "node_nm": "x"}, "system: "),
+        ("runtime", {"seed": "abc"}, "runtime: "),
+    ], ids=["capacities_mb", "access_bits", "node_nm", "seed"])
+    def test_malformed_scalar_is_a_config_error(self, section, value, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(minimal_config(**{section: value}))
 
     def test_bits_per_cell_validated(self):
         with pytest.raises(ConfigError):
@@ -172,24 +173,22 @@ class TestCLI:
         assert cli_main([str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
 
-
-def study_config(**overrides):
-    config = {
-        "study": "ext_hierarchy",
-        "params": {"read_hit_rate": 0.5},
-        "runtime": {"on_error": "raise"},
-    }
-    config.update(overrides)
-    return config
+    def test_cli_malformed_scalar(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(minimal_config(system={"capacities_mb": 4})))
+        assert cli_main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: system: ")
+        assert "Traceback" not in err
 
 
 class TestRuntimeSectionExtensions:
     def test_trace_cache_dir_and_seed_parsed(self):
         runtime = {"cache_dir": "c", "trace_cache_dir": "t", "seed": 11}
         parsed = parse_config(minimal_config(runtime=runtime))
-        assert parsed.trace_cache_dir == "t"
-        assert parsed.seed == 11
-        options = parsed.runtime_options()
+        assert parsed.runtime.trace_cache_dir == "t"
+        assert parsed.runtime.seed == 11
+        options = parsed.runtime
         assert str(options.effective_trace_cache_dir) == "t"
         assert options.seed == 11
         # A typo'd or retired key is an error, not a silent default.
@@ -201,54 +200,8 @@ class TestRuntimeSectionExtensions:
     def test_trace_cache_defaults_from_cache_dir(self):
         options = parse_config(minimal_config(
             runtime={"cache_dir": "root"}
-        )).runtime_options()
+        )).runtime
         assert str(options.effective_trace_cache_dir) == str(Path("root") / "traces")
-
-
-class TestStudyConfig:
-    def test_parse_study_config(self):
-        parsed = parse_study_config(study_config())
-        assert parsed.study == "ext_hierarchy"
-        assert parsed.params == {"read_hit_rate": 0.5}
-        assert parsed.runtime.on_error == "raise"
-
-    def test_unknown_study_rejected(self):
-        with pytest.raises(ConfigError, match="unknown study"):
-            parse_study_config(study_config(study="fig99_flying_cars"))
-
-    def test_missing_study_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_study_config({"params": {}})
-
-    def test_is_study_config(self):
-        assert is_study_config(study_config())
-        assert not is_study_config(minimal_config())
-
-    def test_load_config_rejects_study_configs(self, tmp_path):
-        path = tmp_path / "study.json"
-        path.write_text(json.dumps(study_config()))
-        with pytest.raises(ConfigError, match="registered-study"):
-            load_config(path)
-
-    def test_run_study_config_writes_artifacts(self, tmp_path):
-        config = study_config(
-            output_csv=str(tmp_path / "h.csv"),
-            report_md=str(tmp_path / "h.md"),
-        )
-        table = run_study_config(config)
-        assert len(table) == 9
-        assert (tmp_path / "h.csv").exists()
-        report = (tmp_path / "h.md").read_text()
-        assert "Reproduces paper" in report
-
-    def test_run_study_config_bad_param_rejected(self):
-        with pytest.raises(ConfigError, match="bad params"):
-            run_study_config(study_config(params={"warp_factor": 9}))
-
-    def test_run_study_config_runtime_overrides(self, tmp_path):
-        cache = tmp_path / "cache"
-        run_study_config(study_config(), cache_dir=str(cache))
-        assert (cache / "arrays").exists()
 
 
 class TestStudyCLI:
@@ -276,85 +229,35 @@ class TestStudyCLI:
         assert cli_main(["run-study", "fig99_flying_cars"]) == 1
         assert "unknown study" in capsys.readouterr().err
 
-    def test_run_study_bad_param_syntax(self, capsys):
-        assert cli_main(["run-study", "ext_hierarchy", "--param", "oops"]) == 1
-        assert "KEY=VALUE" in capsys.readouterr().err
+    @pytest.mark.parametrize("param, message", [
+        ("oops", "KEY=VALUE"),
+        ("warp_factor=9", "bad params"),
+        ("runtime=1", "'runtime' is not a study parameter"),
+    ], ids=["syntax", "unknown", "runtime"])
+    def test_run_study_bad_param(self, param, message, capsys):
+        assert cli_main(["run-study", "ext_hierarchy", "--param", param]) == 1
+        assert message in capsys.readouterr().err
 
-    def test_study_config_file_dispatched(self, tmp_path, capsys):
-        path = tmp_path / "study.json"
-        path.write_text(json.dumps(study_config()))
-        assert cli_main([str(path)]) == 0
-        assert "9 result rows" in capsys.readouterr().out
-
-    def test_runtime_flags_forwarded(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "run-study"])
+    def test_runtime_flags_forwarded(self, command, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(minimal_config()))
+        target = [str(path)] if command == "sweep" else ["run-study", "ext_hierarchy"]
         cache = tmp_path / "cache"
-        assert cli_main([str(path), "--cache-dir", str(cache)]) == 0
+        assert cli_main([*target, "--cache-dir", str(cache)]) == 0
         assert (cache / "arrays").exists()
 
-
-def suite_config(tmp_path, **suite_overrides):
-    suite = {
-        "only": ["ext_hierarchy"],
-        "output_dir": str(tmp_path / "out"),
-        "incremental": True,
-    }
-    suite.update(suite_overrides)
-    return {"suite": suite}
-
-
-class TestSuiteConfig:
-    def test_is_suite_config(self, tmp_path):
-        assert is_suite_config(suite_config(tmp_path))
-        assert not is_suite_config(minimal_config())
-        assert not is_study_config(suite_config(tmp_path))
-
-    def test_parse_defaults(self):
-        parsed = parse_suite_config({"suite": {}})
-        assert parsed.only is None
-        assert parsed.output_dir == "output"
-        assert parsed.incremental
-
-    def test_unknown_study_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown study"):
-            parse_suite_config(suite_config(tmp_path, only=["fig99_warp"]))
-
-    def test_unknown_suite_keys_rejected(self, tmp_path):
-        # A typo (which would silently run incrementally) or a retired
-        # shard key (which would silently run the whole suite) is an
-        # error that lists the known keys.
-        for unknown in ("incremantal", "shard_index", "shard_count",
-                        "point_shard_index", "point_shard_count"):
-            with pytest.raises(ConfigError,
-                               match=r"unknown suite option.*incremental"):
-                parse_suite_config(suite_config(tmp_path, **{unknown: 1}))
-
-    def test_only_must_be_a_list(self, tmp_path):
-        with pytest.raises(ConfigError, match="list of study names"):
-            parse_suite_config(suite_config(tmp_path, only="ext_hierarchy"))
-
-    def test_load_config_rejects_suite_shape(self, tmp_path):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(suite_config(tmp_path)))
-        with pytest.raises(ConfigError, match="suite-run config"):
-            load_config(path)
-
-
-class TestSuiteCLI:
-    def test_suite_config_dispatched(self, tmp_path, capsys):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(suite_config(tmp_path)))
-        assert cli_main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "| ext_hierarchy | ok |" in out
-        assert (tmp_path / "out" / "manifest.json").exists()
-        # Second run: fully incremental, distinct exit code.
-        assert cli_main([str(path)]) == 3
-        assert "| ext_hierarchy | cached |" in capsys.readouterr().out
-
-    def test_suite_config_rejects_table_output_flags(self, tmp_path, capsys):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(suite_config(tmp_path)))
-        assert cli_main([str(path), "--csv", str(tmp_path / "x.csv")]) == 1
-        assert "not supported for suite configs" in capsys.readouterr().err
+    @pytest.mark.parametrize("raw", [
+        {"study": "ext_hierarchy", "params": {}},
+        {"suite": {}},
+    ], ids=["study", "suite"])
+    def test_non_sweep_config_rejected(self, raw, tmp_path, capsys):
+        # Studies have no config shape (they run through `run-study` or
+        # the summary driver), so such a file is a sweep without cells.
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'cells'" in err
+        assert "Traceback" not in err

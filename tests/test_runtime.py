@@ -813,8 +813,8 @@ class TestConfigRuntime:
 
     def test_runtime_section_parsed(self):
         parsed = parse_config(self.config(cache_dir="c", on_error="skip"))
-        assert parsed.cache_dir == "c"
-        assert parsed.on_error == "skip"
+        assert parsed.runtime.cache_dir == "c"
+        assert parsed.runtime.on_error == "skip"
 
     def test_runtime_defaults(self):
         parsed = parse_config({
@@ -822,8 +822,8 @@ class TestConfigRuntime:
             "cells": {"technologies": ["STT"], "flavors": ["optimistic"]},
             "system": {"capacities_mb": [1]},
         })
-        assert parsed.cache_dir is None
-        assert parsed.on_error == "raise"
+        assert parsed.runtime.cache_dir is None
+        assert parsed.runtime.on_error == "raise"
 
     def test_bad_on_error_rejected(self):
         with pytest.raises(ConfigError):
