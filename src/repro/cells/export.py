@@ -22,7 +22,7 @@ _CELL_FIELDS = {f.name for f in fields(CellTechnology)}
 
 def cell_to_dict(cell: CellTechnology) -> dict[str, Any]:
     """A JSON-serializable representation of a cell definition."""
-    data = asdict(cell)
+    data = {f.name: getattr(cell, f.name) for f in fields(cell)}
     data["tech_class"] = cell.tech_class.value
     data["access_device"] = cell.access_device.value
     return data

@@ -11,7 +11,7 @@ of subarrays form independent banks that can pipeline accesses.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator, Mapping
 
 from repro.errors import CharacterizationError
@@ -89,7 +89,7 @@ class ArrayOrganization:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serializable representation (for the on-disk cache)."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ArrayOrganization":

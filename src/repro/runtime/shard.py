@@ -62,18 +62,28 @@ def schema_tags() -> dict[str, str]:
 # --- study fingerprints (incremental skip keys) ---------------------------
 
 
+def source_files() -> list[Path]:
+    """Every file :func:`source_digest` hashes, in digest order.
+
+    The package data the sources load (the proxies' committed ``.npz``
+    weights) can change a study's artifacts as much as the code can.
+    """
+    package_root = Path(__file__).resolve().parent.parent
+    return sorted(path for pattern in ("*.py", "*.npz") for path in package_root.rglob(pattern))
+
+
 @lru_cache(maxsize=1)
 def source_digest() -> str:
-    """Content hash of every ``repro`` source file.
+    """Content hash of every ``repro`` source and package-data file.
 
     mtime-independent: only file *contents* (and relative paths)
     participate, so a fresh checkout of the same revision digests
-    identically on every host.  Any source change invalidates every
-    incremental skip — conservative, but never wrong.
+    identically on every host.  Any source or data change invalidates
+    every incremental skip — conservative, but never wrong.
     """
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    for path in source_files():
         digest.update(path.relative_to(package_root).as_posix().encode("utf-8"))
         digest.update(b"\x00")
         digest.update(path.read_bytes())

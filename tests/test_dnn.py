@@ -12,7 +12,13 @@ from repro.dnn import (
     softmax,
     trained_proxy,
 )
+from repro.dnn import proxies
 from repro.errors import ReproError
+
+
+def _file_arrays():
+    with np.load(proxies._WEIGHTS_PATH) as archive:
+        return {key: archive[key] for key in archive.files}
 
 
 class TestLayers:
@@ -167,3 +173,52 @@ class TestProxies:
         broken = FaultModel(TechnologyClass.RRAM, 1, 0.4)
         acc = proxy.accuracy_under_model(broken, trials=2)
         assert acc < proxy.baseline_accuracy - 0.2
+
+    @pytest.mark.parametrize("name", sorted(proxies._PROXY_SHAPES))
+    def test_weights_file_matches_training_recipe(self, name):
+        """The committed arrays are exactly what the recipe trains, bit for bit."""
+        trained = proxies._train(name, proxies._PROXY_SHAPES[name])
+        arrays = _file_arrays()
+        for index, layer in enumerate(trained.network.dense_layers):
+            weight_key, bias_key = proxies._array_keys(name, index)
+            assert np.array_equal(layer.weight, arrays[weight_key])
+            assert np.array_equal(layer.bias, arrays[bias_key])
+        assert trained_proxy(name).baseline_accuracy == trained.baseline_accuracy
+
+    def test_trained_proxy_never_trains(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained_proxy must not train")
+
+        monkeypatch.setattr(MLP, "train_step", no_training)
+        trained_proxy.cache_clear()
+        for name in proxies._PROXY_SHAPES:
+            assert trained_proxy(name).baseline_accuracy > 0.75
+
+    def test_weights_file_matches_registry(self):
+        """One float32 array of the registry's shape per layer, and no extra names."""
+        expected = {}
+        for name, hidden in proxies._PROXY_SHAPES.items():
+            _, network = proxies._untrained(hidden)
+            for index, layer in enumerate(network.dense_layers):
+                for key, array in zip(
+                    proxies._array_keys(name, index), (layer.weight, layer.bias)
+                ):
+                    expected[key] = (array.shape, np.dtype(np.float32))
+        found = {key: (a.shape, a.dtype) for key, a in _file_arrays().items()}
+        assert found == expected
+
+    def test_missing_weights_entry_names_the_proxy(self, tmp_path):
+        arrays = _file_arrays()
+        del arrays["resnet26.bias2"]
+        path = tmp_path / "weights.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ReproError, match="proxy resnet26.*resnet26.bias2"):
+            proxies._load("resnet26", proxies._PROXY_SHAPES["resnet26"], path)
+
+    def test_misshaped_weights_entry_names_the_proxy(self, tmp_path):
+        arrays = _file_arrays()
+        arrays["albert.weight1"] = arrays["albert.weight1"][:, :-1]
+        path = tmp_path / "weights.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ReproError, match="proxy albert.*albert.weight1"):
+            proxies._load("albert", proxies._PROXY_SHAPES["albert"], path)

@@ -16,6 +16,7 @@ from repro.runtime.shard import (
     RunManifest,
     schema_tags,
     source_digest,
+    source_files,
     study_fingerprint,
 )
 from repro.studies.pipeline import REGISTRY
@@ -38,6 +39,12 @@ def test_source_digest_is_stable_hex():
     assert digest == source_digest()
     assert len(digest) == 64
     int(digest, 16)
+
+
+def test_source_digest_covers_the_proxy_weights():
+    digested = {path.as_posix() for path in source_files()}
+    assert any(path.endswith("repro/dnn/proxy_weights.npz") for path in digested)
+    assert any(path.endswith("repro/runtime/shard.py") for path in digested)
 
 
 def test_schema_tags_cover_every_cache_layer():
