@@ -14,7 +14,18 @@ The package mirrors the paper's three-stage flow:
    :mod:`repro.studies`.
 """
 
-from repro.cells import (
+import os
+
+# Every entry point imports this package before numpy, so the default
+# reaches OpenBLAS while it loads (it reads the variable only then).  The
+# suite is serial and its GEMMs are small: on a 2-core box a 96-wide
+# float32 matmul takes 0.03-0.3 ms on one thread, but handing it to a
+# second OpenBLAS thread often stalls about 8 ms, which made the 75 DNN
+# dense-layer calls of one suite run cost 0.35 s instead of 0.015 s.
+# ``setdefault`` keeps a value the user has set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.cells import (  # noqa: E402
     CellTechnology,
     TechnologyClass,
     back_gated_fefet,
@@ -23,9 +34,9 @@ from repro.cells import (
     study_cells,
     tentpoles_for,
 )
-from repro.errors import ReproError
-from repro.nvsim import ArrayCharacterization, OptimizationTarget, characterize
-from repro.runtime import CharacterizationCache, ProgressEvent, SweepTelemetry
+from repro.errors import ReproError  # noqa: E402
+from repro.nvsim import ArrayCharacterization, OptimizationTarget, characterize  # noqa: E402
+from repro.runtime import CharacterizationCache, ProgressEvent, SweepTelemetry  # noqa: E402
 
 __version__ = "1.0.0"
 

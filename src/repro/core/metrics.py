@@ -199,7 +199,11 @@ def array_record(array: ArrayCharacterization) -> dict:
 
 def evaluation_record(ev: SystemEvaluation) -> dict:
     """Flatten a system evaluation into a table row."""
-    row = array_record(ev.array)
+    return _with_evaluation(array_record(ev.array), ev)
+
+
+def _with_evaluation(row: dict, ev: SystemEvaluation) -> dict:
+    """``row`` (``ev``'s flattened array) with ``ev``'s columns added."""
     row.update(
         {
             "workload": ev.traffic.name,
@@ -234,7 +238,8 @@ def evaluation_rows(
     here but part of the uniform signature specialized evaluators share.
     """
     del extra
-    return [evaluation_record(ev) for ev in evaluate_many(array, traffic)]
+    array_row = array_record(array)
+    return [_with_evaluation(dict(array_row), ev) for ev in evaluate_many(array, traffic)]
 
 
 def lifetime_seconds(

@@ -129,9 +129,11 @@ class ResultTable:
         """Render as CSV; write to ``path`` when given."""
         columns = self.columns
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(columns)
-        writer.writerows(self._rendered_rows(columns, _csv_column, ""))
+        write = buffer.write
+        rows = self._rendered_rows(columns, _csv_column, "")
+        for cells in chain([_csv_column(columns)], rows):
+            # csv's rule: a record of one empty field is written as "".
+            write((",".join(cells) or ('""' if cells else "")) + "\r\n")
         text = buffer.getvalue()
         if path is not None:
             with open(path, "w", newline="") as handle:
@@ -181,31 +183,52 @@ class ResultTable:
 class _TextMemo(dict):
     """Memo of value -> rendered text, filled on first miss.
 
-    Only exact, non-zero floats are used as keys: ``0.0`` and ``-0.0``
-    compare and hash equal but render differently, and float subclasses
-    (``np.float64``) render differently from ``float``.  Result columns
-    repeat array- and traffic-derived values across many rows: over the
-    14 study tables, 80% of the non-zero float cells repeat a value seen
-    earlier in their column, which is what makes the memo pay.
+    Keys are exact, non-zero floats (rendered numbers) or exact strings
+    (CSV quoting).  ``0.0`` and ``-0.0`` compare and hash equal but render
+    differently, and float subclasses (``np.float64``) render differently
+    from ``float``, so neither is ever a key.  Result columns repeat
+    array- and traffic-derived values across many rows: over the 14 study
+    tables, 80% of the non-zero float cells repeat a value seen earlier in
+    their column, which is what makes the memo pay.
     """
 
-    def __init__(self, render: Callable[[float], str]) -> None:
+    def __init__(self, render: Callable[[Any], str]) -> None:
         super().__init__()
         self._render = render
 
-    def __missing__(self, value: float) -> str:
+    def __missing__(self, value: Any) -> str:
         text = self[value] = self._render(value)
         return text
 
 
-def _csv_column(values: list[Any]) -> list[Any]:
-    """CSV cells: memoized ``repr`` (the text csv writes) for floats.
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted the way csv's QUOTE_MINIMAL does."""
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
 
-    Every other value goes to csv unchanged, so the bytes match csv's own
-    conversion (None -> empty, float subclasses via their own repr).
+
+def _csv_cell(value: Any) -> str:
+    """What csv writes for ``value``: None empty, anything else ``str``."""
+    return "" if value is None else _csv_field(str(value))
+
+
+def _csv_column(values: Sequence[Any]) -> list[str]:
+    """CSV fields: memoized ``repr`` for floats, memoized quoting for strings.
+
+    The bytes match what ``csv.writer`` (excel dialect) writes for the
+    same values; ``tests/test_results.py`` holds the parity oracle.
     """
-    memo = _TextMemo(repr)
-    return [memo[v] if type(v) is float and v else v for v in values]
+    floats = _TextMemo(repr)
+    strings = _TextMemo(_csv_field)
+    return [
+        floats[v] if type(v) is float and v
+        else strings[v] if type(v) is str
+        else _csv_cell(v)
+        for v in values
+    ]
 
 
 def _markdown_cell(value: Any, float_format: str) -> str:

@@ -82,8 +82,9 @@ def area_efficiency_study(
     ]
     table = ResultTable()
     for array, rows in zip(arrays, engine.evaluate_blocks(arrays, traffic)):
+        organization = array.organization.describe()
         for row in rows:
-            row["organization"] = array.organization.describe()
+            row["organization"] = organization
             table.append(row)
     return table
 

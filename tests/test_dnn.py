@@ -1,5 +1,10 @@
 """Numpy DNN substrate tests: layers, network, data, proxies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -222,3 +227,36 @@ class TestProxies:
         np.savez(path, **arrays)
         with pytest.raises(ReproError, match="proxy albert.*albert.weight1"):
             proxies._load("albert", proxies._PROXY_SHAPES["albert"], path)
+
+
+class TestBlasThreads:
+    """``import repro`` gives OpenBLAS one thread unless the user chose otherwise."""
+
+    _SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def _run(self, code, **env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**base, "PYTHONPATH": self._SRC, **env},
+            capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    def test_default_is_one_thread(self):
+        code = (
+            "import os, repro, numpy as np\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "a = np.ones((512, 512), dtype=np.float32)\n"
+            "a @ a\n"
+            "if os.path.isdir('/proc/self/task'):\n"
+            "    print(len(os.listdir('/proc/self/task')))\n"
+        )
+        lines = self._run(code).splitlines()
+        assert lines[0] == "1"
+        if sys.platform.startswith("linux"):
+            assert lines[1:] == ["1"]
+
+    def test_user_setting_is_kept(self):
+        code = "import os, repro; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._run(code, OPENBLAS_NUM_THREADS="3") == "3"

@@ -246,3 +246,53 @@ _cell_values = st.one_of(
 )
 def test_rendering_matches_reference_on_generated_tables(records):
     _assert_renders_like_reference(records)
+
+
+# --- csv.writer parity ---------------------------------------------------------
+#
+# to_csv writes CSV text itself; these cases pin it to what csv.writer
+# (excel dialect, QUOTE_MINIMAL) writes for the same header and rows.
+
+
+def _csv_writer_text(table):
+    columns = table.columns
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for record in table:
+        writer.writerow([record.get(c, "") for c in columns])
+    return buffer.getvalue()
+
+
+_CSV_WRITER_CASES = {
+    "delimiter quote and line breaks": [
+        {"s": "a,b", "t": 'say "hi"', "u": "cr\r", "v": "lf\n", "w": '","\r\n'},
+        {"s": "plain", "t": '"', "u": "\r\n", "v": " lead space", "w": "tab\t"},
+    ],
+    "None and empty string": [
+        {"x": None, "y": ""}, {"x": "", "y": None}, {"x": None, "y": None},
+    ],
+    "scalars": [
+        {"b": True, "i": 3, "z": -0.0, "n": math.nan, "p": math.inf, "m": -math.inf},
+        {"b": False, "i": -3, "z": 0.0, "n": 0.1, "p": 1e300, "m": 5e-324},
+    ],
+    "numpy scalars": [
+        {"d": np.float64(1.5), "f": np.float32(0.1), "i": np.int64(7)},
+        {"d": np.float64(-0.0), "f": np.float32(-2.5), "i": np.int64(-7)},
+    ],
+    "tuple value": [{"t": (1, 2)}, {"t": ("a",)}, {"t": ()}],
+    "one column with empty rows": [{"x": None}, {"x": ""}, {"x": "v"}, {}],
+    "one column named empty": [{"": 1.5}, {"": None}, {"": ""}],
+    "column names that need quoting": [{"a,b": 1, 'q"q': 2, "l\nf": 3, "c\rr": 4}],
+    "zero columns": [],
+    "keyless records": [{}, {}, {}],
+    "ragged records": [
+        {"a": 1}, {"b": 2.5, "c": "x,y"}, {}, {"c": None, "a": ""}, {"d": True},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_WRITER_CASES))
+def test_to_csv_matches_csv_writer(name):
+    table = ResultTable(_CSV_WRITER_CASES[name])
+    assert table.to_csv() == _csv_writer_text(table)
