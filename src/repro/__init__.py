@@ -9,7 +9,7 @@ The package mirrors the paper's three-stage flow:
 2. **Evaluate** — characterize memory arrays (:mod:`repro.nvsim`), run the
    cross-stack analytical models (:mod:`repro.core`), and optionally inject
    faults into application data (:mod:`repro.faults`, :mod:`repro.dnn`).
-3. **Explore** — filter/aggregate results (:mod:`repro.results`) and render
+3. **Explore** — filter and sort results (:mod:`repro.results`) and render
    them (:mod:`repro.viz`); the paper's case studies live in
    :mod:`repro.studies`.
 """

@@ -398,29 +398,6 @@ def run_lint(
     )
 
 
-def iter_functions(
-    module: ModuleInfo,
-) -> Iterator[Tuple[str, Union[ast.FunctionDef, ast.AsyncFunctionDef]]]:
-    """``(qualname, node)`` for every function/method in one module.
-
-    Qualnames are ``module.func`` / ``module.Class.method``; nested
-    functions extend the chain.
-    """
-
-    def walk(node: ast.AST, prefix: str) -> Iterator[tuple]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}.{child.name}"
-                yield qual, child
-                yield from walk(child, qual)
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}.{child.name}")
-            else:
-                yield from walk(child, prefix)
-
-    yield from walk(module.tree, module.name)
-
-
 def enclosing_function(
     module: ModuleInfo, node: ast.AST
 ) -> Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:

@@ -28,7 +28,6 @@ from repro.analysis.engine import (
     dotted_name,
     enclosing_function,
     register_rule,
-    walk_scope,
 )
 
 __all__ = ["AtomicWriteRule"]

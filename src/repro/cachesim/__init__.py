@@ -9,10 +9,9 @@ Two simulation APIs coexist:
   identical :class:`CacheStats` — the fast path behind
   :func:`simulate_llc_traffic` and the write-buffer coalescing study.
 
-Streams likewise come in batch form (``sequential_batch`` /
-``strided_batch`` / ``zipfian_batch`` / :meth:`WorkloadModel.batch`,
-returning numpy arrays in one shot) and as the original per-access
-iterators, which are thin wrappers over the batch form.
+Streams (``sequential_batch`` / ``strided_batch`` / ``zipfian_batch`` /
+:meth:`WorkloadModel.batch`) return the whole ``(addresses, is_write)``
+pair as numpy arrays in one shot.
 """
 
 from repro.cachesim.batch import BatchResult, simulate_batch
@@ -21,16 +20,12 @@ from repro.cachesim.llc import (
     SYNTHETIC_SUITE,
     LLCTrace,
     simulate_llc_traffic,
-    synthetic_llc_suite,
 )
 from repro.cachesim.streams import (
     WorkloadModel,
     sequential_batch,
-    sequential_stream,
     strided_batch,
-    strided_stream,
     zipfian_batch,
-    zipfian_stream,
 )
 
 __all__ = [
@@ -41,13 +36,9 @@ __all__ = [
     "WorkloadModel",
     "simulate_batch",
     "sequential_batch",
-    "sequential_stream",
     "strided_batch",
-    "strided_stream",
     "zipfian_batch",
-    "zipfian_stream",
     "LLCTrace",
     "simulate_llc_traffic",
-    "synthetic_llc_suite",
     "SYNTHETIC_SUITE",
 ]

@@ -47,10 +47,6 @@ class LLCTrace:
         return 1000.0 * self.llc_reads / self.instructions
 
     @property
-    def write_mpki(self) -> float:
-        return 1000.0 * self.llc_writes / self.instructions
-
-    @property
     def llc_hit_rate(self) -> float:
         accesses = self.llc_reads + self.llc_writes
         return self.llc_hits / accesses if accesses else 0.0
@@ -184,23 +180,3 @@ SYNTHETIC_SUITE: tuple[WorkloadModel, ...] = (
                   locality_skew=2.2, streaming_fraction=0.02),
 )
 
-
-def synthetic_llc_suite(
-    n_accesses: int = 100_000,
-    seed: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    cache=None,
-) -> list[TrafficPattern]:
-    """LLC traffic regenerated from the synthetic suite.
-
-    ``cache_dir`` (or a shared ``cache`` instance) persists each
-    workload's trace (see :func:`simulate_llc_traffic`), making repeated
-    suite regenerations near-instant.
-    """
-    return [
-        simulate_llc_traffic(
-            w, n_accesses=n_accesses, seed=seed,
-            cache_dir=cache_dir, cache=cache,
-        ).traffic()
-        for w in SYNTHETIC_SUITE
-    ]

@@ -5,17 +5,15 @@ streaming (sequential), strided, zipfian-random (pointer chasing over a
 skewed working set), and a mixed model parameterized like a real workload
 (working-set size, write fraction, locality skew).
 
-Every pattern has two forms: a ``*_batch`` function that materializes the
-whole ``(addresses, is_write)`` pair as numpy arrays in one shot (the fast
-path consumed by :mod:`repro.cachesim.batch`), and the original iterator
-API, kept as a thin wrapper over the batch form for compatibility.
+Every pattern is a ``*_batch`` function that materializes the whole
+``(addresses, is_write)`` pair as numpy arrays in one shot, the form
+consumed by :mod:`repro.cachesim.batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -106,42 +104,6 @@ def zipfian_batch(
     return lines * line_bytes, writes
 
 
-def sequential_stream(
-    n_accesses: int,
-    stride_bytes: int = 64,
-    write_fraction: float = 0.0,
-    seed: int = 1,
-) -> Iterator[tuple[int, bool]]:
-    """Iterator form of :func:`sequential_batch`."""
-    yield from _iterate(sequential_batch(
-        n_accesses, stride_bytes, write_fraction, seed))
-
-
-def strided_stream(
-    n_accesses: int,
-    stride_bytes: int,
-    working_set_bytes: int,
-    write_fraction: float = 0.0,
-    seed: int = 1,
-) -> Iterator[tuple[int, bool]]:
-    """Iterator form of :func:`strided_batch`."""
-    yield from _iterate(strided_batch(
-        n_accesses, stride_bytes, working_set_bytes, write_fraction, seed))
-
-
-def zipfian_stream(
-    n_accesses: int,
-    working_set_bytes: int,
-    line_bytes: int = 64,
-    skew: float = 1.1,
-    write_fraction: float = 0.2,
-    seed: int = 1,
-) -> Iterator[tuple[int, bool]]:
-    """Iterator form of :func:`zipfian_batch`."""
-    yield from _iterate(zipfian_batch(
-        n_accesses, working_set_bytes, line_bytes, skew, write_fraction, seed))
-
-
 @dataclass(frozen=True)
 class WorkloadModel:
     """A parameterized synthetic workload for LLC-trace regeneration."""
@@ -186,16 +148,6 @@ class WorkloadModel:
         is_write[~zipf_slots] = seq_w
         return addresses, is_write
 
-    def stream(self, n_accesses: int, seed: int = 1) -> Iterator[tuple[int, bool]]:
-        """Iterator form of :meth:`batch`."""
-        yield from _iterate(self.batch(n_accesses, seed=seed))
-
-
-def _iterate(
-    batch: tuple[np.ndarray, np.ndarray]
-) -> Iterator[tuple[int, bool]]:
-    addresses, is_write = batch
-    yield from zip(addresses.tolist(), is_write.tolist())
 
 
 def _check(n_accesses: int, write_fraction: float) -> None:

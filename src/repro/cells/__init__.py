@@ -26,8 +26,6 @@ from repro.cells.envelopes import (
 from repro.cells.export import (
     cell_from_dict,
     cell_to_dict,
-    survey_from_csv,
-    survey_to_csv,
 )
 from repro.cells.presets import (
     back_gated_fefet,
@@ -72,6 +70,4 @@ __all__ = [
     "study_cells",
     "cell_to_dict",
     "cell_from_dict",
-    "survey_to_csv",
-    "survey_from_csv",
 ]

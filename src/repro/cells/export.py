@@ -1,20 +1,16 @@
-"""Cell and survey-database import/export.
+"""Cell definitions to and from plain dicts.
 
 The artifact ships its cell database as files users can extend; this module
-provides the equivalent round-trip: cells to/from plain dicts (JSON-ready)
-and the survey database to CSV, so externally curated definitions can flow
-into sweeps and survey snapshots can be diffed across releases.
+provides the equivalent round-trip: cells to/from plain dicts (JSON-ready),
+which the cache fingerprints and characterization records are built on.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import asdict, fields
-from typing import Any, Iterable, Mapping, Optional
+from dataclasses import fields
+from typing import Any, Mapping
 
-from repro.cells.base import AccessDevice, CellTechnology, SurveyEntry, TechnologyClass
-from repro.cells.database import all_entries
+from repro.cells.base import AccessDevice, CellTechnology, TechnologyClass
 from repro.errors import CellDefinitionError
 
 _CELL_FIELDS = {f.name for f in fields(CellTechnology)}
@@ -53,49 +49,3 @@ def cell_from_dict(data: Mapping[str, Any]) -> CellTechnology:
     except TypeError as exc:
         raise CellDefinitionError(str(exc)) from exc
 
-
-def cells_roundtrip(cells: Iterable[CellTechnology]) -> list[CellTechnology]:
-    """Serialize and rebuild (used by tests; also a handy sanity check)."""
-    return [cell_from_dict(cell_to_dict(c)) for c in cells]
-
-
-_SURVEY_COLUMNS = [f.name for f in fields(SurveyEntry)]
-
-
-def survey_to_csv(entries: Optional[Iterable[SurveyEntry]] = None) -> str:
-    """The survey database as CSV (one row per publication)."""
-    rows = entries if entries is not None else all_entries()
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_SURVEY_COLUMNS)
-    writer.writeheader()
-    for entry in rows:
-        record = asdict(entry)
-        record["tech_class"] = entry.tech_class.value
-        writer.writerow(record)
-    return buffer.getvalue()
-
-
-def survey_from_csv(text: str) -> list[SurveyEntry]:
-    """Parse a survey CSV back into entries."""
-    reader = csv.DictReader(io.StringIO(text))
-    entries = []
-    for row in reader:
-        kwargs: dict[str, Any] = {}
-        for key, value in row.items():
-            if key not in _SURVEY_COLUMNS:
-                raise CellDefinitionError(f"unknown survey column: {key!r}")
-            if value in ("", None):
-                kwargs[key] = None
-                continue
-            if key == "tech_class":
-                kwargs[key] = TechnologyClass.from_string(value)
-            elif key in ("name", "venue", "notes"):
-                kwargs[key] = value
-            elif key == "mlc_demonstrated":
-                kwargs[key] = value == "True"
-            elif key in ("year", "node_nm"):
-                kwargs[key] = int(float(value))
-            else:
-                kwargs[key] = float(value)
-        entries.append(SurveyEntry(**kwargs))
-    return entries

@@ -1,6 +1,6 @@
 """Cross-stack evaluation: metrics, intermittent model, write buffers, DSE."""
 
-from repro.core.engine import DSEEngine, SweepSpec, array_record, evaluation_record
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.intermittent import (
     IntermittentEvaluation,
     crossover_rate,
@@ -11,24 +11,18 @@ from repro.core.intermittent import (
 from repro.core.metrics import (
     CONTROLLER_POWER_PER_BYTE,
     SystemEvaluation,
+    array_record,
     evaluate,
+    evaluation_record,
     lifetime_seconds,
     retention_ok,
 )
-from repro.core.battery import (
-    COIN_CELL_JOULES,
-    LIPO_1AH_JOULES,
-    BatteryLifeEstimate,
-    battery_life,
-    inference_budget,
-)
 from repro.core.hierarchy import (
     HierarchyEvaluation,
-    buffer_sizing_sweep,
     evaluate_hierarchy,
     split_traffic,
 )
-from repro.core.pareto import knee_point, pareto_front
+from repro.core.pareto import pareto_front
 from repro.core.retention import (
     DeploymentCheck,
     deployment_check,
@@ -42,7 +36,6 @@ from repro.core.writebuffer import (
     buffered_traffic,
     coalescing_factor,
     evaluate_with_buffer,
-    sweep_buffer_scenarios,
 )
 
 __all__ = [
@@ -64,22 +57,14 @@ __all__ = [
     "DEFAULT_SCENARIOS",
     "buffered_traffic",
     "evaluate_with_buffer",
-    "sweep_buffer_scenarios",
     "coalescing_factor",
     "pareto_front",
-    "knee_point",
     "HierarchyEvaluation",
     "evaluate_hierarchy",
     "split_traffic",
-    "buffer_sizing_sweep",
     "DeploymentCheck",
     "deployment_check",
     "max_unpowered_interval",
     "scrub_power",
     "scrub_energy_per_pass",
-    "BatteryLifeEstimate",
-    "battery_life",
-    "inference_budget",
-    "COIN_CELL_JOULES",
-    "LIPO_1AH_JOULES",
 ]

@@ -21,12 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.cells.base import CellTechnology
-from repro.core.metrics import (  # noqa: F401  (re-exported for compatibility)
-    SystemEvaluation,
-    array_record,
-    evaluate,
-    evaluation_record,
-)
+from repro.core.metrics import array_record
 from repro.errors import CharacterizationError
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.results.table import ResultTable

@@ -100,30 +100,3 @@ def evaluate_hierarchy(
         memory_latency_per_second=latency,
         lifetime_seconds=backing_ev.lifetime_seconds,
     )
-
-
-def buffer_sizing_sweep(
-    front_arrays: list[ArrayCharacterization],
-    backing_array: ArrayCharacterization,
-    traffic: TrafficPattern,
-    coalescing_by_size: dict[int, float],
-) -> list[HierarchyEvaluation]:
-    """Evaluate several front-buffer sizes with measured coalescing factors.
-
-    ``coalescing_by_size`` maps front capacity (bytes) to the write-traffic
-    reduction it achieves (e.g. measured with
-    :func:`repro.core.writebuffer.coalescing_factor`).
-    """
-    out = []
-    for front in front_arrays:
-        coalescing = coalescing_by_size.get(front.capacity_bytes)
-        if coalescing is None:
-            raise EvaluationError(
-                f"no coalescing factor for front size {front.capacity_bytes}"
-            )
-        out.append(
-            evaluate_hierarchy(
-                front, backing_array, traffic, write_coalescing=coalescing
-            )
-        )
-    return out

@@ -67,10 +67,6 @@ class SystemEvaluation:
     def label(self) -> str:
         return f"{self.array.cell.name} x {self.traffic.name}"
 
-    def meets_latency_target(self, seconds_per_second: float = 1.0) -> bool:
-        """The paper's slowdown filter: aggregate latency under target."""
-        return self.memory_latency_per_second <= seconds_per_second
-
 
 def _access_scaling(array: ArrayCharacterization, traffic: TrafficPattern) -> float:
     """Accesses the array performs per application access.

@@ -35,26 +35,3 @@ def pareto_front(
         if not any(dominates(other, record) for other in candidates):
             front.append(record)
     return front
-
-
-def knee_point(
-    front: Sequence[Mapping[str, Any]],
-    objectives: Sequence[str],
-) -> dict[str, Any]:
-    """The balanced point of a Pareto front (min normalized distance to the
-    per-objective minima)."""
-    if not front:
-        raise EvaluationError("empty Pareto front")
-    mins = {o: min(r[o] for r in front) for o in objectives}
-    maxs = {o: max(r[o] for r in front) for o in objectives}
-
-    def distance(record: Mapping[str, Any]) -> float:
-        total = 0.0
-        for o in objectives:
-            span = maxs[o] - mins[o]
-            if span <= 0:
-                continue
-            total += ((record[o] - mins[o]) / span) ** 2
-        return total
-
-    return dict(min(front, key=distance))

@@ -17,7 +17,6 @@ buffer size from an address stream via :mod:`repro.cachesim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.core.metrics import SystemEvaluation, evaluate
 from repro.errors import EvaluationError
@@ -81,19 +80,6 @@ def evaluate_with_buffer(
         buffered_traffic(traffic, config),
         write_latency_mask=config.mask_fraction,
     )
-
-
-def sweep_buffer_scenarios(
-    arrays: Iterable[ArrayCharacterization],
-    traffic: TrafficPattern,
-    scenarios: Sequence[WriteBufferConfig] = DEFAULT_SCENARIOS,
-) -> list[tuple[WriteBufferConfig, SystemEvaluation]]:
-    """Every (scenario, array) evaluation for one workload."""
-    out = []
-    for config in scenarios:
-        for array in arrays:
-            out.append((config, evaluate_with_buffer(array, traffic, config)))
-    return out
 
 
 def coalescing_factor(

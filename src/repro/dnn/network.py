@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dnn.layers import Dense, ReLU, cross_entropy_grad, softmax
+from repro.dnn.layers import Dense, ReLU, cross_entropy_grad
 from repro.errors import ReproError
 
 
@@ -38,9 +38,6 @@ class MLP:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).argmax(axis=1)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x))
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
         return float((self.predict(x) == labels).mean())

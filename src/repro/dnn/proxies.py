@@ -75,8 +75,8 @@ _WEIGHTS_PATH = Path(__file__).with_name("proxy_weights.npz")
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
-def _untrained(hidden: tuple[int, ...]) -> tuple[Dataset, MLP]:
-    dataset = gaussian_clusters(seed=_SEED)
+def _untrained(hidden: tuple[int, ...], **dataset_options) -> tuple[Dataset, MLP]:
+    dataset = gaussian_clusters(seed=_SEED, **dataset_options)
     sizes = (dataset.n_features, *hidden, dataset.n_classes)
     return dataset, MLP(sizes, seed=_SEED)
 
@@ -121,7 +121,9 @@ def _load(
     name: str, hidden: tuple[int, ...], path: Path = _WEIGHTS_PATH
 ) -> TrainedProxy:
     """The proxy with its arrays read from the weights file at ``path``."""
-    dataset, network = _untrained(hidden)
+    # A loaded proxy reads only the test split, which draws from its own
+    # seeded generators: skipping the training split leaves it unchanged.
+    dataset, network = _untrained(hidden, train_per_class=0)
     with np.load(path, allow_pickle=False) as archive:
         for index, layer in enumerate(network.dense_layers):
             for attr, key in zip(("weight", "bias"), _array_keys(name, index)):

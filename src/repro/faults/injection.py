@@ -98,16 +98,6 @@ class FaultInjector:
         """One trial: quantize, corrupt, dequantize."""
         return inject_trials([tensor], self.model, trials=1, rng=self._rng)[0][0]
 
-    def inject_many(
-        self, tensors: Sequence[np.ndarray]
-    ) -> list[InjectionResult]:
-        """Independently corrupt a list of tensors (e.g. per-layer weights).
-
-        All tensors share one batched RNG draw (their cells are corrupted
-        as a single concatenated array) instead of one draw per tensor.
-        """
-        return inject_trials(tensors, self.model, trials=1, rng=self._rng)[0]
-
 
 def inject_trials(
     tensors: Sequence[np.ndarray],

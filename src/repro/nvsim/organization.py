@@ -70,10 +70,6 @@ class ArrayOrganization:
         return self.n_subarrays * self.bits_per_subarray
 
     @property
-    def total_sense_amps(self) -> int:
-        return self.n_subarrays * self.sense_amps_per_subarray
-
-    @property
     def concurrency(self) -> int:
         """Independent accesses the array can service simultaneously."""
         groups = self.n_subarrays // self.active_subarrays

@@ -1,8 +1,8 @@
 """A small column-oriented results table.
 
 pandas is not available offline, so the framework carries its own result
-container: a list of records with pandas-ish verbs (filter, sort, group_by,
-select, aggregate) plus CSV/markdown export.  Every study returns one of
+container: a list of records with pandas-ish verbs (filter, where, select,
+sort, min/max) plus CSV/markdown export.  Every study returns one of
 these; the visualization layer and benches consume them.
 """
 
@@ -68,18 +68,11 @@ class ResultTable:
         return ResultTable({c: r.get(c) for c in columns} for r in self._records)
 
     def sort_by(self, column: str, reverse: bool = False) -> "ResultTable":
-        def key(record: dict[str, Any]):
-            value = record.get(column)
-            # Sort missing values last.
-            return (value is None, value)
-        return ResultTable(sorted(self._records, key=key, reverse=reverse))
-
-    def group_by(self, *columns: str) -> dict[tuple, "ResultTable"]:
-        groups: dict[tuple, ResultTable] = {}
-        for record in self._records:
-            key = tuple(record.get(c) for c in columns)
-            groups.setdefault(key, ResultTable()).append(record)
-        return groups
+        """Sorted on ``column``; rows missing it go last in either direction."""
+        present = [r for r in self._records if r.get(column) is not None]
+        missing = [r for r in self._records if r.get(column) is None]
+        present.sort(key=lambda r: r[column], reverse=reverse)
+        return ResultTable(present + missing)
 
     def min_by(self, column: str) -> dict[str, Any]:
         """The record minimizing ``column`` (None values excluded)."""
@@ -94,23 +87,12 @@ class ResultTable:
             raise ReproError(f"no records with column {column!r}")
         return max(candidates, key=lambda r: r[column])
 
-    def aggregate(
-        self, column: str, func: Callable[[Sequence[float]], float]
-    ) -> float:
-        values = [r[column] for r in self._records if r.get(column) is not None]
-        if not values:
-            raise ReproError(f"no values to aggregate in column {column!r}")
-        return func(values)
-
     def unique(self, column: str) -> list[Any]:
         seen: dict[Any, None] = {}
         for record in self._records:
             if column in record:
                 seen.setdefault(record[column], None)
         return list(seen)
-
-    def concat(self, other: "ResultTable") -> "ResultTable":
-        return ResultTable([*self._records, *other._records])
 
     def with_column(
         self, name: str, func: Callable[[dict[str, Any]], Any]

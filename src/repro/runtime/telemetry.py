@@ -134,12 +134,6 @@ class SweepTelemetry:
         with self._lock:
             self.observers.append(observer)
 
-    def remove_observer(self, observer: ProgressCallback) -> None:
-        """Detach an observer added by :meth:`add_observer` (idempotent)."""
-        with self._lock:
-            if observer in self.observers:
-                self.observers.remove(observer)
-
     def emit(self, event: ProgressEvent) -> None:
         with self._lock:
             self._count(event)

@@ -42,7 +42,6 @@ from repro.studies.pipeline import (
     StudySpec,
     get_study,
     run_study,
-    study_names,
 )
 from repro.runtime.options import RuntimeOptions
 
@@ -88,5 +87,4 @@ __all__ = [
     "StudySpec",
     "get_study",
     "run_study",
-    "study_names",
 ]

@@ -19,7 +19,7 @@ from typing import Optional
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
 from repro.cells.base import TechnologyClass
 from repro.cells.database import survey_entries
-from repro.core.engine import SweepSpec, array_record  # noqa: F401
+from repro.core.engine import SweepSpec
 from repro.nvsim.result import DEFAULT_TARGET_SWEEP, OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions, engine_for

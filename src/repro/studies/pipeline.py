@@ -243,11 +243,6 @@ REGISTRY: dict[str, StudySpec] = _registry(
 )
 
 
-def study_names() -> list[str]:
-    """Registered study names, in registry (paper figure) order."""
-    return list(REGISTRY)
-
-
 def describe_registry() -> str:
     """One aligned line per registered study (the ``--list`` output)."""
     return "\n".join(

@@ -7,13 +7,12 @@ from repro.tech.delay import (
     rc_charge_time,
     rc_wire_delay,
 )
-from repro.tech.node import SUPPORTED_NODES_NM, TechnologyNode, get_node, nearest_node
+from repro.tech.node import SUPPORTED_NODES_NM, TechnologyNode, get_node
 
 __all__ = [
     "SUPPORTED_NODES_NM",
     "TechnologyNode",
     "get_node",
-    "nearest_node",
     "horowitz",
     "rc_wire_delay",
     "rc_charge_time",

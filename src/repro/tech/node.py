@@ -181,11 +181,3 @@ def get_node(node_nm: int) -> TechnologyNode:
             f"unsupported technology node {node_nm} nm (supported: {supported})"
         ) from None
 
-
-def nearest_node(node_nm: float) -> TechnologyNode:
-    """Return the supported node closest to ``node_nm``.
-
-    Useful when a surveyed publication reports an off-grid node (e.g. 120 nm).
-    """
-    best = min(SUPPORTED_NODES_NM, key=lambda n: abs(n - node_nm))
-    return _NODE_TABLE[best]

@@ -8,7 +8,7 @@ cites.  These helpers build that grid (and arbitrary custom grids).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -80,20 +80,3 @@ def graph_envelope_sweep(
     ]
     return generic_sweep(reads, writes, access_bytes=access_bytes, name_prefix="graph")
 
-
-def read_rate_sweep(
-    rates: Sequence[float],
-    write_rate: float,
-    access_bytes: int = 8,
-) -> list[TrafficPattern]:
-    """Vary read rate at a fixed write rate (one plot column at a time)."""
-    return generic_sweep(rates, [write_rate], access_bytes=access_bytes)
-
-
-def write_rate_sweep(
-    rates: Sequence[float],
-    read_rate: float,
-    access_bytes: int = 8,
-) -> list[TrafficPattern]:
-    """Vary write rate at a fixed read rate."""
-    return generic_sweep([read_rate], rates, access_bytes=access_bytes)

@@ -1,11 +1,10 @@
 """Terminal visualization: ASCII plots and dashboards."""
 
 from repro.viz.ascii import bar_chart, line_chart, scatter
-from repro.viz.report import comparison_report, study_report
+from repro.viz.report import study_report
 from repro.viz.dashboard import (
     array_view,
     density_view,
-    filter_by_constraints,
     latency_view,
     lifetime_view,
     power_view,
@@ -16,7 +15,6 @@ __all__ = [
     "scatter",
     "line_chart",
     "bar_chart",
-    "filter_by_constraints",
     "power_view",
     "latency_view",
     "lifetime_view",
@@ -24,5 +22,4 @@ __all__ = [
     "density_view",
     "summary_dashboard",
     "study_report",
-    "comparison_report",
 ]

@@ -3,46 +3,13 @@
 The interactive-dashboard equivalent for a terminal: given a
 :class:`~repro.results.ResultTable` of evaluations, render the standard
 NVMExplorer views (power vs. read rate, latency vs. write rate, lifetime,
-array characteristics) and apply the same constraint filters the web tool
-exposes.
+array characteristics).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.results.table import ResultTable
 from repro.viz.ascii import bar_chart, scatter
-
-
-def filter_by_constraints(
-    table: ResultTable,
-    max_power_mw: Optional[float] = None,
-    max_latency_s_per_s: Optional[float] = None,
-    min_lifetime_years: Optional[float] = None,
-    max_area_mm2: Optional[float] = None,
-    feasible_only: bool = True,
-) -> ResultTable:
-    """The dashboard's constraint panel: drop rows violating any bound."""
-
-    def keep(row: dict) -> bool:
-        if feasible_only and row.get("feasible") is False:
-            return False
-        if max_power_mw is not None and (row.get("total_power_mw") or 0) > max_power_mw:
-            return False
-        if max_latency_s_per_s is not None:
-            latency = row.get("memory_latency_s_per_s")
-            if latency is not None and latency > max_latency_s_per_s:
-                return False
-        if min_lifetime_years is not None:
-            lifetime = row.get("lifetime_years")
-            if lifetime is not None and lifetime < min_lifetime_years:
-                return False
-        if max_area_mm2 is not None and (row.get("area_mm2") or 0) > max_area_mm2:
-            return False
-        return True
-
-    return table.filter(keep)
 
 
 def _series(table: ResultTable, x: str, y: str, by: str) -> dict:

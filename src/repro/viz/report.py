@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.results.table import ResultTable
-from repro.viz.ascii import bar_chart
 from repro.viz.dashboard import (
     array_view,
     latency_view,
@@ -79,13 +78,3 @@ def study_report(
     sections += ["## Data", "", table.to_markdown(), ""]
     return "\n".join(sections)
 
-
-def comparison_report(
-    title: str,
-    values: dict[str, float],
-    unit: str,
-    log: bool = False,
-) -> str:
-    """A one-chart markdown report comparing labelled scalars."""
-    chart = bar_chart(values, title=f"{title} [{unit}]", log=log)
-    return "\n".join([f"# {title}", "", _fence(chart), ""])

@@ -22,7 +22,6 @@ from repro.analysis.drift import (
 from repro.analysis.engine import run_lint
 from repro.runtime.fingerprint import (
     SCHEMA_TAG_SOURCES,
-    tag_source_digest,
     tag_source_files,
 )
 

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.cachesim import (
+    SYNTHETIC_SUITE,
     Cache,
     CacheConfig,
     WorkloadModel,
     sequential_batch,
-    sequential_stream,
     simulate_llc_traffic,
     strided_batch,
-    strided_stream,
-    synthetic_llc_suite,
     zipfian_batch,
-    zipfian_stream,
 )
 from repro.errors import ConfigError
 from repro.units import kb, mb
@@ -110,65 +107,46 @@ class TestCacheBehaviour:
 
 class TestStreams:
     def test_sequential_addresses(self):
-        addrs = [a for a, _ in sequential_stream(5, stride_bytes=64)]
-        assert addrs == [0, 64, 128, 192, 256]
+        addresses, _ = sequential_batch(5, stride_bytes=64)
+        assert addresses.tolist() == [0, 64, 128, 192, 256]
 
     def test_strided_wraps(self):
-        addrs = [a for a, _ in strided_stream(4, 64, working_set_bytes=128)]
-        assert addrs == [0, 64, 0, 64]
+        addresses, _ = strided_batch(4, 64, working_set_bytes=128)
+        assert addresses.tolist() == [0, 64, 0, 64]
 
     def test_zipfian_respects_working_set(self):
-        addrs = [a for a, _ in zipfian_stream(500, working_set_bytes=kb(4))]
-        assert all(0 <= a < kb(4) for a in addrs)
+        addresses, _ = zipfian_batch(500, working_set_bytes=kb(4))
+        assert ((addresses >= 0) & (addresses < kb(4))).all()
 
     def test_write_fraction_approximate(self):
-        writes = sum(1 for _, w in zipfian_stream(5000, kb(64), write_fraction=0.3) if w)
-        assert 0.2 < writes / 5000 < 0.4
+        _, is_write = zipfian_batch(5000, kb(64), write_fraction=0.3)
+        assert 0.2 < np.count_nonzero(is_write) / 5000 < 0.4
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
-            list(zipfian_stream(10, kb(4), skew=1.0))
+            zipfian_batch(10, kb(4), skew=1.0)
         with pytest.raises(ConfigError):
-            list(sequential_stream(10, write_fraction=1.5))
+            sequential_batch(10, write_fraction=1.5)
 
     def test_workload_model_mixes_deterministically(self):
         model = WorkloadModel("m", working_set_bytes=kb(64), write_fraction=0.2)
-        a = list(model.stream(1000, seed=5))
-        b = list(model.stream(1000, seed=5))
-        assert a == b
-        assert len(a) == 1000
+        addresses, is_write = model.batch(1000, seed=5)
+        again_addresses, again_is_write = model.batch(1000, seed=5)
+        np.testing.assert_array_equal(addresses, again_addresses)
+        np.testing.assert_array_equal(is_write, again_is_write)
+        assert len(addresses) == len(is_write) == 1000
+        assert addresses.dtype == np.int64
+        assert is_write.dtype == bool
 
     def test_zipfian_hottest_lines_are_lowest_ranks(self):
         """The modulo-wrap fix: heat decreases monotonically with the line
         number instead of aliasing the tail onto arbitrary lines."""
-        counts = Counter(a for a, _ in zipfian_stream(
-            20_000, working_set_bytes=kb(64), skew=1.3))
+        addresses, _ = zipfian_batch(
+            20_000, working_set_bytes=kb(64), skew=1.3)
+        counts = Counter(addresses.tolist())
         assert counts.most_common(1)[0][0] == 0
         top_eight = sum(counts[line * 64] for line in range(8))
         assert top_eight > 0.4 * 20_000
-
-    def test_batch_and_iterator_forms_agree(self):
-        cases = [
-            (sequential_batch, sequential_stream,
-             dict(n_accesses=500, write_fraction=0.3, seed=4)),
-            (strided_batch, strided_stream,
-             dict(n_accesses=500, stride_bytes=64,
-                  working_set_bytes=kb(4), write_fraction=0.2, seed=4)),
-            (zipfian_batch, zipfian_stream,
-             dict(n_accesses=500, working_set_bytes=kb(64), seed=4)),
-        ]
-        for batch_fn, stream_fn, kwargs in cases:
-            addresses, is_write = batch_fn(**kwargs)
-            assert list(stream_fn(**kwargs)) == \
-                list(zip(addresses.tolist(), is_write.tolist()))
-
-    def test_workload_batch_matches_stream(self):
-        model = WorkloadModel("m", working_set_bytes=kb(64), write_fraction=0.2)
-        addresses, is_write = model.batch(800, seed=9)
-        assert list(model.stream(800, seed=9)) == \
-            list(zip(addresses.tolist(), is_write.tolist()))
-        assert addresses.dtype == np.int64
-        assert is_write.dtype == bool
 
     def test_workload_batch_interleaves_both_streams(self):
         model = WorkloadModel("m", working_set_bytes=mb(4),
@@ -201,7 +179,8 @@ class TestLLCDerivation:
         assert traffic.reads_per_second >= 0
 
     def test_synthetic_suite_spans_behaviour(self):
-        suite = synthetic_llc_suite(n_accesses=15_000)
+        suite = [simulate_llc_traffic(w, n_accesses=15_000).traffic()
+                 for w in SYNTHETIC_SUITE]
         assert len(suite) == 4
         rates = sorted(p.reads_per_second for p in suite)
         assert rates[-1] > 3 * rates[0]

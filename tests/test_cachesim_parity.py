@@ -20,7 +20,6 @@ from repro.cachesim import (
     WorkloadModel,
     simulate_batch,
     simulate_llc_traffic,
-    synthetic_llc_suite,
 )
 from repro.errors import ConfigError
 from repro.runtime import LLCTraceCache, trace_fingerprint
@@ -192,8 +191,9 @@ class TestLLCTraceCache:
         cache = LLCTraceCache(tmp_path)
         assert len(cache) == 1
 
-        suite = synthetic_llc_suite(n_accesses=2_000, cache_dir=tmp_path)
-        assert len(suite) == len(SYNTHETIC_SUITE)
+        for workload in SYNTHETIC_SUITE:
+            simulate_llc_traffic(workload, n_accesses=2_000,
+                                 cache_dir=tmp_path)
         resumed = LLCTraceCache(tmp_path)
         assert len(resumed) == len(SYNTHETIC_SUITE)
         # The pre-existing entry was loaded, not re-stored.

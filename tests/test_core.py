@@ -14,7 +14,6 @@ from repro.core import (
     evaluate,
     evaluate_intermittent,
     evaluate_with_buffer,
-    knee_point,
     lifetime_seconds,
     pareto_front,
     retention_ok,
@@ -232,15 +231,6 @@ class TestPareto:
     def test_empty_objectives_rejected(self):
         with pytest.raises(EvaluationError):
             pareto_front(self.records, [])
-
-    def test_knee_point_balances(self):
-        front = pareto_front(self.records, ["x", "y"])
-        knee = knee_point(front, ["x", "y"])
-        assert knee["name"] in {"b", "e"}
-
-    def test_knee_empty_front_rejected(self):
-        with pytest.raises(EvaluationError):
-            knee_point([], ["x"])
 
 
 class TestDSEEngine:

@@ -1,4 +1,4 @@
-"""Tests for cell export, battery-life estimation, and extension studies."""
+"""Tests for cell export and the retention and hierarchy studies."""
 
 import pytest
 
@@ -9,27 +9,15 @@ from repro.cells import (
     cell_to_dict,
     reference_rram,
     sram_cell,
-    survey_from_csv,
-    survey_to_csv,
     tentpoles_for,
-    total_publications,
 )
-from repro.cells.export import cells_roundtrip
-from repro.core import (
-    COIN_CELL_JOULES,
-    battery_life,
-    evaluate_intermittent,
-    inference_budget,
-)
-from repro.errors import CellDefinitionError, EvaluationError
-from repro.nvsim import OptimizationTarget, characterize
+from repro.errors import CellDefinitionError
 from repro.studies import (
     hierarchy_study,
     measured_coalescing,
     retention_study,
     scrub_burdened_technologies,
 )
-from repro.traffic import RESNET26
 from repro.units import mb
 
 
@@ -41,8 +29,8 @@ class TestCellExport:
             back_gated_fefet(),
             sram_cell(16),
         ]
-        for original, rebuilt in zip(cells, cells_roundtrip(cells)):
-            assert rebuilt == original
+        for original in cells:
+            assert cell_from_dict(cell_to_dict(original)) == original
 
     def test_dict_is_json_friendly(self):
         import json
@@ -67,82 +55,6 @@ class TestCellExport:
         data["access_device"] = "quantum"
         with pytest.raises(CellDefinitionError):
             cell_from_dict(data)
-
-    def test_survey_csv_roundtrip(self):
-        text = survey_to_csv()
-        entries = survey_from_csv(text)
-        assert len(entries) == total_publications()
-        # Spot-check a curated entry survives with types intact.
-        ref = next(e for e in entries if e.name == "isscc2018-rram-n40-reference")
-        assert ref.tech_class is TechnologyClass.RRAM
-        assert ref.node_nm == 40
-        assert ref.read_latency == pytest.approx(5e-9)
-
-    def test_survey_csv_preserves_unreported_fields(self):
-        entries = survey_from_csv(survey_to_csv())
-        assert any(e.read_energy_pj is None for e in entries)
-
-
-class TestBattery:
-    @pytest.fixture(scope="class")
-    def arrays(self):
-        fefet = characterize(
-            tentpoles_for(TechnologyClass.FEFET).optimistic, mb(2),
-            optimization_target=OptimizationTarget.READ_EDP, access_bits=512,
-        )
-        stt = characterize(
-            tentpoles_for(TechnologyClass.STT).optimistic, mb(2),
-            optimization_target=OptimizationTarget.READ_EDP, access_bits=512,
-        )
-        return fefet, stt
-
-    def test_life_decreases_with_rate(self, arrays):
-        fefet, _ = arrays
-        slow = battery_life(fefet, RESNET26, 10)
-        fast = battery_life(fefet, RESNET26, 1e5)
-        assert slow.days > fast.days
-
-    def test_energy_accounting(self, arrays):
-        fefet, _ = arrays
-        estimate = battery_life(fefet, RESNET26, 100)
-        memory = evaluate_intermittent(fefet, RESNET26, 100)
-        assert estimate.memory_energy_per_day == pytest.approx(
-            memory.energy_per_day
-        )
-        expected_days = COIN_CELL_JOULES / (
-            estimate.memory_energy_per_day + estimate.system_energy_per_day
-        )
-        assert estimate.days == pytest.approx(expected_days)
-
-    def test_dense_memory_wins_at_low_rates(self, arrays):
-        fefet, stt = arrays
-        # With system power excluded, the memory choice decides: FeFET's
-        # smaller sleep power means longer life at 1 inference/day.
-        f = battery_life(fefet, RESNET26, 1, system_power_active=0.0,
-                         system_power_sleep=0.0)
-        s = battery_life(stt, RESNET26, 1, system_power_active=0.0,
-                         system_power_sleep=0.0)
-        assert f.days > s.days
-
-    def test_inference_budget_inverse_of_life(self, arrays):
-        fefet, _ = arrays
-        budget = inference_budget(fefet, RESNET26, target_days=365.0)
-        assert budget > 0
-        at_budget = battery_life(fefet, RESNET26, budget)
-        assert at_budget.days == pytest.approx(365.0, rel=0.05)
-
-    def test_unreachable_target_returns_zero(self, arrays):
-        fefet, _ = arrays
-        assert inference_budget(
-            fefet, RESNET26, target_days=1e9
-        ) == 0.0
-
-    def test_validation(self, arrays):
-        fefet, _ = arrays
-        with pytest.raises(EvaluationError):
-            battery_life(fefet, RESNET26, 1, battery_joules=0.0)
-        with pytest.raises(EvaluationError):
-            inference_budget(fefet, RESNET26, target_days=0.0)
 
 
 class TestRetentionStudy:

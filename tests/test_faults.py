@@ -237,14 +237,6 @@ class TestBatchedTrials:
             # Gray coding keeps bit damage close to one bit per cell error.
             assert result.n_bit_flips <= 2 * result.n_cell_errors
 
-    def test_inject_many_matches_batched_core(self):
-        model = FaultModel(TechnologyClass.RRAM, 1, 0.05)
-        weights = self._weights()
-        via_injector = FaultInjector(model, seed=11).inject_many(weights)
-        via_trials = inject_trials(weights, model, trials=1, seed=11)[0]
-        for a, b in zip(via_injector, via_trials):
-            assert np.array_equal(a.corrupted, b.corrupted)
-
     def test_requires_at_least_one_trial(self):
         model = FaultModel(TechnologyClass.RRAM, 1, 0.0)
         with pytest.raises(FaultModelError):
@@ -255,11 +247,11 @@ class TestBatchedTrials:
         with pytest.raises(FaultModelError):
             inject_trials([np.ones((4, 4))], model, trials=1)
 
-    def test_inject_and_inject_many_report_identical_counters(self):
+    def test_inject_and_inject_trials_report_identical_counters(self):
         model = FaultModel(TechnologyClass.FEFET, 2, 0.05)
         weights = self._weights()[0]
         single = FaultInjector(model, seed=5).inject(weights)
-        batched = FaultInjector(model, seed=5).inject_many([weights])[0]
+        [[batched]] = inject_trials([weights], model, trials=1, seed=5)
         assert np.array_equal(single.corrupted, batched.corrupted)
         assert single.n_cell_errors == batched.n_cell_errors
         assert single.n_bit_flips == batched.n_bit_flips

@@ -18,7 +18,7 @@ from repro.traffic import (
     kernel_traffic,
 )
 from repro.units import mb
-from repro.viz import filter_by_constraints, summary_dashboard
+from repro.viz import summary_dashboard
 
 
 class TestEndToEndFlows:
@@ -60,7 +60,7 @@ class TestEndToEndFlows:
         assert accuracy < proxy.baseline_accuracy - 0.01
 
     def test_sweep_filter_dashboard(self):
-        """Engine output flows through constraint filters and rendering."""
+        """Engine output flows into the dashboard rendering."""
         from repro.traffic import spec2017_suite
 
         spec = SweepSpec(
@@ -70,9 +70,8 @@ class TestEndToEndFlows:
             access_bits=512,
         )
         table = DSEEngine().run(spec)
-        narrowed = filter_by_constraints(table, max_power_mw=1e4)
-        assert len(narrowed) > 0
-        dashboard = summary_dashboard(narrowed)
+        assert len(table) > 0
+        dashboard = summary_dashboard(table)
         assert "power" in dashboard
 
     def test_config_json_to_csv(self, tmp_path):

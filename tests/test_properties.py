@@ -238,16 +238,3 @@ class TestResultTableProperties:
         table = ResultTable(records).sort_by("v")
         values = table.column("v")
         assert values == sorted(values)
-
-    @given(
-        st.lists(
-            st.fixed_dictionaries(
-                {"g": st.sampled_from(["x", "y"]), "v": st.integers(0, 10)}
-            ),
-            max_size=40,
-        )
-    )
-    def test_group_by_partitions(self, records):
-        table = ResultTable(records)
-        groups = table.group_by("g")
-        assert sum(len(g) for g in groups.values()) == len(table)

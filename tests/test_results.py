@@ -66,14 +66,12 @@ class TestVerbs:
         assert len(slim) == 4
 
     def test_sort_by_with_none_last(self):
-        t = ResultTable([{"v": None}, {"v": 2}, {"v": 1}])
+        t = ResultTable([{"v": None, "i": 0}, {"v": 2}, {"v": 1}, {"v": None, "i": 1}])
         ordered = t.sort_by("v")
-        assert ordered.column("v") == [1, 2, None]
-
-    def test_group_by(self, table):
-        groups = table.group_by("tech")
-        assert set(groups) == {("STT",), ("RRAM",), ("PCM",)}
-        assert len(groups[("STT",)]) == 2
+        assert ordered.column("v") == [1, 2, None, None]
+        descending = t.sort_by("v", reverse=True)
+        assert descending.column("v") == [2, 1, None, None]
+        assert descending.column("i")[2:] == [0, 1]
 
     def test_min_max_by(self, table):
         assert table.min_by("power")["tech"] == "RRAM"
@@ -87,17 +85,8 @@ class TestVerbs:
         with pytest.raises(ReproError):
             ResultTable().min_by("v")
 
-    def test_aggregate(self, table):
-        assert table.aggregate("power", sum) == pytest.approx(8.5)
-        with pytest.raises(ReproError):
-            table.aggregate("nothing", sum)
-
     def test_unique_preserves_order(self, table):
         assert table.unique("tech") == ["STT", "RRAM", "PCM"]
-
-    def test_concat(self, table):
-        both = table.concat(table)
-        assert len(both) == 8
 
     def test_with_column(self, table):
         extended = table.with_column("edp", lambda r: r["power"] * r["latency"])

@@ -10,7 +10,6 @@ from repro.tech import (
     buffer_chain_delay,
     get_node,
     horowitz,
-    nearest_node,
     rc_charge_time,
     rc_wire_delay,
 )
@@ -57,11 +56,6 @@ class TestNodeTable:
     def test_global_wires_are_faster_than_local(self):
         node = get_node(22)
         assert node.global_wire_resistance(1e-3) < node.wire_resistance(1e-3)
-
-    def test_nearest_node_snaps(self):
-        assert nearest_node(120).node_nm == 130
-        assert nearest_node(23).node_nm == 22
-        assert nearest_node(1000).node_nm == 130
 
 
 class TestDelayModels:

@@ -8,7 +8,6 @@ from repro.viz import (
     array_view,
     bar_chart,
     density_view,
-    filter_by_constraints,
     latency_view,
     lifetime_view,
     power_view,
@@ -88,26 +87,6 @@ def eval_table():
 
 
 class TestDashboard:
-    def test_constraint_filter_drops_infeasible(self, eval_table):
-        kept = filter_by_constraints(eval_table)
-        assert len(kept) == 2
-
-    def test_constraint_filter_power(self, eval_table):
-        kept = filter_by_constraints(eval_table, max_power_mw=1.5)
-        assert len(kept) == 1
-        assert kept[0]["tech"] == "RRAM"
-
-    def test_constraint_filter_lifetime(self, eval_table):
-        kept = filter_by_constraints(eval_table, min_lifetime_years=10)
-        assert {r["tech"] for r in kept} == {"STT"}
-
-    def test_constraint_filter_latency_and_area(self, eval_table):
-        kept = filter_by_constraints(
-            eval_table, max_latency_s_per_s=0.015, max_area_mm2=1.0,
-            feasible_only=False,
-        )
-        assert {r["tech"] for r in kept} == {"STT"}
-
     def test_views_render(self, eval_table):
         for view in (power_view, latency_view, lifetime_view, array_view):
             text = view(eval_table)
