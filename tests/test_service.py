@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -37,6 +38,38 @@ from repro.studies.pipeline import (
 )
 
 FAST_STUDY = "fig05_dnn_arrays"
+
+
+class SlowQuery:
+    """A study query whose run blocks until ``gate`` is set.
+
+    Holds a job in the running state for as long as a test needs it
+    there, so no assertion about an unfinished job races the worker.
+    """
+
+    kind = "study"
+    name = "slow"
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.runs = 0
+
+    def fingerprint(self):
+        return "slow-fingerprint"
+
+    def describe(self):
+        return {"kind": "study", "study": self.name}
+
+    def run(self, runtime=None):
+        from repro.studies.pipeline import run_study
+
+        self.runs += 1
+        self.gate.wait(timeout=10)
+        table = run_study(FAST_STUDY, runtime)
+        return StudyOutcome(
+            name=self.name, table=table, telemetry=SweepTelemetry(),
+            elapsed_s=0.0,
+        )
 
 
 def service_config(cache_dir, **overrides) -> ServiceConfig:
@@ -205,37 +238,7 @@ def test_concurrent_identical_submits_share_one_job(tmp_path):
 def test_coalescing_waits_on_inflight_computation():
     """Deterministic coalescing: second submit attaches while job runs."""
 
-    class SlowQuery:
-        kind = "study"
-        name = "slow"
-
-        def __init__(self, gate):
-            self.gate = gate
-            self.runs = 0
-
-        def fingerprint(self):
-            return "slow-fingerprint"
-
-        def describe(self):
-            return {"kind": "study", "study": self.name}
-
-        def run(self, runtime=None):
-            self.runs += 1
-            self.gate.wait(timeout=10)
-            from repro.studies.pipeline import run_study
-
-            table = run_study(FAST_STUDY, runtime)
-            from repro.runtime.telemetry import SweepTelemetry
-            from repro.studies.pipeline import StudyOutcome
-
-            return StudyOutcome(
-                name=self.name, table=table, telemetry=SweepTelemetry(),
-                elapsed_s=0.0,
-            )
-
     async def main():
-        import threading
-
         gate = threading.Event()
         query = SlowQuery(gate)
         manager = JobManager(runtime=RuntimeOptions(on_error="skip"), workers=2)
@@ -315,14 +318,18 @@ def test_http_errors(tmp_path):
         assert excinfo.value.status == 404
         status, _, _ = await client.request("GET", "/no/such/route")
         assert status == 404
-        # Result before completion: 409.
-        submitted = await client.submit({"study": FAST_STUDY})
-        job_id = submitted["job"]["id"]
-        if submitted["job"]["state"] != "done":
+        # Result before completion: 409. The job is held on a gate so it
+        # cannot finish between the submit and the result request.
+        gate = threading.Event()
+        job, _ = service.manager.submit(SlowQuery(gate))
+        try:
             with pytest.raises(ServiceError) as excinfo:
-                await client.result(job_id)
+                await client.result(job.id)
             assert excinfo.value.status == 409
-        await client.wait(job_id, timeout=60)
+        finally:
+            gate.set()
+        assert (await client.wait(job.id, timeout=60))["state"] == "done"
+        assert (await client.result(job.id))
 
     asyncio.run(_with_service(service_config(tmp_path / "cache"), body))
 
