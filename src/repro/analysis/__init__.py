@@ -23,8 +23,9 @@ except-safety   no bare ``except:``; interrupt handlers in
 
 Waive a finding inline with ``# repro: allow[rule-id] reason`` (on the
 flagged line, or alone on the line above); a waiver without a reason is
-itself a finding.  Pre-existing debt lives in the committed baseline
-(``repro/analysis/lint_baseline.json``) — a ratchet that only shrinks.
+itself a finding, and a waiver that no longer waives anything is
+reported (informationally) so it gets removed.  ``nvmexplorer lint``
+takes the package ROOT to check and ``--update-pins``; nothing else.
 """
 
 from repro.analysis.engine import (
@@ -33,8 +34,6 @@ from repro.analysis.engine import (
     LintResult,
     Rule,
     default_rules,
-    register_rule,
-    registered_rules,
     run_lint,
 )
 
@@ -44,7 +43,5 @@ __all__ = [
     "LintResult",
     "Rule",
     "default_rules",
-    "register_rule",
-    "registered_rules",
     "run_lint",
 ]

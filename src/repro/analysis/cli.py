@@ -2,134 +2,33 @@
 
 Usage (via the package CLI)::
 
-    nvmexplorer lint [ROOT] [--json] [--baseline PATH]
-                     [--write-baseline] [--update-pins] [--list-rules]
+    nvmexplorer lint [ROOT] [--update-pins]
 
 ``ROOT`` defaults to the installed ``repro`` package directory, so a
 bare ``nvmexplorer lint`` checks the code that is actually on the
 path.  Exit codes mirror ``nvmexplorer fsck``: 0 when the tree is clean
-(every finding suppressed or baselined), 1 when violations stand, 2 on
-usage errors.
-
-The baseline (``repro/analysis/lint_baseline.json``, committed) is a
-ratchet, not a dumping ground: entries match findings by
-``(rule, path, stripped source line)`` so they survive unrelated line
-drift, stale entries are reported (non-fatally) for pruning, and
-``--write-baseline`` rewrites the file from the current findings.
-``--update-pins`` re-pins the schema-tag source digests after a
-reviewed change (see :mod:`repro.analysis.drift`).
+(every finding suppressed inline), 1 when violations stand, 2 on usage
+errors.  ``--update-pins`` first re-pins ROOT's schema-tag source
+digests (``ROOT/analysis/drift_pins.json``) after a reviewed change
+(see :mod:`repro.analysis.drift`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis import drift
-from repro.analysis.engine import (
-    Finding,
-    LintResult,
-    registered_rules,
-    run_lint,
-)
+from repro.analysis.engine import run_lint
 
 __all__ = ["main"]
-
-BASELINE_SCHEMA = "lint-baseline-v1"  # repro: allow[schema-drift] lint-tool file format, not a runtime cache payload
-
-#: The committed baseline, shipped inside the package like the pins.
-DEFAULT_BASELINE_PATH = Path(__file__).resolve().parent / "lint_baseline.json"
 
 
 def default_root() -> Path:
     """The installed ``repro`` package — what a bare ``lint`` checks."""
     return Path(__file__).resolve().parents[1]
-
-
-def load_baseline(path: Path) -> Optional[List[dict]]:
-    """The baseline entries, or None when the file is absent/invalid."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or payload.get("schema") != BASELINE_SCHEMA:
-        return None
-    entries = payload.get("findings")
-    return entries if isinstance(entries, list) else None
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    entries = sorted(
-        ({"rule": f.rule, "path": f.path, "context": f.context} for f in findings),
-        key=lambda e: (e["path"], e["rule"], e["context"]),
-    )
-    payload = {"schema": BASELINE_SCHEMA, "findings": entries}
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    result: LintResult, entries: Optional[List[dict]]
-) -> Tuple[List[Finding], List[Finding], List[dict]]:
-    """Split findings into (active, baselined) and report stale entries.
-
-    Each baseline entry absorbs at most as many findings as it appears
-    (duplicates in the file allow duplicates in the tree); entries that
-    matched nothing come back as *stale* for pruning.
-    """
-    if not entries:
-        return list(result.findings), [], []
-    pool: dict = {}
-    for entry in entries:
-        key = (
-            str(entry.get("rule", "")),
-            str(entry.get("path", "")),
-            str(entry.get("context", "")),
-        )
-        pool[key] = pool.get(key, 0) + 1
-    active: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in result.findings:
-        key = finding.baseline_key()
-        if pool.get(key, 0) > 0:
-            pool[key] -= 1
-            baselined.append(finding)
-        else:
-            active.append(finding)
-    stale = [
-        {"rule": rule, "path": path, "context": context}
-        for (rule, path, context), count in sorted(pool.items())
-        if count > 0
-        for _ in range(count)
-    ]
-    return active, baselined, stale
-
-
-def _print_pretty(
-    active: Sequence[Finding],
-    baselined: Sequence[Finding],
-    stale: Sequence[dict],
-    result: LintResult,
-    root: Path,
-) -> None:
-    for finding in active:
-        print(finding.format())
-    for finding in result.unused_suppressions:
-        print(f"{finding.format()}  (informational)")
-    for entry in stale:
-        print(
-            f"stale baseline entry: [{entry['rule']}] {entry['path']}: "
-            f"{entry['context'][:60]!r}  (prune with --write-baseline)"
-        )
-    counted: Set[str] = {f.rule for f in active}
-    print(
-        f"lint: {root}: {len(active)} violation(s) "
-        f"[{', '.join(sorted(counted)) if counted else '-'}], "
-        f"{len(result.suppressed)} suppressed, {len(baselined)} baselined, "
-        f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}"
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -144,92 +43,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="package directory to lint (default: the installed repro package)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit a machine-readable report on stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: repro/analysis/lint_baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--update-pins",
         action="store_true",
-        help="re-pin the schema-tag source digests (see [schema-drift])",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered rules and exit",
+        help="re-pin ROOT's schema-tag source digests (see [schema-drift])",
     )
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    if args.list_rules:
-        for rule_id, cls in sorted(registered_rules().items()):
-            print(f"{rule_id:16s} {cls.summary}")
-        return 0
-
     root = Path(args.root).resolve() if args.root else default_root()
     if not root.is_dir():
         print(f"lint: root {root} is not a directory", file=sys.stderr)
         return 2
 
-    if args.update_pins:
-        pins = drift.compute_pins(root.parent)
-        drift.write_pins(drift.DEFAULT_PINS_PATH, pins)
-        print(
-            f"lint: re-pinned {len(pins)} schema tag(s) -> "
-            f"{drift.DEFAULT_PINS_PATH}"
-        )
-
     try:
+        if args.update_pins:
+            path, pins = drift.update_pins(root)
+            print(f"lint: re-pinned {len(pins)} schema tag(s) -> {path}")
         result = run_lint(root)
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline).resolve() if args.baseline else DEFAULT_BASELINE_PATH
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"lint: wrote {len(result.findings)} baseline entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'} -> {baseline_path}"
-        )
-        return 0
-
-    entries = None if args.no_baseline else load_baseline(baseline_path)
-    active, baselined, stale = apply_baseline(result, entries)
-
-    if args.as_json:
-        payload = {
-            "root": str(root),
-            "violations": [f.to_dict() for f in active],
-            "baselined": [f.to_dict() for f in baselined],
-            "suppressed": [{**f.to_dict(), "reason": s.reason} for f, s in result.suppressed],
-            "unused_suppressions": [f.to_dict() for f in result.unused_suppressions],
-            "stale_baseline": stale,
-            "clean": not active,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_pretty(active, baselined, stale, result, root)
-    return 0 if not active else 1
+    for finding in result.findings:
+        print(finding.format())
+    for finding in result.unused_suppressions:
+        print(f"{finding.format()}  (informational)")
+    counted = sorted({f.rule for f in result.findings})
+    print(
+        f"lint: {root}: {len(result.findings)} violation(s) "
+        f"[{', '.join(counted) if counted else '-'}], "
+        f"{len(result.suppressed)} suppressed"
+    )
+    return 0 if not result.findings else 1
 
 
 if __name__ == "__main__":

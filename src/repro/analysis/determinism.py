@@ -38,7 +38,6 @@ from repro.analysis.engine import (
     ModuleInfo,
     Rule,
     dotted_name,
-    register_rule,
     walk_scope,
 )
 
@@ -136,16 +135,10 @@ def _wrapped_order_neutral(module: ModuleInfo, node: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class DeterminismRule(Rule):
     """No clocks, entropy, or unordered iteration on fingerprinted paths."""
 
     id = "determinism"
-    summary = (
-        "wall-clock, unseeded RNG, unsorted directory listing, and "
-        "set-order iteration are banned in code reachable from "
-        "fingerprinted paths"
-    )
 
     def __init__(
         self,

@@ -10,7 +10,8 @@ rule makes it a PR-time failure:
 * :data:`repro.runtime.fingerprint.SCHEMA_TAG_SOURCES` declares which
   modules feed each tag;
 * ``repro/analysis/drift_pins.json`` (committed) pins each set's content
-  digest next to the tag value it was pinned against;
+  digest next to the tag value it was pinned against; the rule reads
+  (and ``--update-pins`` writes) the pin file *of the linted tree*;
 * the rule recomputes the digests: a moved digest under an unmoved tag
   is the violation; a moved tag or module set just needs a re-pin
   (``nvmexplorer lint --update-pins``).
@@ -27,15 +28,25 @@ import json
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Tuple, Union
 
-from repro.analysis.engine import Finding, LintContext, Rule, register_rule
+from repro.analysis.engine import Finding, LintContext, Rule
 
-__all__ = ["SchemaDriftRule", "compute_pins", "load_pins", "write_pins"]
+__all__ = [
+    "SchemaDriftRule",
+    "compute_pins",
+    "load_pins",
+    "pins_path_for",
+    "update_pins",
+    "write_pins",
+]
 
 PINS_SCHEMA = "drift-pins-v1"  # repro: allow[schema-drift] lint-tool file format, not a runtime cache payload
 
-#: The committed pin file, shipped inside the package so the ratchet
-#: travels with the source it describes.
-DEFAULT_PINS_PATH = Path(__file__).resolve().parent / "drift_pins.json"
+
+def pins_path_for(root: Union[str, Path]) -> Path:
+    """The committed pin file of the package at ``root``: it ships inside
+    the package, so the ratchet travels with the source it describes."""
+    return Path(root) / "analysis" / "drift_pins.json"
+
 
 #: Names that look like cache schema tags; any assignment matching this
 #: that the registry does not cover is itself a finding (a new cache
@@ -142,6 +153,16 @@ def load_pins(path: Union[str, Path]) -> Optional[dict]:
     return pins if isinstance(pins, dict) else None
 
 
+def update_pins(root: Union[str, Path]) -> Tuple[Path, dict]:
+    """Re-pin the tree at ``root`` against its own tag registry, into its
+    own pin file; returns ``(pin file, pins)``."""
+    ctx = LintContext.load(root)
+    pins = compute_pins(ctx.root.parent, _registry(ctx))
+    path = pins_path_for(ctx.root)
+    write_pins(path, pins)
+    return path, pins
+
+
 def write_pins(path: Union[str, Path], pins: dict) -> None:
     """Atomically (tmp + replace) persist recomputed pins."""
     from repro.runtime.cache import atomic_write_text
@@ -154,22 +175,17 @@ def write_pins(path: Union[str, Path], pins: dict) -> None:
     )
 
 
-@register_rule
 class SchemaDriftRule(Rule):
     """Pinned source digests must move together with their schema tags."""
 
     id = "schema-drift"
-    summary = (
-        "cache-feeding module sets are digest-pinned next to their "
-        "schema tags; source drift without a tag bump fails"
-    )
 
     def __init__(
         self,
-        pins_path: Union[str, Path] = DEFAULT_PINS_PATH,
+        pins_path: Optional[Union[str, Path]] = None,
         registry: Optional[Mapping[str, tuple]] = None,
     ) -> None:
-        self.pins_path = Path(pins_path)
+        self.pins_path = None if pins_path is None else Path(pins_path)
         self.registry = registry
 
     def _anchor(self, ctx: LintContext, defining_module: str, name: str):
@@ -195,7 +211,8 @@ class SchemaDriftRule(Rule):
                     f"schema-tag registry names missing source: {exc}",
                 )
             return
-        pinned = load_pins(self.pins_path)
+        pins_path = self.pins_path or pins_path_for(ctx.root)
+        pinned = load_pins(pins_path)
 
         for name in sorted(registry):
             defining_module, _ = registry[name]
@@ -211,7 +228,7 @@ class SchemaDriftRule(Rule):
                     line,
                     f"{name} has no pinned source digest — run "
                     "`nvmexplorer lint --update-pins` and commit "
-                    f"{self.pins_path.name}",
+                    f"{pins_path.name}",
                 )
                 continue
             tag_moved = entry["tag"] != pin.get("tag")

@@ -9,17 +9,15 @@ swallow interrupts.  Each contract is a :class:`Rule`; this module owns
 everything the rules share:
 
 * :class:`LintContext` — every module under the lint root parsed once
-  (AST, source lines, parent links, inline suppressions);
-* :class:`Finding` — one violation, anchored to a file/line and carrying
-  the stripped source line as its *context* so baseline matching
-  survives unrelated line drift;
+  (AST, parent links, inline suppressions);
+* :class:`Finding` — one violation, anchored to a file/line;
 * inline suppressions — ``# repro: allow[rule-id] reason`` on the
   flagged line (or alone on the line above) waives that rule there; a
   suppression without a reason is itself a finding;
-* the rule registry — :func:`register_rule` + :func:`default_rules`.
+* :func:`default_rules` — the five rules, one instance each.
 
 Verdicts follow ``nvmexplorer fsck``'s convention: exit 0 when every
-finding is suppressed or baselined, 1 when any violation stands.
+finding is suppressed, 1 when any violation stands.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "Rule",
     "Suppression",
     "default_rules",
-    "register_rule",
     "run_lint",
 ]
 
@@ -63,24 +60,9 @@ class Finding:
     line: int
     col: int
     message: str
-    context: str = ""  # the stripped source line — the baseline match key
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.path, self.context)
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "context": self.context,
-        }
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -104,8 +86,6 @@ class ModuleInfo:
 
     name: str  # dotted module name, rooted at the lint root's dir name
     path: Path
-    source: str
-    lines: List[str]
     tree: ast.Module
     #: child AST node -> parent (statement ancestry for wrapper checks).
     parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
@@ -114,11 +94,6 @@ class ModuleInfo:
     #: lines that hold nothing but a suppression comment: they waive the
     #: *next* line instead of their own.
     comment_only: Dict[int, bool] = field(default_factory=dict)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def suppression_for(self, line: int, rule: str) -> Optional[Suppression]:
         """The waiver covering ``rule`` at ``line``, if any.
@@ -221,17 +196,6 @@ class LintContext:
                 )
                 continue
             suppressions, comment_only, problems = _parse_suppressions(source)
-            lines = source.splitlines()
-            info = ModuleInfo(
-                name=name,
-                path=path,
-                source=source,
-                lines=lines,
-                tree=tree,
-                parents=_link_parents(tree),
-                suppressions=suppressions,
-                comment_only=comment_only,
-            )
             for line, message in problems:
                 load_findings.append(
                     Finding(
@@ -240,10 +204,16 @@ class LintContext:
                         line=line,
                         col=0,
                         message=message,
-                        context=info.line_text(line),
                     )
                 )
-            modules[name] = info
+            modules[name] = ModuleInfo(
+                name=name,
+                path=path,
+                tree=tree,
+                parents=_link_parents(tree),
+                suppressions=suppressions,
+                comment_only=comment_only,
+            )
         return cls(root=root, modules=modules, load_findings=load_findings)
 
     def rel(self, module: ModuleInfo) -> str:
@@ -269,69 +239,45 @@ class LintContext:
             line=line,
             col=column,
             message=message,
-            context=module.line_text(line),
         )
 
 
 class Rule:
-    """One invariant check.  Subclasses set ``id``/``summary`` and yield
-    findings from :meth:`check`."""
+    """One invariant check.  Subclasses set ``id`` and yield findings
+    from :meth:`check`."""
 
     id: str = ""
-    summary: str = ""
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         raise NotImplementedError
 
 
-#: Registered rule classes, in registration (= documentation) order.
-_RULE_REGISTRY: Dict[str, type] = {}
-
-
-def register_rule(cls: type) -> type:
-    """Class decorator adding a rule to the default set."""
-    if not getattr(cls, "id", ""):
-        raise ValueError(f"rule class {cls.__name__} has no id")
-    _RULE_REGISTRY[cls.id] = cls
-    return cls
-
-
 def default_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, default-configured."""
-    # Imported here so registering modules never import the engine cyclically.
-    from repro.analysis import (  # noqa: F401  (import-for-registration)
-        determinism,
-        drift,
-        exceptions,
-        iodiscipline,
-        locks,
-    )
+    """Fresh, default-configured instances of the five rules."""
+    # Imported here because every rule module imports this one.
+    from repro.analysis.determinism import DeterminismRule
+    from repro.analysis.drift import SchemaDriftRule
+    from repro.analysis.exceptions import ExceptSafetyRule
+    from repro.analysis.iodiscipline import AtomicWriteRule
+    from repro.analysis.locks import LockCoverageRule
 
-    return [cls() for cls in _RULE_REGISTRY.values()]
-
-
-def registered_rules() -> Dict[str, type]:
-    """The rule registry (populated by :func:`default_rules`'s imports)."""
-    default_rules()
-    return dict(_RULE_REGISTRY)
+    return [
+        DeterminismRule(),
+        SchemaDriftRule(),
+        ExceptSafetyRule(),
+        AtomicWriteRule(),
+        LockCoverageRule(),
+    ]
 
 
 @dataclass
 class LintResult:
-    """Everything one lint pass produced, before baseline filtering."""
+    """Everything one lint pass produced."""
 
     root: Path
     findings: List[Finding]  # active violations (not suppressed)
     suppressed: List[Tuple[Finding, Suppression]]
     unused_suppressions: List[Finding]  # informational, never fatal
-
-    def to_dict(self) -> dict:
-        return {
-            "root": str(self.root),
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [{**f.to_dict(), "reason": s.reason} for f, s in self.suppressed],
-            "unused_suppressions": [f.to_dict() for f in self.unused_suppressions],
-        }
 
 
 def run_lint(
@@ -387,7 +333,6 @@ def run_lint(
                                 f"suppression for [{rule_id}] no longer waives "
                                 "anything here; remove it"
                             ),
-                            context=info.line_text(line),
                         )
                     )
     return LintResult(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
-from repro.analysis.engine import Finding, LintContext, Rule, register_rule
+from repro.analysis.engine import Finding, LintContext, Rule
 
 __all__ = ["ExceptSafetyRule"]
 
@@ -56,15 +56,10 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register_rule
 class ExceptSafetyRule(Rule):
     """Bare excepts and swallowed interrupts in runtime/service code."""
 
     id = "except-safety"
-    summary = (
-        "no bare `except:`; BaseException/KeyboardInterrupt handlers in "
-        "runtime/service code must re-raise"
-    )
 
     def __init__(self, scopes: Sequence[str] = DEFAULT_SCOPES) -> None:
         self.scopes = tuple(scopes)

@@ -27,7 +27,6 @@ from repro.analysis.engine import (
     Rule,
     dotted_name,
     enclosing_function,
-    register_rule,
 )
 
 __all__ = ["AtomicWriteRule"]
@@ -58,15 +57,10 @@ def _open_write_mode(call: ast.Call) -> bool:
     return isinstance(mode, str) and any(c in mode for c in "wax+")
 
 
-@register_rule
 class AtomicWriteRule(Rule):
     """Bare writes in persistence modules bypass tmp + ``os.replace``."""
 
     id = "atomic-write"
-    summary = (
-        "persistent-store modules must stage writes to a temp file and "
-        "os.replace() them into place"
-    )
 
     def __init__(self, modules: Sequence[str] = DEFAULT_PERSISTENCE_MODULES) -> None:
         self.modules = tuple(modules)

@@ -27,7 +27,6 @@ from repro.analysis.engine import (
     ModuleInfo,
     Rule,
     dotted_name,
-    register_rule,
 )
 
 __all__ = ["LockCoverageRule"]
@@ -63,15 +62,10 @@ def _holds_lock_by_convention(fn: ast.AST) -> bool:
     return doc is not None and _LOCK_HELD_MARKER in doc.lower()
 
 
-@register_rule
 class LockCoverageRule(Rule):
     """Counter mutation outside ``with self._lock`` in guarded classes."""
 
     id = "lock-coverage"
-    summary = (
-        "shared-telemetry attributes may only mutate under the instance "
-        "lock (or in a documented lock-held helper)"
-    )
 
     def __init__(
         self,

@@ -14,8 +14,8 @@ A config file describes one sweep and runs through the DSE engine;
 ``run-study`` runs a registered study, and ``python -m
 repro.studies.summary`` runs the whole suite incrementally.  Every
 sweep runs serially in this process.  Runtime flags (``--cache-dir``,
-``--trace-cache-dir``, ``--seed``) override the config's ``runtime``
-section and work identically for every study.
+``--seed``) override the config's ``runtime`` section and work
+identically for every study.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", metavar="PATH",
         help="persistent cache root: characterizations, evaluation blocks, "
              "LLC traces (overrides config runtime.cache_dir)",
-    )
-    parser.add_argument(
-        "--trace-cache-dir", metavar="PATH",
-        help="override the LLC-trace cache location (default: CACHE_DIR/traces; "
-             "only used when traffic is regenerated by cache simulation)",
     )
     parser.add_argument(
         "--seed", type=int, metavar="N",
@@ -137,7 +132,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
         })
         runtime = RuntimeOptions(
             cache_dir=args.cache_dir,
-            trace_cache_dir=args.trace_cache_dir,
             progress=_progress_callback(args.progress),
             seed=args.seed,
         )
@@ -268,7 +262,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         table = run_config(
             args.config,
             cache_dir=args.cache_dir,
-            trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=_progress_callback(args.progress),
         )

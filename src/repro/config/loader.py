@@ -74,13 +74,12 @@ def _write_csv(table: ResultTable, destination: Optional[str]) -> None:
 def run_config(
     source: ConfigSource,
     cache_dir: Optional[str] = None,
-    trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
-    ``cache_dir``/``trace_cache_dir``/``seed`` override the config's
+    ``cache_dir``/``seed`` override the config's
     ``runtime`` section (e.g. from CLI flags);
     ``progress`` receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
@@ -96,7 +95,7 @@ def run_config(
         access_bits=config.access_bits,
         bits_per_cell=config.bits_per_cell,
     )
-    overrides = {"cache_dir": cache_dir, "trace_cache_dir": trace_cache_dir, "seed": seed}
+    overrides = {"cache_dir": cache_dir, "seed": seed}
     runtime = dataclasses.replace(
         config.runtime,
         progress=progress,

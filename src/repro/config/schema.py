@@ -25,7 +25,6 @@ A config describes one design sweep::
       },
       "runtime": {
         "cache_dir": ".nvmcache",
-        "trace_cache_dir": null,
         "on_error": "raise" | "skip",
         "seed": null
       },
@@ -35,9 +34,9 @@ A config describes one design sweep::
 The optional ``runtime`` section controls sweep execution (see
 :mod:`repro.runtime`; sweeps always run serially in-process): the
 persistent cache root (characterizations, evaluation blocks, and LLC
-traces live under it), an optional trace-cache override, whether a
-failing design point aborts the sweep or is skipped with telemetry, and
-a seed override for stochastic components.  Any other key is a
+traces live under it), whether a failing design point aborts the sweep
+or is skipped with telemetry, and a seed override for stochastic
+components.  Any other key is a
 :class:`ConfigError`, and so is a ``system`` or ``runtime`` value that
 does not convert to the type it needs (``"seed": "abc"``).
 
@@ -239,7 +238,7 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
 
 
 #: Keys a ``runtime`` section may hold.
-_RUNTIME_KEYS = frozenset({"cache_dir", "trace_cache_dir", "on_error", "seed"})
+_RUNTIME_KEYS = frozenset({"cache_dir", "on_error", "seed"})
 
 
 def _parse_runtime(section: Any) -> RuntimeOptions:
@@ -253,12 +252,10 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
             f"{sorted(_RUNTIME_KEYS)}"
         )
     cache_dir = section.get("cache_dir")
-    trace_cache_dir = section.get("trace_cache_dir")
     seed = section.get("seed")
     try:
         return RuntimeOptions(
             cache_dir=None if cache_dir is None else str(cache_dir),
-            trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
             on_error=str(section.get("on_error", "raise")),
             seed=None if seed is None else int(seed),
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,6 @@ from repro.nvsim.batch import (
     feasible_indices,
     select_winner_index,
 )
-from repro.nvsim.organization import ArrayOrganization
 from repro.nvsim.result import (
     DEFAULT_TARGET_SWEEP,
     ArrayCharacterization,
@@ -182,34 +180,10 @@ def warm_lanes(
             )
 
 
-@lru_cache(maxsize=64)
-def _characterize_all(
-    cell: CellTechnology,
-    capacity_bytes: int,
-    node_nm: int,
-    access_bits: int,
-    bits_per_cell: int,
-) -> tuple[tuple[ArrayOrganization, "object"], ...]:
-    """Every feasible organization, materialized as scalar pairs.
-
-    Retained for callers that want the cloud in object form (and for the
-    legacy ``.cache_clear()`` hook); the evaluation itself runs on the
-    batch engine.  The cache is deliberately small — it pins fully
-    materialized organization clouds.
-    """
-    soa, numbers, feasible = _evaluated_lanes(
-        cell, capacity_bytes, node_nm, access_bits, bits_per_cell
-    )
-    return tuple(
-        (soa.organization_at(i), numbers.numbers_at(i)) for i in feasible.tolist()
-    )
-
-
 def clear_characterization_caches() -> None:
-    """Drop all in-process characterization memos (lanes and clouds)."""
+    """Drop the in-process characterization (lanes) memo."""
     with _LANES_LOCK:
         _LANES_CACHE.clear()
-    _characterize_all.cache_clear()
 
 
 def characterize(

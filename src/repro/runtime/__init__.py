@@ -20,8 +20,8 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.shard` — run manifests and the study content
   fingerprints behind the incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
-  execution options (cache_dir, trace_cache_dir, on_error, progress,
-  seed) every study and config-driven sweep accepts.
+  execution options (cache_dir, on_error, progress, seed) every study
+  and config-driven sweep accepts.
 * :mod:`repro.runtime.telemetry` — progress events (completed / cached /
   failed points) via callback and logging instead of dying on the first
   :class:`~repro.errors.CharacterizationError`.

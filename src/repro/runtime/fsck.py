@@ -26,11 +26,10 @@ are recomputed and re-packed by the next run that needs them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.runtime.cache import (
     PACK_SUFFIX,
@@ -63,17 +62,6 @@ class FsckReport:
     def clean(self) -> bool:
         """True when this pass found no damage (backlog is an archive)."""
         return self.corrupt == 0 and not self.problems
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "root": str(self.root),
-            "scanned": self.scanned,
-            "ok": self.ok,
-            "corrupt": self.corrupt,
-            "swept_tmp": self.swept_tmp,
-            "quarantine_backlog": self.quarantine_backlog,
-            "problems": list(self.problems),
-        }
 
     def summary(self) -> str:
         text = (
@@ -182,10 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run-output directory whose manifest and artifacts to audit "
              "(repeatable)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON report object instead of text",
-    )
     args = parser.parse_args(argv)
     if args.cache_dir is None and not args.manifest:
         parser.error("nothing to audit: give a cache_dir and/or --manifest")
@@ -196,13 +180,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for output_dir in args.manifest:
         reports.append(fsck_manifest(output_dir))
 
-    if args.json:
-        print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2))
-    else:
-        for report in reports:
-            print(report.summary())
-            for problem in report.problems:
-                print(f"  ! {problem}")
+    for report in reports:
+        print(report.summary())
+        for problem in report.problems:
+            print(f"  ! {problem}")
     return 0 if all(report.clean for report in reports) else 1
 
 

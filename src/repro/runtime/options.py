@@ -17,10 +17,6 @@ Sweeps always run serially in the calling process
 Each store holds flat ``<pack-id>.v3`` pack files (one per sweep call
 that computed anything) and a ``quarantine/`` directory for damaged
 packs; :mod:`repro.runtime.cache` describes the pack format.
-
-``trace_cache_dir`` overrides only the trace store (traces are produced
-by the cache simulator, not the characterizer, so some deployments keep
-them elsewhere); when unset it defaults to ``<cache_dir>/traces``.
 """
 
 from __future__ import annotations
@@ -46,9 +42,6 @@ class RuntimeOptions:
     cache_dir:
         Root of the persistent cache layout (see module docstring);
         ``None`` keeps results in memory only.
-    trace_cache_dir:
-        Override for the LLC-trace store; defaults to
-        ``<cache_dir>/traces`` when a cache root is set.
     on_error:
         ``"raise"`` aborts on the first framework error; ``"skip"``
         records it in telemetry and keeps going.
@@ -63,7 +56,6 @@ class RuntimeOptions:
     """
 
     cache_dir: Optional[Union[str, Path]] = None
-    trace_cache_dir: Optional[Union[str, Path]] = None
     on_error: str = "raise"
     progress: Optional[ProgressCallback] = None
     seed: Optional[int] = None
@@ -76,9 +68,8 @@ class RuntimeOptions:
 
     @property
     def effective_trace_cache_dir(self) -> Optional[Path]:
-        """Where LLC traces persist, or ``None`` when nothing is cached."""
-        if self.trace_cache_dir is not None:
-            return Path(self.trace_cache_dir)
+        """Where LLC traces persist (``<cache_dir>/traces``), or ``None``
+        when nothing is cached."""
         if self.cache_dir is not None:
             return Path(self.cache_dir) / TRACE_CACHE_SUBDIR
         return None

@@ -8,8 +8,8 @@ benchmark's bandwidth demand are excluded, exactly as the paper drops
 Traffic comes from the shipped SPEC characterization table by default, or
 — with ``source="synthetic"`` — is regenerated by driving synthetic
 workloads through the cache simulator, in which case regenerated traces
-persist in the runtime's trace cache (``runtime.trace_cache_dir`` /
-``<cache_dir>/traces``) so repeated runs skip simulation.
+persist in the runtime's trace cache (``<cache_dir>/traces``) so
+repeated runs skip simulation.
 """
 
 from __future__ import annotations

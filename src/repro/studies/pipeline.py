@@ -4,7 +4,7 @@ Every paper study is described by one :class:`StudySpec` — its builder,
 default parameters, report options, and the figure it reproduces — and
 **every** spec runs the same way: ``spec.run(RuntimeOptions(...))``.
 The shared :class:`~repro.runtime.options.RuntimeOptions` (cache_dir,
-trace_cache_dir, on_error, progress, seed) is threaded down through
+on_error, progress, seed) is threaded down through
 :class:`~repro.core.engine.DSEEngine` by every builder, so the
 persistent characterization / evaluation / trace caches work
 identically across the whole suite — no signature probing, no per-study

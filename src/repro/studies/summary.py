@@ -9,8 +9,8 @@ web dashboard snapshots.
 Runtime options apply uniformly to **all** studies, and every sweep runs
 serially in this process: ``--cache-dir`` persists array
 characterizations, (array x traffic) evaluation blocks, and regenerated
-LLC traces (``--trace-cache-dir`` relocates just the traces), ``--seed``
-pins every stochastic component, and ``--on-error skip`` records a
+LLC traces (under ``<cache-dir>/traces``), ``--seed`` pins every
+stochastic component, and ``--on-error skip`` records a
 failing study and keeps going.  A cache pack that fails verification on
 load is moved to its store's ``quarantine/`` and its results are
 recomputed and re-packed, so a damaged cache heals on the next run.  A warm
@@ -349,10 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persistent cache root (characterizations, evaluations, traces)",
     )
     parser.add_argument(
-        "--trace-cache-dir", default=None, metavar="PATH",
-        help="override the LLC-trace cache location (default: CACHE_DIR/traces)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="override every study's stochastic seed",
     )
@@ -375,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     only = args.only.split(",") if args.only else None
     runtime = RuntimeOptions(
         cache_dir=args.cache_dir,
-        trace_cache_dir=args.trace_cache_dir,
         on_error=args.on_error,
         seed=args.seed,
     )

@@ -1,11 +1,10 @@
-"""The invariant linter: rule engine, rules, suppressions, baseline, CLI."""
+"""The invariant linter: rule engine, rules, suppressions, CLI."""
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis import run_lint
-from repro.analysis.cli import apply_baseline, main as lint_main, write_baseline
+from repro.analysis.cli import main as lint_main
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.drift import SchemaDriftRule, compute_pins, write_pins
 from repro.analysis.engine import SUPPRESSION_RULE_ID
@@ -494,7 +493,7 @@ class TestSchemaDriftRule:
         assert "not covered" in findings[0].message
 
 
-# -- baseline + CLI ----------------------------------------------------------
+# -- CLI ---------------------------------------------------------------------
 
 
 DIRTY_TREE = {
@@ -507,90 +506,32 @@ DIRTY_TREE = {
 }
 
 
-class TestBaselineAndCli:
-    def test_apply_baseline_splits_and_reports_stale(self, tmp_path):
+class TestCli:
+    def test_cli_dirty_tree_exits_one(self, tmp_path, capsys):
         root = make_tree(tmp_path, DIRTY_TREE)
-        result = run_lint(root, rules=[DeterminismRule()])
-        entries = [{"rule": f.rule, "path": f.path, "context": f.context} for f in result.findings]
-        entries.append({"rule": "determinism", "path": "repro/gone.py", "context": "x"})
-        active, baselined, stale = apply_baseline(result, entries)
-        assert active == []
-        assert len(baselined) == 1
-        assert len(stale) == 1 and stale[0]["path"] == "repro/gone.py"
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        root = make_tree(tmp_path, DIRTY_TREE)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, run_lint(root, rules=[DeterminismRule()]).findings)
-        # Shift the violation down; the (rule, path, context) key still
-        # matches.
-        path = root / "nvsim" / "model.py"
-        path.write_text("# header\n" + path.read_text(), encoding="utf-8")
-        result = run_lint(root, rules=[DeterminismRule()])
-        active, baselined, stale = apply_baseline(
-            result, json.loads(baseline.read_text())["findings"]
-        )
-        assert active == [] and len(baselined) == 1 and stale == []
-
-    def test_cli_exit_codes_and_json(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY_TREE)
-        rc = lint_main([str(root), "--json", "--no-baseline"])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert payload["clean"] is False
-        assert any(v["rule"] == "determinism" for v in payload["violations"])
+        assert lint_main([str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "repro/nvsim/model.py:4:11: [determinism] time.time()" in out
+        assert "1 violation(s) [determinism]" in out
 
     def test_cli_clean_tree_exits_zero(self, tmp_path, capsys):
         files = {
             "nvsim/model.py": "def characterize():\n    return 42\n",
         }
         root = make_tree(tmp_path, files)
-        assert lint_main([str(root), "--no-baseline"]) == 0
-
-    def test_cli_write_baseline_then_clean(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY_TREE)
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
+        assert lint_main([str(root)]) == 0
 
     def test_cli_missing_root_is_usage_error(self, tmp_path):
         assert lint_main([str(tmp_path / "nope")]) == 2
-
-    def test_cli_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in (
-            "determinism",
-            "schema-drift",
-            "atomic-write",
-            "lock-coverage",
-            "except-safety",
-        ):
-            assert rule_id in out
 
 
 # -- the repo lints itself ---------------------------------------------------
 
 
 class TestSelfLint:
-    def test_src_repro_is_clean_modulo_baseline(self, capsys):
-        rc = lint_main([str(SRC_REPRO), "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["violations"] == [], (
+    def test_src_repro_is_clean(self):
+        result = run_lint(SRC_REPRO)
+        assert result.findings == [], (
             "src/repro violates its own invariants:\n"
-            + "\n".join(
-                f"{v['path']}:{v['line']}: [{v['rule']}] {v['message']}"
-                for v in payload["violations"]
-            )
+            + "\n".join(f.format() for f in result.findings)
         )
-        assert rc == 0
-
-    def test_baseline_holds_at_most_ten_entries(self):
-        from repro.analysis.cli import DEFAULT_BASELINE_PATH, load_baseline
-
-        entries = load_baseline(DEFAULT_BASELINE_PATH)
-        assert entries is not None, "committed lint baseline missing/invalid"
-        assert len(entries) <= 10

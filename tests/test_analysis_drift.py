@@ -4,7 +4,7 @@ These tests make the pinned digests in ``repro/analysis/drift_pins.json``
 part of tier-1: editing any cache-feeding module (the sets declared in
 :data:`repro.runtime.fingerprint.SCHEMA_TAG_SOURCES`) without bumping
 its schema tag — or bumping the tag without re-pinning — fails here and
-in the CI ``invariant-lint`` job, not at some later warm run that
+in CI's ``nvmexplorer lint`` step, not at some later warm run that
 silently serves stale semantics.
 """
 
@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.cli import main as lint_main
 from repro.analysis.drift import (
-    DEFAULT_PINS_PATH,
     SchemaDriftRule,
     compute_pins,
     load_pins,
+    pins_path_for,
 )
 from repro.analysis.engine import run_lint
 from repro.runtime.fingerprint import (
@@ -64,7 +65,7 @@ def test_committed_pins_match_the_tree():
     failure; either way re-pin with ``nvmexplorer lint --update-pins``
     and commit ``drift_pins.json``.
     """
-    pinned = load_pins(DEFAULT_PINS_PATH)
+    pinned = load_pins(pins_path_for(SRC_DIR / "repro"))
     assert pinned is not None, "drift_pins.json missing or invalid"
     current = compute_pins(SRC_DIR)
     assert set(current) == set(pinned), (
@@ -110,12 +111,16 @@ def test_editing_batch_math_moves_the_digest(copied_tree):
     assert changed == {"SCHEMA_TAG"}
 
 
-def test_drift_rule_fails_on_unbumped_batch_edit(copied_tree):
-    batch = copied_tree / "repro" / "nvsim" / "batch.py"
+def perturb_batch(tree):
+    batch = tree / "repro" / "nvsim" / "batch.py"
     batch.write_text(
         batch.read_text(encoding="utf-8") + "\n# perturbed evaluation\n",
         encoding="utf-8",
     )
+
+
+def test_drift_rule_fails_on_unbumped_batch_edit(copied_tree):
+    perturb_batch(copied_tree)
     findings = run_lint(copied_tree / "repro", rules=[SchemaDriftRule()]).findings
     assert len(findings) == 1
     assert findings[0].rule == "schema-drift"
@@ -136,10 +141,12 @@ def test_drift_rule_accepts_bump_plus_repin_flow(copied_tree):
 
     # fingerprint.py feeds three tag sets: the bumped one asks for a
     # re-pin, the other two correctly see un-bumped source drift.
+    lines = fingerprint.read_text(encoding="utf-8").splitlines()
+
     def message_for(tag):
-        # Findings anchor at the tag assignment, so the context line
+        # Findings anchor at the tag assignment, so the anchored line
         # identifies the tag unambiguously.
-        matches = [f.message for f in findings if f.context.startswith(tag + " ")]
+        matches = [f.message for f in findings if lines[f.line - 1].startswith(tag + " ")]
         assert len(matches) == 1, (tag, [f.message for f in findings])
         return matches[0]
 
@@ -147,3 +154,16 @@ def test_drift_rule_accepts_bump_plus_repin_flow(copied_tree):
     assert "--update-pins" in message_for("SCHEMA_TAG")
     assert "without a tag bump" in message_for("TRACE_SCHEMA_TAG")
     assert "without a tag bump" in message_for("EVAL_SCHEMA_TAG")
+
+
+def test_update_pins_repins_the_linted_tree_only(copied_tree, capsys):
+    """``lint ROOT --update-pins`` re-pins ROOT's own pin file against
+    ROOT's registry; the running package's pins stay untouched."""
+    installed = pins_path_for(SRC_DIR / "repro")
+    before = installed.read_bytes()
+    perturb_batch(copied_tree)
+    root = copied_tree / "repro"
+    assert lint_main([str(root), "--update-pins"]) == 0
+    assert installed.read_bytes() == before
+    assert lint_main([str(root)]) == 0
+    assert "0 violation(s)" in capsys.readouterr().out

@@ -183,16 +183,12 @@ class TestCLI:
 
 
 class TestRuntimeSectionExtensions:
-    def test_trace_cache_dir_and_seed_parsed(self):
-        runtime = {"cache_dir": "c", "trace_cache_dir": "t", "seed": 11}
+    def test_seed_parsed_unknown_keys_rejected(self):
+        runtime = {"cache_dir": "c", "seed": 11}
         parsed = parse_config(minimal_config(runtime=runtime))
-        assert parsed.runtime.trace_cache_dir == "t"
         assert parsed.runtime.seed == 11
-        options = parsed.runtime
-        assert str(options.effective_trace_cache_dir) == "t"
-        assert options.seed == 11
         # A typo'd or retired key is an error, not a silent default.
-        for unknown in ("cache-dir", "workers", "point_shard_count", "chaos"):
+        for unknown in ("cache-dir", "workers", "point_shard_count", "chaos", "trace_cache_dir"):
             message = rf"unknown runtime option.*'{unknown}'.*cache_dir"
             with pytest.raises(ConfigError, match=message):
                 parse_config(minimal_config(runtime={**runtime, unknown: 2}))

@@ -191,12 +191,12 @@ class TestFsckCli:
         out = capsys.readouterr().out
         assert "in quarantine" in out
 
-    def test_json_output(self, tmp_path, capsys):
+    def test_text_report_counts(self, tmp_path, capsys):
         _populate(tmp_path)
-        assert fsck_main([str(tmp_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["reports"][0]["scanned"] == 3
-        assert payload["reports"][0]["corrupt"] == 0
+        assert fsck_main([str(tmp_path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert "3 files scanned" in first
+        assert "0 corrupt" in first
 
     def test_manifest_flag(self, tmp_path, capsys):
         manifest = RunManifest(entries=())

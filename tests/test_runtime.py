@@ -702,16 +702,14 @@ class TestRuntimeOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             RuntimeOptions(on_error="sometimes")
-        for gone in ("workers", "retry", "point_shard_index", "point_shard_count"):
+        for gone in ("workers", "retry", "point_shard_index", "point_shard_count",
+                     "trace_cache_dir"):
             with pytest.raises(TypeError):
                 RuntimeOptions(**{gone: 1})
 
     def test_trace_cache_defaults_under_cache_dir(self, tmp_path):
         options = RuntimeOptions(cache_dir=tmp_path)
         assert options.effective_trace_cache_dir == tmp_path / "traces"
-        override = RuntimeOptions(cache_dir=tmp_path,
-                                  trace_cache_dir=tmp_path / "elsewhere")
-        assert override.effective_trace_cache_dir == tmp_path / "elsewhere"
 
     def test_seed_override(self):
         assert RuntimeOptions(seed=42).seed_or(7) == 42
