@@ -177,7 +177,9 @@ class LintContext:
         load_findings: List[Finding] = []
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(base)
-            name = ".".join(rel.with_suffix("").parts)
+            # Rules scope to ``repro.*``: ROOT is the package, whatever
+            # its directory is called.
+            name = ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
             if name.endswith(".__init__"):
                 name = name[: -len(".__init__")]
             source = path.read_text(encoding="utf-8")

@@ -12,6 +12,10 @@ Two simulation APIs coexist:
 Streams (``sequential_batch`` / ``strided_batch`` / ``zipfian_batch`` /
 :meth:`WorkloadModel.batch`) return the whole ``(addresses, is_write)``
 pair as numpy arrays in one shot.
+
+The package is pure model code and imports nothing from the runtime
+package: regenerated LLC traces are cached by the engine's trace phase
+(``DSEEngine.llc_traces``).
 """
 
 from repro.cachesim.batch import BatchResult, simulate_batch

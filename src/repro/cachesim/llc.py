@@ -9,18 +9,16 @@ from either source.
 Simulation runs on the vectorized batch engine
 (:mod:`repro.cachesim.batch`): the workload's whole address array goes
 through the L2 at once, and the L2's per-access miss / dirty-writeback
-flags are expanded into the LLC's access stream.  Pass ``cache_dir`` to
-persist regenerated traces in the content-addressed runtime cache
-(:class:`repro.runtime.cache.LLCTraceCache`), keyed by a fingerprint of
-the workload and simulation parameters, so repeated study runs skip
-simulation entirely.
+flags are expanded into the LLC's access stream.  This module knows
+nothing of caching results: the studies regenerate traces through the
+engine's trace phase (``DSEEngine.llc_traces``), which keeps them in the
+runtime's trace store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -62,7 +60,7 @@ class LLCTrace:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able payload for the persistent trace cache."""
+        """JSON-able payload for the runtime's trace store."""
         return {
             "name": self.name,
             "llc_reads": self.llc_reads,
@@ -93,8 +91,6 @@ def simulate_llc_traffic(
     clock_hz: float = 4.0e9,
     ipc: float = 2.0,
     seed: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    cache=None,
 ) -> LLCTrace:
     """Drive a workload through L2 -> LLC and extract LLC traffic.
 
@@ -102,35 +98,7 @@ def simulate_llc_traffic(
     miss in the (private) L2 look up the LLC, and L2 dirty evictions write
     back into it — matching the paper's non-inclusive write-back L2 over an
     inclusive write-back LLC.
-
-    With ``cache_dir`` set (or an :class:`~repro.runtime.cache.\
-LLCTraceCache` passed as ``cache`` — handy when the caller wants to read
-    hit/store counters afterwards), the resulting trace is persisted
-    under a fingerprint of ``(workload, simulation parameters)`` and
-    re-runs load it instead of re-simulating.
     """
-    fingerprint = None
-    if cache is None and cache_dir is not None:
-        from repro.runtime.cache import LLCTraceCache
-
-        cache = LLCTraceCache(cache_dir)
-    if cache is not None:
-        from repro.runtime.fingerprint import trace_fingerprint
-
-        fingerprint = trace_fingerprint(
-            workload,
-            n_accesses=n_accesses,
-            l2_kb=l2_kb,
-            llc_mb=llc_mb,
-            instructions_per_access=instructions_per_access,
-            clock_hz=clock_hz,
-            ipc=ipc,
-            seed=seed,
-        )
-        cached = cache.load(fingerprint)
-        if cached is not None:
-            return cached
-
     addresses, is_write = workload.batch(n_accesses, seed=seed)
     l2 = simulate_batch(
         CacheConfig(capacity_bytes=l2_kb * 1024, associativity=8),
@@ -154,7 +122,7 @@ LLCTraceCache` passed as ``cache`` — handy when the caller wants to read
 
     instructions = n_accesses * instructions_per_access
     duration = instructions / (clock_hz * ipc)
-    trace = LLCTrace(
+    return LLCTrace(
         name=workload.name,
         llc_reads=int(miss_positions.size),
         llc_writes=int(np.count_nonzero(writeback)),
@@ -162,9 +130,6 @@ LLCTraceCache` passed as ``cache`` — handy when the caller wants to read
         duration=duration,
         llc_hits=llc.stats.hits,
     )
-    if cache is not None:
-        cache.store(fingerprint, trace)
-    return trace
 
 
 #: A small synthetic suite spanning memory-bound to compute-bound behaviour,

@@ -101,6 +101,6 @@ def run_config(
         progress=progress,
         **{key: value for key, value in overrides.items() if value is not None},
     )
-    table = DSEEngine.from_options(runtime).run(spec)
+    table = DSEEngine(runtime).run(spec)
     _write_csv(table, config.output_csv)
     return table

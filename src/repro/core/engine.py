@@ -7,10 +7,12 @@ producing a :class:`~repro.results.ResultTable` whose rows carry everything
 the dashboards plot.
 
 Execution is delegated to :mod:`repro.runtime`, which runs every sweep
-serially in this process: ``cache_dir`` persists characterizations and
-evaluation blocks across runs, and ``on_error="skip"`` reports failed
+serially in this process.  An engine is built from one
+:class:`~repro.runtime.options.RuntimeOptions`: its ``cache_dir``
+persists characterizations, evaluation blocks and the LLC traces the
+cache-hierarchy studies regenerate, and ``on_error="skip"`` reports failed
 points through telemetry instead of aborting the sweep.  The defaults
-(in-memory cache only, abort on error) preserve the engine's historical
+(in-memory memos only, abort on error) preserve the engine's historical
 behavior.
 """
 
@@ -18,24 +20,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from repro.cachesim.llc import LLCTrace
+from repro.cachesim.streams import WorkloadModel
 from repro.cells.base import CellTechnology
 from repro.core.metrics import array_record
 from repro.errors import CharacterizationError
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.cache import CharacterizationCache, EvaluationCache
+from repro.runtime.cache import CharacterizationCache, EvaluationCache, LLCTraceCache
 from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
     evaluate_blocks,
+    simulate_traces,
     sweep_points,
 )
 from repro.runtime.options import (
     ARRAY_CACHE_SUBDIR,
     EVALUATION_CACHE_SUBDIR,
+    TRACE_CACHE_SUBDIR,
     RuntimeOptions,
+    ensure_runtime,
 )
 from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
@@ -64,72 +71,36 @@ class SweepSpec:
 
 
 class DSEEngine:
-    """Runs sweeps and caches array characterizations along the way.
+    """Runs sweeps and regenerates LLC traces through the runtime's stores.
 
-    Parameters
-    ----------
-    cache_dir:
-        Root of the persistent cache layout (``arrays/`` holds
-        characterizations, ``evaluations/`` holds (array x traffic)
-        evaluation row blocks); ``None`` keeps results in memory only.
-    on_error:
-        ``"raise"`` aborts the sweep on the first
-        :class:`CharacterizationError` (historical behavior); ``"skip"``
-        drops the failing point, records it in the run's telemetry, and
-        keeps sweeping.
-    progress:
-        Optional callback receiving one
-        :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
+    ``runtime`` (default: in-memory stores only, abort on error) names the
+    persistent cache root, whose ``arrays/``, ``evaluations/`` and
+    ``traces/`` stores back :attr:`cache`, :attr:`eval_cache` and
+    :attr:`trace_cache`; the error policy (``on_error="skip"`` drops a
+    failing point, records it in the run's telemetry and keeps sweeping);
+    and the progress callback, which receives one
+    :class:`~repro.runtime.telemetry.ProgressEvent` per item.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[Union[str, Path]] = None,
-        on_error: str = "raise",
-        progress=None,
-    ) -> None:
-        if on_error not in ("raise", "skip"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'skip', got {on_error!r}"
-            )
-        self.on_error = on_error
-        self.progress = progress
+    def __init__(self, runtime: Optional[RuntimeOptions] = None) -> None:
+        self.runtime = ensure_runtime(runtime)
         self.cache: Optional[CharacterizationCache] = None
         self.eval_cache: Optional[EvaluationCache] = None
-        if cache_dir is not None:
-            root = Path(cache_dir)
+        self.trace_cache: Optional[LLCTraceCache] = None
+        if self.runtime.cache_dir is not None:
+            root = Path(self.runtime.cache_dir)
             self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR)
             self.eval_cache = EvaluationCache(root / EVALUATION_CACHE_SUBDIR)
-        #: In-memory cache keyed by the stable point fingerprint (shared
-        #: with the on-disk cache's addressing).
+            self.trace_cache = LLCTraceCache(root / TRACE_CACHE_SUBDIR)
+        #: In-memory memos, keyed like the on-disk stores.
         self._array_cache: dict[str, ArrayCharacterization] = {}
-        #: In-memory evaluation-block memo, keyed like the on-disk store.
         self._eval_memory: dict[str, list[dict]] = {}
+        self._trace_memory: dict[str, LLCTrace] = {}
         #: Telemetry of the most recent ``run``/``arrays`` call.
         self.last_telemetry: Optional[SweepTelemetry] = None
 
-    @classmethod
-    def from_options(cls, options: RuntimeOptions) -> "DSEEngine":
-        """An engine configured from shared :class:`RuntimeOptions`."""
-        return cls(
-            cache_dir=options.cache_dir,
-            on_error=options.on_error,
-            progress=options.progress,
-        )
-
-    def fingerprint(
-        self,
-        cell: CellTechnology,
-        capacity_bytes: int,
-        node_nm: int,
-        target: OptimizationTarget,
-        access_bits: int,
-        bits_per_cell: int,
-    ) -> str:
-        """The stable cache key of one design point."""
-        return SweepPoint(
-            cell, capacity_bytes, node_nm, target, access_bits, bits_per_cell
-        ).fingerprint()
+    def _telemetry(self) -> SweepTelemetry:
+        return SweepTelemetry(self.runtime.progress)
 
     def characterize(
         self,
@@ -148,7 +119,7 @@ class DSEEngine:
             cache=self.cache,
             memory=self._array_cache,
             on_error="raise",
-            telemetry=SweepTelemetry(self.progress),
+            telemetry=self._telemetry(),
         )[0]
         assert result is not None  # on_error="raise" never returns None
         return result
@@ -176,9 +147,23 @@ class DSEEngine:
             extra=extra,
             cache=self.eval_cache,
             memory=self._eval_memory,
-            telemetry=(
-                telemetry if telemetry is not None else SweepTelemetry(self.progress)
-            ),
+            telemetry=telemetry if telemetry is not None else self._telemetry(),
+        )
+
+    def llc_traces(
+        self, workloads: Sequence[WorkloadModel], n_accesses: int, seed: int
+    ) -> list[LLCTrace]:
+        """Each workload's LLC trace, regenerated through the trace store.
+
+        See :func:`repro.runtime.executor.simulate_traces`.
+        """
+        return simulate_traces(
+            workloads,
+            n_accesses=n_accesses,
+            seed=seed,
+            cache=self.trace_cache,
+            memory=self._trace_memory,
+            telemetry=self._telemetry(),
         )
 
     def _characterized(
@@ -188,7 +173,7 @@ class DSEEngine:
             sweep_points(spec),
             cache=self.cache,
             memory=self._array_cache,
-            on_error=self.on_error,
+            on_error=self.runtime.on_error,
             telemetry=telemetry,
         )
         return [array for array in results if array is not None]
@@ -199,7 +184,7 @@ class DSEEngine:
         Points that fail under ``on_error="skip"`` are omitted (see
         ``last_telemetry`` for what was dropped).
         """
-        telemetry = SweepTelemetry(self.progress)
+        telemetry = self._telemetry()
         self.last_telemetry = telemetry
         return self._characterized(spec, telemetry)
 
@@ -210,7 +195,7 @@ class DSEEngine:
         traffic it holds one row per (array, traffic) evaluation.  Row
         order is deterministic.
         """
-        telemetry = SweepTelemetry(self.progress)
+        telemetry = self._telemetry()
         self.last_telemetry = telemetry
         arrays = self._characterized(spec, telemetry)
         table = ResultTable()

@@ -13,9 +13,10 @@ exploration; this package is the execution layer that delivers it:
   immutable ``<pack-id>.v3`` pack files, one per sweep call, so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
   resumable.
-* :mod:`repro.runtime.executor` — serial, in-process characterization
-  and (array, traffic) evaluation in deterministic order, through the
-  memory and disk caches, with same-cell points batched into one array
+* :mod:`repro.runtime.executor` — serial, in-process characterization,
+  (array, traffic) evaluation and LLC trace regeneration in
+  deterministic order, all three through one cached-work routine over
+  the memory and disk caches, with same-cell points warmed as one array
   program.
 * :mod:`repro.runtime.shard` — run manifests and the study content
   fingerprints behind the incremental summary.
@@ -47,6 +48,7 @@ from repro.runtime.executor import (
     SweepPoint,
     characterize_points,
     evaluate_blocks,
+    simulate_traces,
     sweep_points,
 )
 from repro.runtime.fingerprint import (
@@ -64,7 +66,7 @@ from repro.runtime.fingerprint import (
 )
 from repro.runtime.fsck import FsckReport, fsck_cache_dir, fsck_manifest, fsck_store
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
-from repro.runtime.options import RuntimeOptions, engine_for, ensure_runtime
+from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.runtime.shard import (
     ManifestEntry,
     ManifestError,
@@ -93,7 +95,6 @@ __all__ = [
     "SweepTelemetry",
     "canonical_json",
     "characterize_points",
-    "engine_for",
     "ensure_runtime",
     "evaluate_blocks",
     "fsck_cache_dir",
@@ -106,6 +107,7 @@ __all__ = [
     "point_payload",
     "schema_tags",
     "sigterm_as_keyboard_interrupt",
+    "simulate_traces",
     "study_fingerprint",
     "sweep_points",
     "trace_fingerprint",

@@ -3,9 +3,10 @@
 Results are addressed by a stable content fingerprint
 (:mod:`repro.runtime.fingerprint`) and stored in immutable *pack* files,
 one per batch of stores: every :func:`~repro.runtime.executor.\
-characterize_points` or :func:`~repro.runtime.executor.evaluate_blocks`
-call that computes anything writes exactly one pack, and a ``store()``
-outside a batch writes a one-entry pack.  Packs sit flat in the store
+characterize_points`, :func:`~repro.runtime.executor.evaluate_blocks` or
+:func:`~repro.runtime.executor.simulate_traces` call that computes
+anything writes exactly one pack, and a ``store()`` outside a batch
+writes a one-entry pack.  Packs sit flat in the store
 directory as ``<pack-id>.v3``.  A pack is streamed into a unique temp file
 and renamed into place once sealed, so a run interrupted mid-store never
 leaves a truncated pack, and the work a call finished before an
@@ -73,6 +74,7 @@ from typing import (
     Union,
 )
 
+from repro.cachesim.llc import LLCTrace
 from repro.errors import ReproError
 from repro.nvsim.result import ArrayCharacterization
 from repro.runtime.fingerprint import (
@@ -382,13 +384,18 @@ class JsonObjectCache:
     """On-disk store of JSON-able results keyed by content fingerprint.
 
     Subclasses define the payload format via :meth:`_encode` /
-    :meth:`_decode`; everything else (packing, atomicity, schema checks,
-    hit/miss/store accounting) is shared.
+    :meth:`_decode` and its version via the ``schema_tag`` class
+    attribute (a ``schema_tag`` argument overrides it); everything else
+    (packing, atomicity, schema checks, hit/miss/store accounting) is
+    shared.
     """
 
-    def __init__(self, root: Union[str, Path], schema_tag: str) -> None:
+    schema_tag: str
+
+    def __init__(self, root: Union[str, Path], schema_tag: Optional[str] = None) -> None:
         self.root = Path(root)
-        self.schema_tag = schema_tag
+        if schema_tag is not None:
+            self.schema_tag = schema_tag
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -563,21 +570,13 @@ class JsonObjectCache:
 class CharacterizationCache(JsonObjectCache):
     """On-disk store of :class:`ArrayCharacterization` keyed by fingerprint."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str = SCHEMA_TAG,
-    ) -> None:
-        super().__init__(root, schema_tag)
+    schema_tag = SCHEMA_TAG
 
     def _encode(self, result: ArrayCharacterization) -> Any:
         return result.to_dict()
 
     def _decode(self, payload) -> ArrayCharacterization:
         return ArrayCharacterization.from_dict(payload)
-
-    def load(self, fingerprint: str) -> Optional[ArrayCharacterization]:
-        return super().load(fingerprint)
 
 
 class EvaluationCache(JsonObjectCache):
@@ -588,12 +587,7 @@ class EvaluationCache(JsonObjectCache):
     validate the structure.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str = EVAL_SCHEMA_TAG,
-    ) -> None:
-        super().__init__(root, schema_tag)
+    schema_tag = EVAL_SCHEMA_TAG
 
     def _encode(self, result) -> Any:
         return list(result)
@@ -609,19 +603,10 @@ class EvaluationCache(JsonObjectCache):
 class LLCTraceCache(JsonObjectCache):
     """On-disk store of regenerated LLC traces keyed by fingerprint."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str = TRACE_SCHEMA_TAG,
-    ) -> None:
-        super().__init__(root, schema_tag)
+    schema_tag = TRACE_SCHEMA_TAG
 
-    def _encode(self, result) -> Any:
+    def _encode(self, result: LLCTrace) -> Any:
         return result.to_dict()
 
-    def _decode(self, payload):
-        # Imported lazily: repro.cachesim.llc consumes this cache, so a
-        # module-level import would be circular.
-        from repro.cachesim.llc import LLCTrace
-
+    def _decode(self, payload) -> LLCTrace:
         return LLCTrace.from_dict(payload)

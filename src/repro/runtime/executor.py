@@ -3,12 +3,13 @@
 A sweep point costs well under a millisecond of model time, so sweeps run
 in the calling process, in their deterministic order: no pool, no
 pickling, no chunking.  What the executor adds over a plain loop is the
-cache discipline every study shares — lookup in the in-process memo,
-then the on-disk cache; duplicates computed once; fresh results written
-back to both, the on-disk ones as one pack file per call — plus the
-batch fast path (points sharing a cell, node, access width and
-bits/cell characterize as one array program) and one telemetry event
-per point.
+cache discipline, written once in :func:`_cached_work` and shared by its
+three phases — array characterization (:func:`characterize_points`),
+(array x traffic) evaluation (:func:`evaluate_blocks`) and LLC trace
+regeneration (:func:`simulate_traces`): lookup in the in-process memo,
+then the on-disk store; damaged packs quarantined and counted;
+duplicates computed once; fresh results written back to both, the
+on-disk ones as one pack file per call; one telemetry event per item.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -23,8 +24,10 @@ import contextlib
 import copy
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.cachesim.llc import LLCTrace, simulate_llc_traffic
+from repro.cachesim.streams import WorkloadModel
 from repro.cells.base import CellTechnology
 from repro.errors import CharacterizationError, EvaluationError, ReproError
 from repro.nvsim import characterize
@@ -34,12 +37,14 @@ from repro.runtime.cache import (
     CharacterizationCache,
     EvaluationCache,
     JsonObjectCache,
+    LLCTraceCache,
 )
 from repro.runtime.fingerprint import (
     SCHEMA_TAG,
     evaluation_context,
     evaluation_fingerprint,
     point_fingerprint,
+    trace_fingerprint,
 )
 from repro.runtime.telemetry import (
     CACHED,
@@ -115,30 +120,97 @@ def sweep_points(spec) -> List[SweepPoint]:
     return points
 
 
-def _pack_batch(cache: Optional[JsonObjectCache]):
-    """The cache's batch (one pack for the block), or a no-op without one."""
-    return cache.batch() if cache is not None else contextlib.nullcontext()
+# --- the cached-work rule ----------------------------------------------------
+
+#: One fresh outcome yielded by a phase's ``compute``: the index of the
+#: item, its result (or the :class:`~repro.errors.ReproError` it failed
+#: with) and the wall-clock seconds charged to it.
+Outcome = Tuple[int, Any, float]
+
+
+def _cached_work(
+    phase: str,
+    labels: Sequence[str],
+    fingerprints: Sequence[str],
+    compute: Callable[[List[int]], Iterable[Outcome]],
+    *,
+    cache: Optional[JsonObjectCache],
+    memory: Optional[dict],
+    telemetry: Optional[SweepTelemetry],
+    on_error: str = "raise",
+) -> list:
+    """Run one phase's items through the memo and the disk store.
+
+    Each item is looked up in the in-process ``memory`` dict, then in the
+    on-disk ``cache``; every pack a load quarantines (a refresh of the
+    store's index can find several) emits one ``corrupt`` event.  The
+    items still missing are computed once per fingerprint by
+    ``compute(first indices)``, written back to both stores (one pack per
+    call) and reported with one event per item.  A duplicate is served
+    from the memo.
+
+    Only characterization yields failures as data: a ``ReproError``
+    outcome emits ``failed`` events and, under ``on_error="raise"``,
+    raises :class:`~repro.errors.CharacterizationError` naming the item.
+    The other phases raise from ``compute``.
+    """
+    telemetry = telemetry if telemetry is not None else SweepTelemetry()
+    memory = memory if memory is not None else {}
+    total = len(labels)
+    results: list = [None] * total
+
+    def emit(kind: str, index: int, source: str = "", **details) -> None:
+        telemetry.emit(ProgressEvent(
+            kind, labels[index], index, total, phase=phase, source=source,
+            **details))
+
+    pending: dict[str, List[int]] = {}
+    for index, fp in enumerate(fingerprints):
+        if fp in memory:
+            results[index] = memory[fp]
+            emit(CACHED, index, "memory")
+            continue
+        if fp in pending:
+            pending[fp].append(index)
+            continue
+        value = None
+        if cache is not None:
+            corrupt_before = cache.corrupt
+            value = cache.load(fp)
+            for _ in range(cache.corrupt - corrupt_before):
+                emit(CORRUPT, index, "disk")
+        if value is None:
+            pending[fp] = [index]
+            continue
+        memory[fp] = results[index] = value
+        emit(CACHED, index, "disk")
+
+    first_fps = {indices[0]: fp for fp, indices in pending.items()}
+    # One pack per call; it is committed even when a failure or an
+    # interrupt cuts the loop short, so finished items are kept.
+    with cache.batch() if cache is not None else contextlib.nullcontext():
+        for first, value, duration_s in compute(list(first_fps)):
+            fp = first_fps[first]
+            if isinstance(value, ReproError):
+                for nth, index in enumerate(pending[fp]):
+                    emit(FAILED, index, error=str(value),
+                         duration_s=duration_s if nth == 0 else 0.0)
+                if on_error == "raise":
+                    raise CharacterizationError(f"{labels[first]}: {value}")
+                continue
+            memory[fp] = value
+            if cache is not None:
+                cache.store(fp, value)
+            for nth, index in enumerate(pending[fp]):
+                results[index] = value
+                if nth == 0:
+                    emit(COMPLETED, index, duration_s=duration_s)
+                else:
+                    emit(CACHED, index, "memory")
+    return results
 
 
 # --- characterization ------------------------------------------------------
-
-
-def _warm_batch(points: Sequence[SweepPoint]) -> None:
-    """Evaluate a batch group's candidate spaces as one array program.
-
-    Each member then picks its winner from the shared lanes.  A broken
-    member request (bad node, infeasible space...) is left for its own
-    :meth:`SweepPoint.characterize` call to report, with per-point
-    context, exactly as the unbatched path reports it.
-    """
-    requests = dict.fromkeys(
-        (p.cell, p.capacity_bytes, p.node_nm, p.access_bits, p.bits_per_cell)
-        for p in points
-    )
-    try:
-        warm_lanes(requests)
-    except ReproError:
-        pass
 
 
 def characterize_points(
@@ -158,94 +230,46 @@ def characterize_points(
     Under ``on_error="raise"`` the first failing point raises
     :class:`~repro.errors.CharacterizationError` naming it.
 
-    Pending points sharing (cell, node, access width, bits/cell)
-    characterize as one array program (``source="batch"`` events, each
-    charged an equal share of the group's wall-clock); a point alone in
-    its group runs the scalar path.
+    Pending points sharing (cell, node, access width, bits/cell) warm
+    their candidate spaces as one array program
+    (:func:`~repro.nvsim.characterize.warm_lanes`), then each picks its
+    winner from the shared lanes; each is charged an equal share of the
+    group's wall-clock.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    telemetry = telemetry if telemetry is not None else SweepTelemetry()
-    memory = memory if memory is not None else {}
-    total = len(points)
-    results: List[Optional[ArrayCharacterization]] = [None] * total
-    pending_by_fp: dict[str, List[int]] = {}
-    for index, point in enumerate(points):
-        fp = point.fingerprint()
-        if fp in memory:
-            results[index] = memory[fp]
-            telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="memory"))
-            continue
-        if fp in pending_by_fp:
-            pending_by_fp[fp].append(index)
-            continue
-        corrupt_before = cache.corrupt if cache is not None else 0
-        array = cache.load(fp) if cache is not None else None
-        if cache is not None and cache.corrupt > corrupt_before:
-            # The loader quarantined a damaged entry; the point is
-            # recomputed below, this event only makes the damage visible.
-            telemetry.emit(ProgressEvent(
-                CORRUPT, point.label, index, total, source="disk"))
-        if array is not None:
-            memory[fp] = array
-            results[index] = array
-            telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="disk"))
-            continue
-        pending_by_fp[fp] = [index]
 
-    def _record_success(
-        fp: str, array: ArrayCharacterization, duration_s: float, source: str
-    ) -> None:
-        memory[fp] = array
-        if cache is not None:
-            cache.store(fp, array)
-        for nth, index in enumerate(pending_by_fp[fp]):
-            results[index] = array
-            telemetry.emit(ProgressEvent(
-                COMPLETED if nth == 0 else CACHED, points[index].label, index,
-                total, source=source if nth == 0 else "memory",
-                duration_s=duration_s if nth == 0 else 0.0))
-
-    def _record_failure(fp: str, message: str, duration_s: float) -> None:
-        indices = pending_by_fp[fp]
-        for nth, index in enumerate(indices):
-            telemetry.emit(ProgressEvent(
-                FAILED, points[index].label, index, total, error=message,
-                duration_s=duration_s if nth == 0 else 0.0))
-        if on_error == "raise":
-            raise CharacterizationError(f"{points[indices[0]].label}: {message}")
-
-    groups: dict[tuple, List[str]] = {}
-    for fp, indices in pending_by_fp.items():
-        point = points[indices[0]]
-        groups.setdefault(
-            (point.cell, point.node_nm, point.access_bits, point.bits_per_cell),
-            [],
-        ).append(fp)
-    # One pack per call; it is committed even when a failure or an
-    # interrupt cuts the loop short, so finished points are kept.
-    with _pack_batch(cache):
-        for member_fps in groups.values():
-            members = [points[pending_by_fp[fp][0]] for fp in member_fps]
-            batched = len(members) > 1
+    def compute(firsts: List[int]) -> Iterator[Outcome]:
+        groups: dict[tuple, List[int]] = {}
+        for index in firsts:
+            p = points[index]
+            groups.setdefault(
+                (p.cell, p.node_nm, p.access_bits, p.bits_per_cell), []
+            ).append(index)
+        for members in groups.values():
             start = time.perf_counter()
-            if batched:
-                _warm_batch(members)
+            try:
+                warm_lanes(dict.fromkeys(
+                    (p.cell, p.capacity_bytes, p.node_nm, p.access_bits,
+                     p.bits_per_cell)
+                    for p in (points[index] for index in members)))
+            except ReproError:
+                pass  # each member's characterize() reports it, in context
             outcomes = []
-            for point in members:
+            for index in members:
                 try:
-                    outcomes.append((point.characterize(), ""))
+                    outcomes.append((index, points[index].characterize()))
                 except ReproError as exc:
-                    outcomes.append((None, str(exc)))
+                    outcomes.append((index, exc))
             share = (time.perf_counter() - start) / len(members)
-            for fp, (array, error) in zip(member_fps, outcomes):
-                if array is None:
-                    _record_failure(fp, error, share)
-                else:
-                    _record_success(fp, array, share, "batch" if batched else "")
-    return results
+            for index, value in outcomes:
+                yield index, value, share
+
+    return _cached_work(
+        "characterize", [p.label for p in points],
+        [p.fingerprint() for p in points], compute,
+        cache=cache, memory=memory, telemetry=telemetry, on_error=on_error,
+    )
 
 
 # --- (array x traffic) evaluation ------------------------------------------
@@ -302,62 +326,65 @@ def evaluate_blocks(
 
         rows_fn = evaluation_rows
     traffic = tuple(traffic)
-    telemetry = telemetry if telemetry is not None else SweepTelemetry()
-    memory = memory if memory is not None else {}
-    fn_id = rows_fn_id(rows_fn)
-    total = len(arrays)
-    results: List[Optional[List[dict]]] = [None] * total
+    context = evaluation_context(traffic, rows_fn_id=rows_fn_id(rows_fn), extra=extra)
 
-    def _emit(
-        kind: str, index: int, source: str = "", duration_s: float = 0.0
-    ) -> None:
-        telemetry.emit(ProgressEvent(
-            kind, arrays[index].label, index, total,
-            phase="evaluate", source=source, duration_s=duration_s,
-        ))
-
-    context = evaluation_context(traffic, rows_fn_id=fn_id, extra=extra)
-    pending_by_fp: dict[str, List[int]] = {}
-    for index, array in enumerate(arrays):
-        fp = evaluation_fingerprint(array, context=context)
-        if fp in memory:
-            results[index] = memory[fp]
-            _emit(CACHED, index, source="memory")
-            continue
-        if fp in pending_by_fp:
-            pending_by_fp[fp].append(index)
-            continue
-        corrupt_before = cache.corrupt if cache is not None else 0
-        rows = cache.load(fp) if cache is not None else None
-        if cache is not None and cache.corrupt > corrupt_before:
-            _emit(CORRUPT, index, source="disk")
-        if rows is not None:
-            memory[fp] = rows
-            results[index] = rows
-            _emit(CACHED, index, source="disk")
-            continue
-        pending_by_fp[fp] = [index]
-
-    with _pack_batch(cache):
-        for fp, indices in pending_by_fp.items():
-            array = arrays[indices[0]]
+    def compute(firsts: List[int]) -> Iterator[Outcome]:
+        for index in firsts:
             start = time.perf_counter()
             try:
-                rows = rows_fn(array, traffic, extra)
+                rows = rows_fn(arrays[index], traffic, extra)
             except ReproError as exc:
-                raise EvaluationError(f"{array.label}: {exc}") from exc
-            duration_s = time.perf_counter() - start
-            memory[fp] = rows
-            if cache is not None:
-                cache.store(fp, rows)
-            for nth, index in enumerate(indices):
-                results[index] = rows
-                _emit(COMPLETED if nth == 0 else CACHED, index,
-                      source="" if nth == 0 else "memory",
-                      duration_s=duration_s if nth == 0 else 0.0)
+                raise EvaluationError(f"{arrays[index].label}: {exc}") from exc
+            yield index, rows, time.perf_counter() - start
+
+    results = _cached_work(
+        "evaluate", [array.label for array in arrays],
+        [evaluation_fingerprint(array, context=context) for array in arrays],
+        compute, cache=cache, memory=memory, telemetry=telemetry,
+    )
     # Copy at the memo boundary, so annotating a returned row never
     # corrupts the in-memory memo or the block handed to the persistent
     # cache.  Flat rows (every row this repo produces) take a dict() copy;
     # rows holding any other value are deep-copied, since a shallow copy
     # would alias their nested lists/dicts with every later cache hit.
     return [[_copy_row(row) for row in rows] for rows in results]
+
+
+# --- LLC traces --------------------------------------------------------------
+
+#: The L2 + LLC hierarchy and core every regenerated trace models; with
+#: ``n_accesses`` and ``seed`` they are the trace's fingerprinted inputs.
+_TRACE_HIERARCHY = dict(
+    l2_kb=512, llc_mb=16, instructions_per_access=25.0, clock_hz=4.0e9, ipc=2.0,
+)
+
+
+def simulate_traces(
+    workloads: Sequence[WorkloadModel],
+    *,
+    n_accesses: int,
+    seed: int,
+    cache: Optional[LLCTraceCache] = None,
+    memory: Optional[dict] = None,
+    telemetry: Optional[SweepTelemetry] = None,
+) -> List[LLCTrace]:
+    """Regenerate each workload's LLC trace through the cache simulator.
+
+    One trace per workload, in order, through the same memo and disk
+    store discipline as :func:`characterize_points`, keyed by
+    :func:`~repro.runtime.fingerprint.trace_fingerprint`; errors from
+    :func:`~repro.cachesim.llc.simulate_llc_traffic` propagate.
+    """
+    params = dict(_TRACE_HIERARCHY, n_accesses=n_accesses, seed=seed)
+
+    def compute(firsts: List[int]) -> Iterator[Outcome]:
+        for index in firsts:
+            start = time.perf_counter()
+            trace = simulate_llc_traffic(workloads[index], **params)
+            yield index, trace, time.perf_counter() - start
+
+    return _cached_work(
+        "trace", [workload.name for workload in workloads],
+        [trace_fingerprint(workload, **params) for workload in workloads],
+        compute, cache=cache, memory=memory, telemetry=telemetry,
+    )

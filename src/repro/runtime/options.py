@@ -3,8 +3,9 @@
 Every study and config-driven sweep accepts one :class:`RuntimeOptions`
 value instead of ad-hoc ``cache_dir=``/``on_error=`` keyword sprinkling:
 the persistent cache root, error policy, progress callback and RNG seed
-travel together through the study registry, the CLI, and
-:class:`~repro.core.engine.DSEEngine`.
+travel together through the study registry and the CLI, and
+``DSEEngine(runtime)`` (:class:`~repro.core.engine.DSEEngine`) is the one
+way to build an engine from them.
 Sweeps always run serially in the calling process
 (:mod:`repro.runtime.executor`).
 
@@ -14,7 +15,7 @@ Sweeps always run serially in the calling process
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
 
-Each store holds flat ``<pack-id>.v3`` pack files (one per sweep call
+Each store holds flat ``<pack-id>.v3`` pack files (one per executor call
 that computed anything) and a ``quarantine/`` directory for damaged
 packs; :mod:`repro.runtime.cache` describes the pack format.
 """
@@ -66,14 +67,6 @@ class RuntimeOptions:
                 f"on_error must be 'raise' or 'skip', got {self.on_error!r}"
             )
 
-    @property
-    def effective_trace_cache_dir(self) -> Optional[Path]:
-        """Where LLC traces persist (``<cache_dir>/traces``), or ``None``
-        when nothing is cached."""
-        if self.cache_dir is not None:
-            return Path(self.cache_dir) / TRACE_CACHE_SUBDIR
-        return None
-
     def seed_or(self, default: int) -> int:
         """This run's seed, or the study's documented default."""
         return default if self.seed is None else int(self.seed)
@@ -82,21 +75,7 @@ class RuntimeOptions:
         """A copy routing progress events to ``progress``."""
         return replace(self, progress=progress)
 
-    def engine(self):
-        """A :class:`~repro.core.engine.DSEEngine` configured from these options."""
-        # Imported lazily: the engine builds on the runtime package, so a
-        # module-level import here would be circular.  The field mapping
-        # lives in DSEEngine.from_options — one source of truth.
-        from repro.core.engine import DSEEngine
-
-        return DSEEngine.from_options(self)
-
 
 def ensure_runtime(runtime: Optional[RuntimeOptions]) -> RuntimeOptions:
     """The given options, or serial in-memory defaults."""
     return runtime if runtime is not None else RuntimeOptions()
-
-
-def engine_for(runtime: Optional[RuntimeOptions]):
-    """Shorthand: an engine for possibly-absent options."""
-    return ensure_runtime(runtime).engine()

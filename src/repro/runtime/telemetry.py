@@ -29,9 +29,10 @@ logger = logging.getLogger("repro.runtime")
 COMPLETED = "completed"
 CACHED = "cached"
 FAILED = "failed"
-#: A cache entry that failed integrity verification on load (bad JSON,
-#: checksum/fingerprint mismatch) and was moved to quarantine.  The
-#: point itself is then recomputed; this event only tracks the damage.
+#: One damaged pack (bad footer, index or checksum, undecodable body)
+#: quarantined while loading a point; a load that re-reads the store's
+#: index may find several, one event each.  The point itself is then
+#: recomputed; this event only tracks the damage.
 CORRUPT = "corrupt"
 
 
@@ -90,7 +91,7 @@ _WALL_FIELDS = {
 _COUNTER_FIELDS = (
     "completed", "cached", "failed", "evaluated", "eval_cached",
     "trace_simulated", "trace_cached", "corrupt", "eval_corrupt",
-    "trace_corrupt", "batched",
+    "trace_corrupt",
 )
 
 
@@ -106,10 +107,9 @@ class SweepTelemetry:
     eval_cached: int = 0  # evaluate-phase blocks served from a cache
     trace_simulated: int = 0  # trace-phase LLC regenerations run fresh
     trace_cached: int = 0  # trace-phase regenerations served from a cache
-    corrupt: int = 0  # characterize-phase cache entries quarantined on load
-    eval_corrupt: int = 0  # evaluate-phase cache entries quarantined on load
-    trace_corrupt: int = 0  # trace-phase cache entries quarantined on load
-    batched: int = 0  # characterize-phase points computed via the batch engine
+    corrupt: int = 0  # damaged packs quarantined from the arrays/ store
+    eval_corrupt: int = 0  # damaged packs quarantined from the evaluations/ store
+    trace_corrupt: int = 0  # damaged packs quarantined from the traces/ store
     #: Wall-clock spent computing fresh (or failing) points, per phase —
     #: the raw data behind the manifest's per-study timings and the
     #: service's per-request latency accounting.
@@ -159,8 +159,6 @@ class SweepTelemetry:
             self.trace_cached += 1
         elif event.kind == COMPLETED:
             self.completed += 1
-            if event.source == "batch":
-                self.batched += 1
         elif event.kind == CACHED:
             self.cached += 1
         elif event.kind == FAILED:

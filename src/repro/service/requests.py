@@ -113,9 +113,7 @@ class SweepQuery:
         table: Optional[ResultTable] = None
         error: Optional[str] = None
         try:
-            table = DSEEngine.from_options(
-                runtime.with_progress(telemetry.emit)
-            ).run(spec)
+            table = DSEEngine(runtime.with_progress(telemetry.emit)).run(spec)
         except ReproError as exc:
             if runtime.on_error != "skip":
                 raise

@@ -19,10 +19,10 @@ from typing import Optional
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
 from repro.cells.base import TechnologyClass
 from repro.cells.database import survey_entries
-from repro.core.engine import SweepSpec
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.nvsim.result import DEFAULT_TARGET_SWEEP, OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.units import mb
 
 #: eNVM implementation node / SRAM comparison node used throughout.
@@ -44,7 +44,7 @@ def optimization_target_study(
         sram_node_nm=SRAM_NODE_NM,
         optimization_targets=DEFAULT_TARGET_SWEEP,
     )
-    return engine_for(runtime).run(spec)
+    return DSEEngine(runtime).run(spec)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def dnn_buffer_arrays(
         optimization_targets=(OptimizationTarget.READ_EDP,),
         access_bits=512,
     )
-    return engine_for(runtime).run(spec)
+    return DSEEngine(runtime).run(spec)
 
 
 def llc_arrays(
@@ -152,4 +152,4 @@ def llc_arrays(
         ),
         access_bits=512,
     )
-    return engine_for(runtime).run(spec)
+    return DSEEngine(runtime).run(spec)

@@ -15,11 +15,11 @@ from typing import Optional
 
 from repro.cells import back_gated_fefet, sram_cell, tentpoles_for
 from repro.cells.base import TechnologyClass
-from repro.core.engine import SweepSpec
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.nvsim import all_organizations
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.generic import graph_envelope_sweep
 from repro.traffic.graph import wikipedia_bfs_traffic
@@ -53,7 +53,7 @@ def back_gated_fefet_study(
         optimization_targets=(OptimizationTarget.READ_EDP,),
         access_bits=64,
     )
-    return engine_for(runtime).run(spec)
+    return DSEEngine(runtime).run(spec)
 
 
 def area_efficiency_study(
@@ -70,7 +70,7 @@ def area_efficiency_study(
     traffic) evaluation layer runs through the engine's block cache, so
     warm re-runs skip it.
     """
-    engine = engine_for(runtime)
+    engine = DSEEngine(runtime)
     traffic = graph_envelope_sweep(points_per_axis=traffic_points)
     arrays = [
         array

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 from repro.cells import STUDY_TECHNOLOGIES, CellTechnology, sram_cell, tentpoles_for
 from repro.cells.base import TechnologyClass
-from repro.core.engine import SweepSpec
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.intermittent import crossover_rate, evaluate_intermittent
 from repro.nvsim import characterize
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.dnn import (
     ALBERT,
@@ -84,7 +84,7 @@ def continuous_study(
         optimization_targets=(OptimizationTarget.READ_EDP,),
         access_bits=512,
     )
-    table = engine_for(runtime).run(spec)
+    table = DSEEngine(runtime).run(spec)
     return table.with_column(
         "meets_fps",
         lambda r: bool(r["feasible"]) and r["memory_latency_s_per_s"] <= LATENCY_TARGET_S_PER_S,
@@ -107,7 +107,7 @@ def intermittent_study(
     runtime: Optional[RuntimeOptions] = None,
 ) -> ResultTable:
     """Figure 6 (right): energy per inference, weights resident in eNVM."""
-    engine = engine_for(runtime)
+    engine = DSEEngine(runtime)
     table = ResultTable()
     for workload, capacity in INTERMITTENT_WORKLOADS:
         for tech in DNN_STUDY_TECHNOLOGIES:

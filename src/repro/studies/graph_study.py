@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
-from repro.core.engine import SweepSpec
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.nvsim.result import OptimizationTarget
 from repro.traffic.generic import graph_envelope_sweep
@@ -46,7 +46,7 @@ def graph_study(
         optimization_targets=(OptimizationTarget.READ_EDP,),
         access_bits=64,
     )
-    return engine_for(runtime).run(spec)
+    return DSEEngine(runtime).run(spec)
 
 
 def lowest_power_technology(

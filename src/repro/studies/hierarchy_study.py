@@ -12,9 +12,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from repro.cachesim import zipfian_batch
+from repro.cachesim import SYNTHETIC_SUITE, zipfian_batch
 from repro.cells import tentpoles_for
 from repro.cells.base import TechnologyClass
+from repro.core.engine import DSEEngine
 from repro.core.hierarchy import evaluate_hierarchy
 from repro.core.writebuffer import coalescing_factor
 from repro.nvsim.result import OptimizationTarget
@@ -50,16 +51,13 @@ def hierarchy_study(
 
     ``traffic_source="bfs"`` uses the measured Facebook-BFS pattern;
     ``"synthetic-llc"`` regenerates traffic through the cache simulator,
-    persisting the trace in the runtime's trace cache.
+    via the engine's trace store.
     """
     runtime = ensure_runtime(runtime)
-    engine = runtime.engine()
+    engine = DSEEngine(runtime)
     if traffic_source == "synthetic-llc":
-        # Imported lazily: only this variant needs the simulator.
-        from repro.cachesim.llc import SYNTHETIC_SUITE
-        from repro.studies.llc_study import regenerated_traffic
-
-        traffic = regenerated_traffic(SYNTHETIC_SUITE[1:2], runtime)[0]
+        [trace] = engine.llc_traces(SYNTHETIC_SUITE[1:2], 100_000, runtime.seed_or(1))
+        traffic = trace.traffic()
     else:
         traffic = facebook_bfs_traffic()
     front_cell = tentpoles_for(TechnologyClass.STT).optimistic

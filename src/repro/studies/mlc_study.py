@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.cells import tentpoles_for
 from repro.cells.base import CellTechnology, TechnologyClass
+from repro.core.engine import DSEEngine
 from repro.core.metrics import array_record
 from repro.dnn.proxies import trained_proxy
 from repro.faults.models import FAULT_MODELLED_TECHNOLOGIES, fault_model_for
@@ -45,7 +46,7 @@ def mlc_study(
 ) -> ResultTable:
     """Figure 13: density/performance vs. fault-injected accuracy."""
     runtime = ensure_runtime(runtime)
-    engine = runtime.engine()
+    engine = DSEEngine(runtime)
     proxy = trained_proxy(workload)
     table = ResultTable()
 

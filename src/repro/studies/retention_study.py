@@ -12,10 +12,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cells import tentpoles_for
+from repro.core.engine import DSEEngine
 from repro.core.retention import deployment_check, max_unpowered_interval
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM
 from repro.studies.dnn_study import DNN_STUDY_TECHNOLOGIES
 from repro.units import SECONDS_PER_DAY, mb
@@ -27,7 +28,7 @@ def retention_study(
     runtime: Optional[RuntimeOptions] = None,
 ) -> ResultTable:
     """Scrubbing requirements across technologies and wake-up rates."""
-    engine = engine_for(runtime)
+    engine = DSEEngine(runtime)
     table = ResultTable()
     for tech in DNN_STUDY_TECHNOLOGIES:
         for flavor, cell in tentpoles_for(tech).labelled():

@@ -12,11 +12,12 @@ from dataclasses import asdict
 from typing import Any, Optional, Sequence
 
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
+from repro.core.engine import DSEEngine
 from repro.core.metrics import evaluation_record
 from repro.core.writebuffer import DEFAULT_SCENARIOS, WriteBufferConfig, evaluate_with_buffer
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.options import RuntimeOptions, engine_for
+from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.base import TrafficPattern
 from repro.traffic.graph import facebook_bfs_traffic
@@ -57,7 +58,7 @@ def writebuffer_study(
             spec_traffic(benchmark_by_name("605.mcf_s")),
             spec_traffic(benchmark_by_name("619.lbm_s")),
         )
-    engine = engine_for(runtime)
+    engine = DSEEngine(runtime)
     cells = study_cells(STUDY_TECHNOLOGIES, include_reference=False)
     arrays = []
     for cell in cells + [sram_cell(SRAM_NODE_NM)]:

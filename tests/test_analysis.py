@@ -1,5 +1,6 @@
 """The invariant linter: rule engine, rules, suppressions, CLI."""
 
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -364,6 +365,22 @@ class TestLockCoverageRule:
 
 
 class TestExceptSafetyRule:
+    def test_root_not_named_repro_is_checked(self, tmp_path, capsys):
+        """Rules scope to ``repro.*`` whatever ROOT's directory is called."""
+        root = tmp_path / "notrepro"
+        shutil.copytree(SRC_REPRO, root, ignore=shutil.ignore_patterns("__pycache__"))
+        executor = root / "runtime" / "executor.py"
+        executor.write_text(
+            executor.read_text(encoding="utf-8") + "\ntry:\n    pass\nexcept:\n    pass\n",
+            encoding="utf-8",
+        )
+        assert lint_main([str(root)]) == 1
+        findings = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("notrepro/runtime/executor.py:") and "[except-safety]" in line
+            for line in findings
+        )
+
     def test_bare_except_is_flagged(self, tmp_path):
         files = {
             "runtime/worker.py": """

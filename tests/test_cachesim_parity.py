@@ -21,8 +21,9 @@ from repro.cachesim import (
     simulate_batch,
     simulate_llc_traffic,
 )
+from repro.core.engine import DSEEngine
 from repro.errors import ConfigError
-from repro.runtime import LLCTraceCache, trace_fingerprint
+from repro.runtime import LLCTraceCache, RuntimeOptions, trace_fingerprint
 from repro.units import kb
 
 
@@ -148,53 +149,54 @@ class TestBatchParity:
 
 
 class TestLLCTraceCache:
+    """The engine's trace phase: LLC traces served from the trace store."""
+
     def _workload(self):
         return WorkloadModel("cached", working_set_bytes=kb(256),
                              write_fraction=0.3, locality_skew=1.4)
 
+    def _trace(self, cache_dir, workloads, n_accesses=5_000, seed=1):
+        """Traces from a fresh engine, so the disk store is what serves."""
+        runtime = RuntimeOptions(cache_dir=cache_dir)
+        return DSEEngine(runtime).llc_traces(workloads, n_accesses, seed)
+
     def test_second_run_loads_persisted_trace(self, tmp_path, monkeypatch):
         workload = self._workload()
-        first = simulate_llc_traffic(workload, n_accesses=5_000,
-                                     cache_dir=tmp_path)
-        assert len(LLCTraceCache(tmp_path)) == 1
+        [first] = self._trace(tmp_path, [workload])
+        assert len(LLCTraceCache(tmp_path / "traces")) == 1
 
         # A cached re-run must not regenerate the stream at all.
         def boom(*args, **kwargs):
             raise AssertionError("stream regenerated despite cache hit")
 
         monkeypatch.setattr(WorkloadModel, "batch", boom)
-        second = simulate_llc_traffic(workload, n_accesses=5_000,
-                                      cache_dir=tmp_path)
+        [second] = self._trace(tmp_path, [workload])
         assert second == first
 
     def test_uncached_run_matches_cached(self, tmp_path):
         workload = self._workload()
-        cached = simulate_llc_traffic(workload, n_accesses=5_000,
-                                      cache_dir=tmp_path)
-        plain = simulate_llc_traffic(workload, n_accesses=5_000)
+        [cached] = self._trace(tmp_path, [workload])
+        [plain] = self._trace(None, [workload])
         assert plain == cached
+        assert plain == simulate_llc_traffic(workload, n_accesses=5_000)
 
     def test_parameters_participate_in_fingerprint(self, tmp_path):
         workload = self._workload()
-        simulate_llc_traffic(workload, n_accesses=5_000, cache_dir=tmp_path)
-        simulate_llc_traffic(workload, n_accesses=6_000, cache_dir=tmp_path)
-        simulate_llc_traffic(workload, n_accesses=5_000, seed=2,
-                             cache_dir=tmp_path)
-        assert len(LLCTraceCache(tmp_path)) == 3
+        self._trace(tmp_path, [workload])
+        self._trace(tmp_path, [workload], n_accesses=6_000)
+        self._trace(tmp_path, [workload], seed=2)
+        assert len(LLCTraceCache(tmp_path / "traces")) == 3
 
     def test_interrupted_suite_resumes(self, tmp_path):
         """A partially-populated cache re-simulates only what is missing."""
         from repro.cachesim.llc import SYNTHETIC_SUITE
 
-        simulate_llc_traffic(SYNTHETIC_SUITE[0], n_accesses=2_000,
-                             cache_dir=tmp_path)
-        cache = LLCTraceCache(tmp_path)
+        self._trace(tmp_path, SYNTHETIC_SUITE[:1], n_accesses=2_000)
+        cache = LLCTraceCache(tmp_path / "traces")
         assert len(cache) == 1
 
-        for workload in SYNTHETIC_SUITE:
-            simulate_llc_traffic(workload, n_accesses=2_000,
-                                 cache_dir=tmp_path)
-        resumed = LLCTraceCache(tmp_path)
+        self._trace(tmp_path, SYNTHETIC_SUITE, n_accesses=2_000)
+        resumed = LLCTraceCache(tmp_path / "traces")
         assert len(resumed) == len(SYNTHETIC_SUITE)
         # The pre-existing entry was loaded, not re-stored.
         for workload in SYNTHETIC_SUITE:
@@ -205,29 +207,27 @@ class TestLLCTraceCache:
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         workload = self._workload()
-        first = simulate_llc_traffic(workload, n_accesses=5_000,
-                                     cache_dir=tmp_path)
-        cache = LLCTraceCache(tmp_path)
+        [first] = self._trace(tmp_path, [workload])
+        store = tmp_path / "traces"
+        cache = LLCTraceCache(store)
         [fingerprint] = list(cache.fingerprints())
-        [pack] = tmp_path.glob("*.v3")
+        [pack] = store.glob("*.v3")
         pack.write_text("{not json")
-        again = simulate_llc_traffic(workload, n_accesses=5_000,
-                                     cache_dir=tmp_path)
+        [again] = self._trace(tmp_path, [workload])
         assert again == first
         # The corrupt pack was quarantined and the recomputed store wrote
         # it afresh under the same name.
-        assert (tmp_path / "quarantine" / pack.name).read_text() == "{not json"
-        assert LLCTraceCache(tmp_path).load(fingerprint) == first
+        assert (store / "quarantine" / pack.name).read_text() == "{not json"
+        assert LLCTraceCache(store).load(fingerprint) == first
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         workload = self._workload()
-        trace = simulate_llc_traffic(workload, n_accesses=5_000,
-                                     cache_dir=tmp_path)
-        stale = LLCTraceCache(tmp_path, schema_tag="llc-trace-v0")
+        [trace] = self._trace(tmp_path, [workload])
+        stale = LLCTraceCache(tmp_path / "traces", schema_tag="llc-trace-v0")
         [fingerprint] = list(stale.fingerprints())
         assert stale.load(fingerprint) is None
         assert stale.misses == 1
-        assert LLCTraceCache(tmp_path).load(fingerprint) == trace
+        assert LLCTraceCache(tmp_path / "traces").load(fingerprint) == trace
 
     def test_trace_roundtrips_through_payload(self):
         trace = LLCTrace(name="t", llc_reads=10, llc_writes=4,

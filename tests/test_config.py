@@ -1,12 +1,12 @@
 """Configuration schema, loader, and CLI tests."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.config import load_config, parse_config, run_config
 from repro.config.cli import main as cli_main
+from repro.core.engine import DSEEngine
 from repro.errors import ConfigError
 
 
@@ -193,11 +193,11 @@ class TestRuntimeSectionExtensions:
             with pytest.raises(ConfigError, match=message):
                 parse_config(minimal_config(runtime={**runtime, unknown: 2}))
 
-    def test_trace_cache_defaults_from_cache_dir(self):
+    def test_trace_cache_defaults_from_cache_dir(self, tmp_path):
         options = parse_config(minimal_config(
-            runtime={"cache_dir": "root"}
+            runtime={"cache_dir": str(tmp_path)}
         )).runtime
-        assert str(options.effective_trace_cache_dir) == str(Path("root") / "traces")
+        assert DSEEngine(options).trace_cache.root == tmp_path / "traces"
 
 
 class TestStudyCLI:

@@ -14,6 +14,7 @@ from repro.config import parse_config
 from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.metrics import evaluation_rows
 from repro.errors import CharacterizationError, ConfigError
+from repro.nvsim.characterize import warm_lanes
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.runtime import (
     CharacterizationCache,
@@ -28,6 +29,7 @@ from repro.runtime import (
     point_fingerprint,
     sweep_points,
 )
+from repro.runtime import executor
 from repro.runtime.cache import PACK_SUFFIX, pack_id
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
@@ -393,7 +395,8 @@ class TestExecutor:
         with pytest.raises(CharacterizationError):
             characterize_points([bad], on_error="raise")
 
-    def test_on_error_skip_reports_and_continues(self, stt_optimistic):
+    def test_on_error_skip_reports_and_continues(self, stt_optimistic,
+                                                  monkeypatch):
         good = make_point(stt_optimistic)
         bad = make_point(stt_optimistic, capacity=4096,
                          access_bits=INFEASIBLE_ACCESS_BITS)
@@ -407,20 +410,26 @@ class TestExecutor:
         assert telemetry.completed == 1
         assert "no feasible organization" in telemetry.failures[0].error
 
-        # The failing point shares a batch group (cell, node, access width,
-        # bits/cell) with two good ones: they still complete as a batch.
+        # The failing point shares a group (cell, node, access width,
+        # bits/cell) with two good ones: the group warms its lanes as one
+        # array program, and the good points still complete.
         wide = 2 ** 16  # feasible at 1 and 2 MB, infeasible at 4 KB
         group = [make_point(stt_optimistic, capacity=capacity, access_bits=wide)
                  for capacity in (mb(1), 4096, mb(2))]
-        events = []
-        telemetry = SweepTelemetry(events.append)
+        warmed = []
+        monkeypatch.setattr(executor, "warm_lanes", lambda requests: (
+            warmed.append(list(requests)), warm_lanes(requests)))
+        telemetry = SweepTelemetry()
         results = characterize_points(group, on_error="skip", telemetry=telemetry)
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
         assert telemetry.failed == 1
         assert telemetry.completed == 2
-        assert telemetry.batched == 2
-        assert [e.source for e in events if e.kind == "completed"] == ["batch"] * 2
+        assert [len(requests) for requests in warmed] == [3]
+        # A group of one warms its lanes through the same program.
+        warmed.clear()
+        characterize_points([make_point(stt_optimistic, capacity=mb(4))])
+        assert [len(requests) for requests in warmed] == [1]
         with pytest.raises(CharacterizationError,
                            match=re.escape(group[1].label)):
             characterize_points(group, on_error="raise")
@@ -696,7 +705,7 @@ class TestRuntimeOptions:
     def test_defaults(self):
         options = RuntimeOptions()
         assert options.cache_dir is None
-        assert options.effective_trace_cache_dir is None
+        assert DSEEngine(options).trace_cache is None
         assert options.seed_or(7) == 7
 
     def test_validation(self):
@@ -708,16 +717,16 @@ class TestRuntimeOptions:
                 RuntimeOptions(**{gone: 1})
 
     def test_trace_cache_defaults_under_cache_dir(self, tmp_path):
-        options = RuntimeOptions(cache_dir=tmp_path)
-        assert options.effective_trace_cache_dir == tmp_path / "traces"
+        engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
+        assert engine.trace_cache.root == tmp_path / "traces"
 
     def test_seed_override(self):
         assert RuntimeOptions(seed=42).seed_or(7) == 42
 
     def test_engine_construction(self, tmp_path):
-        engine = RuntimeOptions(cache_dir=tmp_path, on_error="skip").engine()
+        engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path, on_error="skip"))
         assert not hasattr(engine, "workers")
-        assert engine.on_error == "skip"
+        assert engine.runtime.on_error == "skip"
         assert engine.cache is not None
         assert engine.eval_cache is not None
         assert engine.cache.root == tmp_path / "arrays"
@@ -749,10 +758,10 @@ class TestEngineRuntime:
     def test_engine_shares_fingerprint_between_caches(self, tmp_path,
                                                       stt_optimistic):
         spec = small_spec([stt_optimistic])
-        first = DSEEngine(cache_dir=tmp_path)
+        first = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         first.run(spec)
         assert set(first._array_cache) == set(first.cache.fingerprints())
-        second = DSEEngine(cache_dir=tmp_path)
+        second = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         second.run(spec)
         assert second.last_telemetry.completed == 0
         assert second.last_telemetry.cached == len(sweep_points(spec))
@@ -767,7 +776,7 @@ class TestEngineRuntime:
         )
         with pytest.raises(CharacterizationError):
             DSEEngine().run(spec)
-        engine = DSEEngine(on_error="skip")
+        engine = DSEEngine(RuntimeOptions(on_error="skip"))
         table = engine.run(spec)
         assert len(table) == 1
         assert engine.last_telemetry.failed == 1
@@ -776,11 +785,11 @@ class TestEngineRuntime:
                                                 stt_optimistic, sram16,
                                                 simple_traffic):
         spec = small_spec([stt_optimistic, sram16], traffic=[simple_traffic])
-        cold_engine = DSEEngine(cache_dir=tmp_path)
+        cold_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         cold = cold_engine.run(spec)
         assert cold_engine.last_telemetry.evaluated == 8
         assert cold_engine.eval_cache.stores == 8
-        warm_engine = DSEEngine(cache_dir=tmp_path)
+        warm_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         warm = warm_engine.run(spec)
         assert warm_engine.last_telemetry.completed == 0
         assert warm_engine.last_telemetry.evaluated == 0
@@ -790,14 +799,60 @@ class TestEngineRuntime:
 
     def test_progress_callback_sees_every_point(self, stt_optimistic):
         events = []
-        engine = DSEEngine(progress=events.append)
+        engine = DSEEngine(RuntimeOptions(progress=events.append))
         engine.run(small_spec([stt_optimistic]))
         assert len(events) == 4
         assert {e.kind for e in events} == {"completed"}
 
     def test_invalid_engine_options_rejected(self):
-        with pytest.raises(ValueError):
-            DSEEngine(on_error="explode")
+        # RuntimeOptions is the one way to configure an engine.
+        for retired in ("cache_dir", "on_error", "progress"):
+            with pytest.raises(TypeError):
+                DSEEngine(**{retired: None})
+
+    def test_second_engine_regenerates_no_traces(self, tmp_path):
+        from repro.cachesim.llc import SYNTHETIC_SUITE
+
+        def traces():
+            telemetry = SweepTelemetry()
+            runtime = RuntimeOptions(cache_dir=tmp_path, progress=telemetry.emit)
+            return DSEEngine(runtime).llc_traces(SYNTHETIC_SUITE, 2_000, 1), telemetry
+
+        cold, cold_telemetry = traces()
+        assert cold_telemetry.trace_simulated == len(SYNTHETIC_SUITE)
+        warm, warm_telemetry = traces()
+        assert warm_telemetry.trace_simulated == 0
+        assert warm_telemetry.trace_cached == len(SYNTHETIC_SUITE)
+        assert warm == cold
+
+    def test_corrupt_counters_count_every_quarantined_pack(
+        self, tmp_path, stt_optimistic, simple_traffic, forget_pack_indexes
+    ):
+        """One re-read of a store's index may quarantine several packs."""
+        specs = [
+            SweepSpec(cells=[stt_optimistic], capacities_bytes=[capacity],
+                      traffic=[simple_traffic])
+            for capacity in (mb(1), mb(2))
+        ]
+        for spec in specs:  # one pack per call and store
+            DSEEngine(RuntimeOptions(cache_dir=tmp_path)).run(spec)
+        for store in ("arrays", "evaluations"):
+            packs = _packs(tmp_path / store)
+            assert len(packs) == 2
+            for pack in packs:
+                pack.write_bytes(pack.read_bytes()[: pack.stat().st_size // 2])
+        forget_pack_indexes()  # a fresh process reads the damaged packs
+        telemetry = SweepTelemetry()
+        engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path, progress=telemetry.emit))
+        for spec in specs:
+            engine.run(spec)
+
+        def quarantined(store):
+            return sum(1 for p in (tmp_path / store / "quarantine").iterdir() if p.is_file())
+
+        assert telemetry.corrupt == quarantined("arrays") == 2
+        assert telemetry.eval_corrupt == quarantined("evaluations") == 2
+        assert telemetry.completed == telemetry.evaluated == 2
 
 
 class TestConfigRuntime:
