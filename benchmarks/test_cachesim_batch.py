@@ -132,7 +132,7 @@ def _timed(make_run, repeats=REPEATS):
 def test_batch_parity_and_timing():
     rows = []
     for workload in SYNTHETIC_SUITE:
-        workload.batch(N_ACCESSES, seed=1)  # warm the zipf CDF cache
+        workload.batch(N_ACCESSES, seed=1)  # memoize the zipf block sums (pass 1)
 
         # --- parity: batch engine vs reference simulator, same streams ---
         addresses, is_write = workload.batch(N_ACCESSES, seed=1)

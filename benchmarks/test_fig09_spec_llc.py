@@ -24,7 +24,7 @@ def test_fig09_spec_llc(benchmark):
     winners = winner_per_benchmark(table)
     print("\nper-benchmark power winners:", winners)
     assert winners["648.exchange2_s"] in {"RRAM", "FeFET"}
-    assert len(set(winners.values())) >= 1
+    assert len(set(winners.values())) >= 2
 
     # Latency: the fast-write tier (STT, with RRAM contesting in our model —
     # see EXPERIMENTS.md) wins write-heavy benchmarks; PCM and FeFET do not.

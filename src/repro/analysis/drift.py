@@ -24,6 +24,7 @@ without importing it.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Tuple, Union
@@ -35,6 +36,8 @@ __all__ = [
     "compute_pins",
     "load_pins",
     "pins_path_for",
+    "tag_source_digest",
+    "tag_source_files",
     "update_pins",
     "write_pins",
 ]
@@ -107,26 +110,69 @@ def _registry(ctx: LintContext) -> Mapping[str, tuple]:
     return SCHEMA_TAG_SOURCES
 
 
+def _module_path(root: Path, dotted: str) -> Path:
+    """Where ``repro.x.y`` lives under the package directory ``root``,
+    whatever that directory is named (without a suffix)."""
+    return root.joinpath(*dotted.split(".")[1:])
+
+
+def tag_source_files(source_modules: tuple[str, ...], root: Union[str, Path]) -> list[Path]:
+    """The source files one tag's module set covers, sorted.
+
+    ``root`` is the ``repro`` package directory.  A dotted name resolving
+    to a package directory covers every ``*.py`` under it recursively; a
+    plain module covers its single file.
+    """
+    root = Path(root)
+    files: set = set()
+    for dotted in source_modules:
+        path = _module_path(root, dotted)
+        if path.is_dir():
+            files.update(path.rglob("*.py"))
+        elif path.with_suffix(".py").is_file():
+            files.add(path.with_suffix(".py"))
+        else:
+            raise FileNotFoundError(f"schema-tag source module {dotted!r} not found under {root}")
+    return sorted(files)
+
+
+def tag_source_digest(source_modules: tuple[str, ...], root: Union[str, Path]) -> str:
+    """Content digest of one tag's module set (mtime-independent).
+
+    Each file is named ``repro/<path under root>``, so a copy of the
+    package digests like the original whatever its directory is called.
+    Raw bytes participate, like :func:`repro.runtime.shard.source_digest`
+    — deliberately stricter than semantic hashing, so even a comment-only
+    edit to cache-feeding code forces an explicit re-pin (attesting the
+    change is semantics-preserving) or a tag bump.
+    """
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in tag_source_files(source_modules, root):
+        digest.update(f"repro/{path.relative_to(root).as_posix()}".encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
 def compute_pins(
-    package_root: Union[str, Path],
+    root: Union[str, Path],
     registry: Optional[Mapping[str, tuple]] = None,
 ) -> dict:
     """Recompute every tag's pin entry against one source tree.
 
-    ``package_root`` is the directory *containing* the ``repro`` package
-    (i.e. the lint root's parent).  Tag values come from the defining
-    module's AST.
+    ``root`` is the ``repro`` package directory (the lint root), whatever
+    it is named.  Tag values come from the defining module's AST.
     """
-    from repro.runtime.fingerprint import tag_source_digest
-
     if registry is None:
         from repro.runtime.fingerprint import SCHEMA_TAG_SOURCES as registry
 
-    package_root = Path(package_root)
+    root = Path(root)
     pins: dict = {}
     for name in sorted(registry):
         defining_module, sources = registry[name]
-        module_path = package_root / (Path(*defining_module.split(".")).as_posix() + ".py")
+        module_path = _module_path(root, defining_module).with_suffix(".py")
         tag_value = None
         if module_path.is_file():
             found = _static_tag_assignment(
@@ -136,7 +182,7 @@ def compute_pins(
                 tag_value = found[1]
         pins[name] = {
             "tag": tag_value,
-            "digest": tag_source_digest(tuple(sources), package_root),
+            "digest": tag_source_digest(tuple(sources), root),
             "sources": sorted(sources),
         }
     return pins
@@ -157,7 +203,7 @@ def update_pins(root: Union[str, Path]) -> Tuple[Path, dict]:
     """Re-pin the tree at ``root`` against its own tag registry, into its
     own pin file; returns ``(pin file, pins)``."""
     ctx = LintContext.load(root)
-    pins = compute_pins(ctx.root.parent, _registry(ctx))
+    pins = compute_pins(ctx.root, _registry(ctx))
     path = pins_path_for(ctx.root)
     write_pins(path, pins)
     return path, pins
@@ -198,9 +244,8 @@ class SchemaDriftRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         registry = self.registry if self.registry is not None else _registry(ctx)
-        package_root = ctx.root.parent
         try:
-            current = compute_pins(package_root, registry)
+            current = compute_pins(ctx.root, registry)
         except FileNotFoundError as exc:
             fingerprint = ctx.modules.get("repro.runtime.fingerprint")
             if fingerprint is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Any, Mapping
 
 from repro.cells.base import CellTechnology
@@ -83,58 +82,6 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         ("repro.runtime.shard",),
     ),
 }
-
-
-def tag_source_files(
-    source_modules: tuple[str, ...],
-    package_root: Path = None,
-) -> list[Path]:
-    """The source files one tag's module set covers, sorted.
-
-    A dotted name resolving to a package directory covers every ``*.py``
-    under it recursively; a plain module covers its single file.
-    ``package_root`` is the directory containing the ``repro`` package
-    (defaults to this installation's).
-    """
-    if package_root is None:
-        package_root = Path(__file__).resolve().parents[2]
-    files: set = set()
-    for dotted in source_modules:
-        relative = Path(*dotted.split("."))
-        package_dir = package_root / relative
-        module_file = package_root / relative.with_suffix(".py")
-        if package_dir.is_dir():
-            files.update(sorted(package_dir.rglob("*.py")))
-        elif module_file.is_file():
-            files.add(module_file)
-        else:
-            raise FileNotFoundError(
-                f"schema-tag source module {dotted!r} not found under "
-                f"{package_root}"
-            )
-    return sorted(files)
-
-
-def tag_source_digest(
-    source_modules: tuple[str, ...],
-    package_root: Path = None,
-) -> str:
-    """Content digest of one tag's module set (mtime-independent).
-
-    Raw bytes participate, like :func:`repro.runtime.shard.source_digest`
-    — deliberately stricter than semantic hashing, so even a comment-only
-    edit to cache-feeding code forces an explicit re-pin (attesting the
-    change is semantics-preserving) or a tag bump.
-    """
-    if package_root is None:
-        package_root = Path(__file__).resolve().parents[2]
-    digest = hashlib.sha256()
-    for path in tag_source_files(source_modules, package_root):
-        digest.update(path.relative_to(package_root).as_posix().encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(path.read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
 
 
 def canonical_json(payload: Any) -> str:

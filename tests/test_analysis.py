@@ -453,7 +453,7 @@ class TestSchemaDriftRule:
         return SchemaDriftRule(pins_path=tmp_path / "pins.json", registry=REGISTRY)
 
     def pin(self, tmp_path):
-        write_pins(tmp_path / "pins.json", compute_pins(tmp_path, REGISTRY))
+        write_pins(tmp_path / "pins.json", compute_pins(tmp_path / "repro", REGISTRY))
 
     def test_unpinned_tag_is_flagged(self, tmp_path):
         root = make_tree(tmp_path, {"mod.py": MOD_V1})

@@ -19,14 +19,12 @@ from repro.analysis.drift import (
     compute_pins,
     load_pins,
     pins_path_for,
-)
-from repro.analysis.engine import run_lint
-from repro.runtime.fingerprint import (
-    SCHEMA_TAG_SOURCES,
     tag_source_files,
 )
+from repro.analysis.engine import run_lint
+from repro.runtime.fingerprint import SCHEMA_TAG_SOURCES
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def test_registry_covers_every_live_schema_tag():
@@ -46,7 +44,7 @@ def test_registry_covers_every_live_schema_tag():
 
 def test_tag_source_files_resolve_and_are_sorted():
     for name, (_, sources) in SCHEMA_TAG_SOURCES.items():
-        files = tag_source_files(tuple(sources), SRC_DIR)
+        files = tag_source_files(tuple(sources), SRC_REPRO)
         assert files == sorted(files), name
         assert files, name
         assert all(f.suffix == ".py" for f in files), name
@@ -54,7 +52,7 @@ def test_tag_source_files_resolve_and_are_sorted():
 
 def test_unknown_module_raises():
     with pytest.raises(FileNotFoundError):
-        tag_source_files(("repro.no_such_module",), SRC_DIR)
+        tag_source_files(("repro.no_such_module",), SRC_REPRO)
 
 
 def test_committed_pins_match_the_tree():
@@ -65,9 +63,9 @@ def test_committed_pins_match_the_tree():
     failure; either way re-pin with ``nvmexplorer lint --update-pins``
     and commit ``drift_pins.json``.
     """
-    pinned = load_pins(pins_path_for(SRC_DIR / "repro"))
+    pinned = load_pins(pins_path_for(SRC_REPRO))
     assert pinned is not None, "drift_pins.json missing or invalid"
-    current = compute_pins(SRC_DIR)
+    current = compute_pins(SRC_REPRO)
     assert set(current) == set(pinned), (
         "SCHEMA_TAG_SOURCES and drift_pins.json disagree on which tags "
         "exist — re-pin via `nvmexplorer lint --update-pins`"
@@ -90,23 +88,23 @@ def test_committed_pins_match_the_tree():
 @pytest.fixture()
 def copied_tree(tmp_path):
     """A private copy of ``src/repro`` the test can mutate freely."""
-    shutil.copytree(SRC_DIR / "repro", tmp_path / "repro")
+    shutil.copytree(SRC_REPRO, tmp_path / "repro")
     return tmp_path
 
 
 def test_editing_batch_math_moves_the_digest(copied_tree):
     """Touching ``repro/nvsim/batch.py`` changes SCHEMA_TAG's digest."""
-    before = compute_pins(copied_tree)["SCHEMA_TAG"]["digest"]
+    before = compute_pins(copied_tree / "repro")["SCHEMA_TAG"]["digest"]
     batch = copied_tree / "repro" / "nvsim" / "batch.py"
     batch.write_text(
         batch.read_text(encoding="utf-8") + "\n# perturbed evaluation\n",
         encoding="utf-8",
     )
-    after = compute_pins(copied_tree)["SCHEMA_TAG"]["digest"]
+    after = compute_pins(copied_tree / "repro")["SCHEMA_TAG"]["digest"]
     assert after != before
     # ...and only SCHEMA_TAG's: batch.py feeds no other tag's module set.
-    untouched = compute_pins(SRC_DIR)
-    moved = compute_pins(copied_tree)
+    untouched = compute_pins(SRC_REPRO)
+    moved = compute_pins(copied_tree / "repro")
     changed = {k for k in moved if moved[k]["digest"] != untouched[k]["digest"]}
     assert changed == {"SCHEMA_TAG"}
 
@@ -159,7 +157,7 @@ def test_drift_rule_accepts_bump_plus_repin_flow(copied_tree):
 def test_update_pins_repins_the_linted_tree_only(copied_tree, capsys):
     """``lint ROOT --update-pins`` re-pins ROOT's own pin file against
     ROOT's registry; the running package's pins stay untouched."""
-    installed = pins_path_for(SRC_DIR / "repro")
+    installed = pins_path_for(SRC_REPRO)
     before = installed.read_bytes()
     perturb_batch(copied_tree)
     root = copied_tree / "repro"
@@ -167,3 +165,29 @@ def test_update_pins_repins_the_linted_tree_only(copied_tree, capsys):
     assert installed.read_bytes() == before
     assert lint_main([str(root)]) == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_root_not_named_repro_pins_like_the_real_tree(tmp_path):
+    """Digests name files by their path under the package directory, so a
+    copy under another name pins exactly like the real tree."""
+    root = tmp_path / "notrepro"
+    shutil.copytree(SRC_REPRO, root, ignore=shutil.ignore_patterns("__pycache__"))
+    assert compute_pins(root) == compute_pins(SRC_REPRO)
+
+
+def test_root_not_named_repro_reports_trace_drift(tmp_path, capsys):
+    root = tmp_path / "notrepro"
+    shutil.copytree(SRC_REPRO, root, ignore=shutil.ignore_patterns("__pycache__"))
+    streams = root / "cachesim" / "streams.py"
+    streams.write_text(
+        streams.read_text(encoding="utf-8") + "\n# perturbed sampler\n",
+        encoding="utf-8",
+    )
+    assert lint_main([str(root)]) == 1
+    findings = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("notrepro/runtime/fingerprint.py:") and "[schema-drift]" in line
+    ]
+    assert len(findings) == 1
+    assert "source feeding TRACE_SCHEMA_TAG changed without a tag bump" in findings[0]

@@ -1,10 +1,12 @@
 """Cache simulator and address stream tests."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.cachesim import streams
 from repro.cachesim import (
     SYNTHETIC_SUITE,
     Cache,
@@ -157,6 +159,59 @@ class TestStreams:
         scan_addresses, _ = sequential_batch(1000, write_fraction=0.0, seed=2)
         assert Counter(addresses.tolist()) == \
             Counter(zipf_addresses.tolist()) + Counter(scan_addresses.tolist())
+
+
+def one_table_cdf(n_lines, skew):
+    """The whole normalized zipf CDF in one table: the oracle the streamed
+    sampler must reproduce bit for bit."""
+    cdf = np.cumsum(np.arange(1, n_lines + 1, dtype=np.float64) ** -skew)
+    cdf /= cdf[-1]
+    return cdf
+
+
+SLICE = streams._ZIPF_SLICE_LINES
+BLOCK = streams._ZIPF_BLOCK_LINES
+
+
+class TestZipfSampler:
+    @pytest.mark.parametrize("skew", [1.05, 1.3, 1.8, 2.2])
+    @pytest.mark.parametrize(
+        "n_lines", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 7, 1 << 22]
+    )
+    def test_matches_one_table_oracle(self, n_lines, skew):
+        cdf = one_table_cdf(n_lines, skew)
+        for seed in (0, 1, 7):
+            addresses, _ = zipfian_batch(20_000, n_lines * 64, skew=skew, seed=seed)
+            draws = np.random.default_rng(seed).random(20_000)
+            expected = np.searchsorted(cdf, draws, side="right") * 64
+            np.testing.assert_array_equal(addresses, expected)
+        # Draws equal to the CDF at every block's and slice's first and
+        # last rank, and one ulp either side of those values.
+        ranks = np.arange(0, n_lines, BLOCK)
+        edges = cdf[np.unique(np.clip(np.concatenate([ranks - 1, ranks]), 0, None))]
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 2)])
+        edges = edges[edges < 1.0]
+        np.testing.assert_array_equal(
+            streams._zipf_lines(n_lines, skew, edges),
+            np.searchsorted(cdf, edges, side="right"),
+        )
+
+    def test_no_draws_yield_empty_arrays(self):
+        addresses, is_write = zipfian_batch(0, mb(256), skew=1.05)
+        assert addresses.size == is_write.size == 0
+        assert addresses.dtype == np.int64
+
+    def test_largest_table_sampler_stays_small(self):
+        """Sampling the largest inverse-CDF working set (256 MiB of lines)
+        never holds its 32 MiB CDF: both passes peak under 8 MiB."""
+        streams._zipf_block_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            zipfian_batch(100_000, mb(256), skew=1.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestLLCDerivation:
