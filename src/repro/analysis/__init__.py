@@ -8,13 +8,13 @@ verify at run time:
 rule id         invariant
 =============== =======================================================
 determinism     no wall-clock / unseeded randomness / unordered
-                filesystem- or set-iteration reachable from
-                fingerprinted code paths (call-graph reachability)
+                filesystem- or set-iteration anywhere in the package
 schema-drift    cache-feeding module sets carry a pinned source digest
                 next to their ``*_SCHEMA_TAG``; drift without a tag
                 bump fails (``repro/analysis/drift_pins.json``)
-atomic-write    persistent stores stage writes to a temp file and
-                ``os.replace()`` them into place
+atomic-write    persistent stores, the suite's outputs and the pin
+                file stage writes to a temp file and ``os.replace()``
+                them into place
 lock-coverage   ``SweepTelemetry`` counters mutate only under
                 ``with self._lock`` (or documented lock-held helpers)
 except-safety   no bare ``except:``; interrupt handlers in

@@ -1,21 +1,15 @@
-"""Rule ``determinism``: fingerprinted code paths must be reproducible.
+"""Rule ``determinism``: the package must compute the same bytes every run.
 
 The entire cache substrate assumes that the same inputs produce the
 same bytes: content fingerprints key persistent entries, manifests are
 merged by exactly-once point accounting, and CI asserts warm runs are
 byte-identical to cold ones.  Any wall-clock read, unseeded RNG draw,
-filesystem-order iteration, or set-order iteration on a fingerprinted
-path silently breaks all of that.
+filesystem-order iteration, or set-order iteration on a path that feeds
+a fingerprint silently breaks all of that.
 
-Scope is computed, not grepped: the rule seeds a call-graph walk
-(:mod:`repro.analysis.callgraph`) with
-
-* every function in the model packages (``repro.nvsim``,
-  ``repro.cachesim``) and in ``repro.runtime.fingerprint`` itself, and
-* every function that directly calls the fingerprint API — computing a
-  cache key marks a function as feeding the cache substrate;
-
-then flags banned constructs in everything transitively reachable.
+The rule checks every function and module body under the lint root:
+a cache key is only as stable as everything it is computed from, and
+the package is small enough that scanning all of it costs nothing.
 Wall-clock uses that are genuinely required carry an inline
 ``# repro: allow[determinism] reason``.
 
@@ -29,29 +23,20 @@ listings are fine once wrapped in an order-neutral consumer
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional
 
-from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.engine import (
     Finding,
     LintContext,
     ModuleInfo,
     Rule,
     dotted_name,
-    walk_scope,
+    enclosing_function,
+    import_bindings,
+    resolve_chain,
 )
 
 __all__ = ["DeterminismRule"]
-
-#: Packages whose every function is a reachability seed.
-DEFAULT_ROOT_PACKAGES: Tuple[str, ...] = (
-    "repro.nvsim",
-    "repro.cachesim",
-    "repro.runtime.fingerprint",
-)
-
-#: Calling anything from this module makes the caller a seed.
-DEFAULT_FINGERPRINT_MODULE = "repro.runtime.fingerprint"
 
 #: Fully-resolved call targets that read clocks or entropy.
 BANNED_CALLS = {
@@ -135,124 +120,61 @@ def _wrapped_order_neutral(module: ModuleInfo, node: ast.AST) -> bool:
     return False
 
 
+def _call_problem(module: ModuleInfo, call: ast.Call, bindings: Dict[str, str]) -> Optional[str]:
+    """Why this call is nondeterministic, or None when it is not."""
+    chain = dotted_name(call.func)
+    target = resolve_chain(chain, bindings) if chain is not None else None
+    if target in BANNED_CALLS:
+        return f"{target}() is nondeterministic ({BANNED_CALLS[target]})"
+    if target == "numpy.random.default_rng" and not (call.args or call.keywords):
+        return "numpy.random.default_rng() without a seed draws OS entropy"
+    # Listing methods match by name whatever the receiver, so
+    # ``(root / "sub").iterdir()`` counts as much as ``root.iterdir()``.
+    if target in LISTING_CALLS:
+        listing = target
+    elif isinstance(call.func, ast.Attribute) and call.func.attr in LISTING_METHODS:
+        listing = f".{call.func.attr}"
+    else:
+        return None
+    if _wrapped_order_neutral(module, call):
+        return None
+    return f"{listing}() yields filesystem order — wrap in sorted(...)"
+
+
+def _iterated(node: ast.AST) -> list:
+    """The expressions a loop or comprehension iterates over."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return [gen.iter for gen in node.generators]
+    return []
+
+
+def _scope_name(module: ModuleInfo, node: ast.AST) -> str:
+    fn = enclosing_function(module, node)
+    return fn.name if fn is not None else "module level"
+
+
 class DeterminismRule(Rule):
-    """No clocks, entropy, or unordered iteration on fingerprinted paths."""
+    """No clocks, entropy, or unordered iteration anywhere in the package."""
 
     id = "determinism"
 
-    def __init__(
-        self,
-        root_packages: Sequence[str] = DEFAULT_ROOT_PACKAGES,
-        fingerprint_module: str = DEFAULT_FINGERPRINT_MODULE,
-    ) -> None:
-        self.root_packages = tuple(root_packages)
-        self.fingerprint_module = fingerprint_module
-
-    # -- seeding -----------------------------------------------------------
-
-    def _is_root_module(self, module_name: str) -> bool:
-        for pkg in self.root_packages:
-            if module_name == pkg or module_name.startswith(pkg + "."):
-                return True
-        return False
-
-    def _seeds(self, graph: CallGraph) -> list[str]:
-        prefix = self.fingerprint_module + "."
-        seeds = []
-        for qualname, fn in graph.functions.items():
-            if self._is_root_module(fn.module):
-                seeds.append(qualname)
-                continue
-            if any(target.startswith(prefix) for target, _ in fn.resolved_calls):
-                seeds.append(qualname)
-        return sorted(seeds)
-
-    # -- checking ----------------------------------------------------------
-
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        graph = build_call_graph(ctx)
-        origin = graph.reachable_from(self._seeds(graph))
-        modules_by_name = ctx.modules
-
-        for qualname in sorted(origin):
-            fn = graph.functions[qualname]
-            module = modules_by_name.get(fn.module)
-            if module is None:
-                continue
-            chain = graph.chain(origin, qualname)
-            via = "" if len(chain) == 1 else f" (reachable from fingerprinted root {chain[0]})"
-            yield from self._check_function(ctx, module, graph, qualname, via)
-
-    def _check_function(
-        self,
-        ctx: LintContext,
-        module: ModuleInfo,
-        graph: CallGraph,
-        qualname: str,
-        via: str,
-    ) -> Iterator[Finding]:
-        fn = graph.functions[qualname]
-        for target, call in fn.resolved_calls:
-            reason = BANNED_CALLS.get(target)
-            if reason is not None:
-                yield ctx.finding(
-                    self.id,
-                    module,
-                    call,
-                    f"{target}() in {qualname} is nondeterministic ({reason}){via}",
-                )
-            elif target == "numpy.random.default_rng" and not (call.args or call.keywords):
-                yield ctx.finding(
-                    self.id,
-                    module,
-                    call,
-                    f"numpy.random.default_rng() without a seed in {qualname} "
-                    f"draws OS entropy{via}",
-                )
-            elif target in LISTING_CALLS and not _wrapped_order_neutral(module, call):
-                yield ctx.finding(
-                    self.id,
-                    module,
-                    call,
-                    f"{target}() in {qualname} yields filesystem order — "
-                    f"wrap in sorted(...){via}",
-                )
-        for method, call in fn.unresolved_methods:
-            if method in LISTING_METHODS and not _wrapped_order_neutral(module, call):
-                yield ctx.finding(
-                    self.id,
-                    module,
-                    call,
-                    f".{method}() in {qualname} yields filesystem order — "
-                    f"wrap in sorted(...){via}",
-                )
-        yield from self._check_set_iteration(ctx, module, fn.node, qualname, via)
-
-    def _check_set_iteration(
-        self,
-        ctx: LintContext,
-        module: ModuleInfo,
-        scope: ast.AST,
-        qualname: str,
-        via: str,
-    ) -> Iterator[Finding]:
-        own_body = [
-            n
-            for n in scope.body
-            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        ]
-        for node in walk_scope(own_body):
-            iters: list[ast.AST] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_setlike(it) and not _wrapped_order_neutral(module, it):
-                    yield ctx.finding(
-                        self.id,
-                        module,
-                        it,
-                        f"iteration over a set in {qualname} has undefined "
-                        f"order — iterate sorted(...){via}",
-                    )
+        for module in ctx.modules.values():
+            bindings = import_bindings(module)
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Call):
+                    problem = _call_problem(module, node, bindings)
+                    if problem is not None:
+                        where = _scope_name(module, node)
+                        yield ctx.finding(self.id, module, node, f"{problem} in {where}")
+                for it in _iterated(node):
+                    if _is_setlike(it) and not _wrapped_order_neutral(module, it):
+                        yield ctx.finding(
+                            self.id,
+                            module,
+                            it,
+                            f"iteration over a set in {_scope_name(module, it)} has "
+                            "undefined order — iterate sorted(...)",
+                        )

@@ -128,7 +128,7 @@ def tag_source_files(source_modules: tuple[str, ...], root: Union[str, Path]) ->
     for dotted in source_modules:
         path = _module_path(root, dotted)
         if path.is_dir():
-            files.update(path.rglob("*.py"))
+            files |= set(path.rglob("*.py"))
         elif path.with_suffix(".py").is_file():
             files.add(path.with_suffix(".py"))
         else:

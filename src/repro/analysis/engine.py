@@ -1,8 +1,8 @@
 """Core of the invariant linter: parsed modules, findings, suppressions.
 
 The analysis package statically enforces the contracts the runtime can
-only check after the fact: fingerprinted code paths must be
-deterministic, cache-feeding source must bump its schema tag when it
+only check after the fact: the package must compute the same bytes
+on every run, cache-feeding source must bump its schema tag when it
 changes, persistent writes must go tmp + ``os.replace``, telemetry
 counters must mutate under their lock, and runtime/service code must not
 swallow interrupts.  Each contract is a :class:`Rule`; this module owns
@@ -14,7 +14,10 @@ everything the rules share:
 * inline suppressions — ``# repro: allow[rule-id] reason`` on the
   flagged line (or alone on the line above) waives that rule there; a
   suppression without a reason is itself a finding;
-* :func:`default_rules` — the five rules, one instance each.
+* :func:`default_rules` — the five rules, one instance each;
+* AST helpers — :func:`dotted_name`, :func:`enclosing_function` and the
+  import resolver (:func:`import_bindings` + :func:`resolve_chain`) that maps a
+  call chain such as ``dt.datetime.now`` to ``datetime.datetime.now``.
 
 Verdicts follow ``nvmexplorer fsck``'s convention: exit 0 when every
 finding is suppressed, 1 when any violation stands.
@@ -28,7 +31,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Finding",
@@ -357,19 +360,6 @@ def enclosing_function(
     return None
 
 
-def walk_scope(top_nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
-    """Walk statements/expressions without descending into nested
-    function or class definitions (those form their own scopes)."""
-    stack: List[ast.AST] = list(top_nodes)
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            stack.append(child)
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Render a pure ``Name``/``Attribute`` chain as ``a.b.c`` (else None)."""
     parts: List[str] = []
@@ -381,3 +371,38 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
+
+
+def import_bindings(module: ModuleInfo) -> Dict[str, str]:
+    """Local name -> dotted target for every import in one module."""
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                target = alias.name if alias.asname else alias.name.split(".", 1)[0]
+                bindings[local] = target
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.level:
+                # Relative imports: resolve against this module's package.
+                package_parts = module.name.split(".")
+                # level=1 strips the module name itself, deeper levels walk up.
+                base = package_parts[: len(package_parts) - max(node.level, 1)]
+                prefix = ".".join(base + ([node.module] if node.module else []))
+            else:
+                prefix = node.module
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                bindings[local] = f"{prefix}.{alias.name}" if prefix else alias.name
+    return bindings
+
+
+def resolve_chain(chain: str, bindings: Dict[str, str]) -> str:
+    """Expand a dotted call chain through the module's import bindings."""
+    head, _, rest = chain.partition(".")
+    target = bindings.get(head)
+    if target is None:
+        return chain
+    return f"{target}.{rest}" if rest else target

@@ -19,14 +19,14 @@ catch broadly for reporting.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.engine import Finding, LintContext, Rule
 
 __all__ = ["ExceptSafetyRule"]
 
 #: Package prefixes whose modules are checked.
-DEFAULT_SCOPES = ("repro.runtime", "repro.service")
+SCOPES = ("repro.runtime", "repro.service")
 
 #: Exception names whose handlers must re-raise.
 _INTERRUPT_NAMES = {"BaseException", "KeyboardInterrupt", "SystemExit"}
@@ -61,18 +61,9 @@ class ExceptSafetyRule(Rule):
 
     id = "except-safety"
 
-    def __init__(self, scopes: Sequence[str] = DEFAULT_SCOPES) -> None:
-        self.scopes = tuple(scopes)
-
-    def _in_scope(self, module_name: str) -> bool:
-        for scope in self.scopes:
-            if module_name == scope or module_name.startswith(scope + "."):
-                return True
-        return False
-
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for module in ctx.modules.values():
-            if not self._in_scope(module.name):
+            if not any(module.name == s or module.name.startswith(s + ".") for s in SCOPES):
                 continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ExceptHandler):

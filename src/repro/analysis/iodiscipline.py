@@ -17,9 +17,8 @@ explicit temp-staging writes therefore pass without annotation.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.analysis.callgraph import _import_bindings, resolve_chain
 from repro.analysis.engine import (
     Finding,
     LintContext,
@@ -27,21 +26,26 @@ from repro.analysis.engine import (
     Rule,
     dotted_name,
     enclosing_function,
+    import_bindings,
+    resolve_chain,
 )
 
 __all__ = ["AtomicWriteRule"]
 
-#: Modules that own persistent state (caches, manifests, stamps).
-DEFAULT_PERSISTENCE_MODULES = (
+#: Modules that own persistent state (caches, manifests, stamps, the
+#: suite's CSVs and reports, the drift pin file).
+PERSISTENCE_MODULES = (
     "repro.runtime.cache",
     "repro.runtime.shard",
     "repro.runtime.fsck",
     "repro.service.warm",
+    "repro.studies.summary",
+    "repro.analysis.drift",
 )
 
 #: Calling any of these inside the function marks it atomic-compliant.
 _RENAME_CALLS = {"os.replace", "os.rename"}
-_ATOMIC_HELPERS = {"atomic_write_text", "atomic_write_json", "_write_json"}
+_ATOMIC_HELPERS = {"atomic_write_text", "atomic_write_json"}
 
 _WRITE_METHODS = {"write_text", "write_bytes"}
 
@@ -62,18 +66,15 @@ class AtomicWriteRule(Rule):
 
     id = "atomic-write"
 
-    def __init__(self, modules: Sequence[str] = DEFAULT_PERSISTENCE_MODULES) -> None:
-        self.modules = tuple(modules)
-
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for name in self.modules:
+        for name in PERSISTENCE_MODULES:
             module = ctx.modules.get(name)
             if module is None:
                 continue
             yield from self._check_module(ctx, module)
 
     def _check_module(self, ctx: LintContext, module: ModuleInfo) -> Iterator[Finding]:
-        bindings = _import_bindings(module)
+        bindings = import_bindings(module)
         compliant_fns = set()  # functions that rename or call a helper
         writes = []  # (function-or-None, call node, description)
 
@@ -81,14 +82,15 @@ class AtomicWriteRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
-            if chain is None:
-                continue
-            resolved = resolve_chain(chain, bindings)
+            resolved = resolve_chain(chain, bindings) if chain is not None else None
             owner = enclosing_function(module, node)
-            leaf = chain.split(".")[-1]
+            # Methods match by name whatever the receiver, so
+            # ``(out / name).write_text(...)`` counts as a write too.
+            is_method = isinstance(node.func, ast.Attribute)
+            leaf = node.func.attr if is_method else getattr(node.func, "id", None)
             if resolved in _RENAME_CALLS or leaf in _ATOMIC_HELPERS:
                 compliant_fns.add(owner)
-            elif leaf in _WRITE_METHODS and "." in chain:
+            elif is_method and leaf in _WRITE_METHODS:
                 writes.append((owner, node, f".{leaf}()"))
             elif resolved == "open" and _open_write_mode(node):
                 writes.append((owner, node, 'open(..., "w")'))

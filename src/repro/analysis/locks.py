@@ -1,13 +1,13 @@
 """Rule ``lock-coverage``: shared telemetry mutates under its lock.
 
-:class:`repro.runtime.telemetry.SweepTelemetry` is shared by worker
-threads absorbing results, the service's SSE bridge, and status
-endpoints reading counters mid-run; its docstring promises every
-counter mutation happens under ``self._lock``.  That promise is easy to
-silently break — a new counter bumped outside the lock races absorb()
-and produces off-by-some manifests only under load.
+:class:`repro.runtime.telemetry.SweepTelemetry` promises that every
+counter mutation happens under ``self._lock``, so one telemetry value
+may be emitted into, absorbed into and read from different threads.
+That promise is easy to silently break — a new counter bumped outside
+the lock races ``absorb()`` and produces off-by-some manifests only
+under load.
 
-This rule checks the promise statically: inside the configured class,
+This rule checks the promise statically: inside ``SweepTelemetry``,
 any mutation of ``self.<attr>`` — assignment, augmented assignment,
 ``setattr(self, ...)``, or an in-place container mutation like
 ``self.failures.append(...)`` — must sit under a ``with self._lock:``
@@ -19,7 +19,7 @@ helpers invoked from locked sections).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.analysis.engine import (
     Finding,
@@ -31,10 +31,10 @@ from repro.analysis.engine import (
 
 __all__ = ["LockCoverageRule"]
 
-#: (module, class, lock attribute) triples to enforce.
-DEFAULT_GUARDED_CLASSES: Tuple[Tuple[str, str, str], ...] = (
-    ("repro.runtime.telemetry", "SweepTelemetry", "_lock"),
-)
+#: The guarded class, where it lives, and the lock attribute it mutates under.
+GUARDED_MODULE = "repro.runtime.telemetry"
+GUARDED_CLASS = "SweepTelemetry"
+LOCK_ATTR = "_lock"
 
 #: Method names that mutate a container in place.
 _MUTATOR_METHODS = {
@@ -67,25 +67,18 @@ class LockCoverageRule(Rule):
 
     id = "lock-coverage"
 
-    def __init__(
-        self,
-        guarded: Sequence[Tuple[str, str, str]] = DEFAULT_GUARDED_CLASSES,
-    ) -> None:
-        self.guarded = tuple(guarded)
-
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for module_name, class_name, lock_attr in self.guarded:
-            module = ctx.modules.get(module_name)
-            if module is None:
-                continue
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef) and node.name == class_name:
-                    yield from self._check_class(ctx, module, node, lock_attr)
+        module = ctx.modules.get(GUARDED_MODULE)
+        if module is None:
+            return
+        for node in module.tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == GUARDED_CLASS:
+                yield from self._check_class(ctx, module, node)
 
     # -- helpers -----------------------------------------------------------
 
-    def _under_lock(self, module: ModuleInfo, node: ast.AST, lock_attr: str) -> bool:
-        lock_chain = f"self.{lock_attr}"
+    def _under_lock(self, module: ModuleInfo, node: ast.AST) -> bool:
+        lock_chain = f"self.{LOCK_ATTR}"
         current = module.parents.get(node)
         while current is not None:
             if isinstance(current, (ast.With, ast.AsyncWith)):
@@ -112,23 +105,22 @@ class LockCoverageRule(Rule):
         ctx: LintContext,
         module: ModuleInfo,
         cls: ast.ClassDef,
-        lock_attr: str,
     ) -> Iterator[Finding]:
         for node in ast.walk(cls):
             mutated = self._mutation_target(node)
             if mutated is None:
                 continue
             attr, verb = mutated
-            if attr == lock_attr:
+            if attr == LOCK_ATTR:
                 continue
-            if self._under_lock(module, node, lock_attr):
+            if self._under_lock(module, node):
                 continue
             yield ctx.finding(
                 self.id,
                 module,
                 node,
                 f"{verb} of self.{attr} in {cls.name} outside "
-                f"`with self.{lock_attr}:` — shared telemetry must mutate "
+                f"`with self.{LOCK_ATTR}:` — shared telemetry must mutate "
                 "under its lock (or in a helper documented as "
                 "'caller holds the lock')",
             )

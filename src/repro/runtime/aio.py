@@ -35,10 +35,11 @@ class TelemetryBridge:
     """Forward telemetry events from worker threads into an event loop.
 
     ``consumer`` runs on the loop (one call per event, in emission
-    order); the returned :attr:`callback` may be handed to any
-    ``RuntimeOptions.progress`` / ``SweepTelemetry`` observer and called
-    from any thread.  After :meth:`close`, further events are dropped —
-    a sweep outliving its subscriber must not crash the loop.
+    order); the returned :attr:`callback` is meant for
+    ``RuntimeOptions.progress`` (the service's ``JobManager`` feeds its
+    ``_on_event`` this way) and may be called from any thread.  After
+    :meth:`close`, further events are dropped — a sweep outliving its
+    subscriber must not crash the loop.
     """
 
     def __init__(

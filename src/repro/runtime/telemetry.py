@@ -5,15 +5,16 @@ served from cache, or failed — instead of dying on the first
 :class:`~repro.errors.CharacterizationError`.  The executor emits one
 :class:`ProgressEvent` per point; :class:`SweepTelemetry` counts them,
 logs them on the ``repro.runtime`` logger, and forwards them to an
-optional user callback (a progress bar, a dashboard, a CI annotator)
-plus any number of attached observers (:meth:`SweepTelemetry.add_observer`
-— e.g. the serving layer's SSE bridge).
+optional user callback (a progress bar, a dashboard, a CI annotator, or
+the service's :class:`~repro.runtime.aio.TelemetryBridge`, which carries
+each event onto the event loop for ``JobManager._on_event``).
 
 Counter mutation is guarded by a single lock, so one telemetry value may
-be shared by concurrent observers (the service's job threads absorbing
-results, or a service thread reading counters while a study runs).
-Callbacks and observers are invoked *outside* the lock — they may take
-their time (or re-enter the telemetry) without stalling emitters.
+be emitted into, absorbed into and read from different threads.  The
+service shares none across threads: a job's own ``Job.telemetry`` is
+touched only on the event loop, after ``absorb`` of the finished run.
+The callback is invoked *outside* the lock — it may take its time (or
+re-enter the telemetry) without stalling emitters.
 """
 
 from __future__ import annotations
@@ -117,35 +118,19 @@ class SweepTelemetry:
     evaluate_wall_s: float = 0.0
     trace_wall_s: float = 0.0
     failures: List[ProgressEvent] = field(default_factory=list)
-    #: Extra event sinks beyond ``callback`` (see :meth:`add_observer`).
-    observers: List[ProgressCallback] = field(
-        default_factory=list, repr=False, compare=False
-    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def add_observer(self, observer: ProgressCallback) -> None:
-        """Attach an additional per-event sink (e.g. an SSE bridge).
-
-        Observers receive every event after the counters update, outside
-        the telemetry lock, in attachment order after ``callback``.
-        """
-        with self._lock:
-            self.observers.append(observer)
-
     def emit(self, event: ProgressEvent) -> None:
         with self._lock:
             self._count(event)
-            sinks = list(self.observers)
         if event.kind == FAILED:
             logger.warning("%s", event.describe())
         else:
             logger.debug("%s", event.describe())
         if self.callback is not None:
             self.callback(event)
-        for sink in sinks:
-            sink(event)
 
     def _count(self, event: ProgressEvent) -> None:
         """Update counters for one event.  Caller holds the lock."""

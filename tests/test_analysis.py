@@ -73,9 +73,8 @@ class TestDeterminismRule:
         findings = rule_findings(root, DeterminismRule())
         assert len(findings) == 1
         assert findings[0].path == "repro/util.py"
-        assert "reachable from fingerprinted root" in findings[0].message
 
-    def test_unreachable_helper_is_not_flagged(self, tmp_path):
+    def test_uncalled_helper_outside_model_packages_is_flagged(self, tmp_path):
         files = {
             "util.py": """
                 import time
@@ -89,7 +88,10 @@ class TestDeterminismRule:
             """,
         }
         root = make_tree(tmp_path, files)
-        assert rule_findings(root, DeterminismRule()) == []
+        findings = rule_findings(root, DeterminismRule())
+        assert len(findings) == 1
+        assert findings[0].path == "repro/util.py"
+        assert "time.time" in findings[0].message
 
     def test_fingerprint_caller_becomes_a_seed(self, tmp_path):
         files = {
@@ -122,6 +124,22 @@ class TestDeterminismRule:
 
                 def counted(root):
                     return len(list(root.glob("*.json")))
+            """,
+        }
+        root = make_tree(tmp_path, files)
+        findings = rule_findings(root, DeterminismRule())
+        assert len(findings) == 1
+        assert ".iterdir()" in findings[0].message
+        assert findings[0].line == 2
+
+    def test_listing_on_an_expression_receiver_is_flagged(self, tmp_path):
+        files = {
+            "nvsim/store.py": """
+                def bad(root):
+                    return [p.name for p in (root / "sub").iterdir()]
+
+                def good(root):
+                    return sorted((root / "sub").iterdir())
             """,
         }
         root = make_tree(tmp_path, files)
@@ -236,6 +254,33 @@ class TestAtomicWriteRule:
         findings = rule_findings(root, AtomicWriteRule())
         assert len(findings) == 1
         assert "write_text" in findings[0].message
+
+    def test_write_on_an_expression_receiver_is_flagged(self, tmp_path):
+        files = {
+            "runtime/cache.py": """
+                def save(out, name, text):
+                    (out / name).write_text(text)
+            """,
+        }
+        root = make_tree(tmp_path, files)
+        findings = rule_findings(root, AtomicWriteRule())
+        assert len(findings) == 1
+        assert ".write_text()" in findings[0].message
+
+    def test_bare_write_in_studies_summary_is_flagged(self, tmp_path):
+        files = {
+            "studies/summary.py": """
+                from repro.runtime.cache import atomic_write_bytes
+
+                def _write_artifacts(outcome, report_path, out):
+                    atomic_write_bytes(out / "a.csv", outcome.csv)
+                    report_path.write_text(outcome.report)
+            """,
+        }
+        root = make_tree(tmp_path, files)
+        findings = rule_findings(root, AtomicWriteRule())
+        assert len(findings) == 1
+        assert "_write_artifacts" in findings[0].message
 
     def test_staged_replace_in_same_function_is_compliant(self, tmp_path):
         files = {
