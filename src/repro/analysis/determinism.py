@@ -90,7 +90,7 @@ LISTING_CALLS = {"os.listdir", "os.scandir"}
 LISTING_METHODS = {"iterdir", "glob", "rglob"}
 
 #: Wrapping a listing in one of these makes iteration order irrelevant.
-ORDER_NEUTRAL_WRAPPERS = {"sorted", "len", "set", "frozenset", "any", "all", "max", "min", "next"}
+ORDER_NEUTRAL_WRAPPERS = {"sorted", "len", "set", "frozenset", "any", "all", "max", "min"}
 
 
 def _is_setlike(node: ast.AST) -> bool:

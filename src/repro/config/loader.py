@@ -3,6 +3,8 @@
 ``run_config`` accepts a path to a JSON file or an already-parsed dict,
 builds the sweep, runs it through the DSE engine, optionally writes the CSV
 the paper's artifact produces, and returns the result table.
+``run_sweep`` runs a raw config under a caller's runtime options (the
+service's sweep requests).
 ``load_service_config`` validates the serving config that
 ``nvmexplorer serve`` starts from.
 """
@@ -21,9 +23,10 @@ from repro.config.schema import (
     parse_config,
     parse_service_config,
 )
-from repro.core.engine import DSEEngine, SweepSpec
+from repro.core.engine import DSEEngine
 from repro.errors import ConfigError
 from repro.results.table import ResultTable
+from repro.runtime.options import RuntimeOptions
 
 ConfigSource = Union[str, Path, Mapping[str, Any]]
 
@@ -85,22 +88,21 @@ def run_config(
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
     """
     config = load_config(source)
-    spec = SweepSpec(
-        cells=config.cells,
-        capacities_bytes=config.capacities_bytes,
-        traffic=config.traffic,
-        node_nm=config.node_nm,
-        sram_node_nm=config.sram_node_nm,
-        optimization_targets=config.optimization_targets,
-        access_bits=config.access_bits,
-        bits_per_cell=config.bits_per_cell,
-    )
     overrides = {"cache_dir": cache_dir, "seed": seed}
     runtime = dataclasses.replace(
         config.runtime,
         progress=progress,
         **{key: value for key, value in overrides.items() if value is not None},
     )
-    table = DSEEngine(runtime).run(spec)
+    table = DSEEngine(runtime).run(config.sweep)
     _write_csv(table, config.output_csv)
     return table
+
+
+def run_sweep(config: Mapping[str, Any], runtime: Optional[RuntimeOptions] = None) -> ResultTable:
+    """Run a raw sweep config under ``runtime`` and return its table.
+
+    The builder of a service sweep request: the config's own ``runtime``
+    and ``output_csv`` do not apply (the server owns both).
+    """
+    return DSEEngine(runtime).run(parse_config(config).sweep)

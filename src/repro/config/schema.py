@@ -41,10 +41,15 @@ components.  Any other key is a
 does not convert to the type it needs (``"seed": "abc"``).
 
 :func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`
-and :func:`parse_service_config` a ``{"service": ...}`` dict into a
-:class:`ServiceConfig`; :func:`repro.config.loader.run_config` runs a
-sweep.  Registered studies have no config shape: run them with
-``nvmexplorer run-study`` or ``python -m repro.studies.summary``.
+(its :class:`~repro.core.engine.SweepSpec` plus the run options) and
+:func:`parse_service_config` a ``{"service": ...}`` dict into a
+:class:`ServiceConfig`.  A sweep runs through
+``DSEEngine(runtime).run(config.sweep)`` wherever it comes from:
+:func:`repro.config.loader.run_config` for a file, and the service for a
+``{"sweep": ...}`` submission, which it runs as a study request over an
+unregistered spec (:func:`repro.service.requests.resolve_request`).
+Registered studies have no config shape: run them with ``nvmexplorer
+run-study`` or ``python -m repro.studies.summary``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from repro.cells import CellTechnology, sram_cell, tentpoles_for
 from repro.cells.base import TechnologyClass
+from repro.core.engine import SweepSpec
 from repro.errors import ConfigError
 from repro.nvsim.result import OptimizationTarget
 from repro.runtime.options import RuntimeOptions
@@ -69,17 +75,10 @@ _VALID_FLAVORS = ("optimistic", "pessimistic", "reference")
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """A validated configuration ready to run."""
+    """A validated configuration ready to run: its sweep and run options."""
 
     name: str
-    cells: Sequence[CellTechnology]
-    capacities_bytes: Sequence[int]
-    node_nm: int
-    sram_node_nm: int
-    optimization_targets: Sequence[OptimizationTarget]
-    access_bits: int
-    bits_per_cell: int
-    traffic: Sequence[TrafficPattern]
+    sweep: SweepSpec
     output_csv: Optional[str] = None
     runtime: RuntimeOptions = RuntimeOptions()
 
@@ -224,14 +223,16 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
 
     return ParsedConfig(
         name=name,
-        cells=cells,
-        capacities_bytes=capacities,
-        node_nm=node_nm,
-        sram_node_nm=sram_node_nm,
-        optimization_targets=targets,
-        access_bits=access_bits,
-        bits_per_cell=bits,
-        traffic=_parse_traffic(raw.get("traffic")),
+        sweep=SweepSpec(
+            cells=cells,
+            capacities_bytes=capacities,
+            traffic=_parse_traffic(raw.get("traffic")),
+            node_nm=node_nm,
+            sram_node_nm=sram_node_nm,
+            optimization_targets=targets,
+            access_bits=access_bits,
+            bits_per_cell=bits,
+        ),
         output_csv=raw.get("output_csv"),
         runtime=_parse_runtime(raw.get("runtime", {})),
     )
@@ -254,10 +255,16 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     cache_dir = section.get("cache_dir")
     seed = section.get("seed")
     try:
+        if seed is not None:
+            # Imported lazily: a sweep without a seed should not load the
+            # studies stack.
+            from repro.studies.pipeline import parse_seed
+
+            seed = parse_seed(seed)
         return RuntimeOptions(
             cache_dir=None if cache_dir is None else str(cache_dir),
             on_error=str(section.get("on_error", "raise")),
-            seed=None if seed is None else int(seed),
+            seed=seed,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"runtime: {exc}") from None

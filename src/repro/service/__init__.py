@@ -7,8 +7,9 @@ substrate so *many* clients share one cache.  The server runs a fixed
 number of job slots (``workers``); each slot runs one study or sweep at
 a time, serially, exactly as the batch stack would:
 
-* :mod:`repro.service.requests` — submit payloads resolved into
-  fingerprinted, runnable study/sweep queries;
+* :mod:`repro.service.requests` — study and sweep payloads resolved
+  into one fingerprinted, runnable
+  :class:`~repro.studies.pipeline.StudyRequest`;
 * :mod:`repro.service.jobs` — the coalescing job manager (identical
   in-flight fingerprints share one computation; finished ones are memo
   hits) over the supervised job slots;
@@ -30,12 +31,7 @@ from repro.service.app import ReproService, serve
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobManager
 from repro.service.ratelimit import RateLimiter, TokenBucket
-from repro.service.requests import (
-    ServiceQuery,
-    StudyQuery,
-    SweepQuery,
-    resolve_request,
-)
+from repro.service.requests import resolve_request
 from repro.service.warm import WarmKeeper
 
 __all__ = [
@@ -49,9 +45,6 @@ __all__ = [
     "ReproService",
     "ServiceClient",
     "ServiceError",
-    "ServiceQuery",
-    "StudyQuery",
-    "SweepQuery",
     "TokenBucket",
     "WarmKeeper",
     "resolve_request",

@@ -35,8 +35,7 @@ from typing import AsyncIterator, Callable, Optional, Tuple
 from repro.runtime.aio import AsyncStudyRunner, TelemetryBridge
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
-from repro.service.requests import ServiceQuery
-from repro.studies.pipeline import StudyOutcome
+from repro.studies.pipeline import StudyOutcome, StudyRequest
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -53,7 +52,7 @@ class Job:
     def __init__(
         self,
         job_id: str,
-        query: ServiceQuery,
+        query: StudyRequest,
         fingerprint: str,
         clock: Callable[[], float] = time.time,
     ) -> None:
@@ -188,8 +187,8 @@ class JobManager:
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, query: ServiceQuery) -> Tuple[Job, str]:
-        """Submit a query; returns ``(job, "created"|"coalesced"|"memo")``.
+    def submit(self, query: StudyRequest) -> Tuple[Job, str]:
+        """Submit a request; returns ``(job, "created"|"coalesced"|"memo")``.
 
         Identical in-flight fingerprints share one computation; finished
         successful fingerprints are served as memo hits; failed ones are

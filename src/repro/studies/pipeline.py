@@ -262,13 +262,15 @@ def get_study(name: str) -> StudySpec:
 
 @dataclass(frozen=True)
 class StudyRequest:
-    """One resolved query against the registry: spec + effective inputs.
+    """One resolved query: spec + effective inputs.
 
     The unit the serving layer works in: a request carries everything
     that determines a study's artifacts (spec, parameter overrides, seed
     override), so :meth:`fingerprint` is a stable content key — two
     clients asking for the same study with the same inputs hash
     identically and can share one computation and one cached answer.
+    A request over an unregistered spec is a config sweep (see
+    :func:`repro.service.requests.resolve_request`).
     """
 
     spec: StudySpec
@@ -278,6 +280,22 @@ class StudyRequest:
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def kind(self) -> str:
+        """``"study"`` for a registered spec, ``"sweep"`` otherwise."""
+        return "study" if REGISTRY.get(self.spec.name) is self.spec else "sweep"
+
+    def describe(self) -> dict:
+        """The request as a job status reports it."""
+        if self.kind == "sweep":
+            return {"kind": "sweep", "sweep": self.name}
+        return {
+            "kind": "study",
+            "study": self.name,
+            "params": dict(self.params),
+            "seed": self.seed,
+        }
 
     def fingerprint(self) -> str:
         """Content key covering params, seed, cache schema tags, and the
@@ -295,6 +313,22 @@ class StudyRequest:
         if self.seed is not None:
             runtime = replace(runtime, seed=int(self.seed))
         return self.spec.run(runtime, **self.params)
+
+
+def parse_seed(value: Any) -> int:
+    """An outside seed value as an ``int``.
+
+    Integers, integral floats (``3.0``) and integer strings pass; a bool
+    or a non-integral number raises ``ValueError("seed must be an
+    integer, got ...")`` instead of being truncated.
+    """
+    message = f"seed must be an integer, got {value!r}"
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
 
 
 #: Keys a study-request payload may carry.
@@ -341,11 +375,9 @@ def resolve_study_request(payload: Mapping[str, Any]) -> StudyRequest:
     seed = payload.get("seed")
     if seed is not None:
         try:
-            seed = int(seed)
-        except (TypeError, ValueError):
-            raise ReproError(
-                f"study {spec.name!r}: seed must be an integer, got {seed!r}"
-            ) from None
+            seed = parse_seed(seed)
+        except ValueError as exc:
+            raise ReproError(f"study {spec.name!r}: {exc}") from None
     return StudyRequest(spec=spec, params=dict(params), seed=seed)
 
 

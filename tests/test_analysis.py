@@ -132,6 +132,21 @@ class TestDeterminismRule:
         assert ".iterdir()" in findings[0].message
         assert findings[0].line == 2
 
+    def test_first_entry_of_a_listing_is_flagged(self, tmp_path, capsys):
+        # next() returns whichever entry the filesystem lists first.
+        files = {
+            "nvsim/pick.py": """
+                def pick(root):
+                    return next(root.iterdir())
+            """,
+        }
+        root = make_tree(tmp_path, files)
+        assert lint_main([str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "repro/nvsim/pick.py:2:" in out
+        assert "[determinism]" in out
+        assert ".iterdir()" in out
+
     def test_listing_on_an_expression_receiver_is_flagged(self, tmp_path):
         files = {
             "nvsim/store.py": """

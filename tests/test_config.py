@@ -24,8 +24,8 @@ class TestSchema:
     def test_minimal_config_parses(self):
         parsed = parse_config(minimal_config())
         assert parsed.name == "test-sweep"
-        assert len(parsed.cells) == 1
-        assert parsed.capacities_bytes == [1024 * 1024]
+        assert len(parsed.sweep.cells) == 1
+        assert parsed.sweep.capacities_bytes == [1024 * 1024]
 
     def test_missing_cells_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,7 +48,7 @@ class TestSchema:
                        "include_sram": True}
             )
         )
-        names = {c.name for c in parsed.cells}
+        names = {c.name for c in parsed.sweep.cells}
         assert "SRAM-16nm" in names
 
     def test_custom_cell(self):
@@ -57,7 +57,7 @@ class TestSchema:
             {"name": "my-rram", "tech_class": "RRAM", "area_f2": 6.0}
         ]
         parsed = parse_config(config)
-        assert any(c.name == "my-rram" for c in parsed.cells)
+        assert any(c.name == "my-rram" for c in parsed.sweep.cells)
 
     def test_custom_cell_bad_field_rejected(self):
         config = minimal_config()
@@ -74,7 +74,7 @@ class TestSchema:
             ({"kind": "dnn-continuous"}, 4),
         ):
             parsed = parse_config(minimal_config(traffic=kind))
-            assert len(parsed.traffic) == expectation
+            assert len(parsed.sweep.traffic) == expectation
 
     def test_dnn_intermittent_traffic(self):
         parsed = parse_config(
@@ -83,8 +83,8 @@ class TestSchema:
                          "capacity_mb": 32}
             )
         )
-        assert len(parsed.traffic) == 1
-        assert "albert" in parsed.traffic[0].name
+        assert len(parsed.sweep.traffic) == 1
+        assert "albert" in parsed.sweep.traffic[0].name
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ConfigError):
@@ -109,10 +109,16 @@ class TestSchema:
         ("system", {"capacities_mb": [1], "access_bits": "wide"}, "system: "),
         ("system", {"capacities_mb": [1], "node_nm": "x"}, "system: "),
         ("runtime", {"seed": "abc"}, "runtime: "),
-    ], ids=["capacities_mb", "access_bits", "node_nm", "seed"])
+        ("runtime", {"seed": 3.7}, "runtime: seed must be an integer"),
+        ("runtime", {"seed": True}, "runtime: seed must be an integer"),
+    ], ids=["capacities_mb", "access_bits", "node_nm", "seed", "seed_fraction", "seed_bool"])
     def test_malformed_scalar_is_a_config_error(self, section, value, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(minimal_config(**{section: value}))
+
+    def test_integral_seed_parses(self):
+        for seed in (3, 3.0, "3"):
+            assert parse_config(minimal_config(runtime={"seed": seed})).runtime.seed == 3
 
     def test_bits_per_cell_validated(self):
         with pytest.raises(ConfigError):

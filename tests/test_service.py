@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,6 @@ from repro.service import (
     ReproService,
     ServiceClient,
     ServiceError,
-    StudyQuery,
-    SweepQuery,
     TokenBucket,
     WarmKeeper,
     resolve_request,
@@ -38,6 +37,7 @@ from repro.studies.pipeline import (
 )
 
 FAST_STUDY = "fig05_dnn_arrays"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "config"
 
 
 class SlowQuery:
@@ -118,6 +118,20 @@ def test_resolve_study_request_validates():
         resolve_study_request({})
 
 
+@pytest.mark.parametrize(
+    "seed", [3.7, True, False, "abc", [3]],
+    ids=["fraction", "true", "false", "text", "list"],
+)
+def test_resolve_study_request_rejects_non_integer_seed(seed):
+    with pytest.raises(ReproError, match="seed must be an integer"):
+        resolve_study_request({"study": FAST_STUDY, "seed": seed})
+
+
+def test_resolve_study_request_accepts_integral_seed():
+    for seed in (3, 3.0, "3"):
+        assert resolve_study_request({"study": FAST_STUDY, "seed": seed}).seed == 3
+
+
 def test_study_request_fingerprint_covers_inputs():
     base = resolve_study_request({"study": FAST_STUDY})
     assert base.fingerprint() == resolve_study_request(
@@ -133,19 +147,22 @@ def test_study_request_fingerprint_covers_inputs():
 
 def test_resolve_request_dispatches_study_and_sweep():
     study = resolve_request({"study": FAST_STUDY})
-    assert isinstance(study, StudyQuery)
+    assert isinstance(study, StudyRequest)
+    assert study.kind == "study"
     sweep = resolve_request({"sweep": {
         "name": "tiny",
         "cells": {"technologies": ["STT"], "flavors": ["optimistic"]},
         "system": {"capacities_mb": [2]},
     }})
-    assert isinstance(sweep, SweepQuery)
+    assert isinstance(sweep, StudyRequest)
+    assert sweep.kind == "sweep"
     assert sweep.name == "tiny"
+    raw = sweep.spec.params["config"]
     assert sweep.fingerprint() == resolve_request(
-        {"sweep": dict(sweep.raw)}
+        {"sweep": dict(raw)}
     ).fingerprint()
     with pytest.raises(ReproError, match="server-controlled"):
-        resolve_request({"sweep": {**dict(sweep.raw), "runtime": {}}})
+        resolve_request({"sweep": {**dict(raw), "runtime": {}}})
     with pytest.raises(ReproError):
         resolve_request({"sweep": {"cells": {}}})  # selects no cells
 
@@ -258,6 +275,35 @@ def test_coalescing_waits_on_inflight_computation():
             await manager.drain(timeout=10)
 
     asyncio.run(main())
+
+
+def test_sweep_submission_runs_like_run_config(tmp_path):
+    """A shipped sweep config submitted over HTTP gives run_config's CSV."""
+    from repro.config import run_config
+
+    raw = json.loads((CONFIG_DIR / "array_characterization.json").read_text())
+    del raw["runtime"], raw["output_csv"]
+    expected_csv = run_config(raw).to_csv()
+
+    async def body(service, client):
+        submitted = await client.submit({"sweep": raw})
+        assert submitted["submission"] == "created"
+        job_id = submitted["job"]["id"]
+        status = await client.wait(job_id, timeout=120)
+        assert status["state"] == "done", status["error"]
+        assert status["request"] == {"kind": "sweep", "sweep": "array_characterization"}
+        result = await client.result(job_id)
+        again = await client.submit({"sweep": raw})
+        return result, again
+
+    result, again = asyncio.run(
+        _with_service(service_config(tmp_path / "cache"), body)
+    )
+    assert result["kind"] == "sweep"
+    assert result["row_count"] == 90
+    assert result["csv"] == expected_csv
+    assert again["submission"] == "memo"
+    assert again["job"]["id"] == "job-000001"
 
 
 def test_warm_resubmit_is_byte_identical_with_zero_fresh_work(tmp_path):
@@ -539,7 +585,7 @@ def test_client_event_stream_resumes_from_replay():
 
 
 class _FlakyQuery:
-    """A ServiceQuery standin that fails ``failures`` times, then succeeds."""
+    """A StudyRequest standin that fails ``failures`` times, then succeeds."""
 
     kind = "study"
     name = "flaky-study"

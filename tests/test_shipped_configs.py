@@ -26,8 +26,8 @@ def test_samples_exist():
 @pytest.mark.parametrize("path", SWEEP_CONFIG_FILES, ids=lambda p: p.name)
 def test_sample_parses(path):
     parsed = load_config(path)
-    assert parsed.cells
-    assert parsed.capacities_bytes
+    assert parsed.sweep.cells
+    assert parsed.sweep.capacities_bytes
 
 
 def test_service_stub_parses():

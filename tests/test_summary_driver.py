@@ -451,12 +451,19 @@ def test_main_rejects_bad_chaos_spec(tmp_path, capsys):
     assert "unrecognized arguments: --chaos" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["multiprocessing", "asyncio"])
+@pytest.mark.parametrize(
+    "module", ["multiprocessing", "asyncio", "repro.config", "repro.service"]
+)
 def test_import_does_not_load(module):
-    code = f"import sys, repro.studies.summary; print({module!r} in sys.modules)"
+    # Every perfbench workload imports the driver inside its timed setup.
+    code = (
+        "import sys, repro.studies.summary; "
+        f"print(any(m == {module!r} or m.startswith({module + '.'!r}) for m in sys.modules))"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
