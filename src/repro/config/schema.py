@@ -36,9 +36,11 @@ The optional ``runtime`` section controls sweep execution (see
 persistent cache root (characterizations, evaluation blocks, and LLC
 traces live under it), whether a failing design point aborts the sweep
 or is skipped with telemetry, and a seed override for stochastic
-components.  Any other key is a
-:class:`ConfigError`, and so is a ``system`` or ``runtime`` value that
-does not convert to the type it needs (``"seed": "abc"``).
+components.  Any other ``runtime`` key is a :class:`ConfigError`, and so
+is any top-level key not shown above (``description`` is also allowed),
+a section that is not an object, and a ``cells``, ``system``,
+``traffic`` or ``runtime`` value that does not convert to the type it
+needs (``"seed": "abc"``).
 
 :func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`
 (its :class:`~repro.core.engine.SweepSpec` plus the run options) and
@@ -113,23 +115,34 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _section(raw: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """The ``key`` section of a config (empty when absent), checked to be an object."""
+    section = raw.get(key) or {}
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{key} section must be an object")
+    return section
+
+
 def _parse_cells(section: Mapping[str, Any]) -> list[CellTechnology]:
     cells: list[CellTechnology] = []
-    technologies = section.get("technologies", [])
-    flavors = section.get("flavors", ["optimistic", "pessimistic"])
-    for flavor in flavors:
-        if flavor not in _VALID_FLAVORS:
-            raise ConfigError(f"cells.flavors: unknown flavor {flavor!r}")
-    for tech_name in technologies:
-        tech = TechnologyClass.from_string(str(tech_name))
-        tent = tentpoles_for(tech)
-        for flavor, cell in tent.labelled():
-            if flavor in flavors:
-                cells.append(cell)
-    if section.get("include_sram", False):
-        cells.append(sram_cell(int(section.get("sram_node_nm", 16))))
-    for custom in section.get("custom", []):
-        cells.append(_parse_custom_cell(custom))
+    try:
+        technologies = section.get("technologies", [])
+        flavors = section.get("flavors", ["optimistic", "pessimistic"])
+        for flavor in flavors:
+            if flavor not in _VALID_FLAVORS:
+                raise ConfigError(f"cells.flavors: unknown flavor {flavor!r}")
+        for tech_name in technologies:
+            tech = TechnologyClass.from_string(str(tech_name))
+            tent = tentpoles_for(tech)
+            for flavor, cell in tent.labelled():
+                if flavor in flavors:
+                    cells.append(cell)
+        if section.get("include_sram", False):
+            cells.append(sram_cell(int(section.get("sram_node_nm", 16))))
+        for custom in section.get("custom", []):
+            cells.append(_parse_custom_cell(custom))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cells: {exc}") from None
     if not cells:
         raise ConfigError("cells: configuration selects no cells")
     return cells
@@ -147,10 +160,17 @@ def _parse_custom_cell(raw: Mapping[str, Any]) -> CellTechnology:
         raise ConfigError(f"cells.custom[{name}]: {exc}") from exc
 
 
-def _parse_traffic(section: Optional[Mapping[str, Any]]) -> list[TrafficPattern]:
+def _parse_traffic(section: Mapping[str, Any]) -> list[TrafficPattern]:
     if not section:
         return []
     kind = str(_require(section, "kind", "traffic"))
+    try:
+        return _traffic_of_kind(kind, section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"traffic: {exc}") from None
+
+
+def _traffic_of_kind(kind: str, section: Mapping[str, Any]) -> list[TrafficPattern]:
     if kind == "generic":
         reads = section.get("reads_per_second") or log_spaced(
             float(section.get("min_reads", 1e5)),
@@ -193,14 +213,26 @@ def _parse_traffic(section: Optional[Mapping[str, Any]]) -> list[TrafficPattern]
     raise ConfigError(f"traffic: unknown kind {kind!r}")
 
 
+#: Keys a sweep config may hold at its top level.
+_CONFIG_KEYS = frozenset(
+    {"name", "description", "cells", "system", "traffic", "output_csv", "runtime"}
+)
+
+
 def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
     """Validate a raw config dict."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be an object")
+    _require(raw, "cells", "config")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"config: unknown key(s) {unknown}; known keys: {sorted(_CONFIG_KEYS)}"
+        )
     name = str(raw.get("name", "unnamed-sweep"))
-    cells = _parse_cells(_require(raw, "cells", "config"))
+    cells = _parse_cells(_section(raw, "cells"))
 
-    system = raw.get("system", {})
+    system = _section(raw, "system")
     try:
         capacities_mb = system.get("capacities_mb", [4])
         if not capacities_mb:
@@ -226,7 +258,7 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
         sweep=SweepSpec(
             cells=cells,
             capacities_bytes=capacities,
-            traffic=_parse_traffic(raw.get("traffic")),
+            traffic=_parse_traffic(_section(raw, "traffic")),
             node_nm=node_nm,
             sram_node_nm=sram_node_nm,
             optimization_targets=targets,

@@ -13,6 +13,9 @@ exploration; this package is the execution layer that delivers it:
   immutable ``<pack-id>.v3`` pack files, one per sweep call, so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
   resumable.
+* :mod:`repro.runtime.rowcodec` — the factored body format of an
+  evaluation row block: each key order and each block-constant value
+  stored once.
 * :mod:`repro.runtime.executor` — serial, in-process characterization,
   (array, traffic) evaluation and LLC trace regeneration in
   deterministic order, all three through one cached-work routine over

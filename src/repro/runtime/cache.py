@@ -51,7 +51,8 @@ Three stores share this machinery:
 * :class:`EvaluationCache` — flattened (array x traffic) evaluation row
   blocks, keyed by
   :func:`~repro.runtime.fingerprint.evaluation_fingerprint`, so repeated
-  study runs skip the evaluation loop entirely.
+  study runs skip the evaluation loop entirely.  Its bodies are factored
+  row blocks (:mod:`repro.runtime.rowcodec`).
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from repro.runtime.fingerprint import (
     SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
 )
+from repro.runtime.rowcodec import decode_block, encode_block
 
 #: Version of the pack file layout.  It names the pack suffix, so a
 #: layout change leaves older files unread.
@@ -583,21 +585,18 @@ class EvaluationCache(JsonObjectCache):
     """On-disk store of (array x traffic) evaluation row blocks.
 
     One entry holds every flattened result row of one array evaluated
-    under one traffic block — already JSON-shaped, so encode/decode only
-    validate the structure.
+    under one traffic block, factored by :mod:`repro.runtime.rowcodec`:
+    each key order and each value constant across the block's rows is
+    stored once, and a load rebuilds the rows exactly.
     """
 
     schema_tag = EVAL_SCHEMA_TAG
 
     def _encode(self, result) -> Any:
-        return list(result)
+        return encode_block(result)
 
     def _decode(self, payload) -> list[dict]:
-        if not isinstance(payload, list) or not all(
-            isinstance(row, dict) for row in payload
-        ):
-            raise ValueError("evaluation payload must be a list of row objects")
-        return payload
+        return decode_block(payload)
 
 
 class LLCTraceCache(JsonObjectCache):

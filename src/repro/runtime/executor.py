@@ -46,6 +46,7 @@ from repro.runtime.fingerprint import (
     point_fingerprint,
     trace_fingerprint,
 )
+from repro.runtime.rowcodec import ATOMIC_TYPES
 from repro.runtime.telemetry import (
     CACHED,
     COMPLETED,
@@ -280,13 +281,9 @@ def rows_fn_id(rows_fn) -> str:
     return f"{rows_fn.__module__}:{rows_fn.__qualname__}"
 
 
-#: Exact types of row values a shallow ``dict()`` copy cannot alias.
-_ATOMIC_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
 def _copy_row(row: dict) -> dict:
     """A copy of ``row`` that shares no mutable value with it."""
-    if _ATOMIC_TYPES.issuperset(map(type, row.values())):
+    if ATOMIC_TYPES.issuperset(map(type, row.values())):
         return dict(row)
     return copy.deepcopy(row)
 

@@ -37,8 +37,10 @@ TRACE_SCHEMA_TAG = "llc-trace-v1"
 #: evaluation-row schema changes in a way that invalidates stored rows.
 #: (v2: rows persist with their original key order — cached rows now
 #: reproduce fresh runs' CSV column order byte-for-byte; v1 entries
-#: stored alphabetized keys and must not be served.)
-EVAL_SCHEMA_TAG = "eval-rows-v2"
+#: stored alphabetized keys and must not be served.  v3: each block is
+#: one factored payload, :mod:`repro.runtime.rowcodec` — key orders and
+#: block-constant values stored once — instead of a list of row objects.)
+EVAL_SCHEMA_TAG = "eval-rows-v3"
 
 #: Which source feeds each schema tag — the drift ratchet's ground truth.
 #:
@@ -71,10 +73,11 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         "repro.runtime.fingerprint",
         ("repro.cachesim", "repro.runtime.fingerprint"),
     ),
-    # evaluations/ store: the analytical evaluation + row flattening.
+    # evaluations/ store: the analytical evaluation, row flattening and
+    # the factored block format.
     "EVAL_SCHEMA_TAG": (
         "repro.runtime.fingerprint",
-        ("repro.core.metrics", "repro.runtime.fingerprint"),
+        ("repro.core.metrics", "repro.runtime.fingerprint", "repro.runtime.rowcodec"),
     ),
     # Run manifests (incremental runs and fsck parse them).
     "MANIFEST_SCHEMA": (

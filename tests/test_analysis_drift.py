@@ -128,6 +128,23 @@ def test_drift_rule_fails_on_unbumped_batch_edit(copied_tree):
     assert findings[0].path == "repro/runtime/fingerprint.py"
 
 
+def test_unbumped_row_codec_edit_reports_eval_drift(copied_tree):
+    """The evaluation store's body format is pinned under EVAL_SCHEMA_TAG:
+    letting float zeros be shared, with no tag bump, is a finding."""
+    codec = copied_tree / "repro" / "runtime" / "rowcodec.py"
+    source = codec.read_text(encoding="utf-8")
+    assert "first == 0.0 or " in source
+    codec.write_text(source.replace("first == 0.0 or ", ""), encoding="utf-8")
+    moved = compute_pins(copied_tree / "repro")
+    untouched = compute_pins(SRC_REPRO)
+    changed = {k for k in moved if moved[k]["digest"] != untouched[k]["digest"]}
+    assert changed == {"EVAL_SCHEMA_TAG"}
+    findings = run_lint(copied_tree / "repro", rules=[SchemaDriftRule()]).findings
+    assert len(findings) == 1
+    assert "source feeding EVAL_SCHEMA_TAG changed without a tag bump" in findings[0].message
+    assert findings[0].path == "repro/runtime/fingerprint.py"
+
+
 def test_drift_rule_accepts_bump_plus_repin_flow(copied_tree):
     """A tag bump downgrades the failure to a re-pin request."""
     fingerprint = copied_tree / "repro" / "runtime" / "fingerprint.py"

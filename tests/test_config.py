@@ -111,10 +111,39 @@ class TestSchema:
         ("runtime", {"seed": "abc"}, "runtime: "),
         ("runtime", {"seed": 3.7}, "runtime: seed must be an integer"),
         ("runtime", {"seed": True}, "runtime: seed must be an integer"),
-    ], ids=["capacities_mb", "access_bits", "node_nm", "seed", "seed_fraction", "seed_bool"])
+        ("cells", {"technologies": ["STT"], "include_sram": True,
+                   "sram_node_nm": "x"}, "cells: "),
+        ("cells", {"technologies": ["STT"], "flavors": 5}, "cells: "),
+        ("traffic", {"kind": "generic", "points": "x"}, "traffic: "),
+        ("traffic", {"kind": "generic", "min_reads": "lots"}, "traffic: "),
+        ("traffic", {"kind": "graph-generic", "points": [4]}, "traffic: "),
+        ("traffic", {"kind": "dnn-continuous", "buffer_mb": "big"}, "traffic: "),
+    ], ids=["capacities_mb", "access_bits", "node_nm", "seed", "seed_fraction", "seed_bool",
+            "sram_node_nm", "flavors", "points", "min_reads", "graph_points",
+            "buffer_mb"])
     def test_malformed_scalar_is_a_config_error(self, section, value, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(minimal_config(**{section: value}))
+
+    @pytest.mark.parametrize("section", ["cells", "system", "traffic"])
+    def test_non_object_section_is_a_config_error(self, section):
+        with pytest.raises(ConfigError, match=f"{section} section must be an object"):
+            parse_config(minimal_config(**{section: ["STT"]}))
+
+    def test_unknown_top_level_key_rejected(self):
+        # A typo must not silently sweep the defaults (4 MB here).
+        config = {"cells": {"technologies": ["STT"]}, "sytem": {"capacities_mb": [1]}}
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['sytem'\]") as info:
+            parse_config(config)
+        for known in ("name", "description", "cells", "system", "traffic",
+                      "output_csv", "runtime"):
+            assert repr(known) in str(info.value)
+
+    def test_every_top_level_key_accepted(self):
+        parsed = parse_config(minimal_config(
+            description="d", traffic={"kind": "spec2017"}, output_csv="x.csv",
+            runtime={}))
+        assert parsed.output_csv == "x.csv"
 
     def test_integral_seed_parses(self):
         for seed in (3, 3.0, "3"):
@@ -248,6 +277,19 @@ class TestStudyCLI:
         cache = tmp_path / "cache"
         assert cli_main([*target, "--cache-dir", str(cache)]) == 0
         assert (cache / "arrays").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"traffic": {"kind": "generic", "points": "x"}},
+        {"cells": {"technologies": ["STT"], "include_sram": True, "sram_node_nm": "x"}},
+        {"sytem": {"capacities_mb": [1]}},
+    ], ids=["traffic_points", "sram_node_nm", "unknown_key"])
+    def test_bad_config_is_an_error_line(self, overrides, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_config(**overrides)))
+        assert cli_main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("raw", [
         {"study": "ext_hierarchy", "params": {}},

@@ -42,7 +42,9 @@ def _damage(root, fp):
     """Flip one body digit so the JSON parses but the checksum fails."""
     path = _entry(root, fp)
     data = bytearray(path.read_bytes())
-    data[len(b'[{"row": ')] ^= 0x01  # the body comes first: [{"row": N}]
+    # The body comes first: {"shapes": [["row"]], "shared": {"row": N}, ...}
+    shared = b'"shared": {"row": '
+    data[data.index(shared) + len(shared)] ^= 0x01
     path.write_bytes(bytes(data))
     return path
 

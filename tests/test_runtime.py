@@ -33,6 +33,7 @@ from repro.runtime import executor
 from repro.runtime.cache import PACK_SUFFIX, pack_id
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
+from repro.runtime.rowcodec import decode_block, encode_block
 from repro.traffic import TrafficPattern
 from repro.units import mb
 
@@ -544,6 +545,146 @@ class TestEvaluationCache:
         assert cache.load("cd" * 32) is None
         assert cache.corrupt == 1
         assert not path.exists()
+
+
+def _signature(rows):
+    """Every row's keys in order, with each value's exact type and repr."""
+    return [[(key, type(value), repr(value)) for key, value in row.items()]
+            for row in rows]
+
+
+_NAN = float("nan")
+
+#: Blocks whose cached form must reproduce every row exactly.
+CODEC_BLOCKS = {
+    "differing_shapes": [
+        {"cell": "STT", "workload": "a", "reads": 1.5},
+        {"workload": "b", "cell": "STT", "reads": 2.5},
+        {"cell": "STT", "workload": "c", "reads": 3.5, "extra": "x"},
+        {"cell": "STT", "workload": "d", "reads": 4.5},
+    ],
+    "float_zeros": [
+        {"z": 0.0, "n": -0.0, "same": 0.0},
+        {"z": -0.0, "n": -0.0, "same": 0.0},
+    ],
+    "one_int_float_bool_column": [
+        {"k": "x", "v": 1}, {"k": "x", "v": 1.0}, {"k": "x", "v": True},
+    ],
+    "none": [{"v": None, "w": None}, {"v": None, "w": 1}],
+    "nan_and_inf": [
+        {"n": _NAN, "i": float("inf"), "m": float("-inf")},
+        {"n": _NAN, "i": float("inf"), "m": float("-inf")},
+    ],
+    "nested": [
+        {"k": "x", "nested": {"value": 1}, "tags": ["a"]},
+        {"k": "x", "nested": {"value": 1}, "tags": ["a"]},
+    ],
+    "empty": [],
+    "one_row": [{"cell": "STT", "reads": 1e8, "ok": False, "n": 3, "none": None}],
+}
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("name", sorted(CODEC_BLOCKS))
+    def test_roundtrip_keeps_order_type_and_repr(self, name, tmp_path,
+                                                 forget_pack_indexes):
+        rows = CODEC_BLOCKS[name]
+        EvaluationCache(tmp_path).store("ab" * 32, rows)
+        forget_pack_indexes()
+        loaded = EvaluationCache(tmp_path).load("ab" * 32)
+        assert _signature(loaded) == _signature(rows)
+
+    def test_real_block_roundtrips_and_shares_the_array_half(self, stt_array_1mb):
+        rows = evaluation_rows(stt_array_1mb, _traffic_pair())
+        payload = json.loads(json.dumps(encode_block(rows)))
+        assert _signature(decode_block(payload)) == _signature(rows)
+        assert len(payload["shapes"]) == 1
+        assert {"cell", "capacity_mb", "read_latency_ns"} <= set(payload["shared"])
+        assert "workload" not in payload["shared"]
+
+    def test_zeros_nans_and_nested_values_are_never_shared(self):
+        payload = encode_block(CODEC_BLOCKS["float_zeros"] + [{"z": 0.0, "n": 0.0, "same": 0.0}])
+        assert payload["shared"] == {}
+        assert set(encode_block(CODEC_BLOCKS["nan_and_inf"])["shared"]) == {"i", "m"}
+        assert set(encode_block(CODEC_BLOCKS["nested"])["shared"]) == {"k"}
+        assert encode_block(CODEC_BLOCKS["one_int_float_bool_column"])["shared"] == {"k": "x"}
+
+    def test_decoded_rows_are_distinct_dicts(self):
+        payload = json.loads(json.dumps(encode_block(CODEC_BLOCKS["nested"])))
+        first, second = decode_block(payload)
+        first["k"] = "changed"
+        assert second["k"] == "x"
+        assert first["nested"] is not second["nested"]
+
+    def test_v2_pack_is_a_miss_not_corruption(self, tmp_path, stt_array_1mb,
+                                              forget_pack_indexes):
+        # A pack the previous format wrote: a list of row objects under
+        # the old tag.  It is an ordinary miss and fsck finds it clean.
+        class V2Cache(EvaluationCache):
+            schema_tag = "eval-rows-v2"
+
+            def _encode(self, result):
+                return list(result)
+
+        rows = evaluation_rows(stt_array_1mb, _traffic_pair())
+        V2Cache(tmp_path).store("ab" * 32, rows)
+        forget_pack_indexes()
+        cache = EvaluationCache(tmp_path)
+        assert cache.load("ab" * 32) is None
+        assert (cache.misses, cache.corrupt) == (1, 0)
+        assert [report.clean for report in fsck_cache_dir(tmp_path)] == [True]
+        assert len(_packs(tmp_path)) == 1
+
+    @pytest.mark.parametrize("body", [
+        {"shapes": [["a"]], "shared": {}, "rows": [[1, 5]]},
+        {"shapes": [["a"]], "shared": {}, "rows": [[-1, 5]]},
+        {"shapes": [["a"]], "shared": {}, "rows": [[True, 5]]},
+        {"shapes": [["a", "b"]], "shared": {}, "rows": [[0, 5]]},
+        {"shapes": [["a"]], "shared": {}, "rows": [[0, 5, 6]]},
+        {"shapes": [["a"]], "shared": [], "rows": [[0, 5]]},
+        {"shapes": [["a"]], "shared": {"a": [5]}, "rows": [[0]]},
+        {"shapes": [["a", "a"]], "shared": {}, "rows": [[0, 5, 6]]},
+        {"shapes": [["a"]], "rows": [[0, 5]]},
+        [{"a": 5}],
+    ], ids=["index_past_end", "negative_index", "bool_index", "short_row",
+            "long_row", "shared_not_object", "shared_not_atomic",
+            "duplicate_key", "no_shared", "v2_body"])
+    def test_malformed_body_is_quarantined(self, body, tmp_path,
+                                           forget_pack_indexes):
+        class RawCache(EvaluationCache):
+            def _encode(self, result):
+                return result
+
+        RawCache(tmp_path).store("cd" * 32, body)
+        [path] = _packs(tmp_path)
+        forget_pack_indexes()
+        cache = EvaluationCache(tmp_path)
+        assert cache.load("cd" * 32) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+
+    def test_mixed_shape_studies_render_identically_warm(self, tmp_path,
+                                                         forget_pack_indexes):
+        from repro.runtime.cache import read_pack_index
+        from repro.studies.summary import main as summary_main
+
+        only = ["--only", "fig11_bg_fefet,fig14_writebuffer",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert summary_main([str(tmp_path / "cold"), *only]) == 0
+        forget_pack_indexes()
+        assert summary_main([str(tmp_path / "warm"), *only, "--expect-warm"]) == 0
+        cold = sorted((tmp_path / "cold" / "results").glob("*.csv"))
+        assert [p.name for p in cold] == ["fig11_bg_fefet.csv", "fig14_writebuffer.csv"]
+        for path in cold:
+            warm = tmp_path / "warm" / "results" / path.name
+            assert warm.read_bytes() == path.read_bytes(), path.name
+        # Both studies store blocks whose rows differ in key set or order.
+        shape_counts = []
+        for pack in _packs(tmp_path / "cache" / "evaluations"):
+            data = pack.read_bytes()
+            for _, offset, length, _ in read_pack_index(pack)[1]:
+                shape_counts.append(len(json.loads(data[offset:offset + length])["shapes"]))
+        assert max(shape_counts) > 1
 
 
 def _tagged_rows(array, traffic, extra):
