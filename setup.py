@@ -13,7 +13,7 @@ setup(
     name="nvmexplorer-repro",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro.analysis": ["*.json"], "repro.dnn": ["*.npz"]},
+    package_data={"repro.dnn": ["*.npz"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

@@ -9,12 +9,8 @@ rule id         invariant
 =============== =======================================================
 determinism     no wall-clock / unseeded randomness / unordered
                 filesystem- or set-iteration anywhere in the package
-schema-drift    cache-feeding module sets carry a pinned source digest
-                next to their ``*_SCHEMA_TAG``; drift without a tag
-                bump fails (``repro/analysis/drift_pins.json``)
-atomic-write    persistent stores, the suite's outputs and the pin
-                file stage writes to a temp file and ``os.replace()``
-                them into place
+atomic-write    persistent stores and the suite's outputs stage writes
+                to a temp file and ``os.replace()`` them into place
 lock-coverage   ``SweepTelemetry`` counters mutate only under
                 ``with self._lock`` (or documented lock-held helpers)
 except-safety   no bare ``except:``; interrupt handlers in
@@ -25,7 +21,7 @@ Waive a finding inline with ``# repro: allow[rule-id] reason`` (on the
 flagged line, or alone on the line above); a waiver without a reason is
 itself a finding, and a waiver that no longer waives anything is
 reported (informationally) so it gets removed.  ``nvmexplorer lint``
-takes the package ROOT to check and ``--update-pins``; nothing else.
+takes the package ROOT to check; nothing else.
 """
 
 from repro.analysis.engine import (

@@ -2,15 +2,13 @@
 
 Usage (via the package CLI)::
 
-    nvmexplorer lint [ROOT] [--update-pins]
+    nvmexplorer lint [ROOT]
 
 ``ROOT`` defaults to the installed ``repro`` package directory, so a
 bare ``nvmexplorer lint`` checks the code that is actually on the
 path.  Exit codes mirror ``nvmexplorer fsck``: 0 when the tree is clean
 (every finding suppressed inline), 1 when violations stand, 2 on usage
-errors.  ``--update-pins`` first re-pins ROOT's schema-tag source
-digests (``ROOT/analysis/drift_pins.json``) after a reviewed change
-(see :mod:`repro.analysis.drift`).
+errors.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis import drift
 from repro.analysis.engine import run_lint
 
 __all__ = ["main"]
@@ -42,11 +39,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="package directory to lint (default: the installed repro package)",
     )
-    parser.add_argument(
-        "--update-pins",
-        action="store_true",
-        help="re-pin ROOT's schema-tag source digests (see [schema-drift])",
-    )
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
@@ -57,15 +49,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"lint: root {root} is not a directory", file=sys.stderr)
         return 2
 
-    try:
-        if args.update_pins:
-            path, pins = drift.update_pins(root)
-            print(f"lint: re-pinned {len(pins)} schema tag(s) -> {path}")
-        result = run_lint(root)
-    except FileNotFoundError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-
+    result = run_lint(root)
     for finding in result.findings:
         print(finding.format())
     for finding in result.unused_suppressions:

@@ -2,8 +2,7 @@
 
 The analysis package statically enforces the contracts the runtime can
 only check after the fact: the package must compute the same bytes
-on every run, cache-feeding source must bump its schema tag when it
-changes, persistent writes must go tmp + ``os.replace``, telemetry
+on every run, persistent writes must go tmp + ``os.replace``, telemetry
 counters must mutate under their lock, and runtime/service code must not
 swallow interrupts.  Each contract is a :class:`Rule`; this module owns
 everything the rules share:
@@ -14,7 +13,7 @@ everything the rules share:
 * inline suppressions — ``# repro: allow[rule-id] reason`` on the
   flagged line (or alone on the line above) waives that rule there; a
   suppression without a reason is itself a finding;
-* :func:`default_rules` — the five rules, one instance each;
+* :func:`default_rules` — the four rules, one instance each;
 * AST helpers — :func:`dotted_name`, :func:`enclosing_function` and the
   import resolver (:func:`import_bindings` + :func:`resolve_chain`) that maps a
   call chain such as ``dt.datetime.now`` to ``datetime.datetime.now``.
@@ -258,17 +257,15 @@ class Rule:
 
 
 def default_rules() -> List[Rule]:
-    """Fresh, default-configured instances of the five rules."""
+    """Fresh, default-configured instances of the four rules."""
     # Imported here because every rule module imports this one.
     from repro.analysis.determinism import DeterminismRule
-    from repro.analysis.drift import SchemaDriftRule
     from repro.analysis.exceptions import ExceptSafetyRule
     from repro.analysis.iodiscipline import AtomicWriteRule
     from repro.analysis.locks import LockCoverageRule
 
     return [
         DeterminismRule(),
-        SchemaDriftRule(),
         ExceptSafetyRule(),
         AtomicWriteRule(),
         LockCoverageRule(),

@@ -33,14 +33,13 @@ from repro.analysis.engine import (
 __all__ = ["AtomicWriteRule"]
 
 #: Modules that own persistent state (caches, manifests, stamps, the
-#: suite's CSVs and reports, the drift pin file).
+#: suite's CSVs and reports).
 PERSISTENCE_MODULES = (
     "repro.runtime.cache",
     "repro.runtime.shard",
     "repro.runtime.fsck",
     "repro.service.warm",
     "repro.studies.summary",
-    "repro.analysis.drift",
 )
 
 #: Calling any of these inside the function marks it atomic-compliant.

@@ -5,7 +5,8 @@ exploration; this package is the execution layer that delivers it:
 
 * :mod:`repro.runtime.fingerprint` — stable, content-addressed identities
   for sweep points (cell parameters + array provisioning), shared by the
-  in-memory and on-disk caches.
+  in-memory and on-disk caches, and each store's key: a digest of the
+  modules that produce its payloads.
 * :mod:`repro.runtime.cache` — persistent content-addressed caches, one
   subdirectory of ``cache_dir`` per store: ``arrays/`` (array
   characterizations), ``evaluations/`` ((array x traffic) evaluation row
@@ -55,9 +56,6 @@ from repro.runtime.executor import (
     sweep_points,
 )
 from repro.runtime.fingerprint import (
-    EVAL_SCHEMA_TAG,
-    SCHEMA_TAG,
-    TRACE_SCHEMA_TAG,
     canonical_json,
     evaluation_context,
     evaluation_fingerprint,
@@ -74,16 +72,12 @@ from repro.runtime.shard import (
     ManifestEntry,
     ManifestError,
     RunManifest,
-    schema_tags,
     study_fingerprint,
 )
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
 
 __all__ = [
-    "EVAL_SCHEMA_TAG",
     "QUARANTINE_SUBDIR",
-    "SCHEMA_TAG",
-    "TRACE_SCHEMA_TAG",
     "CharacterizationCache",
     "EvaluationCache",
     "FsckReport",
@@ -108,7 +102,6 @@ __all__ = [
     "fingerprint_payload",
     "point_fingerprint",
     "point_payload",
-    "schema_tags",
     "sigterm_as_keyboard_interrupt",
     "simulate_traces",
     "study_fingerprint",

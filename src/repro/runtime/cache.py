@@ -16,13 +16,13 @@ Pack bytes are the entry bodies, back to back, then one JSON index line,
 then a fixed-width footer::
 
     <body 0><body 1>...
-    {"schema": <tag>, "entries": [[<fingerprint>, <offset>, <length>, <sha256>], ...]}
+    {"schema": <store key>, "entries": [[<fingerprint>, <offset>, <length>, <sha256>], ...]}
     <byte offset of the index line, 20 decimal digits>
 
 Each body is ``json.dumps`` of the encoded result, and its checksum is
 the SHA-256 of those bytes as stored, so a load reads and hashes only
 its own byte range.  The pack id is the first 32 hex digits of the
-SHA-256 of the schema tag and the ordered fingerprints, so the file name
+SHA-256 of the store key and the ordered fingerprints, so the file name
 also checks the index.  :func:`read_pack_index` and :func:`verify_pack`
 own this format; ``nvmexplorer fsck`` verifies packs through them too.
 Files of older layouts (``<2-hex>/<fingerprint>.v2`` or ``.json``) are
@@ -36,10 +36,12 @@ match its index, a body checksum mismatch, a body that does not decode)
 is moved whole to ``quarantine/`` and its entries leave the index; those
 results are recomputed and re-packed by whichever call needs them.
 
-Invalidation is by schema tag: the tag participates in the fingerprint,
-so bumping it makes every old entry unreachable.  The pack index
-additionally records the tag and is re-checked on load, guarding against
-packs copied across versions.
+Invalidation is by store key (:func:`~repro.runtime.fingerprint.store_key`,
+a digest of the modules that produce the store's payloads): the key
+participates in every fingerprint, so editing any of those modules makes
+every old entry unreachable.  The pack index additionally records the key
+and is re-checked on load, so a pack written under another key is an
+ordinary miss.
 
 Three stores share this machinery:
 
@@ -70,6 +72,7 @@ from typing import (
     Callable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
     Union,
@@ -78,11 +81,7 @@ from typing import (
 from repro.cachesim.llc import LLCTrace
 from repro.errors import ReproError
 from repro.nvsim.result import ArrayCharacterization
-from repro.runtime.fingerprint import (
-    EVAL_SCHEMA_TAG,
-    SCHEMA_TAG,
-    TRACE_SCHEMA_TAG,
-)
+from repro.runtime.fingerprint import store_key
 from repro.runtime.rowcodec import decode_block, encode_block
 
 #: Version of the pack file layout.  It names the pack suffix, so a
@@ -126,7 +125,7 @@ def atomic_write_text(path: Path, text: str, encoding: str = "utf-8") -> None:
     """Write ``text`` to ``path`` via a unique temp file + ``os.replace``.
 
     The shared primitive behind every durable artifact outside the JSON
-    caches (warm stamps, run manifests, lint pins): a reader or
+    caches (warm stamps, run manifests): a reader or
     crash-recovery pass never observes a truncated file, only the old
     content or the new.
     """
@@ -159,6 +158,10 @@ class CorruptPack(ValueError):
     """A pack's bytes failed verification; the message names the reason."""
 
 
+#: What a store's decoder raises on a body it rejects.
+_DECODE_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+
+
 def pack_id(schema_tag: str, fingerprints: List[str]) -> str:
     """The name stem of the pack holding ``fingerprints`` in this order."""
     text = "\n".join([schema_tag, *fingerprints])
@@ -166,7 +169,7 @@ def pack_id(schema_tag: str, fingerprints: List[str]) -> str:
 
 
 def _parse_index(index: Any, end: int) -> Tuple[str, List[IndexEntry]]:
-    """The schema tag and entries of a decoded index line, checked."""
+    """The store key and entries of a decoded index line, checked."""
     if not isinstance(index, dict):
         raise CorruptPack("index is not an object")
     schema, raw_entries = index.get("schema"), index.get("entries")
@@ -186,7 +189,7 @@ def _parse_index(index: Any, end: int) -> Tuple[str, List[IndexEntry]]:
 
 
 def read_pack_index(path: Path) -> Tuple[str, List[IndexEntry]]:
-    """Read one pack's footer and index; returns ``(schema tag, entries)``.
+    """Read one pack's footer and index; returns ``(store key, entries)``.
 
     Raises :class:`CorruptPack` when the footer or index is unreadable or
     the index does not match the pack's name, and :class:`OSError` when
@@ -224,19 +227,30 @@ def _read_body(handle: IO[bytes], offset: int, length: int, checksum: str) -> by
     return body
 
 
-def verify_pack(path: Path) -> Tuple[str, List[IndexEntry]]:
+def verify_pack(
+    path: Path, decoders: Optional[Mapping[str, Callable[[Any], Any]]] = None
+) -> Tuple[str, List[IndexEntry]]:
     """Verify a whole pack: its index, then every body's checksum and JSON.
 
-    Returns what :func:`read_pack_index` returns; raises like it.
+    ``decoders`` maps store keys to decoders: a pack whose index records
+    one of those keys must also have every body accepted by its decoder,
+    as a load would require.  Returns what :func:`read_pack_index`
+    returns; raises like it.
     """
     schema, entries = read_pack_index(path)
+    decode = (decoders or {}).get(schema)
     with open(path, "rb") as handle:
         for _, offset, length, checksum in entries:
             body = _read_body(handle, offset, length, checksum)
             try:
-                json.loads(body)
+                payload = json.loads(body)
             except ValueError:
                 raise CorruptPack("invalid JSON body") from None
+            if decode is not None:
+                try:
+                    decode(payload)
+                except _DECODE_ERRORS:
+                    raise CorruptPack("undecodable body") from None
     return schema, entries
 
 
@@ -311,7 +325,7 @@ def _pack_stream(root: Path, schema_tag: str) -> Iterator[_PackWriter]:
             tmp.unlink(missing_ok=True)  # a no-op once the pack is in place
 
 
-#: (pack path, schema tag, body offset, body length, body sha256).
+#: (pack path, store key, body offset, body length, body sha256).
 _Location = Tuple[Path, str, int, int, str]
 
 
@@ -386,18 +400,19 @@ class JsonObjectCache:
     """On-disk store of JSON-able results keyed by content fingerprint.
 
     Subclasses define the payload format via :meth:`_encode` /
-    :meth:`_decode` and its version via the ``schema_tag`` class
-    attribute (a ``schema_tag`` argument overrides it); everything else
-    (packing, atomicity, schema checks, hit/miss/store accounting) is
+    :meth:`_decode` and name their store (``store_name``), whose key
+    (:func:`~repro.runtime.fingerprint.store_key`) every pack records;
+    a ``schema_tag`` argument overrides the key.  Everything else
+    (packing, atomicity, key checks, hit/miss/store accounting) is
     shared.
     """
 
-    schema_tag: str
+    #: The store's directory name under a cache root, and its key's name.
+    store_name: str
 
     def __init__(self, root: Union[str, Path], schema_tag: Optional[str] = None) -> None:
         self.root = Path(root)
-        if schema_tag is not None:
-            self.schema_tag = schema_tag
+        self.schema_tag = store_key(self.store_name) if schema_tag is None else schema_tag
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -423,7 +438,8 @@ class JsonObjectCache:
         """JSON-able rendering of one result."""
         raise NotImplementedError
 
-    def _decode(self, payload):
+    @staticmethod
+    def _decode(payload):
         """Inverse of :meth:`_encode`; may raise on malformed payloads."""
         raise NotImplementedError
 
@@ -456,7 +472,7 @@ class JsonObjectCache:
     def load(self, fingerprint: str):
         """The cached result, or ``None`` on miss or corruption.
 
-        An unknown fingerprint or a schema-tag mismatch is an ordinary
+        An unknown fingerprint or a pack under another key is an ordinary
         miss.  A pack that fails integrity verification — see
         :func:`read_pack_index` — or whose body the decoder rejects counts
         in ``corrupt`` (not ``misses``) and is moved to ``quarantine/``
@@ -484,7 +500,7 @@ class JsonObjectCache:
             return None
         try:
             result = self._decode(json.loads(body))
-        except (ReproError, KeyError, TypeError, ValueError):
+        except _DECODE_ERRORS:
             self._quarantine(path)
             return None
         self.hits += 1
@@ -529,14 +545,14 @@ class JsonObjectCache:
         self.stores += 1
 
     def __contains__(self, fingerprint: str) -> bool:
-        """Whether a pack indexes the fingerprint (any schema, unverified).
+        """Whether a pack indexes the fingerprint (any key, unverified).
 
         Use :meth:`load` to know whether the entry is actually usable.
         """
         return self._locate(fingerprint) is not None
 
     def fingerprints(self) -> Iterator[str]:
-        """Every fingerprint currently stored (any schema version)."""
+        """Every fingerprint currently stored (any key)."""
         self._index.refresh(self._quarantine)
         yield from sorted(self._index.locations)
 
@@ -572,12 +588,13 @@ class JsonObjectCache:
 class CharacterizationCache(JsonObjectCache):
     """On-disk store of :class:`ArrayCharacterization` keyed by fingerprint."""
 
-    schema_tag = SCHEMA_TAG
+    store_name = "arrays"
 
     def _encode(self, result: ArrayCharacterization) -> Any:
         return result.to_dict()
 
-    def _decode(self, payload) -> ArrayCharacterization:
+    @staticmethod
+    def _decode(payload) -> ArrayCharacterization:
         return ArrayCharacterization.from_dict(payload)
 
 
@@ -590,22 +607,30 @@ class EvaluationCache(JsonObjectCache):
     stored once, and a load rebuilds the rows exactly.
     """
 
-    schema_tag = EVAL_SCHEMA_TAG
+    store_name = "evaluations"
 
     def _encode(self, result) -> Any:
         return encode_block(result)
 
-    def _decode(self, payload) -> list[dict]:
+    @staticmethod
+    def _decode(payload) -> list[dict]:
         return decode_block(payload)
 
 
 class LLCTraceCache(JsonObjectCache):
     """On-disk store of regenerated LLC traces keyed by fingerprint."""
 
-    schema_tag = TRACE_SCHEMA_TAG
+    store_name = "traces"
 
     def _encode(self, result: LLCTrace) -> Any:
         return result.to_dict()
 
-    def _decode(self, payload) -> LLCTrace:
+    @staticmethod
+    def _decode(payload) -> LLCTrace:
         return LLCTrace.from_dict(payload)
+
+
+#: Every store type, by its directory name under a cache root.
+STORE_TYPES = {
+    cls.store_name: cls for cls in (CharacterizationCache, EvaluationCache, LLCTraceCache)
+}

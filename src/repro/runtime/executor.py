@@ -40,7 +40,6 @@ from repro.runtime.cache import (
     LLCTraceCache,
 )
 from repro.runtime.fingerprint import (
-    SCHEMA_TAG,
     evaluation_context,
     evaluation_fingerprint,
     point_fingerprint,
@@ -73,7 +72,7 @@ class SweepPoint:
         mb = self.capacity_bytes / (1024 * 1024)
         return f"{self.cell.name}@{mb:g}MB/{self.target.value}"
 
-    def fingerprint(self, schema_tag: str = SCHEMA_TAG) -> str:
+    def fingerprint(self, schema_tag: Optional[str] = None) -> str:
         return point_fingerprint(
             self.cell,
             self.capacity_bytes,

@@ -1,4 +1,4 @@
-"""Stable fingerprints for characterization work.
+"""Stable fingerprints for cached work, and the keys of the stores that hold it.
 
 A sweep point is fully determined by the cell definition plus the array
 provisioning knobs (capacity, node, optimization target, access width,
@@ -8,83 +8,125 @@ key across processes, runs, and machines — unlike the identity-based
 tuple key the engine used before, which changed whenever the same cell
 was reconstructed.
 
-The fingerprint embeds :data:`SCHEMA_TAG`.  Bumping the tag (whenever the
-characterization model or the serialized result format changes
-incompatibly) reidentifies every point, so stale on-disk entries are
-silently invalidated rather than deserialized into wrong results.
+Each persistent store is keyed on the raw bytes of the modules that
+produce its payloads (:data:`STORE_SOURCES`, :func:`store_key`).  The
+key is hashed into every fingerprint of its store and recorded in each
+pack's index, so after any edit to those modules the next load is an
+ordinary miss: a stale entry is never served, and nothing has to be
+bumped by hand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.cells.base import CellTechnology
 from repro.cells.export import cell_to_dict
 from repro.nvsim.result import OptimizationTarget
 
-#: Version tag of the characterization model + cache payload format.
-#: Bump whenever either changes in a way that invalidates stored results.
-SCHEMA_TAG = "array-cache-v1"
+#: The installed ``repro`` package directory.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-#: Version tag of the cache-simulation model + LLC trace payload format.
-#: Bump whenever stream generation or the batch engine changes results.
-TRACE_SCHEMA_TAG = "llc-trace-v1"
-
-#: Version tag of the analytical evaluation model + row payload format.
-#: Bump whenever :func:`repro.core.metrics.evaluate` or the flattened
-#: evaluation-row schema changes in a way that invalidates stored rows.
-#: (v2: rows persist with their original key order — cached rows now
-#: reproduce fresh runs' CSV column order byte-for-byte; v1 entries
-#: stored alphabetized keys and must not be served.  v3: each block is
-#: one factored payload, :mod:`repro.runtime.rowcodec` — key orders and
-#: block-constant values stored once — instead of a list of row objects.)
-EVAL_SCHEMA_TAG = "eval-rows-v3"
-
-#: Which source feeds each schema tag — the drift ratchet's ground truth.
-#:
-#: Maps the tag's constant name to ``(defining_module, source_modules)``.
-#: ``source_modules`` are the modules whose code produces the payloads
-#: the tag versions: changing any of them without bumping the tag is
-#: exactly the silent-cache-corruption bug the tag exists to prevent, so
-#: ``repro.analysis.drift`` pins a content digest of each set (committed
-#: in ``repro/analysis/drift_pins.json``) and ``nvmexplorer lint`` /
-#: ``tests/test_analysis_drift.py`` fail when a set's digest moves while
-#: its tag stands still.  A package entry covers every module under it.
-#:
-#: This module appears in its dependents' sets because the canonical
-#: payload builders (:func:`point_payload`, :func:`traffic_entry`, ...)
-#: live here: editing them re-pins (or re-tags) everything downstream.
-SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
-    # arrays/ store: the characterization model.
-    "SCHEMA_TAG": (
+#: The modules whose code produces each persistent store's payloads; the
+#: store's key digests their bytes.  A package entry covers every module
+#: under it; ``None`` covers the whole package.  ``tests/test_store_keys.py``
+#: checks that each set covers its model package's in-package imports.
+STORE_SOURCES: Mapping[str, Optional[tuple[str, ...]]] = {
+    # The characterization model, and the point payload builders here.
+    "arrays": (
+        "repro.nvsim",
+        "repro.cells.base",
+        "repro.cells.export",
+        "repro.tech",
+        "repro.units",
         "repro.runtime.fingerprint",
-        (
-            "repro.nvsim",
-            "repro.cells.base",
-            "repro.cells.export",
-            "repro.tech",
-            "repro.runtime.fingerprint",
-        ),
     ),
-    # traces/ store: stream generation + the batch cache simulator.
-    "TRACE_SCHEMA_TAG": (
+    # Row builders live in study modules that no fixed set covers.
+    "evaluations": None,
+    # Stream generation and the batch cache simulator, which imports
+    # TrafficPattern from repro.traffic.base.
+    "traces": (
+        "repro.cachesim",
+        "repro.traffic.base",
+        "repro.units",
         "repro.runtime.fingerprint",
-        ("repro.cachesim", "repro.runtime.fingerprint"),
-    ),
-    # evaluations/ store: the analytical evaluation, row flattening and
-    # the factored block format.
-    "EVAL_SCHEMA_TAG": (
-        "repro.runtime.fingerprint",
-        ("repro.core.metrics", "repro.runtime.fingerprint", "repro.runtime.rowcodec"),
-    ),
-    # Run manifests (incremental runs and fsck parse them).
-    "MANIFEST_SCHEMA": (
-        "repro.runtime.shard",
-        ("repro.runtime.shard",),
     ),
 }
+
+
+def source_files(
+    modules: Optional[Sequence[str]] = None, root: Union[str, Path] = PACKAGE_ROOT
+) -> list[Path]:
+    """The files a module set covers in the package directory ``root``, sorted.
+
+    ``None`` covers the whole package: every ``*.py`` file plus the
+    package data the sources load (the proxies' ``.npz`` weights), which
+    can change results as much as the code can.  A dotted name resolving
+    to a package directory covers every ``*.py`` under it; a plain module
+    covers its one file.  ``root`` may be a copy of the package under any
+    directory name: ``repro.x.y`` resolves to ``root/x/y``.
+    """
+    root = Path(root)
+    if modules is None:
+        return sorted(path for pattern in ("*.py", "*.npz") for path in root.rglob(pattern))
+    files: list[Path] = []
+    for dotted in modules:
+        path = root.joinpath(*dotted.split(".")[1:])
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.with_suffix(".py").is_file():
+            files.append(path.with_suffix(".py"))
+        else:
+            raise FileNotFoundError(f"source module {dotted!r} not found under {root}")
+    return sorted(set(files))
+
+
+def _file_digest(path: Path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def source_digest(
+    modules: Optional[Sequence[str]] = None,
+    root: Union[str, Path] = PACKAGE_ROOT,
+    file_digest: Callable[[Path], bytes] = _file_digest,
+) -> str:
+    """Content digest of a module set's files (see :func:`source_files`).
+
+    Only relative paths and file contents participate, never mtimes, so a
+    fresh checkout of a revision, or a copy of the package, digests
+    identically on every host.  Even a comment-only edit moves it:
+    conservative, but never wrong.
+    """
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in source_files(modules, root):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(file_digest(path))
+    return digest.hexdigest()
+
+
+def store_keys(root: Union[str, Path] = PACKAGE_ROOT) -> dict[str, str]:
+    """Every store's key for the package at ``root``, each file read once."""
+    digests = {path: _file_digest(path) for path in source_files(None, root)}
+    return {
+        store: source_digest(modules, root, digests.__getitem__)
+        for store, modules in STORE_SOURCES.items()
+    }
+
+
+@lru_cache(maxsize=1)
+def _installed_store_keys() -> dict[str, str]:
+    return store_keys()
+
+
+def store_key(store: str) -> str:
+    """The installed package's key for one store, computed once per process."""
+    return _installed_store_keys()[store]
 
 
 def canonical_json(payload: Any) -> str:
@@ -109,11 +151,14 @@ def point_payload(
     target: OptimizationTarget,
     access_bits: int,
     bits_per_cell: int,
-    schema_tag: str = SCHEMA_TAG,
+    schema_tag: Optional[str] = None,
 ) -> dict[str, Any]:
-    """The canonical description of one characterization request."""
+    """The canonical description of one characterization request.
+
+    ``schema_tag`` defaults to the installed package's ``arrays`` key.
+    """
     return {
-        "schema": schema_tag,
+        "schema": schema_tag or store_key("arrays"),
         "cell": cell_to_dict(cell),
         "capacity_bytes": int(capacity_bytes),
         "node_nm": int(node_nm),
@@ -130,7 +175,7 @@ def point_fingerprint(
     target: OptimizationTarget,
     access_bits: int,
     bits_per_cell: int,
-    schema_tag: str = SCHEMA_TAG,
+    schema_tag: Optional[str] = None,
 ) -> str:
     """Stable content key for one (cell, provisioning) design point."""
     return fingerprint_payload(
@@ -151,16 +196,17 @@ def trace_payload(
     clock_hz: float,
     ipc: float,
     seed: int,
-    schema_tag: str = TRACE_SCHEMA_TAG,
+    schema_tag: Optional[str] = None,
 ) -> dict[str, Any]:
     """Canonical description of one LLC-trace regeneration request.
 
     ``workload`` is a :class:`repro.cachesim.streams.WorkloadModel`; all
     of its parameters plus every simulation knob participate, so any
-    change to either reidentifies the trace.
+    change to either reidentifies the trace.  ``schema_tag`` defaults to
+    the installed package's ``traces`` key.
     """
     return {
-        "schema": schema_tag,
+        "schema": schema_tag or store_key("traces"),
         "workload": {
             "name": workload.name,
             "working_set_bytes": int(workload.working_set_bytes),
@@ -210,17 +256,19 @@ def evaluation_context(
     *,
     rows_fn_id: str,
     extra: Any = None,
-    schema_tag: str = EVAL_SCHEMA_TAG,
+    schema_tag: Optional[str] = None,
 ) -> str:
     """Digest of the array-independent half of an evaluation key.
 
     The traffic block, the row builder's identity, its JSON-able
-    parameters (``extra``, e.g. write-buffer scenarios), and the metrics
-    schema tag are shared by every array of one ``evaluate_blocks`` call
-    — hash them once and combine with each array's digest.
+    parameters (``extra``, e.g. write-buffer scenarios), and the store
+    key (``schema_tag``, default: the installed package's
+    ``evaluations`` key) are shared by every array of one
+    ``evaluate_blocks`` call — hash them once and combine with each
+    array's digest.
     """
     return fingerprint_payload({
-        "schema": schema_tag,
+        "schema": schema_tag or store_key("evaluations"),
         "traffic": [traffic_entry(t) for t in traffic],
         "rows_fn": rows_fn_id,
         "extra": extra,

@@ -9,6 +9,11 @@ that state explicit:
 - verifies every pack — footer, index, name, and each body's checksum
   and JSON — with :func:`repro.runtime.cache.verify_pack`, through the
   same reader the loaders use;
+- runs the store's decoder, chosen by the store's directory name
+  (``arrays``, ``evaluations``, ``traces``), on every body of each pack
+  written under the store's current key, so a pack that a load would
+  quarantine is reported corrupt (packs under another key are misses to
+  the loaders, and are not decoded);
 - moves packs that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
@@ -29,21 +34,20 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.runtime.cache import (
     PACK_SUFFIX,
     QUARANTINE_SUBDIR,
+    STORE_TYPES,
     CorruptPack,
     quarantine_file,
     verify_pack,
 )
+from repro.runtime.fingerprint import store_key
 from repro.runtime.shard import RunManifest
 
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
-
-#: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces")
 
 
 @dataclass
@@ -75,10 +79,10 @@ class FsckReport:
         return text
 
 
-def _pack_problem(path: Path) -> Optional[str]:
+def _pack_problem(path: Path, decoders: Mapping[str, Callable]) -> Optional[str]:
     """Why one pack fails verification, or ``None`` when it passes."""
     try:
-        verify_pack(path)
+        verify_pack(path, decoders)
     except OSError:
         return "unreadable pack file"
     except CorruptPack as exc:
@@ -87,7 +91,11 @@ def _pack_problem(path: Path) -> Optional[str]:
 
 
 def fsck_store(root: Union[str, Path]) -> FsckReport:
-    """Audit one pack store directory, quarantining packs that fail."""
+    """Audit one pack store directory, quarantining packs that fail.
+
+    A directory named after a store (``arrays``, ``evaluations``,
+    ``traces``) also has the bodies of its current-key packs decoded.
+    """
     root = Path(root)
     report = FsckReport(root=root)
     if not root.is_dir():
@@ -98,9 +106,11 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
         stale.unlink(missing_ok=True)
         report.swept_tmp += 1
 
+    store = STORE_TYPES.get(root.name)
+    decoders = {} if store is None else {store_key(store.store_name): store._decode}
     for pack in sorted(root.glob(f"*{PACK_SUFFIX}")):
         report.scanned += 1
-        reason = _pack_problem(pack)
+        reason = _pack_problem(pack, decoders)
         if reason is None:
             report.ok += 1
         else:
@@ -122,7 +132,7 @@ def fsck_cache_dir(cache_dir: Union[str, Path]) -> List[FsckReport]:
     single bare store.
     """
     cache_dir = Path(cache_dir)
-    stores = [sub for sub in _KNOWN_STORES if (cache_dir / sub).is_dir()]
+    stores = [sub for sub in STORE_TYPES if (cache_dir / sub).is_dir()]
     if not stores:
         return [fsck_store(cache_dir)]
     return [fsck_store(cache_dir / sub) for sub in stores]

@@ -19,9 +19,9 @@ with ``repr``), and neither is a list or dict, so every nested value
 stays in its own row.  :func:`decode_block` rebuilds every row with its
 own key order, value types and float ``repr``.
 
-The format is versioned by
-:data:`~repro.runtime.fingerprint.EVAL_SCHEMA_TAG`, whose drift pin
-covers this module.
+The format is versioned by the ``evaluations`` store's key
+(:func:`~repro.runtime.fingerprint.store_key`), a digest of the whole
+package, so editing this module makes every stored block a miss.
 """
 
 from __future__ import annotations

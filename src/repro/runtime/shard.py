@@ -4,30 +4,22 @@ Every suite run records what it did in a :class:`RunManifest` written
 next to its outputs (``manifest.json``): one :class:`ManifestEntry` per
 study with status, row count, telemetry counters, artifact paths, and
 the study's content fingerprint (:func:`study_fingerprint` — parameters
-× cache schema tags × an mtime-independent source digest).  The next run
-into the same directory compares each entry's fingerprint against the
-current one and skips studies whose artifacts are already up to date.
+× an mtime-independent source digest).  The next run into the same
+directory compares each entry's fingerprint against the current one and
+skips studies whose artifacts are already up to date.
 ``nvmexplorer fsck --manifest`` audits the same file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ReproError
 from repro.runtime.cache import atomic_write_json
-from repro.runtime.fingerprint import (
-    EVAL_SCHEMA_TAG,
-    SCHEMA_TAG,
-    TRACE_SCHEMA_TAG,
-    canonical_json,
-    fingerprint_payload,
-)
+from repro.runtime.fingerprint import canonical_json, fingerprint_payload, store_key
 
 #: Version tag of the manifest payload format.  Bump on incompatible
 #: changes so stale manifests are ignored instead of misread.
@@ -46,49 +38,19 @@ class ManifestError(ReproError):
     """A run manifest (or a study's fingerprint payload) is malformed."""
 
 
-def schema_tags() -> dict[str, str]:
-    """The active schema tag of every persistent cache layer.
-
-    Recorded in manifests (and usable as a CI cache key): any bump
-    invalidates both the on-disk caches and incremental skips.
-    """
-    return {
-        "arrays": SCHEMA_TAG,
-        "evaluations": EVAL_SCHEMA_TAG,
-        "traces": TRACE_SCHEMA_TAG,
-    }
-
-
 # --- study fingerprints (incremental skip keys) ---------------------------
 
 
-def source_files() -> list[Path]:
-    """Every file :func:`source_digest` hashes, in digest order.
-
-    The package data the sources load (the proxies' committed ``.npz``
-    weights) can change a study's artifacts as much as the code can.
-    """
-    package_root = Path(__file__).resolve().parent.parent
-    return sorted(path for pattern in ("*.py", "*.npz") for path in package_root.rglob(pattern))
-
-
-@lru_cache(maxsize=1)
 def source_digest() -> str:
     """Content hash of every ``repro`` source and package-data file.
 
-    mtime-independent: only file *contents* (and relative paths)
-    participate, so a fresh checkout of the same revision digests
-    identically on every host.  Any source or data change invalidates
+    The whole-package :func:`~repro.runtime.fingerprint.source_digest`,
+    which is also the ``evaluations`` store's key, so it is computed once
+    per process together with the other store keys, and covers every
+    file any store key reads.  Any source or data change invalidates
     every incremental skip — conservative, but never wrong.
     """
-    package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in source_files():
-        digest.update(path.relative_to(package_root).as_posix().encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(path.read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return store_key("evaluations")
 
 
 def study_fingerprint(
@@ -100,9 +62,9 @@ def study_fingerprint(
 
     Everything that can change the study's artifacts participates: the
     spec's identity and effective parameters, the report options, the
-    runtime seed override, every cache schema tag, and the source
-    digest.  Matching fingerprints mean a re-run would reproduce the
-    existing artifacts, so the incremental summary may skip it.
+    runtime seed override, and the source digest.  Matching fingerprints
+    mean a re-run would reproduce the existing artifacts, so the
+    incremental summary may skip it.
     """
     params = {**dict(spec.params), **dict(overrides or {})}
     try:
@@ -113,7 +75,6 @@ def study_fingerprint(
             "params": json.loads(canonical_json(params)),
             "report": dict(spec.report),
             "seed": seed,
-            "schema_tags": schema_tags(),
             "source": source_digest(),
         }
     except TypeError as exc:
@@ -191,7 +152,6 @@ class RunManifest:
     """
 
     entries: tuple[ManifestEntry, ...]
-    tags: Mapping[str, str] = field(default_factory=schema_tags)
     retained: tuple[ManifestEntry, ...] = ()
 
     @property
@@ -221,7 +181,6 @@ class RunManifest:
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema": MANIFEST_SCHEMA,
-            "schema_tags": dict(self.tags),
             "entries": [entry.to_dict() for entry in self.entries],
             "retained": [entry.to_dict() for entry in self.retained],
         }
@@ -238,7 +197,6 @@ class RunManifest:
         try:
             return cls(
                 entries=tuple(ManifestEntry.from_dict(e) for e in payload["entries"]),
-                tags=dict(payload.get("schema_tags", {})),
                 retained=tuple(ManifestEntry.from_dict(e) for e in payload.get("retained", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:

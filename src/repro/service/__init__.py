@@ -16,8 +16,8 @@ a time, serially, exactly as the batch stack would:
 * :mod:`repro.service.ratelimit` — per-client token-bucket submission
   limiting;
 * :mod:`repro.service.warm` — background pre-computation of configured
-  studies whenever their fingerprints (inputs, schema tags, source
-  revision) change;
+  studies whenever their fingerprints (inputs, source revision)
+  change;
 * :mod:`repro.service.http` — the dependency-free HTTP/SSE transport;
 * :mod:`repro.service.app` — routing, lifecycle, graceful drain
   (:class:`ReproService`, :func:`serve`);

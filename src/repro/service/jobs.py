@@ -7,8 +7,8 @@ runs on an :class:`~repro.runtime.aio.AsyncStudyRunner` thread with its
 telemetry bridged back onto the event loop.
 
 **Coalescing and memoization are the same mechanism.**  The fingerprint
-covers everything that determines the result (inputs + cache schema tags
-+ source revision), so the fingerprint→job map serves three cases with
+covers everything that determines the result (inputs + source
+revision), so the fingerprint→job map serves three cases with
 one lookup:
 
 * an identical request while the original is queued/running attaches to

@@ -3,10 +3,10 @@
 A serving deployment wants its popular studies answered from cache, not
 computed on the first unlucky client.  The warm-keeper watches the
 *fingerprints* of a configured set of registry studies — which fold in
-the cache schema tags and the source digest — and re-submits any study
-whose fingerprint differs from the last warmed stamp.  Deploying a new
-revision or bumping a cache schema therefore triggers one background
-re-computation per study, after which every submission is a warm hit.
+the source digest — and re-submits any study whose fingerprint differs
+from the last warmed stamp.  Deploying a new revision therefore triggers
+one background re-computation per study, after which every submission
+is a warm hit.
 
 The stamp persists at ``<cache_dir>/service/warm_stamp.json`` so a
 restarted service against an already-warm cache does nothing.  Without a
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.runtime.cache import atomic_write_text
-from repro.runtime.shard import schema_tags
 from repro.service.jobs import DONE, JobManager
 from repro.service.requests import resolve_request
 
@@ -79,8 +78,7 @@ class WarmKeeper:
         """One warming pass; returns the names actually (re)computed.
 
         A study is re-submitted when its current request fingerprint
-        differs from the stamped one — i.e. its params, the cache schema
-        tags (:func:`~repro.runtime.shard.schema_tags`), or the source
+        differs from the stamped one — i.e. its params or the source
         revision changed since the last warm.  Submissions go through
         the regular job manager, so concurrent client requests for the
         same study coalesce onto the warming computation.
@@ -103,7 +101,7 @@ class WarmKeeper:
                 # Leave the stamp un-advanced so the next pass retries.
                 current[name] = stamped.get(name, "")
                 logger.warning("warm-keeper: %s failed: %s", name, job.error)
-        self._store_stamp({"schema_tags": schema_tags(), "fingerprints": current})
+        self._store_stamp({"fingerprints": current})
         self.runs += 1
         self.warmed_total += len(warmed)
         return warmed

@@ -298,8 +298,8 @@ class StudyRequest:
         }
 
     def fingerprint(self) -> str:
-        """Content key covering params, seed, cache schema tags, and the
-        source revision (:func:`~repro.runtime.shard.study_fingerprint`)."""
+        """Content key covering params, seed, and the source revision
+        (:func:`~repro.runtime.shard.study_fingerprint`)."""
         # Imported lazily: the manifest module builds on the runtime
         # package only, but keeping pipeline import-light preserves the
         # existing layering.

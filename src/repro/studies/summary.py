@@ -20,10 +20,10 @@ that into an exit-code assertion for CI.
 
 Every run writes a ``manifest.json`` next to its outputs
 (:mod:`repro.runtime.shard`) recording what ran, its status, telemetry,
-artifact paths, and cache schema tags.  The next run into the same
-directory is **incremental**: a study whose manifest entry matches the
-current content fingerprint (parameters x schema tags x source digest)
-and whose artifacts still exist is skipped with a ``cached`` status
+and artifact paths.  The next run into the same directory is
+**incremental**: a study whose manifest entry matches the current
+content fingerprint (parameters x source digest) and whose artifacts
+still exist is skipped with a ``cached`` status
 instead of re-run; ``--force`` disables the skip.  Entries for studies
 outside an ``--only`` subset are retained, so a subset run never
 discards the rest of the directory's incremental state.
@@ -139,7 +139,7 @@ def _reusable_entry(
     """The prior manifest entry iff it makes re-running ``name`` redundant.
 
     Redundant means: the prior run succeeded, its content fingerprint
-    (parameters x schema tags x source digest) matches the current one,
+    (parameters x source digest) matches the current one,
     and every recorded artifact still exists on disk.
     """
     if previous is None:

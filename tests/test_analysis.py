@@ -7,7 +7,6 @@ from pathlib import Path
 from repro.analysis import run_lint
 from repro.analysis.cli import main as lint_main
 from repro.analysis.determinism import DeterminismRule
-from repro.analysis.drift import SchemaDriftRule, compute_pins, write_pins
 from repro.analysis.engine import SUPPRESSION_RULE_ID
 from repro.analysis.exceptions import ExceptSafetyRule
 from repro.analysis.iodiscipline import AtomicWriteRule
@@ -491,83 +490,6 @@ class TestExceptSafetyRule:
         }
         root = make_tree(tmp_path, files)
         assert rule_findings(root, ExceptSafetyRule()) == []
-
-
-# -- schema-drift (fixture-level; the real tree is tested in
-# test_analysis_drift.py) --------------------------------------------------
-
-
-MOD_V1 = """
-MY_SCHEMA_TAG = "my-store-v1"
-
-
-def payload(x):
-    return {"schema": MY_SCHEMA_TAG, "value": x}
-"""
-
-REGISTRY = {"MY_SCHEMA_TAG": ("repro.mod", ("repro.mod",))}
-
-
-class TestSchemaDriftRule:
-    def make_rule(self, tmp_path):
-        return SchemaDriftRule(pins_path=tmp_path / "pins.json", registry=REGISTRY)
-
-    def pin(self, tmp_path):
-        write_pins(tmp_path / "pins.json", compute_pins(tmp_path / "repro", REGISTRY))
-
-    def test_unpinned_tag_is_flagged(self, tmp_path):
-        root = make_tree(tmp_path, {"mod.py": MOD_V1})
-        findings = rule_findings(root, self.make_rule(tmp_path))
-        assert len(findings) == 1
-        assert "no pinned source digest" in findings[0].message
-
-    def test_pinned_and_unchanged_is_clean(self, tmp_path):
-        root = make_tree(tmp_path, {"mod.py": MOD_V1})
-        self.pin(tmp_path)
-        assert rule_findings(root, self.make_rule(tmp_path)) == []
-
-    def test_source_drift_without_tag_bump_fails(self, tmp_path):
-        root = make_tree(tmp_path, {"mod.py": MOD_V1})
-        self.pin(tmp_path)
-        (root / "mod.py").write_text(
-            MOD_V1.replace('"value": x', '"value": x * 2'), encoding="utf-8"
-        )
-        findings = rule_findings(root, self.make_rule(tmp_path))
-        assert len(findings) == 1
-        assert "without a tag bump" in findings[0].message
-        assert "bump MY_SCHEMA_TAG" in findings[0].message
-
-    def test_tag_bump_asks_for_repin_only(self, tmp_path):
-        root = make_tree(tmp_path, {"mod.py": MOD_V1})
-        self.pin(tmp_path)
-        (root / "mod.py").write_text(
-            MOD_V1.replace("my-store-v1", "my-store-v2"), encoding="utf-8"
-        )
-        findings = rule_findings(root, self.make_rule(tmp_path))
-        assert len(findings) == 1
-        assert "tag value changed" in findings[0].message
-        assert "--update-pins" in findings[0].message
-
-    def test_repin_after_reviewed_change_is_clean(self, tmp_path):
-        root = make_tree(tmp_path, {"mod.py": MOD_V1})
-        self.pin(tmp_path)
-        (root / "mod.py").write_text(
-            MOD_V1.replace("my-store-v1", "my-store-v2"), encoding="utf-8"
-        )
-        self.pin(tmp_path)
-        assert rule_findings(root, self.make_rule(tmp_path)) == []
-
-    def test_unregistered_tag_constant_is_flagged(self, tmp_path):
-        files = {
-            "mod.py": MOD_V1,
-            "other.py": 'ROGUE_SCHEMA_TAG = "rogue-v1"\n',
-        }
-        root = make_tree(tmp_path, files)
-        self.pin(tmp_path)
-        findings = rule_findings(root, self.make_rule(tmp_path))
-        assert len(findings) == 1
-        assert "ROGUE_SCHEMA_TAG" in findings[0].message
-        assert "not covered" in findings[0].message
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 from repro.runtime.cache import (
     PACK_SUFFIX,
     QUARANTINE_SUBDIR,
+    STORE_TYPES,
     EvaluationCache,
     pack_id,
 )
-from repro.runtime.fingerprint import EVAL_SCHEMA_TAG, fingerprint_payload
+from repro.runtime.fingerprint import fingerprint_payload, store_key
 from repro.runtime.fsck import (
     fsck_cache_dir,
     fsck_manifest,
@@ -35,7 +36,7 @@ def _populate(root, count=3, salt="fsck"):
 
 def _entry(root, fp):
     """The one-entry pack holding ``fp``."""
-    return root / f"{pack_id(EVAL_SCHEMA_TAG, [fp])}{PACK_SUFFIX}"
+    return root / f"{pack_id(store_key('evaluations'), [fp])}{PACK_SUFFIX}"
 
 
 def _damage(root, fp):
@@ -124,6 +125,48 @@ class TestFsckStore:
         report = fsck_store(tmp_path / "nope")
         assert not report.clean
         assert "not a directory" in report.problems[0]
+
+
+def _store_raw(root, body, store="evaluations", schema_tag=None):
+    """Store ``body`` unencoded as a one-entry pack; returns the pack."""
+
+    class RawCache(STORE_TYPES[store]):
+        def _encode(self, result):
+            return result
+
+    RawCache(root, schema_tag=schema_tag).store("cd" * 32, body)
+    [pack] = root.glob(f"*{PACK_SUFFIX}")
+    return pack
+
+
+class TestFsckDecodes:
+    def test_undecodable_evaluation_body_is_corrupt(self, tmp_path, capsys):
+        # Checksums and JSON hold, but the shape index is out of range:
+        # every load would quarantine this pack, so fsck must too.
+        store = tmp_path / "evaluations"
+        pack = _store_raw(store, {"shapes": [["a"]], "shared": {}, "rows": [[3, 5]]})
+        assert fsck_main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "1 files scanned, 0 ok, 1 corrupt" in out
+        assert f"{pack.name}: undecodable body" in out
+        assert not pack.exists()
+        assert (store / QUARANTINE_SUBDIR / pack.name).exists()
+        assert fsck_main([str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("store", ["arrays", "traces"])
+    def test_each_store_runs_its_own_decoder(self, store, tmp_path):
+        pack = _store_raw(tmp_path / store, {"not": "a payload"}, store=store)
+        report = fsck_store(tmp_path / store)
+        assert (report.ok, report.corrupt) == (0, 1)
+        assert not pack.exists()
+
+    def test_pack_under_another_key_is_not_decoded(self, tmp_path):
+        # The loaders treat it as a miss, so it is not damage.
+        store = tmp_path / "evaluations"
+        pack = _store_raw(store, [{"a": 5}], schema_tag="another-key")
+        report = fsck_store(store)
+        assert report.clean and report.ok == 1
+        assert pack.exists()
 
 
 class TestFsckCacheDir:

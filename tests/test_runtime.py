@@ -619,15 +619,13 @@ class TestRowCodec:
     def test_v2_pack_is_a_miss_not_corruption(self, tmp_path, stt_array_1mb,
                                               forget_pack_indexes):
         # A pack the previous format wrote: a list of row objects under
-        # the old tag.  It is an ordinary miss and fsck finds it clean.
+        # another key.  It is an ordinary miss and fsck finds it clean.
         class V2Cache(EvaluationCache):
-            schema_tag = "eval-rows-v2"
-
             def _encode(self, result):
                 return list(result)
 
         rows = evaluation_rows(stt_array_1mb, _traffic_pair())
-        V2Cache(tmp_path).store("ab" * 32, rows)
+        V2Cache(tmp_path, schema_tag="eval-rows-v2").store("ab" * 32, rows)
         forget_pack_indexes()
         cache = EvaluationCache(tmp_path)
         assert cache.load("ab" * 32) is None

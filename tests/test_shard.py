@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.runtime.fingerprint import fingerprint_payload
+from repro.runtime.fingerprint import fingerprint_payload, source_files, store_keys
 from repro.runtime.shard import (
     MANIFEST_FILENAME,
     STATUS_CACHED,
@@ -14,9 +14,7 @@ from repro.runtime.shard import (
     ManifestEntry,
     ManifestError,
     RunManifest,
-    schema_tags,
     source_digest,
-    source_files,
     study_fingerprint,
 )
 from repro.studies.pipeline import REGISTRY
@@ -47,8 +45,10 @@ def test_source_digest_covers_the_proxy_weights():
     assert any(path.endswith("repro/runtime/shard.py") for path in digested)
 
 
-def test_schema_tags_cover_every_cache_layer():
-    assert set(schema_tags()) == {"arrays", "evaluations", "traces"}
+def test_store_keys_cover_every_cache_layer():
+    keys = store_keys()
+    assert set(keys) == {"arrays", "evaluations", "traces"}
+    assert keys["evaluations"] == source_digest()
 
 
 # --- manifests ------------------------------------------------------------
@@ -73,7 +73,6 @@ def test_manifest_roundtrip(tmp_path):
     loaded = RunManifest.load(tmp_path)
     assert loaded == manifest
     assert RunManifest.load(path) == manifest
-    assert loaded.tags == schema_tags()
     assert loaded.names == ("a", "b")
     assert not loaded.ok
     assert loaded.entry_for("a") == manifest.entries[0]
