@@ -17,11 +17,9 @@ except-safety   no bare ``except:``; interrupt handlers in
                 runtime/service code must re-raise
 =============== =======================================================
 
-Waive a finding inline with ``# repro: allow[rule-id] reason`` (on the
-flagged line, or alone on the line above); a waiver without a reason is
-itself a finding, and a waiver that no longer waives anything is
-reported (informationally) so it gets removed.  ``nvmexplorer lint``
-takes the package ROOT to check; nothing else.
+There are no inline waivers: a finding is fixed in the code, or the rule
+that reports it is changed.  ``nvmexplorer lint`` takes the package ROOT
+to check; nothing else.
 """
 
 from repro.analysis.engine import (

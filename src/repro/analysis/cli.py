@@ -6,9 +6,8 @@ Usage (via the package CLI)::
 
 ``ROOT`` defaults to the installed ``repro`` package directory, so a
 bare ``nvmexplorer lint`` checks the code that is actually on the
-path.  Exit codes mirror ``nvmexplorer fsck``: 0 when the tree is clean
-(every finding suppressed inline), 1 when violations stand, 2 on usage
-errors.
+path.  Exit codes mirror ``nvmexplorer fsck``: 0 when the tree is clean,
+1 when violations stand, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     result = run_lint(root)
     for finding in result.findings:
         print(finding.format())
-    for finding in result.unused_suppressions:
-        print(f"{finding.format()}  (informational)")
     counted = sorted({f.rule for f in result.findings})
     print(
         f"lint: {root}: {len(result.findings)} violation(s) "
-        f"[{', '.join(counted) if counted else '-'}], "
-        f"{len(result.suppressed)} suppressed"
+        f"[{', '.join(counted) if counted else '-'}]"
     )
     return 0 if not result.findings else 1
 

@@ -10,8 +10,6 @@ a fingerprint silently breaks all of that.
 The rule checks every function and module body under the lint root:
 a cache key is only as stable as everything it is computed from, and
 the package is small enough that scanning all of it costs nothing.
-Wall-clock uses that are genuinely required carry an inline
-``# repro: allow[determinism] reason``.
 
 ``time.monotonic``/``perf_counter`` are deliberately allowed — duration
 measurement does not influence cached content — as are seeded RNGs

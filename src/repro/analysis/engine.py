@@ -1,4 +1,4 @@
-"""Core of the invariant linter: parsed modules, findings, suppressions.
+"""Core of the invariant linter: parsed modules, findings, rules.
 
 The analysis package statically enforces the contracts the runtime can
 only check after the fact: the package must compute the same bytes
@@ -8,29 +8,24 @@ swallow interrupts.  Each contract is a :class:`Rule`; this module owns
 everything the rules share:
 
 * :class:`LintContext` — every module under the lint root parsed once
-  (AST, parent links, inline suppressions);
+  (AST and parent links);
 * :class:`Finding` — one violation, anchored to a file/line;
-* inline suppressions — ``# repro: allow[rule-id] reason`` on the
-  flagged line (or alone on the line above) waives that rule there; a
-  suppression without a reason is itself a finding;
 * :func:`default_rules` — the four rules, one instance each;
 * AST helpers — :func:`dotted_name`, :func:`enclosing_function` and the
   import resolver (:func:`import_bindings` + :func:`resolve_chain`) that maps a
   call chain such as ``dt.datetime.now`` to ``datetime.datetime.now``.
 
-Verdicts follow ``nvmexplorer fsck``'s convention: exit 0 when every
-finding is suppressed, 1 when any violation stands.
+There are no inline waivers: code that breaks a rule is changed, or
+the rule is.  Verdicts follow ``nvmexplorer fsck``'s convention: exit 0
+when there is no finding, 1 when any violation stands.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = [
     "Finding",
@@ -38,19 +33,9 @@ __all__ = [
     "LintResult",
     "ModuleInfo",
     "Rule",
-    "Suppression",
     "default_rules",
     "run_lint",
 ]
-
-#: ``# repro: allow[rule-id[,rule-id...]] reason`` — the inline waiver.
-_SUPPRESSION_RE = re.compile(
-    r"#\s*repro:\s*allow\[(?P<rules>[a-z0-9\-]+(?:\s*,\s*[a-z0-9\-]+)*)\]"
-    r"(?P<reason>.*)$"
-)
-
-#: Rule id of engine-emitted findings about the suppressions themselves.
-SUPPRESSION_RULE_ID = "suppression"
 
 
 @dataclass(frozen=True)
@@ -70,18 +55,6 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """One parsed ``# repro: allow[...]`` comment."""
-
-    line: int  # line the comment sits on
-    rules: Tuple[str, ...]
-    reason: str
-
-    def covers(self, rule: str) -> bool:
-        return rule in self.rules
-
-
 @dataclass
 class ModuleInfo:
     """One parsed source module plus the derived lookups rules need."""
@@ -91,65 +64,6 @@ class ModuleInfo:
     tree: ast.Module
     #: child AST node -> parent (statement ancestry for wrapper checks).
     parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
-    #: line number -> parsed suppression comment on that line.
-    suppressions: Dict[int, Suppression] = field(default_factory=dict)
-    #: lines that hold nothing but a suppression comment: they waive the
-    #: *next* line instead of their own.
-    comment_only: Dict[int, bool] = field(default_factory=dict)
-
-    def suppression_for(self, line: int, rule: str) -> Optional[Suppression]:
-        """The waiver covering ``rule`` at ``line``, if any.
-
-        A suppression applies to findings on its own line, or — when the
-        comment is alone on its line — to the line directly below.
-        """
-        own = self.suppressions.get(line)
-        if own is not None and own.covers(rule):
-            return own
-        above = self.suppressions.get(line - 1)
-        if (
-            above is not None
-            and above.covers(rule)
-            and self.comment_only.get(line - 1, False)
-        ):
-            return above
-        return None
-
-
-def _parse_suppressions(
-    source: str,
-) -> Tuple[Dict[int, Suppression], Dict[int, bool], List[Tuple[int, str]]]:
-    """Extract suppression comments via the tokenizer (not string-matching).
-
-    Returns ``(suppressions, comment_only, problems)`` where problems are
-    ``(line, message)`` pairs for malformed waivers (missing reason).
-    """
-    suppressions: Dict[int, Suppression] = {}
-    comment_only: Dict[int, bool] = {}
-    problems: List[Tuple[int, str]] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return suppressions, comment_only, problems
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _SUPPRESSION_RE.search(token.string)
-        if match is None:
-            continue
-        line = token.start[0]
-        rules = tuple(part.strip() for part in match.group("rules").split(",") if part.strip())
-        reason = match.group("reason").strip()
-        if not reason:
-            message = (
-                "suppression is missing a reason: write "
-                "`# repro: allow[rule-id] why this is safe`"
-            )
-            problems.append((line, message))
-        suppressions[line] = Suppression(line=line, rules=rules, reason=reason)
-        # A comment token preceded only by whitespace waives the next line.
-        comment_only[line] = token.line[: token.start[1]].strip() == ""
-    return suppressions, comment_only, problems
 
 
 def _link_parents(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
@@ -166,7 +80,7 @@ class LintContext:
 
     root: Path  # the package directory being linted (e.g. .../src/repro)
     modules: Dict[str, ModuleInfo]
-    #: Parse/suppression problems discovered while loading, as findings.
+    #: Modules that do not parse, as findings.
     load_findings: List[Finding] = field(default_factory=list)
 
     @classmethod
@@ -199,24 +113,11 @@ class LintContext:
                     )
                 )
                 continue
-            suppressions, comment_only, problems = _parse_suppressions(source)
-            for line, message in problems:
-                load_findings.append(
-                    Finding(
-                        rule=SUPPRESSION_RULE_ID,
-                        path=rel_str,
-                        line=line,
-                        col=0,
-                        message=message,
-                    )
-                )
             modules[name] = ModuleInfo(
                 name=name,
                 path=path,
                 tree=tree,
                 parents=_link_parents(tree),
-                suppressions=suppressions,
-                comment_only=comment_only,
             )
         return cls(root=root, modules=modules, load_findings=load_findings)
 
@@ -277,72 +178,21 @@ class LintResult:
     """Everything one lint pass produced."""
 
     root: Path
-    findings: List[Finding]  # active violations (not suppressed)
-    suppressed: List[Tuple[Finding, Suppression]]
-    unused_suppressions: List[Finding]  # informational, never fatal
+    findings: List[Finding]  # every violation, sorted by location
 
 
 def run_lint(
     root: Union[str, Path],
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
-    """Lint every module under ``root`` with the given (or default) rules.
-
-    Findings carrying a matching inline suppression are set aside (with
-    the waiver's reason); suppressions that waived nothing are reported
-    informationally so stale ones get cleaned up.
-    """
+    """Lint every module under ``root`` with the given (or default) rules."""
     ctx = LintContext.load(root)
     rules = default_rules() if rules is None else list(rules)
-    raw: List[Finding] = list(ctx.load_findings)
+    findings: List[Finding] = list(ctx.load_findings)
     for rule in rules:
-        raw.extend(rule.check(ctx))
-    raw.sort(key=Finding.sort_key)
-
-    by_path = {ctx.rel(info): info for info in ctx.modules.values()}
-    active: List[Finding] = []
-    suppressed: List[Tuple[Finding, Suppression]] = []
-    used: Dict[Tuple[str, int], set] = {}
-    for finding in raw:
-        info = by_path.get(finding.path)
-        waiver = (
-            info.suppression_for(finding.line, finding.rule)
-            if info is not None and finding.rule != SUPPRESSION_RULE_ID
-            else None
-        )
-        if waiver is not None and waiver.reason:
-            suppressed.append((finding, waiver))
-            used.setdefault((finding.path, waiver.line), set()).add(finding.rule)
-        else:
-            active.append(finding)
-
-    unused: List[Finding] = []
-    for info in ctx.modules.values():
-        path = ctx.rel(info)
-        for line, waiver in sorted(info.suppressions.items()):
-            if not waiver.reason:
-                continue  # already an active finding
-            covered = used.get((path, line), set())
-            for rule_id in waiver.rules:
-                if rule_id not in covered:
-                    unused.append(
-                        Finding(
-                            rule=SUPPRESSION_RULE_ID,
-                            path=path,
-                            line=line,
-                            col=0,
-                            message=(
-                                f"suppression for [{rule_id}] no longer waives "
-                                "anything here; remove it"
-                            ),
-                        )
-                    )
-    return LintResult(
-        root=ctx.root,
-        findings=active,
-        suppressed=suppressed,
-        unused_suppressions=unused,
-    )
+        findings.extend(rule.check(ctx))
+    findings.sort(key=Finding.sort_key)
+    return LintResult(root=ctx.root, findings=findings)
 
 
 def enclosing_function(

@@ -12,7 +12,7 @@ serially in this process.  An engine is built from one
 persists characterizations, evaluation blocks and the LLC traces the
 cache-hierarchy studies regenerate, and ``on_error="skip"`` reports failed
 points through telemetry instead of aborting the sweep.  The defaults
-(in-memory memos only, abort on error) preserve the engine's historical
+(no persistent cache, abort on error) preserve the engine's historical
 behavior.
 """
 
@@ -73,7 +73,7 @@ class SweepSpec:
 class DSEEngine:
     """Runs sweeps and regenerates LLC traces through the runtime's stores.
 
-    ``runtime`` (default: in-memory stores only, abort on error) names the
+    ``runtime`` (default: no persistent cache, abort on error) names the
     persistent cache root, whose ``arrays/``, ``evaluations/`` and
     ``traces/`` stores back :attr:`cache`, :attr:`eval_cache` and
     :attr:`trace_cache`; the error policy (``on_error="skip"`` drops a
@@ -92,10 +92,10 @@ class DSEEngine:
             self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR)
             self.eval_cache = EvaluationCache(root / EVALUATION_CACHE_SUBDIR)
             self.trace_cache = LLCTraceCache(root / TRACE_CACHE_SUBDIR)
-        #: In-memory memos, keyed like the on-disk stores.
+        #: In-memory memo of characterizations, keyed like the on-disk
+        #: store: an engine's later calls ask again for arrays that an
+        #: earlier call characterized.
         self._array_cache: dict[str, ArrayCharacterization] = {}
-        self._eval_memory: dict[str, list[dict]] = {}
-        self._trace_memory: dict[str, LLCTrace] = {}
         #: Telemetry of the most recent ``run``/``arrays`` call.
         self.last_telemetry: Optional[SweepTelemetry] = None
 
@@ -135,8 +135,8 @@ class DSEEngine:
         """Evaluate arrays under a traffic block through every cache layer.
 
         One list of flattened rows per array, in array order; blocks
-        already present in the in-memory memo or the persistent
-        evaluation cache are served without re-running the model.  See
+        already present in the persistent evaluation cache are served
+        without re-running the model.  See
         :func:`repro.runtime.executor.evaluate_blocks` for ``rows_fn`` /
         ``extra`` semantics.
         """
@@ -146,7 +146,6 @@ class DSEEngine:
             rows_fn=rows_fn,
             extra=extra,
             cache=self.eval_cache,
-            memory=self._eval_memory,
             telemetry=telemetry if telemetry is not None else self._telemetry(),
         )
 
@@ -162,7 +161,6 @@ class DSEEngine:
             n_accesses=n_accesses,
             seed=seed,
             cache=self.trace_cache,
-            memory=self._trace_memory,
             telemetry=self._telemetry(),
         )
 

@@ -20,8 +20,8 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.executor` — serial, in-process characterization,
   (array, traffic) evaluation and LLC trace regeneration in
   deterministic order, all three through one cached-work routine over
-  the memory and disk caches, with same-cell points warmed as one array
-  program.
+  the disk caches (and, for characterization, an in-process memo), with
+  same-cell points warmed as one array program.
 * :mod:`repro.runtime.shard` — run manifests and the study content
   fingerprints behind the incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
@@ -37,8 +37,8 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit: verify
-  every pack, quarantine the damaged ones (the ``nvmexplorer fsck``
-  command).
+  every pack, delete those under an old store key, quarantine the
+  damaged ones (the ``nvmexplorer fsck`` command).
 """
 
 from repro.runtime.cache import (

@@ -6,10 +6,11 @@ pickling, no chunking.  What the executor adds over a plain loop is the
 cache discipline, written once in :func:`_cached_work` and shared by its
 three phases — array characterization (:func:`characterize_points`),
 (array x traffic) evaluation (:func:`evaluate_blocks`) and LLC trace
-regeneration (:func:`simulate_traces`): lookup in the in-process memo,
-then the on-disk store; damaged packs quarantined and counted;
-duplicates computed once; fresh results written back to both, the
-on-disk ones as one pack file per call; one telemetry event per item.
+regeneration (:func:`simulate_traces`): lookup in the on-disk store
+(characterization first consults an in-process memo too); damaged packs
+quarantined and counted; duplicates computed once; fresh results
+written back, as one pack file per call; one telemetry event per item,
+logged on the ``repro.runtime`` logger.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import logging
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -45,7 +47,6 @@ from repro.runtime.fingerprint import (
     point_fingerprint,
     trace_fingerprint,
 )
-from repro.runtime.rowcodec import ATOMIC_TYPES
 from repro.runtime.telemetry import (
     CACHED,
     COMPLETED,
@@ -54,6 +55,8 @@ from repro.runtime.telemetry import (
     ProgressEvent,
     SweepTelemetry,
 )
+
+logger = logging.getLogger("repro.runtime")
 
 
 @dataclass(frozen=True)
@@ -135,19 +138,20 @@ def _cached_work(
     compute: Callable[[List[int]], Iterable[Outcome]],
     *,
     cache: Optional[JsonObjectCache],
-    memory: Optional[dict],
+    memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry],
     on_error: str = "raise",
 ) -> list:
     """Run one phase's items through the memo and the disk store.
 
-    Each item is looked up in the in-process ``memory`` dict, then in the
-    on-disk ``cache``; every pack a load quarantines (a refresh of the
-    store's index can find several) emits one ``corrupt`` event.  The
-    items still missing are computed once per fingerprint by
+    Each item is looked up in the ``memory`` dict (an in-process memo
+    that outlives the call, or ``None`` for one that does not), then in
+    the on-disk ``cache``; every pack a load quarantines (a refresh of
+    the store's index can find several) emits one ``corrupt`` event.
+    The items still missing are computed once per fingerprint by
     ``compute(first indices)``, written back to both stores (one pack per
     call) and reported with one event per item.  A duplicate is served
-    from the memo.
+    from the memo, so it is the same object as its first occurrence.
 
     Only characterization yields failures as data: a ``ReproError``
     outcome emits ``failed`` events and, under ``on_error="raise"``,
@@ -160,9 +164,12 @@ def _cached_work(
     results: list = [None] * total
 
     def emit(kind: str, index: int, source: str = "", **details) -> None:
-        telemetry.emit(ProgressEvent(
+        event = ProgressEvent(
             kind, labels[index], index, total, phase=phase, source=source,
-            **details))
+            **details)
+        logger.log(logging.WARNING if kind == FAILED else logging.DEBUG,
+                   "%s", event.describe())
+        telemetry.emit(event)
 
     pending: dict[str, List[int]] = {}
     for index, fp in enumerate(fingerprints):
@@ -280,13 +287,6 @@ def rows_fn_id(rows_fn) -> str:
     return f"{rows_fn.__module__}:{rows_fn.__qualname__}"
 
 
-def _copy_row(row: dict) -> dict:
-    """A copy of ``row`` that shares no mutable value with it."""
-    if ATOMIC_TYPES.issuperset(map(type, row.values())):
-        return dict(row)
-    return copy.deepcopy(row)
-
-
 def evaluate_blocks(
     arrays: Sequence[ArrayCharacterization],
     traffic: Sequence,
@@ -294,7 +294,6 @@ def evaluate_blocks(
     rows_fn: Optional[Callable] = None,
     extra: Any = None,
     cache: Optional[EvaluationCache] = None,
-    memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> List[List[dict]]:
     """Evaluate every array under the whole traffic block, in order.
@@ -307,13 +306,10 @@ def evaluate_blocks(
     :class:`~repro.errors.ReproError` from ``rows_fn`` is re-raised as
     :class:`~repro.errors.EvaluationError` naming the array.
 
-    Lookup order mirrors :func:`characterize_points`: the in-process
-    ``memory`` dict, then the on-disk ``cache``; fresh blocks are written
-    back to both.  Returned rows are fresh copies, so callers
-    may annotate them — including nested values — without corrupting the
-    in-memory memo or the persisted cache entries: a flat row (every value
-    a ``str``, ``int``, ``float``, ``bool`` or ``None``) is copied with
-    ``dict()``, any other row with ``copy.deepcopy``.
+    Blocks are looked up in the on-disk ``cache``, and fresh blocks are
+    written back to it.  Every returned block is the caller's own:
+    callers may annotate its rows, including nested values, without
+    changing another block or a persisted entry.
     """
     if rows_fn is None:
         # Imported lazily: repro.core builds on this module, so a
@@ -336,14 +332,17 @@ def evaluate_blocks(
     results = _cached_work(
         "evaluate", [array.label for array in arrays],
         [evaluation_fingerprint(array, context=context) for array in arrays],
-        compute, cache=cache, memory=memory, telemetry=telemetry,
+        compute, cache=cache, telemetry=telemetry,
     )
-    # Copy at the memo boundary, so annotating a returned row never
-    # corrupts the in-memory memo or the block handed to the persistent
-    # cache.  Flat rows (every row this repo produces) take a dict() copy;
-    # rows holding any other value are deep-copied, since a shallow copy
-    # would alias their nested lists/dicts with every later cache hit.
-    return [[_copy_row(row) for row in rows] for rows in results]
+    # Fresh blocks are built by rows_fn and disk hits are decoded anew,
+    # so neither aliases anything.  Only an array repeated in this call
+    # shares its block with the first occurrence: it gets a deep copy.
+    seen: set = set()
+    for index, rows in enumerate(results):
+        if id(rows) in seen:
+            results[index] = copy.deepcopy(rows)
+        seen.add(id(rows))
+    return results
 
 
 # --- LLC traces --------------------------------------------------------------
@@ -361,13 +360,12 @@ def simulate_traces(
     n_accesses: int,
     seed: int,
     cache: Optional[LLCTraceCache] = None,
-    memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> List[LLCTrace]:
     """Regenerate each workload's LLC trace through the cache simulator.
 
-    One trace per workload, in order, through the same memo and disk
-    store discipline as :func:`characterize_points`, keyed by
+    One trace per workload, in order, through the same disk store
+    discipline as :func:`characterize_points`, keyed by
     :func:`~repro.runtime.fingerprint.trace_fingerprint`; errors from
     :func:`~repro.cachesim.llc.simulate_llc_traffic` propagate.
     """
@@ -382,5 +380,5 @@ def simulate_traces(
     return _cached_work(
         "trace", [workload.name for workload in workloads],
         [trace_fingerprint(workload, **params) for workload in workloads],
-        compute, cache=cache, memory=memory, telemetry=telemetry,
+        compute, cache=cache, telemetry=telemetry,
     )

@@ -12,8 +12,10 @@ that state explicit:
 - runs the store's decoder, chosen by the store's directory name
   (``arrays``, ``evaluations``, ``traces``), on every body of each pack
   written under the store's current key, so a pack that a load would
-  quarantine is reported corrupt (packs under another key are misses to
-  the loaders, and are not decoded);
+  quarantine is reported corrupt;
+- deletes each intact pack of a named store written under another key:
+  every load misses it, and after each edit to a store's sources the
+  old packs would otherwise pile up;
 - moves packs that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
@@ -23,9 +25,10 @@ that state explicit:
 
 Exit status: 0 when every store verified clean (a non-empty quarantine
 backlog alone is *not* dirty — it is an archive), 1 when this pass
-found corruption or a manifest problem.  Running fsck twice on a cache
-therefore converges: the second pass exits 0.  The quarantined results
-are recomputed and re-packed by the next run that needs them.
+found corruption or a manifest problem (stale packs are not damage).
+Running fsck twice on a cache therefore converges: the second pass
+exits 0 and removes nothing.  The quarantined results are recomputed
+and re-packed by the next run that needs them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.runtime.cache import (
     PACK_SUFFIX,
@@ -58,6 +61,7 @@ class FsckReport:
     scanned: int = 0
     ok: int = 0
     corrupt: int = 0  # packs quarantined by this pass
+    stale: int = 0  # packs under another key removed by this pass
     swept_tmp: int = 0  # stale *.tmp.* files removed
     quarantine_backlog: int = 0  # files sitting in quarantine/ after the pass
     problems: List[str] = field(default_factory=list)
@@ -72,6 +76,8 @@ class FsckReport:
             f"{self.root}: {self.scanned} files scanned, {self.ok} ok, "
             f"{self.corrupt} corrupt"
         )
+        if self.stale:
+            text += f", {self.stale} stale packs removed"
         if self.swept_tmp:
             text += f", {self.swept_tmp} stale tmp files swept"
         if self.quarantine_backlog:
@@ -79,22 +85,12 @@ class FsckReport:
         return text
 
 
-def _pack_problem(path: Path, decoders: Mapping[str, Callable]) -> Optional[str]:
-    """Why one pack fails verification, or ``None`` when it passes."""
-    try:
-        verify_pack(path, decoders)
-    except OSError:
-        return "unreadable pack file"
-    except CorruptPack as exc:
-        return str(exc)
-    return None
-
-
 def fsck_store(root: Union[str, Path]) -> FsckReport:
     """Audit one pack store directory, quarantining packs that fail.
 
     A directory named after a store (``arrays``, ``evaluations``,
-    ``traces``) also has the bodies of its current-key packs decoded.
+    ``traces``) also has the bodies of its current-key packs decoded,
+    and its packs under any other key deleted.
     """
     root = Path(root)
     report = FsckReport(root=root)
@@ -107,16 +103,26 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
         report.swept_tmp += 1
 
     store = STORE_TYPES.get(root.name)
-    decoders = {} if store is None else {store_key(store.store_name): store._decode}
+    key = None if store is None else store_key(store.store_name)
+    decoders = {} if store is None else {key: store._decode}
     for pack in sorted(root.glob(f"*{PACK_SUFFIX}")):
         report.scanned += 1
-        reason = _pack_problem(pack, decoders)
-        if reason is None:
-            report.ok += 1
+        try:
+            schema, _ = verify_pack(pack, decoders)
+        except OSError:
+            reason = "unreadable pack file"
+        except CorruptPack as exc:
+            reason = str(exc)
         else:
-            report.corrupt += 1
-            report.problems.append(f"{pack.name}: {reason}")
-            quarantine_file(root, pack)
+            if store is not None and schema != key:
+                pack.unlink(missing_ok=True)
+                report.stale += 1
+            else:
+                report.ok += 1
+            continue
+        report.corrupt += 1
+        report.problems.append(f"{pack.name}: {reason}")
+        quarantine_file(root, pack)
 
     qdir = root / QUARANTINE_SUBDIR
     if qdir.is_dir():

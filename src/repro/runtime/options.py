@@ -42,7 +42,7 @@ class RuntimeOptions:
     ----------
     cache_dir:
         Root of the persistent cache layout (see module docstring);
-        ``None`` keeps results in memory only.
+        ``None`` persists nothing.
     on_error:
         ``"raise"`` aborts on the first framework error; ``"skip"``
         records it in telemetry and keeps going.

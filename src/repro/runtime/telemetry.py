@@ -3,9 +3,10 @@
 Long sweeps should report what happened to every point — characterized,
 served from cache, or failed — instead of dying on the first
 :class:`~repro.errors.CharacterizationError`.  The executor emits one
-:class:`ProgressEvent` per point; :class:`SweepTelemetry` counts them,
-logs them on the ``repro.runtime`` logger, and forwards them to an
-optional user callback (a progress bar, a dashboard, a CI annotator, or
+:class:`ProgressEvent` per point and logs it once on the
+``repro.runtime`` logger (failures as warnings, the rest at debug
+level); :class:`SweepTelemetry` counts the events and forwards them to
+an optional user callback (a progress bar, a dashboard, a CI annotator, or
 the service's :class:`~repro.runtime.aio.TelemetryBridge`, which carries
 each event onto the event loop for ``JobManager._on_event``).
 
@@ -19,12 +20,9 @@ re-enter the telemetry) without stalling emitters.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
-
-logger = logging.getLogger("repro.runtime")
 
 #: Event kinds, in the order a point can experience them.
 COMPLETED = "completed"
@@ -125,10 +123,6 @@ class SweepTelemetry:
     def emit(self, event: ProgressEvent) -> None:
         with self._lock:
             self._count(event)
-        if event.kind == FAILED:
-            logger.warning("%s", event.describe())
-        else:
-            logger.debug("%s", event.describe())
         if self.callback is not None:
             self.callback(event)
 

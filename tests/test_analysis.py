@@ -1,4 +1,4 @@
-"""The invariant linter: rule engine, rules, suppressions, CLI."""
+"""The invariant linter: rule engine, rules, CLI."""
 
 import shutil
 import textwrap
@@ -7,7 +7,6 @@ from pathlib import Path
 from repro.analysis import run_lint
 from repro.analysis.cli import main as lint_main
 from repro.analysis.determinism import DeterminismRule
-from repro.analysis.engine import SUPPRESSION_RULE_ID
 from repro.analysis.exceptions import ExceptSafetyRule
 from repro.analysis.iodiscipline import AtomicWriteRule
 from repro.analysis.locks import LockCoverageRule
@@ -189,12 +188,7 @@ class TestDeterminismRule:
         root = make_tree(tmp_path, files)
         assert rule_findings(root, DeterminismRule()) == []
 
-
-# -- suppressions ------------------------------------------------------------
-
-
-class TestSuppressions:
-    def test_inline_suppression_with_reason_waives(self, tmp_path):
+    def test_allow_comment_does_not_waive(self, tmp_path):
         files = {
             "nvsim/model.py": """
                 import time
@@ -204,53 +198,8 @@ class TestSuppressions:
             """,
         }
         root = make_tree(tmp_path, files)
-        result = run_lint(root, rules=[DeterminismRule()])
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-        assert result.suppressed[0][1].reason == "display only"
-
-    def test_suppression_on_line_above(self, tmp_path):
-        files = {
-            "nvsim/model.py": """
-                import time
-
-                def characterize():
-                    # repro: allow[determinism] display only
-                    return time.time()
-            """,
-        }
-        root = make_tree(tmp_path, files)
-        result = run_lint(root, rules=[DeterminismRule()])
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-    def test_suppression_without_reason_is_a_finding(self, tmp_path):
-        files = {
-            "nvsim/model.py": """
-                import time
-
-                def characterize():
-                    return time.time()  # repro: allow[determinism]
-            """,
-        }
-        root = make_tree(tmp_path, files)
-        result = run_lint(root, rules=[DeterminismRule()])
-        rules = {f.rule for f in result.findings}
-        # The reasonless waiver does not waive, and is itself flagged.
-        assert rules == {"determinism", SUPPRESSION_RULE_ID}
-
-    def test_unused_suppression_is_reported_not_fatal(self, tmp_path):
-        files = {
-            "nvsim/model.py": """
-                def characterize():
-                    return 42  # repro: allow[determinism] stale waiver
-            """,
-        }
-        root = make_tree(tmp_path, files)
-        result = run_lint(root, rules=[DeterminismRule()])
-        assert result.findings == []
-        assert len(result.unused_suppressions) == 1
-        assert "no longer waives" in result.unused_suppressions[0].message
+        findings = rule_findings(root, DeterminismRule())
+        assert [(f.rule, f.line) for f in findings] == [("determinism", 4)]
 
 
 # -- atomic-write ------------------------------------------------------------

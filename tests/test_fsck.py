@@ -161,12 +161,33 @@ class TestFsckDecodes:
         assert not pack.exists()
 
     def test_pack_under_another_key_is_not_decoded(self, tmp_path):
-        # The loaders treat it as a miss, so it is not damage.
+        # Its body would not decode, but the loaders treat the pack as a
+        # miss: it is removed as stale, not reported as damage.
         store = tmp_path / "evaluations"
         pack = _store_raw(store, [{"a": 5}], schema_tag="another-key")
         report = fsck_store(store)
-        assert report.clean and report.ok == 1
-        assert pack.exists()
+        assert report.clean
+        assert (report.ok, report.corrupt, report.stale) == (0, 0, 1)
+        assert not pack.exists()
+        assert not (store / QUARANTINE_SUBDIR).exists()
+
+
+class TestFsckStalePacks:
+    def test_foreign_key_pack_removed_current_kept(self, tmp_path, capsys):
+        store = tmp_path / "evaluations"
+        current = _populate(store)
+        foreign = EvaluationCache(store, schema_tag="foreign")
+        foreign.store(fingerprint_payload({"salt": "foreign"}), [{"row": 0}])
+        assert len(list(store.glob(f"*{PACK_SUFFIX}"))) == 4
+        assert fsck_main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "4 files scanned, 3 ok, 0 corrupt, 1 stale packs removed" in out
+        assert sorted(store.glob(f"*{PACK_SUFFIX}")) == sorted(
+            _entry(store, fp) for fp in current
+        )
+        assert not (store / QUARANTINE_SUBDIR).exists()
+        again = fsck_store(store)
+        assert again.clean and (again.ok, again.stale) == (3, 0)
 
 
 class TestFsckCacheDir:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 import sys
 import threading
@@ -34,6 +35,7 @@ from repro.runtime.cache import PACK_SUFFIX, pack_id
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
 from repro.runtime.rowcodec import decode_block, encode_block
+from repro.studies.pipeline import StudySpec
 from repro.traffic import TrafficPattern
 from repro.units import mb
 
@@ -742,6 +744,11 @@ class TestEvaluateBlocks:
         assert blocks[0] == blocks[1]
         assert telemetry.evaluated == 1
         assert telemetry.eval_cached == 1
+        # The duplicate is the caller's own copy, down to its rows.
+        blocks[0][0]["annotation"] = "mutated"
+        blocks[0].append({})
+        assert "annotation" not in blocks[1][0]
+        assert len(blocks[1]) == len(_traffic_pair())
 
     def test_disk_cache_warm_rerun(self, tmp_path, stt_array_1mb):
         cache = EvaluationCache(tmp_path)
@@ -755,77 +762,60 @@ class TestEvaluateBlocks:
         assert telemetry.eval_cached == 1
         assert warm == cold
 
-    def test_returned_rows_are_copies(self, stt_array_1mb):
-        memory = {}
+    def test_returned_rows_are_copies(self, tmp_path, stt_array_1mb):
+        cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory)
+        first = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
         first[0][0]["annotation"] = "mutated"
-        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory)
+        second = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
+        assert cache.hits == 1
         assert "annotation" not in second[0][0]
 
     def test_returned_rows_are_deep_copies(self, tmp_path, stt_array_1mb):
-        """Regression: mutating *nested* values of a returned row must not
-        corrupt the in-memory memo or the persisted cache block (the old
-        shallow per-row dict() copy aliased nested lists/dicts)."""
+        """Mutating *nested* values of a returned row must not corrupt
+        the persisted cache block."""
         cache = EvaluationCache(tmp_path)
-        memory = {}
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                cache=cache, rows_fn=_nested_rows)
+        first = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                rows_fn=_nested_rows)
         first[0][0]["nested"]["value"] = 999
         first[0][0]["tags"].append("mutated")
-        # Served from the in-memory memo: nested values untouched.
-        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                 cache=cache, rows_fn=_nested_rows)
+        second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                 rows_fn=_nested_rows)
+        assert cache.hits == 1
         assert second[0][0]["nested"] == {"value": 1}
         assert second[0][0]["tags"] == ["a"]
-        # Served from the on-disk cache (fresh memo): also untouched.
-        third = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_nested_rows)
-        assert third[0][0]["nested"] == {"value": 1}
-        assert third[0][0]["tags"] == ["a"]
 
     def test_flat_rows_are_fresh_dicts(self, tmp_path, stt_array_1mb):
-        """Flat rows take the dict() fast path: equal to the memo's rows
-        but never the memo's own objects, on fresh, memory and disk hits."""
+        """A disk hit rebuilds flat rows as new plain dicts, equal to
+        the fresh rows but sharing no object with them."""
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
-        memory = {}
-        fresh = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                cache=cache)
-        memory_hit = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                     cache=cache)
-        disk_memory = {}
-        disk_hit = evaluate_blocks([stt_array_1mb], traffic,
-                                   memory=disk_memory, cache=cache)
+        fresh = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
+        disk_hit = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
         assert cache.stores == 1 and cache.hits == 1
-        for returned, memo in ((fresh, memory), (memory_hit, memory),
-                               (disk_hit, disk_memory)):
-            (memo_rows,) = memo.values()
-            assert returned[0] == memo_rows
-            assert returned[0] is not memo_rows
-            for row, memo_row in zip(returned[0], memo_rows):
-                assert type(row) is dict
-                assert row is not memo_row
-        assert all(a is not b for a, b in zip(fresh[0], memory_hit[0]))
+        assert disk_hit == fresh
+        assert disk_hit[0] is not fresh[0]
+        for row, fresh_row in zip(disk_hit[0], fresh[0]):
+            assert type(row) is dict
+            assert row is not fresh_row
 
     def test_mixed_block_isolates_nested_values(self, tmp_path,
                                                 stt_array_1mb):
         """One block holding a flat and a nested row: annotating either
-        returned row leaves the memo and the persisted block untouched."""
+        returned row leaves the persisted block untouched."""
         cache = EvaluationCache(tmp_path)
-        memory = {}
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                cache=cache, rows_fn=_mixed_rows)
+        first = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                rows_fn=_mixed_rows)
         flat, nested = first[0]
         flat["value"] = -1.0
         nested["nested"]["value"] = 999
         nested["tags"].append("mutated")
-        for memo in (memory, None):
-            again = evaluate_blocks([stt_array_1mb], traffic, memory=memo,
-                                    cache=cache, rows_fn=_mixed_rows)
-            assert again[0] == _mixed_rows(None, traffic, None)
+        again = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                rows_fn=_mixed_rows)
+        assert cache.hits == 1
+        assert again[0] == _mixed_rows(None, traffic, None)
 
     def test_custom_rows_fn_and_extra_key_separately(self, tmp_path,
                                                      stt_array_1mb):
@@ -919,6 +909,27 @@ class TestEngineRuntime:
         table = engine.run(spec)
         assert len(table) == 1
         assert engine.last_telemetry.failed == 1
+
+    def test_study_logs_each_failed_point_once(self, caplog, stt_optimistic,
+                                               sram16):
+        # The study's telemetry forwards the engine's events: the one
+        # failing SRAM point must still be logged exactly once.
+        spec = SweepSpec(
+            cells=[stt_optimistic, sram16],
+            capacities_bytes=[mb(1)],
+            bits_per_cell=2,
+            optimization_targets=(OptimizationTarget.READ_EDP,),
+        )
+        study = StudySpec(
+            name="one-failure", builder=lambda runtime: DSEEngine(runtime).run(spec),
+            figure="n/a", description="one failing point",
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+            outcome = study.run(RuntimeOptions(on_error="skip"))
+        assert outcome.ok and outcome.telemetry.failed == 1
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "failed" in warnings[0].getMessage()
 
     def test_warm_rerun_skips_evaluation_blocks(self, tmp_path,
                                                 stt_optimistic, sram16,

@@ -1,6 +1,7 @@
 """The shipped config/ samples parse and run end to end."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,24 @@ def test_sample_parses(path):
     parsed = load_config(path)
     assert parsed.sweep.cells
     assert parsed.sweep.capacities_bytes
+
+
+@pytest.mark.parametrize("path", SWEEP_CONFIG_FILES, ids=lambda p: p.name)
+def test_config_naming_a_figure_reproduces_it_or_says_reduced(path, tmp_path):
+    raw = json.loads(path.read_text())
+    description = raw.get("description", "")
+    figure = re.search(r"\bFigure (\d+)\b", description)
+    if figure is None:
+        return
+    named = [name for name in REGISTRY if name in description]
+    assert len(named) == 1, "name the registered study that reproduces the figure"
+    study = REGISTRY[named[0]]
+    assert re.match(r"Fig\. (\d+)\b", study.figure).group(1) == figure.group(1)
+    if re.search(r"\b(reduced|variant) sweep\b", description):
+        return
+    raw["output_csv"] = str(tmp_path / "config.csv")
+    raw.get("runtime", {}).pop("cache_dir", None)
+    assert run_config(raw).to_csv() == study.run().table.to_csv()
 
 
 def test_service_stub_parses():
