@@ -11,7 +11,7 @@ exploration; this package is the execution layer that delivers it:
   subdirectory of ``cache_dir`` per store: ``arrays/`` (array
   characterizations), ``evaluations/`` ((array x traffic) evaluation row
   blocks) and ``traces/`` (regenerated LLC traffic traces), each holding
-  immutable ``<pack-id>.v3`` pack files, one per sweep call, so repeated
+  immutable ``<pack-id>.v4`` pack files, one per sweep call, so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
   resumable.
 * :mod:`repro.runtime.rowcodec` — the factored body format of an

@@ -7,41 +7,41 @@ characterize_points`, :func:`~repro.runtime.executor.evaluate_blocks` or
 :func:`~repro.runtime.executor.simulate_traces` call that computes
 anything writes exactly one pack, and a ``store()`` outside a batch
 writes a one-entry pack.  Packs sit flat in the store
-directory as ``<pack-id>.v3``.  A pack is streamed into a unique temp file
-and renamed into place once sealed, so a run interrupted mid-store never
+directory as ``<pack-id>.v4``.  A pack is streamed into a unique temp file
+and renamed into place on exit, so a run interrupted mid-store never
 leaves a truncated pack, and the work a call finished before an
 interrupt is still committed.
 
-Pack bytes are the entry bodies, back to back, then one JSON index line,
-then a fixed-width footer::
+A pack is the store key on one line, then one line per entry::
 
-    <body 0><body 1>...
-    {"schema": <store key>, "entries": [[<fingerprint>, <offset>, <length>, <sha256>], ...]}
-    <byte offset of the index line, 20 decimal digits>
+    <store key>
+    <fingerprint> <sha256 of body> <body>
+    ...
 
-Each body is ``json.dumps`` of the encoded result, and its checksum is
-the SHA-256 of those bytes as stored, so a load reads and hashes only
-its own byte range.  The pack id is the first 32 hex digits of the
-SHA-256 of the store key and the ordered fingerprints, so the file name
-also checks the index.  :func:`read_pack_index` and :func:`verify_pack`
-own this format; ``nvmexplorer fsck`` verifies packs through them too.
-Files of older layouts (``<2-hex>/<fingerprint>.v2`` or ``.json``) are
-never read.
+Each body is ``json.dumps`` of the encoded result, which never holds a
+raw newline, and its checksum is the SHA-256 of those bytes as stored,
+so a load reads and hashes only its own byte range.  The pack id is the
+first 32 hex digits of the SHA-256 of the store key and the ordered
+fingerprints, so the file name also checks the entry lines.
+:func:`read_pack_index` and :func:`verify_pack` own this format;
+``nvmexplorer fsck`` verifies packs through them too, and deletes the
+flat packs of older layouts, which are never read.
 
 Each process keeps one fingerprint index per store root, shared by every
 cache object on that root.  A lookup that misses re-lists the directory
 and reads the index of each pack it has not seen before.  A pack that
-fails verification (unreadable footer or index, a name that does not
-match its index, a body checksum mismatch, a body that does not decode)
-is moved whole to ``quarantine/`` and its entries leave the index; those
-results are recomputed and re-packed by whichever call needs them.
+fails verification (no key line, a short or unterminated entry line, a
+name that does not match its entries, a body checksum mismatch, a body
+that does not decode) is moved whole to ``quarantine/`` and its entries
+leave the index; those results are recomputed and re-packed by whichever
+call needs them.
 
 Invalidation is by store key (:func:`~repro.runtime.fingerprint.store_key`,
 a digest of the modules that produce the store's payloads): the key
 participates in every fingerprint, so editing any of those modules makes
-every old entry unreachable.  The pack index additionally records the key
-and is re-checked on load, so a pack written under another key is an
-ordinary miss.
+every old entry unreachable.  Each pack's key line additionally records
+the key, which is re-checked on load, so a pack written under another
+key is an ordinary miss.
 
 Three stores share this machinery:
 
@@ -66,17 +66,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import (
-    IO,
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import IO, Any, Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.cachesim.llc import LLCTrace
 from repro.errors import ReproError
@@ -86,17 +76,13 @@ from repro.runtime.rowcodec import decode_block, encode_block
 
 #: Version of the pack file layout.  It names the pack suffix, so a
 #: layout change leaves older files unread.
-ENTRY_FORMAT = 3
+ENTRY_FORMAT = 4
 PACK_SUFFIX = f".v{ENTRY_FORMAT}"
 
 #: Subdirectory (inside a store) where packs that fail integrity
 #: verification are preserved for post-mortem instead of being deleted
 #: or silently overwritten.
 QUARANTINE_SUBDIR = "quarantine"
-
-#: The footer: the index line's byte offset as 20 decimal digits, then a
-#: newline.
-_FOOTER_LEN = 21
 
 #: One index entry: (fingerprint, body offset, body length, body sha256).
 IndexEntry = Tuple[str, int, int, str]
@@ -112,8 +98,8 @@ def _tmp_path_for(path: Path) -> Path:
     pid + thread id + a process-wide counter make the name unique across
     processes, across threads, and across repeated stores from the same
     thread.  The ``.tmp.`` infix keeps temp files invisible to pack
-    listings; ``nvmexplorer fsck`` and :meth:`JsonObjectCache.clear`
-    sweep up any leaked by a run that died between write and rename.
+    listings; ``nvmexplorer fsck`` sweeps up any leaked by a run that
+    died between write and rename.
     """
     return path.parent / (
         f"{path.name}.tmp.{os.getpid()}"
@@ -129,13 +115,7 @@ def atomic_write_text(path: Path, text: str, encoding: str = "utf-8") -> None:
     crash-recovery pass never observes a truncated file, only the old
     content or the new.
     """
-    tmp = _tmp_path_for(path)
-    try:
-        tmp.write_text(text, encoding=encoding)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write_bytes(path, text.encode(encoding))
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -168,53 +148,35 @@ def pack_id(schema_tag: str, fingerprints: List[str]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
-def _parse_index(index: Any, end: int) -> Tuple[str, List[IndexEntry]]:
-    """The store key and entries of a decoded index line, checked."""
-    if not isinstance(index, dict):
-        raise CorruptPack("index is not an object")
-    schema, raw_entries = index.get("schema"), index.get("entries")
-    if not isinstance(schema, str) or not isinstance(raw_entries, list):
-        raise CorruptPack("malformed index")
-    entries: List[IndexEntry] = []
-    for entry in raw_entries:
-        if not (
-            isinstance(entry, list) and len(entry) == 4
-            and isinstance(entry[0], str) and isinstance(entry[3], str)
-            and all(type(n) is int and n >= 0 for n in entry[1:3])
-            and entry[1] + entry[2] <= end
-        ):
-            raise CorruptPack("malformed index entry")
-        entries.append(tuple(entry))
-    return schema, entries
-
-
 def read_pack_index(path: Path) -> Tuple[str, List[IndexEntry]]:
-    """Read one pack's footer and index; returns ``(store key, entries)``.
+    """Scan one pack's lines; returns ``(store key, entries)``.
 
-    Raises :class:`CorruptPack` when the footer or index is unreadable or
-    the index does not match the pack's name, and :class:`OSError` when
-    the file cannot be read at all.  Bodies are not read.
+    Raises :class:`CorruptPack` when the key line is missing, an entry
+    line has fewer than three fields, the last line is unterminated, or
+    the entries do not match the pack's name, and :class:`OSError` when
+    the file cannot be read at all.  Body checksums are not checked.
     """
     with open(path, "rb") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        handle.seek(max(size - _FOOTER_LEN, 0))
-        footer = handle.read(_FOOTER_LEN)
-        digits = footer[:-1]
-        if (
-            len(footer) != _FOOTER_LEN or footer[-1:] != b"\n"
-            or not digits.isdigit() or int(digits) > size - _FOOTER_LEN
-        ):
-            raise CorruptPack("unreadable footer")
-        start = int(digits)
-        handle.seek(start)
-        line = handle.read(size - _FOOTER_LEN - start)
-    try:
-        index = json.loads(line)
-    except ValueError:
-        raise CorruptPack("invalid JSON index") from None
-    schema, entries = _parse_index(index, start)
+        data = handle.read()
+    start = data.find(b"\n") + 1
+    if not start:
+        raise CorruptPack("missing store key line")
+    if not data.endswith(b"\n"):
+        raise CorruptPack("unterminated last line")
+    schema = data[: start - 1].decode(errors="replace")
+    entries: List[IndexEntry] = []
+    while start < len(data):
+        end = data.index(b"\n", start)
+        fp_end = data.find(b" ", start, end)
+        sum_end = data.find(b" ", fp_end + 1, end) if fp_end >= 0 else -1
+        if sum_end < 0:
+            raise CorruptPack("entry line with fewer than three fields")
+        fp, checksum = data[start:fp_end], data[fp_end + 1:sum_end]
+        entries.append((fp.decode(errors="replace"), sum_end + 1, end - sum_end - 1,
+                        checksum.decode(errors="replace")))
+        start = end + 1
     if pack_id(schema, [entry[0] for entry in entries]) != path.name.partition(".")[0]:
-        raise CorruptPack("index does not match the pack name")
+        raise CorruptPack("entries do not match the pack name")
     return schema, entries
 
 
@@ -230,9 +192,9 @@ def _read_body(handle: IO[bytes], offset: int, length: int, checksum: str) -> by
 def verify_pack(
     path: Path, decoders: Optional[Mapping[str, Callable[[Any], Any]]] = None
 ) -> Tuple[str, List[IndexEntry]]:
-    """Verify a whole pack: its index, then every body's checksum and JSON.
+    """Verify a whole pack: its lines, then every body's checksum and JSON.
 
-    ``decoders`` maps store keys to decoders: a pack whose index records
+    ``decoders`` maps store keys to decoders: a pack whose key line holds
     one of those keys must also have every body accepted by its decoder,
     as a load would require.  Returns what :func:`read_pack_index`
     returns; raises like it.
@@ -273,54 +235,45 @@ def quarantine_file(root: Path, path: Path) -> bool:
 
 
 class _PackWriter:
-    """Bodies streamed into one pack's temp file, sealed with an index."""
+    """One pack's temp file: the store key line, then one line per entry."""
 
-    def __init__(self, handle: IO[bytes]) -> None:
+    def __init__(self, handle: IO[bytes], schema_tag: str) -> None:
         self.handle = handle
         self.entries: List[IndexEntry] = []
+        #: Bytes up to the end of the last committed line.
+        self.end = handle.write(schema_tag.encode("utf-8") + b"\n")
         #: Where the pack landed, once committed.
         self.path: Optional[Path] = None
 
     def add(self, fingerprint: str, body: bytes) -> None:
-        offset = self.entries[-1][1] + self.entries[-1][2] if self.entries else 0
-        self.handle.write(body)
-        # The append is the commit point: a body whose write was cut
-        # short by an interrupt is never indexed, and seal() cuts it off.
-        self.entries.append(
-            (fingerprint, offset, len(body), hashlib.sha256(body).hexdigest())
-        )
-
-    def seal(self, schema_tag: str) -> Optional[str]:
-        """Append the index and footer; returns the pack's file name."""
-        if not self.entries:
-            return None
-        _, offset, length, _ = self.entries[-1]
-        end = offset + length
-        self.handle.seek(end)
-        self.handle.truncate()
-        index = json.dumps({"schema": schema_tag, "entries": self.entries})
-        self.handle.write(index.encode("utf-8") + b"\n" + b"%020d\n" % end)
-        return pack_id(schema_tag, [entry[0] for entry in self.entries]) + PACK_SUFFIX
+        checksum = hashlib.sha256(body).hexdigest()
+        head = f"{fingerprint} {checksum} ".encode("utf-8")
+        self.handle.write(head + body + b"\n")
+        # The append is the commit point: a line whose write was cut
+        # short by an interrupt is never indexed, and the exit cuts it off.
+        self.entries.append((fingerprint, self.end + len(head), len(body), checksum))
+        self.end += len(head) + len(body) + 1
 
 
 @contextlib.contextmanager
 def _pack_stream(root: Path, schema_tag: str) -> Iterator[_PackWriter]:
-    """A pack writer whose pack is sealed and renamed into place on exit.
+    """A pack writer whose pack is cut to its last committed line and renamed on exit.
 
     The pack is committed also when the block raises, so bodies stored
     before an error or interrupt are kept; an empty pack writes nothing.
     """
     tmp = _tmp_path_for(root / "pack")
-    writer = _PackWriter(open(tmp, "wb"))
+    writer = _PackWriter(open(tmp, "wb"), schema_tag)
     try:
         yield writer
     finally:
         try:
             with writer.handle:
-                name = writer.seal(schema_tag)
-            if name is not None:
-                os.replace(tmp, root / name)
-                writer.path = root / name
+                writer.handle.truncate(writer.end)
+            if writer.entries:
+                path = root / (pack_id(schema_tag, [e[0] for e in writer.entries]) + PACK_SUFFIX)
+                os.replace(tmp, path)
+                writer.path = path
         finally:
             tmp.unlink(missing_ok=True)  # a no-op once the pack is in place
 
@@ -377,11 +330,6 @@ class _PackIndex:
                 except OSError:
                     continue  # vanished between the listing and the read
 
-    def clear(self) -> None:
-        with self._lock:
-            self.locations.clear()
-            self.packs.clear()
-
 
 _INDEXES: dict[str, _PackIndex] = {}
 _INDEXES_LOCK = threading.Lock()
@@ -403,8 +351,7 @@ class JsonObjectCache:
     :meth:`_decode` and name their store (``store_name``), whose key
     (:func:`~repro.runtime.fingerprint.store_key`) every pack records;
     a ``schema_tag`` argument overrides the key.  Everything else
-    (packing, atomicity, key checks, hit/miss/store accounting) is
-    shared.
+    (packing, atomicity, key checks, damage accounting) is shared.
     """
 
     #: The store's directory name under a cache root, and its key's name.
@@ -413,16 +360,11 @@ class JsonObjectCache:
     def __init__(self, root: Union[str, Path], schema_tag: Optional[str] = None) -> None:
         self.root = Path(root)
         self.schema_tag = store_key(self.store_name) if schema_tag is None else schema_tag
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: Packs that failed integrity verification on load (unreadable
-        #: index, name or checksum mismatch, undecodable body).  Counted
-        #: separately from misses: a miss is expected cold-cache
-        #: behaviour, corruption is an infrastructure fault.
+        #: Packs that failed integrity verification on load (a damaged
+        #: line, name or checksum mismatch, undecodable body).  A miss is
+        #: expected cold-cache behaviour; corruption is an infrastructure
+        #: fault, which the executor reports as ``corrupt`` events.
         self.corrupt = 0
-        #: Corrupt packs successfully moved to the quarantine dir.
-        self.quarantined = 0
         #: Per-thread open batch (see :meth:`batch`): its exit stack and
         #: pack writer.
         self._local = threading.local()
@@ -445,9 +387,6 @@ class JsonObjectCache:
 
     # --- operations -------------------------------------------------------
 
-    def quarantine_dir(self) -> Path:
-        return self.root / QUARANTINE_SUBDIR
-
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt pack aside — never silently overwritten in place.
 
@@ -457,10 +396,7 @@ class JsonObjectCache:
         a fresh pack.
         """
         self.corrupt += 1
-        moved = quarantine_file(self.root, path)
-        self._index.drop(path, seen=not moved)
-        if moved:
-            self.quarantined += 1
+        self._index.drop(path, seen=not quarantine_file(self.root, path))
 
     def _locate(self, fingerprint: str) -> Optional[_Location]:
         location = self._index.locations.get(fingerprint)
@@ -475,14 +411,11 @@ class JsonObjectCache:
         An unknown fingerprint or a pack under another key is an ordinary
         miss.  A pack that fails integrity verification — see
         :func:`read_pack_index` — or whose body the decoder rejects counts
-        in ``corrupt`` (not ``misses``) and is moved to ``quarantine/``
-        whole, so the next store cannot silently paper over it.
+        in ``corrupt`` and is moved to ``quarantine/`` whole, so the next
+        store cannot silently paper over it.
         """
-        corrupt_before = self.corrupt
         location = self._locate(fingerprint)
         if location is None:
-            if self.corrupt == corrupt_before:
-                self.misses += 1
             return None
         path, schema, offset, length, checksum = location
         try:
@@ -490,21 +423,17 @@ class JsonObjectCache:
                 body = _read_body(handle, offset, length, checksum)
         except OSError:
             self._index.drop(path)  # moved aside or deleted since it was indexed
-            self.misses += 1
             return None
         except CorruptPack:
             self._quarantine(path)
             return None
         if schema != self.schema_tag:
-            self.misses += 1
             return None
         try:
-            result = self._decode(json.loads(body))
+            return self._decode(json.loads(body))
         except _DECODE_ERRORS:
             self._quarantine(path)
             return None
-        self.hits += 1
-        return result
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -542,47 +471,6 @@ class JsonObjectCache:
                     _pack_stream(self.root, self.schema_tag)
                 )
             local.writer.add(fingerprint, body)
-        self.stores += 1
-
-    def __contains__(self, fingerprint: str) -> bool:
-        """Whether a pack indexes the fingerprint (any key, unverified).
-
-        Use :meth:`load` to know whether the entry is actually usable.
-        """
-        return self._locate(fingerprint) is not None
-
-    def fingerprints(self) -> Iterator[str]:
-        """Every fingerprint currently stored (any key)."""
-        self._index.refresh(self._quarantine)
-        yield from sorted(self._index.locations)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.fingerprints())
-
-    def clear(self) -> int:
-        """Delete every pack; returns the number of packs removed.
-
-        Also sweeps up stale ``*.tmp.*`` files left by runs that died
-        between writing a temp file and renaming it into place (those
-        never count as packs — loads and listings ignore them).
-        """
-        removed = 0
-        for pack in sorted(self.root.glob(f"*{PACK_SUFFIX}")):
-            pack.unlink(missing_ok=True)
-            removed += 1
-        for stale in sorted(self.root.glob("*.tmp.*")):
-            stale.unlink(missing_ok=True)
-        self._index.clear()
-        return removed
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-        }
 
 
 class CharacterizationCache(JsonObjectCache):

@@ -6,9 +6,9 @@ leaked by a run that died between write and rename, and a
 ``quarantine/`` backlog of packs the loaders moved aside.  ``fsck`` makes
 that state explicit:
 
-- verifies every pack — footer, index, name, and each body's checksum
-  and JSON — with :func:`repro.runtime.cache.verify_pack`, through the
-  same reader the loaders use;
+- verifies every pack — its key and entry lines, name, and each body's
+  checksum and JSON — with :func:`repro.runtime.cache.verify_pack`,
+  through the same reader the loaders use;
 - runs the store's decoder, chosen by the store's directory name
   (``arrays``, ``evaluations``, ``traces``), on every body of each pack
   written under the store's current key, so a pack that a load would
@@ -16,6 +16,8 @@ that state explicit:
 - deletes each intact pack of a named store written under another key:
   every load misses it, and after each edit to a store's sources the
   old packs would otherwise pile up;
+- deletes each flat pack of a named store in an older layout
+  (``*.v3`` and before): no loader reads it;
 - moves packs that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
@@ -61,7 +63,7 @@ class FsckReport:
     scanned: int = 0
     ok: int = 0
     corrupt: int = 0  # packs quarantined by this pass
-    stale: int = 0  # packs under another key removed by this pass
+    stale: int = 0  # packs under another key or layout removed by this pass
     swept_tmp: int = 0  # stale *.tmp.* files removed
     quarantine_backlog: int = 0  # files sitting in quarantine/ after the pass
     problems: List[str] = field(default_factory=list)
@@ -90,7 +92,7 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
 
     A directory named after a store (``arrays``, ``evaluations``,
     ``traces``) also has the bodies of its current-key packs decoded,
-    and its packs under any other key deleted.
+    and its packs under any other key or in an older layout deleted.
     """
     root = Path(root)
     report = FsckReport(root=root)
@@ -105,7 +107,12 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
     store = STORE_TYPES.get(root.name)
     key = None if store is None else store_key(store.store_name)
     decoders = {} if store is None else {key: store._decode}
-    for pack in sorted(root.glob(f"*{PACK_SUFFIX}")):
+    for pack in sorted(root.glob("*.v*")):
+        if pack.suffix != PACK_SUFFIX:
+            if store is not None and pack.suffix[2:].isdigit():
+                pack.unlink(missing_ok=True)
+                report.stale += 1
+            continue
         report.scanned += 1
         try:
             schema, _ = verify_pack(pack, decoders)

@@ -15,7 +15,7 @@ Sweeps always run serially in the calling process
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
 
-Each store holds flat ``<pack-id>.v3`` pack files (one per executor call
+Each store holds flat ``<pack-id>.v4`` pack files (one per executor call
 that computed anything) and a ``quarantine/`` directory for damaged
 packs; :mod:`repro.runtime.cache` describes the pack format.
 """

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 COMPLETED = "completed"
 CACHED = "cached"
 FAILED = "failed"
-#: One damaged pack (bad footer, index or checksum, undecodable body)
+#: One damaged pack (bad key or entry line, checksum, undecodable body)
 #: quarantined while loading a point; a load that re-reads the store's
 #: index may find several, one event each.  The point itself is then
 #: recomputed; this event only tracks the damage.

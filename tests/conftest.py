@@ -81,7 +81,7 @@ def simple_traffic():
 def forget_pack_indexes():
     """A callable that drops every in-process pack index.
 
-    The next load then reads footers and indexes from disk, as a fresh
+    The next load then re-reads each pack's lines from disk, as a fresh
     interpreter would.
     """
     from repro.runtime import cache

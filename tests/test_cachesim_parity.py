@@ -24,6 +24,7 @@ from repro.cachesim import (
 from repro.core.engine import DSEEngine
 from repro.errors import ConfigError
 from repro.runtime import LLCTraceCache, RuntimeOptions, trace_fingerprint
+from repro.runtime.cache import PACK_SUFFIX, read_pack_index
 from repro.units import kb
 
 
@@ -148,6 +149,12 @@ class TestBatchParity:
             simulate_batch(config, [-64], [True])
 
 
+def _stored_fingerprints(store):
+    """Every fingerprint the packs of ``store`` hold."""
+    return [entry[0] for pack in sorted(store.glob(f"*{PACK_SUFFIX}"))
+            for entry in read_pack_index(pack)[1]]
+
+
 class TestLLCTraceCache:
     """The engine's trace phase: LLC traces served from the trace store."""
 
@@ -163,7 +170,7 @@ class TestLLCTraceCache:
     def test_second_run_loads_persisted_trace(self, tmp_path, monkeypatch):
         workload = self._workload()
         [first] = self._trace(tmp_path, [workload])
-        assert len(LLCTraceCache(tmp_path / "traces")) == 1
+        assert len(_stored_fingerprints(tmp_path / "traces")) == 1
 
         # A cached re-run must not regenerate the stream at all.
         def boom(*args, **kwargs):
@@ -185,20 +192,20 @@ class TestLLCTraceCache:
         self._trace(tmp_path, [workload])
         self._trace(tmp_path, [workload], n_accesses=6_000)
         self._trace(tmp_path, [workload], seed=2)
-        assert len(LLCTraceCache(tmp_path / "traces")) == 3
+        assert len(set(_stored_fingerprints(tmp_path / "traces"))) == 3
 
     def test_interrupted_suite_resumes(self, tmp_path):
         """A partially-populated cache re-simulates only what is missing."""
         from repro.cachesim.llc import SYNTHETIC_SUITE
 
         self._trace(tmp_path, SYNTHETIC_SUITE[:1], n_accesses=2_000)
-        cache = LLCTraceCache(tmp_path / "traces")
-        assert len(cache) == 1
+        assert len(_stored_fingerprints(tmp_path / "traces")) == 1
 
         self._trace(tmp_path, SYNTHETIC_SUITE, n_accesses=2_000)
         resumed = LLCTraceCache(tmp_path / "traces")
-        assert len(resumed) == len(SYNTHETIC_SUITE)
         # The pre-existing entry was loaded, not re-stored.
+        stored = _stored_fingerprints(tmp_path / "traces")
+        assert len(stored) == len(set(stored)) == len(SYNTHETIC_SUITE)
         for workload in SYNTHETIC_SUITE:
             fingerprint = trace_fingerprint(
                 workload, n_accesses=2_000, l2_kb=512, llc_mb=16,
@@ -209,9 +216,8 @@ class TestLLCTraceCache:
         workload = self._workload()
         [first] = self._trace(tmp_path, [workload])
         store = tmp_path / "traces"
-        cache = LLCTraceCache(store)
-        [fingerprint] = list(cache.fingerprints())
-        [pack] = store.glob("*.v3")
+        [fingerprint] = _stored_fingerprints(store)
+        [pack] = store.glob(f"*{PACK_SUFFIX}")
         pack.write_text("{not json")
         [again] = self._trace(tmp_path, [workload])
         assert again == first
@@ -224,9 +230,9 @@ class TestLLCTraceCache:
         workload = self._workload()
         [trace] = self._trace(tmp_path, [workload])
         stale = LLCTraceCache(tmp_path / "traces", schema_tag="llc-trace-v0")
-        [fingerprint] = list(stale.fingerprints())
+        [fingerprint] = _stored_fingerprints(tmp_path / "traces")
         assert stale.load(fingerprint) is None
-        assert stale.misses == 1
+        assert stale.corrupt == 0
         assert LLCTraceCache(tmp_path / "traces").load(fingerprint) == trace
 
     def test_trace_roundtrips_through_payload(self):

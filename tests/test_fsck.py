@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.runtime.cache import (
     STORE_TYPES,
     EvaluationCache,
     pack_id,
+    read_pack_index,
 )
 from repro.runtime.fingerprint import fingerprint_payload, store_key
 from repro.runtime.fsck import (
@@ -81,17 +83,19 @@ class TestFsckStore:
     def test_invalid_json_and_fingerprint_mismatch_detected(self, tmp_path):
         fingerprints = _populate(tmp_path)
         bad_json = _entry(tmp_path, fingerprints[0])
-        data = bad_json.read_bytes()
-        start = int(data[-21:-1])  # the footer holds the index offset
-        bad_json.write_bytes(data[:start] + b"{truncated\n" + data[-21:])
+        # A body that is not JSON, under a checksum that matches it.
+        key, [(fp, _, _, _)] = read_pack_index(bad_json)
+        body = b"{truncated"
+        checksum = hashlib.sha256(body).hexdigest()
+        bad_json.write_bytes(f"{key}\n{fp} {checksum} ".encode() + body + b"\n")
         moved = _entry(tmp_path, fingerprints[1])
         wrong_home = tmp_path / f"{'0' * 32}{PACK_SUFFIX}"
-        wrong_home.write_bytes(moved.read_bytes())  # index != pack name
+        wrong_home.write_bytes(moved.read_bytes())  # entries != pack name
         report = fsck_store(tmp_path)
         assert report.corrupt == 2
         reasons = " / ".join(report.problems)
-        assert "invalid JSON index" in reasons
-        assert "does not match the pack name" in reasons
+        assert "invalid JSON body" in reasons
+        assert "do not match the pack name" in reasons
         assert not bad_json.exists() and not wrong_home.exists()
         assert moved.exists()
 
@@ -113,13 +117,16 @@ class TestFsckStore:
 
     def test_stale_tmp_files_swept(self, tmp_path):
         _populate(tmp_path)
-        stale = tmp_path / "pack.tmp.123.456.0"
-        stale.write_text("half-written")
+        # A run that died between write and rename leaves a tmp file
+        # behind; so could an older naming scheme (no thread/counter).
+        stale = [tmp_path / "pack.tmp.123.456.0", tmp_path / "pack.tmp.12345"]
+        for path in stale:
+            path.write_text("half-written")
         report = fsck_store(tmp_path)
         assert report.clean
-        assert report.swept_tmp == 1
+        assert report.swept_tmp == 2
         assert report.scanned == 3
-        assert not stale.exists()
+        assert not any(path.exists() for path in stale)
 
     def test_missing_directory_is_a_problem(self, tmp_path):
         report = fsck_store(tmp_path / "nope")
@@ -188,6 +195,26 @@ class TestFsckStalePacks:
         assert not (store / QUARANTINE_SUBDIR).exists()
         again = fsck_store(store)
         assert again.clean and (again.ok, again.stale) == (3, 0)
+
+    def test_older_layout_packs_removed_in_a_named_store(self, tmp_path, capsys):
+        store = tmp_path / "evaluations"
+        current = _populate(store)
+        old = store / f"{'ab' * 16}.v3"
+        old.write_bytes(b"bodies, an index line and a footer")
+        bare_old = tmp_path / "bare" / old.name
+        bare_old.parent.mkdir()
+        bare_old.write_bytes(old.read_bytes())
+        assert fsck_main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "3 files scanned, 3 ok, 0 corrupt, 1 stale packs removed" in out
+        assert not old.exists()
+        assert sorted(store.glob("*.v*")) == sorted(_entry(store, fp) for fp in current)
+        assert not (store / QUARANTINE_SUBDIR).exists()
+        again = fsck_store(store)
+        assert again.clean and (again.ok, again.stale) == (3, 0)
+        # A bare store is not known to be a pack store: its files stay.
+        assert fsck_store(bare_old.parent).clean
+        assert bare_old.exists()
 
 
 class TestFsckCacheDir:

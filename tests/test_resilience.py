@@ -6,10 +6,11 @@ detects the damage, quarantines the whole pack, and every point is
 recomputed and re-packed clean, so the next run is warm.
 
 In-process, the pack index this process already holds serves any body
-whose checksum still verifies, so damage confined to a pack's tail may go
-unseen until a fresh process reads the footer.  Tests that flip a body
-byte therefore run over the store they filled; tests that truncate a
-pack copy it into a store root this process has never indexed.
+whose checksum still verifies, so damage to a pack's key line or to
+lines past a body may go unseen until a fresh process re-reads the
+pack's lines.  Tests that flip a body byte therefore run over the store
+they filled; tests that truncate a pack copy it into a store root this
+process has never indexed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.runtime import (
     SweepTelemetry,
     characterize_points,
 )
+from repro.runtime.cache import PACK_SUFFIX, QUARANTINE_SUBDIR, read_pack_index
 from repro.units import mb
 
 
@@ -42,15 +44,20 @@ def _damage(pack, mode, fresh_root):
 
     ``truncate`` keeps the first half of the bytes and writes them under
     ``fresh_root``, whose index no cache in this process holds yet.
-    ``bitflip`` flips byte 0 (inside the first body) in place.
+    ``bitflip`` flips the first byte of the first body in place.
     """
     data = pack.read_bytes()
     if mode == "truncate":
         fresh_root.mkdir()
         (fresh_root / pack.name).write_bytes(data[: len(data) // 2])
         return fresh_root
-    pack.write_bytes(bytes([data[0] ^ 0x01]) + data[1:])
+    at = read_pack_index(pack)[1][0][1]
+    pack.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
     return pack.parent
+
+
+def _quarantined(root):
+    return [p.name for p in (root / QUARANTINE_SUBDIR).iterdir()]
 
 
 class TestChaosEndToEnd:
@@ -60,8 +67,8 @@ class TestChaosEndToEnd:
         point = make_point(stt_optimistic)
         clean = CharacterizationCache(tmp_path / "filled")
         characterize_points([point], cache=clean)
-        assert clean.stores == 1
-        [pack] = sorted(clean.root.glob("*.v3"))
+        [pack] = sorted(clean.root.glob(f"*{PACK_SUFFIX}"))
+        assert [entry[0] for entry in read_pack_index(pack)[1]] == [point.fingerprint()]
 
         root = _damage(pack, "truncate", tmp_path / "damaged")
         damaged = CharacterizationCache(root)
@@ -70,9 +77,8 @@ class TestChaosEndToEnd:
         assert results[0] is not None
         assert telemetry.corrupt == 1
         assert telemetry.completed == 1  # recomputed, not served corrupt
-        assert damaged.stats()["corrupt"] == 1
-        assert damaged.stats()["quarantined"] == 1
-        assert [p.name for p in damaged.quarantine_dir().iterdir()] == [pack.name]
+        assert damaged.corrupt == 1
+        assert _quarantined(root) == [pack.name]
 
         # the recompute re-stored a clean pack, so the next run is warm
         warm = SweepTelemetry()
@@ -86,7 +92,7 @@ class TestChaosEndToEnd:
         points = [make_point(stt_optimistic, capacity=mb(c)) for c in (1, 2, 4)]
         filled = tmp_path / "filled"
         characterize_points(points, cache=CharacterizationCache(filled))
-        [pack] = sorted(filled.glob("*.v3"))  # one call, one pack
+        [pack] = sorted(filled.glob(f"*{PACK_SUFFIX}"))  # one call, one pack
 
         root = _damage(pack, mode, tmp_path / "damaged")
         damaged = CharacterizationCache(root)
@@ -96,9 +102,9 @@ class TestChaosEndToEnd:
         # other points miss instead of being served from a damaged file.
         assert telemetry.corrupt == 1
         assert telemetry.completed == len(points)
-        assert [p.name for p in damaged.quarantine_dir().iterdir()] == [pack.name]
+        assert _quarantined(root) == [pack.name]
         # The recompute re-packed the same points under the same name.
-        assert sorted(root.glob("*.v3")) == [root / pack.name]
+        assert sorted(root.glob(f"*{PACK_SUFFIX}")) == [root / pack.name]
         warm = SweepTelemetry()
         characterize_points(points, cache=damaged, telemetry=warm)
         assert warm.cached == len(points)

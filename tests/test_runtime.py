@@ -31,7 +31,7 @@ from repro.runtime import (
     sweep_points,
 )
 from repro.runtime import executor
-from repro.runtime.cache import PACK_SUFFIX, pack_id
+from repro.runtime.cache import PACK_SUFFIX, QUARANTINE_SUBDIR, pack_id, read_pack_index
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
 from repro.runtime.rowcodec import decode_block, encode_block
@@ -59,9 +59,14 @@ def _packs(root):
     return sorted(root.glob(f"*{PACK_SUFFIX}"))
 
 
-def _index_start(data):
-    """Byte offset of a pack's index line, read from its footer."""
-    return int(data[-21:-1])
+def _stored_fingerprints(root):
+    """Every fingerprint the packs under ``root`` hold, in pack and line order."""
+    return [entry[0] for pack in _packs(root) for entry in read_pack_index(pack)[1]]
+
+
+def _first_body_end(data):
+    """Byte offset just past the first entry line's body."""
+    return data.index(b"\n", data.index(b"\n") + 1)
 
 
 def _flip_last_digit(data, end):
@@ -70,31 +75,27 @@ def _flip_last_digit(data, end):
     return data[:digit] + bytes([data[digit] ^ 0x01]) + data[digit + 1:]
 
 
-def _flip_in_index(key):
-    """Damage that changes the first hex digit of ``key``'s value in the index."""
+def _flip_first_char(line_start):
+    """Damage that changes the first character of the line ``line_start`` picks."""
     def damage(data):
-        start = _index_start(data)
-        index = json.loads(data[start:-21])
-        value = index[key] if key == "schema" else index[key][0][0]
-        flipped = ("1" if value[0] != "1" else "2") + value[1:]
-        line = data[start:-21].replace(value.encode(), flipped.encode(), 1)
-        return data[:start] + line + data[-21:]
+        at = line_start(data)
+        flipped = b"1" if data[at:at + 1] != b"1" else b"2"
+        return data[:at] + flipped + data[at + 1:]
     return damage
 
 
 #: Ways a pack can be damaged on disk; every one must be caught by the
-#: loader's checks (footer, index JSON, pack name, body checksum).
+#: loader's checks (key line, entry lines, pack name, body checksum).
 _DAMAGE = {
     "truncated": lambda data: data[: len(data) // 2],
     "null": lambda data: b"null",
     "list": lambda data: b"[1, 2]",
     "string": lambda data: b'"a string"',
-    "body-bitflip": lambda data: _flip_last_digit(data, _index_start(data)),
-    "index-fingerprint": _flip_in_index("entries"),
-    "index-schema": _flip_in_index("schema"),
-    "index-json": lambda data: (
-        data[: _index_start(data)] + b"{truncated\n" + data[-21:]),
-    "footer": lambda data: data[:-21] + b"x" * 20 + b"\n",
+    "body-bitflip": lambda data: _flip_last_digit(data, _first_body_end(data)),
+    "index-fingerprint": _flip_first_char(lambda data: data.index(b"\n") + 1),
+    "index-schema": _flip_first_char(lambda data: 0),
+    "index-two-fields": lambda data: data + b"ab" * 32 + b" " + b"0" * 64 + b"\n",
+    "unterminated-line": lambda data: data[:-1],
 }
 
 
@@ -159,11 +160,9 @@ class TestCharacterizationCache:
         fp = make_point(stt_optimistic).fingerprint()
         assert cache.load(fp) is None
         cache.store(fp, stt_array_1mb)
-        assert fp in cache
         assert cache.load(fp) == stt_array_1mb
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "stores": 1, "corrupt": 0, "quarantined": 0,
-        }
+        assert _stored_fingerprints(tmp_path) == [fp]
+        assert cache.corrupt == 0
 
     def test_schema_tag_bump_invalidates(self, tmp_path, stt_optimistic,
                                          stt_array_1mb, forget_pack_indexes):
@@ -176,9 +175,8 @@ class TestCharacterizationCache:
         # fingerprints); even a forced lookup of the old key must miss,
         # and an intact pack of another schema is not damage.
         assert bumped.load(fp) is None
-        assert bumped.misses == 1
         assert bumped.corrupt == 0
-        assert not bumped.quarantine_dir().exists()
+        assert not (tmp_path / QUARANTINE_SUBDIR).exists()
         assert old.load(fp) == stt_array_1mb
 
     @pytest.mark.parametrize("damage", sorted(_DAMAGE), ids=sorted(_DAMAGE))
@@ -197,9 +195,8 @@ class TestCharacterizationCache:
         # Corruption is an infrastructure fault, not an ordinary miss:
         # counted separately, and the damaged pack is preserved aside.
         assert fresh.corrupt == 1
-        assert fresh.misses == 0
         assert not pack.exists()
-        assert (fresh.quarantine_dir() / pack.name).read_bytes() == damaged
+        assert (tmp_path / QUARANTINE_SUBDIR / pack.name).read_bytes() == damaged
         # fsck agrees the damage is gone from the store.
         assert [r.clean for r in fsck_cache_dir(tmp_path)] == [True]
         # The next store re-materializes the pack at its original name.
@@ -213,16 +210,15 @@ class TestCharacterizationCache:
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
         [path] = _packs(tmp_path)
-        data = path.read_bytes()
-        body_end = _index_start(data)
-        damaged = _flip_last_digit(data, body_end)
+        [(_, offset, length, _)] = read_pack_index(path)[1]
+        damaged = _flip_last_digit(path.read_bytes(), offset + length)
         path.write_bytes(damaged)
         # Still valid JSON, but another value: only the checksum catches it,
         # also through the index this process already holds.
-        assert json.loads(damaged[:body_end]) != stt_array_1mb.to_dict()
+        assert json.loads(damaged[offset:offset + length]) != stt_array_1mb.to_dict()
         assert cache.load(fp) is None
         assert cache.corrupt == 1
-        assert (cache.quarantine_dir() / path.name).exists()
+        assert (tmp_path / QUARANTINE_SUBDIR / path.name).exists()
 
     def test_pre_v2_entry_is_an_ordinary_miss(
             self, tmp_path, stt_optimistic, stt_array_1mb):
@@ -242,10 +238,9 @@ class TestCharacterizationCache:
             "checksum": hashlib.sha256(body).hexdigest(),
         }).encode() + b"\n" + body)
         assert cache.load(fp) is None
-        assert cache.misses == 1
         assert cache.corrupt == 0
         assert legacy.exists() and v2.exists()
-        assert not cache.quarantine_dir().exists()
+        assert not (tmp_path / QUARANTINE_SUBDIR).exists()
         [report] = fsck_cache_dir(tmp_path)
         assert report.clean
         assert legacy.exists() and v2.exists()
@@ -256,16 +251,14 @@ class TestCharacterizationCache:
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
         [pack] = _packs(tmp_path)
-        data = pack.read_bytes()
-        start = _index_start(data)
-        body = data[:start]
-        assert json.loads(data[start:-21]) == {
-            "schema": cache.schema_tag,
-            "entries": [[fp, 0, len(body), hashlib.sha256(body).hexdigest()]],
-        }
-        assert data[-21:] == b"%020d\n" % start
-        assert json.loads(body) == stt_array_1mb.to_dict()
-        assert pack.name == pack_id(cache.schema_tag, [fp]) + PACK_SUFFIX
+        body = json.dumps(stt_array_1mb.to_dict()).encode()
+        checksum = hashlib.sha256(body).hexdigest()
+        assert pack.read_bytes() == (
+            f"{cache.schema_tag}\n{fp} {checksum} ".encode() + body + b"\n")
+        assert pack.name == pack_id(cache.schema_tag, [fp]) + ".v4"
+        offset = len(cache.schema_tag) + len(fp) + len(checksum) + 3
+        assert read_pack_index(pack) == (
+            cache.schema_tag, [(fp, offset, len(body), checksum)])
 
     def test_batch_writes_one_pack(self, tmp_path, stt_optimistic,
                                    stt_array_1mb, sram_array_1mb,
@@ -286,15 +279,7 @@ class TestCharacterizationCache:
         forget_pack_indexes()
         fresh = CharacterizationCache(tmp_path)
         assert [fresh.load(fp) for fp in fps] == [stt_array_1mb, sram_array_1mb]
-        assert list(fresh.fingerprints()) == sorted(fps)
-
-    def test_clear_and_len(self, tmp_path, stt_optimistic, stt_array_1mb):
-        cache = CharacterizationCache(tmp_path)
-        fp = make_point(stt_optimistic).fingerprint()
-        cache.store(fp, stt_array_1mb)
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        assert _stored_fingerprints(tmp_path) == fps
 
     def test_store_leaves_no_tmp_files(self, tmp_path, stt_optimistic,
                                        stt_array_1mb):
@@ -304,28 +289,27 @@ class TestCharacterizationCache:
             cache.store(fp, stt_array_1mb)
         assert list(tmp_path.rglob("*.tmp.*")) == []
 
-    def test_clear_sweeps_stale_tmp_files(self, tmp_path, stt_optimistic,
-                                          stt_array_1mb):
-        cache = CharacterizationCache(tmp_path)
-        fp = make_point(stt_optimistic).fingerprint()
-        cache.store(fp, stt_array_1mb)
-        # A run that died between write and rename leaves a tmp file
-        # behind; so could the pre-fix naming scheme (no thread/counter).
-        (tmp_path / "pack.tmp.12345.1.0").write_text("{}")
-        (tmp_path / "pack.tmp.12345").write_text("{}")
-        assert cache.clear() == 1  # tmp files never count as packs
-        assert list(tmp_path.rglob("*.tmp*")) == []
-        assert len(cache) == 0
-
     def test_tmp_files_invisible_to_entry_iteration(self, tmp_path,
                                                     stt_optimistic,
-                                                    stt_array_1mb):
+                                                    stt_array_1mb,
+                                                    forget_pack_indexes):
         cache = CharacterizationCache(tmp_path)
-        fp = make_point(stt_optimistic).fingerprint()
+        fp, other = (make_point(stt_optimistic, capacity=mb(c)).fingerprint()
+                     for c in (1, 2))
         cache.store(fp, stt_array_1mb)
-        (tmp_path / "pack.tmp.999.1.0").write_text("junk")
-        assert list(cache.fingerprints()) == [fp]
-        assert len(cache) == 1
+        [pack] = _packs(tmp_path)
+        # A run that died between write and rename leaves a tmp file
+        # behind, here a whole pack of another fingerprint, and junk.
+        cache.store(other, stt_array_1mb)
+        [pending] = set(_packs(tmp_path)) - {pack}
+        pending.rename(tmp_path / "pack.tmp.999.1.0")
+        (tmp_path / "pack.tmp.999.1.1").write_text("junk")
+        forget_pack_indexes()
+        fresh = CharacterizationCache(tmp_path)
+        assert fresh.load(other) is None
+        assert fresh.load(fp) == stt_array_1mb
+        assert fresh.corrupt == 0
+        assert _packs(tmp_path) == [pack]
 
     def test_concurrent_stores_of_same_fingerprint(self, tmp_path,
                                                    stt_optimistic,
@@ -363,8 +347,10 @@ class TestCharacterizationCache:
         assert list(tmp_path.rglob("*.tmp.*")) == []
         forget_pack_indexes()
         fresh = CharacterizationCache(tmp_path)
-        assert len(fresh) == 1 + 4 * 25
+        workers = {f"{worker:02x}{n:02x}" * 16 for worker in range(4) for n in range(25)}
+        assert set(_stored_fingerprints(tmp_path)) == workers | {fp}
         assert fresh.load(fp) == stt_array_1mb
+        assert all(fresh.load(worker) == stt_array_1mb for worker in workers)
         assert fresh.corrupt == 0
 
 
@@ -385,7 +371,7 @@ class TestExecutor:
         cache = CharacterizationCache(tmp_path)
         point = make_point(stt_optimistic)
         characterize_points([point], cache=cache)
-        assert cache.stores == 1
+        assert _stored_fingerprints(tmp_path) == [point.fingerprint()]
         telemetry = SweepTelemetry()
         rerun = characterize_points([point], cache=cache, telemetry=telemetry)
         assert telemetry.completed == 0
@@ -515,9 +501,8 @@ class TestEvaluationCache:
         assert cache.load(fp) is None
         cache.store(fp, rows)
         assert cache.load(fp) == rows  # exact cross-run parity, incl. floats
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "stores": 1, "corrupt": 0, "quarantined": 0,
-        }
+        assert _stored_fingerprints(tmp_path) == [fp]
+        assert cache.corrupt == 0
 
     def test_schema_tag_bump_invalidates(self, tmp_path, stt_array_1mb):
         rows = self.rows(stt_array_1mb)
@@ -533,6 +518,19 @@ class TestEvaluationCache:
         cache.store("ef" * 32, rows)
         loaded = cache.load("ef" * 32)
         assert [list(r) for r in loaded] == [["zeta", "alpha", "mid"]]
+
+    def test_body_with_newlines_and_spaces_roundtrips(self, tmp_path,
+                                                      forget_pack_indexes):
+        cache = EvaluationCache(tmp_path)
+        rows = [{"note": "two\nlines", "key with spaces": " a b ", "n": 1},
+                {"note": "\n\r\t ", "key with spaces": "x", "n": 2}]
+        cache.store("ab" * 32, rows)
+        [pack] = _packs(tmp_path)
+        assert pack.read_bytes().count(b"\n") == 2  # the key line and one entry
+        forget_pack_indexes()
+        fresh = EvaluationCache(tmp_path)
+        assert fresh.load("ab" * 32) == rows
+        assert fresh.corrupt == 0
 
     def test_malformed_payload_is_quarantined(self, tmp_path):
         # A pack whose checksums hold but whose body is not a list of
@@ -631,7 +629,7 @@ class TestRowCodec:
         forget_pack_indexes()
         cache = EvaluationCache(tmp_path)
         assert cache.load("ab" * 32) is None
-        assert (cache.misses, cache.corrupt) == (1, 0)
+        assert cache.corrupt == 0
         assert [report.clean for report in fsck_cache_dir(tmp_path)] == [True]
         assert len(_packs(tmp_path)) == 1
 
@@ -665,7 +663,6 @@ class TestRowCodec:
 
     def test_mixed_shape_studies_render_identically_warm(self, tmp_path,
                                                          forget_pack_indexes):
-        from repro.runtime.cache import read_pack_index
         from repro.studies.summary import main as summary_main
 
         only = ["--only", "fig11_bg_fefet,fig14_writebuffer",
@@ -754,7 +751,7 @@ class TestEvaluateBlocks:
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
         cold = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        assert cache.stores == 1
+        assert len(_stored_fingerprints(tmp_path)) == 1
         telemetry = SweepTelemetry()
         warm = evaluate_blocks(
             [stt_array_1mb], traffic, cache=cache, telemetry=telemetry)
@@ -767,8 +764,10 @@ class TestEvaluateBlocks:
         traffic = _traffic_pair()
         first = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
         first[0][0]["annotation"] = "mutated"
-        second = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        assert cache.hits == 1
+        telemetry = SweepTelemetry()
+        second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                 telemetry=telemetry)
+        assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert "annotation" not in second[0][0]
 
     def test_returned_rows_are_deep_copies(self, tmp_path, stt_array_1mb):
@@ -780,9 +779,10 @@ class TestEvaluateBlocks:
                                 rows_fn=_nested_rows)
         first[0][0]["nested"]["value"] = 999
         first[0][0]["tags"].append("mutated")
+        telemetry = SweepTelemetry()
         second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                 rows_fn=_nested_rows)
-        assert cache.hits == 1
+                                 rows_fn=_nested_rows, telemetry=telemetry)
+        assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert second[0][0]["nested"] == {"value": 1}
         assert second[0][0]["tags"] == ["a"]
 
@@ -792,8 +792,11 @@ class TestEvaluateBlocks:
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
         fresh = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        disk_hit = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        assert cache.stores == 1 and cache.hits == 1
+        telemetry = SweepTelemetry()
+        disk_hit = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+                                   telemetry=telemetry)
+        assert len(_stored_fingerprints(tmp_path)) == 1
+        assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert disk_hit == fresh
         assert disk_hit[0] is not fresh[0]
         for row, fresh_row in zip(disk_hit[0], fresh[0]):
@@ -812,9 +815,10 @@ class TestEvaluateBlocks:
         flat["value"] = -1.0
         nested["nested"]["value"] = 999
         nested["tags"].append("mutated")
+        telemetry = SweepTelemetry()
         again = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_mixed_rows)
-        assert cache.hits == 1
+                                rows_fn=_mixed_rows, telemetry=telemetry)
+        assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert again[0] == _mixed_rows(None, traffic, None)
 
     def test_custom_rows_fn_and_extra_key_separately(self, tmp_path,
@@ -827,7 +831,8 @@ class TestEvaluateBlocks:
                             rows_fn=_tagged_rows, extra="b")
         assert a[0][0]["tag"] == "a"
         assert b[0][0]["tag"] == "b"
-        assert cache.stores == 2  # different extras never share an entry
+        # Different extras never share an entry.
+        assert len(set(_stored_fingerprints(tmp_path))) == 2
 
 
 class TestRuntimeOptions:
@@ -889,7 +894,7 @@ class TestEngineRuntime:
         spec = small_spec([stt_optimistic])
         first = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         first.run(spec)
-        assert set(first._array_cache) == set(first.cache.fingerprints())
+        assert set(first._array_cache) == set(_stored_fingerprints(tmp_path / "arrays"))
         second = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         second.run(spec)
         assert second.last_telemetry.completed == 0
@@ -938,7 +943,7 @@ class TestEngineRuntime:
         cold_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         cold = cold_engine.run(spec)
         assert cold_engine.last_telemetry.evaluated == 8
-        assert cold_engine.eval_cache.stores == 8
+        assert len(_stored_fingerprints(tmp_path / "evaluations")) == 8
         warm_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         warm = warm_engine.run(spec)
         assert warm_engine.last_telemetry.completed == 0

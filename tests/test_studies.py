@@ -31,7 +31,7 @@ from repro.studies import (
     writebuffer_study,
     performant_technologies,
 )
-from repro.runtime.cache import LLCTraceCache
+from repro.runtime.cache import PACK_SUFFIX
 from repro.runtime.options import RuntimeOptions
 from repro.studies.pipeline import REGISTRY
 from repro.traffic import ALBERT, RESNET26
@@ -88,7 +88,7 @@ class TestRegistryRuntime:
         assert cold.telemetry.trace_simulated == 4  # one per synthetic workload
         trace_dir = tmp_path / "cache" / "traces"
         assert trace_dir.exists()
-        assert len(LLCTraceCache(trace_dir)) > 0
+        assert list(trace_dir.glob(f"*{PACK_SUFFIX}"))
         warm = REGISTRY["ext_synthetic_llc"].run(runtime, n_accesses=20_000)
         assert warm.telemetry.trace_simulated == 0
         assert warm.telemetry.trace_cached == 4

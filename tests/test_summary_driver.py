@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CharacterizationError
+from repro.runtime.cache import PACK_SUFFIX, read_pack_index
 from repro.runtime.options import (
     ARRAY_CACHE_SUBDIR,
     EVALUATION_CACHE_SUBDIR,
@@ -393,16 +394,17 @@ def test_interrupted_artifact_write_keeps_previous_artifact(
 
 
 def _flip_first_byte_of_every_pack(cache):
-    """Flip byte 0 (inside each pack's first body) of every cache pack.
+    """Flip the first byte of each pack's first body, in every cache pack.
 
     The pack indexes this process already holds stay valid, so each load
     reads its body and the checksum catches the flip.
     """
-    packs = sorted(Path(cache).glob("*/*.v3"))
+    packs = sorted(Path(cache).glob(f"*/*{PACK_SUFFIX}"))
     assert packs
     for pack in packs:
         data = pack.read_bytes()
-        pack.write_bytes(bytes([data[0] ^ 0x01]) + data[1:])
+        at = read_pack_index(pack)[1][0][1]
+        pack.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
 
 
 def test_main_quarantines_corrupt_entries(tmp_path, capsys):
@@ -428,7 +430,7 @@ def test_chaos_reaches_the_trace_store(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["--only", "ext_synthetic_llc", "--cache-dir", cache]
     assert main([str(tmp_path / "warm")] + args) == 0
-    trace_packs = len(list((tmp_path / "cache" / "traces").glob("*.v3")))
+    trace_packs = len(list((tmp_path / "cache" / "traces").glob(f"*{PACK_SUFFIX}")))
     _flip_first_byte_of_every_pack(cache)
     assert main([str(tmp_path / "hostile"), "--force"] + args) == 0
     capsys.readouterr()
