@@ -10,8 +10,9 @@ Execution is delegated to :mod:`repro.runtime`, which runs every sweep
 serially in this process.  An engine is built from one
 :class:`~repro.runtime.options.RuntimeOptions`: its ``cache_dir``
 persists characterizations, evaluation blocks and the LLC traces the
-cache-hierarchy studies regenerate, and ``on_error="skip"`` reports failed
-points through telemetry instead of aborting the sweep.  The defaults
+cache-hierarchy studies regenerate, ``on_error="skip"`` reports failed
+points as progress events instead of aborting the sweep, and every
+event goes to its ``progress`` callback.  The defaults
 (no persistent cache, abort on error) preserve the engine's historical
 behavior.
 """
@@ -44,7 +45,6 @@ from repro.runtime.options import (
     RuntimeOptions,
     ensure_runtime,
 )
-from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
 
 
@@ -77,9 +77,10 @@ class DSEEngine:
     persistent cache root, whose ``arrays/``, ``evaluations/`` and
     ``traces/`` stores back :attr:`cache`, :attr:`eval_cache` and
     :attr:`trace_cache`; the error policy (``on_error="skip"`` drops a
-    failing point, records it in the run's telemetry and keeps sweeping);
+    failing point, reports it as a ``failed`` event and keeps sweeping);
     and the progress callback, which receives one
-    :class:`~repro.runtime.telemetry.ProgressEvent` per item.
+    :class:`~repro.runtime.telemetry.ProgressEvent` per item (a study
+    passes its :class:`~repro.runtime.telemetry.SweepTelemetry`).
     """
 
     def __init__(self, runtime: Optional[RuntimeOptions] = None) -> None:
@@ -96,11 +97,6 @@ class DSEEngine:
         #: store: an engine's later calls ask again for arrays that an
         #: earlier call characterized.
         self._array_cache: dict[str, ArrayCharacterization] = {}
-        #: Telemetry of the most recent ``run``/``arrays`` call.
-        self.last_telemetry: Optional[SweepTelemetry] = None
-
-    def _telemetry(self) -> SweepTelemetry:
-        return SweepTelemetry(self.runtime.progress)
 
     def characterize(
         self,
@@ -119,7 +115,7 @@ class DSEEngine:
             cache=self.cache,
             memory=self._array_cache,
             on_error="raise",
-            telemetry=self._telemetry(),
+            progress=self.runtime.progress,
         )[0]
         assert result is not None  # on_error="raise" never returns None
         return result
@@ -130,7 +126,6 @@ class DSEEngine:
         traffic: Sequence[TrafficPattern],
         rows_fn=None,
         extra=None,
-        telemetry: Optional[SweepTelemetry] = None,
     ) -> list[list[dict]]:
         """Evaluate arrays under a traffic block through every cache layer.
 
@@ -146,7 +141,7 @@ class DSEEngine:
             rows_fn=rows_fn,
             extra=extra,
             cache=self.eval_cache,
-            telemetry=telemetry if telemetry is not None else self._telemetry(),
+            progress=self.runtime.progress,
         )
 
     def llc_traces(
@@ -161,30 +156,23 @@ class DSEEngine:
             n_accesses=n_accesses,
             seed=seed,
             cache=self.trace_cache,
-            telemetry=self._telemetry(),
+            progress=self.runtime.progress,
         )
 
-    def _characterized(
-        self, spec: SweepSpec, telemetry: SweepTelemetry
-    ) -> list[ArrayCharacterization]:
+    def arrays(self, spec: SweepSpec) -> list[ArrayCharacterization]:
+        """Characterize every (cell, capacity, target) of the sweep.
+
+        Points that fail under ``on_error="skip"`` are omitted; each is
+        reported to the progress callback as a ``failed`` event.
+        """
         results = characterize_points(
             sweep_points(spec),
             cache=self.cache,
             memory=self._array_cache,
             on_error=self.runtime.on_error,
-            telemetry=telemetry,
+            progress=self.runtime.progress,
         )
         return [array for array in results if array is not None]
-
-    def arrays(self, spec: SweepSpec) -> list[ArrayCharacterization]:
-        """Characterize every (cell, capacity, target) of the sweep.
-
-        Points that fail under ``on_error="skip"`` are omitted (see
-        ``last_telemetry`` for what was dropped).
-        """
-        telemetry = self._telemetry()
-        self.last_telemetry = telemetry
-        return self._characterized(spec, telemetry)
 
     def run(self, spec: SweepSpec) -> ResultTable:
         """Run the full sweep.
@@ -193,18 +181,13 @@ class DSEEngine:
         traffic it holds one row per (array, traffic) evaluation.  Row
         order is deterministic.
         """
-        telemetry = self._telemetry()
-        self.last_telemetry = telemetry
-        arrays = self._characterized(spec, telemetry)
+        arrays = self.arrays(spec)
         table = ResultTable()
         if not spec.traffic:
             for array in arrays:
                 table.append(array_record(array))
             return table
-        row_blocks = self.evaluate_blocks(
-            arrays, tuple(spec.traffic), telemetry=telemetry
-        )
-        for rows in row_blocks:
+        for rows in self.evaluate_blocks(arrays, tuple(spec.traffic)):
             for row in rows:
                 table.append(row)
         return table

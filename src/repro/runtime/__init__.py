@@ -29,7 +29,7 @@ exploration; this package is the execution layer that delivers it:
   and config-driven sweep accepts.
 * :mod:`repro.runtime.telemetry` — progress events (completed / cached /
   failed points) via callback and logging instead of dying on the first
-  :class:`~repro.errors.CharacterizationError`.
+  :class:`~repro.errors.CharacterizationError`, counted once per study.
 * :mod:`repro.runtime.aio` — async-safe adapters (a thread-safe telemetry
   bridge onto an event loop, a bounded thread pool for blocking studies)
   that let asyncio services drive the engine without stalling the loop.
@@ -37,12 +37,11 @@ exploration; this package is the execution layer that delivers it:
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit: verify
-  every pack, delete those under an old store key, quarantine the
-  damaged ones (the ``nvmexplorer fsck`` command).
+  every pack, delete the damaged ones and those under an old store key
+  (the ``nvmexplorer fsck`` command).
 """
 
 from repro.runtime.cache import (
-    QUARANTINE_SUBDIR,
     CharacterizationCache,
     EvaluationCache,
     JsonObjectCache,
@@ -77,7 +76,6 @@ from repro.runtime.shard import (
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
 
 __all__ = [
-    "QUARANTINE_SUBDIR",
     "CharacterizationCache",
     "EvaluationCache",
     "FsckReport",

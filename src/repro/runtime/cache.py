@@ -32,9 +32,8 @@ cache object on that root.  A lookup that misses re-lists the directory
 and reads the index of each pack it has not seen before.  A pack that
 fails verification (no key line, a short or unterminated entry line, a
 name that does not match its entries, a body checksum mismatch, a body
-that does not decode) is moved whole to ``quarantine/`` and its entries
-leave the index; those results are recomputed and re-packed by whichever
-call needs them.
+that does not decode) is deleted whole and its entries leave the index;
+those results are recomputed and re-packed by whichever call needs them.
 
 Invalidation is by store key (:func:`~repro.runtime.fingerprint.store_key`,
 a digest of the modules that produce the store's payloads): the key
@@ -78,11 +77,6 @@ from repro.runtime.rowcodec import decode_block, encode_block
 #: layout change leaves older files unread.
 ENTRY_FORMAT = 4
 PACK_SUFFIX = f".v{ENTRY_FORMAT}"
-
-#: Subdirectory (inside a store) where packs that fail integrity
-#: verification are preserved for post-mortem instead of being deleted
-#: or silently overwritten.
-QUARANTINE_SUBDIR = "quarantine"
 
 #: One index entry: (fingerprint, body offset, body length, body sha256).
 IndexEntry = Tuple[str, int, int, str]
@@ -216,24 +210,6 @@ def verify_pack(
     return schema, entries
 
 
-def quarantine_file(root: Path, path: Path) -> bool:
-    """Move a damaged file to ``root/quarantine/``; False if it could not be.
-
-    Every damaged copy is kept: a name already taken gets a numeric
-    suffix instead of being overwritten.
-    """
-    qdir = root / QUARANTINE_SUBDIR
-    try:
-        qdir.mkdir(parents=True, exist_ok=True)
-        dest = qdir / path.name
-        while dest.exists():
-            dest = qdir / f"{path.name}.{next(_TMP_COUNTER)}"
-        os.replace(path, dest)
-    except OSError:
-        return False
-    return True
-
-
 class _PackWriter:
     """One pack's temp file: the store key line, then one line per entry."""
 
@@ -293,7 +269,7 @@ class _PackIndex:
         self.root = root
         self.locations: dict[str, _Location] = {}
         #: Pack file name -> its fingerprints, for every pack read or
-        #: written (and for damaged packs that could not be moved aside).
+        #: written; a dropped pack stays here with none.
         self.packs: dict[str, List[str]] = {}
         self._lock = threading.RLock()
 
@@ -303,14 +279,13 @@ class _PackIndex:
             for fingerprint, offset, length, checksum in entries:
                 self.locations[fingerprint] = (path, schema, offset, length, checksum)
 
-    def drop(self, path: Path, *, seen: bool = False) -> None:
-        """Forget a pack's entries; ``seen`` keeps a refresh from re-reading it."""
+    def drop(self, path: Path) -> None:
+        """Forget a pack's entries; a refresh never re-reads (or re-counts) it."""
         with self._lock:
-            for fingerprint in self.packs.pop(path.name, ()):
+            for fingerprint in self.packs.get(path.name, ()):
                 if self.locations.get(fingerprint, (None,))[0] == path:
                     del self.locations[fingerprint]
-            if seen:
-                self.packs[path.name] = []
+            self.packs[path.name] = []
 
     def refresh(self, on_corrupt: Callable[[Path], None]) -> None:
         """Read the index of every pack added to the directory since the last look."""
@@ -349,17 +324,17 @@ class JsonObjectCache:
 
     Subclasses define the payload format via :meth:`_encode` /
     :meth:`_decode` and name their store (``store_name``), whose key
-    (:func:`~repro.runtime.fingerprint.store_key`) every pack records;
-    a ``schema_tag`` argument overrides the key.  Everything else
-    (packing, atomicity, key checks, damage accounting) is shared.
+    (:func:`~repro.runtime.fingerprint.store_key`) every pack records.
+    Everything else (packing, atomicity, key checks, damage accounting)
+    is shared.
     """
 
     #: The store's directory name under a cache root, and its key's name.
     store_name: str
 
-    def __init__(self, root: Union[str, Path], schema_tag: Optional[str] = None) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.schema_tag = store_key(self.store_name) if schema_tag is None else schema_tag
+        self.schema_tag = store_key(self.store_name)
         #: Packs that failed integrity verification on load (a damaged
         #: line, name or checksum mismatch, undecodable body).  A miss is
         #: expected cold-cache behaviour; corruption is an infrastructure
@@ -387,21 +362,20 @@ class JsonObjectCache:
 
     # --- operations -------------------------------------------------------
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt pack aside — never silently overwritten in place.
+    def _discard(self, path: Path) -> None:
+        """Count a damaged pack and delete it; its entries leave the index.
 
-        The damaged file is preserved under ``quarantine/`` for
-        post-mortem (``nvmexplorer fsck`` reports the backlog) and its
-        entries leave the index, so the next store of any of them writes
-        a fresh pack.
+        The next store of any of them writes a fresh pack.
         """
         self.corrupt += 1
-        self._index.drop(path, seen=not quarantine_file(self.root, path))
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
+        self._index.drop(path)
 
     def _locate(self, fingerprint: str) -> Optional[_Location]:
         location = self._index.locations.get(fingerprint)
         if location is None:
-            self._index.refresh(self._quarantine)
+            self._index.refresh(self._discard)
             location = self._index.locations.get(fingerprint)
         return location
 
@@ -411,8 +385,7 @@ class JsonObjectCache:
         An unknown fingerprint or a pack under another key is an ordinary
         miss.  A pack that fails integrity verification — see
         :func:`read_pack_index` — or whose body the decoder rejects counts
-        in ``corrupt`` and is moved to ``quarantine/`` whole, so the next
-        store cannot silently paper over it.
+        in ``corrupt`` and is deleted whole.
         """
         location = self._locate(fingerprint)
         if location is None:
@@ -422,17 +395,17 @@ class JsonObjectCache:
             with open(path, "rb") as handle:
                 body = _read_body(handle, offset, length, checksum)
         except OSError:
-            self._index.drop(path)  # moved aside or deleted since it was indexed
+            self._index.drop(path)  # deleted since it was indexed
             return None
         except CorruptPack:
-            self._quarantine(path)
+            self._discard(path)
             return None
         if schema != self.schema_tag:
             return None
         try:
             return self._decode(json.loads(body))
         except _DECODE_ERRORS:
-            self._quarantine(path)
+            self._discard(path)
             return None
 
     @contextlib.contextmanager

@@ -8,9 +8,9 @@ three phases — array characterization (:func:`characterize_points`),
 (array x traffic) evaluation (:func:`evaluate_blocks`) and LLC trace
 regeneration (:func:`simulate_traces`): lookup in the on-disk store
 (characterization first consults an in-process memo too); damaged packs
-quarantined and counted; duplicates computed once; fresh results
-written back, as one pack file per call; one telemetry event per item,
-logged on the ``repro.runtime`` logger.
+deleted and counted; duplicates computed once; fresh results written
+back, as one pack file per call; one progress event per item, logged on
+the ``repro.runtime`` logger and passed to the caller's callback.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -52,8 +52,8 @@ from repro.runtime.telemetry import (
     COMPLETED,
     CORRUPT,
     FAILED,
+    ProgressCallback,
     ProgressEvent,
-    SweepTelemetry,
 )
 
 logger = logging.getLogger("repro.runtime")
@@ -75,7 +75,7 @@ class SweepPoint:
         mb = self.capacity_bytes / (1024 * 1024)
         return f"{self.cell.name}@{mb:g}MB/{self.target.value}"
 
-    def fingerprint(self, schema_tag: Optional[str] = None) -> str:
+    def fingerprint(self) -> str:
         return point_fingerprint(
             self.cell,
             self.capacity_bytes,
@@ -83,7 +83,6 @@ class SweepPoint:
             self.target,
             self.access_bits,
             self.bits_per_cell,
-            schema_tag=schema_tag,
         )
 
     def characterize(self) -> ArrayCharacterization:
@@ -139,26 +138,26 @@ def _cached_work(
     *,
     cache: Optional[JsonObjectCache],
     memory: Optional[dict] = None,
-    telemetry: Optional[SweepTelemetry],
+    progress: Optional[ProgressCallback],
     on_error: str = "raise",
 ) -> list:
     """Run one phase's items through the memo and the disk store.
 
     Each item is looked up in the ``memory`` dict (an in-process memo
     that outlives the call, or ``None`` for one that does not), then in
-    the on-disk ``cache``; every pack a load quarantines (a refresh of
-    the store's index can find several) emits one ``corrupt`` event.
+    the on-disk ``cache``; every damaged pack a load deletes (a refresh
+    of the store's index can find several) emits one ``corrupt`` event.
     The items still missing are computed once per fingerprint by
     ``compute(first indices)``, written back to both stores (one pack per
-    call) and reported with one event per item.  A duplicate is served
-    from the memo, so it is the same object as its first occurrence.
+    call) and reported with one event per item, which is logged and
+    passed to ``progress``.  A duplicate is served from the memo, so it
+    is the same object as its first occurrence.
 
     Only characterization yields failures as data: a ``ReproError``
     outcome emits ``failed`` events and, under ``on_error="raise"``,
     raises :class:`~repro.errors.CharacterizationError` naming the item.
     The other phases raise from ``compute``.
     """
-    telemetry = telemetry if telemetry is not None else SweepTelemetry()
     memory = memory if memory is not None else {}
     total = len(labels)
     results: list = [None] * total
@@ -169,7 +168,8 @@ def _cached_work(
             **details)
         logger.log(logging.WARNING if kind == FAILED else logging.DEBUG,
                    "%s", event.describe())
-        telemetry.emit(event)
+        if progress is not None:
+            progress(event)
 
     pending: dict[str, List[int]] = {}
     for index, fp in enumerate(fingerprints):
@@ -226,7 +226,7 @@ def characterize_points(
     cache: Optional[CharacterizationCache] = None,
     memory: Optional[dict] = None,
     on_error: str = "raise",
-    telemetry: Optional[SweepTelemetry] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[Optional[ArrayCharacterization]]:
     """Characterize every point, in order, using every cache available.
 
@@ -275,7 +275,7 @@ def characterize_points(
     return _cached_work(
         "characterize", [p.label for p in points],
         [p.fingerprint() for p in points], compute,
-        cache=cache, memory=memory, telemetry=telemetry, on_error=on_error,
+        cache=cache, memory=memory, progress=progress, on_error=on_error,
     )
 
 
@@ -294,7 +294,7 @@ def evaluate_blocks(
     rows_fn: Optional[Callable] = None,
     extra: Any = None,
     cache: Optional[EvaluationCache] = None,
-    telemetry: Optional[SweepTelemetry] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[List[dict]]:
     """Evaluate every array under the whole traffic block, in order.
 
@@ -331,8 +331,8 @@ def evaluate_blocks(
 
     results = _cached_work(
         "evaluate", [array.label for array in arrays],
-        [evaluation_fingerprint(array, context=context) for array in arrays],
-        compute, cache=cache, telemetry=telemetry,
+        [evaluation_fingerprint(array, context) for array in arrays],
+        compute, cache=cache, progress=progress,
     )
     # Fresh blocks are built by rows_fn and disk hits are decoded anew,
     # so neither aliases anything.  Only an array repeated in this call
@@ -360,7 +360,7 @@ def simulate_traces(
     n_accesses: int,
     seed: int,
     cache: Optional[LLCTraceCache] = None,
-    telemetry: Optional[SweepTelemetry] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[LLCTrace]:
     """Regenerate each workload's LLC trace through the cache simulator.
 
@@ -380,5 +380,5 @@ def simulate_traces(
     return _cached_work(
         "trace", [workload.name for workload in workloads],
         [trace_fingerprint(workload, **params) for workload in workloads],
-        compute, cache=cache, telemetry=telemetry,
+        compute, cache=cache, progress=progress,
     )

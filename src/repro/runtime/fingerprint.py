@@ -151,14 +151,13 @@ def point_payload(
     target: OptimizationTarget,
     access_bits: int,
     bits_per_cell: int,
-    schema_tag: Optional[str] = None,
 ) -> dict[str, Any]:
     """The canonical description of one characterization request.
 
-    ``schema_tag`` defaults to the installed package's ``arrays`` key.
+    Its ``schema`` is the installed package's ``arrays`` key.
     """
     return {
-        "schema": schema_tag or store_key("arrays"),
+        "schema": store_key("arrays"),
         "cell": cell_to_dict(cell),
         "capacity_bytes": int(capacity_bytes),
         "node_nm": int(node_nm),
@@ -175,14 +174,10 @@ def point_fingerprint(
     target: OptimizationTarget,
     access_bits: int,
     bits_per_cell: int,
-    schema_tag: Optional[str] = None,
 ) -> str:
     """Stable content key for one (cell, provisioning) design point."""
     return fingerprint_payload(
-        point_payload(
-            cell, capacity_bytes, node_nm, target, access_bits, bits_per_cell,
-            schema_tag=schema_tag,
-        )
+        point_payload(cell, capacity_bytes, node_nm, target, access_bits, bits_per_cell)
     )
 
 
@@ -196,17 +191,16 @@ def trace_payload(
     clock_hz: float,
     ipc: float,
     seed: int,
-    schema_tag: Optional[str] = None,
 ) -> dict[str, Any]:
     """Canonical description of one LLC-trace regeneration request.
 
     ``workload`` is a :class:`repro.cachesim.streams.WorkloadModel`; all
     of its parameters plus every simulation knob participate, so any
-    change to either reidentifies the trace.  ``schema_tag`` defaults to
-    the installed package's ``traces`` key.
+    change to either reidentifies the trace.  Its ``schema`` is the
+    installed package's ``traces`` key.
     """
     return {
-        "schema": schema_tag or store_key("traces"),
+        "schema": store_key("traces"),
         "workload": {
             "name": workload.name,
             "working_set_bytes": int(workload.working_set_bytes),
@@ -251,47 +245,30 @@ def traffic_entry(traffic) -> dict[str, Any]:
     }
 
 
-def evaluation_context(
-    traffic,
-    *,
-    rows_fn_id: str,
-    extra: Any = None,
-    schema_tag: Optional[str] = None,
-) -> str:
+def evaluation_context(traffic, *, rows_fn_id: str, extra: Any = None) -> str:
     """Digest of the array-independent half of an evaluation key.
 
     The traffic block, the row builder's identity, its JSON-able
-    parameters (``extra``, e.g. write-buffer scenarios), and the store
-    key (``schema_tag``, default: the installed package's
-    ``evaluations`` key) are shared by every array of one
-    ``evaluate_blocks`` call — hash them once and combine with each
-    array's digest.
+    parameters (``extra``, e.g. write-buffer scenarios), and the
+    installed package's ``evaluations`` key are shared by every array
+    of one ``evaluate_blocks`` call — hash them once and combine with
+    each array's digest.
     """
     return fingerprint_payload({
-        "schema": schema_tag or store_key("evaluations"),
+        "schema": store_key("evaluations"),
         "traffic": [traffic_entry(t) for t in traffic],
         "rows_fn": rows_fn_id,
         "extra": extra,
     })
 
 
-def evaluation_fingerprint(
-    array,
-    traffic=None,
-    *,
-    context: str = None,
-    **kwargs: Any,
-) -> str:
+def evaluation_fingerprint(array, context: str) -> str:
     """Stable content key for one (array x traffic-block) evaluation.
 
     ``array`` is keyed by its full characterized content
     (:meth:`~repro.nvsim.result.ArrayCharacterization.to_dict`), not by the
     sweep point that produced it, so any change to the characterization
-    model automatically reidentifies every dependent evaluation.  Pass
-    either ``traffic`` plus :func:`evaluation_context` keywords, or a
-    precomputed ``context`` digest when fingerprinting many arrays
-    against the same block.
+    model automatically reidentifies every dependent evaluation;
+    ``context`` is the block's :func:`evaluation_context` digest.
     """
-    if context is None:
-        context = evaluation_context(traffic, **kwargs)
     return fingerprint_payload({"context": context, "array": array.to_dict()})

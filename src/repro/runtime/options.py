@@ -15,9 +15,9 @@ Sweeps always run serially in the calling process
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
 
-Each store holds flat ``<pack-id>.v4`` pack files (one per executor call
-that computed anything) and a ``quarantine/`` directory for damaged
-packs; :mod:`repro.runtime.cache` describes the pack format.
+Each store holds flat ``<pack-id>.v4`` pack files, one per executor call
+that computed anything; a damaged pack is deleted when found.
+:mod:`repro.runtime.cache` describes the pack format.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ class RuntimeOptions:
         records it in telemetry and keeps going.
     progress:
         Optional callback receiving one
-        :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point
-        or evaluation block.
+        :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point,
+        evaluation block, trace or damaged cache pack; a study passes its
+        :class:`~repro.runtime.telemetry.SweepTelemetry` here.
     seed:
         Override for every stochastic component a study touches (fault
         injection, synthetic streams); ``None`` keeps each study's

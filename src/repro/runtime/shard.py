@@ -85,6 +85,15 @@ def study_fingerprint(
 # --- run manifests --------------------------------------------------------
 
 
+def _counters(telemetry: Mapping[str, Any]) -> dict[str, Any]:
+    """Telemetry counters as stored: integer counts, and the ``*_wall_s``
+    accumulators as fractional seconds that survive the round trip."""
+    return {
+        k: (float(v) if str(k).endswith("_wall_s") else int(v))
+        for k, v in telemetry.items()
+    }
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One study's outcome as recorded in a run manifest."""
@@ -115,17 +124,16 @@ class ManifestEntry:
             "elapsed_s": float(self.elapsed_s),
             "error": self.error,
             "artifacts": dict(self.artifacts),
-            # Counts stay integers; the *_wall_s accumulators are
-            # fractional seconds and must survive the round trip.
-            "telemetry": {
-                k: (float(v) if str(k).endswith("_wall_s") else int(v))
-                for k, v in self.telemetry.items()
-            },
+            "telemetry": _counters(self.telemetry),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ManifestEntry":
         try:
+            artifacts = dict(payload.get("artifacts", {}))
+            for kind, relpath in artifacts.items():
+                if not isinstance(relpath, str):
+                    raise TypeError(f"artifact {kind!r} path is not a string: {relpath!r}")
             return cls(
                 name=str(payload["name"]),
                 status=str(payload["status"]),
@@ -133,8 +141,8 @@ class ManifestEntry:
                 rows=int(payload.get("rows", 0)),
                 elapsed_s=float(payload.get("elapsed_s", 0.0)),
                 error=str(payload.get("error", "")),
-                artifacts=dict(payload.get("artifacts", {})),
-                telemetry=dict(payload.get("telemetry", {})),
+                artifacts=artifacts,
+                telemetry=_counters(dict(payload.get("telemetry", {}))),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest entry: {exc}") from exc

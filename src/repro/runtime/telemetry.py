@@ -3,12 +3,14 @@
 Long sweeps should report what happened to every point — characterized,
 served from cache, or failed — instead of dying on the first
 :class:`~repro.errors.CharacterizationError`.  The executor emits one
-:class:`ProgressEvent` per point and logs it once on the
-``repro.runtime`` logger (failures as warnings, the rest at debug
-level); :class:`SweepTelemetry` counts the events and forwards them to
-an optional user callback (a progress bar, a dashboard, a CI annotator, or
-the service's :class:`~repro.runtime.aio.TelemetryBridge`, which carries
-each event onto the event loop for ``JobManager._on_event``).
+:class:`ProgressEvent` per point, logs it once on the ``repro.runtime``
+logger (failures as warnings, the rest at debug level) and passes it to
+the run's progress callback.  A study's :class:`SweepTelemetry` is that
+callback: it is the one counter of a study's events, and forwards each
+to an optional user callback (a progress bar, a dashboard, a CI
+annotator, or the service's :class:`~repro.runtime.aio.TelemetryBridge`,
+which carries each event onto the event loop for
+``JobManager._on_event``).
 
 Counter mutation is guarded by a single lock, so one telemetry value may
 be emitted into, absorbed into and read from different threads.  The
@@ -29,8 +31,8 @@ COMPLETED = "completed"
 CACHED = "cached"
 FAILED = "failed"
 #: One damaged pack (bad key or entry line, checksum, undecodable body)
-#: quarantined while loading a point; a load that re-reads the store's
-#: index may find several, one event each.  The point itself is then
+#: deleted while loading a point; a load that re-reads the store's index
+#: may find several, one event each.  The point itself is then
 #: recomputed; this event only tracks the damage.
 CORRUPT = "corrupt"
 
@@ -55,7 +57,7 @@ class ProgressEvent:
         elif self.kind == FAILED:
             extra = f": {self.error}"
         elif self.kind == CORRUPT:
-            extra = " [cache entry quarantined]"
+            extra = " [damaged cache pack deleted]"
         if self.duration_s > 0:
             extra += f" ({self.duration_s:.3f}s)"
         return (
@@ -86,6 +88,19 @@ _WALL_FIELDS = {
     "trace": "trace_wall_s",
 }
 
+#: The counter each (phase, kind) event bumps; FAILED counts in any phase.
+_EVENT_COUNTERS = {
+    ("characterize", COMPLETED): "completed",
+    ("characterize", CACHED): "cached",
+    ("characterize", CORRUPT): "corrupt",
+    ("evaluate", COMPLETED): "evaluated",
+    ("evaluate", CACHED): "eval_cached",
+    ("evaluate", CORRUPT): "eval_corrupt",
+    ("trace", COMPLETED): "trace_simulated",
+    ("trace", CACHED): "trace_cached",
+    ("trace", CORRUPT): "trace_corrupt",
+}
+
 #: Integer counter fields, in counters() order.
 _COUNTER_FIELDS = (
     "completed", "cached", "failed", "evaluated", "eval_cached",
@@ -106,9 +121,9 @@ class SweepTelemetry:
     eval_cached: int = 0  # evaluate-phase blocks served from a cache
     trace_simulated: int = 0  # trace-phase LLC regenerations run fresh
     trace_cached: int = 0  # trace-phase regenerations served from a cache
-    corrupt: int = 0  # damaged packs quarantined from the arrays/ store
-    eval_corrupt: int = 0  # damaged packs quarantined from the evaluations/ store
-    trace_corrupt: int = 0  # damaged packs quarantined from the traces/ store
+    corrupt: int = 0  # damaged packs deleted from the arrays/ store
+    eval_corrupt: int = 0  # damaged packs deleted from the evaluations/ store
+    trace_corrupt: int = 0  # damaged packs deleted from the traces/ store
     #: Wall-clock spent computing fresh (or failing) points, per phase —
     #: the raw data behind the manifest's per-study timings and the
     #: service's per-request latency accounting.
@@ -128,28 +143,12 @@ class SweepTelemetry:
 
     def _count(self, event: ProgressEvent) -> None:
         """Update counters for one event.  Caller holds the lock."""
-        if event.kind == COMPLETED and event.phase == "evaluate":
-            self.evaluated += 1
-        elif event.kind == CACHED and event.phase == "evaluate":
-            self.eval_cached += 1
-        elif event.kind == COMPLETED and event.phase == "trace":
-            self.trace_simulated += 1
-        elif event.kind == CACHED and event.phase == "trace":
-            self.trace_cached += 1
-        elif event.kind == COMPLETED:
-            self.completed += 1
-        elif event.kind == CACHED:
-            self.cached += 1
-        elif event.kind == FAILED:
+        if event.kind == FAILED:
             self.failed += 1
             self.failures.append(event)
-        elif event.kind == CORRUPT:
-            if event.phase == "evaluate":
-                self.eval_corrupt += 1
-            elif event.phase == "trace":
-                self.trace_corrupt += 1
-            else:
-                self.corrupt += 1
+        counter = _EVENT_COUNTERS.get((event.phase, event.kind))
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
         if event.duration_s:
             wall_field = _WALL_FIELDS.get(event.phase)
             if wall_field is not None:
@@ -233,7 +232,7 @@ class SweepTelemetry:
         if self.corrupt or self.eval_corrupt or self.trace_corrupt:
             text += (
                 f"; {self.corrupt + self.eval_corrupt + self.trace_corrupt} "
-                f"corrupt cache entries quarantined"
+                f"corrupt cache packs deleted"
             )
         if self.wall_s > 0:
             text += f"; {self.wall_s:.2f}s model wall-clock"

@@ -68,7 +68,7 @@ class StudyOutcome:
 
     @property
     def poisoned(self) -> int:
-        """Always ``0``: no sweep point is retried or quarantined.
+        """Always ``0``: no sweep point is retried or set aside.
 
         It stays only because ``perfbench/child.py`` reads it, and
         ``perfbench/`` may change only in a change to the benchmark
@@ -102,9 +102,10 @@ class StudySpec:
     ) -> StudyOutcome:
         """Run the study under shared runtime options.
 
-        ``overrides`` replace the spec's default parameters.  Telemetry
-        from every engine the builder creates is aggregated into the
-        outcome (and still forwarded to ``runtime.progress``).  Under
+        ``overrides`` replace the spec's default parameters.  The
+        outcome's telemetry is the one counter of the events of every
+        engine the builder creates; each event is still forwarded to
+        ``runtime.progress``.  Under
         ``on_error="skip"`` a framework error becomes a failed outcome
         instead of an exception.
         """

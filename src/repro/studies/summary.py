@@ -12,8 +12,8 @@ characterizations, (array x traffic) evaluation blocks, and regenerated
 LLC traces (under ``<cache-dir>/traces``), ``--seed`` pins every
 stochastic component, and ``--on-error skip`` records a
 failing study and keeps going.  A cache pack that fails verification on
-load is moved to its store's ``quarantine/`` and its results are
-recomputed and re-packed, so a damaged cache heals on the next run.  A warm
+load is deleted and its results are recomputed and re-packed, so a
+damaged cache heals on the next run.  A warm
 second run against the same cache directory performs zero
 characterizations and zero evaluation blocks; ``--expect-warm`` turns
 that into an exit-code assertion for CI.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cells import (
@@ -87,3 +90,27 @@ def forget_pack_indexes():
     from repro.runtime import cache
 
     return cache._INDEXES.clear
+
+
+@pytest.fixture()
+def write_pack():
+    """A callable writing a v4 pack under any store key; returns its path.
+
+    ``write_pack(root, key, entries)`` stores each ``(fingerprint,
+    payload)`` of ``entries`` as one line, its body ``json.dumps`` of the
+    payload, as a pack written under ``key`` would hold it.
+    """
+    from repro.runtime.cache import PACK_SUFFIX, pack_id
+
+    def write(root, key, entries):
+        lines = [key.encode()]
+        for fingerprint, payload in entries:
+            body = json.dumps(payload).encode()
+            checksum = hashlib.sha256(body).hexdigest()
+            lines.append(f"{fingerprint} {checksum} ".encode() + body)
+        root.mkdir(parents=True, exist_ok=True)
+        path = root / (pack_id(key, [fp for fp, _ in entries]) + PACK_SUFFIX)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    return write

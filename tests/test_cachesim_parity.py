@@ -221,19 +221,22 @@ class TestLLCTraceCache:
         pack.write_text("{not json")
         [again] = self._trace(tmp_path, [workload])
         assert again == first
-        # The corrupt pack was quarantined and the recomputed store wrote
-        # it afresh under the same name.
-        assert (store / "quarantine" / pack.name).read_text() == "{not json"
+        # The corrupt pack was deleted and the recomputed store wrote it
+        # afresh under the same name.
+        assert sorted(store.iterdir()) == [pack]
+        assert pack.read_text() != "{not json"
         assert LLCTraceCache(store).load(fingerprint) == first
 
-    def test_schema_mismatch_is_a_miss(self, tmp_path):
+    def test_schema_mismatch_is_a_miss(self, tmp_path, write_pack):
         workload = self._workload()
-        [trace] = self._trace(tmp_path, [workload])
-        stale = LLCTraceCache(tmp_path / "traces", schema_tag="llc-trace-v0")
-        [fingerprint] = _stored_fingerprints(tmp_path / "traces")
-        assert stale.load(fingerprint) is None
-        assert stale.corrupt == 0
-        assert LLCTraceCache(tmp_path / "traces").load(fingerprint) == trace
+        [trace] = self._trace(tmp_path / "current", [workload])
+        [fingerprint] = _stored_fingerprints(tmp_path / "current" / "traces")
+        stale = tmp_path / "stale" / "traces"
+        write_pack(stale, "llc-trace-v0", [(fingerprint, trace.to_dict())])
+        cache = LLCTraceCache(stale)
+        assert cache.load(fingerprint) is None
+        assert cache.corrupt == 0
+        assert LLCTraceCache(tmp_path / "current" / "traces").load(fingerprint) == trace
 
     def test_trace_roundtrips_through_payload(self):
         trace = LLCTrace(name="t", llc_reads=10, llc_writes=4,

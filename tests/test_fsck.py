@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
 from repro.runtime.cache import (
     PACK_SUFFIX,
-    QUARANTINE_SUBDIR,
     STORE_TYPES,
     EvaluationCache,
     pack_id,
@@ -23,6 +21,12 @@ from repro.runtime.fsck import (
 )
 from repro.runtime.fsck import main as fsck_main
 from repro.runtime.shard import ManifestEntry, RunManifest
+
+
+@pytest.fixture()
+def store(tmp_path):
+    """An ``evaluations`` store directory under the cache root ``tmp_path``."""
+    return tmp_path / "evaluations"
 
 
 def _populate(root, count=3, salt="fsck"):
@@ -53,45 +57,44 @@ def _damage(root, fp):
 
 
 class TestFsckStore:
-    def test_clean_store(self, tmp_path):
-        _populate(tmp_path)
-        report = fsck_store(tmp_path)
+    def test_clean_store(self, store):
+        _populate(store)
+        report = fsck_store(store)
         assert report.clean
         assert report.scanned == 3
         assert report.ok == 3
         assert report.corrupt == 0
         assert "3 files scanned" in report.summary()
 
-    def test_corrupt_entry_quarantined_and_second_pass_converges(self, tmp_path):
-        fingerprints = _populate(tmp_path)
-        damaged_path = _damage(tmp_path, fingerprints[0])
+    def test_corrupt_entry_quarantined_and_second_pass_converges(self, store):
+        fingerprints = _populate(store)
+        damaged_path = _damage(store, fingerprints[0])
 
-        first = fsck_store(tmp_path)
+        first = fsck_store(store)
         assert not first.clean
         assert first.corrupt == 1
         assert first.ok == 2
-        assert "checksum mismatch" in first.problems[0]
+        assert first.problems == [f"{damaged_path.name}: checksum mismatch"]
         assert not damaged_path.exists()
-        assert (tmp_path / QUARANTINE_SUBDIR / damaged_path.name).exists()
+        assert sorted(store.iterdir()) == sorted(_entry(store, fp) for fp in fingerprints[1:])
 
-        # the backlog is an archive, not damage: the second pass is clean
-        second = fsck_store(tmp_path)
+        # the damage is deleted: the second pass is clean
+        second = fsck_store(store)
         assert second.clean
-        assert second.corrupt == 0
-        assert second.quarantine_backlog == 1
+        assert (second.scanned, second.ok, second.corrupt, second.stale) == (2, 2, 0, 0)
 
-    def test_invalid_json_and_fingerprint_mismatch_detected(self, tmp_path):
-        fingerprints = _populate(tmp_path)
-        bad_json = _entry(tmp_path, fingerprints[0])
+    def test_invalid_json_and_fingerprint_mismatch_detected(self, store):
+        fingerprints = _populate(store)
+        bad_json = _entry(store, fingerprints[0])
         # A body that is not JSON, under a checksum that matches it.
         key, [(fp, _, _, _)] = read_pack_index(bad_json)
         body = b"{truncated"
         checksum = hashlib.sha256(body).hexdigest()
         bad_json.write_bytes(f"{key}\n{fp} {checksum} ".encode() + body + b"\n")
-        moved = _entry(tmp_path, fingerprints[1])
-        wrong_home = tmp_path / f"{'0' * 32}{PACK_SUFFIX}"
+        moved = _entry(store, fingerprints[1])
+        wrong_home = store / f"{'0' * 32}{PACK_SUFFIX}"
         wrong_home.write_bytes(moved.read_bytes())  # entries != pack name
-        report = fsck_store(tmp_path)
+        report = fsck_store(store)
         assert report.corrupt == 2
         reasons = " / ".join(report.problems)
         assert "invalid JSON body" in reasons
@@ -99,30 +102,14 @@ class TestFsckStore:
         assert not bad_json.exists() and not wrong_home.exists()
         assert moved.exists()
 
-    def test_legacy_entry_without_checksum_kept(self, tmp_path):
-        # Entries of the one-file-per-entry layouts (.json, then .v2): no
-        # loader reads them, so fsck leaves them in place, unread.
-        fp = fingerprint_payload({"legacy": True})
-        path = tmp_path / fp[:2] / f"{fp}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({
-            "schema": "old-v0", "fingerprint": fp, "result": [{"row": 1}],
-        }))
-        v2 = tmp_path / fp[:2] / f"{fp}.v2"
-        v2.write_text('{"schema": "old-v1"}\n{garbage')
-        report = fsck_store(tmp_path)
-        assert report.clean
-        assert report.ok == 0
-        assert path.exists() and v2.exists()
-
-    def test_stale_tmp_files_swept(self, tmp_path):
-        _populate(tmp_path)
+    def test_stale_tmp_files_swept(self, store):
+        _populate(store)
         # A run that died between write and rename leaves a tmp file
         # behind; so could an older naming scheme (no thread/counter).
-        stale = [tmp_path / "pack.tmp.123.456.0", tmp_path / "pack.tmp.12345"]
+        stale = [store / "pack.tmp.123.456.0", store / "pack.tmp.12345"]
         for path in stale:
             path.write_text("half-written")
-        report = fsck_store(tmp_path)
+        report = fsck_store(store)
         assert report.clean
         assert report.swept_tmp == 2
         assert report.scanned == 3
@@ -134,14 +121,14 @@ class TestFsckStore:
         assert "not a directory" in report.problems[0]
 
 
-def _store_raw(root, body, store="evaluations", schema_tag=None):
+def _store_raw(root, body, store="evaluations"):
     """Store ``body`` unencoded as a one-entry pack; returns the pack."""
 
     class RawCache(STORE_TYPES[store]):
         def _encode(self, result):
             return result
 
-    RawCache(root, schema_tag=schema_tag).store("cd" * 32, body)
+    RawCache(root).store("cd" * 32, body)
     [pack] = root.glob(f"*{PACK_SUFFIX}")
     return pack
 
@@ -149,15 +136,14 @@ def _store_raw(root, body, store="evaluations", schema_tag=None):
 class TestFsckDecodes:
     def test_undecodable_evaluation_body_is_corrupt(self, tmp_path, capsys):
         # Checksums and JSON hold, but the shape index is out of range:
-        # every load would quarantine this pack, so fsck must too.
+        # every load would delete this pack, so fsck must too.
         store = tmp_path / "evaluations"
         pack = _store_raw(store, {"shapes": [["a"]], "shared": {}, "rows": [[3, 5]]})
         assert fsck_main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "1 files scanned, 0 ok, 1 corrupt" in out
         assert f"{pack.name}: undecodable body" in out
-        assert not pack.exists()
-        assert (store / QUARANTINE_SUBDIR / pack.name).exists()
+        assert list(store.iterdir()) == []
         assert fsck_main([str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("store", ["arrays", "traces"])
@@ -167,32 +153,27 @@ class TestFsckDecodes:
         assert (report.ok, report.corrupt) == (0, 1)
         assert not pack.exists()
 
-    def test_pack_under_another_key_is_not_decoded(self, tmp_path):
+    def test_pack_under_another_key_is_not_decoded(self, store, write_pack):
         # Its body would not decode, but the loaders treat the pack as a
         # miss: it is removed as stale, not reported as damage.
-        store = tmp_path / "evaluations"
-        pack = _store_raw(store, [{"a": 5}], schema_tag="another-key")
+        write_pack(store, "another-key", [("cd" * 32, [{"a": 5}])])
         report = fsck_store(store)
         assert report.clean
         assert (report.ok, report.corrupt, report.stale) == (0, 0, 1)
-        assert not pack.exists()
-        assert not (store / QUARANTINE_SUBDIR).exists()
+        assert list(store.iterdir()) == []
 
 
 class TestFsckStalePacks:
-    def test_foreign_key_pack_removed_current_kept(self, tmp_path, capsys):
+    def test_foreign_key_pack_removed_current_kept(self, tmp_path, capsys,
+                                                   write_pack):
         store = tmp_path / "evaluations"
         current = _populate(store)
-        foreign = EvaluationCache(store, schema_tag="foreign")
-        foreign.store(fingerprint_payload({"salt": "foreign"}), [{"row": 0}])
+        write_pack(store, "foreign", [(fingerprint_payload({"salt": "foreign"}), [{"row": 0}])])
         assert len(list(store.glob(f"*{PACK_SUFFIX}"))) == 4
         assert fsck_main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "4 files scanned, 3 ok, 0 corrupt, 1 stale packs removed" in out
-        assert sorted(store.glob(f"*{PACK_SUFFIX}")) == sorted(
-            _entry(store, fp) for fp in current
-        )
-        assert not (store / QUARANTINE_SUBDIR).exists()
+        assert sorted(store.iterdir()) == sorted(_entry(store, fp) for fp in current)
         again = fsck_store(store)
         assert again.clean and (again.ok, again.stale) == (3, 0)
 
@@ -201,20 +182,13 @@ class TestFsckStalePacks:
         current = _populate(store)
         old = store / f"{'ab' * 16}.v3"
         old.write_bytes(b"bodies, an index line and a footer")
-        bare_old = tmp_path / "bare" / old.name
-        bare_old.parent.mkdir()
-        bare_old.write_bytes(old.read_bytes())
         assert fsck_main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "3 files scanned, 3 ok, 0 corrupt, 1 stale packs removed" in out
         assert not old.exists()
-        assert sorted(store.glob("*.v*")) == sorted(_entry(store, fp) for fp in current)
-        assert not (store / QUARANTINE_SUBDIR).exists()
+        assert sorted(store.iterdir()) == sorted(_entry(store, fp) for fp in current)
         again = fsck_store(store)
         assert again.clean and (again.ok, again.stale) == (3, 0)
-        # A bare store is not known to be a pack store: its files stay.
-        assert fsck_store(bare_old.parent).clean
-        assert bare_old.exists()
 
 
 class TestFsckCacheDir:
@@ -226,12 +200,24 @@ class TestFsckCacheDir:
         assert [r.root.name for r in reports] == ["arrays", "evaluations", "traces"]
         assert all(r.clean for r in reports)
 
-    def test_bare_store_fallback(self, tmp_path):
-        _populate(tmp_path)
-        reports = fsck_cache_dir(tmp_path)
-        assert len(reports) == 1
-        assert reports[0].root == tmp_path
-        assert reports[0].scanned == 3
+    def test_a_store_directory_is_audited_itself(self, store):
+        _populate(store)
+        [report] = fsck_cache_dir(store)
+        assert report.root == store
+        assert report.clean and report.scanned == 3
+
+    def test_directory_without_a_store_is_a_problem(self, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        _populate(bare)
+        old = bare / f"{'ab' * 16}.v3"
+        old.write_bytes(b"an older layout")
+        before = sorted(bare.iterdir())
+        assert fsck_main([str(bare)]) == 1
+        out = capsys.readouterr().out
+        assert f"{bare} is not a store directory (arrays, evaluations, traces)" in out
+        # Nothing under it is read, counted or removed.
+        assert "0 files scanned" in out
+        assert sorted(bare.iterdir()) == before
 
 
 class TestFsckManifest:
@@ -273,19 +259,21 @@ class TestFsckManifest:
 
 
 class TestFsckCli:
-    def test_exit_codes_and_convergence(self, tmp_path, capsys):
-        fingerprints = _populate(tmp_path)
-        _damage(tmp_path, fingerprints[0])
+    def test_exit_codes_and_convergence(self, tmp_path, store, capsys):
+        fingerprints = _populate(store)
+        damaged = _damage(store, fingerprints[0])
         assert fsck_main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "1 corrupt" in out
-        # the damage was quarantined: a re-run audits clean
+        assert f"{damaged.name}: checksum mismatch" in out
+        # the damage was deleted: a re-run audits clean
         assert fsck_main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "in quarantine" in out
+        assert "2 files scanned, 2 ok, 0 corrupt" in out
+        assert not list(tmp_path.rglob("quarantine"))
 
-    def test_text_report_counts(self, tmp_path, capsys):
-        _populate(tmp_path)
+    def test_text_report_counts(self, tmp_path, store, capsys):
+        _populate(store)
         assert fsck_main([str(tmp_path)]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert "3 files scanned" in first
@@ -303,9 +291,9 @@ class TestFsckCli:
         capsys.readouterr()
 
     def test_repair_from_is_a_usage_error(self, tmp_path, capsys):
-        # Packs are never copied in from another cache: a quarantined
-        # pack's results are recomputed by the next run that needs them.
-        _populate(tmp_path)
+        # Packs are never copied in from another cache: a damaged pack's
+        # results are recomputed by the next run that needs them.
+        _populate(tmp_path / "evaluations")
         with pytest.raises(SystemExit) as excinfo:
             fsck_main([str(tmp_path), "--repair-from", str(tmp_path)])
         assert excinfo.value.code == 2

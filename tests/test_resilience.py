@@ -1,8 +1,8 @@
-"""Failure handling: cache-corruption quarantine and healing.
+"""Failure handling: damaged cache packs deleted and healed.
 
 Each test damages the bytes of a cache pack on disk and checks the
 end-to-end behaviour of a characterization sweep over it: the loader
-detects the damage, quarantines the whole pack, and every point is
+detects the damage, deletes the whole pack, and every point is
 recomputed and re-packed clean, so the next run is warm.
 
 In-process, the pack index this process already holds serves any body
@@ -24,7 +24,7 @@ from repro.runtime import (
     SweepTelemetry,
     characterize_points,
 )
-from repro.runtime.cache import PACK_SUFFIX, QUARANTINE_SUBDIR, read_pack_index
+from repro.runtime.cache import PACK_SUFFIX, read_pack_index, verify_pack
 from repro.units import mb
 
 
@@ -56,8 +56,14 @@ def _damage(pack, mode, fresh_root):
     return pack.parent
 
 
-def _quarantined(root):
-    return [p.name for p in (root / QUARANTINE_SUBDIR).iterdir()]
+def _healed(root, pack_name, damaged):
+    """The damaged bytes are gone: the recompute re-packed the same points
+    under the same name (a pack's name hashes its fingerprints), intact,
+    and the store holds nothing else."""
+    pack = root / pack_name
+    assert sorted(root.iterdir()) == [pack]
+    assert pack.read_bytes() != damaged
+    verify_pack(pack)
 
 
 class TestChaosEndToEnd:
@@ -71,18 +77,19 @@ class TestChaosEndToEnd:
         assert [entry[0] for entry in read_pack_index(pack)[1]] == [point.fingerprint()]
 
         root = _damage(pack, "truncate", tmp_path / "damaged")
+        bad_bytes = (root / pack.name).read_bytes()
         damaged = CharacterizationCache(root)
         telemetry = SweepTelemetry()
-        results = characterize_points([point], cache=damaged, telemetry=telemetry)
+        results = characterize_points([point], cache=damaged, progress=telemetry.emit)
         assert results[0] is not None
         assert telemetry.corrupt == 1
         assert telemetry.completed == 1  # recomputed, not served corrupt
         assert damaged.corrupt == 1
-        assert _quarantined(root) == [pack.name]
+        _healed(root, pack.name, bad_bytes)
 
         # the recompute re-stored a clean pack, so the next run is warm
         warm = SweepTelemetry()
-        characterize_points([point], cache=damaged, telemetry=warm)
+        characterize_points([point], cache=damaged, progress=warm.emit)
         assert warm.cached == 1
         assert warm.corrupt == 0
 
@@ -95,17 +102,16 @@ class TestChaosEndToEnd:
         [pack] = sorted(filled.glob(f"*{PACK_SUFFIX}"))  # one call, one pack
 
         root = _damage(pack, mode, tmp_path / "damaged")
+        bad_bytes = (root / pack.name).read_bytes()
         damaged = CharacterizationCache(root)
         telemetry = SweepTelemetry()
-        characterize_points(points, cache=damaged, telemetry=telemetry)
+        characterize_points(points, cache=damaged, progress=telemetry.emit)
         # The first load meets the damage and the whole pack goes, so the
         # other points miss instead of being served from a damaged file.
         assert telemetry.corrupt == 1
         assert telemetry.completed == len(points)
-        assert _quarantined(root) == [pack.name]
-        # The recompute re-packed the same points under the same name.
-        assert sorted(root.glob(f"*{PACK_SUFFIX}")) == [root / pack.name]
+        _healed(root, pack.name, bad_bytes)
         warm = SweepTelemetry()
-        characterize_points(points, cache=damaged, telemetry=warm)
+        characterize_points(points, cache=damaged, progress=warm.emit)
         assert warm.cached == len(points)
         assert warm.corrupt == 0

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import pathlib
 import re
 import sys
 import threading
@@ -30,8 +31,8 @@ from repro.runtime import (
     point_fingerprint,
     sweep_points,
 )
-from repro.runtime import executor
-from repro.runtime.cache import PACK_SUFFIX, QUARANTINE_SUBDIR, pack_id, read_pack_index
+from repro.runtime import executor, fingerprint
+from repro.runtime.cache import PACK_SUFFIX, pack_id, read_pack_index
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
 from repro.runtime.rowcodec import decode_block, encode_block
@@ -125,10 +126,13 @@ class TestFingerprint:
         assert (make_point(stt_optimistic).fingerprint()
                 != make_point(tweaked).fingerprint())
 
-    def test_schema_tag_changes_the_key(self, stt_optimistic):
+    def test_store_key_changes_the_key(self, stt_optimistic, monkeypatch):
         point = make_point(stt_optimistic)
-        assert (point.fingerprint(schema_tag="array-cache-v1")
-                != point.fingerprint(schema_tag="array-cache-v2"))
+        installed = point.fingerprint()
+        monkeypatch.setattr(fingerprint, "store_key", lambda store: "array-cache-v1")
+        edited = point.fingerprint()
+        monkeypatch.setattr(fingerprint, "store_key", lambda store: "array-cache-v2")
+        assert len({installed, edited, point.fingerprint()}) == 3
 
     def test_matches_module_level_function(self, stt_optimistic):
         point = make_point(stt_optimistic)
@@ -164,45 +168,70 @@ class TestCharacterizationCache:
         assert _stored_fingerprints(tmp_path) == [fp]
         assert cache.corrupt == 0
 
-    def test_schema_tag_bump_invalidates(self, tmp_path, stt_optimistic,
-                                         stt_array_1mb, forget_pack_indexes):
-        old = CharacterizationCache(tmp_path, schema_tag="array-cache-v1")
+    def test_store_key_change_invalidates(self, tmp_path, stt_optimistic,
+                                          stt_array_1mb, write_pack):
         fp = make_point(stt_optimistic).fingerprint()
-        old.store(fp, stt_array_1mb)
-        forget_pack_indexes()  # the old pack is read from disk
-        bumped = CharacterizationCache(tmp_path, schema_tag="array-cache-v2")
-        # The key would be unreachable anyway (the tag is hashed into real
-        # fingerprints); even a forced lookup of the old key must miss,
-        # and an intact pack of another schema is not damage.
-        assert bumped.load(fp) is None
-        assert bumped.corrupt == 0
-        assert not (tmp_path / QUARANTINE_SUBDIR).exists()
-        assert old.load(fp) == stt_array_1mb
+        old = write_pack(tmp_path, "array-cache-v1", [(fp, stt_array_1mb.to_dict())])
+        cache = CharacterizationCache(tmp_path)
+        # The key would be unreachable anyway (the store key is hashed
+        # into real fingerprints); even a forced lookup of the old key must
+        # miss, and an intact pack under another key is not damage.
+        assert cache.load(fp) is None
+        assert cache.corrupt == 0
+        assert _packs(tmp_path) == [old]
+        assert read_pack_index(old)[0] == "array-cache-v1"
 
     @pytest.mark.parametrize("damage", sorted(_DAMAGE), ids=sorted(_DAMAGE))
     def test_corrupt_entry_is_quarantined(self, tmp_path, stt_optimistic,
                                           stt_array_1mb, forget_pack_indexes,
                                           damage):
-        cache = CharacterizationCache(tmp_path)
+        root = tmp_path / "arrays"  # a named store, so fsck audits it
+        cache = CharacterizationCache(root)
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
-        [pack] = _packs(tmp_path)
+        [pack] = _packs(root)
         damaged = _DAMAGE[damage](pack.read_bytes())
         pack.write_bytes(damaged)
         forget_pack_indexes()  # a fresh process reads the damaged index
-        fresh = CharacterizationCache(tmp_path)
+        fresh = CharacterizationCache(root)
         assert fresh.load(fp) is None
         # Corruption is an infrastructure fault, not an ordinary miss:
-        # counted separately, and the damaged pack is preserved aside.
+        # counted separately, and the damaged pack is deleted.
         assert fresh.corrupt == 1
         assert not pack.exists()
-        assert (tmp_path / QUARANTINE_SUBDIR / pack.name).read_bytes() == damaged
+        assert list(root.iterdir()) == []
         # fsck agrees the damage is gone from the store.
-        assert [r.clean for r in fsck_cache_dir(tmp_path)] == [True]
+        assert [r.clean for r in fsck_cache_dir(root)] == [True]
+        # A later miss neither re-reads nor re-counts it.
+        assert fresh.load(fp) is None
+        assert fresh.corrupt == 1
         # The next store re-materializes the pack at its original name.
         fresh.store(fp, stt_array_1mb)
         assert pack.exists()
         assert fresh.load(fp) == stt_array_1mb
+
+    def test_undeletable_damaged_pack_counted_once(
+            self, tmp_path, stt_optimistic, stt_array_1mb, forget_pack_indexes,
+            monkeypatch):
+        cache = CharacterizationCache(tmp_path)
+        fp, other = (make_point(stt_optimistic, capacity=mb(c)).fingerprint()
+                     for c in (1, 2))
+        cache.store(fp, stt_array_1mb)
+        [pack] = _packs(tmp_path)
+        damaged = pack.read_bytes()[:-1]  # an unterminated last line
+        pack.write_bytes(damaged)
+        forget_pack_indexes()
+
+        def refuse(path, missing_ok=False):
+            raise OSError("read-only store")
+
+        monkeypatch.setattr(pathlib.Path, "unlink", refuse)
+        fresh = CharacterizationCache(tmp_path)
+        # Each miss re-lists the store; the pack stays but is never
+        # re-read, re-counted or served.
+        assert [fresh.load(lookup) for lookup in (fp, other, fp)] == [None] * 3
+        assert fresh.corrupt == 1
+        assert pack.read_bytes() == damaged
 
     def test_checksum_mismatch_is_quarantined(self, tmp_path, stt_optimistic,
                                               stt_array_1mb):
@@ -218,21 +247,22 @@ class TestCharacterizationCache:
         assert json.loads(damaged[offset:offset + length]) != stt_array_1mb.to_dict()
         assert cache.load(fp) is None
         assert cache.corrupt == 1
-        assert (tmp_path / QUARANTINE_SUBDIR / path.name).exists()
+        assert not path.exists()
 
     def test_pre_v2_entry_is_an_ordinary_miss(
             self, tmp_path, stt_optimistic, stt_array_1mb):
         # Entries of the older one-file-per-entry layouts: never read.
-        cache = CharacterizationCache(tmp_path)
+        root = tmp_path / "arrays"
+        cache = CharacterizationCache(root)
         fp = make_point(stt_optimistic).fingerprint()
-        legacy = tmp_path / fp[:2] / f"{fp}.json"
+        legacy = root / fp[:2] / f"{fp}.json"
         legacy.parent.mkdir(parents=True)
         legacy.write_text(json.dumps({
             "schema": cache.schema_tag, "fingerprint": fp,
             "result": stt_array_1mb.to_dict(),
         }))
         body = json.dumps(stt_array_1mb.to_dict()).encode()
-        v2 = tmp_path / fp[:2] / f"{fp}.v2"
+        v2 = root / fp[:2] / f"{fp}.v2"
         v2.write_bytes(json.dumps({
             "schema": cache.schema_tag, "fingerprint": fp,
             "checksum": hashlib.sha256(body).hexdigest(),
@@ -240,8 +270,7 @@ class TestCharacterizationCache:
         assert cache.load(fp) is None
         assert cache.corrupt == 0
         assert legacy.exists() and v2.exists()
-        assert not (tmp_path / QUARANTINE_SUBDIR).exists()
-        [report] = fsck_cache_dir(tmp_path)
+        [report] = fsck_cache_dir(root)
         assert report.clean
         assert legacy.exists() and v2.exists()
 
@@ -360,7 +389,7 @@ class TestExecutor:
         memory = {}
         point = make_point(stt_optimistic)
         results = characterize_points(
-            [point, point], memory=memory, telemetry=telemetry
+            [point, point], memory=memory, progress=telemetry.emit
         )
         assert results[0] == results[1]
         assert telemetry.completed == 1
@@ -373,7 +402,7 @@ class TestExecutor:
         characterize_points([point], cache=cache)
         assert _stored_fingerprints(tmp_path) == [point.fingerprint()]
         telemetry = SweepTelemetry()
-        rerun = characterize_points([point], cache=cache, telemetry=telemetry)
+        rerun = characterize_points([point], cache=cache, progress=telemetry.emit)
         assert telemetry.completed == 0
         assert telemetry.cached == 1
         assert rerun[0] is not None
@@ -391,7 +420,7 @@ class TestExecutor:
                          access_bits=INFEASIBLE_ACCESS_BITS)
         telemetry = SweepTelemetry()
         results = characterize_points(
-            [bad, good], on_error="skip", telemetry=telemetry
+            [bad, good], on_error="skip", progress=telemetry.emit
         )
         assert results[0] is None
         assert results[1] is not None
@@ -409,7 +438,7 @@ class TestExecutor:
         monkeypatch.setattr(executor, "warm_lanes", lambda requests: (
             warmed.append(list(requests)), warm_lanes(requests)))
         telemetry = SweepTelemetry()
-        results = characterize_points(group, on_error="skip", telemetry=telemetry)
+        results = characterize_points(group, on_error="skip", progress=telemetry.emit)
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
         assert telemetry.failed == 1
@@ -432,7 +461,7 @@ class TestExecutor:
         accumulate into the telemetry's wall-clock counters."""
         telemetry = SweepTelemetry()
         characterize_points(
-            [make_point(stt_optimistic)], telemetry=telemetry
+            [make_point(stt_optimistic)], progress=telemetry.emit
         )
         assert telemetry.characterize_wall_s > 0
         assert telemetry.wall_s == pytest.approx(telemetry.characterize_wall_s)
@@ -446,14 +475,13 @@ class TestExecutor:
         point = make_point(stt_optimistic)
         characterize_points([point], cache=cache)
         telemetry = SweepTelemetry()
-        characterize_points([point], cache=cache, telemetry=telemetry)
+        characterize_points([point], cache=cache, progress=telemetry.emit)
         assert telemetry.cached == 1
         assert telemetry.characterize_wall_s == 0.0
 
     def test_duration_in_event_and_describe(self, stt_optimistic):
         events = []
-        telemetry = SweepTelemetry(events.append)
-        characterize_points([make_point(stt_optimistic)], telemetry=telemetry)
+        characterize_points([make_point(stt_optimistic)], progress=events.append)
         (event,) = events
         assert event.duration_s > 0
         assert event.to_dict()["duration_s"] == event.duration_s
@@ -467,26 +495,30 @@ def _traffic_pair():
     )
 
 
+def _evaluation_key(array, traffic, rows_fn_id, extra=None):
+    """The key ``evaluate_blocks`` gives ``array``'s block under ``traffic``."""
+    return evaluation_fingerprint(
+        array, evaluation_context(traffic, rows_fn_id=rows_fn_id, extra=extra))
+
+
 class TestEvaluationFingerprint:
-    def test_traffic_and_array_and_extra_change_the_key(self, stt_array_1mb):
+    def test_traffic_and_array_and_extra_change_the_key(self, stt_array_1mb,
+                                                        monkeypatch):
         traffic = _traffic_pair()
         fn = rows_fn_id(evaluation_rows)
-        base = evaluation_fingerprint(stt_array_1mb, traffic, rows_fn_id=fn)
-        assert base != evaluation_fingerprint(
-            stt_array_1mb, traffic[:1], rows_fn_id=fn)
-        assert base != evaluation_fingerprint(
-            stt_array_1mb, traffic, rows_fn_id=fn, extra=[1])
-        assert base != evaluation_fingerprint(
-            stt_array_1mb, traffic, rows_fn_id="other:fn")
-        assert base != evaluation_fingerprint(
-            stt_array_1mb, traffic, rows_fn_id=fn, schema_tag="eval-rows-v99")
+        base = _evaluation_key(stt_array_1mb, traffic, fn)
+        assert base != _evaluation_key(stt_array_1mb, traffic[:1], fn)
+        assert base != _evaluation_key(stt_array_1mb, traffic, fn, extra=[1])
+        assert base != _evaluation_key(stt_array_1mb, traffic, "other:fn")
+        monkeypatch.setattr(fingerprint, "store_key", lambda store: "eval-rows-v99")
+        assert base != _evaluation_key(stt_array_1mb, traffic, fn)
 
     def test_deterministic_across_reconstruction(self, stt_array_1mb):
         rebuilt = ArrayCharacterization.from_dict(stt_array_1mb.to_dict())
         traffic = _traffic_pair()
         fn = rows_fn_id(evaluation_rows)
-        assert (evaluation_fingerprint(stt_array_1mb, traffic, rows_fn_id=fn)
-                == evaluation_fingerprint(rebuilt, traffic, rows_fn_id=fn))
+        assert (_evaluation_key(stt_array_1mb, traffic, fn)
+                == _evaluation_key(rebuilt, traffic, fn))
 
 
 class TestEvaluationCache:
@@ -496,19 +528,20 @@ class TestEvaluationCache:
     def test_miss_then_hit_roundtrips_rows(self, tmp_path, stt_array_1mb):
         cache = EvaluationCache(tmp_path)
         rows = self.rows(stt_array_1mb)
-        fp = evaluation_fingerprint(
-            stt_array_1mb, _traffic_pair(), rows_fn_id=rows_fn_id(evaluation_rows))
+        fp = _evaluation_key(stt_array_1mb, _traffic_pair(), rows_fn_id(evaluation_rows))
         assert cache.load(fp) is None
         cache.store(fp, rows)
         assert cache.load(fp) == rows  # exact cross-run parity, incl. floats
         assert _stored_fingerprints(tmp_path) == [fp]
         assert cache.corrupt == 0
 
-    def test_schema_tag_bump_invalidates(self, tmp_path, stt_array_1mb):
+    def test_store_key_change_invalidates(self, tmp_path, stt_array_1mb,
+                                          write_pack):
         rows = self.rows(stt_array_1mb)
-        EvaluationCache(tmp_path, schema_tag="eval-rows-v1").store("ab" * 32, rows)
-        bumped = EvaluationCache(tmp_path, schema_tag="eval-rows-v2")
-        assert bumped.load("ab" * 32) is None
+        write_pack(tmp_path, "eval-rows-v1", [("ab" * 32, encode_block(rows))])
+        cache = EvaluationCache(tmp_path)
+        assert cache.load("ab" * 32) is None
+        assert cache.corrupt == 0
 
     def test_row_key_order_survives_the_roundtrip(self, tmp_path):
         # CSV column order is taken from row insertion order, so cached
@@ -534,7 +567,7 @@ class TestEvaluationCache:
 
     def test_malformed_payload_is_quarantined(self, tmp_path):
         # A pack whose checksums hold but whose body is not a list of
-        # rows: the decoder must reject it and quarantine the pack.
+        # rows: the decoder must reject it and delete the pack.
         class RawCache(EvaluationCache):
             def _encode(self, result):
                 return result
@@ -617,21 +650,19 @@ class TestRowCodec:
         assert first["nested"] is not second["nested"]
 
     def test_v2_pack_is_a_miss_not_corruption(self, tmp_path, stt_array_1mb,
-                                              forget_pack_indexes):
+                                              write_pack):
         # A pack the previous format wrote: a list of row objects under
-        # another key.  It is an ordinary miss and fsck finds it clean.
-        class V2Cache(EvaluationCache):
-            def _encode(self, result):
-                return list(result)
-
+        # another key.  It is an ordinary miss, and fsck finds it clean
+        # and removes it as stale.
+        store = tmp_path / "evaluations"
         rows = evaluation_rows(stt_array_1mb, _traffic_pair())
-        V2Cache(tmp_path, schema_tag="eval-rows-v2").store("ab" * 32, rows)
-        forget_pack_indexes()
-        cache = EvaluationCache(tmp_path)
+        write_pack(store, "eval-rows-v2", [("ab" * 32, rows)])
+        cache = EvaluationCache(store)
         assert cache.load("ab" * 32) is None
         assert cache.corrupt == 0
-        assert [report.clean for report in fsck_cache_dir(tmp_path)] == [True]
-        assert len(_packs(tmp_path)) == 1
+        [report] = fsck_cache_dir(store)
+        assert (report.clean, report.corrupt, report.stale) == (True, 0, 1)
+        assert _packs(store) == []
 
     @pytest.mark.parametrize("body", [
         {"shapes": [["a"]], "shared": {}, "rows": [[1, 5]]},
@@ -725,7 +756,7 @@ class TestEvaluateBlocks:
         fresh = EvaluationCache(tmp_path)
         context = evaluation_context(
             traffic, rows_fn_id=rows_fn_id(_rows_until_interrupt), extra=extra)
-        loaded = [fresh.load(evaluation_fingerprint(array, context=context))
+        loaded = [fresh.load(evaluation_fingerprint(array, context))
                   for array in arrays]
         assert loaded[:interrupted_at] == [
             _tagged_rows(array, traffic, extra) for array in arrays[:interrupted_at]
@@ -736,7 +767,7 @@ class TestEvaluateBlocks:
     def test_duplicate_blocks_coalesced(self, stt_array_1mb):
         telemetry = SweepTelemetry()
         blocks = evaluate_blocks(
-            [stt_array_1mb, stt_array_1mb], _traffic_pair(), telemetry=telemetry
+            [stt_array_1mb, stt_array_1mb], _traffic_pair(), progress=telemetry.emit
         )
         assert blocks[0] == blocks[1]
         assert telemetry.evaluated == 1
@@ -754,7 +785,7 @@ class TestEvaluateBlocks:
         assert len(_stored_fingerprints(tmp_path)) == 1
         telemetry = SweepTelemetry()
         warm = evaluate_blocks(
-            [stt_array_1mb], traffic, cache=cache, telemetry=telemetry)
+            [stt_array_1mb], traffic, cache=cache, progress=telemetry.emit)
         assert telemetry.evaluated == 0
         assert telemetry.eval_cached == 1
         assert warm == cold
@@ -766,7 +797,7 @@ class TestEvaluateBlocks:
         first[0][0]["annotation"] = "mutated"
         telemetry = SweepTelemetry()
         second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                 telemetry=telemetry)
+                                 progress=telemetry.emit)
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert "annotation" not in second[0][0]
 
@@ -781,7 +812,7 @@ class TestEvaluateBlocks:
         first[0][0]["tags"].append("mutated")
         telemetry = SweepTelemetry()
         second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                 rows_fn=_nested_rows, telemetry=telemetry)
+                                 rows_fn=_nested_rows, progress=telemetry.emit)
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert second[0][0]["nested"] == {"value": 1}
         assert second[0][0]["tags"] == ["a"]
@@ -794,7 +825,7 @@ class TestEvaluateBlocks:
         fresh = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
         telemetry = SweepTelemetry()
         disk_hit = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                   telemetry=telemetry)
+                                   progress=telemetry.emit)
         assert len(_stored_fingerprints(tmp_path)) == 1
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert disk_hit == fresh
@@ -817,7 +848,7 @@ class TestEvaluateBlocks:
         nested["tags"].append("mutated")
         telemetry = SweepTelemetry()
         again = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_mixed_rows, telemetry=telemetry)
+                                rows_fn=_mixed_rows, progress=telemetry.emit)
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert again[0] == _mixed_rows(None, traffic, None)
 
@@ -895,10 +926,11 @@ class TestEngineRuntime:
         first = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         first.run(spec)
         assert set(first._array_cache) == set(_stored_fingerprints(tmp_path / "arrays"))
-        second = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
+        telemetry = SweepTelemetry()
+        second = DSEEngine(RuntimeOptions(cache_dir=tmp_path, progress=telemetry.emit))
         second.run(spec)
-        assert second.last_telemetry.completed == 0
-        assert second.last_telemetry.cached == len(sweep_points(spec))
+        assert telemetry.completed == 0
+        assert telemetry.cached == len(sweep_points(spec))
 
     def test_engine_skip_keeps_good_rows(self, stt_optimistic, sram16):
         # SRAM cannot store 2 bits/cell, so its point fails; STT's succeeds.
@@ -910,10 +942,11 @@ class TestEngineRuntime:
         )
         with pytest.raises(CharacterizationError):
             DSEEngine().run(spec)
-        engine = DSEEngine(RuntimeOptions(on_error="skip"))
+        telemetry = SweepTelemetry()
+        engine = DSEEngine(RuntimeOptions(on_error="skip", progress=telemetry.emit))
         table = engine.run(spec)
         assert len(table) == 1
-        assert engine.last_telemetry.failed == 1
+        assert telemetry.failed == 1
 
     def test_study_logs_each_failed_point_once(self, caplog, stt_optimistic,
                                                sram16):
@@ -940,15 +973,18 @@ class TestEngineRuntime:
                                                 stt_optimistic, sram16,
                                                 simple_traffic):
         spec = small_spec([stt_optimistic, sram16], traffic=[simple_traffic])
-        cold_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
+        cold_telemetry, warm_telemetry = SweepTelemetry(), SweepTelemetry()
+        cold_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path,
+                                               progress=cold_telemetry.emit))
         cold = cold_engine.run(spec)
-        assert cold_engine.last_telemetry.evaluated == 8
+        assert cold_telemetry.evaluated == 8
         assert len(_stored_fingerprints(tmp_path / "evaluations")) == 8
-        warm_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
+        warm_engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path,
+                                               progress=warm_telemetry.emit))
         warm = warm_engine.run(spec)
-        assert warm_engine.last_telemetry.completed == 0
-        assert warm_engine.last_telemetry.evaluated == 0
-        assert warm_engine.last_telemetry.eval_cached == 8
+        assert warm_telemetry.completed == 0
+        assert warm_telemetry.evaluated == 0
+        assert warm_telemetry.eval_cached == 8
         # Cross-run parity: cached rows identical to freshly evaluated ones.
         assert list(warm) == list(cold)
 
@@ -983,7 +1019,7 @@ class TestEngineRuntime:
     def test_corrupt_counters_count_every_quarantined_pack(
         self, tmp_path, stt_optimistic, simple_traffic, forget_pack_indexes
     ):
-        """One re-read of a store's index may quarantine several packs."""
+        """One re-read of a store's index may delete several damaged packs."""
         specs = [
             SweepSpec(cells=[stt_optimistic], capacities_bytes=[capacity],
                       traffic=[simple_traffic])
@@ -991,23 +1027,26 @@ class TestEngineRuntime:
         ]
         for spec in specs:  # one pack per call and store
             DSEEngine(RuntimeOptions(cache_dir=tmp_path)).run(spec)
+        damaged = {}
         for store in ("arrays", "evaluations"):
             packs = _packs(tmp_path / store)
             assert len(packs) == 2
             for pack in packs:
                 pack.write_bytes(pack.read_bytes()[: pack.stat().st_size // 2])
+                damaged[pack] = pack.read_bytes()
         forget_pack_indexes()  # a fresh process reads the damaged packs
         telemetry = SweepTelemetry()
         engine = DSEEngine(RuntimeOptions(cache_dir=tmp_path, progress=telemetry.emit))
         for spec in specs:
             engine.run(spec)
 
-        def quarantined(store):
-            return sum(1 for p in (tmp_path / store / "quarantine").iterdir() if p.is_file())
-
-        assert telemetry.corrupt == quarantined("arrays") == 2
-        assert telemetry.eval_corrupt == quarantined("evaluations") == 2
+        assert telemetry.corrupt == telemetry.eval_corrupt == 2
         assert telemetry.completed == telemetry.evaluated == 2
+        # Every damaged pack is gone: deleted, or rewritten intact by the
+        # recompute (a pack's name hashes its fingerprints).
+        for pack, data in damaged.items():
+            assert not pack.exists() or pack.read_bytes() != data
+        assert all(r.clean and r.corrupt == 0 for r in fsck_cache_dir(tmp_path))
 
 
 class TestConfigRuntime:

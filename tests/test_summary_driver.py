@@ -18,6 +18,7 @@ from repro.runtime.options import (
     TRACE_CACHE_SUBDIR,
     RuntimeOptions,
 )
+from repro.runtime.fsck import fsck_cache_dir, fsck_manifest
 from repro.runtime.shard import RunManifest
 from repro.studies.pipeline import REGISTRY, StudySpec
 from repro.studies.summary import (
@@ -247,6 +248,27 @@ def test_subset_run_retains_other_studies_incremental_state(tmp_path):
     assert full.fully_incremental
 
 
+@pytest.mark.parametrize("field, value", [
+    ("telemetry", {"completed": "abc"}),
+    ("artifacts", {"csv": 5}),
+], ids=["non_numeric_counter", "non_string_artifact_path"])
+def test_malformed_manifest_entry_skips_nothing(tmp_path, field, value):
+    out = tmp_path / "out"
+    run_all(out, only=SMALL_SUBSET)
+    path = RunManifest.path_in(out)
+    payload = json.loads(path.read_text())
+    for entry in payload["entries"]:
+        entry[field] = value
+    path.write_text(json.dumps(payload))
+    # The manifest is malformed, not a source of skips or a crash.
+    assert RunManifest.try_load(out) is None
+    report = fsck_manifest(out)
+    assert report.corrupt == 1 and "malformed" in report.problems[0]
+    rerun = run_all(out, only=SMALL_SUBSET[:1])
+    assert rerun.ok and rerun.incremental_skips == 0
+    assert RunManifest.load(out).names == (SMALL_SUBSET[0],)
+
+
 def test_main_fully_incremental_exit_code(tmp_path, capsys):
     args = [str(tmp_path / "out"), "--only", "ext_hierarchy"]
     assert main(args) == 0
@@ -397,27 +419,41 @@ def _flip_first_byte_of_every_pack(cache):
     """Flip the first byte of each pack's first body, in every cache pack.
 
     The pack indexes this process already holds stay valid, so each load
-    reads its body and the checksum catches the flip.
+    reads its body and the checksum catches the flip.  Returns each
+    pack's damaged bytes.
     """
     packs = sorted(Path(cache).glob(f"*/*{PACK_SUFFIX}"))
     assert packs
+    damaged = {}
     for pack in packs:
         data = pack.read_bytes()
         at = read_pack_index(pack)[1][0][1]
-        pack.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
+        damaged[pack] = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+        pack.write_bytes(damaged[pack])
+    return damaged
+
+
+def _damage_is_gone(cache, damaged):
+    """No damaged bytes are left: each pack was deleted, or rewritten
+    intact under its name by a recompute, and fsck finds nothing to do."""
+    for pack, data in damaged.items():
+        assert not pack.exists() or pack.read_bytes() != data
+    assert not list(Path(cache).glob("*/quarantine"))
+    assert all(report.clean for report in fsck_cache_dir(cache))
 
 
 def test_main_quarantines_corrupt_entries(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert main([str(tmp_path / "cold"), "--only", "ext_hierarchy",
                  "--cache-dir", cache]) == 0
-    _flip_first_byte_of_every_pack(cache)
+    damaged = _flip_first_byte_of_every_pack(cache)
     rc = main([str(tmp_path / "hostile"), "--only", "ext_hierarchy",
                "--cache-dir", cache, "--force"])
     assert rc == 0
-    assert "corrupt cache entries quarantined" in capsys.readouterr().out
+    assert "corrupt cache packs deleted" in capsys.readouterr().out
     entry = RunManifest.load(tmp_path / "hostile").entry_for("ext_hierarchy")
     assert entry.telemetry["corrupt"] > 0
+    _damage_is_gone(cache, damaged)
     # damaged entries were recomputed, not served: the CSV is unchanged
     csv = Path("results") / "ext_hierarchy.csv"
     assert (tmp_path / "hostile" / csv).read_bytes() == (
@@ -426,19 +462,19 @@ def test_main_quarantines_corrupt_entries(tmp_path, capsys):
 
 
 def test_chaos_reaches_the_trace_store(tmp_path, capsys):
-    """Damaged LLC trace packs are quarantined, reported and re-simulated."""
+    """Damaged LLC trace packs are deleted, reported and re-simulated."""
     cache = str(tmp_path / "cache")
     args = ["--only", "ext_synthetic_llc", "--cache-dir", cache]
     assert main([str(tmp_path / "warm")] + args) == 0
     trace_packs = len(list((tmp_path / "cache" / "traces").glob(f"*{PACK_SUFFIX}")))
-    _flip_first_byte_of_every_pack(cache)
+    damaged = _flip_first_byte_of_every_pack(cache)
     assert main([str(tmp_path / "hostile"), "--force"] + args) == 0
     capsys.readouterr()
     entry = RunManifest.load(tmp_path / "hostile").entry_for("ext_synthetic_llc")
     # Every damaged trace pack counted once; all four traces re-simulated.
     assert entry.telemetry["trace_corrupt"] == trace_packs > 0
     assert entry.telemetry["trace_simulated"] == 4
-    assert list((tmp_path / "cache" / "traces" / "quarantine").iterdir())
+    _damage_is_gone(cache, damaged)
     csv = Path("results") / "ext_synthetic_llc.csv"
     assert (tmp_path / "hostile" / csv).read_bytes() == (
         tmp_path / "warm" / csv
