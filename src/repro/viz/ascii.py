@@ -12,7 +12,9 @@ from typing import Mapping, Sequence
 
 from repro.errors import ReproError
 
-_MARKERS = "ox+*#@%&"
+#: One marker per series.  32 covers the 15 tentpole cells of the catalog
+#: plus SRAM with room for custom cells; never ``?`` (collision) or space.
+_MARKERS = "ox+*#@%&ABCDEFGHIJKLMNPQRSTUVWYZ"
 
 
 def _nice_fmt(value: float) -> str:
@@ -47,9 +49,9 @@ def scatter(
     ``series`` maps a label to its (x, y) points; each series gets its own
     marker, listed in the legend.
     """
-    markers = {
-        label: _MARKERS[i % len(_MARKERS)] for i, label in enumerate(series)
-    }
+    if len(series) > len(_MARKERS):
+        raise ReproError(f"scatter draws at most {len(_MARKERS)} series")
+    markers = dict(zip(series, _MARKERS))
     points = [
         (markers[label], _transform(x, log_x), _transform(y, log_y))
         for label, pts in series.items()

@@ -13,23 +13,21 @@ from repro.viz.ascii import bar_chart, scatter
 
 
 def _series(table: ResultTable, x: str, y: str, by: str) -> dict:
-    """Collect (x, y) series grouped by a column.
+    """Collect (x, y) series grouped by a column, in one pass over the columns.
 
-    Non-positive values are dropped: every dashboard view draws on log
-    axes, and zero-rate points (e.g. a read-only workload's write rate)
-    simply have nothing to show there.
+    Missing, ``None``, non-numeric and non-positive values are dropped:
+    every dashboard view draws on log axes, and zero-rate points (e.g. a
+    read-only workload's write rate) simply have nothing to show there.
     """
     series: dict[str, list[tuple[float, float]]] = {}
-    for row in table:
-        xv, yv = row.get(x), row.get(y)
-        if xv is None or yv is None:
-            continue
+    labels = table.column(by, "all")
+    for xv, yv, label in zip(table.column(x), table.column(y), labels):
         if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float))):
             continue
         if xv <= 0 or yv <= 0:
             continue
-        series.setdefault(str(row.get(by, "all")), []).append((xv, yv))
-    return {label: pts for label, pts in series.items() if pts}
+        series.setdefault(str(label), []).append((xv, yv))
+    return series
 
 
 def power_view(table: ResultTable, by: str = "cell") -> str:
@@ -58,9 +56,8 @@ def latency_view(table: ResultTable, by: str = "cell") -> str:
 
 def lifetime_view(table: ResultTable, by: str = "cell") -> str:
     """Projected lifetime vs. write access rate (Figure 8/9 right)."""
-    rows = table.filter(lambda r: r.get("lifetime_years") is not None)
     return scatter(
-        _series(rows, "writes_per_s", "lifetime_years", by),
+        _series(table, "writes_per_s", "lifetime_years", by),
         x_label="writes/s",
         y_label="lifetime [y]",
         log_x=True,

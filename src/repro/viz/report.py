@@ -1,8 +1,9 @@
 """Markdown report generation for studies.
 
-Produces self-contained markdown documents (tables + ASCII charts in code
-fences) from study result tables — the offline stand-in for sharing a
-dashboard link.
+Produces self-contained markdown documents (ASCII charts in code fences,
+the winners and a bounded sample of the rows) from study result tables —
+the offline stand-in for sharing a dashboard link.  The study's CSV is
+the full artifact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from repro.viz.dashboard import (
     lifetime_view,
     power_view,
 )
+
+#: Most data rows a report embeds; a larger table shows an evenly strided
+#: sample of at most this many rows.
+REPORT_ROWS = 250
 
 
 def _fence(text: str) -> str:
@@ -34,7 +39,9 @@ def study_report(
     """Render a study into a markdown report.
 
     Includes the standard dashboard views, a winners-per-group table when
-    ``winner_column`` is set, and the full data as a markdown table.
+    ``winner_column`` is set, and the data as a markdown table: all of it
+    up to ``REPORT_ROWS`` rows, else rows ``0, s, 2s, ...`` with
+    ``s = ceil(len(table) / REPORT_ROWS)`` under the full table's columns.
     ``figure`` tags the paper figure the study reproduces.
     """
     sections: list[str] = [f"# {title}", ""]
@@ -75,6 +82,18 @@ def study_report(
         lines += [f"| {g} | {w} |" for g, w in winners.items()]
         sections += lines + [""]
 
-    sections += ["## Data", "", table.to_markdown(), ""]
+    sections += ["## Data", ""]
+    if len(table) > REPORT_ROWS:
+        stride = -(-len(table) // REPORT_ROWS)
+        columns = table.columns
+        shown = ResultTable(
+            {c: table[i].get(c) for c in columns}
+            for i in range(0, len(table), stride)
+        )
+        note = (f"*{len(shown)} of {len(table)} rows shown (rows 0, {stride}, "
+                f"{2 * stride}, ...); the study's CSV holds the full table.*")
+        sections += [note, ""]
+        table = shown
+    sections += [table.to_markdown(), ""]
     return "\n".join(sections)
 

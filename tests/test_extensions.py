@@ -1,6 +1,8 @@
 """Tests for extension modules: 3D stacking, retention, hierarchy, and
 markdown reports."""
 
+import re
+
 import pytest
 
 from repro.cells import TechnologyClass, tentpoles_for
@@ -19,9 +21,12 @@ from repro.nvsim import (
     stacking_sweep,
 )
 from repro.results import ResultTable
+from repro.studies.pipeline import REGISTRY
+from repro.studies.summary import run_all
 from repro.traffic import TrafficPattern
 from repro.units import kb, mb
 from repro.viz import study_report
+from repro.viz.report import REPORT_ROWS
 
 
 class TestStacking:
@@ -180,3 +185,66 @@ class TestReports:
         report = study_report("X", self._table(), winner_column=None)
         assert "## Winners" not in report
 
+    @staticmethod
+    def _rows(n):
+        return ResultTable(
+            {"cell": "AB"[i % 2], "workload": f"w{i % 3}", "row": f"r{i:04d}",
+             "total_power_mw": 1.0 + i / 7}
+            for i in range(n)
+        )
+
+    def test_report_embeds_a_table_up_to_the_bound_whole(self):
+        table = self._rows(REPORT_ROWS)
+        report = study_report("X", table)
+        assert f"## Data\n\n{table.to_markdown()}\n" in report
+        assert "rows shown" not in report
+
+    def test_report_samples_a_larger_table_evenly(self):
+        table = self._rows(REPORT_ROWS + 1)
+        report = study_report("X", table)
+        data = report.split("## Data\n\n", 1)[1]
+        pointer, markdown = data.split("\n\n", 1)
+        assert pointer == (
+            f"*126 of {REPORT_ROWS + 1} rows shown (rows 0, 2, 4, ...); "
+            "the study's CSV holds the full table.*"
+        )
+        sample = ResultTable(table[i] for i in range(0, REPORT_ROWS + 1, 2))
+        assert markdown == sample.to_markdown() + "\n"
+        rows = [line for line in markdown.splitlines() if "| r0" in line]
+        assert len(rows) == 126
+        assert "| r0000 |" in rows[0] and "| r0250 |" in rows[-1]
+        assert "| r0001 |" not in markdown
+
+    def test_sample_keeps_the_full_tables_columns(self):
+        table = self._rows(REPORT_ROWS + 1)
+        table.append({"row": "late", "only_in_row_251": 1})
+        report = study_report("X", table, winner_column=None)
+        header = report.split("## Data\n\n", 1)[1].split("\n\n", 1)[1]
+        assert header.splitlines()[0] == "| " + " | ".join(table.columns) + " |"
+
+
+@pytest.fixture(scope="module")
+def suite_reports(tmp_path_factory):
+    """Every registry study's report text, from one uncached suite run."""
+    out = tmp_path_factory.mktemp("suite")
+    run = run_all(out, incremental=False)
+    assert [o.name for o in run.outcomes if o.ok] == list(REGISTRY)
+    return {name: (out / "reports" / f"{name}.md").read_text()
+            for name in REGISTRY}
+
+
+def test_no_registry_report_exceeds_256_kib(suite_reports):
+    sizes = {name: len(text.encode()) for name, text in suite_reports.items()}
+    assert max(sizes.values()) <= 256 * 1024, sizes
+
+
+def test_no_registry_legend_repeats_a_marker(suite_reports):
+    legends = 0
+    for name, text in suite_reports.items():
+        for fence in re.findall(r"```\n(.*?)\n```", text, re.S):
+            legend = fence.splitlines()[-1]
+            markers = [entry[0] for entry in legend.split()]
+            assert len(set(markers)) == len(markers), (name, legend)
+            assert "?" not in markers, (name, legend)
+            legends += 1
+    assert legends > 0

@@ -1,5 +1,6 @@
 """ASCII visualization and dashboard tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -7,6 +8,7 @@ from repro.results import ResultTable
 from repro.viz import (
     array_view,
     bar_chart,
+    dashboard,
     density_view,
     latency_view,
     lifetime_view,
@@ -14,6 +16,7 @@ from repro.viz import (
     scatter,
     summary_dashboard,
 )
+from repro.viz.ascii import _MARKERS
 
 
 class TestScatter:
@@ -39,6 +42,18 @@ class TestScatter:
 
     def test_title_shown(self):
         assert scatter({"s": [(1, 1)]}, title="hello").startswith("hello")
+
+    def test_every_series_has_its_own_marker(self):
+        series = {f"s{i}": [(i + 1, i + 1)] for i in range(len(_MARKERS))}
+        legend = scatter(series).splitlines()[-1].split()
+        assert [entry[0] for entry in legend] == list(_MARKERS)
+        assert len(set(_MARKERS)) == len(_MARKERS)
+        assert "?" not in _MARKERS and " " not in _MARKERS
+
+    def test_more_series_than_markers_is_an_error(self):
+        series = {f"s{i}": [(1, 1)] for i in range(len(_MARKERS) + 1)}
+        with pytest.raises(ReproError):
+            scatter(series)
 
 
 class TestBarChart:
@@ -103,3 +118,68 @@ class TestDashboard:
     def test_summary_dashboard_combines(self, eval_table):
         text = summary_dashboard(eval_table)
         assert "power" in text and "lifetime" in text.lower()
+
+
+# --- column-built views oracle --------------------------------------------------
+#
+# The row-at-a-time series builder that dashboard._series replaced; every
+# view must render byte for byte as it does over this reference.
+
+
+def _reference_series(table, x, y, by):
+    series = {}
+    for row in table:
+        xv, yv = row.get(x), row.get(y)
+        if xv is None or yv is None:
+            continue
+        if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float))):
+            continue
+        if xv <= 0 or yv <= 0:
+            continue
+        series.setdefault(str(row.get(by, "all")), []).append((xv, yv))
+    return {label: pts for label, pts in series.items() if pts}
+
+
+_AXES = ("reads_per_s", "writes_per_s", "total_power_mw",
+         "memory_latency_s_per_s", "lifetime_years", "read_latency_ns",
+         "read_energy_pj")
+_ODD_VALUES = [None, 0, 0.0, -0.0, -2.5, "n/a", "1e3", True, False,
+               np.float64(3.5), np.int64(4), 7, 1e-9, 2.5e6]
+
+
+def _odd_table(n=120, seed=3):
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        record = {}
+        if i % 7:
+            record["cell"] = [None, "A", "B", 3, "C"][i % 5]
+        for axis in _AXES:
+            draw = rng.integers(len(_ODD_VALUES) + 4)
+            if draw < len(_ODD_VALUES):
+                record[axis] = _ODD_VALUES[draw]
+            elif draw < len(_ODD_VALUES) + 3:
+                record[axis] = float(rng.lognormal(2.0, 3.0))
+            # else: the key is missing
+        records.append(record)
+    return ResultTable(records)
+
+
+def _views(table):
+    return [power_view(table), latency_view(table), lifetime_view(table),
+            array_view(table)]
+
+
+def _reference_views(table):
+    """The views as they were drawn before: lifetime over a filtered copy."""
+    with_lifetime = table.filter(lambda r: r.get("lifetime_years") is not None)
+    return [power_view(table), latency_view(table),
+            lifetime_view(with_lifetime), array_view(table)]
+
+
+def test_column_built_views_match_row_reference(eval_table, monkeypatch):
+    tables = [_odd_table(), eval_table]
+    built = [_views(table) for table in tables]
+    monkeypatch.setattr(dashboard, "_series", _reference_series)
+    assert built == [_reference_views(table) for table in tables]
+    assert all("(no data)" not in text for views in built for text in views)
