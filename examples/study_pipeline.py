@@ -2,9 +2,9 @@
 """The unified study pipeline: run registered paper studies uniformly.
 
 Every study in ``repro.studies.pipeline.REGISTRY`` accepts the same
-``RuntimeOptions`` — worker processes, a persistent cache root (array
-characterizations, (array x traffic) evaluation blocks, and LLC traces
-all live under it), error policy, and seed.  This demo:
+``RuntimeOptions`` — a persistent cache root (array characterizations,
+(array x traffic) evaluation blocks, and LLC traces all live under it),
+error policy, progress callback, and seed.  This demo:
 
   1. lists the registry;
   2. runs two studies cold against a cache directory;
@@ -13,7 +13,7 @@ all live under it), error policy, and seed.  This demo:
 
 Equivalent CLI:
   python -m repro.config.cli run-study ext_hierarchy --cache-dir .cache
-  python -m repro.studies.summary out --only fig09_spec_llc --cache-dir .cache
+  python -m repro.config.cli summary out --only fig09_spec_llc --cache-dir .cache
 
 Run:  python examples/study_pipeline.py
 """

@@ -51,7 +51,7 @@ needs (``"seed": "abc"``).
 ``{"sweep": ...}`` submission, which it runs as a study request over an
 unregistered spec (:func:`repro.service.requests.resolve_request`).
 Registered studies have no config shape: run them with ``nvmexplorer
-run-study`` or ``python -m repro.studies.summary``.
+run-study`` or ``nvmexplorer summary``.
 """
 
 from __future__ import annotations

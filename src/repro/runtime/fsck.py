@@ -1,4 +1,4 @@
-"""Cache and manifest integrity audit — the ``nvmexplorer fsck`` command.
+"""Cache and manifest integrity audit behind ``nvmexplorer fsck``.
 
 A cache directory accumulates damage the sweeps themselves only detect
 lazily: packs truncated or bit-flipped on disk, and stale ``*.tmp.*``
@@ -18,31 +18,29 @@ and makes that state explicit:
   to a store's sources every load misses the old packs) or in an older
   layout (``*.v3`` and before), which no loader reads;
 - sweeps stale ``*.tmp.*`` files;
-- audits run manifests (``--manifest``): the manifest must parse and
-  every recorded artifact must exist on disk.
+- audits run manifests (:func:`fsck_manifest`): the manifest must parse
+  and every recorded artifact must exist on disk.
 
-Exit status: 0 when every store verified clean, 1 when this pass found
+A report is :attr:`~FsckReport.clean` unless this pass found
 corruption, a path that is not a store, or a manifest problem (stale
 packs are not damage).  Running fsck twice on a cache therefore
-converges: the second pass exits 0 and removes nothing.  The deleted
+converges: the second pass is clean and removes nothing.  The deleted
 packs' results are recomputed and re-packed by the next run that needs
 them.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Union
 
 from repro.runtime.cache import PACK_SUFFIX, STORE_TYPES, CorruptPack, verify_pack
 from repro.runtime.fingerprint import store_key
 from repro.runtime.shard import RunManifest
 
-__all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
+__all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest"]
 
 
 @dataclass
@@ -156,43 +154,3 @@ def fsck_manifest(output_dir: Union[str, Path]) -> FsckReport:
                     f"study {entry.name!r}: missing {kind} artifact {relpath}"
                 )
     return report
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nvmexplorer fsck",
-        description=(
-            "Audit cache directories and run manifests: verify pack "
-            "checksums, delete corrupt and stale packs, sweep stale tmp "
-            "files, and check that every manifest artifact exists."
-        ),
-    )
-    parser.add_argument(
-        "cache_dir", nargs="?", default=None,
-        help="cache root (holding arrays/, evaluations/, traces/) or one "
-             "store directory to audit",
-    )
-    parser.add_argument(
-        "--manifest", metavar="DIR", action="append", default=[],
-        help="run-output directory whose manifest and artifacts to audit "
-             "(repeatable)",
-    )
-    args = parser.parse_args(argv)
-    if args.cache_dir is None and not args.manifest:
-        parser.error("nothing to audit: give a cache_dir and/or --manifest")
-
-    reports: List[FsckReport] = []
-    if args.cache_dir is not None:
-        reports.extend(fsck_cache_dir(args.cache_dir))
-    for output_dir in args.manifest:
-        reports.append(fsck_manifest(output_dir))
-
-    for report in reports:
-        print(report.summary())
-        for problem in report.problems:
-            print(f"  ! {problem}")
-    return 0 if all(report.clean for report in reports) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,8 +11,8 @@ identically across the whole suite — no signature probing, no per-study
 shims.
 
 The registry is the single source of truth for the study CLI
-(``python -m repro.config.cli run-study <name>``), the summary driver
-(``python -m repro.studies.summary``), and the service; a study has no
+(``nvmexplorer run-study <name>`` and ``list-studies``), the summary
+driver (``nvmexplorer summary``), and the service; a study has no
 config-file form, its defaults live here only.
 """
 
@@ -245,7 +245,7 @@ REGISTRY: dict[str, StudySpec] = _registry(
 
 
 def describe_registry() -> str:
-    """One aligned line per registered study (the ``--list`` output)."""
+    """One aligned line per registered study (the ``list-studies`` output)."""
     return "\n".join(
         f"{name:26s} {spec.figure:20s} {spec.description}"
         for name, spec in REGISTRY.items()

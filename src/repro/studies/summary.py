@@ -1,47 +1,34 @@
-"""Full-reproduction driver: regenerate every study artifact in one run.
+"""Full-reproduction library: regenerate every study artifact in one run.
 
-``python -m repro.studies.summary [output_dir]`` runs every study in the
-registry (:mod:`repro.studies.pipeline`), writes each result table as CSV
-plus a markdown report, and prints a per-study pass/fail table — the
+:func:`run_all` runs every study in the registry
+(:mod:`repro.studies.pipeline`), or a subset, writes each result table
+as CSV plus a markdown report, and prints one line per study — the
 offline equivalent of the artifact's ``output/results/*.csv`` plus the
-web dashboard snapshots.
+web dashboard snapshots.  ``nvmexplorer summary`` (:mod:`repro.config.cli`)
+is its command.
 
-Runtime options apply uniformly to **all** studies, and every sweep runs
-serially in this process: ``--cache-dir`` persists array
-characterizations, (array x traffic) evaluation blocks, and regenerated
-LLC traces (under ``<cache-dir>/traces``), ``--seed`` pins every
-stochastic component, and ``--on-error skip`` records a
-failing study and keeps going.  A cache pack that fails verification on
-load is deleted and its results are recomputed and re-packed, so a
-damaged cache heals on the next run.  A warm
-second run against the same cache directory performs zero
-characterizations and zero evaluation blocks; ``--expect-warm`` turns
-that into an exit-code assertion for CI.
+One :class:`~repro.runtime.options.RuntimeOptions` applies uniformly to
+**all** studies, and every sweep runs serially in this process.  A
+cache pack that fails verification on load is deleted and its results
+are recomputed and re-packed, so a damaged cache heals on the next run.
+A warm second run against the same cache directory performs zero
+characterizations and zero evaluation blocks (:attr:`SummaryRun.warm`).
 
 Every run writes a ``manifest.json`` next to its outputs
 (:mod:`repro.runtime.shard`) recording what ran, its status, telemetry,
 and artifact paths.  The next run into the same directory is
 **incremental**: a study whose manifest entry matches the current
 content fingerprint (parameters x source digest) and whose artifacts
-still exist is skipped with a ``cached`` status
-instead of re-run; ``--force`` disables the skip.  Entries for studies
-outside an ``--only`` subset are retained, so a subset run never
-discards the rest of the directory's incremental state.
-
-Exit codes: ``0`` success, ``1`` study failures (or a violated
-``--expect-warm``), ``2`` usage/config error, ``3`` for a
-fully-incremental run (every study skipped as up to date) so CI logs
-can tell a no-op invocation from one that recomputed artifacts, and
-``130`` for an interrupted run (Ctrl-C or SIGTERM): the studies
-completed before the interrupt are recorded in a partial manifest —
-their artifacts and incremental state survive — and the rest resume on
-the next invocation.
+still exist is skipped with a ``cached`` status instead of re-run.
+Entries for studies outside an ``only`` subset are retained, so a
+subset run never discards the rest of the directory's incremental
+state.  An interrupted run (``KeyboardInterrupt``) records the studies
+completed before it in a partial manifest — their artifacts and
+incremental state survive — and the rest resume on the next run.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -49,7 +36,6 @@ from typing import Optional, Sequence, Union
 from repro.errors import ReproError
 from repro.results.table import ResultTable
 from repro.runtime.cache import atomic_write_bytes
-from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.runtime.shard import (
     STATUS_CACHED,
@@ -62,16 +48,6 @@ from repro.runtime.shard import (
 from repro.runtime.telemetry import SweepTelemetry
 from repro.studies.pipeline import REGISTRY, StudyOutcome
 from repro.viz.report import study_report
-
-#: Back-compat alias: the registry keyed by study name.
-STUDIES = REGISTRY
-
-#: Exit codes (see module docstring).
-EXIT_OK = 0
-EXIT_FAILED = 1
-EXIT_USAGE = 2
-EXIT_ALL_INCREMENTAL = 3
-EXIT_INTERRUPTED = 130  # the shell convention for SIGINT-style exits
 
 
 @dataclass
@@ -201,7 +177,7 @@ def run_all(
     the outputs after every run, including an interrupted one.
     """
     runtime = ensure_runtime(runtime)
-    registry = _select(only, STUDIES)
+    registry = _select(only, REGISTRY)
     out = Path(output_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(parents=True, exist_ok=True)
@@ -284,149 +260,11 @@ def _run_selected(
               f"{outcome.elapsed_s:6.2f}s  {status}")
 
 
-def _table_status(entry: ManifestEntry) -> str:
-    return "FAIL" if entry.status == STATUS_FAILED else entry.status
-
-
-def _status_table(entries: Sequence[ManifestEntry]) -> str:
-    """The per-study pass/fail table, rendered from manifest entries."""
-    lines = [
-        "| study | status | rows | time_s | chars fresh/cached | evals fresh/cached |",
-        "|---|---|---|---|---|---|",
-    ]
-    for entry in entries:
-        t = SweepTelemetry.from_counters(entry.telemetry)
-        lines.append(
-            f"| {entry.name} | {_table_status(entry)} | {entry.rows} "
-            f"| {entry.elapsed_s:.2f} | {t.completed}/{t.cached} "
-            f"| {t.evaluated}/{t.eval_cached} |"
-        )
-    return "\n".join(lines)
-
-
-def report_run(run: SummaryRun, output_dir: Union[str, Path]) -> int:
-    """Print the status table and run totals; ``EXIT_FAILED`` on failures."""
-    print(f"\n{_status_table(run.manifest.entries)}")
-    total_rows = sum(o.rows for o in run.outcomes)
-    fresh = len(run.outcomes) - run.incremental_skips
-    print(f"\n{len(run.outcomes)} studies ({fresh} run, "
-          f"{run.incremental_skips} incremental-cached), {total_rows} result "
-          f"rows. CSVs in {output_dir}/results, reports in "
-          f"{output_dir}/reports.")
-    print(f"runtime totals: {run.telemetry.summary()}")
-    if not run.ok:
-        failed = ", ".join(o.name for o in run.outcomes if not o.ok)
-        print(f"FAILED studies: {failed}", file=sys.stderr)
-        return EXIT_FAILED
-    return EXIT_OK
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.studies.summary",
-        description="Regenerate every study artifact (CSVs + reports).",
-        epilog=(
-            "exit codes: 0 success, 1 study failure or violated "
-            "--expect-warm, 2 usage/config error, 3 fully-incremental run "
-            "(every study skipped as up to date), 130 interrupted"
-        ),
-    )
-    parser.add_argument("output_dir", nargs="?", default="output")
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list registered studies and exit",
-    )
-    parser.add_argument(
-        "--only", default=None, metavar="NAME[,NAME...]",
-        help="run only the named studies",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="re-run every study even when its manifest entry is up to date",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (characterizations, evaluations, traces)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="override every study's stochastic seed",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip"), default="skip",
-        help="abort on the first failing study, or record it and continue",
-    )
-    parser.add_argument(
-        "--expect-warm", action="store_true",
-        help="exit non-zero if anything was recomputed (CI cache check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list:
-        from repro.studies.pipeline import describe_registry
-
-        print(describe_registry())
-        return EXIT_OK
-
-    only = args.only.split(",") if args.only else None
-    runtime = RuntimeOptions(
-        cache_dir=args.cache_dir,
-        on_error=args.on_error,
-        seed=args.seed,
-    )
-    print(f"Regenerating studies into {args.output_dir}/ ...")
-    try:
-        # SIGTERM (CI runners, systemd, Kubernetes) takes the same clean
-        # drain path as Ctrl-C: finish nothing new, write the partial
-        # manifest, exit 130.
-        with sigterm_as_keyboard_interrupt():
-            run = run_all(
-                args.output_dir,
-                runtime=runtime,
-                only=only,
-                incremental=not args.force,
-            )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyboardInterrupt:
-        # run_all drains interrupts that land inside the study loop; this
-        # catches the window outside it (setup, manifest write).
-        print("\ninterrupted before any study completed", file=sys.stderr)
-        return EXIT_INTERRUPTED
-
-    if run.interrupted:
-        done = len(run.outcomes)
-        print(
-            f"\ninterrupted: {done} studies completed before the interrupt; "
-            f"partial manifest written to {args.output_dir}/manifest.json "
-            "(re-run to resume)",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-
-    if report_run(run, args.output_dir) != EXIT_OK:
-        return EXIT_FAILED
-    telemetry = run.telemetry
-    if args.expect_warm and not run.warm:
-        print(
-            f"expected a warm run but recomputed "
-            f"{telemetry.completed} characterizations, "
-            f"{telemetry.evaluated} evaluation blocks, and "
-            f"{telemetry.trace_simulated} LLC traces",
-            file=sys.stderr,
-        )
-        return EXIT_FAILED
-    if args.expect_warm:
-        print("warm run confirmed: zero characterizations, zero evaluations, "
-              "zero trace simulations.")
-        return EXIT_OK
-    if run.fully_incremental:
-        print(f"all {len(run.outcomes)} studies up to date "
-              "(incremental skip); nothing recomputed.")
-        return EXIT_ALL_INCREMENTAL
-    return EXIT_OK
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # Forward for callers that still name this module; the command lives
+    # in repro.config.cli, which this library does not import otherwise.
+    import sys
+
+    from repro.config.cli import main
+
+    raise SystemExit(main(["summary", *sys.argv[1:]]))

@@ -26,11 +26,13 @@ def _nice_fmt(value: float) -> str:
     return f"{value:.3g}"
 
 
-def _transform(value: float, log: bool) -> float:
+def _transform(value: float, log: bool, label: str) -> float:
+    if not math.isfinite(value):
+        raise ReproError(f"{label}: cannot plot non-finite value {value}")
     if not log:
         return value
     if value <= 0:
-        raise ReproError("log-scale axes need positive values")
+        raise ReproError(f"{label}: log-scale axes need positive values")
     return math.log10(value)
 
 
@@ -53,7 +55,7 @@ def scatter(
         raise ReproError(f"scatter draws at most {len(_MARKERS)} series")
     markers = dict(zip(series, _MARKERS))
     points = [
-        (markers[label], _transform(x, log_x), _transform(y, log_y))
+        (markers[label], _transform(x, log_x, x_label), _transform(y, log_y, y_label))
         for label, pts in series.items()
         for x, y in pts
     ]
@@ -104,7 +106,8 @@ def bar_chart(
     if not values:
         return "(no data)"
     items = list(values.items())
-    transformed = [_transform(v, log) for _, v in items if v is not None]
+    axis = title or "value"
+    transformed = [_transform(v, log, axis) for _, v in items if v is not None]
     if not transformed:
         return "(no data)"
     lo = min(0.0, min(transformed)) if not log else min(transformed)
@@ -116,7 +119,7 @@ def bar_chart(
         if value is None:
             lines.append(f"{key:<{label_width}} | (n/a)")
             continue
-        filled = int((_transform(value, log) - lo) / span * width)
+        filled = int((_transform(value, log, axis) - lo) / span * width)
         lines.append(
             f"{key:<{label_width}} |{'#' * filled:<{width}} {_nice_fmt(value)}"
         )

@@ -5,11 +5,11 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import run_lint
-from repro.analysis.cli import main as lint_main
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.exceptions import ExceptSafetyRule
 from repro.analysis.iodiscipline import AtomicWriteRule
 from repro.analysis.locks import LockCoverageRule
+from repro.config.cli import main as cli_main
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -27,6 +27,11 @@ def make_tree(tmp_path, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(body).lstrip("\n"), encoding="utf-8")
     return root
+
+
+def lint_main(argv):
+    """``nvmexplorer lint`` with ``argv``; its exit code."""
+    return cli_main(["lint", *argv])
 
 
 def rule_findings(root, rule):

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from repro.config.cli import main as cli_main
 from repro.runtime.cache import (
     PACK_SUFFIX,
     STORE_TYPES,
@@ -19,8 +20,12 @@ from repro.runtime.fsck import (
     fsck_manifest,
     fsck_store,
 )
-from repro.runtime.fsck import main as fsck_main
 from repro.runtime.shard import ManifestEntry, RunManifest
+
+
+def fsck_main(argv):
+    """``nvmexplorer fsck`` with ``argv``; its exit code."""
+    return cli_main(["fsck", *argv])
 
 
 @pytest.fixture()
@@ -286,9 +291,10 @@ class TestFsckCli:
         capsys.readouterr()
 
     def test_requires_a_target(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             fsck_main([])
-        capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "nothing to audit" in capsys.readouterr().err
 
     def test_repair_from_is_a_usage_error(self, tmp_path, capsys):
         # Packs are never copied in from another cache: a damaged pack's

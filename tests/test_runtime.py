@@ -694,13 +694,13 @@ class TestRowCodec:
 
     def test_mixed_shape_studies_render_identically_warm(self, tmp_path,
                                                          forget_pack_indexes):
-        from repro.studies.summary import main as summary_main
+        from repro.config.cli import main
 
         only = ["--only", "fig11_bg_fefet,fig14_writebuffer",
                 "--cache-dir", str(tmp_path / "cache")]
-        assert summary_main([str(tmp_path / "cold"), *only]) == 0
+        assert main(["summary", str(tmp_path / "cold"), *only]) == 0
         forget_pack_indexes()
-        assert summary_main([str(tmp_path / "warm"), *only, "--expect-warm"]) == 0
+        assert main(["summary", str(tmp_path / "warm"), *only, "--expect-warm"]) == 0
         cold = sorted((tmp_path / "cold" / "results").glob("*.csv"))
         assert [p.name for p in cold] == ["fig11_bg_fefet.csv", "fig14_writebuffer.csv"]
         for path in cold:

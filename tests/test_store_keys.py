@@ -147,7 +147,7 @@ def _run_study(src, outdir, cache_dir):
     """One ``ext_synthetic_llc`` run of the package under ``src``; its telemetry."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     subprocess.run(
-        [sys.executable, "-m", "repro.studies.summary", str(outdir),
+        [sys.executable, "-m", "repro.config.cli", "summary", str(outdir),
          "--only", "ext_synthetic_llc", "--cache-dir", str(cache_dir)],
         env=env, check=True, capture_output=True,
     )

@@ -1,5 +1,5 @@
-"""The full-reproduction driver: registry coverage, artifacts, warm,
-incremental and interrupted runs."""
+"""The full-reproduction driver (``run_all`` and ``nvmexplorer summary``):
+registry coverage, artifacts, warm, incremental and interrupted runs."""
 
 import dataclasses
 import json
@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.config.cli import EXIT_ALL_INCREMENTAL
+from repro.config.cli import main as cli_main
 from repro.errors import CharacterizationError
 from repro.runtime.cache import PACK_SUFFIX, read_pack_index
 from repro.runtime.options import (
@@ -21,23 +23,19 @@ from repro.runtime.options import (
 from repro.runtime.fsck import fsck_cache_dir, fsck_manifest
 from repro.runtime.shard import RunManifest
 from repro.studies.pipeline import REGISTRY, StudySpec
-from repro.studies.summary import (
-    EXIT_ALL_INCREMENTAL,
-    STUDIES,
-    main,
-    run_all,
-)
+from repro.studies.summary import run_all
+
+
+def summary(argv):
+    """``nvmexplorer summary`` with ``argv``; its exit code."""
+    return cli_main(["summary", *argv])
 
 
 def test_study_registry_covers_evaluation_figures():
-    names = set(STUDIES)
+    names = set(REGISTRY)
     for figure in ("fig03", "fig05", "fig06", "fig08", "fig09", "fig10",
                    "fig11", "fig12", "fig13", "fig14"):
         assert any(n.startswith(figure) for n in names), figure
-
-
-def test_registry_is_the_summary_registry():
-    assert STUDIES is REGISTRY
 
 
 def test_run_subset_writes_artifacts(tmp_path):
@@ -60,21 +58,14 @@ def test_unknown_only_name_rejected(tmp_path):
 
 
 def test_main_returns_zero(tmp_path, capsys):
-    assert main([str(tmp_path), "--only", "ext_hierarchy"]) == 0
+    assert summary([str(tmp_path), "--only", "ext_hierarchy"]) == 0
     out = capsys.readouterr().out
     assert "1 studies" in out
     assert "| ext_hierarchy | ok |" in out
 
 
-def test_main_list(capsys):
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    for name in STUDIES:
-        assert name in out
-
-
 def test_main_unknown_only_exits_nonzero(tmp_path, capsys):
-    assert main([str(tmp_path), "--only", "nope"]) == 2
+    assert summary([str(tmp_path), "--only", "nope"]) == 2
     assert "unknown studies" in capsys.readouterr().err
 
 
@@ -83,12 +74,12 @@ def _boom(runtime=None):
 
 
 def test_failing_study_nonzero_exit_and_table(tmp_path, monkeypatch, capsys):
-    broken = dict(STUDIES)
+    broken = dict(REGISTRY)
     broken["boom"] = StudySpec(
         name="boom", builder=_boom, figure="n/a", description="always fails",
     )
-    monkeypatch.setattr("repro.studies.summary.STUDIES", broken)
-    rc = main([str(tmp_path), "--only", "boom,ext_hierarchy", "--on-error", "skip"])
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
+    rc = summary([str(tmp_path), "--only", "boom,ext_hierarchy", "--on-error", "skip"])
     assert rc == 1
     captured = capsys.readouterr()
     assert "| boom | FAIL |" in captured.out
@@ -97,11 +88,11 @@ def test_failing_study_nonzero_exit_and_table(tmp_path, monkeypatch, capsys):
 
 
 def test_failing_study_raises_under_on_error_raise(tmp_path, monkeypatch):
-    broken = dict(STUDIES)
+    broken = dict(REGISTRY)
     broken["boom"] = StudySpec(
         name="boom", builder=_boom, figure="n/a", description="always fails",
     )
-    monkeypatch.setattr("repro.studies.summary.STUDIES", broken)
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
     with pytest.raises(CharacterizationError):
         run_all(tmp_path, runtime=RuntimeOptions(on_error="raise"), only=["boom"])
 
@@ -159,10 +150,10 @@ def test_main_expect_warm(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = [str(tmp_path / "o1"), "--only", "ext_hierarchy",
             "--cache-dir", cache]
-    assert main(args + ["--expect-warm"]) == 1  # cold run is not warm
+    assert summary(args + ["--expect-warm"]) == 1  # cold run is not warm
     capsys.readouterr()
     args[0] = str(tmp_path / "o2")
-    assert main(args + ["--expect-warm"]) == 0
+    assert summary(args + ["--expect-warm"]) == 0
     assert "warm run confirmed" in capsys.readouterr().out
 
 
@@ -200,12 +191,12 @@ def test_incremental_false_reruns_everything(tmp_path):
 def test_changed_params_invalidate_incremental_entry(tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_all(out, only=["ext_hierarchy"])
-    spec = STUDIES["ext_hierarchy"]
-    tweaked = dict(STUDIES)
+    spec = REGISTRY["ext_hierarchy"]
+    tweaked = dict(REGISTRY)
     tweaked["ext_hierarchy"] = dataclasses.replace(
         spec, params={**dict(spec.params), "read_hit_rate": 0.5},
     )
-    monkeypatch.setattr("repro.studies.summary.STUDIES", tweaked)
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", tweaked)
     rerun = run_all(out, only=["ext_hierarchy"])
     assert rerun.incremental_skips == 0
 
@@ -221,11 +212,11 @@ def test_missing_artifact_invalidates_incremental_entry(tmp_path):
 
 def test_failed_study_is_not_skipped_incrementally(tmp_path, monkeypatch):
     out = tmp_path / "out"
-    broken = dict(STUDIES)
+    broken = dict(REGISTRY)
     broken["boom"] = StudySpec(
         name="boom", builder=_boom, figure="n/a", description="always fails",
     )
-    monkeypatch.setattr("repro.studies.summary.STUDIES", broken)
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
     runtime = RuntimeOptions(on_error="skip")
     first = run_all(out, runtime=runtime, only=["boom"])
     assert not first.ok
@@ -271,26 +262,27 @@ def test_malformed_manifest_entry_skips_nothing(tmp_path, field, value):
 
 def test_main_fully_incremental_exit_code(tmp_path, capsys):
     args = [str(tmp_path / "out"), "--only", "ext_hierarchy"]
-    assert main(args) == 0
+    assert summary(args) == 0
     capsys.readouterr()
-    assert main(args) == EXIT_ALL_INCREMENTAL
+    assert summary(args) == EXIT_ALL_INCREMENTAL
     out = capsys.readouterr().out
     assert "| ext_hierarchy | cached |" in out
     assert "up to date" in out
-    assert main(args + ["--force"]) == 0  # --force disables the skip
+    assert summary(args + ["--force"]) == 0  # --force disables the skip
 
 
 def test_main_rejects_retired_flags(tmp_path, capsys):
     # Pool, retry, shard and merge flags are gone: the suite runs as one
-    # serial pass in this process.
+    # serial pass in this process.  `nvmexplorer list-studies` is the one
+    # registry listing.
     retired = (
         "--workers", "--retries", "--retry-backoff", "--point-deadline",
         "--shard-index", "--shard-count", "--point-shard-index",
-        "--point-shard-count", "--merge",
+        "--point-shard-count", "--merge", "--list",
     )
     for flag in retired:
         with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path / "m"), flag, "1"])
+            summary([str(tmp_path / "m"), flag, "1"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -325,7 +317,7 @@ def _interrupt(**kwargs):
 
 def _interrupting_registry():
     """fig05 runs, then 'stop' simulates Ctrl-C, ext_hierarchy never runs."""
-    registry = dict(STUDIES)
+    registry = dict(REGISTRY)
     registry["stop"] = StudySpec(
         name="stop", builder=_interrupt, figure="n/a",
         description="simulated Ctrl-C",
@@ -334,7 +326,7 @@ def _interrupting_registry():
 
 
 def test_interrupted_run_writes_partial_manifest(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.studies.summary.STUDIES",
+    monkeypatch.setattr("repro.studies.summary.REGISTRY",
                         _interrupting_registry())
     run = run_all(tmp_path, only=["fig05_dnn_arrays", "stop", "ext_hierarchy"])
     assert run.interrupted
@@ -347,7 +339,7 @@ def test_interrupted_run_writes_partial_manifest(tmp_path, monkeypatch):
 
 
 def test_interrupted_run_resumes_incrementally(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.studies.summary.STUDIES",
+    monkeypatch.setattr("repro.studies.summary.REGISTRY",
                         _interrupting_registry())
     first = run_all(tmp_path, only=["fig05_dnn_arrays", "stop"])
     assert first.interrupted
@@ -360,7 +352,7 @@ def test_interrupted_run_resumes_incrementally(tmp_path, monkeypatch):
 def test_interrupt_keeps_prior_entries_of_unrun_studies(tmp_path, monkeypatch):
     # A full pass records ext_hierarchy...
     run_all(tmp_path, only=["ext_hierarchy"])
-    monkeypatch.setattr("repro.studies.summary.STUDIES",
+    monkeypatch.setattr("repro.studies.summary.REGISTRY",
                         _interrupting_registry())
     # ...then an interrupted pass that selected (but never reached) it
     # must not clobber its incremental state.
@@ -376,9 +368,9 @@ def test_interrupt_keeps_prior_entries_of_unrun_studies(tmp_path, monkeypatch):
 
 
 def test_main_interrupted_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("repro.studies.summary.STUDIES",
+    monkeypatch.setattr("repro.studies.summary.REGISTRY",
                         _interrupting_registry())
-    rc = main([str(tmp_path), "--only", "fig05_dnn_arrays,stop"])
+    rc = summary([str(tmp_path), "--only", "fig05_dnn_arrays,stop"])
     assert rc == 130
     captured = capsys.readouterr()
     assert "interrupted" in captured.err
@@ -444,10 +436,10 @@ def _damage_is_gone(cache, damaged):
 
 def test_main_quarantines_corrupt_entries(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert main([str(tmp_path / "cold"), "--only", "ext_hierarchy",
+    assert summary([str(tmp_path / "cold"), "--only", "ext_hierarchy",
                  "--cache-dir", cache]) == 0
     damaged = _flip_first_byte_of_every_pack(cache)
-    rc = main([str(tmp_path / "hostile"), "--only", "ext_hierarchy",
+    rc = summary([str(tmp_path / "hostile"), "--only", "ext_hierarchy",
                "--cache-dir", cache, "--force"])
     assert rc == 0
     assert "corrupt cache packs deleted" in capsys.readouterr().out
@@ -465,10 +457,10 @@ def test_chaos_reaches_the_trace_store(tmp_path, capsys):
     """Damaged LLC trace packs are deleted, reported and re-simulated."""
     cache = str(tmp_path / "cache")
     args = ["--only", "ext_synthetic_llc", "--cache-dir", cache]
-    assert main([str(tmp_path / "warm")] + args) == 0
+    assert summary([str(tmp_path / "warm")] + args) == 0
     trace_packs = len(list((tmp_path / "cache" / "traces").glob(f"*{PACK_SUFFIX}")))
     damaged = _flip_first_byte_of_every_pack(cache)
-    assert main([str(tmp_path / "hostile"), "--force"] + args) == 0
+    assert summary([str(tmp_path / "hostile"), "--force"] + args) == 0
     capsys.readouterr()
     entry = RunManifest.load(tmp_path / "hostile").entry_for("ext_synthetic_llc")
     # Every damaged trace pack counted once; all four traces re-simulated.
@@ -484,7 +476,7 @@ def test_chaos_reaches_the_trace_store(tmp_path, capsys):
 def test_main_rejects_bad_chaos_spec(tmp_path, capsys):
     # Cache damage is exercised by damaging pack bytes; no flag injects it.
     with pytest.raises(SystemExit) as excinfo:
-        main([str(tmp_path), "--chaos", "seed=5,cache_corrupt=1.0"])
+        summary([str(tmp_path), "--chaos", "seed=5,cache_corrupt=1.0"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --chaos" in capsys.readouterr().err
 
@@ -505,3 +497,19 @@ def test_import_does_not_load(module):
     )
     assert out.stdout.strip() == "False"
 
+
+
+def test_module_forward_runs_the_summary_command(tmp_path):
+    # `python -m repro.studies.summary` forwards to `nvmexplorer summary`.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for module, out in (("repro.studies.summary", "forward"),
+                        ("repro.config.cli summary", "command")):
+        subprocess.run(
+            [sys.executable, "-m", *module.split(), str(tmp_path / out),
+             "--only", "ext_hierarchy"],
+            env=env, check=True, capture_output=True,
+        )
+    csv = Path("results") / "ext_hierarchy.csv"
+    assert (tmp_path / "forward" / csv).read_bytes() == (
+        tmp_path / "command" / csv
+    ).read_bytes()

@@ -183,3 +183,16 @@ def test_column_built_views_match_row_reference(eval_table, monkeypatch):
     monkeypatch.setattr(dashboard, "_series", _reference_series)
     assert built == [_reference_views(table) for table in tables]
     assert all("(no data)" not in text for views in built for text in views)
+
+
+@pytest.mark.parametrize("plot, axis", [
+    (lambda: power_view(ResultTable([
+        {"cell": "a", "reads_per_s": float("nan"), "total_power_mw": 1.0},
+        {"cell": "a", "reads_per_s": 2.0, "total_power_mw": 1.0},
+    ])), "reads/s"),
+    (lambda: bar_chart({"a": float("nan"), "b": 1.0}), "value"),
+    (lambda: scatter({"s": [(1.0, float("inf")), (2.0, 3.0)]}), "y"),
+], ids=["power_view_nan", "bar_chart_nan", "scatter_inf"])
+def test_non_finite_value_names_its_axis(plot, axis):
+    with pytest.raises(ReproError, match=f"^{axis}: cannot plot non-finite"):
+        plot()
