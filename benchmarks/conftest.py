@@ -3,7 +3,8 @@
 Each bench regenerates one of the paper's tables or figures: it times the
 study via pytest-benchmark, prints the rows/series the paper reports, and
 asserts the qualitative "shape" contract (who wins, by roughly what factor,
-where crossovers fall).  EXPERIMENTS.md records paper-vs-measured for each.
+where crossovers fall).  README.md's "Known deviations" section records
+where this model's outcome differs from the paper's.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ def test_fig07_wakeup_frequency_sweep(benchmark):
 
     assert winner_at(nlp, 1) == "FeFET"
     # At high rates a low-energy-per-access technology takes over (the paper
-    # measures STT; our RRAM tentpole contests it at 64 B access width —
-    # see EXPERIMENTS.md) and FeFET definitively loses.
+    # measures STT; our RRAM tentpole wins at 64 B access width — see
+    # README.md, "Known deviations") and FeFET definitively loses.
     assert winner_at(nlp, 1e7) in {"STT", "RRAM"}
     assert winner_at(nlp, 1e7) != "FeFET"
     assert winner_at(image, 1) == "FeFET"

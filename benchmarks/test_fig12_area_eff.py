@@ -29,11 +29,13 @@ def test_fig12_area_efficiency_tradeoff(benchmark):
         assert values["latency_optimal_efficiency"] < values["max_efficiency"], tech
         assert values["latency_optimal_ns"] <= values["max_efficiency_latency_ns"], tech
 
-    # The full organization cloud renders with both groups populated; the
-    # median comparison is reported (see EXPERIMENTS.md for the deviation
-    # discussion).
+    # The full organization cloud renders with both groups populated.  The
+    # paper finds low-efficiency organizations faster; across the whole
+    # cloud this model measures them slower (README.md, "Known
+    # deviations"), and that measured direction is asserted.
     cloud = area_efficiency_study(traffic_points=2)
     medians = low_efficiency_latency_advantage(cloud)
     print(f"\ncloud medians: {medians}")
     assert len(cloud) > 100
     assert medians["low_eff_median"] > 0 and medians["high_eff_median"] > 0
+    assert medians["low_eff_median"] > medians["high_eff_median"]

@@ -2,7 +2,8 @@
 
 Every durable artifact in the cache/queue/manifest layer is written by
 staging a unique temp file and atomically renaming it into place
-(:func:`repro.runtime.cache._tmp_path_for` + ``os.replace``), so a
+(:func:`repro.runtime.cache._tmp_path_for` + ``os.replace``, or
+:func:`repro.runtime.cache.atomic_write_bytes`, which does both), so a
 crashed writer can never leave a truncated entry that a later run (or
 fsck) mistakes for data.  A bare ``open(path, "w")`` / ``write_text`` /
 ``write_bytes`` in those modules silently reintroduces the torn-write
@@ -10,8 +11,9 @@ window that PR 7's crash-recovery work closed.
 
 The check is function-local: a write call is compliant when its
 enclosing function also renames something into place (``os.replace`` /
-``os.rename``) or delegates to one of the atomic helpers.  Read-only opens and
-explicit temp-staging writes therefore pass without annotation.
+``os.rename``).  Read-only opens, explicit temp-staging writes and calls
+of :func:`~repro.runtime.cache.atomic_write_bytes` (not a bare write)
+therefore pass without annotation.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ PERSISTENCE_MODULES = (
 
 #: Calling any of these inside the function marks it atomic-compliant.
 _RENAME_CALLS = {"os.replace", "os.rename"}
-_ATOMIC_HELPERS = {"atomic_write_text", "atomic_write_json"}
 
 _WRITE_METHODS = {"write_text", "write_bytes"}
 
@@ -74,7 +75,7 @@ class AtomicWriteRule(Rule):
 
     def _check_module(self, ctx: LintContext, module: ModuleInfo) -> Iterator[Finding]:
         bindings = import_bindings(module)
-        compliant_fns = set()  # functions that rename or call a helper
+        compliant_fns = set()  # functions that rename
         writes = []  # (function-or-None, call node, description)
 
         for node in ast.walk(module.tree):
@@ -87,7 +88,7 @@ class AtomicWriteRule(Rule):
             # ``(out / name).write_text(...)`` counts as a write too.
             is_method = isinstance(node.func, ast.Attribute)
             leaf = node.func.attr if is_method else getattr(node.func, "id", None)
-            if resolved in _RENAME_CALLS or leaf in _ATOMIC_HELPERS:
+            if resolved in _RENAME_CALLS:
                 compliant_fns.add(owner)
             elif is_method and leaf in _WRITE_METHODS:
                 writes.append((owner, node, f".{leaf}()"))
@@ -104,6 +105,6 @@ class AtomicWriteRule(Rule):
                 call,
                 f"bare {description} in {where} bypasses the tmp + "
                 "os.replace discipline — stage to a temp path "
-                "(_tmp_path_for) and os.replace() it into place, or use an "
-                "atomic_write_* helper",
+                "(_tmp_path_for) and os.replace() it into place, or use "
+                "atomic_write_bytes",
             )

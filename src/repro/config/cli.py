@@ -24,7 +24,8 @@ A config file describes one sweep and runs through the DSE engine;
 (or ``--only`` some) into ``OUT/results/*.csv`` and
 ``OUT/reports/*.md``, skipping studies whose manifest entry is up to
 date (``--force`` re-runs them).  ``summary`` records a failing study
-and goes on (``--on-error raise`` stops at it); ``--expect-warm`` makes
+and goes on (``--on-error raise`` stops at it; both exit 1 and name the
+study on stderr); ``--expect-warm`` makes
 any recomputation exit 1; Ctrl-C or SIGTERM writes a partial manifest
 that the next run resumes from.  Every sweep runs serially in this
 process.  ``--cache-dir`` and ``--seed`` work identically for the
@@ -253,7 +254,11 @@ def _summary_command(argv: Sequence[str]) -> int:
             )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if exc.study is None:
+            return EXIT_USAGE
+        # A study's own failure, let through by --on-error raise.
+        print(f"FAILED studies: {exc.study}", file=sys.stderr)
+        return EXIT_FAILED
     except KeyboardInterrupt:
         # run_all drains interrupts that land inside the study loop; this
         # catches the window outside it (setup, manifest write).

@@ -38,13 +38,7 @@ from repro.runtime.executor import (
     simulate_traces,
     sweep_points,
 )
-from repro.runtime.options import (
-    ARRAY_CACHE_SUBDIR,
-    EVALUATION_CACHE_SUBDIR,
-    TRACE_CACHE_SUBDIR,
-    RuntimeOptions,
-    ensure_runtime,
-)
+from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.traffic.base import TrafficPattern
 
 
@@ -81,6 +75,9 @@ class DSEEngine:
     and the progress callback, which receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per item (a study
     passes its :class:`~repro.runtime.telemetry.SweepTelemetry`).
+    Each store sits in the directory its class's ``store_name`` names.
+    An engine memoizes nothing between calls: a repeated point is served
+    by the persistent store, or recomputed.
     """
 
     def __init__(self, runtime: Optional[RuntimeOptions] = None) -> None:
@@ -90,13 +87,10 @@ class DSEEngine:
         self.trace_cache: Optional[LLCTraceCache] = None
         if self.runtime.cache_dir is not None:
             root = Path(self.runtime.cache_dir)
-            self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR)
-            self.eval_cache = EvaluationCache(root / EVALUATION_CACHE_SUBDIR)
-            self.trace_cache = LLCTraceCache(root / TRACE_CACHE_SUBDIR)
-        #: In-memory memo of characterizations, keyed like the on-disk
-        #: store: an engine's later calls ask again for arrays that an
-        #: earlier call characterized.
-        self._array_cache: dict[str, ArrayCharacterization] = {}
+            self.cache, self.eval_cache, self.trace_cache = (
+                store(root / store.store_name)
+                for store in (CharacterizationCache, EvaluationCache, LLCTraceCache)
+            )
 
     def characterize(
         self,
@@ -113,7 +107,6 @@ class DSEEngine:
         result = characterize_points(
             [point],
             cache=self.cache,
-            memory=self._array_cache,
             on_error="raise",
             progress=self.runtime.progress,
         )[0]
@@ -168,7 +161,6 @@ class DSEEngine:
         results = characterize_points(
             sweep_points(spec),
             cache=self.cache,
-            memory=self._array_cache,
             on_error=self.runtime.on_error,
             progress=self.runtime.progress,
         )

@@ -11,6 +11,10 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by ``repro``."""
 
+    #: The registered study whose run raised this error, once the suite
+    #: driver (:func:`repro.studies.summary.run_all`) has let it escape.
+    study: str | None = None
+
 
 class ConfigError(ReproError):
     """A user-supplied configuration file or dict is invalid."""

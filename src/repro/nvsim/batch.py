@@ -35,12 +35,6 @@ below minimum load — is handled as masked lanes (``np.where``); the
 FET-cell and MLC program-and-verify branches are uniform across a batch
 (they depend only on the cell), so they select whole masked expression
 groups at once.
-
-**Backend seam.**  All array expressions go through the module-level
-``xp`` alias (bound to numpy).  An optional CuPy/torch backend slots in
-by rebinding ``xp`` — but note the exactness contract above is only
-guaranteed for numpy on CPU; accelerator backends trade bit-exactness
-for speed and must be validated against the oracle with tolerances.
 """
 
 from __future__ import annotations
@@ -86,11 +80,6 @@ __all__ = [
     "feasible_indices",
     "select_winner_index",
 ]
-
-#: Array backend.  Rebind to a numpy-compatible module (CuPy, a torch
-#: shim) for accelerator execution; numpy is the only backend with the
-#: bit-exact parity guarantee documented in the module docstring.
-xp = np
 
 #: ln(4), the base conversion CPython's ``math.log(x, 4.0)`` divides by.
 _LOG4 = math.log(4.0)
@@ -263,11 +252,11 @@ def _ceil_log4(ratio: np.ndarray) -> np.ndarray:
     through ``math.log(x, 4.0)`` — the exact expression the scalar model
     uses — so the result is identical everywhere.
     """
-    y = xp.log(ratio) / _LOG4
-    n = xp.ceil(y)
-    suspect = xp.abs(y - xp.rint(y)) < 1e-9
-    if bool(xp.any(suspect)):
-        indices = xp.nonzero(suspect)[0]
+    y = np.log(ratio) / _LOG4
+    n = np.ceil(y)
+    suspect = np.abs(y - np.rint(y)) < 1e-9
+    if bool(np.any(suspect)):
+        indices = np.nonzero(suspect)[0]
         exact = np.empty(indices.shape[0], dtype=np.float64)
         for slot, value in enumerate(ratio[indices].tolist()):
             exact[slot] = math.ceil(math.log(value, 4.0))
@@ -284,19 +273,19 @@ def _buffer_chain(
     The at-or-below-minimum-load branch is a per-lane mask; the chain
     sizing uses :func:`_ceil_log4` for exactness.
     """
-    load = xp.asarray(load, dtype=xp.float64)
+    load = np.asarray(load, dtype=np.float64)
     if c_min <= 0:
         return (
-            xp.full(load.shape, fo4, dtype=xp.float64),
+            np.full(load.shape, fo4, dtype=np.float64),
             load * vdd2,
         )
     small = load <= c_min
     # Clamp the masked-out lanes to a safe ratio; their values are
     # discarded by the where() below.
-    ratio = xp.where(small, 1.0, load / c_min)
-    n_stages = xp.maximum(1.0, _ceil_log4(ratio))
-    delay = xp.where(small, fo4, n_stages * fo4)
-    energy = xp.where(small, load * vdd2, (load * _CHAIN_FACTOR) * vdd2)
+    ratio = np.where(small, 1.0, load / c_min)
+    n_stages = np.maximum(1.0, _ceil_log4(ratio))
+    delay = np.where(small, fo4, n_stages * fo4)
+    energy = np.where(small, load * vdd2, (load * _CHAIN_FACTOR) * vdd2)
     return delay, energy
 
 
@@ -380,11 +369,11 @@ def evaluate_soa(
     # Column mux: degree-1 lanes are the zero block (masked).
     mux_active = mux > 1
     pass_gate_cap = 2.0 * c_min
-    mux_delay = xp.where(mux_active, 2.0 * fo4, 0.0)
-    mux_energy = xp.where(mux_active, ((cols / mux) * pass_gate_cap) * vdd2, 0.0)
-    mux_leak = xp.where(mux_active, (0.02 * cols) * min_leak, 0.0)
+    mux_delay = np.where(mux_active, 2.0 * fo4, 0.0)
+    mux_energy = np.where(mux_active, ((cols / mux) * pass_gate_cap) * vdd2, 0.0)
+    mux_leak = np.where(mux_active, (0.02 * cols) * min_leak, 0.0)
     mux_gate_area = (6 * F) * (8 * F)
-    mux_area = xp.where(mux_active, cols * mux_gate_area, 0.0)
+    mux_area = np.where(mux_active, cols * mux_gate_area, 0.0)
 
     # Sense amplifiers (count = cols // mux, always positive here).
     sense_amps = cols // mux
@@ -412,8 +401,8 @@ def evaluate_soa(
     subarray_area = cell_area_total + periph_area
     nx = _per_unique(n_sub, _grid_nx, dtype=np.int64)
     ny = n_sub // nx
-    sub_w = wl_len + dec_area / xp.maximum(bl_len, 1e-9)
-    sub_h = subarray_area / xp.maximum(sub_w, 1e-9)
+    sub_w = wl_len + dec_area / np.maximum(bl_len, 1e-9)
+    sub_h = subarray_area / np.maximum(sub_w, 1e-9)
     array_w = nx * sub_w
     array_h = ny * sub_h
     total_area = n_sub * subarray_area + pump.area
@@ -423,16 +412,16 @@ def evaluate_soa(
     # --- global interconnect -----------------------------------------------
     htree_length = 0.5 * (array_w + array_h)
     wire_live = htree_length > 0
-    n_seg = xp.maximum(1.0, xp.ceil(htree_length / REPEATER_SPACING))
+    n_seg = np.maximum(1.0, np.ceil(htree_length / REPEATER_SPACING))
     seg_len = htree_length / n_seg
     seg_r = gwire_res * (seg_len / 1e-6)
     seg_c = wire_cap * (seg_len / 1e-6)
     repeater_cap = 8.0 * c_min
     seg_delay = 2.0 * fo4 + (0.38 * seg_r) * (seg_c + repeater_cap)
     wire_cap_total = wire_cap * (htree_length / 1e-6) + n_seg * repeater_cap
-    bus_delay = xp.where(wire_live, n_seg * seg_delay, 0.0)
-    bus_epb = xp.where(wire_live, (wire_cap_total * vdd2) * BUS_ACTIVITY, 0.0)
-    bus_leak = xp.where(wire_live, (n_seg * 3.0) * min_leak, 0.0)
+    bus_delay = np.where(wire_live, n_seg * seg_delay, 0.0)
+    bus_epb = np.where(wire_live, (wire_cap_total * vdd2) * BUS_ACTIVITY, 0.0)
+    bus_leak = np.where(wire_live, (n_seg * 3.0) * min_leak, 0.0)
 
     out_bus_cap = wire_cap * (htree_length / 1e-6)
     out_delay, out_drive_energy = _buffer_chain(out_bus_cap, c_min, vdd2, fo4)
@@ -441,14 +430,14 @@ def evaluate_soa(
 
     # --- read path ----------------------------------------------------------
     inner_cells = math.ceil(access_bits / bits)
-    cells_per_active = xp.ceil(inner_cells / active).astype(xp.int64)
-    cells_per_active = xp.minimum(cells_per_active, sense_amps)
+    cells_per_active = np.ceil(inner_cells / active).astype(np.int64)
+    cells_per_active = np.minimum(cells_per_active, sense_amps)
 
     wl_delay = (0.38 * wl_res) * full_wordline_cap
     if sram_like:
         develop = (bl_cap * SRAM_SWING) / cell.read_current
         settle = (0.38 * bl_res) * bl_cap
-        t_sense = xp.maximum(cell.read_pulse, develop + settle)
+        t_sense = np.maximum(cell.read_pulse, develop + settle)
     else:
         access_r = (
             0.0 if cell.access_device is AccessDevice.NONE
@@ -460,8 +449,8 @@ def evaluate_soa(
         develop = (bl_cap * SENSE_SWING) / i_clamped
         charge_log = math.log(1.0 / (1.0 - SENSE_SWING / vdd))
         rc_settle = ((cell.r_off + bl_res) * bl_cap) * charge_log
-        t_sense = xp.maximum(
-            xp.maximum(cell.read_pulse, develop), 0.25 * rc_settle
+        t_sense = np.maximum(
+            np.maximum(cell.read_pulse, develop), 0.25 * rc_settle
         )
 
     sense_steps = bits if bits > 1 else 1  # MLC: one bit per reference step
@@ -565,14 +554,14 @@ def evaluate_soa(
         sleep_power = sleep + 0.3 * cell_leak
 
     return BatchNumbers(
-        area=xp.asarray(total_area, dtype=xp.float64),
-        area_efficiency=xp.asarray(area_efficiency, dtype=xp.float64),
-        read_latency=xp.asarray(read_latency, dtype=xp.float64),
-        write_latency=xp.asarray(write_latency, dtype=xp.float64),
-        read_energy=xp.asarray(read_energy, dtype=xp.float64),
-        write_energy=xp.asarray(write_energy, dtype=xp.float64),
-        leakage_power=xp.asarray(leakage, dtype=xp.float64),
-        sleep_power=xp.asarray(sleep_power, dtype=xp.float64),
+        area=np.asarray(total_area, dtype=np.float64),
+        area_efficiency=np.asarray(area_efficiency, dtype=np.float64),
+        read_latency=np.asarray(read_latency, dtype=np.float64),
+        write_latency=np.asarray(write_latency, dtype=np.float64),
+        read_energy=np.asarray(read_energy, dtype=np.float64),
+        write_energy=np.asarray(write_energy, dtype=np.float64),
+        leakage_power=np.asarray(leakage, dtype=np.float64),
+        sleep_power=np.asarray(sleep_power, dtype=np.float64),
     )
 
 
@@ -667,9 +656,9 @@ def select_winner_index(
     preferred = candidate_indices[efficiency >= preferred_area_efficiency]
     pool = preferred if preferred.size else candidate_indices
     metric = rank_metric_column(numbers, target)[pool]
-    best_value = float(xp.min(metric))
+    best_value = float(np.min(metric))
     near_optimal = pool[metric <= 1.05 * best_value]
-    # Tie-break columns, gathered once: Python round() (not xp.round) so
+    # Tie-break columns, gathered once: Python round() (not np.round) so
     # the two-decimal key is the scalar characterizer's, digit for digit.
     groups = soa.n_subarrays[near_optimal] // soa.active_subarrays[near_optimal]
     concurrencies = np.clip(groups, 1, MAX_CONCURRENCY).tolist()

@@ -4,7 +4,7 @@
 explores every candidate internal organization for the requested capacity
 and returns the one that minimizes the chosen optimization target.
 :func:`characterize_sweep` runs several targets at once (Figure 3's
-"various optimization targets"), and :func:`pareto_front` exposes the whole
+"various optimization targets"), and :func:`all_organizations` exposes the whole
 organization space for the area-efficiency co-design study (Figure 12).
 
 Since PR 8 the organization sweep runs on the structure-of-arrays batch

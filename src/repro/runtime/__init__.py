@@ -4,24 +4,23 @@ The paper's value proposition is *fast* cross-stack design-space
 exploration; this package is the execution layer that delivers it:
 
 * :mod:`repro.runtime.fingerprint` — stable, content-addressed identities
-  for sweep points (cell parameters + array provisioning), shared by the
-  in-memory and on-disk caches, and each store's key: a digest of the
-  modules that produce its payloads.
+  for sweep points (cell parameters + array provisioning), which address
+  the on-disk caches, and each store's key: a digest of the modules that
+  produce its payloads.
 * :mod:`repro.runtime.cache` — persistent content-addressed caches, one
   subdirectory of ``cache_dir`` per store: ``arrays/`` (array
   characterizations), ``evaluations/`` ((array x traffic) evaluation row
   blocks) and ``traces/`` (regenerated LLC traffic traces), each holding
   immutable ``<pack-id>.v4`` pack files, one per sweep call, so repeated
   and incremental sweeps are near-instant and interrupted sweeps are
-  resumable.
+  resumable.  One reader serves loads and fsck alike.
 * :mod:`repro.runtime.rowcodec` — the factored body format of an
   evaluation row block: each key order and each block-constant value
   stored once.
 * :mod:`repro.runtime.executor` — serial, in-process characterization,
   (array, traffic) evaluation and LLC trace regeneration in
   deterministic order, all three through one cached-work routine over
-  the disk caches (and, for characterization, an in-process memo), with
-  same-cell points warmed as one array program.
+  the disk caches, with same-cell points warmed as one array program.
 * :mod:`repro.runtime.shard` — run manifests and the study content
   fingerprints behind the incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared

@@ -23,17 +23,20 @@ raw newline, and its checksum is the SHA-256 of those bytes as stored,
 so a load reads and hashes only its own byte range.  The pack id is the
 first 32 hex digits of the SHA-256 of the store key and the ordered
 fingerprints, so the file name also checks the entry lines.
-:func:`read_pack_index` and :func:`verify_pack` own this format;
-``nvmexplorer fsck`` verifies packs through them too, and deletes the
-flat packs of older layouts, which are never read.
+:func:`read_pack_index` reads a pack's lines and
+:meth:`JsonObjectCache.read_entry` reads one entry's body (checksum, then
+JSON, then the store's decoder); a load and ``nvmexplorer fsck`` both go
+through them, and fsck also deletes the flat packs of older layouts,
+which are never read.
 
 Each process keeps one fingerprint index per store root, shared by every
 cache object on that root.  A lookup that misses re-lists the directory
 and reads the index of each pack it has not seen before.  A pack that
 fails verification (no key line, a short or unterminated entry line, a
 name that does not match its entries, a body checksum mismatch, a body
-that does not decode) is deleted whole and its entries leave the index;
-those results are recomputed and re-packed by whichever call needs them.
+that is not JSON or does not decode) is deleted whole and its entries
+leave the index; those results are recomputed and re-packed by whichever
+call needs them.
 
 Invalidation is by store key (:func:`~repro.runtime.fingerprint.store_key`,
 a digest of the modules that produce the store's payloads): the key
@@ -65,7 +68,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import IO, Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.cachesim.llc import LLCTrace
 from repro.errors import ReproError
@@ -101,19 +104,14 @@ def _tmp_path_for(path: Path) -> Path:
     )
 
 
-def atomic_write_text(path: Path, text: str, encoding: str = "utf-8") -> None:
-    """Write ``text`` to ``path`` via a unique temp file + ``os.replace``.
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a unique temp file + ``os.replace``.
 
-    The shared primitive behind every durable artifact outside the JSON
-    caches (warm stamps, run manifests): a reader or
+    The one primitive behind every durable artifact outside the packs
+    (CSVs, reports, run manifests, warm stamps): a reader or
     crash-recovery pass never observes a truncated file, only the old
     content or the new.
     """
-    atomic_write_bytes(path, text.encode(encoding))
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Byte-payload twin of :func:`atomic_write_text`."""
     tmp = _tmp_path_for(path)
     try:
         tmp.write_bytes(data)
@@ -121,11 +119,6 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def atomic_write_json(path: Path, payload: Any, **dumps_kwargs: Any) -> None:
-    """Serialize ``payload`` and atomically write it to ``path``."""
-    atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
 
 
 class CorruptPack(ValueError):
@@ -171,42 +164,6 @@ def read_pack_index(path: Path) -> Tuple[str, List[IndexEntry]]:
         start = end + 1
     if pack_id(schema, [entry[0] for entry in entries]) != path.name.partition(".")[0]:
         raise CorruptPack("entries do not match the pack name")
-    return schema, entries
-
-
-def _read_body(handle: IO[bytes], offset: int, length: int, checksum: str) -> bytes:
-    """One body's bytes, checked against its recorded SHA-256."""
-    handle.seek(offset)
-    body = handle.read(length)
-    if hashlib.sha256(body).hexdigest() != checksum:
-        raise CorruptPack("checksum mismatch")
-    return body
-
-
-def verify_pack(
-    path: Path, decoders: Optional[Mapping[str, Callable[[Any], Any]]] = None
-) -> Tuple[str, List[IndexEntry]]:
-    """Verify a whole pack: its lines, then every body's checksum and JSON.
-
-    ``decoders`` maps store keys to decoders: a pack whose key line holds
-    one of those keys must also have every body accepted by its decoder,
-    as a load would require.  Returns what :func:`read_pack_index`
-    returns; raises like it.
-    """
-    schema, entries = read_pack_index(path)
-    decode = (decoders or {}).get(schema)
-    with open(path, "rb") as handle:
-        for _, offset, length, checksum in entries:
-            body = _read_body(handle, offset, length, checksum)
-            try:
-                payload = json.loads(body)
-            except ValueError:
-                raise CorruptPack("invalid JSON body") from None
-            if decode is not None:
-                try:
-                    decode(payload)
-                except _DECODE_ERRORS:
-                    raise CorruptPack("undecodable body") from None
     return schema, entries
 
 
@@ -268,24 +225,23 @@ class _PackIndex:
     def __init__(self, root: Path) -> None:
         self.root = root
         self.locations: dict[str, _Location] = {}
-        #: Pack file name -> its fingerprints, for every pack read or
-        #: written; a dropped pack stays here with none.
-        self.packs: dict[str, List[str]] = {}
+        #: The name of every pack read, written or dropped: a refresh
+        #: never re-reads (or re-counts) one of them.
+        self.seen: set[str] = set()
         self._lock = threading.RLock()
 
     def add(self, path: Path, schema: str, entries: List[IndexEntry]) -> None:
         with self._lock:
-            self.packs[path.name] = [entry[0] for entry in entries]
+            self.seen.add(path.name)
             for fingerprint, offset, length, checksum in entries:
                 self.locations[fingerprint] = (path, schema, offset, length, checksum)
 
     def drop(self, path: Path) -> None:
-        """Forget a pack's entries; a refresh never re-reads (or re-counts) it."""
+        """Forget a pack's entries; a refresh never re-reads it."""
         with self._lock:
-            for fingerprint in self.packs.get(path.name, ()):
-                if self.locations.get(fingerprint, (None,))[0] == path:
-                    del self.locations[fingerprint]
-            self.packs[path.name] = []
+            self.seen.add(path.name)
+            for fingerprint in [fp for fp, loc in self.locations.items() if loc[0] == path]:
+                del self.locations[fingerprint]
 
     def refresh(self, on_corrupt: Callable[[Path], None]) -> None:
         """Read the index of every pack added to the directory since the last look."""
@@ -295,7 +251,7 @@ class _PackIndex:
             except OSError:
                 return
             for name in names:
-                if not name.endswith(PACK_SUFFIX) or name in self.packs:
+                if not name.endswith(PACK_SUFFIX) or name in self.seen:
                     continue
                 path = self.root / name
                 try:
@@ -379,32 +335,50 @@ class JsonObjectCache:
             location = self._index.locations.get(fingerprint)
         return location
 
+    def read_entry(
+        self, handle: IO[bytes], schema: str, offset: int, length: int, checksum: str
+    ):
+        """Read one entry of an open pack written under ``schema``.
+
+        Checks the body's SHA-256, then parses its JSON, then, when
+        ``schema`` is this store's current key, decodes it; returns the
+        result, or ``None`` for a pack under another key.  Raises
+        :class:`CorruptPack` naming the first check that failed.
+        """
+        handle.seek(offset)
+        body = handle.read(length)
+        if hashlib.sha256(body).hexdigest() != checksum:
+            raise CorruptPack("checksum mismatch")
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            raise CorruptPack("invalid JSON body") from None
+        if schema != self.schema_tag:
+            return None
+        try:
+            return self._decode(payload)
+        except _DECODE_ERRORS:
+            raise CorruptPack("undecodable body") from None
+
     def load(self, fingerprint: str):
         """The cached result, or ``None`` on miss or corruption.
 
         An unknown fingerprint or a pack under another key is an ordinary
         miss.  A pack that fails integrity verification — see
-        :func:`read_pack_index` — or whose body the decoder rejects counts
-        in ``corrupt`` and is deleted whole.
+        :func:`read_pack_index` and :meth:`read_entry` — counts in
+        ``corrupt`` and is deleted whole.
         """
         location = self._locate(fingerprint)
         if location is None:
             return None
-        path, schema, offset, length, checksum = location
+        path, *entry = location
         try:
             with open(path, "rb") as handle:
-                body = _read_body(handle, offset, length, checksum)
+                return self.read_entry(handle, *entry)
         except OSError:
             self._index.drop(path)  # deleted since it was indexed
             return None
         except CorruptPack:
-            self._discard(path)
-            return None
-        if schema != self.schema_tag:
-            return None
-        try:
-            return self._decode(json.loads(body))
-        except _DECODE_ERRORS:
             self._discard(path)
             return None
 

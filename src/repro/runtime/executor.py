@@ -6,11 +6,13 @@ pickling, no chunking.  What the executor adds over a plain loop is the
 cache discipline, written once in :func:`_cached_work` and shared by its
 three phases — array characterization (:func:`characterize_points`),
 (array x traffic) evaluation (:func:`evaluate_blocks`) and LLC trace
-regeneration (:func:`simulate_traces`): lookup in the on-disk store
-(characterization first consults an in-process memo too); damaged packs
-deleted and counted; duplicates computed once; fresh results written
-back, as one pack file per call; one progress event per item, logged on
-the ``repro.runtime`` logger and passed to the caller's callback.
+regeneration (:func:`simulate_traces`): lookup in the on-disk store;
+damaged packs deleted and counted; duplicates within a call computed
+once; fresh results written back, as one pack file per call; one
+progress event per item, logged on the ``repro.runtime`` logger and
+passed to the caller's callback.  Nothing is memoized across calls: a
+repeat is served by the disk store, or recomputed, which for an array
+whose candidate lanes are warm costs tens of microseconds.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -137,28 +139,26 @@ def _cached_work(
     compute: Callable[[List[int]], Iterable[Outcome]],
     *,
     cache: Optional[JsonObjectCache],
-    memory: Optional[dict] = None,
     progress: Optional[ProgressCallback],
     on_error: str = "raise",
 ) -> list:
-    """Run one phase's items through the memo and the disk store.
+    """Run one phase's items through the disk store.
 
-    Each item is looked up in the ``memory`` dict (an in-process memo
-    that outlives the call, or ``None`` for one that does not), then in
-    the on-disk ``cache``; every damaged pack a load deletes (a refresh
-    of the store's index can find several) emits one ``corrupt`` event.
-    The items still missing are computed once per fingerprint by
-    ``compute(first indices)``, written back to both stores (one pack per
-    call) and reported with one event per item, which is logged and
-    passed to ``progress``.  A duplicate is served from the memo, so it
-    is the same object as its first occurrence.
+    Each fingerprint is looked up once in the on-disk ``cache``; every
+    damaged pack a load deletes (a refresh of the store's index can find
+    several) emits one ``corrupt`` event.  The items still missing are
+    computed once per fingerprint by ``compute(first indices)``, written
+    back to the store (one pack per call) and reported with one event per
+    item, which is logged and passed to ``progress``.  A duplicate within
+    the call is the same object as its first occurrence, reported as
+    ``cached`` from ``memory``.
 
     Only characterization yields failures as data: a ``ReproError``
     outcome emits ``failed`` events and, under ``on_error="raise"``,
     raises :class:`~repro.errors.CharacterizationError` naming the item.
     The other phases raise from ``compute``.
     """
-    memory = memory if memory is not None else {}
+    loaded: dict = {}  # fingerprint -> result served by the disk store
     total = len(labels)
     results: list = [None] * total
 
@@ -173,8 +173,8 @@ def _cached_work(
 
     pending: dict[str, List[int]] = {}
     for index, fp in enumerate(fingerprints):
-        if fp in memory:
-            results[index] = memory[fp]
+        if fp in loaded:
+            results[index] = loaded[fp]
             emit(CACHED, index, "memory")
             continue
         if fp in pending:
@@ -189,7 +189,7 @@ def _cached_work(
         if value is None:
             pending[fp] = [index]
             continue
-        memory[fp] = results[index] = value
+        loaded[fp] = results[index] = value
         emit(CACHED, index, "disk")
 
     first_fps = {indices[0]: fp for fp, indices in pending.items()}
@@ -205,7 +205,6 @@ def _cached_work(
                 if on_error == "raise":
                     raise CharacterizationError(f"{labels[first]}: {value}")
                 continue
-            memory[fp] = value
             if cache is not None:
                 cache.store(fp, value)
             for nth, index in enumerate(pending[fp]):
@@ -224,16 +223,15 @@ def characterize_points(
     points: Sequence[SweepPoint],
     *,
     cache: Optional[CharacterizationCache] = None,
-    memory: Optional[dict] = None,
     on_error: str = "raise",
     progress: Optional[ProgressCallback] = None,
 ) -> List[Optional[ArrayCharacterization]]:
-    """Characterize every point, in order, using every cache available.
+    """Characterize every point, in order, through the on-disk ``cache``.
 
     Returns one entry per point: the characterization, or ``None`` for a
-    point that failed under ``on_error="skip"``.  Lookup order is the
-    in-process ``memory`` dict, then the on-disk ``cache``; fresh results
-    are written back to both.  Duplicate points are characterized once.
+    point that failed under ``on_error="skip"``.  Points are looked up in
+    ``cache`` and fresh results are written back to it.  Duplicate points
+    are characterized once.
     Under ``on_error="raise"`` the first failing point raises
     :class:`~repro.errors.CharacterizationError` naming it.
 
@@ -275,7 +273,7 @@ def characterize_points(
     return _cached_work(
         "characterize", [p.label for p in points],
         [p.fingerprint() for p in points], compute,
-        cache=cache, memory=memory, progress=progress, on_error=on_error,
+        cache=cache, progress=progress, on_error=on_error,
     )
 
 

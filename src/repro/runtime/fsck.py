@@ -6,12 +6,12 @@ files leaked by a run that died between write and rename.  ``fsck``
 audits each store directory (``arrays``, ``evaluations``, ``traces``)
 and makes that state explicit:
 
-- verifies every pack — its key and entry lines, name, and each body's
-  checksum and JSON — with :func:`repro.runtime.cache.verify_pack`,
-  through the same reader the loaders use;
-- runs the store's decoder on every body of each pack written under the
-  store's current key, so a pack that a load would delete is reported
-  corrupt;
+- verifies every pack through the reader the loaders use: its key and
+  entry lines, and name, with :func:`~repro.runtime.cache.read_pack_index`,
+  then each body with the store's
+  :meth:`~repro.runtime.cache.JsonObjectCache.read_entry` (checksum,
+  JSON, and the store's decoder for a pack under the current key), so a
+  pack that a load would delete is reported corrupt;
 - deletes each pack that fails verification, as the loaders do, and
   reports it by name and reason;
 - deletes each intact pack written under another key (after each edit
@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Union
 
-from repro.runtime.cache import PACK_SUFFIX, STORE_TYPES, CorruptPack, verify_pack
-from repro.runtime.fingerprint import store_key
+from repro.runtime.cache import PACK_SUFFIX, STORE_TYPES, CorruptPack, read_pack_index
 from repro.runtime.shard import RunManifest
 
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest"]
@@ -81,11 +80,10 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
     """
     root = Path(root)
     report = FsckReport(root=root)
-    store = STORE_TYPES.get(root.name)
     if not root.is_dir():
         report.problems.append(f"{root} is not a directory")
         return report
-    if store is None:
+    if root.name not in STORE_TYPES:
         report.problems.append(
             f"{root} is not a store directory ({', '.join(STORE_TYPES)})"
         )
@@ -95,21 +93,24 @@ def fsck_store(root: Union[str, Path]) -> FsckReport:
         stale.unlink(missing_ok=True)
         report.swept_tmp += 1
 
-    key = store_key(store.store_name)
+    store = STORE_TYPES[root.name](root)
     for pack in sorted(root.glob("*.v*")):
         if not pack.suffix[2:].isdigit():
             continue
         if pack.suffix == PACK_SUFFIX:
             report.scanned += 1
             try:
-                schema, _ = verify_pack(pack, {key: store._decode})
+                schema, entries = read_pack_index(pack)
+                with open(pack, "rb") as handle:
+                    for _, *entry in entries:
+                        store.read_entry(handle, schema, *entry)
             except (OSError, CorruptPack) as exc:
                 report.corrupt += 1
                 report.problems.append(f"{pack.name}: {exc}")
                 with contextlib.suppress(OSError):
                     pack.unlink(missing_ok=True)
                 continue
-            if schema == key:
+            if schema == store.schema_tag:
                 report.ok += 1
                 continue
         # An intact pack under another key, or a pack in an older layout.

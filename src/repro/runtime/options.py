@@ -9,7 +9,9 @@ way to build an engine from them.
 Sweeps always run serially in the calling process
 (:mod:`repro.runtime.executor`).
 
-``cache_dir`` is the root of a unified on-disk layout::
+``cache_dir`` is the root of a unified on-disk layout, one directory
+per store, named by its class's ``store_name``
+(:mod:`repro.runtime.cache`)::
 
     <cache_dir>/arrays/       array characterizations
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
@@ -27,12 +29,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.runtime.telemetry import ProgressCallback
-
-#: Subdirectories of ``cache_dir`` used by each persistent store.
-ARRAY_CACHE_SUBDIR = "arrays"
-EVALUATION_CACHE_SUBDIR = "evaluations"
-TRACE_CACHE_SUBDIR = "traces"
-
 
 @dataclass(frozen=True)
 class RuntimeOptions:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ReproError
-from repro.runtime.cache import atomic_write_json
+from repro.runtime.cache import atomic_write_bytes
 from repro.runtime.fingerprint import canonical_json, fingerprint_payload, store_key
 
 #: Version tag of the manifest payload format.  Bump on incompatible
@@ -221,7 +221,8 @@ class RunManifest:
         manifest that would discard incremental state, nor a temp file."""
         path = self.path_in(directory)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(path, self.to_dict(), indent=2, sort_keys=True)
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        atomic_write_bytes(path, text.encode("utf-8"))
         return path
 
     @classmethod

@@ -22,7 +22,7 @@ import logging
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.runtime.cache import atomic_write_text
+from repro.runtime.cache import atomic_write_bytes
 from repro.service.jobs import DONE, JobManager
 from repro.service.requests import resolve_request
 
@@ -68,9 +68,8 @@ class WarmKeeper:
         self._stamp_path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic: a warm pass killed mid-stamp must not leave a truncated
         # stamp that the next start misparses into "everything is cold".
-        atomic_write_text(
-            self._stamp_path, json.dumps(stamp, indent=2, sort_keys=True)
-        )
+        text = json.dumps(stamp, indent=2, sort_keys=True)
+        atomic_write_bytes(self._stamp_path, text.encode("utf-8"))
 
     # -- warming -----------------------------------------------------------
 

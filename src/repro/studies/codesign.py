@@ -95,11 +95,13 @@ def low_efficiency_latency_advantage(
     """Median memory latency of low- vs. high-efficiency organizations.
 
     Returns ``{"low_eff_median": ..., "high_eff_median": ...}``.  The paper
-    observes the low-efficiency group tends to be faster; in our model the
-    whole-cloud medians can go either way (H-tree delay grows with the
-    inflated footprint of periphery-heavy designs), so the benches assert
-    the per-technology extremes via :func:`efficiency_of_latency_extremes`
-    and report these medians for comparison (see EXPERIMENTS.md).
+    observes the low-efficiency group tends to be faster; in this model the
+    whole-cloud low-efficiency median is higher (H-tree delay grows with
+    the inflated footprint of periphery-heavy designs), so the benches
+    assert the per-technology extremes via
+    :func:`efficiency_of_latency_extremes` as the paper states them and
+    these medians in the measured direction (README.md, "Known
+    deviations").
     """
     low = [
         r["memory_latency_s_per_s"]

@@ -167,7 +167,9 @@ def run_all(
     :class:`~repro.runtime.options.RuntimeOptions`); ``only`` restricts
     the suite to a subset of registry names.  With
     ``runtime.on_error="skip"`` a failing study is recorded in its
-    outcome and the run continues.
+    outcome and the run continues; otherwise its
+    :class:`~repro.errors.ReproError` escapes with ``study`` set to the
+    study's name.
 
     With ``incremental=True`` (the default), a study whose entry in the
     output directory's existing ``manifest.json`` matches the current
@@ -241,8 +243,12 @@ def _run_selected(
             )
             status = "cached (incremental: manifest up to date)"
         else:
-            outcome = spec.run(runtime)
-            artifacts = _write_artifacts(outcome, spec, out)
+            try:
+                outcome = spec.run(runtime)
+                artifacts = _write_artifacts(outcome, spec, out)
+            except ReproError as exc:
+                exc.study = name
+                raise
             entry = ManifestEntry(
                 name=name,
                 status=STATUS_OK if outcome.ok else STATUS_FAILED,

@@ -283,10 +283,10 @@ class TestAtomicWriteRule:
     def test_atomic_helper_is_compliant(self, tmp_path):
         files = {
             "runtime/cache.py": """
-                from repro.runtime.io import atomic_write_text
+                from repro.runtime.cache import atomic_write_bytes
 
-                def save(path, text):
-                    atomic_write_text(path, text)
+                def save(path, data):
+                    atomic_write_bytes(path, data)
             """,
         }
         root = make_tree(tmp_path, files)

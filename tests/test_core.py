@@ -255,17 +255,6 @@ class TestDSEEngine:
         assert len(table) == 2
         assert all(row["workload"] == "unit-test-traffic" for row in table)
 
-    def test_engine_caches_characterizations(self, stt_optimistic, simple_traffic):
-        engine = DSEEngine()
-        spec = SweepSpec(
-            cells=[stt_optimistic], capacities_bytes=[mb(1)],
-            traffic=[simple_traffic],
-        )
-        engine.run(spec)
-        first_cache = dict(engine._array_cache)
-        engine.run(spec)
-        assert engine._array_cache.keys() == first_cache.keys()
-
     def test_empty_sweep_rejected(self):
         with pytest.raises(CharacterizationError):
             SweepSpec(cells=[], capacities_bytes=[mb(1)])

@@ -1,6 +1,8 @@
 """Tests for extension modules: 3D stacking, retention, hierarchy, and
 markdown reports."""
 
+import csv
+import math
 import re
 
 import pytest
@@ -224,13 +226,61 @@ class TestReports:
 
 
 @pytest.fixture(scope="module")
-def suite_reports(tmp_path_factory):
-    """Every registry study's report text, from one uncached suite run."""
+def suite_out(tmp_path_factory):
+    """The output directory of one uncached run of every registry study."""
     out = tmp_path_factory.mktemp("suite")
     run = run_all(out, incremental=False)
     assert [o.name for o in run.outcomes if o.ok] == list(REGISTRY)
-    return {name: (out / "reports" / f"{name}.md").read_text()
+    return out
+
+
+@pytest.fixture(scope="module")
+def suite_reports(suite_out):
+    """Every registry study's report text, from that suite run."""
+    return {name: (suite_out / "reports" / f"{name}.md").read_text()
             for name in REGISTRY}
+
+
+#: Every numeric column of the registry CSVs.  Each physical quantity,
+#: rate, count and ratio the suite reports is finite and non-negative.
+NUMERIC_COLUMNS = (
+    "accuracy", "area_efficiency", "area_mm2", "backing_lifetime_years",
+    "baseline_accuracy", "bits_per_cell", "capacity_mb", "cell_error_rate",
+    "coalescing", "density_mbit_mm2", "dynamic_power_mw", "energy_per_day_j",
+    "energy_per_inference_uj", "energy_per_task_uj", "front_kb",
+    "inferences_per_day", "latency_s_per_s", "leakage_mw", "lifetime_years",
+    "max_unpowered_s", "memory_latency_s_per_s", "node_nm", "read_bw_gbps",
+    "read_energy_per_bit_pj", "read_energy_pj", "read_latency_ns",
+    "reads_per_s", "retention_s", "scrub_power_uw", "sleep_power_uw",
+    "sleep_uw", "slowdown", "static_power_mw", "total_power_mw",
+    "wake_interval_s", "write_bw_gbps", "write_energy_per_bit_pj",
+    "write_energy_pj", "write_latency_ns", "writes_per_s",
+)
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def test_registry_csv_numbers_are_finite_and_non_negative(suite_out):
+    seen = set()
+    for name in REGISTRY:
+        with open(suite_out / "results" / f"{name}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for column in rows[0]:
+            cells = [row[column] for row in rows if row[column] != ""]
+            if column not in NUMERIC_COLUMNS:
+                # A column that holds only numbers must be listed above.
+                assert not cells or None in map(_number, cells), (name, column)
+                continue
+            seen.add(column)
+            bad = [cell for cell, value in zip(cells, map(_number, cells))
+                   if value is None or not math.isfinite(value) or value < 0]
+            assert not bad, f"{name}.csv column {column}: {bad[:3]}"
+    assert seen == set(NUMERIC_COLUMNS)
 
 
 def test_no_registry_report_exceeds_256_kib(suite_reports):

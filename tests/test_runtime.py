@@ -181,6 +181,25 @@ class TestCharacterizationCache:
         assert _packs(tmp_path) == [old]
         assert read_pack_index(old)[0] == "array-cache-v1"
 
+    def test_damaged_pack_under_another_key_is_corrupt(
+            self, tmp_path, stt_optimistic, stt_array_1mb, write_pack):
+        # An entry's checksum is checked before its pack's key, by a load
+        # and by fsck alike: damage under an old key is still damage.
+        root = tmp_path / "arrays"
+        fp = make_point(stt_optimistic).fingerprint()
+        old = write_pack(root, "array-cache-v1", [(fp, stt_array_1mb.to_dict())])
+        old.write_bytes(_DAMAGE["body-bitflip"](old.read_bytes()))
+        audited = tmp_path / "copy" / "arrays"
+        audited.mkdir(parents=True)
+        (audited / old.name).write_bytes(old.read_bytes())
+        cache = CharacterizationCache(root)
+        assert cache.load(fp) is None
+        assert cache.corrupt == 1
+        assert _packs(root) == []
+        [report] = fsck_cache_dir(audited)
+        assert (report.corrupt, report.stale) == (1, 0)
+        assert report.problems == [f"{old.name}: checksum mismatch"]
+
     @pytest.mark.parametrize("damage", sorted(_DAMAGE), ids=sorted(_DAMAGE))
     def test_corrupt_entry_is_quarantined(self, tmp_path, stt_optimistic,
                                           stt_array_1mb, forget_pack_indexes,
@@ -384,17 +403,13 @@ class TestCharacterizationCache:
 
 
 class TestExecutor:
-    def test_memory_cache_shared_and_duplicates_coalesced(self, stt_optimistic):
+    def test_duplicates_in_one_call_computed_once(self, stt_optimistic):
         telemetry = SweepTelemetry()
-        memory = {}
         point = make_point(stt_optimistic)
-        results = characterize_points(
-            [point, point], memory=memory, progress=telemetry.emit
-        )
-        assert results[0] == results[1]
+        results = characterize_points([point, point], progress=telemetry.emit)
+        assert results[0] is results[1]
         assert telemetry.completed == 1
         assert telemetry.cached == 1
-        assert len(memory) == 1
 
     def test_disk_cache_hit_on_rerun(self, tmp_path, stt_optimistic):
         cache = CharacterizationCache(tmp_path)
@@ -925,7 +940,9 @@ class TestEngineRuntime:
         spec = small_spec([stt_optimistic])
         first = DSEEngine(RuntimeOptions(cache_dir=tmp_path))
         first.run(spec)
-        assert set(first._array_cache) == set(_stored_fingerprints(tmp_path / "arrays"))
+        assert set(_stored_fingerprints(tmp_path / "arrays")) == {
+            point.fingerprint() for point in sweep_points(spec)
+        }
         telemetry = SweepTelemetry()
         second = DSEEngine(RuntimeOptions(cache_dir=tmp_path, progress=telemetry.emit))
         second.run(spec)

@@ -13,13 +13,8 @@ import pytest
 from repro.config.cli import EXIT_ALL_INCREMENTAL
 from repro.config.cli import main as cli_main
 from repro.errors import CharacterizationError
-from repro.runtime.cache import PACK_SUFFIX, read_pack_index
-from repro.runtime.options import (
-    ARRAY_CACHE_SUBDIR,
-    EVALUATION_CACHE_SUBDIR,
-    TRACE_CACHE_SUBDIR,
-    RuntimeOptions,
-)
+from repro.runtime.cache import PACK_SUFFIX, STORE_TYPES, read_pack_index
+from repro.runtime.options import RuntimeOptions
 from repro.runtime.fsck import fsck_cache_dir, fsck_manifest
 from repro.runtime.shard import RunManifest
 from repro.studies.pipeline import REGISTRY, StudySpec
@@ -87,6 +82,20 @@ def test_failing_study_nonzero_exit_and_table(tmp_path, monkeypatch, capsys):
     assert "FAILED studies: boom" in captured.err
 
 
+def test_failing_study_under_on_error_raise_exits_one(tmp_path, monkeypatch, capsys):
+    # A study's model failure is not a usage error: exit 1, as under skip.
+    broken = dict(REGISTRY)
+    broken["boom"] = StudySpec(
+        name="boom", builder=_boom, figure="n/a", description="always fails",
+    )
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
+    rc = summary([str(tmp_path), "--only", "boom", "--on-error", "raise"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: intentional failure" in err
+    assert "FAILED studies: boom" in err
+
+
 def test_failing_study_raises_under_on_error_raise(tmp_path, monkeypatch):
     broken = dict(REGISTRY)
     broken["boom"] = StudySpec(
@@ -123,11 +132,7 @@ def test_warm_summary_run_recomputes_nothing(tmp_path):
     # The cache root holds only the model-result stores: no per-point
     # wall-clock ledger (costs/) is written beside them.
     stores = {p.name for p in (tmp_path / "cache").iterdir() if p.is_dir()}
-    assert stores <= {
-        ARRAY_CACHE_SUBDIR,
-        EVALUATION_CACHE_SUBDIR,
-        TRACE_CACHE_SUBDIR,
-    }, stores
+    assert stores <= set(STORE_TYPES), stores
     assert not (tmp_path / "cache" / "costs").exists()
 
     warm = run_all(tmp_path / "out2", runtime=runtime, only=WARM_SUBSET)
