@@ -29,9 +29,9 @@ for pattern in graph_kernel_suite():
 table = graph_study(points_per_axis=4)
 optimistic = table.where(flavor="optimistic")
 
-print("\n" + power_view(optimistic, by="tech"))
-print("\n" + latency_view(optimistic, by="tech"))
-print("\n" + lifetime_view(optimistic, by="tech"))
+print("\n" + power_view(optimistic))
+print("\n" + latency_view(optimistic))
+print("\n" + lifetime_view(optimistic))
 
 print("\nHeadlines:")
 print("  lowest power @ 1e6  reads/s :", lowest_power_technology(table, 1e6))

@@ -12,7 +12,7 @@ from repro.viz import array_view
 
 # Array characteristics in isolation (Figure 10).
 arrays = llc_arrays()
-print(array_view(arrays.where(target="ReadEDP"), by="tech"))
+print(array_view(arrays.where(target="ReadEDP")))
 
 sram_write = arrays.where(tech="SRAM", target="ReadEDP")[0]["write_latency_ns"]
 beats = sorted(

@@ -6,6 +6,11 @@ characterize every array once and evaluate every (array, traffic) pair,
 producing a :class:`~repro.results.ResultTable` whose rows carry everything
 the dashboards plot.
 
+Every study describes the arrays it needs as :class:`SweepSpec` objects
+and characterizes each through :meth:`DSEEngine.arrays`, one call per
+spec; there is no single-point entry, so ``on_error`` means the same in
+every study.
+
 Execution is delegated to :mod:`repro.runtime`, which runs every sweep
 serially in this process.  An engine is built from one
 :class:`~repro.runtime.options.RuntimeOptions`: its ``cache_dir``
@@ -32,7 +37,6 @@ from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.cache import CharacterizationCache, EvaluationCache, LLCTraceCache
 from repro.runtime.executor import (
-    SweepPoint,
     characterize_points,
     evaluate_blocks,
     simulate_traces,
@@ -92,27 +96,6 @@ class DSEEngine:
                 for store in (CharacterizationCache, EvaluationCache, LLCTraceCache)
             )
 
-    def characterize(
-        self,
-        cell: CellTechnology,
-        capacity_bytes: int,
-        node_nm: int,
-        target: OptimizationTarget,
-        access_bits: int,
-        bits_per_cell: int,
-    ) -> ArrayCharacterization:
-        point = SweepPoint(
-            cell, capacity_bytes, node_nm, target, access_bits, bits_per_cell
-        )
-        result = characterize_points(
-            [point],
-            cache=self.cache,
-            on_error="raise",
-            progress=self.runtime.progress,
-        )[0]
-        assert result is not None  # on_error="raise" never returns None
-        return result
-
     def evaluate_blocks(
         self,
         arrays: Sequence[ArrayCharacterization],
@@ -155,8 +138,13 @@ class DSEEngine:
     def arrays(self, spec: SweepSpec) -> list[ArrayCharacterization]:
         """Characterize every (cell, capacity, target) of the sweep.
 
-        Points that fail under ``on_error="skip"`` are omitted; each is
-        reported to the progress callback as a ``failed`` event.
+        This is the engine's one characterization path: the whole spec
+        goes to the executor in one call.  Points that fail under
+        ``on_error="skip"`` are omitted (callers look arrays up by cell
+        and capacity, so a dropped point has no rows); each is reported
+        to the progress callback as a ``failed`` event.  Under
+        ``on_error="raise"`` the first failing point raises
+        :class:`~repro.errors.CharacterizationError` naming it.
         """
         results = characterize_points(
             sweep_points(spec),

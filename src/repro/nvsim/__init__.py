@@ -4,10 +4,12 @@ Public entry points:
 
 * :func:`characterize` — one cell + capacity + optimization target -> one
   :class:`ArrayCharacterization`.
-* :func:`characterize_sweep` — many cells x many targets (Figure 3).
 * :func:`all_organizations` — the full organization cloud (Figure 12).
+* :func:`warm_lanes` — many requests' candidate spaces as one array
+  program, the batch path behind :meth:`repro.core.engine.DSEEngine.arrays`
+  (the one way to characterize a sweep).
 
-All three run on the structure-of-arrays batch engine
+All of them run on the structure-of-arrays batch engine
 (:mod:`repro.nvsim.batch` — :func:`enumerate_soa`, :func:`evaluate_soa`,
 :func:`evaluate_many`), which is bit-identical to the scalar model
 (:func:`repro.nvsim.model.evaluate_organization`, the parity oracle).
@@ -24,7 +26,6 @@ from repro.nvsim.characterize import (
     DEFAULT_ACCESS_BITS,
     all_organizations,
     characterize,
-    characterize_sweep,
     clear_characterization_caches,
     warm_lanes,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "all_organizations",
     "candidate_organizations",
     "characterize",
-    "characterize_sweep",
     "characterize_stacked",
     "clear_characterization_caches",
     "enumerate_soa",

@@ -3,9 +3,12 @@
 :func:`characterize` is the package's equivalent of running NVSim once: it
 explores every candidate internal organization for the requested capacity
 and returns the one that minimizes the chosen optimization target.
-:func:`characterize_sweep` runs several targets at once (Figure 3's
-"various optimization targets"), and :func:`all_organizations` exposes the whole
-organization space for the area-efficiency co-design study (Figure 12).
+:func:`all_organizations` exposes the whole organization space for the
+area-efficiency co-design study (Figure 12).  A sweep of many points
+(cells x capacities x targets, Figure 3) goes through
+:meth:`repro.core.engine.DSEEngine.arrays`, whose executor warms the
+shared candidate spaces with :func:`warm_lanes` and then calls
+:func:`characterize` once per point.
 
 Since PR 8 the organization sweep runs on the structure-of-arrays batch
 engine (:mod:`repro.nvsim.batch`): the whole candidate space is evaluated
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -34,11 +37,7 @@ from repro.nvsim.batch import (
     feasible_indices,
     select_winner_index,
 )
-from repro.nvsim.result import (
-    DEFAULT_TARGET_SWEEP,
-    ArrayCharacterization,
-    OptimizationTarget,
-)
+from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.tech.node import get_node
 from repro.units import BITS_PER_BYTE
 
@@ -243,53 +242,6 @@ def characterize(
         leakage_power=best.leakage_power,
         sleep_power=best.sleep_power,
     )
-
-
-def characterize_sweep(
-    cells: Iterable[CellTechnology],
-    capacity_bytes: int,
-    node_nm: int = 22,
-    targets: Sequence[OptimizationTarget] = DEFAULT_TARGET_SWEEP,
-    access_bits: int = DEFAULT_ACCESS_BITS,
-    bits_per_cell: int = 1,
-    sram_node_nm: Optional[int] = 16,
-) -> list[ArrayCharacterization]:
-    """Characterize many cells under many optimization targets (Figure 3).
-
-    SRAM cells are implemented at ``sram_node_nm`` (16 nm in the paper)
-    while eNVMs use ``node_nm`` (22 nm), matching the paper's comparison
-    setup.  The candidate space of each (cell, node) pair is evaluated
-    once on the batch engine and shared across all targets.
-    """
-    cell_list = list(cells)
-    warm_lanes(
-        (cell, int(capacity_bytes), _node_for(cell, node_nm, sram_node_nm),
-         access_bits, bits_per_cell)
-        for cell in cell_list
-    )
-    results: list[ArrayCharacterization] = []
-    for cell in cell_list:
-        cell_node = _node_for(cell, node_nm, sram_node_nm)
-        for target in targets:
-            results.append(
-                characterize(
-                    cell,
-                    capacity_bytes,
-                    node_nm=cell_node,
-                    optimization_target=target,
-                    access_bits=access_bits,
-                    bits_per_cell=bits_per_cell,
-                )
-            )
-    return results
-
-
-def _node_for(
-    cell: CellTechnology, node_nm: int, sram_node_nm: Optional[int]
-) -> int:
-    if not cell.tech_class.is_nonvolatile and sram_node_nm is not None:
-        return sram_node_nm
-    return node_nm
 
 
 def all_organizations(

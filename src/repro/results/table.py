@@ -1,4 +1,4 @@
-"""A small column-oriented results table.
+"""A small results table: a list of row dicts.
 
 pandas is not available offline, so the framework carries its own result
 container: a list of records with pandas-ish verbs (filter, where, select,
@@ -9,7 +9,6 @@ these; the visualization layer and benches consume them.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -18,7 +17,11 @@ from repro.errors import ReproError
 
 
 class ResultTable:
-    """An immutable-ish table of records (dicts with shared keys)."""
+    """A list of row dicts (records with shared keys).
+
+    Records are copied on entry and every verb returns a new table;
+    :meth:`append` and :meth:`extend` are the only mutators.
+    """
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
         self._records: list[dict[str, Any]] = [dict(r) for r in records]
@@ -122,17 +125,16 @@ class ResultTable:
                 handle.write(text)
         return text
 
-    def to_markdown(self, float_format: str = "{:.4g}") -> str:
-        """Render as a GitHub-flavored markdown table."""
+    def to_markdown(self) -> str:
+        """Render as a GitHub-flavored markdown table (floats as ``{:.4g}``)."""
         columns = self.columns
         if not columns:
             return "(empty table)"
-        render = functools.partial(_markdown_column, float_format=float_format)
         header = "| " + " | ".join(columns) + " |"
         rule = "|" + "|".join("---" for _ in columns) + "|"
         rows = [
             "| " + " | ".join(cells) + " |"
-            for cells in self._rendered_rows(columns, render, None)
+            for cells in self._rendered_rows(columns, _markdown_column, None)
         ]
         return "\n".join([header, rule, *rows])
 
@@ -213,19 +215,23 @@ def _csv_column(values: Sequence[Any]) -> list[str]:
     ]
 
 
-def _markdown_cell(value: Any, float_format: str) -> str:
+#: How a markdown cell renders a float.
+MARKDOWN_FLOAT_FORMAT = "{:.4g}"
+
+
+def _markdown_cell(value: Any) -> str:
     if isinstance(value, float):
-        return float_format.format(value)
+        return MARKDOWN_FLOAT_FORMAT.format(value)
     return "" if value is None else str(value)
 
 
-def _markdown_column(values: list[Any], float_format: str) -> list[str]:
-    """Markdown cells: floats via ``float_format``, None empty, else str()."""
-    memo = _TextMemo(float_format.format)
+def _markdown_column(values: list[Any]) -> list[str]:
+    """Markdown cells: floats via ``MARKDOWN_FLOAT_FORMAT``, None empty, else str()."""
+    memo = _TextMemo(MARKDOWN_FLOAT_FORMAT.format)
     return [
         memo[v] if type(v) is float and v
         else v if type(v) is str
-        else _markdown_cell(v, float_format)
+        else _markdown_cell(v)
         for v in values
     ]
 

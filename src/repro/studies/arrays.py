@@ -83,20 +83,15 @@ def tentpole_validation(
     reported numbers.
     """
     from repro.cells import tentpoles_for
-    from repro.nvsim import characterize
 
     published = next(
         e for e in survey_entries(tech=tech) if e.name == "isscc2018-stt-1mb-2.8ns"
     )
     tent = tentpoles_for(tech)
-    arrays = {
-        flavor: characterize(
-            cell, capacity_bytes, node_nm=28,
-            optimization_target=OptimizationTarget.READ_LATENCY,
-        )
-        for flavor, cell in tent.labelled()
-        if flavor in ("optimistic", "pessimistic")
-    }
+    optimistic, pessimistic = DSEEngine().arrays(SweepSpec(
+        cells=[tent.optimistic, tent.pessimistic], capacities_bytes=[capacity_bytes],
+        node_nm=28, optimization_targets=(OptimizationTarget.READ_LATENCY,),
+    ))
     results = []
     checks = [
         ("read_latency", "read_latency", lambda a: a.read_latency),
@@ -110,8 +105,8 @@ def tentpole_validation(
         results.append(
             ValidationResult(
                 metric=metric,
-                optimistic=extract(arrays["optimistic"]),
-                pessimistic=extract(arrays["pessimistic"]),
+                optimistic=extract(optimistic),
+                pessimistic=extract(pessimistic),
                 published=float(reference),
             )
         )

@@ -22,7 +22,6 @@ from repro.cells import STUDY_TECHNOLOGIES, CellTechnology, sram_cell, tentpoles
 from repro.cells.base import TechnologyClass
 from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.intermittent import crossover_rate, evaluate_intermittent
-from repro.nvsim import characterize
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions
@@ -107,15 +106,20 @@ def intermittent_study(
     runtime: Optional[RuntimeOptions] = None,
 ) -> ResultTable:
     """Figure 6 (right): energy per inference, weights resident in eNVM."""
-    engine = DSEEngine(runtime)
+    spec = SweepSpec(
+        cells=_all_cells(),
+        capacities_bytes=list(dict.fromkeys(c for _, c in INTERMITTENT_WORKLOADS)),
+        node_nm=ENVM_NODE_NM,
+        access_bits=512,
+    )
+    arrays = {(a.cell, a.capacity_bytes): a for a in DSEEngine(runtime).arrays(spec)}
     table = ResultTable()
     for workload, capacity in INTERMITTENT_WORKLOADS:
         for tech in DNN_STUDY_TECHNOLOGIES:
             for flavor, cell in tentpoles_for(tech).labelled():
-                array = engine.characterize(
-                    cell, capacity, ENVM_NODE_NM,
-                    OptimizationTarget.READ_EDP, 512, 1,
-                )
+                array = arrays.get((cell, capacity))
+                if array is None:  # dropped under on_error="skip"
+                    continue
                 ev = evaluate_intermittent(array, workload, inferences_per_day)
                 table.append(
                     {
@@ -140,19 +144,19 @@ def intermittent_sweep(
     flavor: str = "optimistic",
 ) -> ResultTable:
     """Figure 7: daily energy vs. inferences per day."""
+    spec = SweepSpec(
+        cells=_study_cells(flavor), capacities_bytes=[capacity_bytes],
+        node_nm=ENVM_NODE_NM, access_bits=512,
+    )
     table = ResultTable()
-    for cell in _study_cells(flavor):
-        array = characterize(
-            cell, capacity_bytes, node_nm=ENVM_NODE_NM,
-            optimization_target=OptimizationTarget.READ_EDP, access_bits=512,
-        )
+    for array in DSEEngine().arrays(spec):
         for rate in rates_per_day:
             ev = evaluate_intermittent(array, workload, rate)
             table.append(
                 {
                     "workload": workload.name,
-                    "tech": cell.tech_class.value,
-                    "cell": cell.name,
+                    "tech": array.cell.tech_class.value,
+                    "cell": array.cell.name,
                     "inferences_per_day": rate,
                     "energy_per_day_j": ev.energy_per_day,
                     "energy_per_inference_uj": ev.energy_per_inference * 1e6,
@@ -165,16 +169,11 @@ def fefet_stt_crossover(
     workload: DNNWorkload = ALBERT, capacity_bytes: int = mb(32)
 ) -> float:
     """Inferences/day where optimistic STT overtakes optimistic FeFET."""
-    fefet = characterize(
-        tentpoles_for(TechnologyClass.FEFET).optimistic,
-        capacity_bytes, node_nm=ENVM_NODE_NM,
-        optimization_target=OptimizationTarget.READ_EDP, access_bits=512,
-    )
-    stt = characterize(
-        tentpoles_for(TechnologyClass.STT).optimistic,
-        capacity_bytes, node_nm=ENVM_NODE_NM,
-        optimization_target=OptimizationTarget.READ_EDP, access_bits=512,
-    )
+    fefet, stt = DSEEngine().arrays(SweepSpec(
+        cells=[tentpoles_for(TechnologyClass.FEFET).optimistic,
+               tentpoles_for(TechnologyClass.STT).optimistic],
+        capacities_bytes=[capacity_bytes], node_nm=ENVM_NODE_NM, access_bits=512,
+    ))
     a = evaluate_intermittent(fefet, workload, 1.0)
     b = evaluate_intermittent(stt, workload, 1.0)
     return crossover_rate(a, b)

@@ -15,7 +15,7 @@ from typing import Optional
 from repro.cachesim import SYNTHETIC_SUITE, zipfian_batch
 from repro.cells import tentpoles_for
 from repro.cells.base import TechnologyClass
-from repro.core.engine import DSEEngine
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.hierarchy import evaluate_hierarchy
 from repro.core.writebuffer import coalescing_factor
 from repro.nvsim.result import OptimizationTarget
@@ -60,18 +60,30 @@ def hierarchy_study(
         traffic = trace.traffic()
     else:
         traffic = facebook_bfs_traffic()
-    front_cell = tentpoles_for(TechnologyClass.STT).optimistic
+    backings = {
+        a.cell: a
+        for a in engine.arrays(SweepSpec(
+            cells=[tentpoles_for(tech).optimistic for tech in backing_techs],
+            capacities_bytes=[BACKING_CAPACITY],
+            node_nm=ENVM_NODE_NM,
+        ))
+    }
+    fronts = {
+        a.capacity_bytes: a
+        for a in engine.arrays(SweepSpec(
+            cells=[tentpoles_for(TechnologyClass.STT).optimistic],
+            capacities_bytes=[kb(front_kb) for front_kb in front_sizes_kb],
+            node_nm=ENVM_NODE_NM,
+            optimization_targets=(OptimizationTarget.READ_LATENCY,),
+        ))
+    }
     table = ResultTable()
     for tech in backing_techs:
-        backing = engine.characterize(
-            tentpoles_for(tech).optimistic, BACKING_CAPACITY,
-            ENVM_NODE_NM, OptimizationTarget.READ_EDP, 64, 1,
-        )
+        backing = backings.get(tentpoles_for(tech).optimistic)
         for front_kb in front_sizes_kb:
-            front = engine.characterize(
-                front_cell, kb(front_kb), ENVM_NODE_NM,
-                OptimizationTarget.READ_LATENCY, 64, 1,
-            )
+            front = fronts.get(kb(front_kb))
+            if backing is None or front is None:  # dropped under on_error="skip"
+                continue
             coalescing = measured_coalescing(front_kb, seed=runtime.seed_or(5))
             combo = evaluate_hierarchy(
                 front, backing, traffic,

@@ -16,11 +16,10 @@ from typing import Optional
 
 from repro.cells import tentpoles_for
 from repro.cells.base import CellTechnology, TechnologyClass
-from repro.core.engine import DSEEngine
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.metrics import array_record
 from repro.dnn.proxies import trained_proxy
 from repro.faults.models import FAULT_MODELLED_TECHNOLOGIES, fault_model_for
-from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.studies.arrays import ENVM_NODE_NM
@@ -57,6 +56,14 @@ def mlc_study(
         else:
             cells.append(tentpoles_for(tech).optimistic)
 
+    arrays = {
+        (a.cell, a.capacity_bytes, a.bits_per_cell): a
+        for bits in (1, 2)
+        for a in engine.arrays(SweepSpec(
+            cells=cells, capacities_bytes=capacities, node_nm=ENVM_NODE_NM,
+            bits_per_cell=bits,
+        ))
+    }
     for cell in cells:
         for bits in (1, 2):
             model = fault_model_for(cell, bits)
@@ -64,10 +71,9 @@ def mlc_study(
                 model, trials=trials, seed=runtime.seed_or(0)
             )
             for capacity in capacities:
-                array = engine.characterize(
-                    cell, capacity, ENVM_NODE_NM,
-                    OptimizationTarget.READ_EDP, 64, bits,
-                )
+                array = arrays.get((cell, capacity, bits))
+                if array is None:  # dropped under on_error="skip"
+                    continue
                 row = array_record(array)
                 row.update(
                     {

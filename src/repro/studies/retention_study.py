@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cells import tentpoles_for
-from repro.core.engine import DSEEngine
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.retention import deployment_check, max_unpowered_interval
-from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM
@@ -28,14 +27,23 @@ def retention_study(
     runtime: Optional[RuntimeOptions] = None,
 ) -> ResultTable:
     """Scrubbing requirements across technologies and wake-up rates."""
-    engine = DSEEngine(runtime)
+    spec = SweepSpec(
+        cells=[
+            cell
+            for tech in DNN_STUDY_TECHNOLOGIES
+            for _, cell in tentpoles_for(tech).labelled()
+        ],
+        capacities_bytes=[capacity_bytes],
+        node_nm=ENVM_NODE_NM,
+        access_bits=512,
+    )
+    arrays = {a.cell: a for a in DSEEngine(runtime).arrays(spec)}
     table = ResultTable()
     for tech in DNN_STUDY_TECHNOLOGIES:
         for flavor, cell in tentpoles_for(tech).labelled():
-            array = engine.characterize(
-                cell, capacity_bytes, ENVM_NODE_NM,
-                OptimizationTarget.READ_EDP, 512, 1,
-            )
+            array = arrays.get(cell)
+            if array is None:  # dropped under on_error="skip"
+                continue
             limit = max_unpowered_interval(array)
             for rate in inferences_per_day:
                 wake_interval = SECONDS_PER_DAY / rate

@@ -133,14 +133,16 @@ def _reusable_entry(
 def _write_artifacts(outcome: StudyOutcome, spec, out: Path) -> dict[str, str]:
     """Write one fresh study's CSV + report; returns their relative paths.
 
-    Both are written atomically: an interrupted ``--force`` re-run keeps
-    the previous artifact whole instead of leaving a truncated file that
-    the next incremental run would trust.
+    Both are rendered before either is written, so a report that cannot
+    be rendered leaves no artifact behind.  Both are written atomically:
+    an interrupted ``--force`` re-run keeps the previous artifact whole
+    instead of leaving a truncated file that the next incremental run
+    would trust.
     """
     if outcome.table is None:
         return {}
     paths = _artifact_paths(outcome.name)
-    atomic_write_bytes(out / paths["csv"], outcome.table.to_csv().encode("utf-8"))
+    csv = outcome.table.to_csv().encode("utf-8")
     report = study_report(
         title=outcome.name.replace("_", " "),
         table=outcome.table,
@@ -151,6 +153,7 @@ def _write_artifacts(outcome: StudyOutcome, spec, out: Path) -> dict[str, str]:
         figure=spec.figure,
         **spec.report,
     )
+    atomic_write_bytes(out / paths["csv"], csv)
     atomic_write_bytes(out / paths["report"], report.encode("utf-8"))
     return paths
 
@@ -166,8 +169,9 @@ def run_all(
     ``runtime`` is forwarded to every study (see
     :class:`~repro.runtime.options.RuntimeOptions`); ``only`` restricts
     the suite to a subset of registry names.  With
-    ``runtime.on_error="skip"`` a failing study is recorded in its
-    outcome and the run continues; otherwise its
+    ``runtime.on_error="skip"`` a failing study (a report that cannot be
+    rendered included) is recorded in its outcome, with no artifacts,
+    and the run continues; otherwise its
     :class:`~repro.errors.ReproError` escapes with ``study`` set to the
     study's name.
 
@@ -247,8 +251,13 @@ def _run_selected(
                 outcome = spec.run(runtime)
                 artifacts = _write_artifacts(outcome, spec, out)
             except ReproError as exc:
-                exc.study = name
-                raise
+                if runtime.on_error != "skip":
+                    exc.study = name
+                    raise
+                # Under skip only rendering gets here: spec.run records
+                # its own failures in the outcome.
+                outcome = replace(outcome, table=None, error=str(exc))
+                artifacts = {}
             entry = ManifestEntry(
                 name=name,
                 status=STATUS_OK if outcome.ok else STATUS_FAILED,

@@ -12,10 +12,9 @@ from dataclasses import asdict
 from typing import Any, Optional, Sequence
 
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
-from repro.core.engine import DSEEngine
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.core.metrics import evaluation_record
 from repro.core.writebuffer import DEFAULT_SCENARIOS, WriteBufferConfig, evaluate_with_buffer
-from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
@@ -59,16 +58,15 @@ def writebuffer_study(
             spec_traffic(benchmark_by_name("619.lbm_s")),
         )
     engine = DSEEngine(runtime)
-    cells = study_cells(STUDY_TECHNOLOGIES, include_reference=False)
-    arrays = []
-    for cell in cells + [sram_cell(SRAM_NODE_NM)]:
-        node = ENVM_NODE_NM if cell.tech_class.is_nonvolatile else SRAM_NODE_NM
-        arrays.append(engine.characterize(
-            cell, STUDY_CAPACITY, node,
-            OptimizationTarget.READ_EDP, 64, 1,
-        ))
+    spec = SweepSpec(
+        cells=study_cells(STUDY_TECHNOLOGIES, include_reference=False)
+        + [sram_cell(SRAM_NODE_NM)],
+        capacities_bytes=[STUDY_CAPACITY],
+        node_nm=ENVM_NODE_NM,
+        sram_node_nm=SRAM_NODE_NM,
+    )
     blocks = engine.evaluate_blocks(
-        arrays, tuple(workloads),
+        engine.arrays(spec), tuple(workloads),
         rows_fn=_scenario_rows,
         extra=[asdict(config) for config in scenarios],
     )

@@ -12,15 +12,19 @@ from repro.results.table import ResultTable
 from repro.viz.ascii import bar_chart, scatter
 
 
-def _series(table: ResultTable, x: str, y: str, by: str) -> dict:
-    """Collect (x, y) series grouped by a column, in one pass over the columns.
+#: The column whose values name a view's series: one series per cell.
+SERIES_COLUMN = "cell"
+
+
+def _series(table: ResultTable, x: str, y: str) -> dict:
+    """Collect (x, y) series per :data:`SERIES_COLUMN` value, in one pass.
 
     Missing, ``None``, non-numeric and non-positive values are dropped:
     every dashboard view draws on log axes, and zero-rate points (e.g. a
     read-only workload's write rate) simply have nothing to show there.
     """
     series: dict[str, list[tuple[float, float]]] = {}
-    labels = table.column(by, "all")
+    labels = table.column(SERIES_COLUMN, "all")
     for xv, yv, label in zip(table.column(x), table.column(y), labels):
         if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float))):
             continue
@@ -30,10 +34,10 @@ def _series(table: ResultTable, x: str, y: str, by: str) -> dict:
     return series
 
 
-def power_view(table: ResultTable, by: str = "cell") -> str:
+def power_view(table: ResultTable) -> str:
     """Total memory power vs. read access rate (Figure 8/9 left)."""
     return scatter(
-        _series(table, "reads_per_s", "total_power_mw", by),
+        _series(table, "reads_per_s", "total_power_mw"),
         x_label="reads/s",
         y_label="power [mW]",
         log_x=True,
@@ -42,10 +46,10 @@ def power_view(table: ResultTable, by: str = "cell") -> str:
     )
 
 
-def latency_view(table: ResultTable, by: str = "cell") -> str:
+def latency_view(table: ResultTable) -> str:
     """Aggregate memory latency vs. write access rate (Figure 8/9 middle)."""
     return scatter(
-        _series(table, "writes_per_s", "memory_latency_s_per_s", by),
+        _series(table, "writes_per_s", "memory_latency_s_per_s"),
         x_label="writes/s",
         y_label="latency [s/s]",
         log_x=True,
@@ -54,10 +58,10 @@ def latency_view(table: ResultTable, by: str = "cell") -> str:
     )
 
 
-def lifetime_view(table: ResultTable, by: str = "cell") -> str:
+def lifetime_view(table: ResultTable) -> str:
     """Projected lifetime vs. write access rate (Figure 8/9 right)."""
     return scatter(
-        _series(table, "writes_per_s", "lifetime_years", by),
+        _series(table, "writes_per_s", "lifetime_years"),
         x_label="writes/s",
         y_label="lifetime [y]",
         log_x=True,
@@ -66,10 +70,10 @@ def lifetime_view(table: ResultTable, by: str = "cell") -> str:
     )
 
 
-def array_view(table: ResultTable, by: str = "cell") -> str:
+def array_view(table: ResultTable) -> str:
     """Read energy vs. read latency for arrays (Figure 3/5/10 style)."""
     return scatter(
-        _series(table, "read_latency_ns", "read_energy_pj", by),
+        _series(table, "read_latency_ns", "read_energy_pj"),
         x_label="read latency [ns]",
         y_label="read energy [pJ]",
         log_x=True,

@@ -8,7 +8,7 @@ the full artifact.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.results.table import ResultTable
 from repro.viz.dashboard import (
@@ -17,6 +17,18 @@ from repro.viz.dashboard import (
     lifetime_view,
     power_view,
 )
+
+#: The dashboard views every report tries, in order; a view with no data
+#: is left out.
+VIEWS = (
+    ("power", power_view),
+    ("latency", latency_view),
+    ("lifetime", lifetime_view),
+    ("array", array_view),
+)
+
+#: The column whose groups the winners table ranks.
+GROUP_COLUMN = "workload"
 
 #: Most data rows a report embeds; a larger table shows an evenly strided
 #: sample of at most this many rows.
@@ -31,17 +43,17 @@ def study_report(
     title: str,
     table: ResultTable,
     description: str = "",
-    include_views: Sequence[str] = ("power", "latency", "lifetime", "array"),
     winner_column: Optional[str] = "total_power_mw",
-    group_column: str = "workload",
     figure: Optional[str] = None,
 ) -> str:
     """Render a study into a markdown report.
 
-    Includes the standard dashboard views, a winners-per-group table when
-    ``winner_column`` is set, and the data as a markdown table: all of it
-    up to ``REPORT_ROWS`` rows, else rows ``0, s, 2s, ...`` with
-    ``s = ceil(len(table) / REPORT_ROWS)`` under the full table's columns.
+    Includes the :data:`VIEWS` that have data, a table of the row with the
+    lowest ``winner_column`` per :data:`GROUP_COLUMN` value when
+    ``winner_column`` is set and the table has that column, and the data
+    as a markdown table: all of it up to ``REPORT_ROWS`` rows, else rows
+    ``0, s, 2s, ...`` with ``s = ceil(len(table) / REPORT_ROWS)`` under
+    the full table's columns.
     ``figure`` tags the paper figure the study reproduces.
     """
     sections: list[str] = [f"# {title}", ""]
@@ -51,26 +63,17 @@ def study_report(
         sections += [description, ""]
     sections.append(f"*{len(table)} evaluation rows.*\n")
 
-    view_builders = {
-        "power": power_view,
-        "latency": latency_view,
-        "lifetime": lifetime_view,
-        "array": array_view,
-    }
-    for name in include_views:
-        builder = view_builders.get(name)
-        if builder is None:
-            continue
+    for name, builder in VIEWS:
         rendered = builder(table)
         if "(no data)" in rendered:
             continue
         sections += [f"## {name.title()} view", "", _fence(rendered), ""]
 
-    if winner_column and group_column in table.columns:
+    if winner_column and GROUP_COLUMN in table.columns:
         sections += ["## Winners", ""]
         winners = {}
-        for group in table.unique(group_column):
-            rows = table.where(**{group_column: group}).filter(
+        for group in table.unique(GROUP_COLUMN):
+            rows = table.where(**{GROUP_COLUMN: group}).filter(
                 lambda r: r.get(winner_column) is not None
             )
             if rows:
@@ -78,7 +81,7 @@ def study_report(
                 winners[str(group)] = (
                     f"{best.get('cell', '?')} ({best[winner_column]:.4g})"
                 )
-        lines = [f"| {group_column} | winner ({winner_column}) |", "|---|---|"]
+        lines = [f"| {GROUP_COLUMN} | winner ({winner_column}) |", "|---|---|"]
         lines += [f"| {g} | {w} |" for g, w in winners.items()]
         sections += lines + [""]
 

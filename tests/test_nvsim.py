@@ -4,6 +4,7 @@
 import pytest
 
 from repro.cells import TechnologyClass, tentpoles_for
+from repro.core.engine import DSEEngine, SweepSpec
 from repro.errors import CharacterizationError
 from repro.nvsim import (
     ArrayCharacterization,
@@ -11,7 +12,6 @@ from repro.nvsim import (
     all_organizations,
     candidate_organizations,
     characterize,
-    characterize_sweep,
 )
 from repro.nvsim import peripheral
 from repro.nvsim.model import (
@@ -21,6 +21,7 @@ from repro.nvsim.model import (
     subarray_geometry,
 )
 from repro.nvsim.organization import ArrayOrganization
+from repro.runtime.executor import sweep_points
 from repro.tech import get_node
 from repro.units import mb
 
@@ -254,13 +255,14 @@ class TestCharacterize:
             characterize(sram16, mb(1), 16, bits_per_cell=2)
 
     def test_sweep_uses_sram_node(self, stt_optimistic, sram16):
-        results = characterize_sweep(
-            [stt_optimistic, sram16], mb(1),
-            targets=(OptimizationTarget.READ_EDP,),
+        spec = SweepSpec(
+            cells=[stt_optimistic, sram16], capacities_bytes=[mb(1)],
         )
-        nodes = {r.cell.name: r.node_nm for r in results}
+        nodes = {p.cell.name: p.node_nm for p in sweep_points(spec)}
         assert nodes["STT-optimistic"] == 22
         assert nodes["SRAM-16nm"] == 16
+        results = DSEEngine().arrays(spec)
+        assert {r.cell.name: r.node_nm for r in results} == nodes
 
     def test_all_organizations_exposes_cloud(self, stt_optimistic):
         cloud = all_organizations(stt_optimistic, mb(1))

@@ -145,14 +145,14 @@ def _reference_csv(table):
     return buffer.getvalue()
 
 
-def _reference_markdown(table, float_format="{:.4g}"):
+def _reference_markdown(table):
     columns = table.columns
     if not columns:
         return "(empty table)"
 
     def fmt(value):
         if isinstance(value, float):
-            return float_format.format(value)
+            return "{:.4g}".format(value)
         return "" if value is None else str(value)
 
     header = "| " + " | ".join(columns) + " |"
@@ -168,7 +168,6 @@ def _assert_renders_like_reference(records):
     table = ResultTable(records)
     assert table.to_csv() == _reference_csv(table)
     assert table.to_markdown() == _reference_markdown(table)
-    assert table.to_markdown("{:.2e}") == _reference_markdown(table, "{:.2e}")
 
 
 _REPEATED_POOL = [0.0, -0.0, 1.0 / 3, math.nan, 2.5e-12, None, "s", 7, True]

@@ -4,8 +4,11 @@ These are the library-level counterparts of the reproduction benches in
 ``benchmarks/`` — smaller sweeps, same qualitative assertions.
 """
 
+import re
+
 import pytest
 
+from repro.errors import CharacterizationError
 from repro.studies import (
     acceptable,
     area_efficiency_study,
@@ -32,10 +35,11 @@ from repro.studies import (
     performant_technologies,
 )
 from repro.runtime.cache import PACK_SUFFIX
+from repro.runtime.executor import SweepPoint
 from repro.runtime.options import RuntimeOptions
 from repro.studies.pipeline import REGISTRY
 from repro.traffic import ALBERT, RESNET26
-from repro.units import mb
+from repro.units import kb, mb
 
 
 #: Per-study parameter overrides that shrink the regression sweeps below
@@ -103,6 +107,85 @@ class TestRegistryRuntime:
         # A different seed is a different trace fingerprint: nothing warm.
         assert reseeded.telemetry.trace_simulated == 4
         assert reseeded.telemetry.trace_cached == 0
+
+
+#: Each study that needs arrays without the default evaluation, with the
+#: number of SweepSpecs it characterizes (one executor call each).
+_SPECS_PER_STUDY = {
+    "fig06_dnn_intermittent": 1,
+    "fig13_mlc": 2,  # bits per cell 1 and 2
+    "fig14_writebuffer": 1,
+    "ext_retention": 1,
+    "ext_hierarchy": 2,  # backing at READ_EDP, front at READ_LATENCY
+}
+
+#: One point per study made to fail, as (cell name, capacity, bits per
+#: cell), and the predicate of the rows that point feeds.
+_FAILING_POINT = {
+    "fig06_dnn_intermittent": (
+        ("STT-optimistic", mb(8), 1),
+        lambda r: r["cell"] == "STT-optimistic" and r["capacity_mb"] == 8,
+    ),
+    "fig13_mlc": (
+        ("RRAM-optimistic", mb(8), 2),
+        lambda r: r["cell"] == "RRAM-optimistic" and r["bits_per_cell"] == 2,
+    ),
+    "fig14_writebuffer": (
+        ("PCM-optimistic", mb(8), 1), lambda r: r["cell"] == "PCM-optimistic",
+    ),
+    "ext_retention": (
+        ("FeFET-pessimistic", mb(8), 1),
+        lambda r: r["cell"] == "FeFET-pessimistic",
+    ),
+    "ext_hierarchy": (("STT-optimistic", kb(64), 1), lambda r: r["front_kb"] == 64),
+}
+
+
+def _fail_point(monkeypatch, cell_name, capacity, bits):
+    real = SweepPoint.characterize
+
+    def characterize(point):
+        if (point.cell.name, point.capacity_bytes, point.bits_per_cell) == (
+            cell_name, capacity, bits,
+        ):
+            raise CharacterizationError("injected failure")
+        return real(point)
+
+    monkeypatch.setattr(SweepPoint, "characterize", characterize)
+
+
+class TestOneCharacterizationPath:
+    """Every study characterizes whole SweepSpecs through DSEEngine.arrays."""
+
+    @pytest.mark.parametrize("name", sorted(_SPECS_PER_STUDY))
+    def test_cold_run_writes_one_array_pack_per_spec(self, name, tmp_path):
+        outcome = REGISTRY[name].run(
+            RuntimeOptions(cache_dir=tmp_path), **_SHRINK.get(name, {}))
+        assert outcome.ok
+        packs = list((tmp_path / "arrays").glob(f"*{PACK_SUFFIX}"))
+        assert len(packs) == _SPECS_PER_STUDY[name]
+
+    @pytest.mark.parametrize("name", sorted(_FAILING_POINT))
+    def test_skip_drops_the_failing_points_rows(self, name, monkeypatch):
+        spec, overrides = REGISTRY[name], _SHRINK.get(name, {})
+        point, feeds = _FAILING_POINT[name]
+        reference = list(spec.run(RuntimeOptions(), **overrides).table)
+        _fail_point(monkeypatch, *point)
+        outcome = spec.run(RuntimeOptions(on_error="skip"), **overrides)
+        assert outcome.ok
+        assert outcome.telemetry.failed == 1
+        kept = [row for row in reference if not feeds(row)]
+        assert len(kept) < len(reference)
+        assert list(outcome.table) == kept
+
+    @pytest.mark.parametrize("name", sorted(_FAILING_POINT))
+    def test_raise_names_the_failing_point(self, name, monkeypatch):
+        (cell_name, capacity, bits), _ = _FAILING_POINT[name]
+        _fail_point(monkeypatch, cell_name, capacity, bits)
+        label = f"{cell_name}@{capacity / mb(1):g}MB/"
+        with pytest.raises(CharacterizationError, match=re.escape(label)):
+            REGISTRY[name].run(
+                RuntimeOptions(on_error="raise"), **_SHRINK.get(name, {}))
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,8 @@ import pytest
 
 from repro.config.cli import EXIT_ALL_INCREMENTAL
 from repro.config.cli import main as cli_main
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, ReproError
+from repro.results.table import ResultTable
 from repro.runtime.cache import PACK_SUFFIX, STORE_TYPES, read_pack_index
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.fsck import fsck_cache_dir, fsck_manifest
@@ -46,8 +47,6 @@ def test_run_subset_writes_artifacts(tmp_path):
 
 
 def test_unknown_only_name_rejected(tmp_path):
-    from repro.errors import ReproError
-
     with pytest.raises(ReproError, match="unknown studies"):
         run_all(tmp_path, only=["fig99_nope"])
 
@@ -96,6 +95,55 @@ def test_failing_study_under_on_error_raise_exits_one(tmp_path, monkeypatch, cap
     assert "FAILED studies: boom" in err
 
 
+def _nan_table(runtime=None):
+    return ResultTable([
+        {"cell": "x", "reads_per_s": float("nan"), "total_power_mw": 1.0}
+    ])
+
+
+def test_report_rendering_error_fails_only_its_study_under_skip(
+    tmp_path, monkeypatch, capsys
+):
+    # A study whose report cannot be rendered (a non-finite plotted value)
+    # fails alone: no artifact of it is written, the next study still
+    # runs and the manifest records both.
+    broken = dict(REGISTRY)
+    broken["nanstudy"] = StudySpec(
+        name="nanstudy", builder=_nan_table, figure="n/a", description="nan",
+    )
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
+    rc = summary([str(tmp_path), "--only", "nanstudy,ext_hierarchy",
+                  "--on-error", "skip"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "| nanstudy | FAIL |" in captured.out
+    assert "| ext_hierarchy | ok |" in captured.out
+    assert "FAILED studies: nanstudy" in captured.err
+    assert not (tmp_path / "results" / "nanstudy.csv").exists()
+    assert not (tmp_path / "reports" / "nanstudy.md").exists()
+    assert (tmp_path / "results" / "ext_hierarchy.csv").exists()
+    manifest = RunManifest.try_load(tmp_path)
+    failed = manifest.lookup("nanstudy")
+    assert failed.status == "failed" and failed.artifacts == {}
+    assert "cannot plot non-finite value nan" in failed.error
+    assert manifest.lookup("ext_hierarchy").ok
+
+
+def test_report_rendering_error_raises_under_on_error_raise(
+    tmp_path, monkeypatch
+):
+    broken = dict(REGISTRY)
+    broken["nanstudy"] = StudySpec(
+        name="nanstudy", builder=_nan_table, figure="n/a", description="nan",
+    )
+    monkeypatch.setattr("repro.studies.summary.REGISTRY", broken)
+    with pytest.raises(ReproError, match="non-finite") as info:
+        run_all(tmp_path, runtime=RuntimeOptions(on_error="raise"),
+                only=["nanstudy"])
+    assert info.value.study == "nanstudy"
+    assert not (tmp_path / "results" / "nanstudy.csv").exists()
+
+
 def test_failing_study_raises_under_on_error_raise(tmp_path, monkeypatch):
     broken = dict(REGISTRY)
     broken["boom"] = StudySpec(
@@ -108,7 +156,7 @@ def test_failing_study_raises_under_on_error_raise(tmp_path, monkeypatch):
 
 #: Subset covering every cache layer: characterization-only (fig05),
 #: (array x traffic) evaluation (fig09), specialized evaluator blocks
-#: (fig14), direct engine.characterize studies (ext_hierarchy), and
+#: (fig14), studies that look arrays up from two specs (ext_hierarchy), and
 #: regenerated LLC traces (ext_synthetic_llc).
 WARM_SUBSET = [
     "fig05_dnn_arrays",

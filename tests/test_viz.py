@@ -126,7 +126,7 @@ class TestDashboard:
 # view must render byte for byte as it does over this reference.
 
 
-def _reference_series(table, x, y, by):
+def _reference_series(table, x, y):
     series = {}
     for row in table:
         xv, yv = row.get(x), row.get(y)
@@ -136,7 +136,7 @@ def _reference_series(table, x, y, by):
             continue
         if xv <= 0 or yv <= 0:
             continue
-        series.setdefault(str(row.get(by, "all")), []).append((xv, yv))
+        series.setdefault(str(row.get("cell", "all")), []).append((xv, yv))
     return {label: pts for label, pts in series.items() if pts}
 
 
