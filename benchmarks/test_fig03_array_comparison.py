@@ -1,16 +1,8 @@
 """Figure 3: 4 MB arrays under various optimization targets, all techs."""
 
-from conftest import print_table
 
-from repro.studies import optimization_target_study
-from repro.units import mb
-
-
-def test_fig03_optimization_targets(benchmark):
-    table = benchmark.pedantic(
-        optimization_target_study, kwargs={"capacity_bytes": mb(4)},
-        rounds=1, iterations=1,
-    )
+def test_fig03_optimization_targets(suite, print_table):
+    table = suite.tables["fig03_array_targets"]
 
     print_table(
         "Figure 3: 4 MB arrays x optimization targets",

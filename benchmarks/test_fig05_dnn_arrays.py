@@ -1,16 +1,8 @@
 """Figure 5: 2 MB arrays provisioned to replace NVDLA's on-chip SRAM."""
 
-from conftest import print_table
 
-from repro.studies import dnn_buffer_arrays
-from repro.units import mb
-
-
-def test_fig05_dnn_buffer_arrays(benchmark):
-    table = benchmark.pedantic(
-        dnn_buffer_arrays, kwargs={"capacity_bytes": mb(2)},
-        rounds=1, iterations=1,
-    )
+def test_fig05_dnn_buffer_arrays(suite, print_table):
+    table = suite.tables["fig05_dnn_arrays"]
 
     print_table(
         "Figure 5: 2 MB array read characteristics + density",

@@ -1,12 +1,8 @@
 """Figure 6: DNN accelerator memory power — continuous and intermittent."""
 
-from conftest import print_table
 
-from repro.studies import continuous_study, intermittent_study
-
-
-def test_fig06_left_continuous_power(benchmark):
-    table = benchmark.pedantic(continuous_study, rounds=1, iterations=1)
+def test_fig06_left_continuous_power(suite, print_table):
+    table = suite.tables["fig06_dnn_continuous"]
 
     shown = table.filter(lambda r: r["meets_fps"]).sort_by("total_power_mw")
     print_table(
@@ -43,8 +39,8 @@ def test_fig06_left_continuous_power(benchmark):
         assert multi["total_power_mw"] >= single["total_power_mw"]
 
 
-def test_fig06_right_intermittent_energy(benchmark):
-    table = benchmark.pedantic(intermittent_study, rounds=1, iterations=1)
+def test_fig06_right_intermittent_energy(suite, print_table):
+    table = suite.tables["fig06_dnn_intermittent"]
 
     print_table(
         "Figure 6 (right): energy per inference (1 IPS, weights on-chip)",

@@ -1,7 +1,5 @@
 """Figure 7: daily memory energy vs. wake-up frequency (the crossover)."""
 
-from conftest import print_table
-
 from repro.studies import fefet_stt_crossover, intermittent_sweep
 from repro.traffic import ALBERT, RESNET26
 from repro.units import mb
@@ -13,7 +11,7 @@ def _run():
     return image, nlp
 
 
-def test_fig07_wakeup_frequency_sweep(benchmark):
+def test_fig07_wakeup_frequency_sweep(benchmark, print_table):
     image, nlp = benchmark.pedantic(_run, rounds=1, iterations=1)
 
     print_table(

@@ -1,19 +1,14 @@
 """Figure 8: graph processing — power, latency, and lifetime at 8 MB."""
 
-from conftest import print_table
-
 from repro.studies import (
     best_lifetime_technology,
-    graph_study,
     lowest_power_technology,
     worst_lifetime_technology,
 )
 
 
-def test_fig08_graph_traffic(benchmark):
-    table = benchmark.pedantic(
-        graph_study, kwargs={"points_per_axis": 4}, rounds=1, iterations=1
-    )
+def test_fig08_graph_traffic(suite, print_table):
+    table = suite.tables["fig08_graph"]
 
     optimistic = table.where(flavor="optimistic")
     print_table(

@@ -1,12 +1,10 @@
 """Figure 9: SPEC CPU2017 traffic against 16 MB eNVM LLCs."""
 
-from conftest import print_table
-
-from repro.studies import feasible, llc_study, winner_per_benchmark
+from repro.studies import feasible, winner_per_benchmark
 
 
-def test_fig09_spec_llc(benchmark):
-    table = benchmark.pedantic(llc_study, rounds=1, iterations=1)
+def test_fig09_spec_llc(suite, print_table):
+    table = suite.tables["fig09_spec_llc"]
 
     ok = feasible(table)
     print_table(

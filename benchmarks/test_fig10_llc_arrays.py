@@ -1,15 +1,8 @@
 """Figure 10: 16 MB LLC array access characteristics in isolation."""
 
-from conftest import print_table
 
-from repro.studies import llc_arrays
-from repro.units import mb
-
-
-def test_fig10_llc_array_characteristics(benchmark):
-    table = benchmark.pedantic(
-        llc_arrays, kwargs={"capacity_bytes": mb(16)}, rounds=1, iterations=1
-    )
+def test_fig10_llc_array_characteristics(suite, print_table):
+    table = suite.tables["fig10_llc_arrays"]
 
     read_view = table.where(target="ReadEDP")
     print_table(

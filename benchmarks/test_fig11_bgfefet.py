@@ -1,15 +1,8 @@
 """Figure 11: back-gated FeFETs unlock performant graph processing."""
 
-from conftest import print_table
 
-from repro.studies import back_gated_fefet_study
-
-
-def test_fig11_back_gated_fefet(benchmark):
-    table = benchmark.pedantic(
-        back_gated_fefet_study, kwargs={"points_per_axis": 3},
-        rounds=1, iterations=1,
-    )
+def test_fig11_back_gated_fefet(suite, print_table):
+    table = suite.tables["fig11_bg_fefet"]
 
     print_table(
         "Figure 11: BG-FeFET vs standard FeFET vs SRAM (8 MB)",

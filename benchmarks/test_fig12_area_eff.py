@@ -1,17 +1,14 @@
 """Figure 12: trading area efficiency for performance."""
 
-
 from repro.studies import (
-    area_efficiency_study,
     efficiency_of_latency_extremes,
     low_efficiency_latency_advantage,
 )
 
 
-def test_fig12_area_efficiency_tradeoff(benchmark):
-    extremes = benchmark.pedantic(
-        efficiency_of_latency_extremes, rounds=1, iterations=1
-    )
+def test_fig12_area_efficiency_tradeoff(suite):
+    cloud = suite.tables["fig12_area_efficiency"]
+    extremes = efficiency_of_latency_extremes(cloud)
 
     print("\n=== Figure 12: latency-optimal vs max-efficiency organizations ===")
     for tech, values in extremes.items():
@@ -33,7 +30,6 @@ def test_fig12_area_efficiency_tradeoff(benchmark):
     # paper finds low-efficiency organizations faster; across the whole
     # cloud this model measures them slower (README.md, "Known
     # deviations"), and that measured direction is asserted.
-    cloud = area_efficiency_study(traffic_points=2)
     medians = low_efficiency_latency_advantage(cloud)
     print(f"\ncloud medians: {medians}")
     assert len(cloud) > 100

@@ -1,16 +1,10 @@
 """Figure 13: SLC vs MLC storage under fault injection (ResNet18 proxy)."""
 
-from conftest import print_table
-
-from repro.studies import acceptable, mlc_study
-from repro.units import mb
+from repro.studies import acceptable
 
 
-def test_fig13_mlc_reliability(benchmark):
-    table = benchmark.pedantic(
-        mlc_study, kwargs={"capacities": (mb(8), mb(16)), "trials": 3},
-        rounds=1, iterations=1,
-    )
+def test_fig13_mlc_reliability(suite, print_table):
+    table = suite.tables["fig13_mlc"]
 
     print_table(
         "Figure 13: SLC vs 2-bit MLC, density vs fault-injected accuracy",

@@ -1,12 +1,10 @@
 """Figure 14: write buffering changes the performance landscape."""
 
-from conftest import print_table
-
-from repro.studies import performant_technologies, writebuffer_study
+from repro.studies import performant_technologies
 
 
-def test_fig14_write_buffering(benchmark):
-    table = benchmark.pedantic(writebuffer_study, rounds=1, iterations=1)
+def test_fig14_write_buffering(suite, print_table):
+    table = suite.tables["fig14_writebuffer"]
 
     print_table(
         "Figure 14: write-buffer scenarios (Facebook-Graph-BFS + SPEC)",

@@ -3,8 +3,10 @@
 from repro.studies import preferred_technologies
 
 
-def test_tab2_preferred_technologies(benchmark):
-    choices = benchmark.pedantic(preferred_technologies, rounds=1, iterations=1)
+def test_tab2_preferred_technologies(suite):
+    choices = preferred_technologies(
+        suite.tables["fig06_dnn_continuous"], suite.tables["fig06_dnn_intermittent"]
+    )
 
     print("\n=== Table II: preferred eNVM per use case ===")
     print(f"{'use case':14s} {'workload':34s} {'priority':20s} "

@@ -4,8 +4,10 @@
   (10 ns writes, 1e12 endurance) and re-run the 8 MB graph/LLC traffic to
   see the write-latency gap close (Figure 11).
 * :func:`area_efficiency_study` — the full internal-organization cloud for
-  8 MB arrays, annotated with area efficiency, showing that low-efficiency
-  organizations tend to deliver low total memory latency (Figure 12).
+  8 MB arrays, annotated with area efficiency (Figure 12).  The paper
+  finds low-efficiency organizations faster; this model agrees for each
+  technology's extremes and not for the cloud's medians (README.md,
+  "Known deviations").
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ def low_efficiency_latency_advantage(
     Returns ``{"low_eff_median": ..., "high_eff_median": ...}``.  The paper
     observes the low-efficiency group tends to be faster; in this model the
     whole-cloud low-efficiency median is higher (H-tree delay grows with
-    the inflated footprint of periphery-heavy designs), so the benches
-    assert the per-technology extremes via
-    :func:`efficiency_of_latency_extremes` as the paper states them and
-    these medians in the measured direction (README.md, "Known
-    deviations").
+    the inflated footprint of periphery-heavy designs).  The Figure 12
+    bench reads the suite's ``fig12_area_efficiency`` table and asserts
+    the per-technology extremes (:func:`efficiency_of_latency_extremes`)
+    as the paper states them and these medians in the measured direction
+    (README.md, "Known deviations").
     """
     low = [
         r["memory_latency_s_per_s"]
@@ -126,28 +128,27 @@ def low_efficiency_latency_advantage(
     return {"low_eff_median": median(low), "high_eff_median": median(high)}
 
 
-def efficiency_of_latency_extremes(
-    capacity_bytes: int = CODESIGN_CAPACITY,
-) -> dict[str, dict[str, float]]:
+def efficiency_of_latency_extremes(table: ResultTable) -> dict[str, dict[str, float]]:
     """Per technology: area efficiency of the fastest vs. the densest design.
 
     The core of the Figure 12 observation — squeezing latency means doing
     *less* amortization of periphery, so the latency-optimal internal
     organization always shows lower area efficiency than the area-optimal
-    one.  The four clouds are recomputed on every call: the batch engine
-    builds them in milliseconds, faster than a disk cache could load them.
+    one.  ``table`` is the organization cloud of
+    :func:`area_efficiency_study` (the suite's ``fig12_area_efficiency``):
+    each technology's fastest organization is its first row of lowest
+    ``read_latency_ns``, its densest the first row of highest
+    ``area_efficiency``.
     """
     out: dict[str, dict[str, float]] = {}
-    for tech in (TechnologyClass.STT, TechnologyClass.PCM,
-                 TechnologyClass.RRAM, TechnologyClass.FEFET):
-        cell = tentpoles_for(tech).optimistic
-        cloud = all_organizations(cell, capacity_bytes, node_nm=ENVM_NODE_NM)
-        fastest = min(cloud, key=lambda a: a.read_latency)
-        densest = max(cloud, key=lambda a: a.area_efficiency)
-        out[tech.value] = {
-            "latency_optimal_efficiency": fastest.area_efficiency,
-            "max_efficiency": densest.area_efficiency,
-            "latency_optimal_ns": fastest.read_latency * 1e9,
-            "max_efficiency_latency_ns": densest.read_latency * 1e9,
+    for tech in table.unique("tech"):
+        rows = table.where(tech=tech)
+        fastest = rows.min_by("read_latency_ns")
+        densest = rows.max_by("area_efficiency")
+        out[tech] = {
+            "latency_optimal_efficiency": fastest["area_efficiency"],
+            "max_efficiency": densest["area_efficiency"],
+            "latency_optimal_ns": fastest["read_latency_ns"],
+            "max_efficiency_latency_ns": densest["read_latency_ns"],
         }
     return out

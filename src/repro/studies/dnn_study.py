@@ -191,69 +191,44 @@ class PreferredChoice:
 
 
 def preferred_technologies(
-    runtime: Optional[RuntimeOptions] = None,
+    continuous: ResultTable, intermittent: ResultTable
 ) -> list[PreferredChoice]:
     """Table II: preferred eNVM per use case / storage / priority.
 
-    "Low power" (continuous) and "low energy per inference" (intermittent)
-    pick the minimum-power/energy feasible candidate; "high density" picks
-    the densest feasible candidate.
+    Reads the two Figure 6 tables, ``continuous`` from
+    :func:`continuous_study` and ``intermittent`` from
+    :func:`intermittent_study` (the suite's ``fig06_dnn_continuous`` and
+    ``fig06_dnn_intermittent``).  "Low power" (continuous) and "low
+    energy per inference" (intermittent) pick the minimum-power/energy
+    feasible candidate; "high density" picks the densest feasible
+    candidate.  A flavor with no feasible candidate wins ``"none"``.
     """
+    use_cases = (
+        ("continuous", continuous, "low-power", "total_power_mw",
+         lambda r: r["tech"] != "SRAM" and r["meets_fps"]),
+        ("intermittent", intermittent, "low-energy-per-inf",
+         "energy_per_inference_uj", lambda r: True),
+    )
     choices: list[PreferredChoice] = []
-
-    continuous = continuous_study(runtime=runtime)
-    for workload in continuous.unique("workload"):
-        rows = continuous.where(workload=workload).filter(
-            lambda r: r["tech"] != "SRAM" and r["meets_fps"]
-        )
-        for priority, column, mode in (
-            ("low-power", "total_power_mw", "min"),
-            ("high-density", "density_mbit_mm2", "max"),
-        ):
-            winners = {}
-            for flavor in ("optimistic", "pessimistic"):
-                flavored = rows.where(flavor=flavor)
-                if not flavored:
-                    winners[flavor] = "none"
-                    continue
-                pick = (
-                    flavored.min_by(column) if mode == "min" else flavored.max_by(column)
+    for use_case, table, low_priority, low_column, feasible in use_cases:
+        for workload in table.unique("workload"):
+            rows = table.where(workload=workload).filter(feasible)
+            for priority, column, best in (
+                (low_priority, low_column, ResultTable.min_by),
+                ("high-density", "density_mbit_mm2", ResultTable.max_by),
+            ):
+                optimistic, pessimistic = (
+                    best(flavored, column)["tech"] if flavored else "none"
+                    for flavored in (rows.where(flavor="optimistic"),
+                                     rows.where(flavor="pessimistic"))
                 )
-                winners[flavor] = pick["tech"]
-            choices.append(
-                PreferredChoice(
-                    use_case="continuous",
-                    workload=str(workload),
-                    priority=priority,
-                    optimistic_winner=winners["optimistic"],
-                    pessimistic_winner=winners["pessimistic"],
+                choices.append(
+                    PreferredChoice(
+                        use_case=use_case,
+                        workload=str(workload),
+                        priority=priority,
+                        optimistic_winner=optimistic,
+                        pessimistic_winner=pessimistic,
+                    )
                 )
-            )
-
-    intermittent = intermittent_study(runtime=runtime)
-    for workload in intermittent.unique("workload"):
-        rows = intermittent.where(workload=workload)
-        for priority, column, mode in (
-            ("low-energy-per-inf", "energy_per_inference_uj", "min"),
-            ("high-density", "density_mbit_mm2", "max"),
-        ):
-            winners = {}
-            for flavor in ("optimistic", "pessimistic"):
-                flavored = rows.where(flavor=flavor)
-                if not flavored:
-                    winners[flavor] = "none"
-                    continue
-                pick = (
-                    flavored.min_by(column) if mode == "min" else flavored.max_by(column)
-                )
-                winners[flavor] = pick["tech"]
-            choices.append(
-                PreferredChoice(
-                    use_case="intermittent",
-                    workload=str(workload),
-                    priority=priority,
-                    optimistic_winner=winners["optimistic"],
-                    pessimistic_winner=winners["pessimistic"],
-                )
-            )
     return choices

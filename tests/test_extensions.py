@@ -24,7 +24,6 @@ from repro.nvsim import (
 )
 from repro.results import ResultTable
 from repro.studies.pipeline import REGISTRY
-from repro.studies.summary import run_all
 from repro.traffic import TrafficPattern
 from repro.units import kb, mb
 from repro.viz import study_report
@@ -226,18 +225,9 @@ class TestReports:
 
 
 @pytest.fixture(scope="module")
-def suite_out(tmp_path_factory):
-    """The output directory of one uncached run of every registry study."""
-    out = tmp_path_factory.mktemp("suite")
-    run = run_all(out, incremental=False)
-    assert [o.name for o in run.outcomes if o.ok] == list(REGISTRY)
-    return out
-
-
-@pytest.fixture(scope="module")
-def suite_reports(suite_out):
-    """Every registry study's report text, from that suite run."""
-    return {name: (suite_out / "reports" / f"{name}.md").read_text()
+def suite_reports(suite):
+    """Every registry study's report text, from the session suite run."""
+    return {name: (suite.out / "reports" / f"{name}.md").read_text()
             for name in REGISTRY}
 
 
@@ -265,10 +255,10 @@ def _number(text):
         return None
 
 
-def test_registry_csv_numbers_are_finite_and_non_negative(suite_out):
+def test_registry_csv_numbers_are_finite_and_non_negative(suite):
     seen = set()
     for name in REGISTRY:
-        with open(suite_out / "results" / f"{name}.csv", newline="") as fh:
+        with open(suite.out / "results" / f"{name}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for column in rows[0]:
             cells = [row[column] for row in rows if row[column] != ""]
@@ -281,6 +271,26 @@ def test_registry_csv_numbers_are_finite_and_non_negative(suite_out):
                    if value is None or not math.isfinite(value) or value < 0]
             assert not bad, f"{name}.csv column {column}: {bad[:3]}"
     assert seen == set(NUMERIC_COLUMNS)
+
+
+#: The unit suffixes of the numeric columns (``_s_per_s``: seconds per
+#: second of execution), and the numeric columns that carry no unit.
+UNIT_SUFFIXES = (
+    "_ns", "_s", "_s_per_s", "_per_s", "_per_day", "_years", "_pj", "_uj",
+    "_j", "_mw", "_uw", "_mm2", "_mb", "_kb", "_nm", "_gbps",
+)
+DIMENSIONLESS = (
+    "accuracy", "area_efficiency", "baseline_accuracy", "bits_per_cell",
+    "cell_error_rate", "coalescing", "slowdown",
+)
+
+
+def test_every_numeric_column_names_its_unit():
+    """Each numeric CSV column (the test above ties NUMERIC_COLUMNS to the
+    suite's CSVs) ends in a unit suffix or is dimensionless."""
+    unitless = [column for column in NUMERIC_COLUMNS
+                if column not in DIMENSIONLESS and not column.endswith(UNIT_SUFFIXES)]
+    assert not unitless
 
 
 def test_no_registry_report_exceeds_256_kib(suite_reports):

@@ -1,7 +1,12 @@
 """Case-study tests: each paper study produces its expected *shape*.
 
-These are the library-level counterparts of the reproduction benches in
-``benchmarks/`` — smaller sweeps, same qualitative assertions.
+The claim classes (``TestArrayStudies`` onwards) are named checks of the
+paper's claims on the tables the suite publishes: they read the one
+session suite run (the root ``conftest.py``'s ``suite`` fixture), as the
+figure benches in ``benchmarks/`` do.  Only Fig. 4 and Fig. 7, which are
+not registered studies, compute their own.  The registry-runtime and
+characterization-path classes run studies themselves, because they test
+caching and ``on_error`` rather than the published numbers.
 """
 
 import re
@@ -11,27 +16,17 @@ import pytest
 from repro.errors import CharacterizationError
 from repro.studies import (
     acceptable,
-    area_efficiency_study,
-    back_gated_fefet_study,
-    continuous_study,
-    dnn_buffer_arrays,
+    efficiency_of_latency_extremes,
     fefet_stt_crossover,
-    graph_study,
-    intermittent_study,
     intermittent_sweep,
-    llc_arrays,
-    llc_study,
     low_efficiency_latency_advantage,
     lowest_power_technology,
-    mlc_study,
-    optimization_target_study,
     preferred_technologies,
     tentpole_validation,
     best_lifetime_technology,
     worst_lifetime_technology,
     winner_per_benchmark,
     feasible,
-    writebuffer_study,
     performant_technologies,
 )
 from repro.runtime.cache import PACK_SUFFIX
@@ -188,29 +183,29 @@ class TestOneCharacterizationPath:
                 RuntimeOptions(on_error="raise"), **_SHRINK.get(name, {}))
 
 
-@pytest.fixture(scope="module")
-def graph_table():
-    return graph_study(points_per_axis=3)
+@pytest.fixture
+def graph_table(suite):
+    return suite.tables["fig08_graph"]
 
 
-@pytest.fixture(scope="module")
-def continuous_table():
-    return continuous_study()
+@pytest.fixture
+def continuous_table(suite):
+    return suite.tables["fig06_dnn_continuous"]
 
 
-@pytest.fixture(scope="module")
-def llc_table():
-    return llc_study()
+@pytest.fixture
+def llc_table(suite):
+    return suite.tables["fig09_spec_llc"]
 
 
 class TestArrayStudies:
-    def test_fig3_covers_cells_and_targets(self):
-        table = optimization_target_study(capacity_bytes=mb(1))
+    def test_fig3_covers_cells_and_targets(self, suite):
+        table = suite.tables["fig03_array_targets"]
         assert len(table.unique("target")) == 6
         assert "SRAM" in table.unique("tech")
 
-    def test_fig3_targets_trade_off(self):
-        table = optimization_target_study(capacity_bytes=mb(1))
+    def test_fig3_targets_trade_off(self, suite):
+        table = suite.tables["fig03_array_targets"]
         stt = table.where(cell="STT-optimistic")
         latency_opt = stt.where(target="ReadLatency")[0]
         area_opt = stt.where(target="Area")[0]
@@ -221,8 +216,8 @@ class TestArrayStudies:
         for result in tentpole_validation():
             assert result.covered or result.within_order_of_magnitude, result
 
-    def test_fig5_density_and_tiers(self):
-        table = dnn_buffer_arrays(capacity_bytes=mb(2))
+    def test_fig5_density_and_tiers(self, suite):
+        table = suite.tables["fig05_dnn_arrays"]
         sram = table.where(tech="SRAM")[0]
         stt = table.where(cell="STT-optimistic")[0]
         fefet = table.where(cell="FeFET-optimistic")[0]
@@ -239,8 +234,8 @@ class TestArrayStudies:
         ]
         assert fefet["read_energy_pj"] > 3 * max(others)
 
-    def test_fig10_only_stt_and_rram_beat_sram_writes(self):
-        table = llc_arrays(capacity_bytes=mb(16)).where(target="ReadEDP")
+    def test_fig10_only_stt_and_rram_beat_sram_writes(self, suite):
+        table = suite.tables["fig10_llc_arrays"].where(target="ReadEDP")
         sram_write = table.where(tech="SRAM")[0]["write_latency_ns"]
         beating = {
             r["tech"]
@@ -265,8 +260,8 @@ class TestDNNStudy:
         slow = acts.where(cell="PCM-pessimistic")[0]
         assert not slow["meets_fps"]
 
-    def test_fig6_intermittent_winners_low_density_tier(self):
-        table = intermittent_study()
+    def test_fig6_intermittent_winners_low_density_tier(self, suite):
+        table = suite.tables["fig06_dnn_intermittent"]
         single = table.where(workload="resnet26")
         best = single.min_by("energy_per_inference_uj")
         assert best["tech"] in {"RRAM", "STT", "PCM"}
@@ -287,8 +282,10 @@ class TestDNNStudy:
             values = energies.column("energy_per_day_j")
             assert values == sorted(values)
 
-    def test_table2_density_priority_picks_fefet_then_ctt_like(self):
-        choices = preferred_technologies()
+    def test_table2_density_priority_picks_fefet_then_ctt_like(self, suite):
+        choices = preferred_technologies(
+            suite.tables["fig06_dnn_continuous"], suite.tables["fig06_dnn_intermittent"]
+        )
         density_rows = [c for c in choices if c.priority == "high-density"]
         assert density_rows
         assert all(c.optimistic_winner == "FeFET" for c in density_rows)
@@ -352,8 +349,8 @@ class TestLLCStudy:
 
 
 class TestCodesign:
-    def test_fig11_bg_fefet_closes_write_gap(self):
-        table = back_gated_fefet_study(points_per_axis=2)
+    def test_fig11_bg_fefet_closes_write_gap(self, suite):
+        table = suite.tables["fig11_bg_fefet"]
         bg = table.where(cell="FeFET-back-gated")
         std = table.where(cell="FeFET-optimistic")
         assert max(bg.column("write_latency_ns")) < max(std.column("write_latency_ns")) / 5
@@ -362,16 +359,14 @@ class TestCodesign:
         std_ok = sum(1 for r in std if r["memory_latency_s_per_s"] <= 1.0)
         assert bg_ok >= std_ok
 
-    def test_fig11_bg_fefet_trades_density_and_read_energy(self):
-        table = back_gated_fefet_study(points_per_axis=2)
+    def test_fig11_bg_fefet_trades_density_and_read_energy(self, suite):
+        table = suite.tables["fig11_bg_fefet"]
         bg = table.where(cell="FeFET-back-gated")[0]
         std = table.where(cell="FeFET-optimistic")[0]
         assert bg["density_mbit_mm2"] < std["density_mbit_mm2"]
 
-    def test_fig12_latency_optimal_designs_sacrifice_efficiency(self):
-        from repro.studies import efficiency_of_latency_extremes
-
-        extremes = efficiency_of_latency_extremes()
+    def test_fig12_latency_optimal_designs_sacrifice_efficiency(self, suite):
+        extremes = efficiency_of_latency_extremes(suite.tables["fig12_area_efficiency"])
         for tech, values in extremes.items():
             assert (
                 values["latency_optimal_efficiency"] < values["max_efficiency"]
@@ -380,27 +375,27 @@ class TestCodesign:
                 values["latency_optimal_ns"] <= values["max_efficiency_latency_ns"]
             ), tech
 
-    def test_fig12_median_split_reports(self):
-        cloud = area_efficiency_study(traffic_points=2)
+    def test_fig12_median_split_reports(self, suite):
+        cloud = suite.tables["fig12_area_efficiency"]
         medians = low_efficiency_latency_advantage(cloud, efficiency_threshold=0.5)
         assert medians["low_eff_median"] > 0
         assert medians["high_eff_median"] > 0
 
 
 class TestMLCStudy:
-    @pytest.fixture(scope="class")
-    def mlc_table(self):
-        return mlc_study(capacities=(mb(8),), trials=2)
+    @pytest.fixture
+    def mlc_table(self, suite):
+        return suite.tables["fig13_mlc"]
 
     def test_fig13_mlc_rram_acceptable_and_denser(self, mlc_table):
-        rram_mlc = mlc_table.where(tech="RRAM", bits_per_cell=2)[0]
-        rram_slc = mlc_table.where(tech="RRAM", bits_per_cell=1)[0]
+        rram_mlc = mlc_table.where(tech="RRAM", bits_per_cell=2, capacity_mb=8.0)[0]
+        rram_slc = mlc_table.where(tech="RRAM", bits_per_cell=1, capacity_mb=8.0)[0]
         assert rram_mlc["accuracy_ok"]
         assert rram_mlc["density_mbit_mm2"] > 1.5 * rram_slc["density_mbit_mm2"]
 
     def test_fig13_small_fefet_mlc_fails(self, mlc_table):
-        small = mlc_table.where(cell="FeFET-2F2", bits_per_cell=2)[0]
-        large = mlc_table.where(cell="FeFET-103F2", bits_per_cell=2)[0]
+        small = mlc_table.where(cell="FeFET-2F2", bits_per_cell=2, capacity_mb=8.0)[0]
+        large = mlc_table.where(cell="FeFET-103F2", bits_per_cell=2, capacity_mb=8.0)[0]
         assert not small["accuracy_ok"]
         assert large["accuracy_ok"]
 
@@ -414,9 +409,9 @@ class TestMLCStudy:
 
 
 class TestWriteBufferStudy:
-    @pytest.fixture(scope="class")
-    def wb_table(self):
-        return writebuffer_study()
+    @pytest.fixture
+    def wb_table(self, suite):
+        return suite.tables["fig14_writebuffer"]
 
     def test_fig14_buffering_expands_viable_set(self, wb_table):
         budget = 0.45
