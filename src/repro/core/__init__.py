@@ -13,7 +13,6 @@ from repro.core.metrics import (
     SystemEvaluation,
     array_record,
     evaluate,
-    evaluation_record,
     lifetime_seconds,
     retention_ok,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DSEEngine",
     "SweepSpec",
     "array_record",
-    "evaluation_record",
     "SystemEvaluation",
     "evaluate",
     "lifetime_seconds",

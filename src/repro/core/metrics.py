@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import EvaluationError
 from repro.nvsim.result import ArrayCharacterization
@@ -68,15 +70,6 @@ class SystemEvaluation:
         return f"{self.array.cell.name} x {self.traffic.name}"
 
 
-def _access_scaling(array: ArrayCharacterization, traffic: TrafficPattern) -> float:
-    """Accesses the array performs per application access.
-
-    When the application moves more bytes per access than the array
-    transfers per access, the array is accessed multiple times.
-    """
-    return max(1.0, traffic.access_bytes / array.access_bytes)
-
-
 def evaluate(
     array: ArrayCharacterization,
     traffic: TrafficPattern,
@@ -94,7 +87,9 @@ def evaluate(
     if not 0.0 <= write_latency_mask <= 1.0:
         raise EvaluationError("write_latency_mask must be in [0, 1]")
 
-    scale = _access_scaling(array, traffic)
+    # When the application moves more bytes per access than the array
+    # transfers per access, the array is accessed multiple times.
+    scale = max(1.0, traffic.access_bytes / array.access_bytes)
     reads = traffic.reads_per_second * scale
     writes = traffic.writes_per_second * scale
 
@@ -143,17 +138,90 @@ def evaluate(
 
 
 def evaluate_many(
-    array: ArrayCharacterization,
+    arrays: Sequence[ArrayCharacterization],
     traffic: Sequence[TrafficPattern],
-    write_latency_mask: float = 0.0,
-) -> list[SystemEvaluation]:
-    """Evaluate one array under a whole block of traffic patterns.
+    write_latency_masks: Optional[Sequence[float]] = None,
+) -> dict[str, np.ndarray]:
+    """Evaluate every array under every traffic pattern as one array program.
 
-    The batched unit of the evaluation layer: worker tasks and the
-    persistent evaluation cache both operate on (array x traffic-block)
-    granularity rather than one (array, traffic) pair at a time.
+    The columnar form of :func:`evaluate`, which stays the scalar oracle:
+    each quantity is a float64 array of shape (arrays x traffic), computed
+    with the scalar code's operations in the scalar code's order, so every
+    cell is bit-identical to the one :func:`evaluate` gives.
+    ``write_latency_masks`` holds one mask per traffic pattern (default 0).
+
+    Returns the evaluation columns of a result row, in row order and row
+    units, each an (arrays x traffic) array whose ``.tolist()`` gives
+    Python ``float``/``bool``/``None`` cells (the two columns that may be
+    ``None`` are object arrays), never ``numpy.float64``.
     """
-    return [evaluate(array, t, write_latency_mask) for t in traffic]
+    n_traffic = len(traffic)
+    masks = np.zeros((1, n_traffic)) if write_latency_masks is None else (
+        np.array(write_latency_masks, dtype=float).reshape(1, n_traffic))
+    if not ((0.0 <= masks) & (masks <= 1.0)).all():
+        raise EvaluationError("write_latency_mask must be in [0, 1]")
+    # One (arrays x 1) column per array field, one (1 x traffic) row per
+    # pattern field; an unlimited endurance is an infinite one.
+    (access_bits, concurrency, capacity, read_latency, write_latency,
+     read_energy, write_energy, leakage, endurance) = np.array([
+        (a.organization.access_bits, a.organization.concurrency,
+         a.capacity_bytes, a.read_latency, a.write_latency, a.read_energy,
+         a.write_energy, a.leakage_power,
+         math.inf if a.endurance_cycles is None else a.endurance_cycles)
+        for a in arrays], dtype=float).reshape(-1, 9).T[:, :, None]
+    (reads_per_second, writes_per_second, pattern_bytes, reads_per_task,
+     writes_per_task, has_tasks) = np.array([
+        (t.reads_per_second, t.writes_per_second, t.access_bytes,
+         t.reads_per_task or 0.0, t.writes_per_task or 0.0,
+         t.reads_per_task is not None or t.writes_per_task is not None)
+        for t in traffic], dtype=float).reshape(-1, 6).T[:, None, :]
+    access_bytes = access_bits / BITS_PER_BYTE
+
+    ratio = pattern_bytes / access_bytes  # max(1.0, ratio), as in evaluate
+    scale = np.where(ratio > 1.0, ratio, 1.0)
+    reads = reads_per_second * scale
+    writes = writes_per_second * scale
+
+    dynamic = reads * read_energy + writes * write_energy
+    static = leakage + CONTROLLER_POWER_PER_BYTE * capacity
+    total_power = dynamic + static
+
+    latency_per_second = (
+        reads * read_latency + writes * (write_latency * (1.0 - masks))
+    ) / concurrency
+    slowdown = np.where(latency_per_second > 1.0, latency_per_second, 1.0)
+
+    read_ok = reads_per_second * pattern_bytes <= (
+        access_bytes * concurrency / read_latency)
+    # A mask of 0 divides by exactly 1.0, which leaves the bandwidth as is.
+    unmasked = 1.0 - masks
+    write_ok = writes_per_second * pattern_bytes <= (
+        access_bytes * concurrency / write_latency
+    ) / np.where(unmasked > 1e-12, unmasked, 1e-12)
+
+    # lifetime_seconds at full wear-levelling efficiency.
+    write_bits = writes_per_second * pattern_bytes * BITS_PER_BYTE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lifetime = endurance / (write_bits / (capacity * BITS_PER_BYTE))
+    limited = ~np.isinf(endurance) & (write_bits > 0) & ~(
+        lifetime >= LIFETIME_CAP_SECONDS)
+
+    energy_per_task = (reads_per_task * scale * read_energy
+                       + writes_per_task * scale * write_energy)
+
+    shape = total_power.shape
+    return {
+        "total_power_mw": total_power * 1e3,
+        "dynamic_power_mw": dynamic * 1e3,
+        "static_power_mw": np.broadcast_to(static * 1e3, shape),
+        "memory_latency_s_per_s": latency_per_second,
+        "slowdown": slowdown,
+        "feasible": read_ok & write_ok,
+        "lifetime_years": np.where(
+            limited, lifetime / SECONDS_PER_YEAR, None),
+        "energy_per_task_uj": np.where(
+            has_tasks != 0.0, energy_per_task * 1e6, None),
+    }
 
 
 # --- flattened result rows --------------------------------------------------
@@ -193,49 +261,49 @@ def array_record(array: ArrayCharacterization) -> dict:
     }
 
 
-def evaluation_record(ev: SystemEvaluation) -> dict:
-    """Flatten a system evaluation into a table row."""
-    return _with_evaluation(array_record(ev.array), ev)
-
-
-def _with_evaluation(row: dict, ev: SystemEvaluation) -> dict:
-    """``row`` (``ev``'s flattened array) with ``ev``'s columns added."""
-    row.update(
-        {
-            "workload": ev.traffic.name,
-            "reads_per_s": ev.traffic.reads_per_second,
-            "writes_per_s": ev.traffic.writes_per_second,
-            "total_power_mw": ev.total_power * 1e3,
-            "dynamic_power_mw": ev.dynamic_power * 1e3,
-            "static_power_mw": ev.leakage_power * 1e3,
-            "memory_latency_s_per_s": ev.memory_latency_per_second,
-            "slowdown": ev.slowdown,
-            "feasible": ev.feasible,
-            "lifetime_years": ev.lifetime_years,
-            "energy_per_task_uj": (
-                None if ev.energy_per_task is None else ev.energy_per_task * 1e6
-            ),
-        }
-    )
-    for key, value in ev.traffic.metadata.items():
-        row.setdefault(key, value)
-    return row
-
-
 def evaluation_rows(
-    array: ArrayCharacterization,
+    arrays: Sequence[ArrayCharacterization],
     traffic: Sequence[TrafficPattern],
     extra: Any = None,
-) -> list[dict]:
-    """One flattened row per traffic pattern — the default block evaluator.
+    *,
+    write_latency_masks: Optional[Sequence[float]] = None,
+) -> Iterator[list[dict]]:
+    """One block of flattened rows per array, one row per traffic pattern.
 
-    This is the standard ``rows_fn`` of
+    This is the default ``rows_fn`` of
     :func:`repro.runtime.executor.evaluate_blocks`; ``extra`` is unused
     here but part of the uniform signature specialized evaluators share.
+    A row is the array's :func:`array_record`, the pattern's name and
+    rates, the :func:`evaluate_many` columns (under
+    ``write_latency_masks``, one per pattern) and then any metadata tag
+    of the pattern that names no column yet.  The model runs once, before
+    the first block.
     """
     del extra
-    array_row = array_record(array)
-    return [_with_evaluation(dict(array_row), ev) for ev in evaluate_many(array, traffic)]
+    columns = evaluate_many(arrays, traffic, write_latency_masks)
+    names = tuple(columns)
+    heads = [
+        {"workload": t.name, "reads_per_s": t.reads_per_second,
+         "writes_per_s": t.writes_per_second}
+        for t in traffic
+    ]
+    tags: list[dict] = []
+    for index, array in enumerate(arrays):
+        base = array_record(array)
+        if index == 0:
+            # Every row has the same columns, so a pattern's tags that
+            # name none of them are the same for every array.
+            taken = set().union(base, *heads[:1], names)
+            tags = [{k: v for k, v in t.metadata.items() if k not in taken}
+                    for t in traffic]
+        rows = []
+        for head, cells, tag in zip(
+                heads, zip(*(columns[name][index].tolist() for name in names)), tags):
+            row = {**base, **head}
+            row.update(zip(names, cells))
+            row.update(tag)
+            rows.append(row)
+        yield rows
 
 
 def lifetime_seconds(

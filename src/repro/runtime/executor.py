@@ -6,13 +6,14 @@ pickling, no chunking.  What the executor adds over a plain loop is the
 cache discipline, written once in :func:`_cached_work` and shared by its
 three phases — array characterization (:func:`characterize_points`),
 (array x traffic) evaluation (:func:`evaluate_blocks`) and LLC trace
-regeneration (:func:`simulate_traces`): lookup in the on-disk store;
-damaged packs deleted and counted; duplicates within a call computed
-once; fresh results written back, as one pack file per call; one
-progress event per item, logged on the ``repro.runtime`` logger and
-passed to the caller's callback.  Nothing is memoized across calls: a
-repeat is served by the disk store, or recomputed, which for an array
-whose candidate lanes are warm costs tens of microseconds.
+regeneration (:func:`simulate_traces`): lookup in the on-disk store
+(fingerprints are computed only when there is one); damaged packs
+deleted and counted; equal items within a call computed once; fresh
+results written back, as one pack file per call; one progress event
+per item, logged on the ``repro.runtime`` logger and passed to the
+caller's callback.  Nothing is memoized across calls: a repeat is
+served by the disk store, or recomputed, which for an array whose
+candidate lanes are warm costs tens of microseconds.
 
 Model failures are data, not crashes: a point whose characterization
 raises a framework error is reported as ``failed``, and the caller
@@ -134,8 +135,9 @@ Outcome = Tuple[int, Any, float]
 
 def _cached_work(
     phase: str,
+    items: Sequence,
     labels: Sequence[str],
-    fingerprints: Sequence[str],
+    fingerprint: Callable[[Any], str],
     compute: Callable[[List[int]], Iterable[Outcome]],
     *,
     cache: Optional[JsonObjectCache],
@@ -144,21 +146,22 @@ def _cached_work(
 ) -> list:
     """Run one phase's items through the disk store.
 
-    Each fingerprint is looked up once in the on-disk ``cache``; every
-    damaged pack a load deletes (a refresh of the store's index can find
-    several) emits one ``corrupt`` event.  The items still missing are
-    computed once per fingerprint by ``compute(first indices)``, written
-    back to the store (one pack per call) and reported with one event per
-    item, which is logged and passed to ``progress``.  A duplicate within
-    the call is the same object as its first occurrence, reported as
-    ``cached`` from ``memory``.
+    An item (a frozen, hashable value) is its own key; with a ``cache``
+    its key is ``fingerprint(item)``, computed once per item, and each
+    distinct key is looked up once in the store.  Every damaged pack a
+    load deletes (a refresh of the store's index can find several) emits
+    one ``corrupt`` event.  The items still missing are computed once
+    per key by ``compute(first indices)``, written back to the store
+    (one pack per call) and reported with one event per item, which is
+    logged and passed to ``progress``.  A repeated key gets the same
+    object as its first occurrence, reported as ``cached`` from
+    ``memory``.
 
     Only characterization yields failures as data: a ``ReproError``
     outcome emits ``failed`` events and, under ``on_error="raise"``,
     raises :class:`~repro.errors.CharacterizationError` naming the item.
     The other phases raise from ``compute``.
     """
-    loaded: dict = {}  # fingerprint -> result served by the disk store
     total = len(labels)
     results: list = [None] * total
 
@@ -166,48 +169,52 @@ def _cached_work(
         event = ProgressEvent(
             kind, labels[index], index, total, phase=phase, source=source,
             **details)
-        logger.log(logging.WARNING if kind == FAILED else logging.DEBUG,
-                   "%s", event.describe())
+        level = logging.WARNING if kind == FAILED else logging.DEBUG
+        if logger.isEnabledFor(level):
+            logger.log(level, "%s", event.describe())
         if progress is not None:
             progress(event)
 
-    pending: dict[str, List[int]] = {}
-    for index, fp in enumerate(fingerprints):
-        if fp in loaded:
-            results[index] = loaded[fp]
-            emit(CACHED, index, "memory")
-            continue
-        if fp in pending:
-            pending[fp].append(index)
+    firsts: dict = {}  # key -> index of its first item
+    pending: dict[int, List[int]] = {}  # first index -> indices to compute
+    pending_keys: dict[int, Any] = {}  # first index -> its key
+    for index, item in enumerate(items):
+        key = item if cache is None else fingerprint(item)
+        first = firsts.setdefault(key, index)
+        if first != index:  # a repeat of an earlier item
+            if first in pending:
+                pending[first].append(index)
+            else:
+                results[index] = results[first]
+                emit(CACHED, index, "memory")
             continue
         value = None
         if cache is not None:
             corrupt_before = cache.corrupt
-            value = cache.load(fp)
+            value = cache.load(key)
             for _ in range(cache.corrupt - corrupt_before):
                 emit(CORRUPT, index, "disk")
         if value is None:
-            pending[fp] = [index]
+            pending[index] = [index]
+            pending_keys[index] = key
             continue
-        loaded[fp] = results[index] = value
+        results[index] = value
         emit(CACHED, index, "disk")
 
-    first_fps = {indices[0]: fp for fp, indices in pending.items()}
     # One pack per call; it is committed even when a failure or an
     # interrupt cuts the loop short, so finished items are kept.
     with cache.batch() if cache is not None else contextlib.nullcontext():
-        for first, value, duration_s in compute(list(first_fps)):
-            fp = first_fps[first]
+        for first, value, duration_s in compute(list(pending)):
             if isinstance(value, ReproError):
-                for nth, index in enumerate(pending[fp]):
+                for nth, index in enumerate(pending[first]):
                     emit(FAILED, index, error=str(value),
                          duration_s=duration_s if nth == 0 else 0.0)
                 if on_error == "raise":
                     raise CharacterizationError(f"{labels[first]}: {value}")
                 continue
             if cache is not None:
-                cache.store(fp, value)
-            for nth, index in enumerate(pending[fp]):
+                cache.store(pending_keys[first], value)
+            for nth, index in enumerate(pending[first]):
                 results[index] = value
                 if nth == 0:
                     emit(COMPLETED, index, duration_s=duration_s)
@@ -271,8 +278,8 @@ def characterize_points(
                 yield index, value, share
 
     return _cached_work(
-        "characterize", [p.label for p in points],
-        [p.fingerprint() for p in points], compute,
+        "characterize", points, [p.label for p in points],
+        SweepPoint.fingerprint, compute,
         cache=cache, progress=progress, on_error=on_error,
     )
 
@@ -298,16 +305,20 @@ def evaluate_blocks(
 
     Returns one list of flattened result rows per array.  ``rows_fn``
     (default :func:`repro.core.metrics.evaluation_rows`) is a
-    module-level callable ``(array, traffic, extra) -> rows`` whose
-    qualified name is part of the cache key; ``extra`` carries its
-    JSON-able parameters and participates in the cache key too.  A
+    module-level callable ``(arrays, traffic, extra)`` that returns an
+    iterator of one block of rows per array, in order.  It is called
+    once, with every array the store does not serve, so it can evaluate
+    them as one array program.  Its qualified name and ``extra`` (its
+    JSON-able parameters) are part of the cache key.  A
     :class:`~repro.errors.ReproError` from ``rows_fn`` is re-raised as
-    :class:`~repro.errors.EvaluationError` naming the array.
+    :class:`~repro.errors.EvaluationError` naming the array whose block
+    it was building.
 
-    Blocks are looked up in the on-disk ``cache``, and fresh blocks are
-    written back to it.  Every returned block is the caller's own:
-    callers may annotate its rows, including nested values, without
-    changing another block or a persisted entry.
+    Blocks are looked up in the on-disk ``cache``, and each fresh block
+    is stored as it is yielded, so an interrupt keeps the finished ones;
+    with no ``cache``, no fingerprint is computed.  Every returned block
+    is the caller's own: callers may annotate its rows, including nested
+    values, without changing another block or a persisted entry.
     """
     if rows_fn is None:
         # Imported lazily: repro.core builds on this module, so a
@@ -316,20 +327,28 @@ def evaluate_blocks(
 
         rows_fn = evaluation_rows
     traffic = tuple(traffic)
-    context = evaluation_context(traffic, rows_fn_id=rows_fn_id(rows_fn), extra=extra)
+    context = None
+    if cache is not None:
+        context = evaluation_context(
+            traffic, rows_fn_id=rows_fn_id(rows_fn), extra=extra)
 
     def compute(firsts: List[int]) -> Iterator[Outcome]:
-        for index in firsts:
-            start = time.perf_counter()
-            try:
-                rows = rows_fn(arrays[index], traffic, extra)
-            except ReproError as exc:
-                raise EvaluationError(f"{arrays[index].label}: {exc}") from exc
-            yield index, rows, time.perf_counter() - start
+        if not firsts:
+            return
+        index = firsts[0]
+        start = time.perf_counter()
+        try:
+            blocks = iter(rows_fn([arrays[i] for i in firsts], traffic, extra))
+            for index in firsts:
+                rows = next(blocks)
+                yield index, rows, time.perf_counter() - start
+                start = time.perf_counter()
+        except ReproError as exc:
+            raise EvaluationError(f"{arrays[index].label}: {exc}") from exc
 
     results = _cached_work(
-        "evaluate", [array.label for array in arrays],
-        [evaluation_fingerprint(array, context) for array in arrays],
+        "evaluate", arrays, [array.label for array in arrays],
+        lambda array: evaluation_fingerprint(array, context),
         compute, cache=cache, progress=progress,
     )
     # Fresh blocks are built by rows_fn and disk hits are decoded anew,
@@ -376,7 +395,7 @@ def simulate_traces(
             yield index, trace, time.perf_counter() - start
 
     return _cached_work(
-        "trace", [workload.name for workload in workloads],
-        [trace_fingerprint(workload, **params) for workload in workloads],
+        "trace", workloads, [workload.name for workload in workloads],
+        lambda workload: trace_fingerprint(workload, **params),
         compute, cache=cache, progress=progress,
     )

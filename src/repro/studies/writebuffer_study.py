@@ -9,12 +9,12 @@ reduce traffic 25% / 50%) and report which technologies become performant
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
 from repro.core.engine import DSEEngine, SweepSpec
-from repro.core.metrics import evaluation_record
-from repro.core.writebuffer import DEFAULT_SCENARIOS, WriteBufferConfig, evaluate_with_buffer
+from repro.core.metrics import evaluation_rows
+from repro.core.writebuffer import DEFAULT_SCENARIOS, WriteBufferConfig, buffered_traffic
 from repro.results.table import ResultTable
 from repro.runtime.options import RuntimeOptions
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
@@ -26,23 +26,24 @@ from repro.units import mb
 STUDY_CAPACITY = mb(8)
 
 
-def _scenario_rows(array, traffic, extra: Any) -> list[dict]:
+def _scenario_rows(arrays, traffic, extra: Any) -> Iterator[list[dict]]:
     """Block evaluator: every (traffic, write-buffer scenario) row.
 
     ``extra`` is the JSON-able scenario list (it participates in the
     evaluation-cache fingerprint, so changing the scenario sweep
-    invalidates cached blocks).
+    invalidates cached blocks).  Each (pattern, scenario) pair is one
+    column of the model: the buffered pattern under the scenario's mask.
     """
-    scenarios = [WriteBufferConfig(**config) for config in extra]
-    rows = []
-    for pattern in traffic:
-        for config in scenarios:
-            ev = evaluate_with_buffer(array, pattern, config)
-            row = evaluation_record(ev)
+    pairs = [(pattern, WriteBufferConfig(**config))
+             for pattern in traffic for config in extra]
+    blocks = evaluation_rows(
+        arrays, [buffered_traffic(pattern, config) for pattern, config in pairs],
+        write_latency_masks=[config.mask_fraction for _, config in pairs])
+    for rows in blocks:
+        for row, (pattern, config) in zip(rows, pairs):
             row["scenario"] = config.label
             row["base_workload"] = pattern.name
-            rows.append(row)
-    return rows
+        yield rows
 
 
 def writebuffer_study(

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.cachesim.streams import WorkloadModel
 from repro.cells.export import cell_from_dict, cell_to_dict
 from repro.config import parse_config
 from repro.core.engine import DSEEngine, SweepSpec
@@ -36,6 +37,7 @@ from repro.runtime.cache import PACK_SUFFIX, pack_id, read_pack_index
 from repro.runtime.executor import rows_fn_id
 from repro.runtime.fsck import fsck_cache_dir
 from repro.runtime.rowcodec import decode_block, encode_block
+from repro.runtime.telemetry import ProgressEvent
 from repro.studies.pipeline import StudySpec
 from repro.traffic import TrafficPattern
 from repro.units import mb
@@ -538,7 +540,8 @@ class TestEvaluationFingerprint:
 
 class TestEvaluationCache:
     def rows(self, stt_array_1mb):
-        return evaluation_rows(stt_array_1mb, _traffic_pair())
+        [rows] = evaluation_rows([stt_array_1mb], _traffic_pair())
+        return rows
 
     def test_miss_then_hit_roundtrips_rows(self, tmp_path, stt_array_1mb):
         cache = EvaluationCache(tmp_path)
@@ -643,7 +646,7 @@ class TestRowCodec:
         assert _signature(loaded) == _signature(rows)
 
     def test_real_block_roundtrips_and_shares_the_array_half(self, stt_array_1mb):
-        rows = evaluation_rows(stt_array_1mb, _traffic_pair())
+        [rows] = evaluation_rows([stt_array_1mb], _traffic_pair())
         payload = json.loads(json.dumps(encode_block(rows)))
         assert _signature(decode_block(payload)) == _signature(rows)
         assert len(payload["shapes"]) == 1
@@ -670,7 +673,7 @@ class TestRowCodec:
         # another key.  It is an ordinary miss, and fsck finds it clean
         # and removes it as stale.
         store = tmp_path / "evaluations"
-        rows = evaluation_rows(stt_array_1mb, _traffic_pair())
+        [rows] = evaluation_rows([stt_array_1mb], _traffic_pair())
         write_pack(store, "eval-rows-v2", [("ab" * 32, rows)])
         cache = EvaluationCache(store)
         assert cache.load("ab" * 32) is None
@@ -745,11 +748,27 @@ def _mixed_rows(array, traffic, extra):
             {"workload": "nested", "nested": {"value": 1}, "tags": ["a"]}]
 
 
-def _rows_until_interrupt(array, traffic, extra):
+def _tagged_blocks(arrays, traffic, extra):
+    for array in arrays:
+        yield _tagged_rows(array, traffic, extra)
+
+
+def _nested_blocks(arrays, traffic, extra):
+    for array in arrays:
+        yield _nested_rows(array, traffic, extra)
+
+
+def _mixed_blocks(arrays, traffic, extra):
+    for array in arrays:
+        yield _mixed_rows(array, traffic, extra)
+
+
+def _rows_until_interrupt(arrays, traffic, extra):
     """Rows of each block, until the block whose capacity is ``extra``."""
-    if array.capacity_bytes == extra:
-        raise KeyboardInterrupt
-    return _tagged_rows(array, traffic, extra)
+    for array in arrays:
+        if array.capacity_bytes == extra:
+            raise KeyboardInterrupt
+        yield _tagged_rows(array, traffic, extra)
 
 
 class TestEvaluateBlocks:
@@ -822,12 +841,12 @@ class TestEvaluateBlocks:
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
         first = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_nested_rows)
+                                rows_fn=_nested_blocks)
         first[0][0]["nested"]["value"] = 999
         first[0][0]["tags"].append("mutated")
         telemetry = SweepTelemetry()
         second = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                 rows_fn=_nested_rows, progress=telemetry.emit)
+                                 rows_fn=_nested_blocks, progress=telemetry.emit)
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert second[0][0]["nested"] == {"value": 1}
         assert second[0][0]["tags"] == ["a"]
@@ -856,14 +875,14 @@ class TestEvaluateBlocks:
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
         first = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_mixed_rows)
+                                rows_fn=_mixed_blocks)
         flat, nested = first[0]
         flat["value"] = -1.0
         nested["nested"]["value"] = 999
         nested["tags"].append("mutated")
         telemetry = SweepTelemetry()
         again = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_mixed_rows, progress=telemetry.emit)
+                                rows_fn=_mixed_blocks, progress=telemetry.emit)
         assert (telemetry.eval_cached, telemetry.evaluated) == (1, 0)
         assert again[0] == _mixed_rows(None, traffic, None)
 
@@ -872,13 +891,99 @@ class TestEvaluateBlocks:
         cache = EvaluationCache(tmp_path)
         traffic = _traffic_pair()
         a = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                            rows_fn=_tagged_rows, extra="a")
+                            rows_fn=_tagged_blocks, extra="a")
         b = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                            rows_fn=_tagged_rows, extra="b")
+                            rows_fn=_tagged_blocks, extra="b")
         assert a[0][0]["tag"] == "a"
         assert b[0][0]["tag"] == "b"
         # Different extras never share an entry.
         assert len(set(_stored_fingerprints(tmp_path))) == 2
+
+
+class TestCachedWork:
+    """The executor's one cache discipline, with and without a store."""
+
+    def test_no_store_computes_no_fingerprint(self, monkeypatch, stt_optimistic,
+                                              stt_array_1mb):
+        def boom(*args, **kwargs):
+            raise AssertionError("fingerprint computed without a store")
+
+        for name in ("evaluation_context", "evaluation_fingerprint",
+                     "trace_fingerprint"):
+            monkeypatch.setattr(executor, name, boom)
+        monkeypatch.setattr(SweepPoint, "fingerprint", boom)
+        [array] = characterize_points([make_point(stt_optimistic)])
+        assert array == stt_array_1mb
+        [rows] = evaluate_blocks([stt_array_1mb], _traffic_pair())
+        assert len(rows) == 2
+        workload = WorkloadModel("w", working_set_bytes=mb(1), write_fraction=0.2)
+        [trace] = executor.simulate_traces([workload], n_accesses=2_000, seed=1)
+        assert trace.name == "w"
+
+    def test_equal_items_are_computed_once_without_a_store(self, stt_optimistic,
+                                                           stt_array_1mb):
+        twin = ArrayCharacterization.from_dict(stt_array_1mb.to_dict())
+        assert twin is not stt_array_1mb and twin == stt_array_1mb
+        events = []
+        blocks = evaluate_blocks([stt_array_1mb, twin], _traffic_pair(),
+                                 progress=events.append)
+        assert [e.kind for e in events] == ["completed", "cached"]
+        assert events[1].describe().endswith("[memory]")
+        assert blocks[0] == blocks[1] and blocks[0] is not blocks[1]
+
+        telemetry = SweepTelemetry()
+        first, second = characterize_points(
+            [make_point(stt_optimistic), make_point(stt_optimistic)],
+            progress=telemetry.emit)
+        assert first is second
+        assert (telemetry.completed, telemetry.cached) == (1, 1)
+
+    def test_store_fingerprints_each_item_at_most_once(
+            self, monkeypatch, tmp_path, stt_optimistic, stt_array_1mb,
+            sram_array_1mb):
+        counted = []
+
+        def counting(fingerprint):
+            def wrapper(*args, **kwargs):
+                counted.append(fingerprint.__name__)
+                return fingerprint(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(executor, "evaluation_fingerprint",
+                            counting(executor.evaluation_fingerprint))
+        monkeypatch.setattr(SweepPoint, "fingerprint",
+                            counting(SweepPoint.fingerprint))
+        twin = ArrayCharacterization.from_dict(stt_array_1mb.to_dict())
+        arrays = [stt_array_1mb, twin, sram_array_1mb]
+        cache = EvaluationCache(tmp_path / "evaluations")
+        for _ in range(2):  # cold, then warm
+            counted.clear()
+            evaluate_blocks(arrays, _traffic_pair(), cache=cache)
+            assert counted == ["evaluation_fingerprint"] * len(arrays)
+        points = [make_point(stt_optimistic)] * 2
+        counted.clear()
+        characterize_points(points, cache=CharacterizationCache(tmp_path / "arrays"))
+        assert counted == ["fingerprint"] * len(points)
+
+    def test_debug_log_lines_are_the_events(self, caplog, stt_array_1mb):
+        events = []
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime"):
+            evaluate_blocks([stt_array_1mb, stt_array_1mb], _traffic_pair(),
+                            progress=events.append)
+        assert len(events) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            e.describe() for e in events]
+        assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+
+    def test_events_are_not_formatted_when_debug_is_off(self, caplog,
+                                                        monkeypatch,
+                                                        stt_array_1mb):
+        described = []
+        monkeypatch.setattr(ProgressEvent, "describe",
+                            lambda event: described.append(event) or "")
+        with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+            evaluate_blocks([stt_array_1mb], _traffic_pair())
+        assert described == []
 
 
 class TestRuntimeOptions:
